@@ -5,7 +5,7 @@
 GO      ?= go
 BENCH_OUT ?= bench.json
 
-.PHONY: all build vet test race bench bench-hot bench-smoke bench-tree bench-transport bench-wire bench-gate fuzz-smoke check docs-check
+.PHONY: all build vet test race bench bench-hot bench-smoke bench-tree bench-transport bench-wire bench-gate bench-e2e golden loc fuzz-smoke check docs-check
 
 # The committed perf record the bench-gate compares against.
 BENCH_BASELINE ?= BENCH_pr10.json
@@ -104,3 +104,26 @@ fuzz-smoke:
 # detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# The end-to-end perf ledger (bench/README.md): BENCHMARK.json's command —
+# every named workload untraced then traced, each checked against its
+# pinned answer. Results land in bench/out/.
+bench-e2e:
+	bash bench/run.sh
+
+# Regenerate the committed goldens — the chaos harness's scenario traces
+# (internal/harness/testdata/*.trace) and the simulator's pinned counts
+# (internal/gridsim/testdata/*.golden) — from the current behaviour. A
+# behaviour-preserving change never needs this: `go test` diffs against
+# them, and a refactor is done when they hold unchanged.
+golden:
+	$(GO) test ./internal/harness ./internal/gridsim -run Golden -update
+
+# Comment-free, blank-free, non-test Go lines: the size the simplicity
+# rounds are measured in (ROADMAP.md aim 2). bench/ is the measuring
+# instrument, not the system, and is left out of the total.
+LOC = xargs cat | grep -cvE '^\s*(//|$$)'
+loc:
+	@echo "internal/harness $$(find internal/harness -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/gridsim $$(find internal/gridsim -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "whole tree       $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | $(LOC))"

@@ -40,18 +40,20 @@ func TestFarmerRecoveryDeterministic(t *testing.T) {
 	ins := reducedTa056(t)
 	sc := harness.Scenario{
 		Name: "farmer-binary-recovery",
-		Seed: 6,
 		Factory: func() bb.Problem {
 			return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 		},
-		Workers:           3,
-		UpdatePeriodNodes: 256,
-		TickBudget:        500,
-		LeaseTTLTicks:     2,
-		CheckpointEvery:   3,
-		FarmerRestarts:    []int{6},
-		DropReplyPct:      5,
-		Kills:             []harness.KillEvent{{Tick: 4, Slot: 1, RejoinAfter: 3}},
+		FarmerRestarts: []int{6},
+		Fleet: harness.Fleet{
+			Seed:              6,
+			Workers:           3,
+			UpdatePeriodNodes: 256,
+			TickBudget:        500,
+			LeaseTTLTicks:     2,
+			CheckpointEvery:   3,
+			DropReplyPct:      5,
+			Kills:             []harness.KillEvent{{Tick: 4, Slot: 1, RejoinAfter: 3}},
+		},
 	}
 	rep, err := harness.Run(sc)
 	if err != nil {

@@ -192,6 +192,29 @@ func (a *api) handler() http.Handler {
 	return mux
 }
 
+// The HTTP API's connection discipline, the same as the worker port's
+// (DESIGN.md §10): a peer gets as long to finish its request headers as a
+// worker gets to authenticate, a request or a response may not dribble
+// forever, and an idle keep-alive connection is eventually reclaimed.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpReadTimeout       = 30 * time.Second
+	httpWriteTimeout      = 30 * time.Second
+	httpIdleTimeout       = 120 * time.Second
+)
+
+// server builds the HTTP API server for addr.
+func (a *api) server(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           a.handler(),
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		WriteTimeout:      httpWriteTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("jobd: ")
@@ -258,7 +281,7 @@ func main() {
 		a := &api{tb: tb, storeDir: *storeDir, token: *httpToken}
 		go func() {
 			log.Printf("HTTP API on %s", *httpAddr)
-			if err := http.ListenAndServe(*httpAddr, a.handler()); err != nil &&
+			if err := a.server(*httpAddr).ListenAndServe(); err != nil &&
 				!errors.Is(err, http.ErrServerClosed) {
 				log.Fatal(err)
 			}

@@ -2,12 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/jobs"
@@ -156,5 +159,58 @@ func TestDeleteQueuedJob(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("DELETE", "/jobs/second", nil))
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("double delete: %d, want conflict", rec.Code)
+	}
+}
+
+// TestHTTPServerDropsStalledHeaders: the API server carries the worker
+// port's connection discipline. A client that opens a connection and never
+// finishes its request headers is dropped once the header timeout passes,
+// while a well-behaved GET /jobs on the same server keeps answering.
+func TestHTTPServerDropsStalledHeaders(t *testing.T) {
+	a := &api{tb: newTestTable(t, t.TempDir(), 8)}
+	srv := a.server("127.0.0.1:0")
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.ReadTimeout != 30*time.Second ||
+		srv.WriteTimeout != 30*time.Second || srv.IdleTimeout != 120*time.Second {
+		t.Errorf("timeouts header=%v read=%v write=%v idle=%v, want 10s/30s/30s/120s",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+	}
+	// The same server on a test's clock: every bound scaled down 50x.
+	const bound = 200 * time.Millisecond
+	srv.ReadHeaderTimeout = bound
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	opened := time.Now()
+	if _, err := stalled.Write([]byte("GET /jobs HTTP/1.1\r\nHost: jobd\r\nX-Slow: ")); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/jobs")
+	if err != nil {
+		t.Fatalf("GET /jobs beside a stalled client: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /jobs beside a stalled client: status %d", resp.StatusCode)
+	}
+
+	// The server must hang up on its own; the read deadline only keeps a
+	// regression from wedging the test.
+	stalled.SetReadDeadline(time.Now().Add(20 * bound))
+	if _, err := io.Copy(io.Discard, stalled); err != nil {
+		t.Fatalf("stalled client still connected %v after opening (header bound %v): %v", time.Since(opened), bound, err)
 	}
 }

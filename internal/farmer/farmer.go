@@ -326,6 +326,40 @@ func WithEndgameThreshold(t *big.Int) Option {
 	return func(f *Farmer) { f.endgame = new(big.Int).Set(t) }
 }
 
+// The endgame thresholds as multiples of the duplication threshold. The
+// duplication threshold is leaf-units scale (a handful of tree nodes),
+// while the endgame is governed by fleet-scale quantities: the root must
+// start duplicating the survivors while there is still enough tail left
+// for every subtree's fleet to chew in parallel, and a starving subtree
+// needs several cadences of fleet throughput pre-fetched to stay busy
+// across the refill round trip.
+const (
+	endgameFactor  = 64
+	lowWaterFactor = 1024
+	// innerFanoutFactor scales an inner farmer's no-split threshold down
+	// with the tree's fan-out: it serves a fleet 1/subtrees the size of
+	// the grid over a table that is itself a slice of the root's, and
+	// duplicating a root-scale crumb (thousands of unit-dense deep
+	// leaves) to every idle worker of a subtree is the dominant
+	// redundancy of tree mode.
+	innerFanoutFactor = 8
+)
+
+// EndgameThresholds derives the crumb-endgame configuration of a farmer
+// tree (DESIGN.md §12) from the root's duplication threshold thr and the
+// number of sub-farmers: the root's WithEndgameThreshold value, the
+// sub-farmers' SubConfig.LowWater mark, and the WithThreshold value of
+// their inner farmers (at least 1).
+func EndgameThresholds(thr *big.Int, subtrees int) (endgame, lowWater, inner *big.Int) {
+	endgame = new(big.Int).Mul(thr, big.NewInt(endgameFactor))
+	lowWater = new(big.Int).Mul(thr, big.NewInt(lowWaterFactor))
+	inner = new(big.Int).Div(thr, big.NewInt(int64(subtrees)*innerFanoutFactor))
+	if inner.Sign() <= 0 {
+		inner = big.NewInt(1)
+	}
+	return endgame, lowWater, inner
+}
+
 // WithInitialBest primes SOLUTION with an externally known solution — the
 // paper initializes its Ta056 runs with the best known makespans 3681 and
 // 3680 (§5.3). The path may be nil when only the cost is known.

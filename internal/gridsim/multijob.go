@@ -10,13 +10,12 @@ package gridsim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/bb"
 	"repro/internal/checkpoint"
 	"repro/internal/jobs"
-	"repro/internal/transport"
+	"repro/internal/worker"
 )
 
 // SubmittedJob is one tenant of a multi-job simulation.
@@ -112,34 +111,14 @@ type MultiJobResult struct {
 	Store checkpoint.Stats
 }
 
-// mjSimWorker is one active processor hosting a multi-job session.
-type mjSimWorker struct {
-	id      transport.WorkerID
-	session *jobs.WorkerSession
-	rate    float64 // nodes per virtual second
-	credit  float64 // fractional node budget
-
-	lastUpdateCount int64
-	lastUpdateSecs  float64
-}
-
 // MultiJobSim runs one multi-tenant service over a volatile pool. Create
 // with NewMultiJob, drive with Run.
 type MultiJobSim struct {
 	cfg       MultiJobConfig
-	rng       *rand.Rand
+	fleet     *fleet
 	table     *jobs.Table
 	store     *checkpoint.Store
 	factories jobs.Factories
-
-	slots   []float64
-	cores   []int
-	domains []domainState
-	active  []*mjSimWorker
-
-	nowSecs   float64
-	nextID    int64
-	lostNodes int64
 	result    MultiJobResult
 
 	// onTick, when set (tests), observes the state after every step.
@@ -154,14 +133,21 @@ func NewMultiJob(cfg MultiJobConfig) (*MultiJobSim, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("gridsim: no jobs configured")
 	}
-	s := &MultiJobSim{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	s.slots, s.cores, s.domains = layoutPool(cfg.Pool, cfg.Availability.PhaseJitterRadians, s.rng)
-	s.active = make([]*mjSimWorker, len(s.slots))
+	s := &MultiJobSim{cfg: cfg}
+	s.fleet = newFleet(cfg.Pool, cfg.Availability, cfg.Seed, "mj")
+	s.fleet.tickSeconds = cfg.TickSeconds
+	s.fleet.nodesPerGHzPerSecond = cfg.NodesPerGHzPerSecond
+	s.fleet.updatePeriodSeconds = cfg.UpdatePeriodSeconds
+	// One machine serves whichever tenant fair share routes it to; the
+	// multi-job session has no shard engine, so cores scale only the rate.
+	s.fleet.start = func(slot int, wc worker.Config) hostSession {
+		return tenantSession{jobs.NewWorkerSession(jobs.WorkerConfig{
+			ID: wc.ID, Power: wc.Power, UpdatePeriodNodes: wc.UpdatePeriodNodes,
+		}, s.table, s.factories)}
+	}
 
-	var store *checkpoint.Store
 	if cfg.CheckpointDir != "" {
-		var err error
-		store, err = checkpoint.NewStore(cfg.CheckpointDir)
+		store, err := checkpoint.NewStore(cfg.CheckpointDir)
 		if err != nil {
 			return nil, err
 		}
@@ -169,8 +155,8 @@ func NewMultiJob(cfg MultiJobConfig) (*MultiJobSim, error) {
 	}
 	s.table = jobs.NewTable(jobs.Config{
 		MaxActive: cfg.MaxActive,
-		Store:     store,
-		Clock:     func() int64 { return int64(s.nowSecs * 1e9) },
+		Store:     s.store,
+		Clock:     s.fleet.clock,
 		LeaseTTL:  time.Duration(cfg.LeaseTTLSeconds * 1e9),
 	})
 	specs := make(map[string]jobs.Spec, len(cfg.Jobs))
@@ -194,52 +180,31 @@ func (s *MultiJobSim) Run() (MultiJobResult, error) {
 	if cfg.NodesPerGHzPerSecond <= 0 {
 		return MultiJobResult{}, fmt.Errorf("gridsim: NodesPerGHzPerSecond must be set")
 	}
-	dt := cfg.TickSeconds
+	f := s.fleet
 	nextCkpt := cfg.TableCheckpointSeconds
 	for tick := 0; tick < cfg.MaxTicks; tick++ {
-		s.nowSecs = float64(tick) * dt
-		driveChurn(&cfg.Availability, dt, s.nowSecs, s.rng, s.domains,
-			func(slot int) bool { return s.active[slot] != nil }, s.join, s.leave)
+		f.beginTick(tick)
 
 		activeCount := 0
-		for _, w := range s.active {
+		for _, w := range f.active {
 			if w == nil {
 				continue
 			}
 			activeCount++
-			w.credit += w.rate * dt
-			budget := int64(w.credit)
-			if budget <= 0 {
-				// Not enough credit for a whole node yet: still acquire
-				// work if idle and keep the time-based checkpoint alive.
-				if !w.session.HasWork() {
-					if _, _, err := w.session.Advance(0); err != nil {
-						return s.result, fmt.Errorf("gridsim: worker %s: %w", w.id, err)
-					}
-				}
-				if err := s.maybeCheckpoint(w); err != nil {
-					return s.result, err
-				}
-				continue
+			if _, _, _, err := f.step(w, cfg.TickSeconds); err != nil {
+				return s.result, err
 			}
-			n, _, err := w.session.Advance(budget)
-			if err != nil {
-				return s.result, fmt.Errorf("gridsim: worker %s: %w", w.id, err)
-			}
-			w.credit -= float64(n)
-			if n < budget && !w.session.HasWork() {
-				// Starved partway through the slice; drop the rest.
-				w.credit = 0
-			}
-			if err := s.maybeCheckpoint(w); err != nil {
+			// Unlike Sim, the timer runs on idle hosts too: it keeps the
+			// leases alive across every job a host holds (§4.1, per tenant).
+			if err := f.maybeCheckpoint(w); err != nil {
 				return s.result, err
 			}
 		}
 		if s.onTick != nil {
 			s.onTick(tick)
 		}
-		s.result.Trace = append(s.result.Trace, TracePoint{TimeSeconds: s.nowSecs, Active: activeCount})
-		if cfg.CheckpointDir != "" && s.nowSecs >= nextCkpt {
+		s.result.Trace = append(s.result.Trace, TracePoint{TimeSeconds: f.nowSecs, Active: activeCount})
+		if cfg.CheckpointDir != "" && f.nowSecs >= nextCkpt {
 			if err := s.table.Checkpoint(); err != nil {
 				return s.result, err
 			}
@@ -251,6 +216,7 @@ func (s *MultiJobSim) Run() (MultiJobResult, error) {
 			break
 		}
 	}
+	s.result.Joins, s.result.Leaves, s.result.Crashes = f.joins, f.leaves, f.crashes
 	for _, p := range s.table.List() {
 		s.result.Jobs = append(s.result.Jobs, JobSimResult{
 			ID:       p.ID,
@@ -266,83 +232,15 @@ func (s *MultiJobSim) Run() (MultiJobResult, error) {
 	return s.result, nil
 }
 
-// join starts a fresh multi-job session on the slot.
-func (s *MultiJobSim) join(slot int) {
-	s.nextID++
-	id := transport.WorkerID(fmt.Sprintf("mj-%d-s%d", s.nextID, slot))
-	cores := s.cores[slot]
-	rate := s.slots[slot] * float64(cores) * s.cfg.NodesPerGHzPerSecond * (1 - s.cfg.Availability.HostLoadFraction)
-	power := int64(rate * 1000) // fixed-point so slow hosts stay > 0
-	if power < 1 {
-		power = 1
-	}
-	updateNodes := int64(rate * s.cfg.UpdatePeriodSeconds)
-	if updateNodes < 1 {
-		updateNodes = 1
-	}
-	sess := jobs.NewWorkerSession(jobs.WorkerConfig{
-		ID:                id,
-		Power:             power,
-		UpdatePeriodNodes: updateNodes,
-	}, s.table, s.factories)
-	s.active[slot] = &mjSimWorker{id: id, session: sess, rate: rate, lastUpdateSecs: s.nowSecs}
-	s.result.Joins++
-}
-
-// leave retires the slot's worker, gracefully (final per-engine
-// checkpoint) or by crash (the lease mechanism orphans its intervals).
-func (s *MultiJobSim) leave(slot int) {
-	w := s.active[slot]
-	if w == nil {
-		return
-	}
-	if s.rng.Float64() < s.cfg.Availability.CrashShare {
-		s.lostNodes += w.session.Stats().Explored - w.session.Reported().Explored
-		s.result.Crashes++
-	} else {
-		if err := w.session.Checkpoint(); err == nil {
-			s.result.Leaves++
-		} else {
-			s.result.Crashes++
-		}
-	}
-	s.active[slot] = nil
-}
-
-// maybeCheckpoint triggers the time-based interval update for hosts too
-// slow to hit the node-count cadence — it keeps their leases alive across
-// every job they hold (§4.1, per tenant).
-func (s *MultiJobSim) maybeCheckpoint(w *mjSimWorker) error {
-	if u := w.session.Messages.Updates; u > w.lastUpdateCount {
-		w.lastUpdateCount = u
-		w.lastUpdateSecs = s.nowSecs
-		return nil
-	}
-	if s.nowSecs-w.lastUpdateSecs < s.cfg.UpdatePeriodSeconds {
-		return nil
-	}
-	if err := w.session.Checkpoint(); err != nil {
-		return fmt.Errorf("gridsim: worker %s checkpoint: %w", w.id, err)
-	}
-	w.lastUpdateCount = w.session.Messages.Updates
-	w.lastUpdateSecs = s.nowSecs
-	return nil
-}
-
 // MultiTenantScenario returns the 8-job acceptance configuration: two
 // instances each of the four problem domains — mixed tree shapes and
 // weights — on the compressed 60-processor pool with 20-minute "days".
 // Every job must terminate at its proven optimum with zero cross-job
 // leakage; with a checkpoint dir the whole service survives a restart.
 func MultiTenantScenario(seed int64) MultiJobConfig {
-	m := AvailabilityModel{
-		BaseFraction: 0.2, Amplitude: 0.6, NoiseFraction: 0.08,
-		NoisePeriodSeconds: 60, DaySeconds: 1200, CrashShare: 0.25,
-		RampSeconds: 60, PhaseJitterRadians: 0.3, HostLoadFraction: 0.025,
-	}
 	return MultiJobConfig{
 		Pool:                   SmallPool(60),
-		Availability:           m,
+		Availability:           compressedAvailability(),
 		Seed:                   seed,
 		TickSeconds:            1,
 		NodesPerGHzPerSecond:   3,

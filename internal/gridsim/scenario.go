@@ -5,6 +5,17 @@ package gridsim
 // parameters part of the library's contract rather than copy-pasted
 // literals.
 
+// compressedAvailability is the Figure 7 availability model with the
+// working day compressed to 20 virtual minutes: the churn of the paper's
+// 25 days inside a run that takes seconds.
+func compressedAvailability() AvailabilityModel {
+	return AvailabilityModel{
+		BaseFraction: 0.2, Amplitude: 0.6, NoiseFraction: 0.08,
+		NoisePeriodSeconds: 60, DaySeconds: 1200, CrashShare: 0.25,
+		RampSeconds: 60, PhaseJitterRadians: 0.3, HostLoadFraction: 0.025,
+	}
+}
+
 // PaperScenario returns the configuration replaying the paper's experiment:
 // the Table 1 pool under the Figure 7 availability model, with the
 // exploration rate calibrated so a workload of expectedNodes spans
@@ -30,23 +41,10 @@ func PaperScenario(seed int64, expectedNodes int64, wallDays float64) Config {
 // with the number of tracked intervals (the selection index, DESIGN.md
 // §8; before it, a run at this scale spent most of its wall clock inside
 // the farmer's O(W) scans). expectedNodes calibrates the exploration rate
-// so the resolution spans roughly wallDays compressed days.
+// so the resolution spans roughly wallDays compressed days. It is the
+// massive tree with no sub-farmers: one flat farmer at 2000 processors.
 func MassiveScenario(seed int64, expectedNodes int64, wallDays float64) Config {
-	m := AvailabilityModel{
-		BaseFraction: 0.2, Amplitude: 0.6, NoiseFraction: 0.08,
-		NoisePeriodSeconds: 60, DaySeconds: 1200, CrashShare: 0.25,
-		RampSeconds: 60, PhaseJitterRadians: 0.3, HostLoadFraction: 0.025,
-	}
-	pool := MassivePool(2000)
-	return Config{
-		Pool:                 pool,
-		Availability:         m,
-		Seed:                 seed,
-		TickSeconds:          1,
-		UpdatePeriodSeconds:  180,
-		LeaseTTLSeconds:      360,
-		NodesPerGHzPerSecond: CalibrateRate(pool, m, expectedNodes, wallDays*1200),
-	}
+	return MassiveTreeScenario(seed, expectedNodes, wallDays, 2000, 0)
 }
 
 // MassiveTreeScenario returns the 10k-processor hierarchical-farmer
@@ -61,11 +59,7 @@ func MassiveScenario(seed int64, expectedNodes int64, wallDays float64) Config {
 // with the number of sub-farmers. Pass subtrees = 0 for the flat control at
 // the same load.
 func MassiveTreeScenario(seed int64, expectedNodes int64, wallDays float64, workers, subtrees int) Config {
-	m := AvailabilityModel{
-		BaseFraction: 0.2, Amplitude: 0.6, NoiseFraction: 0.08,
-		NoisePeriodSeconds: 60, DaySeconds: 1200, CrashShare: 0.25,
-		RampSeconds: 60, PhaseJitterRadians: 0.3, HostLoadFraction: 0.025,
-	}
+	m := compressedAvailability()
 	pool := MassivePool(workers)
 	return Config{
 		Pool:                pool,
@@ -97,11 +91,7 @@ func MassiveTreeScenario(seed int64, expectedNodes int64, wallDays float64, work
 // the rate so the run spans roughly wallDays compressed days (each 1200
 // virtual seconds).
 func FastScenario(seed int64, expectedNodes int64, wallDays float64) Config {
-	m := AvailabilityModel{
-		BaseFraction: 0.2, Amplitude: 0.6, NoiseFraction: 0.08,
-		NoisePeriodSeconds: 60, DaySeconds: 1200, CrashShare: 0.25,
-		RampSeconds: 60, PhaseJitterRadians: 0.3, HostLoadFraction: 0.025,
-	}
+	m := compressedAvailability()
 	pool := SmallPool(60)
 	return Config{
 		Pool:                 pool,

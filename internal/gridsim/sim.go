@@ -2,9 +2,7 @@ package gridsim
 
 import (
 	"fmt"
-	"math"
 	"math/big"
-	"math/rand"
 	"time"
 
 	"repro/internal/bb"
@@ -81,18 +79,6 @@ type Config struct {
 	// duplicates the survivors across subtrees once its tracked total is
 	// crumb-scale. No effect when Subtrees < 2.
 	Endgame bool
-	// EndgameFactor and LowWaterFactor scale the two endgame thresholds
-	// as multiples of the duplication threshold: the root's endgame
-	// duplication arms under EndgameFactor×threshold of tracked total,
-	// and a sub-farmer pre-fetches under LowWaterFactor×threshold of
-	// local remainder. Defaults 512 and 1024: the threshold is
-	// leaf-units scale (a handful of tree nodes), while the endgame is
-	// governed by fleet-scale quantities — a starving subtree needs
-	// several cadences of fleet throughput pre-fetched to stay busy
-	// across the refill RTT, and the root must start duplicating the
-	// survivors while there is still enough tail left for every
-	// subtree's fleet to chew in parallel.
-	EndgameFactor, LowWaterFactor int64
 }
 
 func (c *Config) fillDefaults() {
@@ -128,12 +114,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxTicks <= 0 {
 		c.MaxTicks = 200_000
-	}
-	if c.EndgameFactor <= 0 {
-		c.EndgameFactor = 64
-	}
-	if c.LowWaterFactor <= 0 {
-		c.LowWaterFactor = 1024
 	}
 }
 
@@ -189,88 +169,16 @@ type Result struct {
 	Store checkpoint.Stats
 }
 
-// simWorker is one active processor hosting a B&B process.
-type simWorker struct {
-	id      transport.WorkerID
-	session *worker.Session
-	rate    float64 // nodes per virtual second
-
-	presentSecs float64
-	exploreSecs float64
-	commSecs    float64
-	pendingComm float64 // stall carried into the next tick
-	credit      float64 // fractional node budget
-
-	lastMsgs        int64
-	lastUpdateCount int64   // session updates seen so far
-	lastUpdateSecs  float64 // virtual time of the last update
-}
-
-func (w *simWorker) msgs() int64 {
-	return w.session.Messages.Requests + w.session.Messages.Updates + w.session.Messages.Reports
-}
-
-// domainState groups the slots of one administrative domain.
-type domainState struct {
-	name      string
-	slots     []int
-	phase     float64
-	noise     float64 // slowly varying availability offset
-	nextNoise float64 // when to redraw it
-}
-
-// layoutPool expands a pool into per-slot speeds and cores plus domain
-// groups, drawing each domain's availability phase from rng.
-func layoutPool(pool []CPUSpec, phaseJitter float64, rng *rand.Rand) ([]float64, []int, []domainState) {
-	var slots []float64
-	var cores []int
-	var domains []domainState
-	domIdx := make(map[string]int)
-	for _, spec := range pool {
-		di, ok := domIdx[spec.Domain]
-		if !ok {
-			di = len(domains)
-			domIdx[spec.Domain] = di
-			domains = append(domains, domainState{
-				name:  spec.Domain,
-				phase: (rng.Float64()*2 - 1) * phaseJitter,
-			})
-		}
-		slotCores := spec.Cores
-		if slotCores < 1 {
-			slotCores = 1
-		}
-		for i := 0; i < spec.Count; i++ {
-			domains[di].slots = append(domains[di].slots, len(slots))
-			slots = append(slots, spec.GHz)
-			cores = append(cores, slotCores)
-		}
-	}
-	return slots, cores, domains
-}
-
 // Sim runs one simulated resolution. Create with New, drive with Run.
 type Sim struct {
 	cfg     Config
 	factory func() bb.Problem
-	rng     *rand.Rand
+	fleet   *fleet
 
-	farmer  *farmer.Farmer
-	store   *checkpoint.Store
-	subs    []*farmer.SubFarmer // tree mode: mid-tier coordinators
-	slots   []float64           // GHz per processor slot
-	cores   []int               // cores per processor slot (>= 1)
-	domains []domainState
-	active  []*simWorker // per slot, nil = idle host
-
-	nowSecs   float64
-	nextID    int64 // worker id sequence
-	retired   []*simWorker
-	lostNodes int64 // explored but never reported before a crash
-	result    Result
-
-	// onTick, when set (tests), observes the state after every step.
-	onTick func(tick int)
+	farmer *farmer.Farmer
+	store  *checkpoint.Store
+	subs   []*farmer.SubFarmer // tree mode: mid-tier coordinators
+	result Result
 }
 
 // New builds a simulation. factory must return a fresh Problem per call
@@ -278,9 +186,12 @@ type Sim struct {
 // one-process-per-processor deployment).
 func New(cfg Config, factory func() bb.Problem) *Sim {
 	cfg.fillDefaults()
-	s := &Sim{cfg: cfg, factory: factory, rng: rand.New(rand.NewSource(cfg.Seed))}
-	s.slots, s.cores, s.domains = layoutPool(cfg.Pool, cfg.Availability.PhaseJitterRadians, s.rng)
-	s.active = make([]*simWorker, len(s.slots))
+	s := &Sim{cfg: cfg, factory: factory}
+	s.fleet = newFleet(cfg.Pool, cfg.Availability, cfg.Seed, "sim")
+	s.fleet.tickSeconds = cfg.TickSeconds
+	s.fleet.nodesPerGHzPerSecond = cfg.NodesPerGHzPerSecond
+	s.fleet.updatePeriodSeconds = cfg.UpdatePeriodSeconds
+	s.fleet.start = s.startSession
 
 	nb := core.NewNumbering(factory().Shape())
 	thr := big.NewInt(cfg.Threshold)
@@ -292,9 +203,10 @@ func New(cfg Config, factory func() bb.Problem) *Sim {
 			thr = big.NewInt(2)
 		}
 	}
+	leaseTTL := time.Duration(cfg.LeaseTTLSeconds * 1e9)
 	fopts := []farmer.Option{
-		farmer.WithClock(func() int64 { return int64(s.nowSecs * 1e9) }),
-		farmer.WithLeaseTTL(time.Duration(cfg.LeaseTTLSeconds * 1e9)),
+		farmer.WithClock(s.fleet.clock),
+		farmer.WithLeaseTTL(leaseTTL),
 		farmer.WithThreshold(thr),
 		farmer.WithInitialBest(cfg.InitialUpper, nil),
 		farmer.WithEqualSplit(cfg.EqualSplit),
@@ -306,20 +218,11 @@ func New(cfg Config, factory func() bb.Problem) *Sim {
 		}
 	}
 	var lowWater *big.Int
-	// An inner farmer serves a fleet 1/Subtrees the size of the grid over
-	// a table that is itself a slice of the root's, so its no-split
-	// threshold scales down with the tree's fan-out: duplicating a
-	// root-scale "crumb" (thousands of unit-dense deep leaves) to every
-	// idle worker of a subtree is the dominant redundancy of tree mode.
 	innerThr := thr
 	if cfg.Endgame && cfg.Subtrees >= 2 {
-		endgame := new(big.Int).Mul(thr, big.NewInt(cfg.EndgameFactor))
-		lowWater = new(big.Int).Mul(thr, big.NewInt(cfg.LowWaterFactor))
+		var endgame *big.Int
+		endgame, lowWater, innerThr = farmer.EndgameThresholds(thr, cfg.Subtrees)
 		fopts = append(fopts, farmer.WithStealHints(), farmer.WithEndgameThreshold(endgame))
-		innerThr = new(big.Int).Div(thr, big.NewInt(int64(cfg.Subtrees)*8))
-		if innerThr.Sign() <= 0 {
-			innerThr = big.NewInt(1)
-		}
 	}
 	s.farmer = farmer.New(nb.RootRange(), fopts...)
 	if cfg.Subtrees >= 2 {
@@ -332,11 +235,11 @@ func New(cfg Config, factory func() bb.Problem) *Sim {
 				ID:           transport.WorkerID(fmt.Sprintf("sub-%d", i)),
 				UpdateEvery:  64,
 				UpdatePeriod: time.Duration(subPeriod * 1e9),
-				FleetTTL:     time.Duration(cfg.LeaseTTLSeconds * 1e9),
+				FleetTTL:     leaseTTL,
 				LowWater:     lowWater,
-				Clock:        func() int64 { return int64(s.nowSecs * 1e9) },
+				Clock:        s.fleet.clock,
 				InnerOptions: []farmer.Option{
-					farmer.WithLeaseTTL(time.Duration(cfg.LeaseTTLSeconds * 1e9)),
+					farmer.WithLeaseTTL(leaseTTL),
 					farmer.WithThreshold(innerThr),
 					farmer.WithEqualSplit(cfg.EqualSplit),
 				},
@@ -346,13 +249,16 @@ func New(cfg Config, factory func() bb.Problem) *Sim {
 	return s
 }
 
-// coordFor returns the coordinator a host on the slot pulls on: the root
-// farmer, or — under a tree — its slot's sub-farmer.
-func (s *Sim) coordFor(slot int) transport.Coordinator {
-	if len(s.subs) == 0 {
-		return s.farmer
+// startSession hosts a single-resolution B&B process on the slot, pulling
+// on the root farmer or — under a tree — on its slot's sub-farmer. A
+// multicore slot hosts the real shard engine, stepped deterministically
+// inside the session.
+func (s *Sim) startSession(slot int, cfg worker.Config) hostSession {
+	var coord transport.Coordinator = s.farmer
+	if len(s.subs) > 0 {
+		coord = s.subs[slot%len(s.subs)]
 	}
-	return s.subs[slot%len(s.subs)]
+	return flatSession{worker.NewShardedSession(cfg, coord, s.factory)}
 }
 
 // Farmer exposes the coordinator (e.g. for mid-run inspection in tests).
@@ -367,83 +273,57 @@ func (s *Sim) Run() (Result, error) {
 	if cfg.NodesPerGHzPerSecond <= 0 {
 		return Result{}, fmt.Errorf("gridsim: NodesPerGHzPerSecond must be set (use CalibrateRate)")
 	}
+	f := s.fleet
 	dt := cfg.TickSeconds
+	ourShare := 1 - cfg.Availability.HostLoadFraction
 	nextFarmerCkpt := cfg.FarmerCheckpointSeconds
 	var sumActive int64
 	for tick := 0; tick < cfg.MaxTicks; tick++ {
-		s.nowSecs = float64(tick) * dt
-		s.adjustAvailability()
+		f.beginTick(tick)
 
 		activeCount := 0
 		finished := false
-		for _, w := range s.active {
+		for _, w := range f.active {
 			if w == nil {
 				continue
 			}
 			activeCount++
 			w.presentSecs += dt
+			// A pull-model exchange stalls the worker for a WAN round
+			// trip; the stall eats into this tick's exploration time.
 			explTime := dt
 			if w.pendingComm > 0 {
 				if w.pendingComm >= explTime {
 					w.pendingComm -= explTime
-					w.commSecs += explTime
 					continue
 				}
 				explTime -= w.pendingComm
-				w.commSecs += w.pendingComm
 				w.pendingComm = 0
 			}
-			ourShare := 1 - cfg.Availability.HostLoadFraction
-			w.credit += w.rate * explTime
-			budget := int64(w.credit)
-			if budget <= 0 {
-				// Not enough credit for a whole node yet. Still
-				// acquire work if idle (a request costs no
-				// exploration budget), keep the periodic
-				// time-based checkpoint alive, and count banked
-				// mid-node crunching as busy time.
-				if !w.session.HasWork() {
-					if _, done, err := w.session.Advance(0); err != nil {
-						return s.result, fmt.Errorf("gridsim: worker %s: %w", w.id, err)
-					} else if done {
-						finished = true
-					}
-				}
-				if w.session.HasWork() {
-					w.exploreSecs += explTime * ourShare
-					if err := s.maybeCheckpoint(w); err != nil {
-						return s.result, err
-					}
-				}
-				msgs := w.msgs()
-				w.pendingComm += float64(msgs-w.lastMsgs) * cfg.WorkerRTTSeconds
-				w.lastMsgs = msgs
-				continue
-			}
-			n, done, err := w.session.Advance(budget)
+			n, budget, done, err := f.step(w, explTime)
 			if err != nil {
-				return s.result, fmt.Errorf("gridsim: worker %s: %w", w.id, err)
+				return s.result, err
 			}
-			w.credit -= float64(n)
 			if done {
 				finished = true
 			}
-			if n == budget || w.session.HasWork() {
+			switch {
+			case w.session.HasWork() || (budget > 0 && n == budget):
 				// The whole slice went into exploration (possibly
-				// mid-node on the leftover credit).
+				// mid-node on banked or leftover credit).
 				w.exploreSecs += explTime * ourShare
-			} else {
-				// Starved partway through the slice: only the
-				// explored nodes were real work; drop the rest.
+			case budget > 0:
+				// Starved partway through the slice: only the explored
+				// nodes were real work.
 				w.exploreSecs += float64(n) / w.rate * ourShare
-				w.credit = 0
 			}
 			if w.session.HasWork() {
-				if err := s.maybeCheckpoint(w); err != nil {
+				if err := f.maybeCheckpoint(w); err != nil {
 					return s.result, err
 				}
 			}
-			msgs := w.msgs()
+			m := &w.session.(flatSession).Messages
+			msgs := m.Requests + m.Updates + m.Reports
 			w.pendingComm += float64(msgs-w.lastMsgs) * cfg.WorkerRTTSeconds
 			w.lastMsgs = msgs
 		}
@@ -452,15 +332,12 @@ func (s *Sim) Run() (Result, error) {
 		for _, sub := range s.subs {
 			sub.Pulse()
 		}
-		if s.onTick != nil {
-			s.onTick(tick)
-		}
-		s.result.Trace = append(s.result.Trace, TracePoint{TimeSeconds: s.nowSecs, Active: activeCount})
+		s.result.Trace = append(s.result.Trace, TracePoint{TimeSeconds: f.nowSecs, Active: activeCount})
 		sumActive += int64(activeCount)
 		if activeCount > s.result.Table2.MaxWorkers {
 			s.result.Table2.MaxWorkers = activeCount
 		}
-		if cfg.CheckpointDir != "" && s.nowSecs >= nextFarmerCkpt {
+		if cfg.CheckpointDir != "" && f.nowSecs >= nextFarmerCkpt {
 			if err := s.farmer.Checkpoint(); err != nil {
 				return s.result, err
 			}
@@ -481,179 +358,27 @@ func (s *Sim) Run() (Result, error) {
 	return s.result, nil
 }
 
-// adjustAvailability moves each domain toward its availability target,
-// creating and retiring workers.
-func (s *Sim) adjustAvailability() {
-	driveChurn(&s.cfg.Availability, s.cfg.TickSeconds, s.nowSecs, s.rng, s.domains,
-		func(slot int) bool { return s.active[slot] != nil }, s.join, s.leave)
-}
-
-// driveChurn moves each domain toward its availability target, invoking
-// join on idle slots and leave on occupied ones. The random component of
-// the target is redrawn only every NoisePeriodSeconds — hosts are claimed
-// and released by their owners on the scale of tens of minutes, not per
-// scheduler tick — and a small deadband avoids churning workers over
-// one-host wobbles. Shared between the single-resolution Sim and the
-// multi-tenant MultiJobSim, which differ only in what a worker runs.
-func driveChurn(m *AvailabilityModel, tickSeconds, nowSecs float64, rng *rand.Rand,
-	domains []domainState, occupied func(int) bool, join, leave func(int)) {
-	for di := range domains {
-		d := &domains[di]
-		if nowSecs >= d.nextNoise {
-			d.noise = (rng.Float64()*2 - 1) * m.NoiseFraction
-			period := m.NoisePeriodSeconds
-			if period <= 0 {
-				period = 1800
-			}
-			d.nextNoise = nowSecs + period
-		}
-		frac := m.Fraction(d.phase, nowSecs) + d.noise
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		target := int(frac * float64(len(d.slots)))
-		active := 0
-		for _, slot := range d.slots {
-			if occupied(slot) {
-				active++
-			}
-		}
-		deadband := len(d.slots) / 100
-		if diff := active - target; diff >= -deadband && diff <= deadband {
-			continue
-		}
-		maxDelta := len(d.slots)
-		if m.RampSeconds > 0 {
-			maxDelta = int(math.Ceil(float64(len(d.slots)) * tickSeconds / m.RampSeconds))
-			if maxDelta < 1 {
-				maxDelta = 1
-			}
-		}
-		switch {
-		case active < target:
-			need := target - active
-			if need > maxDelta {
-				need = maxDelta
-			}
-			for _, slot := range d.slots {
-				if need == 0 {
-					break
-				}
-				if !occupied(slot) {
-					join(slot)
-					need--
-				}
-			}
-		case active > target:
-			drop := active - target
-			if drop > maxDelta {
-				drop = maxDelta
-			}
-			for _, slot := range d.slots {
-				if drop == 0 {
-					break
-				}
-				if occupied(slot) {
-					leave(slot)
-					drop--
-				}
-			}
-		}
-	}
-}
-
-// join starts a fresh B&B process on the slot. A multicore slot hosts the
-// real shard engine (stepped deterministically inside the session) and both
-// its exploration rate and its reported power scale with the core count.
-func (s *Sim) join(slot int) {
-	s.nextID++
-	id := transport.WorkerID(fmt.Sprintf("sim-%d-s%d", s.nextID, slot))
-	cores := s.cores[slot]
-	rate := s.slots[slot] * float64(cores) * s.cfg.NodesPerGHzPerSecond * (1 - s.cfg.Availability.HostLoadFraction)
-	power := int64(rate * 1000) // fixed-point so slow hosts stay > 0
-	if power < 1 {
-		power = 1
-	}
-	updateNodes := int64(rate * s.cfg.UpdatePeriodSeconds)
-	if updateNodes < 1 {
-		updateNodes = 1
-	}
-	sess := worker.NewShardedSession(worker.Config{
-		ID:                id,
-		Power:             power,
-		UpdatePeriodNodes: updateNodes,
-		Cores:             cores,
-	}, s.coordFor(slot), s.factory)
-	s.active[slot] = &simWorker{id: id, session: sess, rate: rate, lastUpdateSecs: s.nowSecs}
-	s.result.Joins++
-}
-
-// leave retires the slot's worker: gracefully (a final checkpoint — the
-// cycle-stealing owner reclaimed the host and the process saved its state)
-// or by crash (no checkpoint; the lease mechanism will orphan its interval).
-func (s *Sim) leave(slot int) {
-	w := s.active[slot]
-	if w == nil {
-		return
-	}
-	if s.rng.Float64() < s.cfg.Availability.CrashShare {
-		// The work since the last checkpoint dies with the host and
-		// will be re-explored by whoever inherits the interval: it is
-		// redundant by construction (the paper's "redundant nodes").
-		s.lostNodes += w.session.Stats().Explored - w.session.Reported().Explored
-		s.result.Crashes++
-	} else {
-		// Best-effort final checkpoint; a failing farmer here would
-		// just look like a crash.
-		if err := w.session.Checkpoint(); err == nil {
-			s.result.Leaves++
-		} else {
-			s.result.Crashes++
-		}
-	}
-	s.active[slot] = nil
-	s.retired = append(s.retired, w)
-}
-
-// maybeCheckpoint triggers the worker's periodic time-based interval
-// update: even a host too slow to finish a node within a period must
-// re-register its fold — it keeps the lease alive and bounds the work lost
-// to a crash (§4.1).
-func (s *Sim) maybeCheckpoint(w *simWorker) error {
-	if u := w.session.Messages.Updates; u > w.lastUpdateCount {
-		// The session updated on its own (node-count cadence).
-		w.lastUpdateCount = u
-		w.lastUpdateSecs = s.nowSecs
-		return nil
-	}
-	if s.nowSecs-w.lastUpdateSecs < s.cfg.UpdatePeriodSeconds {
-		return nil
-	}
-	if err := w.session.Checkpoint(); err != nil {
-		return fmt.Errorf("gridsim: worker %s checkpoint: %w", w.id, err)
-	}
-	w.lastUpdateCount = w.session.Messages.Updates
-	w.lastUpdateSecs = s.nowSecs
-	return nil
-}
-
 // finalize assembles the Table 2 block.
 func (s *Sim) finalize(sumActive int64) {
 	cfg := &s.cfg
+	f := s.fleet
+	s.result.Joins, s.result.Leaves, s.result.Crashes = f.joins, f.leaves, f.crashes
 	t2 := &s.result.Table2
 	t2.WallClockSeconds = float64(s.result.Ticks) * cfg.TickSeconds
+	// Every host that ever ran, retired ones first. The ground-truth node
+	// count is every session's engine counter, including work that died
+	// unreported in a crash.
 	var present, explore float64
-	consider := func(w *simWorker) {
+	var gt int64
+	consider := func(w *host) {
 		present += w.presentSecs
 		explore += w.exploreSecs
+		gt += w.session.Stats().Explored
 	}
-	for _, w := range s.retired {
+	for _, w := range f.retired {
 		consider(w)
 	}
-	for _, w := range s.active {
+	for _, w := range f.active {
 		if w != nil {
 			consider(w)
 		}
@@ -677,22 +402,12 @@ func (s *Sim) finalize(sumActive int64) {
 	}
 	t2.CheckpointOps = c.WorkerCheckpoints + c.FarmerCheckpoints
 	t2.WorkAllocations = c.WorkAllocations
-	// Ground-truth node count: every session's engine counter, including
-	// work that died unreported in a crash. The redundant rate combines
-	// crash re-exploration (node units) with duplicated-interval overlap
-	// (leaf units, a rate over the same total work).
-	var gt int64
-	for _, w := range s.retired {
-		gt += w.session.Stats().Explored
-	}
-	for _, w := range s.active {
-		if w != nil {
-			gt += w.session.Stats().Explored
-		}
-	}
 	t2.ExploredNodes = gt
+	// The redundant rate combines crash re-exploration (node units) with
+	// duplicated-interval overlap (leaf units, a rate over the same total
+	// work).
 	if gt > 0 {
-		t2.RedundantRate = float64(s.lostNodes)/float64(gt) + s.result.Redundancy.Rate()
+		t2.RedundantRate = float64(f.lostNodes)/float64(gt) + s.result.Redundancy.Rate()
 	}
 	s.result.Best = s.farmer.Best()
 }

@@ -1,18 +1,29 @@
 // Package harness is a deterministic in-process grid: it composes the real
-// farmer, real worker sessions, the real two-file checkpoint store and the
-// real p2p ring over an instrumented transport with seeded fault injection
-// (message drop/duplication, worker kill-and-rejoin, farmer restart from
-// its checkpoint files), and holds every run to the paper's invariants as
-// machine-checked conformance properties (see conformance.go and
-// DESIGN.md §5).
+// farmer, real sub-farmers, the real job table, real worker sessions, the
+// real two-file checkpoint store and the real p2p ring over an
+// instrumented transport with seeded fault injection (message
+// drop/duplication/black-holing, worker kill-and-rejoin, coordinator
+// restart from its checkpoint files, disk faults), and holds every run to
+// the paper's invariants as machine-checked conformance properties (see
+// conformance.go and DESIGN.md §5).
 //
 // Everything runs in one goroutine under a virtual clock: worker sessions
 // are advanced in seeded-shuffled order with seeded budgets, every fault is
 // drawn from the scenario's rng, and every event is appended to a trace —
-// equal seeds give byte-identical traces, so every failure reproduces.
-// The statistics and the failures are produced by the real protocol code,
-// not a model of it: the chaos layer is transport.Interceptor middleware
-// and the conformance layer is itself a transport.Coordinator.
+// equal seeds give byte-identical traces, so every failure reproduces, and
+// the trace of every named scenario is committed under testdata/ so a
+// refactor is held to the run the goldens were cut from (`make golden`
+// regenerates them; a behaviour-preserving change never needs to).
+//
+// There is one driver. The grid type owns the event loop, the worker
+// slots, the chaos policy, the bounded-rework audit, the fault-armed
+// checkpoint sweep and the trace; what differs between a flat farmer, a
+// farmer tree and a multi-tenant job table is a topology value (see
+// topology.go) that answers only where a slot connects, what runs around
+// the fleet each tick, and what a checkpoint sweep covers. The statistics
+// and the failures are produced by the real protocol code, not a model of
+// it: the chaos layer is transport.Interceptor middleware and the
+// conformance layer is itself a transport.Coordinator.
 package harness
 
 import (
@@ -21,15 +32,12 @@ import (
 	"math/big"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/bb"
 	"repro/internal/checkpoint"
-	"repro/internal/core"
 	"repro/internal/farmer"
 	"repro/internal/transport"
-	"repro/internal/worker"
 )
 
 // KillEvent schedules a worker crash: the session on Slot dies at Tick
@@ -40,48 +48,34 @@ type KillEvent struct {
 	Tick, Slot, RejoinAfter int
 }
 
-// Scenario is one named fault schedule over one problem instance.
-type Scenario struct {
-	// Name identifies the scenario in reports and test names.
-	Name string
+// Fleet is the worker fleet and its fault schedule: the knobs every
+// farmer-style scenario shares, whatever topology coordinates it.
+type Fleet struct {
 	// Seed drives every random decision; equal seeds reproduce the run
 	// event for event.
 	Seed int64
-	// Factory returns a fresh Problem per call (one per worker and one
-	// for the sequential baseline).
-	Factory func() bb.Problem
 	// Workers is the number of slots. Default 3.
 	Workers int
-	// Cores makes every worker a multicore one: Cores shard explorers
-	// over a tiling of its interval, stepped deterministically inside the
-	// session (the shard engine's step-driven form), so chaos runs with
-	// multicore workers still produce byte-identical traces. Zero or one
-	// keeps the paper's single-explorer worker.
-	Cores int
 	// UpdatePeriodNodes is the worker checkpoint period. Default 256.
 	UpdatePeriodNodes int64
 	// TickBudget is the mean node budget per worker per tick (each tick
 	// draws a jittered value around it — hosts are heterogeneous).
 	// Default 512.
 	TickBudget int64
-	// LeaseTTLTicks is the farmer lease in virtual ticks (1 tick = 1
+	// LeaseTTLTicks is the coordinator lease in virtual ticks (1 tick = 1
 	// virtual second). Default 3.
 	LeaseTTLTicks int
-	// CheckpointEvery snapshots the farmer every so many ticks (0: only
-	// the implicit initial state).
+	// CheckpointEvery snapshots every coordinator of the topology every so
+	// many ticks (0: only the implicit initial state).
 	CheckpointEvery int
-	// FarmerRestarts lists ticks at which the farmer process is killed
-	// and restored from its latest snapshot.
-	FarmerRestarts []int
-	// DiskFaultEvery fails every Nth farmer checkpoint attempt with an
-	// injected EIO on the snapshot file's fsync (flat grid only): the
-	// save aborts cleanly before any rename, the on-disk generations
-	// stay whole, and the next restart simply re-opens a larger window.
+	// DiskFaultEvery fails every Nth checkpoint sweep with an injected EIO
+	// on every snapshot fsync of the sweep: each save aborts cleanly before
+	// any rename, the on-disk generations stay whole, and the next restart
+	// simply re-opens a larger window. The fault covers the whole sweep —
+	// every tier of a tree, every job of a table (which visits jobs in map
+	// order, so a partial fault would persist a nondeterministic subset
+	// and two equal seeds would diverge).
 	DiskFaultEvery int
-	// CorruptTicks lists ticks at which a byte of the current intervals
-	// snapshot is flipped on disk (flat grid only): a later restart must
-	// quarantine the corrupt generation and fall back to *.prev.
-	CorruptTicks []int
 	// Kills schedules worker crashes.
 	Kills []KillEvent
 	// DropRequestPct / DropReplyPct / DuplicatePct are per-message fault
@@ -93,128 +87,286 @@ type Scenario struct {
 	// joins the other fault percentages in the ≤ 100 cumulative budget
 	// and applies to both tree legs.
 	BlackholePct int
-	// InitialUpper primes SOLUTION (0: Infinity).
-	InitialUpper int64
 	// MaxTicks aborts a stuck scenario. Default 5000.
 	MaxTicks int
-	// Dir, when set, hosts the checkpoint store; empty uses a private
+}
+
+func (f *Fleet) fillDefaults() {
+	if f.Workers <= 0 {
+		f.Workers = 3
+	}
+	if f.UpdatePeriodNodes <= 0 {
+		f.UpdatePeriodNodes = 256
+	}
+	if f.TickBudget <= 0 {
+		f.TickBudget = 512
+	}
+	if f.LeaseTTLTicks <= 0 {
+		f.LeaseTTLTicks = 3
+	}
+	if f.MaxTicks <= 0 {
+		f.MaxTicks = 5000
+	}
+}
+
+// Scenario is one named fault schedule over one problem instance.
+type Scenario struct {
+	// Name identifies the scenario in reports and test names.
+	Name string
+	Fleet
+	// Factory returns a fresh Problem per call (one per worker and one
+	// for the sequential baseline).
+	Factory func() bb.Problem
+	// Cores makes every worker a multicore one: Cores shard explorers
+	// over a tiling of its interval, stepped deterministically inside the
+	// session (the shard engine's step-driven form), so chaos runs with
+	// multicore workers still produce byte-identical traces. Zero or one
+	// keeps the paper's single-explorer worker.
+	Cores int
+	// FarmerRestarts lists ticks at which the (root) farmer process is
+	// killed and restored from its latest snapshot.
+	FarmerRestarts []int
+	// CorruptTicks lists ticks at which a byte of the (root) farmer's
+	// current intervals snapshot is flipped on disk: a later restart must
+	// quarantine the corrupt generation and fall back to *.prev.
+	CorruptTicks []int
+	// InitialUpper primes SOLUTION (0: Infinity).
+	InitialUpper int64
+	// Dir, when set, hosts the checkpoint stores; empty uses a private
 	// temporary directory removed at the end of the run.
 	Dir string
-	// Subtrees ≥ 2 runs the scenario as a 2-level farmer tree (tree.go):
-	// workers attach to sub-farmers round-robin, sub-farmers speak the
-	// unchanged protocol to the root, and the conformance layer audits
-	// both tiers. FarmerRestarts restarts the root farmer, composing
-	// with SubRestarts.
+	// Subtrees ≥ 2 puts that many sub-farmers between the fleet and the
+	// farmer (DESIGN.md §9): workers attach to sub-farmers round-robin,
+	// sub-farmers speak the unchanged protocol to the root, and the
+	// conformance layer audits both tiers. Below 2 the fleet pulls on the
+	// farmer directly — the flat grid is the tree with no sub-farmers.
 	Subtrees int
-	// SubUpdateEvery is the sub→root fold cadence in fleet messages
-	// (tree mode). Default 4.
+	// SubUpdateEvery is the sub→root fold cadence in fleet messages.
+	// Default 4.
 	SubUpdateEvery int64
-	// SubRestarts schedules sub-farmer crashes (tree mode): the
-	// sub-farmer on Sub dies at Tick and is restored from its own
-	// checkpoint store, binding file included, while its fleet keeps
-	// hammering the same endpoint.
+	// SubRestarts schedules sub-farmer crashes: the sub-farmer on Sub
+	// dies at Tick and is restored from its own checkpoint store, binding
+	// file included, while its fleet keeps hammering the same endpoint.
 	SubRestarts []SubRestart
-	// Endgame arms the crumb-endgame machinery (tree mode, DESIGN.md
-	// §12): steal hints and endgame crumb duplication at the root,
-	// low-water pre-fetch and gap/content-honest folds at the subs, and
-	// the fan-out-scaled inner threshold. The thresholds are derived
-	// from the root range exactly as the grid simulator derives them,
+	// Endgame arms the crumb-endgame machinery of a tree (DESIGN.md §12):
+	// steal hints and endgame crumb duplication at the root, low-water
+	// pre-fetch and gap/content-honest folds at the subs, and the
+	// fan-out-scaled inner threshold, all derived from the root range by
+	// farmer.EndgameThresholds exactly as the grid simulator derives them,
 	// so the chaos matrix exercises the same code paths the 10k-fleet
 	// scenario measures.
 	Endgame bool
 }
 
+// SubRestart schedules a sub-farmer crash-and-restore at Tick.
+type SubRestart struct {
+	Tick, Sub int
+}
+
 func (s *Scenario) fillDefaults() {
-	if s.Workers <= 0 {
-		s.Workers = 3
-	}
-	if s.UpdatePeriodNodes <= 0 {
-		s.UpdatePeriodNodes = 256
-	}
-	if s.TickBudget <= 0 {
-		s.TickBudget = 512
-	}
-	if s.LeaseTTLTicks <= 0 {
-		s.LeaseTTLTicks = 3
-	}
+	s.Fleet.fillDefaults()
 	if s.InitialUpper <= 0 {
 		s.InitialUpper = bb.Infinity
 	}
-	if s.MaxTicks <= 0 {
-		s.MaxTicks = 5000
+	if s.Subtrees < 2 {
+		s.Subtrees = 0
+	}
+	if s.SubUpdateEvery <= 0 {
+		s.SubUpdateEvery = 4
 	}
 }
 
-// Report is the outcome of a scenario run. A run is conformant iff
+// Tally is the part of a run's outcome every driver produces: the trace,
+// the verdict and the fault bookkeeping. A run is conformant iff
 // Violations is empty and Finished is true.
-type Report struct {
+type Tally struct {
 	// Name echoes the scenario.
 	Name string
 	// Trace is the deterministic event log (same seed ⇒ same trace).
 	Trace []string
 	// Violations lists every conformance breach, empty on a clean run.
 	Violations []string
-	// Best is the resolution's answer; Baseline the sequential oracle's.
-	Best, Baseline bb.Solution
-	// Ticks is the virtual duration; Finished whether INTERVALS emptied.
+	// Ticks is the virtual duration; Finished whether the work drained.
 	Ticks    int
 	Finished bool
-	// Fault bookkeeping. In tree mode Restarts counts sub-farmer
-	// restarts and Refills the sub-ranges pulled from the root (the
-	// first fill of each subtree plus every inter-subtree rebalance).
-	Drops, Duplicates, Kills, Rejoins, Restarts, Checkpoints int
-	// DiskFaults counts checkpoint attempts killed by injected I/O
-	// errors; CorruptInjections the snapshot bytes flipped on disk.
-	DiskFaults, CorruptInjections int
-	// Timeouts counts black-holed calls that surfaced as ErrDeadline to
-	// a worker; in tree mode UpstreamTimeouts aggregates the deadline
-	// failures the sub-farmers saw on their root leg.
-	Timeouts         int
-	UpstreamTimeouts int64
-	Refills          int64
-	// LowWaterRefills aggregates the subset of Refills the sub-farmers
-	// adopted while still holding live bindings — the work-conserving
-	// pre-fetch of the endgame machinery (tree mode, Endgame scenarios).
-	LowWaterRefills int64
+	// Fault bookkeeping: messages dropped and duplicated, workers killed
+	// and rejoined, checkpoint sweeps written.
+	Drops, Duplicates, Kills, Rejoins, Checkpoints int
+	// DiskFaults counts checkpoint sweeps killed by injected I/O errors.
+	DiskFaults int
+	// Timeouts counts black-holed calls that surfaced as ErrDeadline to a
+	// worker.
+	Timeouts int
+}
+
+// Report is the outcome of a single-resolution scenario (Run, RunRing).
+type Report struct {
+	Tally
+	// Best is the resolution's answer; Baseline the sequential oracle's.
+	Best, Baseline bb.Solution
+	// Restarts counts coordinator restarts (root and sub-farmer alike; for
+	// the ring, peer restores).
+	Restarts int
+	// CorruptInjections counts the snapshot bytes flipped on disk.
+	CorruptInjections int
+	// UpstreamTimeouts aggregates the deadline failures the sub-farmers
+	// saw on their root leg; Refills the sub-ranges they pulled from the
+	// root (the first fill of each subtree plus every inter-subtree
+	// rebalance); LowWaterRefills the subset adopted while still holding
+	// live bindings — the work-conserving pre-fetch of the endgame
+	// machinery. All zero without sub-farmers.
+	UpstreamTimeouts, Refills, LowWaterRefills int64
 	// OverlapUnits is the re-covered leaf measure; ReworkBudget what the
 	// fault events justify.
 	OverlapUnits, ReworkBudget *big.Int
-	// Counters are the final farmer counters.
+	// Counters are the final (root) farmer counters.
 	Counters farmer.Counters
+}
+
+func newReport(name string) Report {
+	return Report{Tally: Tally{Name: name}, OverlapUnits: new(big.Int), ReworkBudget: new(big.Int)}
+}
+
+// recorder is the event log and driver-level violation list of one run,
+// shared by the grid driver and the ring driver. (The conformance trackers
+// keep their own violation lists; a report concatenates them.)
+type recorder struct {
+	trace      []string
+	violations []string
+}
+
+func (r *recorder) tracef(format string, args ...any) {
+	r.trace = append(r.trace, fmt.Sprintf(format, args...))
+}
+
+func (r *recorder) violatef(format string, args ...any) {
+	r.violations = append(r.violations, fmt.Sprintf(format, args...))
+}
+
+// outcome is one resolution a run claims to have proven, with its oracle.
+// who prefixes the violation messages ("" or "job x: ").
+type outcome struct {
+	who            string
+	factory        func() bb.Problem
+	best, baseline bb.Solution
+}
+
+// checkIncumbent holds a final incumbent to the sequential baseline: equal
+// cost, and — when a path exists — a real leaf of that cost.
+func (r *recorder) checkIncumbent(o outcome) {
+	switch {
+	case o.best.Cost != o.baseline.Cost:
+		r.violatef("%sincumbent %d != sequential baseline %d", o.who, o.best.Cost, o.baseline.Cost)
+	case !o.best.Valid():
+		if o.baseline.Valid() {
+			r.violatef("%sbaseline found a solution but the run has none", o.who)
+		}
+	default:
+		if cost, err := evalPath(o.factory(), o.best.Path); err != nil {
+			r.violatef("%sincumbent path invalid: %v", o.who, err)
+		} else if cost != o.best.Cost {
+			r.violatef("%sincumbent path evaluates to %d, claimed %d", o.who, cost, o.best.Cost)
+		}
+	}
+}
+
+// evalPath walks the problem down the rank path and prices the leaf.
+func evalPath(p bb.Problem, path []int) (int64, error) {
+	depth := p.Shape().Depth()
+	if len(path) != depth {
+		return 0, fmt.Errorf("path length %d != tree depth %d", len(path), depth)
+	}
+	p.Reset()
+	for d, r := range path {
+		if r < 0 || r >= p.Shape().Branching(d) {
+			return 0, fmt.Errorf("rank %d out of range at depth %d", r, d)
+		}
+		p.Descend(r)
+	}
+	return p.Cost(), nil
+}
+
+// session is what the driver needs of a worker process, single-job
+// (worker.Session) or multi-job (jobs.WorkerSession) alike.
+type session interface {
+	Advance(budget int64) (explored int64, finished bool, err error)
+	Stats() bb.Stats
+	Reported() bb.Stats
 }
 
 // slot is one worker seat of the grid.
 type slot struct {
-	sess     *worker.Session
+	sess     session
 	id       transport.WorkerID
 	gen      int // incarnation count, for unique ids across rejoins
 	rejoinAt int // tick to rejoin at; -1 = stay empty
 	finished bool
 }
 
-// grid is the running state of one scenario.
+// grid is the running state of one scenario: the one chaos driver.
 type grid struct {
-	sc      Scenario
+	recorder
+	fleet Fleet
+	topo  topology
+	tally *Tally
+
 	rng     *rand.Rand
 	tick    int
 	nowNano int64
 
-	nb           *core.Numbering
-	dir          string
+	// fs is the fault seam every store of the topology is opened through;
+	// it injects nothing until a DiskFaultEvery sweep arms it.
 	fs           *checkpoint.FaultFS
-	store        *checkpoint.Store
-	farmer       *farmer.Farmer
-	track        *tracker
-	chaos        *transport.Interceptor
-	slots        []*slot
-	trace        []string
-	report       *Report
 	ckptAttempts int
+	slots        []*slot
 	crashed      map[transport.WorkerID]bool // lost-report verdicts pending a kill
 }
 
+func newGrid(fleet Fleet, tally *Tally) *grid {
+	return &grid{
+		fleet:   fleet,
+		tally:   tally,
+		rng:     rand.New(rand.NewSource(fleet.Seed)),
+		fs:      checkpoint.NewFaultFS(nil),
+		crashed: make(map[transport.WorkerID]bool),
+	}
+}
+
+// tracef stamps the event with the current tick.
 func (g *grid) tracef(format string, args ...any) {
-	g.trace = append(g.trace, fmt.Sprintf("t=%04d ", g.tick)+fmt.Sprintf(format, args...))
+	g.recorder.tracef(fmt.Sprintf("t=%04d ", g.tick)+format, args...)
+}
+
+// clock is the virtual clock handed to every coordinator.
+func (g *grid) clock() int64 { return g.nowNano }
+
+// leaseTTL is the scenario lease as the coordinators take it.
+func (g *grid) leaseTTL() time.Duration {
+	return time.Duration(g.fleet.LeaseTTLTicks) * time.Second
+}
+
+// intercept puts the seeded chaos layer in front of a coordinator. leg
+// names the hop in the trace ("" when the topology has only one); on the
+// sub→root leg ("up") a lost solution report is shrugged off — sub-farmers
+// only advance bestSentUp on success — so the crash-on-lost-report policy
+// applies to worker legs only.
+func (g *grid) intercept(inner transport.Coordinator, leg string) *transport.Interceptor {
+	return transport.NewInterceptor(inner, transport.Hooks{
+		Fault: g.decideFault,
+		Observe: func(op transport.Op, w transport.WorkerID, fault transport.Fault, err error) {
+			g.observe(leg, op, w, fault)
+		},
+	})
+}
+
+// tempDir returns dir, or a fresh private directory when dir is empty,
+// plus its cleanup.
+func tempDir(dir string) (string, func(), error) {
+	if dir != "" {
+		return dir, func() {}, nil
+	}
+	d, err := os.MkdirTemp("", "harness-ckpt-*")
+	return d, func() { os.RemoveAll(d) }, err
 }
 
 // Run executes one scenario to termination and returns its report. The
@@ -222,116 +374,65 @@ func (g *grid) tracef(format string, args ...any) {
 // up as violations, not errors).
 func Run(sc Scenario) (Report, error) {
 	sc.fillDefaults()
-	if sc.Subtrees >= 2 {
-		return runTree(sc)
-	}
-	rep := Report{Name: sc.Name, OverlapUnits: new(big.Int), ReworkBudget: new(big.Int)}
-
-	dir := sc.Dir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "harness-ckpt-*")
-		if err != nil {
-			return rep, err
-		}
-		defer os.RemoveAll(d)
-		dir = d
-	}
-	// The store always goes through the fault seam; it injects nothing
-	// until a DiskFaultEvery tick arms it.
-	faultFS := checkpoint.NewFaultFS(nil)
-	store, err := checkpoint.NewStoreFS(faultFS, dir)
+	rep := newReport(sc.Name)
+	dir, cleanup, err := tempDir(sc.Dir)
 	if err != nil {
 		return rep, err
 	}
+	defer cleanup()
 
-	baseProb := sc.Factory()
-	rep.Baseline, _ = bb.Solve(baseProb, sc.InitialUpper)
-
-	nb := core.NewNumbering(baseProb.Shape())
-	root := nb.RootRange()
-	g := &grid{
-		sc:      sc,
-		rng:     rand.New(rand.NewSource(sc.Seed)),
-		nb:      nb,
-		dir:     dir,
-		fs:      faultFS,
-		store:   store,
-		track:   newTracker(root),
-		report:  &rep,
-		crashed: make(map[transport.WorkerID]bool),
+	rep.Baseline, _ = bb.Solve(sc.Factory(), sc.InitialUpper)
+	g := newGrid(sc.Fleet, &rep.Tally)
+	t, err := newFarmerTree(g, &sc, &rep, dir)
+	if err != nil {
+		return rep, err
 	}
-	g.farmer = farmer.New(root, g.farmerOpts()...)
-	g.track.attach(g.farmer)
-	g.chaos = transport.NewInterceptor(g.track, transport.Hooks{
-		Fault:   g.decideFault,
-		Observe: g.observe,
-	})
-	for i := 0; i < sc.Workers; i++ {
-		g.slots = append(g.slots, &slot{rejoinAt: -1})
-		g.join(i)
-	}
-
-	if err := g.loop(); err != nil {
+	if err := g.loop(t.topology()); err != nil {
 		return rep, err
 	}
 
-	// Conformance verdicts.
-	g.track.noteTermination()
-	if !rep.Finished {
-		g.track.violatef("scenario did not terminate within %d ticks", sc.MaxTicks)
+	t.settle()
+	t.rootTrack.noteTermination()
+	rep.Best = t.root.Best()
+	g.conclude([]*tracker{t.rootTrack}, outcome{factory: sc.Factory, best: rep.Best, baseline: rep.Baseline})
+	for _, sub := range t.subs {
+		c := sub.Counters()
+		rep.Refills += c.Refills
+		rep.LowWaterRefills += c.LowWaterRefills
+		rep.UpstreamTimeouts += c.UpstreamTimeouts
 	}
-	rep.Best = g.farmer.Best()
-	g.checkOptimality()
-	rep.Counters = g.farmer.Counters()
-	rep.Trace = g.trace
-	rep.Violations = g.track.violations
-	rep.OverlapUnits.Set(g.track.overlap)
-	rep.ReworkBudget.Set(g.track.reworkBudget)
+	rep.Counters = t.root.Counters()
+	rep.OverlapUnits.Set(t.rootTrack.overlap)
+	rep.ReworkBudget.Set(t.rootTrack.reworkBudget)
 	return rep, nil
 }
 
-// farmerOpts builds the option set shared by the initial farmer and every
-// restored incarnation: the virtual clock, the scenario lease and the
-// checkpoint store.
-func (g *grid) farmerOpts() []farmer.Option {
-	opts := []farmer.Option{
-		farmer.WithClock(func() int64 { return g.nowNano }),
-		farmer.WithLeaseTTL(time.Duration(g.sc.LeaseTTLTicks) * time.Second),
-		farmer.WithCheckpointStore(g.store),
+// loop is the virtual-time event loop: seat the fleet, then per tick run
+// the topology's scheduled coordinator events, the checkpoint sweep, the
+// kill/rejoin schedule, one seeded-shuffled pass over the fleet, and the
+// topology's post-fleet step, until the topology reports the work done.
+func (g *grid) loop(topo topology) error {
+	g.topo = topo
+	fl := &g.fleet
+	for i := 0; i < fl.Workers; i++ {
+		g.slots = append(g.slots, &slot{rejoinAt: -1})
+		g.join(i)
 	}
-	if g.sc.InitialUpper < bb.Infinity {
-		opts = append(opts, farmer.WithInitialBest(g.sc.InitialUpper, nil))
-	}
-	return opts
-}
-
-// loop is the virtual-time event loop.
-func (g *grid) loop() error {
-	sc := &g.sc
-	restarts := make(map[int]bool, len(sc.FarmerRestarts))
-	for _, t := range sc.FarmerRestarts {
-		restarts[t] = true
-	}
-	for tick := 0; tick < sc.MaxTicks; tick++ {
+	for tick := 0; tick < fl.MaxTicks; tick++ {
 		g.tick = tick
 		g.nowNano = int64(tick) * int64(time.Second)
 
-		if restarts[tick] {
-			if err := g.restartFarmer(); err != nil {
+		if topo.before != nil {
+			if err := topo.before(tick); err != nil {
 				return err
 			}
 		}
-		for _, ct := range sc.CorruptTicks {
-			if ct == tick {
-				g.corruptIntervals()
-			}
-		}
-		if sc.CheckpointEvery > 0 && tick > 0 && tick%sc.CheckpointEvery == 0 {
+		if fl.CheckpointEvery > 0 && tick > 0 && tick%fl.CheckpointEvery == 0 {
 			if err := g.checkpoint(); err != nil {
 				return err
 			}
 		}
-		for _, k := range sc.Kills {
+		for _, k := range fl.Kills {
 			if k.Tick == tick {
 				rejoin := -1
 				if k.RejoinAfter > 0 {
@@ -351,7 +452,7 @@ func (g *grid) loop() error {
 			if sl.sess == nil || sl.finished {
 				continue
 			}
-			budget := sc.TickBudget/2 + g.rng.Int63n(sc.TickBudget)
+			budget := fl.TickBudget/2 + g.rng.Int63n(fl.TickBudget)
 			n, finished, err := sl.sess.Advance(budget)
 			g.tracef("adv w=%s n=%d fin=%v", sl.id, n, finished)
 			if err != nil {
@@ -366,7 +467,7 @@ func (g *grid) loop() error {
 				// from the last reported fold. Model exactly that.
 				if g.crashed[sl.id] {
 					delete(g.crashed, sl.id)
-					g.kill(si, tick+sc.LeaseTTLTicks+1, "lost-report")
+					g.kill(si, tick+fl.LeaseTTLTicks+1, "lost-report")
 				}
 				continue
 			}
@@ -375,41 +476,45 @@ func (g *grid) loop() error {
 			}
 		}
 
-		if g.farmer.Done() {
-			g.report.Finished = true
-			g.report.Ticks = tick + 1
-			g.tracef("done best=%d", g.farmer.Best().Cost)
+		if topo.after != nil {
+			topo.after()
+		}
+		if topo.done() {
+			g.tally.Finished = true
+			g.tally.Ticks = tick + 1
 			return nil
 		}
 	}
-	g.report.Ticks = g.sc.MaxTicks
+	g.tally.Ticks = fl.MaxTicks
 	return nil
 }
 
-// join seats a fresh session on the slot.
+// join seats a fresh session on the slot, attached to the endpoint the
+// topology assigns it (slot i → endpoint i mod n).
 func (g *grid) join(i int) {
 	sl := g.slots[i]
 	sl.gen++
 	sl.id = transport.WorkerID(fmt.Sprintf("s%d-g%d", i, sl.gen))
-	sl.sess = worker.NewShardedSession(worker.Config{
-		ID:                sl.id,
-		Power:             (1 + int64(i)) * int64(max(g.sc.Cores, 1)), // heterogeneous by construction, scaled by cores
-		UpdatePeriodNodes: g.sc.UpdatePeriodNodes,
-		Cores:             g.sc.Cores,
-	}, g.chaos, g.sc.Factory)
+	n := len(g.topo.endpoints)
+	sl.sess = g.topo.session(i, sl.id, g.topo.endpoints[i%n])
 	sl.rejoinAt = -1
 	sl.finished = false
 	if sl.gen > 1 {
-		g.report.Rejoins++
+		g.tally.Rejoins++
 	}
-	g.tracef("join slot=%d w=%s", i, sl.id)
+	if n > 1 {
+		g.tracef("join slot=%d sub=%d w=%s", i, i%n, sl.id)
+	} else {
+		g.tracef("join slot=%d w=%s", i, sl.id)
+	}
 }
 
 // kill crashes the slot's session, checking the bounded-rework property on
-// the way out: a worker can never die with more unreported nodes than one
-// checkpoint period. A scheduled kill landing on a slot already emptied by
-// a chaos crash is traced (so the schedule's coverage stays auditable) and
-// its rejoin still honoured if it is the earlier one.
+// the way out: a worker can never die with more unreported nodes than the
+// topology's bound of checkpoint periods. A scheduled kill landing on a
+// slot already emptied by a chaos crash is traced (so the schedule's
+// coverage stays auditable) and its rejoin still honoured if it is the
+// earlier one.
 func (g *grid) kill(i, rejoinAt int, why string) {
 	sl := g.slots[i]
 	if sl.sess == nil {
@@ -420,26 +525,27 @@ func (g *grid) kill(i, rejoinAt int, why string) {
 		return
 	}
 	unreported := sl.sess.Stats().Explored - sl.sess.Reported().Explored
-	if unreported > g.sc.UpdatePeriodNodes {
-		g.track.violatef("worker %s died with %d unreported nodes, more than the %d-node checkpoint period",
-			sl.id, unreported, g.sc.UpdatePeriodNodes)
+	if bound := g.topo.unreportedPeriods * g.fleet.UpdatePeriodNodes; unreported > bound {
+		g.violatef("worker %s died with %d unreported nodes, more than %d checkpoint period(s) of %d nodes",
+			sl.id, unreported, g.topo.unreportedPeriods, g.fleet.UpdatePeriodNodes)
 	}
 	g.tracef("kill slot=%d w=%s why=%s unreported=%d", i, sl.id, why, unreported)
 	delete(g.crashed, sl.id)
 	sl.sess = nil
 	sl.rejoinAt = rejoinAt
-	g.report.Kills++
+	g.tally.Kills++
 }
 
-// checkpoint runs one farmer snapshot attempt, arming the disk-fault seam
-// on every DiskFaultEvery'th one: the injected EIO lands on the snapshot
-// file's fsync, so the save aborts before any rename touches the
-// generations and the only cost is a wider re-exploration window at the
-// next restart — which is exactly what the tracker then holds it to, by
-// NOT advancing its generation bookkeeping for the failed attempt.
+// checkpoint runs one snapshot sweep over every store of the topology,
+// arming the disk-fault seam on every DiskFaultEvery'th one: the injected
+// EIO lands on every snapshot fsync of the sweep, so each save aborts
+// before any rename touches the generations and the only cost is a wider
+// re-exploration window at the next restart — which is exactly what the
+// trackers then hold it to, by NOT advancing their generation bookkeeping
+// for the failed sweep.
 func (g *grid) checkpoint() error {
 	g.ckptAttempts++
-	faulty := g.sc.DiskFaultEvery > 0 && g.ckptAttempts%g.sc.DiskFaultEvery == 0
+	faulty := g.fleet.DiskFaultEvery > 0 && g.ckptAttempts%g.fleet.DiskFaultEvery == 0
 	if faulty {
 		g.fs.SetDecide(func(op checkpoint.Op, path string) checkpoint.Fault {
 			if op == checkpoint.OpSync {
@@ -449,78 +555,41 @@ func (g *grid) checkpoint() error {
 		})
 		defer g.fs.SetDecide(nil)
 	}
-	err := g.farmer.Checkpoint()
+	err := g.topo.sweep()
 	if faulty {
 		if err == nil {
-			g.track.violatef("tick %d: checkpoint survived an injected fsync EIO", g.tick)
+			g.violatef("tick %d: checkpoint sweep survived an injected fsync EIO", g.tick)
 		} else if !errors.Is(err, checkpoint.ErrInjected) {
 			return err
 		}
-		g.report.DiskFaults++
-		g.tracef("ckpt-fault n=%d", g.report.DiskFaults)
+		g.tally.DiskFaults++
+		g.tracef("ckpt-fault n=%d", g.tally.DiskFaults)
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	g.track.noteCheckpoint()
-	g.report.Checkpoints++
-	g.tracef("ckpt n=%d", g.report.Checkpoints)
+	g.topo.noteCheckpoint()
+	g.tally.Checkpoints++
+	g.tracef("ckpt n=%d", g.tally.Checkpoints)
 	return nil
 }
 
-// corruptIntervals flips one byte in the middle of the current intervals
-// snapshot — the silent on-disk corruption the CRC footer exists to catch.
-func (g *grid) corruptIntervals() {
-	path := filepath.Join(g.dir, "intervals.ckpt")
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) == 0 {
-		g.tracef("disk-corrupt-skipped err=%v", err)
-		return
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		g.tracef("disk-corrupt-skipped err=%v", err)
-		return
-	}
-	g.report.CorruptInjections++
-	g.tracef("disk-corrupt n=%d", g.report.CorruptInjections)
-}
-
-// restartFarmer kills the coordinator and restores it from the latest
-// snapshot — or from scratch when none exists. The workers keep their
-// connection object (the interceptor) exactly like real workers reconnect
-// to a restarted coordinator address. A restore that had to fall back past
-// a corrupt current generation is audited against the previous one.
-func (g *grid) restartFarmer() error {
-	before := g.store.Stats().FallbackLoads
-	f, err := farmer.Restore(g.nb.RootRange(), g.store, g.farmerOpts()...)
-	if err != nil {
-		return err
-	}
-	fellBack := g.store.Stats().FallbackLoads > before
-	g.farmer = f
-	g.track.attach(f)
-	g.track.noteRestart(fellBack)
-	g.report.Restarts++
-	g.tracef("farmer-restart n=%d fallback=%v", g.report.Restarts, fellBack)
-	return nil
-}
-
-// decideFault is the seeded chaos policy: one draw per message.
+// decideFault is the seeded chaos policy, shared by every leg: one draw
+// per message, in delivery order, so traces reproduce byte for byte.
 func (g *grid) decideFault(op transport.Op, w transport.WorkerID) transport.Fault {
-	sc := &g.sc
-	total := sc.DropRequestPct + sc.DropReplyPct + sc.DuplicatePct + sc.BlackholePct
+	fl := &g.fleet
+	total := fl.DropRequestPct + fl.DropReplyPct + fl.DuplicatePct + fl.BlackholePct
 	if total == 0 {
 		return transport.FaultNone
 	}
 	r := g.rng.Intn(100)
 	switch {
-	case r < sc.DropRequestPct:
+	case r < fl.DropRequestPct:
 		return transport.FaultDropRequest
-	case r < sc.DropRequestPct+sc.DropReplyPct:
+	case r < fl.DropRequestPct+fl.DropReplyPct:
 		return transport.FaultDropReply
-	case r < sc.DropRequestPct+sc.DropReplyPct+sc.DuplicatePct:
+	case r < fl.DropRequestPct+fl.DropReplyPct+fl.DuplicatePct:
 		return transport.FaultDuplicate
 	case r < total:
 		return transport.FaultBlackhole
@@ -529,65 +598,54 @@ func (g *grid) decideFault(op transport.Op, w transport.WorkerID) transport.Faul
 	}
 }
 
-// observe logs every message and earmarks lost solution reports for the
-// crash-on-lost-report policy (see loop).
-func (g *grid) observe(op transport.Op, w transport.WorkerID, fault transport.Fault, err error) {
-	if fault != transport.FaultNone {
+// observe logs every faulted message and earmarks lost worker solution
+// reports for the crash-on-lost-report policy (see loop).
+func (g *grid) observe(leg string, op transport.Op, w transport.WorkerID, fault transport.Fault) {
+	if fault == transport.FaultNone {
+		return
+	}
+	if leg == "" {
 		g.tracef("msg %s w=%s fault=%s", op, w, fault)
-		switch fault {
-		case transport.FaultDropRequest, transport.FaultDropReply:
-			g.report.Drops++
-			if op == transport.OpReportSolution {
-				g.crashed[w] = true
-			}
-		case transport.FaultBlackhole:
-			// A timed-out call is a loss the deadline had to prove; the
-			// protocol consequences are identical to a drop, including
-			// the worker dying on a timed-out solution report (the real
-			// process restarts on the RPC error).
-			g.report.Timeouts++
-			if op == transport.OpReportSolution {
-				g.crashed[w] = true
-			}
-		case transport.FaultDuplicate:
-			g.report.Duplicates++
-		}
+	} else {
+		g.tracef("msg leg=%s %s w=%s fault=%s", leg, op, w, fault)
+	}
+	switch fault {
+	case transport.FaultDropRequest, transport.FaultDropReply:
+		g.tally.Drops++
+	case transport.FaultBlackhole:
+		// A timed-out call is a loss the deadline had to prove; the
+		// protocol consequences are identical to a drop, including the
+		// worker dying on a timed-out solution report (the real process
+		// restarts on the RPC error).
+		g.tally.Timeouts++
+	case transport.FaultDuplicate:
+		g.tally.Duplicates++
+		return
+	}
+	if leg != legUp && op == transport.OpReportSolution {
+		g.crashed[w] = true
 	}
 }
 
-// checkOptimality holds the final incumbent to the sequential baseline:
-// equal cost, and — when a path exists — a real leaf of that cost.
-func (g *grid) checkOptimality() {
-	best, base := g.report.Best, g.report.Baseline
-	if best.Cost != base.Cost {
-		g.track.violatef("incumbent %d != sequential baseline %d", best.Cost, base.Cost)
-		return
+// conclude writes the run's verdict into the tally: the termination and
+// optimality checks, then every tracker's violations followed by the
+// driver's own.
+func (g *grid) conclude(trackers []*tracker, proven ...outcome) {
+	if !g.tally.Finished {
+		g.violatef("scenario did not terminate within %d ticks", g.fleet.MaxTicks)
 	}
-	if !best.Valid() {
-		if base.Valid() {
-			g.track.violatef("baseline found a solution but the grid has none")
-		}
-		return
+	g.checkOptimality(proven)
+	g.tally.Trace = g.trace
+	for _, tr := range trackers {
+		g.tally.Violations = append(g.tally.Violations, tr.violations...)
 	}
-	if cost, err := evalPath(g.sc.Factory(), best.Path); err != nil {
-		g.track.violatef("incumbent path invalid: %v", err)
-	} else if cost != best.Cost {
-		g.track.violatef("incumbent path evaluates to %d, claimed %d", cost, best.Cost)
-	}
+	g.tally.Violations = append(g.tally.Violations, g.violations...)
 }
 
-// evalPath walks the problem down the rank path and prices the leaf.
-func evalPath(p bb.Problem, path []int) (int64, error) {
-	depth := p.Shape().Depth()
-	if len(path) != depth {
-		return 0, fmt.Errorf("path length %d != tree depth %d", len(path), depth)
+// checkOptimality holds every resolution the run proved to its sequential
+// oracle.
+func (g *grid) checkOptimality(proven []outcome) {
+	for _, o := range proven {
+		g.checkIncumbent(o)
 	}
-	p.Reset()
-	for d, r := range path {
-		if r < 0 || r >= p.Shape().Branching(d) {
-			return 0, fmt.Errorf("rank %d out of range at depth %d", r, d)
-		}
-		p.Descend(r)
-	}
-	return p.Cost(), nil
 }

@@ -232,6 +232,40 @@ func TestScenariosExerciseTheirFaults(t *testing.T) {
 	}
 }
 
+// treeDiskFault is TreeChurn with every second checkpoint sweep hitting an
+// injected fsync EIO on every tier.
+func treeDiskFault() Scenario {
+	sc := TreeChurn()
+	sc.Name = "tree-disk-fault"
+	sc.DiskFaultEvery = 2
+	return sc
+}
+
+// TestTreeDiskFaults: the disk-fault schedule reaches a tree's stores. The
+// root and every sub-farmer store sit behind the fault seam, a faulty
+// sweep fails on every tier (no generation rotates, no tracker advances),
+// and the restarts that follow — root and sub-farmer alike — restore the
+// older, still-whole generation with zero violations, byte for byte
+// reproducibly.
+func TestTreeDiskFaults(t *testing.T) {
+	rep, err := Run(treeDiskFault())
+	if err != nil {
+		t.Fatalf("harness error: %v", err)
+	}
+	assertConformant(t, rep)
+	if rep.DiskFaults == 0 {
+		t.Errorf("no checkpoint sweep hit the injected fsync EIO — the tree stores bypass the fault seam")
+	}
+	if rep.Checkpoints == 0 || rep.Restarts == 0 {
+		t.Errorf("checkpoints=%d restarts=%d — the faulty sweeps were never put to a restore", rep.Checkpoints, rep.Restarts)
+	}
+	again, err := Run(treeDiskFault())
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	assertSameTrace(t, rep.Trace, again.Trace)
+}
+
 // TestDifferentSeedsDiverge: the seed is the only source of variation, and
 // it is a real one — two different seeds must produce different traces
 // (otherwise the chaos machinery is decorative).

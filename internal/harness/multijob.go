@@ -2,6 +2,8 @@
 // job table (internal/jobs). One fleet of multi-job workers shares one
 // table holding several concurrent resolutions while the chaos layer
 // kills workers and drops replies and the operator cancels a job mid-run.
+// It is the same grid driver as every other scenario, under a topology
+// whose endpoint is a jobs.Table.
 //
 // Conformance is per job: every job gets its own tracker (the same
 // interval-algebra auditor the single-job scenarios use), attached via
@@ -12,11 +14,7 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"os"
-	"time"
 
 	"repro/internal/bb"
 	"repro/internal/checkpoint"
@@ -38,48 +36,16 @@ type MultiJob struct {
 }
 
 // MultiJobScenario drives one fleet over one table of concurrent jobs.
-// The knobs shared with Scenario mean exactly what they mean there.
 type MultiJobScenario struct {
 	Name string
-	Seed int64
+	Fleet
 	Jobs []MultiJob
-
-	Workers           int
-	UpdatePeriodNodes int64
-	TickBudget        int64
-	LeaseTTLTicks     int
-	CheckpointEvery   int
-	// DiskFaultEvery fails every Nth table checkpoint sweep with injected
-	// EIO on every snapshot fsync: all jobs' saves abort uniformly (the
-	// table iterates jobs in map order, so a partial fault would save a
-	// nondeterministic subset and break trace reproducibility).
-	DiskFaultEvery int
-	DropRequestPct int
-	DropReplyPct   int
-	DuplicatePct   int
-	BlackholePct   int
-	Kills          []KillEvent
-	MaxTicks       int
 	// MaxActive bounds concurrently running jobs (0: all of them).
 	MaxActive int
 }
 
 func (sc *MultiJobScenario) fillDefaults() {
-	if sc.Workers <= 0 {
-		sc.Workers = 3
-	}
-	if sc.UpdatePeriodNodes <= 0 {
-		sc.UpdatePeriodNodes = 256
-	}
-	if sc.TickBudget <= 0 {
-		sc.TickBudget = 512
-	}
-	if sc.LeaseTTLTicks <= 0 {
-		sc.LeaseTTLTicks = 3
-	}
-	if sc.MaxTicks <= 0 {
-		sc.MaxTicks = 5000
-	}
+	sc.Fleet.fillDefaults()
 	if sc.MaxActive <= 0 {
 		sc.MaxActive = len(sc.Jobs)
 	}
@@ -95,131 +61,138 @@ type JobOutcome struct {
 	Explored int64
 }
 
-// MultiJobReport is the outcome of a multi-job scenario. Conformant iff
-// Violations is empty and Finished is true.
+// MultiJobReport is the outcome of a multi-job scenario.
 type MultiJobReport struct {
-	Name       string
-	Trace      []string
-	Violations []string
-	Jobs       []JobOutcome
-	Ticks      int
-	Finished   bool
-
-	Drops, Duplicates, Kills, Rejoins, Checkpoints, Timeouts int
-	// DiskFaults counts checkpoint sweeps killed by injected I/O errors.
-	DiskFaults int
-	Table      jobs.Counters
+	Tally
+	Jobs  []JobOutcome
+	Table jobs.Counters
 }
 
-// mjSlot is one worker seat, holding a multi-job session instead of a
-// single-job one.
-type mjSlot struct {
-	sess     *jobs.WorkerSession
-	id       transport.WorkerID
-	gen      int
-	rejoinAt int
-	finished bool
+// jobTable is the multi-tenant topology: one jobs.Table behind the leak
+// check, one conformance tracker per job hung on the table's Wrap hook.
+type jobTable struct {
+	g         *grid
+	sc        *MultiJobScenario
+	table     *jobs.Table
+	factories map[string]func() bb.Problem
+	roots     map[string]interval.Interval
+	tracks    map[string]*tracker
 }
 
-// mjGrid is the running state of one multi-job scenario.
-type mjGrid struct {
-	sc      MultiJobScenario
-	rng     *rand.Rand
-	tick    int
-	nowNano int64
-
-	table        *jobs.Table
-	fs           *checkpoint.FaultFS
-	ckptAttempts int
-	factories    map[string]func() bb.Problem
-	roots        map[string]interval.Interval
-	tracks       map[string]*tracker
-	chaos        *transport.Interceptor
-	slots        []*mjSlot
-	trace        []string
-	report       *MultiJobReport
-	crashed      map[transport.WorkerID]bool
-
-	violations []string
-}
-
-func (g *mjGrid) violatef(format string, args ...any) {
-	g.violations = append(g.violations, fmt.Sprintf(format, args...))
-}
-
-func (g *mjGrid) tracef(format string, args ...any) {
-	g.trace = append(g.trace, fmt.Sprintf("t=%04d ", g.tick)+fmt.Sprintf(format, args...))
-}
-
-// leakCheck sits between the chaos layer and the table: every assignment
+// RequestWork sits between the chaos layer and the table: every assignment
 // must name a known job and stay inside that job's root range — the
 // cross-job isolation property, checked on the wire where a worker would
 // see the breach. (Each job's tracker would also catch a leak, as a
 // partition violation; this check names the culprit directly.)
-type leakCheck struct {
-	g *mjGrid
-}
-
-func (c *leakCheck) RequestWork(req transport.WorkRequest) (transport.WorkReply, error) {
-	rep, err := c.g.table.RequestWork(req)
+func (t *jobTable) RequestWork(req transport.WorkRequest) (transport.WorkReply, error) {
+	rep, err := t.table.RequestWork(req)
 	if err == nil && rep.Status == transport.WorkAssigned {
-		root, ok := c.g.roots[rep.Job]
+		root, ok := t.roots[rep.Job]
 		switch {
 		case !ok:
-			c.g.violatef("assignment to %s names unknown job %q", req.Worker, rep.Job)
+			t.g.violatef("assignment to %s names unknown job %q", req.Worker, rep.Job)
 		case !root.ContainsInterval(rep.Interval):
-			c.g.violatef("cross-job leak: job %s assigned %s outside its root %s",
+			t.g.violatef("cross-job leak: job %s assigned %s outside its root %s",
 				rep.Job, rep.Interval.String(), root.String())
 		}
 	}
 	return rep, err
 }
 
-func (c *leakCheck) UpdateInterval(req transport.UpdateRequest) (transport.UpdateReply, error) {
-	return c.g.table.UpdateInterval(req)
+func (t *jobTable) UpdateInterval(req transport.UpdateRequest) (transport.UpdateReply, error) {
+	return t.table.UpdateInterval(req)
 }
 
-func (c *leakCheck) ReportSolution(req transport.SolutionReport) (transport.SolutionAck, error) {
-	return c.g.table.ReportSolution(req)
+func (t *jobTable) ReportSolution(req transport.SolutionReport) (transport.SolutionAck, error) {
+	return t.table.ReportSolution(req)
+}
+
+func (t *jobTable) topology() topology {
+	return topology{
+		endpoints:         []transport.Coordinator{t.g.intercept(t, "")},
+		session:           t.session,
+		before:            t.cancelJobs,
+		sweep:             t.table.Checkpoint,
+		noteCheckpoint:    t.noteCheckpoint,
+		done:              t.done,
+		unreportedPeriods: 2,
+	}
+}
+
+// session starts a multi-job worker, heterogeneous by construction.
+func (t *jobTable) session(i int, id transport.WorkerID, coord transport.Coordinator) session {
+	return jobs.NewWorkerSession(jobs.WorkerConfig{
+		ID:                id,
+		Power:             1 + int64(i),
+		UpdatePeriodNodes: t.sc.UpdatePeriodNodes,
+	}, coord, func(jobID string) (func() bb.Problem, bool) {
+		f, ok := t.factories[jobID]
+		return f, ok
+	})
+}
+
+// cancelJobs is the operator pulling jobs mid-run.
+func (t *jobTable) cancelJobs(tick int) error {
+	for _, mj := range t.sc.Jobs {
+		if mj.CancelAt > 0 && mj.CancelAt == tick {
+			if err := t.table.Cancel(mj.ID); err != nil {
+				t.g.tracef("cancel job=%s err=%v", mj.ID, err)
+			} else {
+				t.g.tracef("cancel job=%s", mj.ID)
+			}
+		}
+	}
+	return nil
+}
+
+// noteCheckpoint: a table sweep saves exactly the running jobs.
+func (t *jobTable) noteCheckpoint() {
+	for _, p := range t.table.List() {
+		if p.State == "running" {
+			t.tracks[p.ID].noteCheckpoint()
+		}
+	}
+}
+
+func (t *jobTable) done() bool {
+	if !t.table.Done() {
+		return false
+	}
+	t.g.tracef("done")
+	return true
 }
 
 // RunMultiJob executes a multi-job scenario to termination and audits it.
 func RunMultiJob(sc MultiJobScenario) (MultiJobReport, error) {
 	sc.fillDefaults()
-	rep := MultiJobReport{Name: sc.Name}
-
-	dir, err := os.MkdirTemp("", "harness-multijob-*")
+	rep := MultiJobReport{Tally: Tally{Name: sc.Name}}
+	dir, cleanup, err := tempDir("")
 	if err != nil {
 		return rep, err
 	}
-	defer os.RemoveAll(dir)
-	// The store goes through the fault seam; it injects nothing until a
-	// DiskFaultEvery sweep arms it.
-	faultFS := checkpoint.NewFaultFS(nil)
-	store, err := checkpoint.NewStoreFS(faultFS, dir)
+	defer cleanup()
+
+	g := newGrid(sc.Fleet, &rep.Tally)
+	store, err := checkpoint.NewStoreFS(g.fs, dir)
 	if err != nil {
 		return rep, err
 	}
-
-	g := &mjGrid{
-		sc:        sc,
-		fs:        faultFS,
-		rng:       rand.New(rand.NewSource(sc.Seed)),
+	t := &jobTable{
+		g:         g,
+		sc:        &sc,
 		factories: make(map[string]func() bb.Problem),
 		roots:     make(map[string]interval.Interval),
 		tracks:    make(map[string]*tracker),
-		report:    &rep,
-		crashed:   make(map[transport.WorkerID]bool),
 	}
-	g.table = jobs.NewTable(jobs.Config{
+	t.table = jobs.NewTable(jobs.Config{
 		MaxActive: sc.MaxActive,
 		Store:     store,
-		Clock:     func() int64 { return g.nowNano },
-		LeaseTTL:  time.Duration(sc.LeaseTTLTicks) * time.Second,
+		Clock:     g.clock,
+		LeaseTTL:  g.leaseTTL(),
 		Wrap: func(id string, f *farmer.Farmer) transport.Coordinator {
-			tr := newTracker(g.roots[id])
+			tr := newTracker(t.roots[id])
 			tr.attach(f)
-			g.tracks[id] = tr
+			t.tracks[id] = tr
 			return tr
 		},
 	})
@@ -232,36 +205,27 @@ func RunMultiJob(sc MultiJobScenario) (MultiJobReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		g.factories[mj.ID] = factory
-		g.roots[mj.ID] = core.NewNumbering(factory().Shape()).RootRange()
+		t.factories[mj.ID] = factory
+		t.roots[mj.ID] = core.NewNumbering(factory().Shape()).RootRange()
 		baselines[mj.ID], _ = bb.Solve(factory(), bb.Infinity)
 	}
 	for _, mj := range sc.Jobs {
-		if err := g.table.Submit(mj.ID, mj.Spec); err != nil {
+		if err := t.table.Submit(mj.ID, mj.Spec); err != nil {
 			return rep, err
 		}
 	}
 
-	g.chaos = transport.NewInterceptor(&leakCheck{g: g}, transport.Hooks{
-		Fault: func(op transport.Op, w transport.WorkerID) transport.Fault {
-			return g.decideFault(op)
-		},
-		Observe: func(op transport.Op, w transport.WorkerID, fault transport.Fault, err error) {
-			g.observe(op, w, fault)
-		},
-	})
-	for i := 0; i < sc.Workers; i++ {
-		g.slots = append(g.slots, &mjSlot{rejoinAt: -1})
-		g.join(i)
-	}
-
-	if err := g.loop(); err != nil {
+	if err := g.loop(t.topology()); err != nil {
 		return rep, err
 	}
 
-	// Per-job conformance verdicts.
+	// Per-job verdicts: a surviving job must be done and proven; a
+	// cancelled job proves nothing — its only obligations are the tracker
+	// laws while it ran.
+	var trackers []*tracker
+	var proven []outcome
 	for _, mj := range sc.Jobs {
-		p, err := g.table.Progress(mj.ID)
+		p, err := t.table.Progress(mj.ID)
 		if err != nil {
 			return rep, err
 		}
@@ -273,276 +237,56 @@ func RunMultiJob(sc MultiJobScenario) (MultiJobReport, error) {
 			Explored: p.Counters.ExploredNodes,
 		}
 		rep.Jobs = append(rep.Jobs, out)
+		if tr, ok := t.tracks[mj.ID]; ok {
+			trackers = append(trackers, tr)
+		}
+		want := "done"
 		if mj.CancelAt > 0 {
-			// A cancelled job proves nothing; its only obligations are the
-			// tracker laws while it ran, collected below.
-			if p.State != "cancelled" {
-				g.violatef("job %s: state %s, want cancelled", mj.ID, p.State)
-			}
-			continue
+			want = "cancelled"
 		}
-		if p.State != "done" {
-			g.violatef("job %s: state %s, want done", mj.ID, p.State)
-			continue
-		}
-		g.tracks[mj.ID].noteTermination()
-		if out.Best.Cost != out.Baseline.Cost {
-			g.violatef("job %s: incumbent %d != sequential baseline %d",
-				mj.ID, out.Best.Cost, out.Baseline.Cost)
-		} else if out.Best.Valid() {
-			if cost, err := evalPath(g.factories[mj.ID](), out.Best.Path); err != nil {
-				g.violatef("job %s: incumbent path invalid: %v", mj.ID, err)
-			} else if cost != out.Best.Cost {
-				g.violatef("job %s: incumbent path evaluates to %d, claimed %d",
-					mj.ID, cost, out.Best.Cost)
-			}
-		} else if out.Baseline.Valid() {
-			g.violatef("job %s: baseline found a solution but the grid has none", mj.ID)
+		if p.State != want {
+			g.violatef("job %s: state %s, want %s", mj.ID, p.State, want)
+		} else if want == "done" {
+			t.tracks[mj.ID].noteTermination()
+			proven = append(proven, outcome{
+				who:     fmt.Sprintf("job %s: ", mj.ID),
+				factory: t.factories[mj.ID], best: out.Best, baseline: out.Baseline,
+			})
 		}
 	}
-	if !rep.Finished {
-		g.violatef("scenario did not terminate within %d ticks", sc.MaxTicks)
-	}
-	rep.Table = g.table.Counters()
-	rep.Trace = g.trace
-	for _, mj := range sc.Jobs {
-		if tr, ok := g.tracks[mj.ID]; ok {
-			rep.Violations = append(rep.Violations, tr.violations...)
-		}
-	}
-	rep.Violations = append(rep.Violations, g.violations...)
+	g.conclude(trackers, proven...)
+	rep.Table = t.table.Counters()
 	return rep, nil
-}
-
-// loop is the virtual-time event loop (the multi-job twin of grid.loop).
-func (g *mjGrid) loop() error {
-	sc := &g.sc
-	for tick := 0; tick < sc.MaxTicks; tick++ {
-		g.tick = tick
-		g.nowNano = int64(tick) * int64(time.Second)
-
-		for _, mj := range sc.Jobs {
-			if mj.CancelAt > 0 && mj.CancelAt == tick {
-				if err := g.table.Cancel(mj.ID); err != nil {
-					g.tracef("cancel job=%s err=%v", mj.ID, err)
-				} else {
-					g.tracef("cancel job=%s", mj.ID)
-				}
-			}
-		}
-		if sc.CheckpointEvery > 0 && tick > 0 && tick%sc.CheckpointEvery == 0 {
-			if err := g.checkpoint(); err != nil {
-				return err
-			}
-		}
-		for _, k := range sc.Kills {
-			if k.Tick == tick {
-				rejoin := -1
-				if k.RejoinAfter > 0 {
-					rejoin = tick + k.RejoinAfter
-				}
-				g.kill(k.Slot, rejoin, "scheduled")
-			}
-		}
-		for i, sl := range g.slots {
-			if sl.sess == nil && sl.rejoinAt == tick {
-				g.join(i)
-			}
-		}
-
-		for _, si := range g.rng.Perm(len(g.slots)) {
-			sl := g.slots[si]
-			if sl.sess == nil || sl.finished {
-				continue
-			}
-			budget := sc.TickBudget/2 + g.rng.Int63n(sc.TickBudget)
-			n, finished, err := sl.sess.Advance(budget)
-			g.tracef("adv w=%s n=%d fin=%v", sl.id, n, finished)
-			if err != nil {
-				if !errors.Is(err, transport.ErrLost) && !errors.Is(err, transport.ErrDeadline) {
-					return fmt.Errorf("harness: worker %s: %w", sl.id, err)
-				}
-				// Same lost-message policy as the flat grid: only a lost
-				// (or timed-out) solution report kills the worker.
-				if g.crashed[sl.id] {
-					delete(g.crashed, sl.id)
-					g.kill(si, tick+sc.LeaseTTLTicks+1, "lost-report")
-				}
-				continue
-			}
-			if finished {
-				sl.finished = true
-			}
-		}
-
-		if g.table.Done() {
-			g.report.Finished = true
-			g.report.Ticks = tick + 1
-			g.tracef("done")
-			return nil
-		}
-	}
-	g.report.Ticks = g.sc.MaxTicks
-	return nil
-}
-
-// checkpoint runs one table-wide snapshot sweep, arming the disk-fault
-// seam on every DiskFaultEvery'th one. The fault hits EVERY snapshot fsync
-// during the sweep — the table visits jobs in map order, so a partial
-// fault would persist a nondeterministic subset of jobs and two equal
-// seeds would diverge. No job's generation rotates on a failed save, so
-// skipping all the per-job noteCheckpoint calls keeps every tracker in
-// step with its job's disk.
-func (g *mjGrid) checkpoint() error {
-	g.ckptAttempts++
-	faulty := g.sc.DiskFaultEvery > 0 && g.ckptAttempts%g.sc.DiskFaultEvery == 0
-	if faulty {
-		g.fs.SetDecide(func(op checkpoint.Op, path string) checkpoint.Fault {
-			if op == checkpoint.OpSync {
-				return checkpoint.EIO()
-			}
-			return checkpoint.Fault{}
-		})
-		defer g.fs.SetDecide(nil)
-	}
-	err := g.table.Checkpoint()
-	if faulty {
-		if err == nil {
-			g.violatef("tick %d: table checkpoint survived an injected fsync EIO", g.tick)
-		} else if !errors.Is(err, checkpoint.ErrInjected) {
-			return err
-		}
-		g.report.DiskFaults++
-		g.tracef("ckpt-fault n=%d", g.report.DiskFaults)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, p := range g.table.List() {
-		if p.State == "running" {
-			g.tracks[p.ID].noteCheckpoint()
-		}
-	}
-	g.report.Checkpoints++
-	g.tracef("ckpt n=%d", g.report.Checkpoints)
-	return nil
-}
-
-// join seats a fresh multi-job session on the slot.
-func (g *mjGrid) join(i int) {
-	sl := g.slots[i]
-	sl.gen++
-	sl.id = transport.WorkerID(fmt.Sprintf("s%d-g%d", i, sl.gen))
-	sl.sess = jobs.NewWorkerSession(jobs.WorkerConfig{
-		ID:                sl.id,
-		Power:             1 + int64(i), // heterogeneous by construction
-		UpdatePeriodNodes: g.sc.UpdatePeriodNodes,
-	}, g.chaos, func(jobID string) (func() bb.Problem, bool) {
-		f, ok := g.factories[jobID]
-		return f, ok
-	})
-	sl.rejoinAt = -1
-	sl.finished = false
-	if sl.gen > 1 {
-		g.report.Rejoins++
-	}
-	g.tracef("join slot=%d w=%s", i, sl.id)
-}
-
-// kill crashes the slot's session with the bounded-rework audit. A
-// multi-job session can carry one mid-period engine plus a pending retry
-// on another job, so the bound is two update periods (the flat grid's
-// single-engine bound is one).
-func (g *mjGrid) kill(i, rejoinAt int, why string) {
-	sl := g.slots[i]
-	if sl.sess == nil {
-		g.tracef("kill-skipped slot=%d why=%s", i, why)
-		if rejoinAt >= 0 && (sl.rejoinAt < 0 || rejoinAt < sl.rejoinAt) {
-			sl.rejoinAt = rejoinAt
-		}
-		return
-	}
-	unreported := sl.sess.Stats().Explored - sl.sess.Reported().Explored
-	if unreported > 2*g.sc.UpdatePeriodNodes {
-		g.violatef("worker %s died with %d unreported nodes, more than twice the %d-node update period",
-			sl.id, unreported, g.sc.UpdatePeriodNodes)
-	}
-	g.tracef("kill slot=%d w=%s why=%s unreported=%d", i, sl.id, why, unreported)
-	delete(g.crashed, sl.id)
-	sl.sess = nil
-	sl.rejoinAt = rejoinAt
-	g.report.Kills++
-}
-
-// decideFault is the seeded chaos policy, identical to the flat grid's.
-func (g *mjGrid) decideFault(op transport.Op) transport.Fault {
-	sc := &g.sc
-	total := sc.DropRequestPct + sc.DropReplyPct + sc.DuplicatePct + sc.BlackholePct
-	if total == 0 {
-		return transport.FaultNone
-	}
-	r := g.rng.Intn(100)
-	switch {
-	case r < sc.DropRequestPct:
-		return transport.FaultDropRequest
-	case r < sc.DropRequestPct+sc.DropReplyPct:
-		return transport.FaultDropReply
-	case r < sc.DropRequestPct+sc.DropReplyPct+sc.DuplicatePct:
-		return transport.FaultDuplicate
-	case r < total:
-		return transport.FaultBlackhole
-	default:
-		return transport.FaultNone
-	}
-}
-
-func (g *mjGrid) observe(op transport.Op, w transport.WorkerID, fault transport.Fault) {
-	if fault == transport.FaultNone {
-		return
-	}
-	g.tracef("msg %s w=%s fault=%s", op, w, fault)
-	switch fault {
-	case transport.FaultDropRequest, transport.FaultDropReply:
-		g.report.Drops++
-		if op == transport.OpReportSolution {
-			g.crashed[w] = true
-		}
-	case transport.FaultBlackhole:
-		g.report.Timeouts++
-		if op == transport.OpReportSolution {
-			g.crashed[w] = true
-		}
-	case transport.FaultDuplicate:
-		g.report.Duplicates++
-	}
 }
 
 // MultiJobChurn is the canonical multi-tenant chaos story: three jobs of
 // three different domains (flowshop ~8k sequential nodes, TSP ~6k, QAP
 // ~3k) share one five-worker fleet while workers die and rejoin, replies
-// drop, and the operator cancels the QAP job mid-run. The two surviving
-// jobs must prove their sequential optima with zero cross-job leakage;
-// the flowshop job carries double fair-share weight.
+// drop, every second checkpoint sweep hits an fsync EIO, and the operator
+// cancels the QAP job mid-run. The two surviving jobs must prove their
+// sequential optima with zero cross-job leakage; the flowshop job carries
+// double fair-share weight.
 func MultiJobChurn() MultiJobScenario {
 	return MultiJobScenario{
 		Name: "multi-job-churn",
-		Seed: 17,
 		Jobs: []MultiJob{
 			{ID: "fs10x5", Spec: jobs.Spec{Domain: "flowshop", Jobs: 10, Machines: 5, Seed: 2, Weight: 2}},
 			{ID: "tsp9", Spec: jobs.Spec{Domain: "tsp", N: 9, Seed: 1}},
 			{ID: "qap7", Spec: jobs.Spec{Domain: "qap", N: 7, Seed: 2}, CancelAt: 6},
 		},
-		Workers:           5,
-		UpdatePeriodNodes: 256,
-		TickBudget:        256,
-		LeaseTTLTicks:     3,
-		CheckpointEvery:   3,
-		DiskFaultEvery:    2,
-		DropReplyPct:      6,
-		Kills: []KillEvent{
-			{Tick: 4, Slot: 1, RejoinAfter: 3},
-			{Tick: 8, Slot: 3, RejoinAfter: 4},
+		Fleet: Fleet{
+			Seed:              17,
+			Workers:           5,
+			UpdatePeriodNodes: 256,
+			TickBudget:        256,
+			LeaseTTLTicks:     3,
+			CheckpointEvery:   3,
+			DiskFaultEvery:    2,
+			DropReplyPct:      6,
+			Kills: []KillEvent{
+				{Tick: 4, Slot: 1, RejoinAfter: 3},
+				{Tick: 8, Slot: 3, RejoinAfter: 4},
+			},
 		},
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"math/big"
 	"os"
 
@@ -76,7 +75,7 @@ type view struct {
 // RunRing executes one p2p scenario and returns its report.
 func RunRing(sc RingScenario) (Report, error) {
 	sc.fillDefaults()
-	rep := Report{Name: sc.Name, OverlapUnits: new(big.Int), ReworkBudget: new(big.Int)}
+	rep := newReport(sc.Name)
 	rep.Baseline, _ = bb.Solve(sc.Factory(), bb.Infinity)
 
 	nb := core.NewNumbering(sc.Factory().Shape())
@@ -91,10 +90,8 @@ func RunRing(sc RingScenario) (Report, error) {
 		return (a < sc.PartitionCut) != (b < sc.PartitionCut)
 	}
 
-	var violations []string
-	violatef := func(format string, args ...any) {
-		violations = append(violations, fmt.Sprintf(format, args...))
-	}
+	var rec recorder
+	violatef := rec.violatef
 
 	// Peer crashes arm the §6 ring checkpointing: each peer gets its own
 	// two-file snapshot namespace and restarts from it alone.
@@ -134,30 +131,12 @@ func RunRing(sc RingScenario) (Report, error) {
 	views := make([]view, sc.Peers)
 	views[0] = view{a: root.A(), b: root.B(), active: true}
 	dead := make([]bool, sc.Peers)
-	// intersect measures |[a1,b1) ∩ [a2,b2)| — the rework a restore may
-	// legitimately duplicate against another live peer's region.
-	intersect := func(a1, b1, a2, b2 *big.Int) *big.Int {
-		lo := a1
-		if a2.Cmp(lo) > 0 {
-			lo = a2
-		}
-		hi := b1
-		if b2.Cmp(hi) < 0 {
-			hi = b2
-		}
-		if lo.Cmp(hi) >= 0 {
-			return new(big.Int)
-		}
-		return new(big.Int).Sub(hi, lo)
-	}
-
 	processed := 0
-	trace := []string{}
 	reconcile := func() {
 		events := l.Events()
 		for ; processed < len(events); processed++ {
 			ev := events[processed]
-			trace = append(trace, fmt.Sprintf("s=%04d %s %d<-%d %s", ev.Sweep, ev.Kind, ev.From, ev.To, ev.Interval))
+			rec.tracef("s=%04d %s %d<-%d %s", ev.Sweep, ev.Kind, ev.From, ev.To, ev.Interval)
 			switch ev.Kind {
 			case "steal":
 				thief, victim := ev.From, ev.To
@@ -208,7 +187,7 @@ func RunRing(sc RingScenario) (Report, error) {
 					if j == i || !views[j].active || dead[j] {
 						continue
 					}
-					budget.Add(budget, intersect(riv.A(), riv.B(), views[j].a, views[j].b))
+					budget.Add(budget, riv.Intersect(interval.New(views[j].a, views[j].b)).Len())
 				}
 				rep.ReworkBudget.Add(rep.ReworkBudget, budget)
 				views[i] = view{a: riv.A(), b: riv.B(), active: true}
@@ -318,18 +297,10 @@ func RunRing(sc RingScenario) (Report, error) {
 
 	res := l.Result()
 	rep.Best = res.Best
-	if rep.Best.Cost != rep.Baseline.Cost {
-		violatef("incumbent %d != sequential baseline %d", rep.Best.Cost, rep.Baseline.Cost)
-	} else if rep.Best.Valid() {
-		if cost, err := evalPath(sc.Factory(), rep.Best.Path); err != nil {
-			violatef("incumbent path invalid: %v", err)
-		} else if cost != rep.Best.Cost {
-			violatef("incumbent path evaluates to %d, claimed %d", cost, rep.Best.Cost)
-		}
-	}
-	trace = append(trace, fmt.Sprintf("end sweeps=%d best=%d steals=%d rounds=%d", sweep, res.Best.Cost, res.Steals, res.TokenRounds))
-	rep.Trace = trace
-	rep.Violations = violations
+	rec.checkIncumbent(outcome{factory: sc.Factory, best: rep.Best, baseline: rep.Baseline})
+	rec.tracef("end sweeps=%d best=%d steals=%d rounds=%d", sweep, res.Best.Cost, res.Steals, res.TokenRounds)
+	rep.Trace = rec.trace
+	rep.Violations = rec.violations
 	rep.OverlapUnits.Set(overlap)
 	return rep, nil
 }

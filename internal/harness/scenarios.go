@@ -25,13 +25,15 @@ import (
 func QuietGrid() Scenario {
 	ins := knapsack.Random(20, 5)
 	return Scenario{
-		Name:              "quiet-grid",
-		Seed:              1,
-		Factory:           func() bb.Problem { return knapsack.NewProblem(ins) },
-		Workers:           3,
-		UpdatePeriodNodes: 48,
-		TickBudget:        48,
-		CheckpointEvery:   2,
+		Name:    "quiet-grid",
+		Factory: func() bb.Problem { return knapsack.NewProblem(ins) },
+		Fleet: Fleet{
+			Seed:              1,
+			Workers:           3,
+			UpdatePeriodNodes: 48,
+			TickBudget:        48,
+			CheckpointEvery:   2,
+		},
 	}
 }
 
@@ -43,22 +45,24 @@ func ChurnyGrid() Scenario {
 	ins := flowshop.Taillard(12, 5, 7)
 	return Scenario{
 		Name: "churny-grid",
-		Seed: 2,
 		Factory: func() bb.Problem {
 			return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 		},
-		Workers:           4,
-		UpdatePeriodNodes: 256,
-		TickBudget:        480,
-		LeaseTTLTicks:     2,
-		CheckpointEvery:   3,
-		DropRequestPct:    8,
-		DropReplyPct:      8,
-		DuplicatePct:      6,
-		Kills: []KillEvent{
-			{Tick: 4, Slot: 1, RejoinAfter: 3},
-			{Tick: 9, Slot: 2, RejoinAfter: 4},
-			{Tick: 14, Slot: 0, RejoinAfter: 3},
+		Fleet: Fleet{
+			Seed:              2,
+			Workers:           4,
+			UpdatePeriodNodes: 256,
+			TickBudget:        480,
+			LeaseTTLTicks:     2,
+			CheckpointEvery:   3,
+			DropRequestPct:    8,
+			DropReplyPct:      8,
+			DuplicatePct:      6,
+			Kills: []KillEvent{
+				{Tick: 4, Slot: 1, RejoinAfter: 3},
+				{Tick: 9, Slot: 2, RejoinAfter: 4},
+				{Tick: 14, Slot: 0, RejoinAfter: 3},
+			},
 		},
 	}
 }
@@ -72,18 +76,20 @@ func ChurnyGrid() Scenario {
 func FarmerFailover() Scenario {
 	ins := tsp.RandomEuclidean(10, 100, 4)
 	return Scenario{
-		Name:              "farmer-failover",
-		Seed:              3,
-		Factory:           func() bb.Problem { return tsp.NewProblem(ins) },
-		Workers:           3,
-		UpdatePeriodNodes: 256,
-		TickBudget:        450,
-		LeaseTTLTicks:     2,
-		CheckpointEvery:   3,
-		FarmerRestarts:    []int{7, 15},
-		DiskFaultEvery:    2,
-		CorruptTicks:      []int{13},
-		DropReplyPct:      4,
+		Name:           "farmer-failover",
+		Factory:        func() bb.Problem { return tsp.NewProblem(ins) },
+		FarmerRestarts: []int{7, 15},
+		CorruptTicks:   []int{13},
+		Fleet: Fleet{
+			Seed:              3,
+			Workers:           3,
+			UpdatePeriodNodes: 256,
+			TickBudget:        450,
+			LeaseTTLTicks:     2,
+			CheckpointEvery:   3,
+			DiskFaultEvery:    2,
+			DropReplyPct:      4,
+		},
 	}
 }
 
@@ -99,21 +105,23 @@ func MulticoreChurn() Scenario {
 	ins := flowshop.Taillard(12, 5, 19)
 	return Scenario{
 		Name: "multicore-churn",
-		Seed: 5,
 		Factory: func() bb.Problem {
 			return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 		},
-		Workers:           3,
-		Cores:             4,
-		UpdatePeriodNodes: 256,
-		TickBudget:        768,
-		LeaseTTLTicks:     2,
-		CheckpointEvery:   3,
-		DropReplyPct:      10,
-		Kills: []KillEvent{
-			{Tick: 4, Slot: 1, RejoinAfter: 3},
-			{Tick: 9, Slot: 2, RejoinAfter: 4},
-			{Tick: 15, Slot: 0, RejoinAfter: 3},
+		Cores: 4,
+		Fleet: Fleet{
+			Seed:              5,
+			Workers:           3,
+			UpdatePeriodNodes: 256,
+			TickBudget:        768,
+			LeaseTTLTicks:     2,
+			CheckpointEvery:   3,
+			DropReplyPct:      10,
+			Kills: []KillEvent{
+				{Tick: 4, Slot: 1, RejoinAfter: 3},
+				{Tick: 9, Slot: 2, RejoinAfter: 4},
+				{Tick: 15, Slot: 0, RejoinAfter: 3},
+			},
 		},
 	}
 }
@@ -132,22 +140,24 @@ func PackedGrid() Scenario {
 	ins := flowshop.Taillard(12, 5, 23)
 	return Scenario{
 		Name: "packed-grid",
-		Seed: 6,
 		Factory: func() bb.Problem {
 			return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 		},
-		Workers:           16,
-		UpdatePeriodNodes: 192,
-		TickBudget:        96,
-		LeaseTTLTicks:     2,
-		CheckpointEvery:   4,
-		DropReplyPct:      6,
-		DuplicatePct:      4,
-		Kills: []KillEvent{
-			{Tick: 3, Slot: 5, RejoinAfter: 3},
-			{Tick: 6, Slot: 11, RejoinAfter: 4},
-			{Tick: 9, Slot: 2, RejoinAfter: 3},
-			{Tick: 12, Slot: 14, RejoinAfter: 5},
+		Fleet: Fleet{
+			Seed:              6,
+			Workers:           16,
+			UpdatePeriodNodes: 192,
+			TickBudget:        96,
+			LeaseTTLTicks:     2,
+			CheckpointEvery:   4,
+			DropReplyPct:      6,
+			DuplicatePct:      4,
+			Kills: []KillEvent{
+				{Tick: 3, Slot: 5, RejoinAfter: 3},
+				{Tick: 6, Slot: 11, RejoinAfter: 4},
+				{Tick: 9, Slot: 2, RejoinAfter: 3},
+				{Tick: 12, Slot: 14, RejoinAfter: 5},
+			},
 		},
 	}
 }
@@ -159,28 +169,17 @@ func PackedGrid() Scenario {
 // goodbye and rejoining, and two sub-farmers crashing mid-resolution and
 // restoring from their own two-file snapshots plus binding file — the root
 // sees only a lease blip. Conformance is audited at both tiers (the root's
-// §5 invariants and the sub-tier growth laws of tree.go), and the double
+// §5 invariants and the sub-tier growth laws of topology.go), and the double
 // run must stay byte-identical.
 func TreeChurn() Scenario {
 	ins := flowshop.Taillard(12, 5, 31)
 	return Scenario{
 		Name: "tree-churn",
-		Seed: 8,
 		Factory: func() bb.Problem {
 			return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 		},
-		Workers:           6,
-		Subtrees:          3,
-		SubUpdateEvery:    4,
-		UpdatePeriodNodes: 256,
-		TickBudget:        256,
-		LeaseTTLTicks:     3,
-		CheckpointEvery:   3,
-		DropReplyPct:      6,
-		Kills: []KillEvent{
-			{Tick: 4, Slot: 1, RejoinAfter: 3},
-			{Tick: 9, Slot: 4, RejoinAfter: 4},
-		},
+		Subtrees:       3,
+		SubUpdateEvery: 4,
 		SubRestarts: []SubRestart{
 			{Tick: 5, Sub: 1},
 			{Tick: 10, Sub: 0},
@@ -188,6 +187,19 @@ func TreeChurn() Scenario {
 		// Root restarts compose with sub restarts: tick 7 lands between
 		// the two sub restarts, one checkpoint after the first.
 		FarmerRestarts: []int{7},
+		Fleet: Fleet{
+			Seed:              8,
+			Workers:           6,
+			UpdatePeriodNodes: 256,
+			TickBudget:        256,
+			LeaseTTLTicks:     3,
+			CheckpointEvery:   3,
+			DropReplyPct:      6,
+			Kills: []KillEvent{
+				{Tick: 4, Slot: 1, RejoinAfter: 3},
+				{Tick: 9, Slot: 4, RejoinAfter: 4},
+			},
+		},
 	}
 }
 
@@ -209,25 +221,27 @@ func EndgameChurn() Scenario {
 	ins := flowshop.Taillard(12, 5, 41)
 	return Scenario{
 		Name: "endgame-churn",
-		Seed: 13,
 		Factory: func() bb.Problem {
 			return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 		},
-		Workers:           6,
-		Subtrees:          3,
-		SubUpdateEvery:    4,
-		UpdatePeriodNodes: 256,
-		TickBudget:        256,
-		LeaseTTLTicks:     3,
-		CheckpointEvery:   3,
-		DropReplyPct:      6,
-		Endgame:           true,
-		Kills: []KillEvent{
-			{Tick: 5, Slot: 2, RejoinAfter: 3},
-			{Tick: 11, Slot: 0, RejoinAfter: 4},
-		},
+		Subtrees:       3,
+		SubUpdateEvery: 4,
+		Endgame:        true,
 		SubRestarts: []SubRestart{
 			{Tick: 8, Sub: 2},
+		},
+		Fleet: Fleet{
+			Seed:              13,
+			Workers:           6,
+			UpdatePeriodNodes: 256,
+			TickBudget:        256,
+			LeaseTTLTicks:     3,
+			CheckpointEvery:   3,
+			DropReplyPct:      6,
+			Kills: []KillEvent{
+				{Tick: 5, Slot: 2, RejoinAfter: 3},
+				{Tick: 11, Slot: 0, RejoinAfter: 4},
+			},
 		},
 	}
 }
@@ -247,18 +261,20 @@ func StalledCoordinator() Scenario {
 	ins := flowshop.Taillard(12, 5, 37)
 	return Scenario{
 		Name: "stalled-coordinator",
-		Seed: 11,
 		Factory: func() bb.Problem {
 			return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 		},
-		Workers:           6,
-		Subtrees:          3,
-		SubUpdateEvery:    4,
-		UpdatePeriodNodes: 256,
-		TickBudget:        256,
-		LeaseTTLTicks:     3,
-		CheckpointEvery:   3,
-		BlackholePct:      12,
+		Subtrees:       3,
+		SubUpdateEvery: 4,
+		Fleet: Fleet{
+			Seed:              11,
+			Workers:           6,
+			UpdatePeriodNodes: 256,
+			TickBudget:        256,
+			LeaseTTLTicks:     3,
+			CheckpointEvery:   3,
+			BlackholePct:      12,
+		},
 	}
 }
 

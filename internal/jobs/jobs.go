@@ -511,7 +511,8 @@ func (tb *Table) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 // UpdateInterval implements transport.Coordinator: the fold is routed to
 // the job named by the tag. A fold for a stopped job answers
 // Known:false/Finished:true — the worker drops the interval and, if it is
-// a single-job worker, stops; interval state is never touched.
+// a single-job worker, stops; interval state is never touched, but the
+// fold's progress deltas are credited to the retired job's counters.
 func (tb *Table) UpdateInterval(req transport.UpdateRequest) (transport.UpdateReply, error) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -535,7 +536,21 @@ func (tb *Table) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 		tb.ctr.StoppedJobTraffic++
 		return transport.UpdateReply{Known: false, BestCost: j.best.Cost}, nil
 	default:
+		// A late fold: the worker explored these nodes before it could
+		// learn the job had stopped, so they still count toward the job's
+		// totals. No farmer vets this branch, so the live farmer's refusal
+		// of negative deltas is applied here — a late fold must not be a
+		// way to unwind counters.
+		if req.ExploredDelta < 0 || req.PrunedDelta < 0 || req.LeavesDelta < 0 {
+			j.ctrs.RejectedIntervals++
+			return transport.UpdateReply{}, fmt.Errorf("jobs: rejected update for stopped job %q: negative progress delta", j.id)
+		}
 		tb.ctr.StoppedJobTraffic++
+		if j.state == Done || j.state == Cancelled {
+			j.ctrs.ExploredNodes += req.ExploredDelta
+			j.ctrs.PrunedNodes += req.PrunedDelta
+			j.ctrs.EvaluatedLeaves += req.LeavesDelta
+		}
 		return transport.UpdateReply{Known: false, Finished: true, BestCost: j.best.Cost}, nil
 	}
 }

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"math/big"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,8 @@ import (
 
 	"repro/internal/bb"
 	"repro/internal/checkpoint"
+	"repro/internal/farmer"
+	"repro/internal/interval"
 	"repro/internal/knapsack"
 	"repro/internal/transport"
 	"repro/internal/tsp"
@@ -413,5 +416,81 @@ func TestCorruptJobQuarantined(t *testing.T) {
 		if p, _ := tb2.Progress(id); p.State != "done" {
 			t.Fatalf("job %s ended %s", id, p.State)
 		}
+	}
+}
+
+// TestLateFoldCountsTowardFinishedJob: a worker still holding an un-folded
+// period when its job completes folds late. The fold is answered with the
+// terminal verdict and touches no interval state, but the nodes were
+// really explored, so they are credited to the finished job's counters —
+// by exactly the reported deltas — and a negative delta is refused.
+func TestLateFoldCountsTowardFinishedJob(t *testing.T) {
+	// A threshold above any root length: the second requester gets a
+	// duplicate of the first one's interval instead of a split.
+	tb := NewTable(Config{FarmerOptions: []farmer.Option{
+		farmer.WithThreshold(new(big.Int).Lsh(big.NewInt(1), 200)),
+	}})
+	if err := tb.Submit("k", knapSpec(14, 1)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := tb.RequestWork(transport.WorkRequest{Worker: "w1", Power: 10, Job: "k"})
+	if err != nil || first.Status != transport.WorkAssigned {
+		t.Fatalf("first request: %v %v", first.Status, err)
+	}
+	second, err := tb.RequestWork(transport.WorkRequest{Worker: "w2", Power: 10, Job: "k"})
+	if err != nil || second.Status != transport.WorkAssigned || second.IntervalID != first.IntervalID {
+		t.Fatalf("second request: status %v id %d (want a duplicate of %d) err %v",
+			second.Status, second.IntervalID, first.IntervalID, err)
+	}
+
+	// w1 finishes the shared interval: the job completes under w2's feet.
+	end := first.Interval.B()
+	rep, err := tb.UpdateInterval(transport.UpdateRequest{
+		Worker: "w1", IntervalID: first.IntervalID, Remaining: interval.New(end, end),
+		Power: 10, ExploredDelta: 50, Job: "k",
+	})
+	if err != nil || !rep.Finished {
+		t.Fatalf("final fold: %+v %v", rep, err)
+	}
+	before, err := tb.Progress("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.State != "done" || before.Counters.ExploredNodes != 50 {
+		t.Fatalf("after the final fold: state %s explored %d, want done/50", before.State, before.Counters.ExploredNodes)
+	}
+
+	late, err := tb.UpdateInterval(transport.UpdateRequest{
+		Worker: "w2", IntervalID: second.IntervalID, Remaining: second.Interval,
+		Power: 10, ExploredDelta: 123, PrunedDelta: 7, LeavesDelta: 1, Job: "k",
+	})
+	if err != nil || late.Known || !late.Finished {
+		t.Fatalf("late fold: %+v %v", late, err)
+	}
+	after, _ := tb.Progress("k")
+	if got := after.Counters.ExploredNodes - before.Counters.ExploredNodes; got != 123 {
+		t.Errorf("late fold credited %d explored nodes, want exactly 123", got)
+	}
+	if after.Counters.PrunedNodes != 7 || after.Counters.EvaluatedLeaves != 1 {
+		t.Errorf("late fold credited pruned=%d leaves=%d, want 7/1", after.Counters.PrunedNodes, after.Counters.EvaluatedLeaves)
+	}
+	if after.State != "done" || after.Intervals != 0 || after.FrontierPct != 100 || after.BestCost != before.BestCost {
+		t.Errorf("late fold disturbed the finished job: %+v", after)
+	}
+	if c := tb.Counters(); c.StoppedJobTraffic != 1 {
+		t.Errorf("StoppedJobTraffic = %d, want 1", c.StoppedJobTraffic)
+	}
+
+	// A late fold is not a way to unwind counters.
+	if _, err := tb.UpdateInterval(transport.UpdateRequest{
+		Worker: "w2", IntervalID: second.IntervalID, Remaining: second.Interval,
+		Power: 10, ExploredDelta: -1_000, Job: "k",
+	}); err == nil {
+		t.Fatal("negative late delta accepted")
+	}
+	final, _ := tb.Progress("k")
+	if final.Counters.ExploredNodes != after.Counters.ExploredNodes || final.Counters.RejectedIntervals != 1 {
+		t.Errorf("after a negative late delta: explored %d (was %d), RejectedIntervals %d",
+			final.Counters.ExploredNodes, after.Counters.ExploredNodes, final.Counters.RejectedIntervals)
 	}
 }
