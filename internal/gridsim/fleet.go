@@ -12,25 +12,28 @@ import (
 )
 
 // hostSession is the simulator's view of a B&B process: the calls both
-// session types answer, plus the count of interval updates sent so far.
+// session types answer, plus the protocol messages sent so far.
 type hostSession interface {
 	Advance(budget int64) (explored int64, finished bool, err error)
 	HasWork() bool
 	Checkpoint() error
 	Stats() bb.Stats
 	Reported() bb.Stats
-	updates() int64
+	messages() messageTally
 }
 
-// flatSession and tenantSession adapt the two session types: the update
-// counter is a field on both.
+// messageTally is the Messages field both session types carry.
+type messageTally = struct{ Requests, Updates, Reports int64 }
+
+// flatSession and tenantSession adapt the two session types: the tally is
+// a field on both.
 type flatSession struct{ *worker.Session }
 
-func (s flatSession) updates() int64 { return s.Messages.Updates }
+func (s flatSession) messages() messageTally { return s.Messages }
 
 type tenantSession struct{ *jobs.WorkerSession }
 
-func (s tenantSession) updates() int64 { return s.Messages.Updates }
+func (s tenantSession) messages() messageTally { return s.Messages }
 
 // host is one active processor hosting a B&B process.
 type host struct {
@@ -262,7 +265,7 @@ func (f *fleet) step(w *host, explTime float64) (n, budget int64, done bool, err
 // re-register its fold — it keeps the lease alive and bounds the work lost
 // to a crash (§4.1).
 func (f *fleet) maybeCheckpoint(w *host) error {
-	if u := w.session.updates(); u > w.lastUpdateCount {
+	if u := w.session.messages().Updates; u > w.lastUpdateCount {
 		// The session updated on its own (node-count cadence).
 		w.lastUpdateCount = u
 		w.lastUpdateSecs = f.nowSecs
@@ -274,7 +277,7 @@ func (f *fleet) maybeCheckpoint(w *host) error {
 	if err := w.session.Checkpoint(); err != nil {
 		return fmt.Errorf("gridsim: worker %s checkpoint: %w", w.id, err)
 	}
-	w.lastUpdateCount = w.session.updates()
+	w.lastUpdateCount = w.session.messages().Updates
 	w.lastUpdateSecs = f.nowSecs
 	return nil
 }

@@ -322,7 +322,7 @@ func (s *Sim) Run() (Result, error) {
 					return s.result, err
 				}
 			}
-			m := &w.session.(flatSession).Messages
+			m := w.session.messages()
 			msgs := m.Requests + m.Updates + m.Reports
 			w.pendingComm += float64(msgs-w.lastMsgs) * cfg.WorkerRTTSeconds
 			w.lastMsgs = msgs

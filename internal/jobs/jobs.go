@@ -538,19 +538,17 @@ func (tb *Table) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 	default:
 		// A late fold: the worker explored these nodes before it could
 		// learn the job had stopped, so they still count toward the job's
-		// totals. No farmer vets this branch, so the live farmer's refusal
-		// of negative deltas is applied here — a late fold must not be a
-		// way to unwind counters.
+		// totals, whatever stopped it. No farmer vets this branch, so the
+		// live farmer's refusal of negative deltas is applied here — a
+		// late fold must not be a way to unwind counters.
+		tb.ctr.StoppedJobTraffic++
 		if req.ExploredDelta < 0 || req.PrunedDelta < 0 || req.LeavesDelta < 0 {
 			j.ctrs.RejectedIntervals++
 			return transport.UpdateReply{}, fmt.Errorf("jobs: rejected update for stopped job %q: negative progress delta", j.id)
 		}
-		tb.ctr.StoppedJobTraffic++
-		if j.state == Done || j.state == Cancelled {
-			j.ctrs.ExploredNodes += req.ExploredDelta
-			j.ctrs.PrunedNodes += req.PrunedDelta
-			j.ctrs.EvaluatedLeaves += req.LeavesDelta
-		}
+		j.ctrs.ExploredNodes += req.ExploredDelta
+		j.ctrs.PrunedNodes += req.PrunedDelta
+		j.ctrs.EvaluatedLeaves += req.LeavesDelta
 		return transport.UpdateReply{Known: false, Finished: true, BestCost: j.best.Cost}, nil
 	}
 }

@@ -493,4 +493,7 @@ func TestLateFoldCountsTowardFinishedJob(t *testing.T) {
 		t.Errorf("after a negative late delta: explored %d (was %d), RejectedIntervals %d",
 			final.Counters.ExploredNodes, after.Counters.ExploredNodes, final.Counters.RejectedIntervals)
 	}
+	if c := tb.Counters(); c.StoppedJobTraffic != 2 {
+		t.Errorf("StoppedJobTraffic = %d after the rejected fold, want 2", c.StoppedJobTraffic)
+	}
 }
