@@ -7,8 +7,9 @@ BENCH_OUT ?= bench.json
 
 .PHONY: all build vet test race bench bench-hot bench-smoke bench-tree bench-transport bench-wire bench-gate bench-e2e golden loc fuzz-smoke check docs-check
 
-# The committed perf record the bench-gate compares against.
-BENCH_BASELINE ?= BENCH_pr10.json
+# The committed perf record the bench-gate compares against: one file,
+# updated in place by a perf PR (BENCH_pr*.json are the per-PR history).
+BENCH_BASELINE ?= BENCH_baseline.json
 
 all: vet build test
 
@@ -60,23 +61,23 @@ bench-tree:
 bench-transport:
 	$(GO) test -run '^$$' -bench BenchmarkHardenedCallOverhead -benchmem -benchtime 1s -count 5 .
 
-# The wire-dialect record (DESIGN.md §11): bytes and latency per
-# steady-state fold, text-gob vs compact, through a counting TCP proxy,
-# plus the hardened-call overhead the codec must not regress. Acceptance
-# gates (BENCH_pr7.json): compact ≥5× fewer wire-B/fold than textgob, and
-# hardened ns/op no worse than the BENCH_pr6.json record.
+# The wire record (DESIGN.md §11): bytes and latency per steady-state
+# fold through a counting TCP proxy, plus the hardened-call overhead the
+# codec must not regress (hardened ns/op no worse than the BENCH_pr6.json
+# record). wire-B/fold itself is held by bench-gate.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireBytesPerFold|BenchmarkHardenedCallOverhead' -benchmem -benchtime 1s -count 3 .
 
 # The CI perf gate (DESIGN.md §12): the protocol-hot benchmarks — wire
 # fold, single-farmer request, multi-tenant job-table request, durable
-# snapshot write — three repetitions each, best-of compared by
-# cmd/benchgate against the gate section of $(BENCH_BASELINE); fails on a
-# regression beyond the record's allowance. Deterministic metrics
-# (wire-B/fold, file-B, allocs/op) hold across hosts; ns/op is
-# host-relative, hence the percentage allowance.
+# snapshot write — and the engine's two hot loops (node throughput and the
+# interior step, which must stay at 0 allocs/op), three repetitions each,
+# best-of compared by cmd/benchgate against the gate section of
+# $(BENCH_BASELINE); fails on a regression beyond the record's allowance.
+# Deterministic metrics (wire-B/fold, file-B, allocs/op) hold across
+# hosts; ns/op is host-relative, hence the percentage allowance.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkWireBytesPerFold|BenchmarkFarmerRequestThroughput|BenchmarkJobTableRequestThroughput|BenchmarkCheckpointSave' -benchmem -benchtime 1s -count 3 . | $(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE)
+	$(GO) test -run '^$$' -bench 'BenchmarkWireBytesPerFold|BenchmarkFarmerRequestThroughput|BenchmarkJobTableRequestThroughput|BenchmarkCheckpointSave|BenchmarkTable1EngineThroughput|BenchmarkExplorerInteriorStep' -benchmem -benchtime 1s -count 3 . | $(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE)
 
 # The hostile-input fuzzers, briefly: the corpus seeds plus a few seconds
 # of fresh mutation on every gate run, so the invariants cannot silently
@@ -84,7 +85,7 @@ bench-gate:
 # boundary (no panic, INTERVALS stays a partition fragment, rejections are
 # counted), the multi-tenant job boundary (hostile job tags and cross-job
 # intervals land in rejection counters, the partition invariant holds per
-# job), the compact wire codec (no panic or over-read on arbitrary
+# job), the wire codec (no panic or over-read on arbitrary
 # frames; decoded frames re-encode canonically), and the checkpoint
 # snapshot parser (arbitrary on-disk bytes either load cleanly or fail
 # with ErrCorrupt — never panic, never a silently wrong snapshot). go
@@ -124,6 +125,8 @@ golden:
 # instrument, not the system, and is left out of the total.
 LOC = xargs cat | grep -cvE '^\s*(//|$$)'
 loc:
-	@echo "internal/harness $$(find internal/harness -name '*.go' ! -name '*_test.go' | $(LOC))"
-	@echo "internal/gridsim $$(find internal/gridsim -name '*.go' ! -name '*_test.go' | $(LOC))"
-	@echo "whole tree       $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | $(LOC))"
+	@echo "internal/harness   $$(find internal/harness -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/gridsim   $$(find internal/gridsim -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/transport $$(find internal/transport -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/farmer    $$(find internal/farmer -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "whole tree         $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | $(LOC))"

@@ -595,17 +595,18 @@ func (p *countingProxy) Total() int64 { return p.sent.Load() + p.received.Load()
 
 // BenchmarkWireBytesPerFold prices one steady-state fold round — the
 // message the grid sends more than every other combined — in wire bytes,
-// through a counting TCP proxy, for both dialects (DESIGN.md §11). The
-// fold interval sits interior to the 50-job root range, so the text-gob
-// leg pays two ~65-digit decimal texts plus the method string both ways,
-// while the compact leg pays delta-varints against the negotiated
-// reference and elides the unchanged reply interval entirely. Acceptance
-// gate (BENCH_pr7.json): compact wire-B/fold at least 5× under text-gob.
-// ns/op doubles as the loopback calls/sec ceiling of each dialect.
+// through a counting TCP proxy (DESIGN.md §11). The fold interval sits
+// interior to the 50-job root range: the frame pays delta-varints against
+// the negotiated reference and the unchanged reply interval is elided
+// entirely. (The reflective gob stream this codec replaced paid two
+// ~65-digit decimal texts plus the method string both ways: 365 B/fold
+// against 61, recorded as history in BENCH_baseline.json.) ns/op doubles
+// as the loopback calls/sec ceiling.
 func BenchmarkWireBytesPerFold(b *testing.B) {
 	nb := ta056Numbering()
 	root := nb.RootRange()
-	run := func(b *testing.B, compact bool) {
+	// One leg, named as in the BENCH_pr7–pr10 records it continues.
+	b.Run("compact", func(b *testing.B) {
 		f := farmer.New(root, farmer.WithClock(func() int64 { return 0 }))
 		srv, err := transport.ServeWith(f, "127.0.0.1:0", transport.ServerOptions{WireRef: root})
 		if err != nil {
@@ -613,7 +614,7 @@ func BenchmarkWireBytesPerFold(b *testing.B) {
 		}
 		defer srv.Close()
 		proxy := newCountingProxy(b, srv.Addr())
-		cli, err := transport.DialWith(proxy.Addr(), transport.DialOptions{Compact: compact})
+		cli, err := transport.Dial(proxy.Addr())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -644,9 +645,7 @@ func BenchmarkWireBytesPerFold(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(proxy.Total()-before)/float64(b.N), "wire-B/fold")
-	}
-	b.Run("textgob", func(b *testing.B) { run(b, false) })
-	b.Run("compact", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkCheckpointSave measures one durable §4.1 farmer snapshot at

@@ -1,13 +1,13 @@
 // Command benchgate is the repo's in-tree perf gate: a benchstat-style
 // comparator that reads `go test -bench` output on stdin and compares the
 // best observation of each benchmark metric against the committed record
-// (the "gate" section of a BENCH_pr*.json file). It exits non-zero when
+// (the "gate" section of BENCH_baseline.json). It exits non-zero when
 // any gated metric regresses by more than the allowed percentage, so CI
 // can fail a PR that quietly slows the protocol-hot paths.
 //
 // Usage:
 //
-//	go test -run '^$' -bench ... -count 3 . | benchgate -baseline BENCH_pr8.json
+//	go test -run '^$' -bench ... -count 3 . | benchgate -baseline BENCH_baseline.json
 //
 // Best-of semantics: with -count N the gate keeps the minimum of each
 // metric across repetitions, like benchstat's best-case column — the
@@ -22,13 +22,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// gateFile is the subset of a BENCH_pr*.json record the gate reads.
+// gateFile is the subset of the baseline record the gate reads.
 type gateFile struct {
 	Gate struct {
 		// MaxRegressionPct is the allowed worsening, in percent, for
@@ -93,7 +94,7 @@ func parseBench(r *bufio.Scanner) (map[string]map[string]float64, error) {
 }
 
 func main() {
-	baseline := flag.String("baseline", "", "BENCH_pr*.json record holding the gate section")
+	baseline := flag.String("baseline", "", "record holding the gate section (BENCH_baseline.json)")
 	maxRegress := flag.Float64("max-regress", 0, "allowed regression in percent (0: use the record's value)")
 	flag.Parse()
 	if *baseline == "" {
@@ -157,9 +158,13 @@ func main() {
 				failed = true
 				continue
 			}
+			// A zero baseline (0 allocs/op on the engine's hot loop) has no
+			// percentage to allow: any positive observation is a regression.
 			delta := 0.0
 			if base > 0 {
 				delta = (v - base) / base * 100
+			} else if v > 0 {
+				delta = math.Inf(1)
 			}
 			allowed := allow
 			if unit == "ns/op" && gf.Gate.NsOpAllowancePct > 0 {

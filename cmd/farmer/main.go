@@ -93,7 +93,7 @@ func main() {
 		MaxConns:        *maxConns,
 		MaxMessageBytes: *maxMsg,
 		Token:           *authToken,
-		// Compact-codec clients delta-encode intervals against the root
+		// Clients delta-encode intervals against the root
 		// range — the tightest reference there is for this resolution.
 		WireRef: nb.RootRange(),
 	}

@@ -54,7 +54,6 @@ func main() {
 		rootKey     = flag.String("root-tls-key", "", "client key PEM for the root")
 		rootName    = flag.String("root-tls-server-name", "", "expected root server name when it differs from -root's host")
 		rootToken   = flag.String("root-auth-token", "", "shared token to present to the root (token auth mode)")
-		compact     = flag.Bool("compact", true, "negotiate the compact wire codec with the root (falls back to text-gob against old roots); fold/refill batching engages automatically either way")
 
 		// Fleet-side hardening: same listener knobs as cmd/farmer.
 		readTimeout = flag.Int("read-timeout", 300, "seconds a fleet connection may stay silent before eviction (0: no deadline)")
@@ -89,8 +88,7 @@ func main() {
 			Timeout: time.Duration(*callTimeout) * time.Second,
 			Retries: *callRetries,
 		},
-		Token:   *rootToken,
-		Compact: *compact,
+		Token: *rootToken,
 	}
 	if *rootCA != "" || *rootCert != "" || *rootKey != "" {
 		if upOpts.TLS, err = transport.LoadClientTLS(*rootCA, *rootCert, *rootKey, *rootName); err != nil {

@@ -57,10 +57,8 @@ func main() {
 		tlsName     = flag.String("tls-server-name", "", "expected server name when it differs from -addr's host")
 		authToken   = flag.String("auth-token", "", "shared token to present to the farmer (token auth mode)")
 
-		// Wire-level speed (DESIGN.md §11). Both are negotiated/pooled, so
-		// both are safe against coordinators of any vintage.
-		compact = flag.Bool("compact", true, "negotiate the compact wire codec (falls back to text-gob against old farmers)")
-		share   = flag.Bool("share", true, "multiplex all -procs sessions over one physical connection per farmer address")
+		// Wire-level speed (DESIGN.md §11).
+		share = flag.Bool("share", true, "multiplex all -procs sessions over one physical connection per farmer address")
 	)
 	flag.Parse()
 
@@ -100,10 +98,9 @@ func main() {
 	// per-process reconnect loop below is the retry mechanism, with its
 	// own jitter and budget.
 	dialOpts := gridbb.DialOptions{
-		Policy:  gridbb.Policy{Timeout: time.Duration(*callTimeout) * time.Second},
-		Token:   *authToken,
-		Compact: *compact,
-		Share:   *share,
+		Policy: gridbb.Policy{Timeout: time.Duration(*callTimeout) * time.Second},
+		Token:  *authToken,
+		Share:  *share,
 	}
 	if *tlsCA != "" || *tlsCert != "" || *tlsKey != "" {
 		if dialOpts.TLS, err = transport.LoadClientTLS(*tlsCA, *tlsCert, *tlsKey, *tlsName); err != nil {

@@ -342,9 +342,9 @@ func ServeFarmer(p Problem, addr string, opts ...farmer.Option) (*transport.Serv
 }
 
 // ServeFarmerWith is ServeFarmer with transport hardening options. The
-// compact wire codec's reference interval defaults to the problem's root
-// range — the same range the coordinator boundary pins — so negotiated
-// connections delta-encode every interval against the tightest possible
+// wire codec's reference interval defaults to the problem's root range —
+// the same range the coordinator boundary pins — so connections
+// delta-encode every interval against the tightest possible
 // reference without the caller doing anything.
 func ServeFarmerWith(p Problem, addr string, so ServerOptions, opts ...farmer.Option) (*transport.Server, *Farmer, error) {
 	nb := core.NewNumbering(p.Shape())

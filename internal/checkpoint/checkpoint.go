@@ -108,9 +108,8 @@ const (
 	// formatVersion (v2) adds a mandatory CRC32-and-record-count footer:
 	// any truncation destroys the footer line, any byte flip fails the
 	// checksum, so "last line parses as a valid footer" certifies the
-	// whole file. legacyVersion files (v1, no footer) still load.
+	// whole file. A header naming any other version is a corrupt file.
 	formatVersion = "gridbb-checkpoint-v2"
-	legacyVersion = "gridbb-checkpoint-v1"
 	// prevSuffix names the rotated previous generation of each file.
 	prevSuffix = ".prev"
 	// quarantineDir collects corrupt files (bytes preserved for forensics
@@ -412,31 +411,23 @@ func (s *Store) maxEpochOnDisk() int64 {
 }
 
 // parseBody validates a snapshot file's framing and returns its body
-// lines. v2 files must end in a valid footer line whose CRC covers header
-// and body and whose record count matches the non-empty body lines; v1
-// files (written before footers existed) are accepted without one.
+// lines. The file must end in a valid footer line whose CRC covers header
+// and body and whose record count matches the non-empty body lines.
 func parseBody(name, kind string, data []byte) ([]string, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, fmt.Errorf("checkpoint: %s: bad or missing header", name)
 	}
 	header := string(data[:nl])
-	legacy := strings.HasPrefix(header, legacyVersion)
-	if !legacy {
-		if !strings.HasPrefix(header, formatVersion) {
-			return nil, fmt.Errorf("checkpoint: %s: bad or missing header", name)
-		}
-		if header != formatVersion+" "+kind {
-			return nil, fmt.Errorf("checkpoint: %s: header %q is not a %s header", name, header, kind)
-		}
+	if !strings.HasPrefix(header, formatVersion) {
+		return nil, fmt.Errorf("checkpoint: %s: bad or missing header", name)
 	}
-	rest := data[nl+1:]
-	if !legacy {
-		var err error
-		rest, err = checkFooter(name, data, rest)
-		if err != nil {
-			return nil, err
-		}
+	if header != formatVersion+" "+kind {
+		return nil, fmt.Errorf("checkpoint: %s: header %q is not a %s header", name, header, kind)
+	}
+	rest, err := checkFooter(name, data, data[nl+1:])
+	if err != nil {
+		return nil, err
 	}
 	var lines []string
 	for _, line := range strings.Split(string(rest), "\n") {
@@ -499,8 +490,8 @@ func parseIntervalLines(lines []string) (intervalsPart, error) {
 		fields := strings.Fields(line)
 		switch fields[0] {
 		case "epoch":
-			// Absent in files written before the epoch mechanism; the
-			// zero default makes the restore bump it to 1 either way.
+			// Optional: the zero default makes the restore bump it to 1
+			// either way.
 			if len(fields) != 2 {
 				return p, fmt.Errorf("checkpoint: bad epoch line %q", line)
 			}

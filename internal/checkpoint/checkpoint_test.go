@@ -122,15 +122,25 @@ func TestEmptySolution(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCorruption: headerless or garbled files with no previous
-// generation to fall back to fail loudly — and as ErrCorrupt, with the bad
-// file quarantined and counted — never silently restoring a wrong state.
+// TestLoadRejectsCorruption: headerless files, and well-framed files whose
+// records are garbled, with no previous generation to fall back to fail
+// loudly — and as ErrCorrupt, with the bad file quarantined and counted —
+// never silently restoring a wrong state.
 func TestLoadRejectsCorruption(t *testing.T) {
-	cases := map[string]string{
-		"intervals.ckpt": "not a checkpoint\n",
-		"solution.ckpt":  "gridbb-checkpoint-v1 solution\ncost notanumber\n",
+	cases := map[string]func(dir string, store *Store) error{
+		"intervals.ckpt": func(dir string, _ *Store) error {
+			return os.WriteFile(filepath.Join(dir, "intervals.ckpt"), []byte("not a checkpoint\n"), 0o644)
+		},
+		"solution.ckpt": func(dir string, store *Store) error {
+			// Framed by the real writer, so only the record is wrong; the
+			// rotation it performs is undone to leave no fallback.
+			if err := store.writeSnapshotFile("solution.ckpt", "solution", "cost notanumber\n", 1); err != nil {
+				return err
+			}
+			return os.Remove(filepath.Join(dir, "solution.ckpt"+prevSuffix))
+		},
 	}
-	for file, content := range cases {
+	for file, corrupt := range cases {
 		// A fresh store per case: a single save has no *.prev generation,
 		// so corruption of the current file must surface as an error.
 		dir := t.TempDir()
@@ -141,7 +151,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if err := store.Save(Snapshot{NextID: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, file), []byte(content), 0o644); err != nil {
+		if err := corrupt(dir, store); err != nil {
 			t.Fatal(err)
 		}
 		_, err = store.Load()
@@ -170,8 +180,10 @@ func TestLoadRejectsBadRecords(t *testing.T) {
 	if err := store.Save(Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
-	bad := "gridbb-checkpoint-v1 intervals\nmystery 1 2 3\n"
-	if err := os.WriteFile(filepath.Join(dir, "intervals.ckpt"), []byte(bad), 0o644); err != nil {
+	if err := store.writeSnapshotFile(intervalsFile, "intervals", "mystery 1 2 3\n", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, intervalsFile+prevSuffix)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Load(); err == nil {
@@ -251,8 +263,8 @@ func TestTotalLenMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestTotalLenAbsentSkipsCheck: files written before the total line existed
-// still load (the field stays nil).
+// TestTotalLenAbsentSkipsCheck: the total line is optional — a snapshot
+// saved without one loads with the field nil.
 func TestTotalLenAbsentSkipsCheck(t *testing.T) {
 	store, err := NewStore(t.TempDir())
 	if err != nil {

@@ -361,28 +361,56 @@ func TestRotateEIOKeepsCurrent(t *testing.T) {
 	}
 }
 
-// TestLegacyV1Loads: a v1 file (no footer) written by the previous format
-// still loads.
-func TestLegacyV1Loads(t *testing.T) {
+// TestV1HeaderIsCorrupt: the footerless v1 format is not a second loader
+// but a corrupt file like any other. With a good previous generation the
+// v1-headed current is quarantined and the load falls back; with none the
+// load fails as ErrCorrupt. Either way the v1 content is never restored.
+func TestV1HeaderIsCorrupt(t *testing.T) {
+	v1 := map[string]string{
+		intervalsFile: "gridbb-checkpoint-v1 intervals\nepoch 2\nnextid 5\ninterval 7 3 14\n",
+		solutionFile:  "gridbb-checkpoint-v1 solution\ncost 77\npath 1 0 2\n",
+	}
+	overwrite := func(dir string) {
+		t.Helper()
+		for name, content := range v1 {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
 	dir := t.TempDir()
 	store, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv := "gridbb-checkpoint-v1 intervals\nepoch 2\nnextid 5\ninterval 7 3 14\n"
-	sol := "gridbb-checkpoint-v1 solution\ncost 77\npath 1 0 2\n"
-	if err := os.WriteFile(filepath.Join(dir, intervalsFile), []byte(iv), 0o644); err != nil {
+	overwrite(dir)
+	if _, err := store.Load(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 files with no other generation: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, intervalsFile+".0")); err != nil {
+		t.Fatalf("v1 intervals file not quarantined: %v", err)
+	}
+
+	dir = t.TempDir()
+	if store, err = NewStore(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, solutionFile), []byte(sol), 0o644); err != nil {
-		t.Fatal(err)
+	for _, next := range []int64{1, 2} { // two saves: prev holds NextID 1
+		if err := store.Save(Snapshot{NextID: next, BestCost: 9}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	overwrite(dir)
 	got, err := store.Load()
 	if err != nil {
-		t.Fatalf("v1 load: %v", err)
+		t.Fatalf("v1 current over a good previous generation: %v", err)
 	}
-	if got.Epoch != 2 || got.NextID != 5 || got.BestCost != 77 || len(got.Intervals) != 1 {
-		t.Fatalf("v1 snapshot mangled: %+v", got)
+	if got.NextID != 1 || got.BestCost != 9 {
+		t.Fatalf("load restored %+v, want the previous generation (NextID 1, cost 9)", got)
+	}
+	if st := store.Stats(); st.FallbackLoads != 1 || st.CorruptSnapshots != 2 {
+		t.Fatalf("stats %+v, want 1 fallback load over 2 quarantined files", st)
 	}
 }
 

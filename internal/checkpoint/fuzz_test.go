@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -10,14 +11,16 @@ import (
 )
 
 // FuzzCheckpointLoad fuzzes the snapshot text parser: framing (header,
-// CRC/record-count footer, v1 legacy), record grammar, and the TotalLen
-// cross-check. The parser must never panic, and any intervals parse that
-// succeeds with a recorded total must actually satisfy the cross-check —
-// that invariant is what stands between a corrupt file and a wrong search
-// space.
+// CRC/record-count footer), record grammar, and the TotalLen cross-check.
+// The parser must never panic, must refuse anything not headed as the
+// current format — a v1-headed file is corrupt, which at the store level
+// means quarantine and fallback (TestV1HeaderIsCorrupt) — and any
+// intervals parse that succeeds with a recorded total must actually
+// satisfy the cross-check: that invariant is what stands between a corrupt
+// file and a wrong search space.
 func FuzzCheckpointLoad(f *testing.F) {
 	// Seed with real files from the current writer, one per kind, plus a
-	// legacy v1 pair and a few near-miss corruptions.
+	// v1-headed pair and a few near-miss corruptions.
 	dir := f.TempDir()
 	store, err := NewStore(dir)
 	if err != nil {
@@ -56,6 +59,9 @@ func FuzzCheckpointLoad(f *testing.F) {
 			lines, err := parseBody("fuzz.ckpt", kind, data)
 			if err != nil {
 				continue
+			}
+			if !bytes.HasPrefix(data, []byte(formatVersion+" "+kind+"\n")) {
+				t.Fatalf("parse accepted a file not headed %q", formatVersion+" "+kind)
 			}
 			switch kind {
 			case "intervals":

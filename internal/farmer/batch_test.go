@@ -1,8 +1,9 @@
 package farmer_test
 
 import (
-	"net"
-	"net/rpc"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,74 +15,58 @@ import (
 	"repro/internal/worker"
 )
 
-// legacyCoordinator re-creates the PR-6 service surface for the
-// mixed-version matrix: the three-call protocol over plain text-gob,
-// no Exchange method, no dialect sniff.
-type legacyCoordinator struct{ coord transport.Coordinator }
-
-func (l *legacyCoordinator) RequestWork(req *transport.WorkRequest, reply *transport.WorkReply) error {
-	r, err := l.coord.RequestWork(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
+// legRecorder is the parent as a sub-farmer's cadence reaches it: every
+// leg, request and verdict, in arrival order. It is deliberately not a
+// BatchCoordinator, so an in-process sub-farmer and the RPC server both
+// decompose a batch into the legs it logs.
+type legRecorder struct {
+	coord transport.Coordinator
+	mu    sync.Mutex // legs arrive sequentially; this is for the race detector
+	trace []string
 }
 
-func (l *legacyCoordinator) UpdateInterval(req *transport.UpdateRequest, reply *transport.UpdateReply) error {
-	r, err := l.coord.UpdateInterval(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
+func (l *legRecorder) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.trace = append(l.trace, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
 }
 
-func (l *legacyCoordinator) ReportSolution(req *transport.SolutionReport, reply *transport.SolutionAck) error {
-	r, err := l.coord.ReportSolution(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
+func (l *legRecorder) RequestWork(req transport.WorkRequest) (transport.WorkReply, error) {
+	reply, err := l.coord.RequestWork(req)
+	l.logf("request %+v -> %+v %v", req, reply, err)
+	return reply, err
 }
 
-func legacyServe(t *testing.T, coord transport.Coordinator) string {
-	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("GridBB", &legacyCoordinator{coord}); err != nil {
-		t.Fatal(err)
+func (l *legRecorder) UpdateInterval(req transport.UpdateRequest) (transport.UpdateReply, error) {
+	reply, err := l.coord.UpdateInterval(req)
+	hint := transport.StealHint{}
+	if reply.Hint != nil {
+		hint = *reply.Hint
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(c)
-		}
-	}()
-	return ln.Addr().String()
+	l.logf("fold %+v -> %+v hint=%+v %v", req, reply, hint, err)
+	return reply, err
 }
 
-// tcpRunResult is everything a mixed-version run must reproduce exactly.
-type tcpRunResult struct {
+func (l *legRecorder) ReportSolution(req transport.SolutionReport) (transport.SolutionAck, error) {
+	ack, err := l.coord.ReportSolution(req)
+	l.logf("report %+v -> %+v %v", req, ack, err)
+	return ack, err
+}
+
+// subtreeRun is everything one seeded run of the subtree produces.
+type subtreeRun struct {
 	cost     int64
 	explored int64
 	counters farmer.SubCounters
+	trace    []string
 }
 
-// runSubtreeOverTCP resolves one instance with a compact-dialect
-// sub-farmer whose root speaks either the current wire (compact +
-// Exchange) or the PR-6 text-gob three-call protocol. The fleet is driven
-// on one goroutine under a virtual clock, so two identical runs must
-// produce identical results and identical protocol counter trails.
-func runSubtreeOverTCP(t *testing.T, legacyRoot bool) tcpRunResult {
+// runSubtree resolves one instance with a sub-farmer whose parent is the
+// root farmer either in-process or over real TCP. The fleet is driven on
+// one goroutine under a virtual clock, so the run is a pure function of
+// its inputs — and, the cadence being one, of nothing else: the carrier
+// must not show.
+func runSubtree(t *testing.T, overTCP bool) subtreeRun {
 	t.Helper()
 	ins := flowshop.Taillard(10, 6, 13)
 	factory := func() bb.Problem {
@@ -89,24 +74,21 @@ func runSubtreeOverTCP(t *testing.T, legacyRoot bool) tcpRunResult {
 	}
 	nb := core.NewNumbering(factory().Shape())
 	root := farmer.New(nb.RootRange())
+	parent := &legRecorder{coord: root}
 
-	var addr string
-	if legacyRoot {
-		addr = legacyServe(t, root)
-	} else {
-		srv, err := transport.ServeWith(root, "127.0.0.1:0", transport.ServerOptions{WireRef: nb.RootRange()})
+	var up transport.Coordinator = parent
+	if overTCP {
+		srv, err := transport.ServeWith(parent, "127.0.0.1:0", transport.ServerOptions{WireRef: nb.RootRange()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		addr = srv.Addr()
+		redial := transport.NewRedialWith(srv.Addr(), transport.DialOptions{
+			Policy: transport.Policy{Timeout: 30 * time.Second},
+		})
+		t.Cleanup(func() { redial.Close() })
+		up = redial
 	}
-
-	up := transport.NewRedialWith(addr, transport.DialOptions{
-		Compact: true,
-		Policy:  transport.Policy{Timeout: 30 * time.Second},
-	})
-	t.Cleanup(func() { up.Close() })
 
 	var now int64
 	sub := farmer.NewSubFarmer(farmer.SubConfig{
@@ -131,61 +113,50 @@ func runSubtreeOverTCP(t *testing.T, legacyRoot bool) tcpRunResult {
 	if !sub.Finished() {
 		t.Fatalf("subtree did not finish within %d steps", maxSteps)
 	}
-	return tcpRunResult{
+	return subtreeRun{
 		cost:     root.Best().Cost,
 		explored: root.Counters().ExploredNodes,
 		counters: sub.Counters(),
+		trace:    parent.trace,
 	}
 }
 
-// TestSubFarmerBatchesUpstreamOverTCP: against a current root, the
-// sub-farmer's folds coalesce into Exchange round-trips — the batch
-// counter moves, round-trips stay well under the legs they carried, and
-// the resolution still proves the sequential optimum.
-func TestSubFarmerBatchesUpstreamOverTCP(t *testing.T) {
+// TestOneCadenceTwoCarriers: the sub-farmer's upstream cadence is one
+// function of its state, whatever carries it. The same seeded fleet under
+// an in-process parent and under a parent across real TCP must reach the
+// root with the same legs in the same order carrying the same numbers,
+// and leave the same counters behind — so what the chaos harness and the
+// simulator prove in-process is what cmd/subfarmer runs. Each run also
+// proves the sequential optimum with nothing lost, in fewer exchanges
+// than the legs they carried.
+func TestOneCadenceTwoCarriers(t *testing.T) {
 	want, _ := bb.Solve(flowshop.NewProblem(flowshop.Taillard(10, 6, 13), flowshop.BoundOneMachine, flowshop.PairsAll), bb.Infinity)
-	res := runSubtreeOverTCP(t, false)
-	if res.cost != want.Cost {
-		t.Fatalf("batched subtree proved %d, sequential optimum is %d", res.cost, want.Cost)
+	inproc, tcp := runSubtree(t, false), runSubtree(t, true)
+	for name, res := range map[string]subtreeRun{"in-process": inproc, "tcp": tcp} {
+		if res.cost != want.Cost {
+			t.Fatalf("%s: subtree proved %d, sequential optimum is %d", name, res.cost, want.Cost)
+		}
+		c := res.counters
+		if c.UpstreamBatches == 0 {
+			t.Fatalf("%s: no upstream exchanges (%+v)", name, c)
+		}
+		if legs := c.UpstreamUpdates + c.UpstreamRequests + c.UpstreamReports; c.UpstreamBatches >= legs {
+			t.Fatalf("%s: batching saved nothing: %d exchanges for %d legs (%+v)", name, c.UpstreamBatches, legs, c)
+		}
+		if c.UpstreamLost != 0 {
+			t.Fatalf("%s: lost %d upstream exchanges (%+v)", name, c.UpstreamLost, c)
+		}
 	}
-	c := res.counters
-	if c.UpstreamBatches == 0 {
-		t.Fatal("no Exchange round-trips against a batch-capable root")
+	if inproc.counters != tcp.counters || inproc.explored != tcp.explored {
+		t.Fatalf("the carrier shows in the counters:\nin-process: %+v explored %d\n       tcp: %+v explored %d",
+			inproc.counters, inproc.explored, tcp.counters, tcp.explored)
 	}
-	legs := c.UpstreamUpdates + c.UpstreamRequests + c.UpstreamReports
-	if c.UpstreamBatches >= legs {
-		t.Fatalf("batching saved nothing: %d round-trips for %d legs (%+v)", c.UpstreamBatches, legs, c)
-	}
-	if c.UpstreamLost != 0 {
-		t.Fatalf("lost %d upstream exchanges on loopback (%+v)", c.UpstreamLost, c)
-	}
-}
-
-// TestSubFarmerFallsBackUnderLegacyRoot is the mixed-version scenario of
-// DESIGN.md §11: a compact-codec sub-farmer under a text-gob PR-6 root.
-// The dial falls back to gob, the first Exchange probe is answered with
-// the can't-find error, latches the three-call path, AND replays its legs
-// over the three calls in the same cadence — the probe is a dialect
-// discovery, not a loss, so it shows up in neither UpstreamBatches nor
-// UpstreamLost and costs the tree no fold. Run twice: the driver is
-// single-threaded under a virtual clock, so the two runs must match
-// result for result and counter for counter.
-func TestSubFarmerFallsBackUnderLegacyRoot(t *testing.T) {
-	want, _ := bb.Solve(flowshop.NewProblem(flowshop.Taillard(10, 6, 13), flowshop.BoundOneMachine, flowshop.PairsAll), bb.Infinity)
-	first := runSubtreeOverTCP(t, true)
-	if first.cost != want.Cost {
-		t.Fatalf("legacy-root subtree proved %d, sequential optimum is %d", first.cost, want.Cost)
-	}
-	c := first.counters
-	if c.UpstreamBatches != 0 {
-		t.Fatalf("the rejected Exchange probe must not count as a delivered batch, saw %d (%+v)", c.UpstreamBatches, c)
-	}
-	if c.UpstreamLost != 0 {
-		t.Fatalf("the rejected probe is a dialect discovery, not a loss, saw %d (%+v)", c.UpstreamLost, c)
-	}
-
-	second := runSubtreeOverTCP(t, true)
-	if first != second {
-		t.Fatalf("mixed-version run is not reproducible:\n first: %+v\nsecond: %+v", first, second)
+	if !slices.Equal(inproc.trace, tcp.trace) {
+		for i := range min(len(inproc.trace), len(tcp.trace)) {
+			if inproc.trace[i] != tcp.trace[i] {
+				t.Fatalf("the carrier shows at leg %d:\nin-process: %s\n       tcp: %s", i, inproc.trace[i], tcp.trace[i])
+			}
+		}
+		t.Fatalf("the carrier shows: %d legs in-process, %d over tcp", len(inproc.trace), len(tcp.trace))
 	}
 }

@@ -310,7 +310,7 @@ func WithFrontierTracking() Option {
 // summary of the work the farmer still tracks beyond the updated copy —
 // so a draining sub-farmer can refill before its table runs dry
 // (DESIGN.md §12). Off by default: the hint is only meaningful from a
-// tree root to its sub-farmers, and old peers ignore it anyway.
+// tree root to its sub-farmers.
 func WithStealHints() Option {
 	return func(f *Farmer) { f.hints = true }
 }

@@ -12,17 +12,16 @@
 //     dry — or, when the parent hints there is work elsewhere, shortly
 //     before (the work-conserving low-water rule, DESIGN.md §12).
 //
-// Nothing in internal/transport changes: the three messages carry the tree
-// because the interval algebra composes — a sub-farmer's INTERVALS is
-// itself a partition of its assigned intervals, so one fold per binding
-// is to the root exactly what one fold per worker is to a sub-farmer.
+// The three messages carry the tree because the interval algebra composes
+// — a sub-farmer's INTERVALS is itself a partition of its assigned
+// intervals, so one fold per binding is to the root exactly what one fold
+// per worker is to a sub-farmer. Upstream they travel as one batch per
+// round-trip (transport.Exchange), whatever carries it.
 package farmer
 
 import (
 	"errors"
 	"math/big"
-	"net/rpc"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,15 +35,14 @@ import (
 // The fleet-facing statistics live in the embedded farmer's Counters.
 type SubCounters struct {
 	// UpstreamRequests/Updates/Reports count protocol operations
-	// DELIVERED to the parent — coalesced legs included, so the
-	// trajectory of these counters is comparable whether or not batching
-	// engaged. An exchange that failed in transit counts under
-	// UpstreamLost only: its legs were not delivered and will be retried.
+	// DELIVERED to the parent, one per leg of every delivered exchange.
+	// An exchange that failed in transit counts under UpstreamLost only:
+	// all of its legs will be retried.
 	UpstreamRequests, UpstreamUpdates, UpstreamReports int64
-	// UpstreamBatches counts coalesced Exchange round-trips; each one
-	// carried one fold plus whatever legs rode along, so
-	// (UpstreamUpdates+UpstreamRequests+UpstreamReports) −
-	// round-trips-saved is visible from these counters alone.
+	// UpstreamBatches counts delivered exchanges; each one carried
+	// whatever legs its cadence had due, so the round-trips a batching
+	// carrier saves — (UpstreamUpdates+UpstreamRequests+UpstreamReports)
+	// − UpstreamBatches — are visible from these counters alone.
 	UpstreamBatches int64
 	// UpstreamLost counts upstream exchanges that failed at the
 	// transport; every one is retried by a later exchange (the pull
@@ -100,8 +98,8 @@ type SubConfig struct {
 	// requests a second sub-range BEFORE the table runs dry, so the
 	// subtree never idles a WAN round-trip waiting for the retire-and-
 	// refill pair. Nil (default) keeps the strict refill-on-dry rule;
-	// the rule also stays dormant under a parent that never hints (an
-	// old root), so mixed-version trees behave exactly like before.
+	// the rule also stays dormant under a parent that never hints (one
+	// built without WithStealHints).
 	LowWater *big.Int
 	// Clock injects a nanosecond clock (virtual in the simulator and the
 	// chaos harness). Default wall clock.
@@ -177,8 +175,8 @@ type SubFarmer struct {
 	lastBoundID int64
 
 	// lastHint is the parent's latest StealHint (nil until one arrives;
-	// permanently nil under an old parent, which keeps the low-water
-	// rule dormant in mixed-version trees).
+	// permanently nil under a parent that does not hint, which keeps the
+	// low-water rule and the gap/content declarations dormant).
 	lastHint *transport.StealHint
 
 	// upBusy is the upstream-exchange token: the holder may release mu
@@ -194,14 +192,6 @@ type SubFarmer struct {
 	// finished latches the parent's global termination verdict; local
 	// dryness is never surfaced to the fleet as termination.
 	finished bool
-
-	// noBatch latches the discovery that the parent predates the batch
-	// Exchange frame (its rpc server answered "can't find method"); every
-	// later cadence speaks the three-call protocol directly instead of
-	// re-probing. The discovering cadence itself replays its legs over
-	// the three calls immediately (replayCadenceLocked) — the probe must
-	// not cost the tree a cadence of folds.
-	noBatch bool
 
 	fleet map[transport.WorkerID]*fleetEntry
 
@@ -447,9 +437,9 @@ func (s *SubFarmer) UpdateInterval(req transport.UpdateRequest) (transport.Updat
 		return reply, err
 	}
 	if reply.Finished {
-		// Local table dry: retire the upstream copies (everything they
-		// still covered is genuinely explored — see foldOneLocked) and
-		// try to pull a fresh sub-range immediately.
+		// Local table dry: retire the primary upstream copy (everything
+		// it still covered is genuinely explored — see exchangeUpLocked)
+		// and pull a fresh sub-range in the same exchange.
 		s.refillLocked(now)
 	} else {
 		s.tickCadenceLocked(now)
@@ -471,7 +461,12 @@ func (s *SubFarmer) ReportSolution(req transport.SolutionReport) (transport.Solu
 	if err != nil {
 		return ack, err
 	}
-	s.pushBestUpLocked()
+	if !s.upBusy && s.inner.BestCost() < s.bestSentUp {
+		// A report-only exchange. A push that is lost, or that finds the
+		// token taken, rides the next exchange instead: bestSentUp only
+		// moves on success.
+		s.exchangeUpLocked(-1, s.cfg.Clock(), false)
+	}
 	ack.BestCost = s.inner.BestCost()
 	return ack, nil
 }
@@ -500,12 +495,13 @@ func (s *SubFarmer) Pulse() {
 // with s.mu re-held. State owned by the token (bindings, bestSentUp,
 // sent-stats, scratch) is stable across the window; the local table is
 // not, and callers must treat pre-call table snapshots accordingly.
-func (s *SubFarmer) upCall(f func(up transport.Coordinator)) {
+func (s *SubFarmer) upCall(req transport.BatchRequest) (transport.BatchReply, error) {
 	s.upBusy = true
 	s.mu.Unlock()
-	f(s.up)
+	reply, err := transport.Exchange(s.up, req)
 	s.mu.Lock()
 	s.upBusy = false
+	return reply, err
 }
 
 // flushStatsLocked ships exploration deltas that accrued after the final
@@ -521,22 +517,20 @@ func (s *SubFarmer) flushStatsLocked(now int64) {
 	if ec == s.sentExplored && pc == s.sentPruned && lc == s.sentLeaves {
 		return
 	}
-	req := transport.UpdateRequest{
+	_, err := s.upCall(transport.BatchRequest{
 		Worker:        s.cfg.ID,
-		IntervalID:    s.lastBoundID,
 		Power:         s.fleetPowerLocked(now),
+		HasFold:       true,
+		FoldID:        s.lastBoundID,
 		ExploredDelta: ec - s.sentExplored,
 		PrunedDelta:   pc - s.sentPruned,
 		LeavesDelta:   lc - s.sentLeaves,
-	}
-	var err error
-	s.upCall(func(up transport.Coordinator) {
-		_, err = up.UpdateInterval(req)
 	})
 	if err != nil {
 		s.noteUpstreamErrLocked(err)
 		return
 	}
+	s.counters.UpstreamBatches++
 	s.counters.UpstreamUpdates++
 	s.sentExplored, s.sentPruned, s.sentLeaves = ec, pc, lc
 }
@@ -607,9 +601,9 @@ func (s *SubFarmer) frontierForLocked(b upBinding) bool {
 // fold: the largest fully-explored hole interior to the local table's
 // share of the binding, offered when it is worth carving — at least 1/64
 // of the hull whose bounds the caller just wrote into scrFront/scrB. The
-// declaration is gated on having seen a parent hint: hints prove a parent
-// new enough to honour the gap field, so under an old root the fold stays
-// byte-for-byte the plain hull it always was. The gap is computed before
+// declaration is gated on having seen a parent hint: hints mark a parent
+// running the endgame machinery the gap feeds, and without one the fold
+// stays the plain hull. The gap is computed before
 // the mutex is released for the RPC, and stays valid across the flight:
 // explored ground never un-explores, and no refill can inject work into
 // the hole while the upBusy token is held.
@@ -632,9 +626,8 @@ func (s *SubFarmer) gapForFoldLocked(b upBinding, rangeLive bool) (interval.Inte
 // contentForFoldLocked builds the content declaration for binding b's fold:
 // the true tracked length (in leaf units) behind the hull, so the parent can
 // value a fragmented table honestly instead of by its hull. Gated exactly
-// like the gap declaration — on having seen a parent hint, proving a parent
-// new enough to honour the field — so under an old root the fold stays
-// byte-for-byte the plain hull it always was. Unlike the gap there is no
+// like the gap declaration, on having seen a parent hint. Unlike the gap
+// there is no
 // worth-it floor: honest valuation is useful at any size. The value is a
 // snapshot taken before the RPC flight; it can only overstate the ground
 // left when the reply lands (exploration is monotone), which keeps the
@@ -648,13 +641,15 @@ func (s *SubFarmer) contentForFoldLocked(b upBinding, rangeLive bool) *big.Int {
 
 // foldUpLocked sends the worker-side checkpoint of this tier: the fold
 // [frontier, B) of each binding's share of the local INTERVALS, the fleet
-// power, and the exploration deltas. The parent's reply is authoritative
-// (eq. 14): the local table is restricted to it, which is how
-// inter-subtree rebalancing decisions propagate down. When the parent's
-// last hint promises tracked work elsewhere and the local remainder is
-// under the low-water mark, the cadence also pulls a fresh sub-range in
-// the same round-trip (batch) or an extra one (three-call) — refilling
-// BEFORE the table runs dry instead of idling the retire-refill gap.
+// power, and the exploration deltas, one exchange per binding, primary
+// first. The parent's reply is authoritative (eq. 14): the local table is
+// restricted to it, which is how inter-subtree rebalancing decisions
+// propagate down. When the parent's last hint promises tracked work
+// elsewhere and the local remainder is under the low-water mark, the
+// primary's exchange also pulls a fresh sub-range in the same round-trip —
+// refilling BEFORE the table runs dry instead of idling the retire-refill
+// gap. The rule is evaluated before the fold, and the grant is adopted
+// before the secondaries fold.
 //
 // The fold is sound in both directions. Its end is pinned at the last
 // known copy end, which never undershoots the parent's (the parent's end
@@ -668,210 +663,74 @@ func (s *SubFarmer) foldUpLocked(now int64) {
 	if len(s.bindings) == 0 || s.upBusy {
 		return
 	}
-	if bc, ok := s.batchUpstreamLocked(); ok {
-		want := s.wantMoreLocked()
-		// Snapshot the secondary ids before the exchange: the verdict may
-		// reshuffle the slice (retire the primary, promote a secondary).
-		var secondaries []int64
-		for _, b := range s.bindings[1:] {
-			secondaries = append(secondaries, b.id)
+	want := s.wantMoreLocked()
+	// Snapshot the ids before the first exchange: a verdict may reshuffle
+	// the slice (retire the primary, promote a secondary).
+	ids := make([]int64, len(s.bindings))
+	for i, b := range s.bindings {
+		ids[i] = b.id
+	}
+	for i, id := range ids {
+		bi := s.bindingIdx(id)
+		if s.finished || bi < 0 {
+			continue
 		}
-		reply, ok, _ := s.exchangeUpLocked(bc, now, want)
-		if !ok {
-			// A lost batch retries next cadence; the noBatch discovery
-			// already replayed every leg (including the secondaries'
-			// folds) over the three-call path.
+		if delivered, _ := s.exchangeUpLocked(bi, now, want && i == 0); !delivered {
+			// A lost exchange ends the cadence; the next one retries.
 			return
 		}
-		if want && reply.HasWork {
-			s.adoptWorkReplyLocked(transport.WorkReply{
-				Status:     reply.Status,
-				IntervalID: reply.IntervalID,
-				Interval:   reply.WorkInterval,
-				BestCost:   reply.BestCost,
-				Duplicated: reply.Duplicated,
-			}, now)
-		}
-		for _, id := range secondaries {
-			if s.finished {
-				break
-			}
-			s.foldOneLocked(id, now, false)
-		}
-		return
-	}
-	s.pushBestUpLocked()
-	s.foldAllLocked(now)
-	if s.wantMoreLocked() {
-		s.requestMoreLocked(now)
 	}
 }
 
-// foldAllLocked folds every held binding upstream over the three-call
-// protocol. The first fold to succeed carries the exploration deltas (the
-// parent accumulates them before the id lookup, so any binding's id is a
-// valid vehicle); the rest fold with zero deltas. A successful cadence —
-// any fold delivered — resets both fold cadences.
-func (s *SubFarmer) foldAllLocked(now int64) {
-	ids := make([]int64, 0, maxBindings)
-	for _, b := range s.bindings {
-		ids = append(ids, b.id)
+// exchangeUpLocked is one upstream round-trip: the fold of bindings[bi]
+// (bi < 0: no fold — the unbound first refill, or a bare solution push),
+// the fleet power, the exploration deltas, any unsent best solution, and —
+// when wantWork is set — the refill request that would otherwise be a
+// separate exchange. Caller holds mu and has verified the upBusy token is
+// free. Counters and watermarks move only on success: a lost exchange is
+// retried by a later cadence with nothing double-counted. Reports whether
+// the exchange was delivered and whether it left the table ready for
+// another allocation attempt.
+func (s *SubFarmer) exchangeUpLocked(bi int, now int64, wantWork bool) (delivered, workReady bool) {
+	req := transport.BatchRequest{
+		Worker:   s.cfg.ID,
+		Power:    s.fleetPowerLocked(now),
+		WantWork: wantWork,
 	}
-	withDeltas := true
-	any := false
-	for _, id := range ids {
-		if s.finished {
-			break
-		}
-		if s.foldOneLocked(id, now, withDeltas) {
-			withDeltas = false
-			any = true
-		}
-	}
-	if any {
-		s.sinceMsgs = 0
-		s.lastFoldNanos = now
-	}
-}
-
-// foldOneLocked folds one binding upstream over UpdateInterval. Counters
-// and watermarks move only on success: a lost fold is retried by a later
-// cadence with nothing double-counted. Reports whether the fold was
-// delivered.
-func (s *SubFarmer) foldOneLocked(id int64, now int64, withDeltas bool) bool {
-	bi := s.bindingIdx(id)
-	if bi < 0 {
-		return false
-	}
-	b := s.bindings[bi]
 	// rangeLive is a snapshot: the fleet keeps updating while the RPC is
 	// in flight, so the range may drain before the reply lands. The drop
 	// branches in the verdict stay correct either way (restricting an
 	// already empty range is a no-op).
-	rangeLive := s.frontierForLocked(b)
-	if !rangeLive {
-		// An empty range folds to the empty interval [B, B): the parent
-		// retires the copy, completing this sub-range.
-		b.iv.BInto(s.scrFront)
-	}
-	fold := interval.New(s.scrFront, b.iv.BInto(s.scrB))
-	req := transport.UpdateRequest{
-		Worker:     s.cfg.ID,
-		IntervalID: id,
-		Remaining:  fold,
-		Power:      s.fleetPowerLocked(now),
-	}
-	if g, withGap := s.gapForFoldLocked(b, rangeLive); withGap {
-		req.HasGap, req.Gap = true, g
-	}
-	req.Content = s.contentForFoldLocked(b, rangeLive)
+	var rangeLive bool
 	var ec, pc, lc int64
-	if withDeltas {
+	if bi >= 0 {
+		b := s.bindings[bi]
+		rangeLive = s.frontierForLocked(b)
+		if !rangeLive {
+			// An empty range folds to the empty interval [B, B): the parent
+			// retires the copy, completing this sub-range.
+			b.iv.BInto(s.scrFront)
+		}
 		ec, pc, lc = s.innerStatsLocked()
+		req.HasFold, req.FoldID = true, b.id
+		req.Remaining = interval.New(s.scrFront, b.iv.BInto(s.scrB))
 		req.ExploredDelta = ec - s.sentExplored
 		req.PrunedDelta = pc - s.sentPruned
 		req.LeavesDelta = lc - s.sentLeaves
+		if g, withGap := s.gapForFoldLocked(b, rangeLive); withGap {
+			req.HasFoldGap, req.FoldGap = true, g
+		}
+		req.FoldContent = s.contentForFoldLocked(b, rangeLive)
 	}
-	var (
-		reply transport.UpdateReply
-		err   error
-	)
-	s.upCall(func(up transport.Coordinator) {
-		reply, err = up.UpdateInterval(req)
-	})
-	if err != nil {
-		s.noteUpstreamErrLocked(err)
-		return false
-	}
-	s.counters.UpstreamUpdates++
-	if withDeltas {
-		s.sentExplored, s.sentPruned, s.sentLeaves = ec, pc, lc
-	}
-	s.adoptUpstreamBestLocked(reply.BestCost)
-	if reply.Hint != nil {
-		s.lastHint = reply.Hint
-	}
-	s.applyFoldVerdictLocked(id, reply, rangeLive)
-	return true
-}
-
-// batchUpstreamLocked reports whether upstream exchanges should coalesce:
-// the parent leg implements the batch frame and has not answered "can't
-// find method". In-process parents (a *Farmer, the harness interceptor)
-// never implement BatchCoordinator — a batch over a function call saves
-// nothing — so flat and simulated deployments keep the three-call path
-// and its traces unchanged.
-func (s *SubFarmer) batchUpstreamLocked() (transport.BatchCoordinator, bool) {
-	if s.noBatch {
-		return nil, false
-	}
-	bc, ok := s.up.(transport.BatchCoordinator)
-	return bc, ok
-}
-
-// isNoBatchErr recognizes an old parent: its rpc server rejects the
-// Exchange method by name. Every other error is an ordinary loss.
-func isNoBatchErr(err error) bool {
-	var se rpc.ServerError
-	return errors.As(err, &se) && strings.Contains(string(se), "can't find")
-}
-
-// exchangeUpLocked is the fold cadence over the coalesced batch frame: one
-// round-trip carries the primary binding's fold, the fleet power, any
-// unsent best solution, and — when wantWork is set — the refill request
-// that would otherwise be a separate exchange. Caller holds mu, owns the
-// upBusy token window, and has verified bindings exist. Returns the reply,
-// whether the exchange was delivered, and — only when the parent turned
-// out to predate the batch frame — whether the three-call replay left the
-// table ready for another allocation attempt.
-func (s *SubFarmer) exchangeUpLocked(bc transport.BatchCoordinator, now int64, wantWork bool) (transport.BatchReply, bool, bool) {
-	b := s.bindings[0]
-	rangeLive := s.frontierForLocked(b)
-	if !rangeLive {
-		b.iv.BInto(s.scrFront)
-	}
-	fold := interval.New(s.scrFront, b.iv.BInto(s.scrB))
-	ec, pc, lc := s.innerStatsLocked()
-	req := transport.BatchRequest{
-		Worker:        s.cfg.ID,
-		Power:         s.fleetPowerLocked(now),
-		HasFold:       true,
-		FoldID:        b.id,
-		Remaining:     fold,
-		ExploredDelta: ec - s.sentExplored,
-		PrunedDelta:   pc - s.sentPruned,
-		LeavesDelta:   lc - s.sentLeaves,
-		WantWork:      wantWork,
-	}
-	if g, withGap := s.gapForFoldLocked(b, rangeLive); withGap {
-		req.HasFoldGap, req.FoldGap = true, g
-	}
-	req.FoldContent = s.contentForFoldLocked(b, rangeLive)
 	if best := s.inner.Best(); best.Cost < s.bestSentUp {
 		req.HasReport, req.Cost, req.Path = true, best.Cost, best.Path
 	}
-	var (
-		reply transport.BatchReply
-		err   error
-	)
-	s.upCall(func(transport.Coordinator) {
-		reply, err = bc.Exchange(req)
-	})
+	reply, err := s.upCall(req)
 	if err != nil {
-		if isNoBatchErr(err) {
-			// An old parent rejecting the batch frame is a dialect
-			// discovery, not an upstream loss: none of the legs were
-			// delivered, so replay them over the three-call protocol in
-			// THIS cadence instead of idling until the next one, and
-			// count nothing for the undelivered batch.
-			s.noBatch = true
-			return reply, false, s.replayCadenceLocked(now, wantWork)
-		}
 		s.noteUpstreamErrLocked(err)
-		return reply, false, false
+		return false, false
 	}
 	s.counters.UpstreamBatches++
-	s.counters.UpstreamUpdates++
 	if req.HasReport {
 		s.counters.UpstreamReports++
 		if req.Cost < s.bestSentUp {
@@ -881,45 +740,28 @@ func (s *SubFarmer) exchangeUpLocked(bc transport.BatchCoordinator, now int64, w
 	if wantWork {
 		s.counters.UpstreamRequests++
 	}
-	s.sentExplored, s.sentPruned, s.sentLeaves = ec, pc, lc
-	s.sinceMsgs = 0
-	s.lastFoldNanos = now
 	s.adoptUpstreamBestLocked(reply.BestCost)
-	if reply.Hint != nil {
-		s.lastHint = reply.Hint
+	if req.HasFold {
+		s.counters.UpstreamUpdates++
+		s.sentExplored, s.sentPruned, s.sentLeaves = ec, pc, lc
+		s.sinceMsgs = 0
+		s.lastFoldNanos = now
+		if reply.Hint != nil {
+			s.lastHint = reply.Hint
+		}
+		s.applyFoldVerdictLocked(req.FoldID, reply, rangeLive)
 	}
-	s.applyFoldVerdictLocked(b.id, transport.UpdateReply{
-		Finished: reply.Finished,
-		Known:    reply.Known,
-		Interval: reply.Interval,
-	}, rangeLive)
-	return reply, true, false
-}
-
-// replayCadenceLocked re-runs the legs an undelivered batch probe meant to
-// carry, over the three-call protocol, within the same cadence: best
-// report, every binding's fold, and — when the caller wanted work and the
-// folds left the table entitled to it — the refill request. Reports
-// whether the table is ready for another allocation attempt.
-func (s *SubFarmer) replayCadenceLocked(now int64, wantWork bool) bool {
-	s.pushBestUpLocked()
-	s.foldAllLocked(now)
-	if !wantWork || s.finished {
-		return false
+	if reply.HasWork && !s.finished {
+		workReady = s.adoptWorkReplyLocked(reply, now)
 	}
-	if len(s.bindings) == 0 || s.wantMoreLocked() {
-		return s.requestMoreLocked(now)
-	}
-	// A retire fold lost in transit left the binding in place; the next
-	// cadence retries it. Do not stack another refill on this message.
-	return false
+	return true, workReady
 }
 
 // wantMoreLocked is the work-conserving low-water rule: ask the parent for
 // a second sub-range when the local remainder is under the mark, the
 // parent's last hint promises tracked work elsewhere, and there is a free
 // binding slot. Dormant without a LowWater mark or under a parent that
-// never hints (an old root) — then refill stays strictly on-dry.
+// never hints — then refill stays strictly on-dry.
 func (s *SubFarmer) wantMoreLocked() bool {
 	if s.cfg.LowWater == nil || s.finished || s.lastHint == nil {
 		return false
@@ -934,34 +776,10 @@ func (s *SubFarmer) wantMoreLocked() bool {
 	return total.Cmp(s.cfg.LowWater) < 0
 }
 
-// requestMoreLocked asks the parent for a sub-range over the three-call
-// protocol and adopts the grant. Reports whether the table is ready for
-// another allocation attempt.
-func (s *SubFarmer) requestMoreLocked(now int64) bool {
-	req := transport.WorkRequest{
-		Worker: s.cfg.ID,
-		Power:  s.fleetPowerLocked(now),
-	}
-	var (
-		reply transport.WorkReply
-		err   error
-	)
-	s.upCall(func(up transport.Coordinator) {
-		reply, err = up.RequestWork(req)
-	})
-	if err != nil {
-		s.noteUpstreamErrLocked(err)
-		return false
-	}
-	s.counters.UpstreamRequests++
-	return s.adoptWorkReplyLocked(reply, now)
-}
-
-// applyFoldVerdictLocked applies the parent's authoritative fold reply for
-// one binding — shared by the three-call and batch paths, so the
-// drop/restrict semantics cannot drift between dialects. Caller still owns
-// the fold scratch (scrFront/scrB hold the fold bounds just sent).
-func (s *SubFarmer) applyFoldVerdictLocked(id int64, reply transport.UpdateReply, rangeLive bool) {
+// applyFoldVerdictLocked applies the fold leg of the parent's authoritative
+// reply for one binding. Caller still owns the fold scratch (scrFront/scrB
+// hold the fold bounds just sent).
+func (s *SubFarmer) applyFoldVerdictLocked(id int64, reply transport.BatchReply, rangeLive bool) {
 	if s.finished = s.finished || reply.Finished; s.finished {
 		// Global termination: whatever remains locally is duplicated
 		// residue of ground another subtree already proved (the root's
@@ -1009,9 +827,11 @@ func (s *SubFarmer) applyFoldVerdictLocked(id int64, reply transport.UpdateReply
 	}
 }
 
-// refillLocked handles the dry-table moment: fold the (empty) table up so
-// the parent retires the finished copies, then request a fresh sub-range
-// with the fleet's aggregate power. Reports whether the local table is
+// refillLocked handles the dry-table moment in ONE exchange: the primary
+// binding's (empty) fold, so the parent retires the finished copy, with the
+// request for a fresh sub-range at the fleet's aggregate power riding
+// along. An unbound sub-farmer — the first refill, or every copy already
+// retired — sends the request alone. Reports whether the local table is
 // ready for another allocation attempt.
 func (s *SubFarmer) refillLocked(now int64) bool {
 	if s.upBusy {
@@ -1019,48 +839,17 @@ func (s *SubFarmer) refillLocked(now int64) bool {
 		// parent; this one waits its turn (WorkWait → retry).
 		return false
 	}
-	if bc, ok := s.batchUpstreamLocked(); ok && len(s.bindings) > 0 {
-		// Coalesced: retire fold and refill in ONE round-trip instead of
-		// the fold-then-request pair below.
-		reply, ok, workReady := s.exchangeUpLocked(bc, now, true)
-		if !ok {
-			// workReady carries the three-call replay's verdict when the
-			// parent turned out to predate the batch frame; an ordinary
-			// lost batch reports false and the next fleet message
-			// retries.
-			return workReady
-		}
-		if s.finished || !reply.HasWork {
-			return false
-		}
-		return s.adoptWorkReplyLocked(transport.WorkReply{
-			Status:     reply.Status,
-			IntervalID: reply.IntervalID,
-			Interval:   reply.WorkInterval,
-			BestCost:   reply.BestCost,
-			Duplicated: reply.Duplicated,
-		}, now)
-	}
+	bi := -1
 	if len(s.bindings) > 0 {
-		s.pushBestUpLocked()
-		s.foldAllLocked(now)
-		if len(s.bindings) > 0 {
-			// A retire fold was lost in transit; the next cadence
-			// retries it. Do not stack a second upstream exchange on
-			// this fleet message.
-			return false
-		}
+		bi = 0
 	}
-	if s.finished {
-		return false
-	}
-	return s.requestMoreLocked(now)
+	_, workReady := s.exchangeUpLocked(bi, now, true)
+	return workReady
 }
 
-// adoptWorkReplyLocked applies the parent's work assignment — shared by
-// the three-call and batch refill paths. Reports whether the local table
-// is ready for another allocation attempt.
-func (s *SubFarmer) adoptWorkReplyLocked(reply transport.WorkReply, now int64) bool {
+// adoptWorkReplyLocked applies the refill leg of the parent's reply.
+// Reports whether the local table is ready for another allocation attempt.
+func (s *SubFarmer) adoptWorkReplyLocked(reply transport.BatchReply, now int64) bool {
 	s.adoptUpstreamBestLocked(reply.BestCost)
 	switch reply.Status {
 	case transport.WorkFinished:
@@ -1073,31 +862,23 @@ func (s *SubFarmer) adoptWorkReplyLocked(reply transport.WorkReply, now int64) b
 			// the requester's (§4.2). The table already covers it;
 			// adopt the authoritative bounds and inject nothing, or the
 			// subtree would re-explore its own remainder.
-			s.bindings[bi].iv = reply.Interval.Clone()
+			s.bindings[bi].iv = reply.WorkInterval.Clone()
 			return false
 		}
-		if len(s.bindings) >= maxBindings {
-			// No free slot (a racing refill filled it): fold the grant
-			// straight back so the parent retires or re-issues it.
-			s.bindings = append(s.bindings, upBinding{id: reply.IntervalID, iv: reply.Interval.Clone()})
-			s.lastBoundID = reply.IntervalID
-			s.foldOneLocked(reply.IntervalID, now, false)
+		full := len(s.bindings) >= maxBindings
+		s.bindings = append(s.bindings, upBinding{id: reply.IntervalID, iv: reply.WorkInterval.Clone()})
+		s.lastBoundID = reply.IntervalID
+		if full || reply.WorkInterval.IsEmpty() {
+			// No free slot (a racing refill filled it), or a crumb split
+			// donated the empty interval: fold the grant straight back so
+			// the parent retires or re-issues it.
+			s.exchangeUpLocked(len(s.bindings)-1, now, false)
 			return false
 		}
-		if reply.Interval.IsEmpty() {
-			// A crumb split can donate the empty interval; hand it
-			// straight back so the parent retires it.
-			s.bindings = append(s.bindings, upBinding{id: reply.IntervalID, iv: reply.Interval.Clone()})
-			s.lastBoundID = reply.IntervalID
-			s.foldOneLocked(reply.IntervalID, now, false)
-			return false
-		}
-		if len(s.bindings) > 0 {
+		if len(s.bindings) > 1 {
 			s.counters.LowWaterRefills++
 		}
-		s.bindings = append(s.bindings, upBinding{id: reply.IntervalID, iv: reply.Interval.Clone()})
-		s.lastBoundID = reply.IntervalID
-		s.inner.Inject(reply.Interval)
+		s.inner.Inject(reply.WorkInterval)
 		s.sinceMsgs = 0
 		s.lastFoldNanos = now
 		s.counters.Refills++
@@ -1105,41 +886,6 @@ func (s *SubFarmer) adoptWorkReplyLocked(reply transport.WorkReply, now int64) b
 	default:
 		return false
 	}
-}
-
-// pushBestUpLocked ships the local best upstream if the parent has not
-// seen it yet, and adopts the parent's verdict. Lost pushes retry on the
-// next upstream exchange because bestSentUp only moves on success, and a
-// push that finds the token taken skips for the same reason.
-func (s *SubFarmer) pushBestUpLocked() {
-	if s.upBusy {
-		return
-	}
-	best := s.inner.Best()
-	if best.Cost >= s.bestSentUp {
-		return
-	}
-	req := transport.SolutionReport{
-		Worker: s.cfg.ID,
-		Cost:   best.Cost,
-		Path:   best.Path,
-	}
-	var (
-		ack transport.SolutionAck
-		err error
-	)
-	s.upCall(func(up transport.Coordinator) {
-		ack, err = up.ReportSolution(req)
-	})
-	if err != nil {
-		s.noteUpstreamErrLocked(err)
-		return
-	}
-	s.counters.UpstreamReports++
-	if best.Cost < s.bestSentUp {
-		s.bestSentUp = best.Cost
-	}
-	s.adoptUpstreamBestLocked(ack.BestCost)
 }
 
 // adoptUpstreamBestLocked folds a cost learned from the parent into the

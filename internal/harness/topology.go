@@ -308,13 +308,7 @@ func (t *farmerTree) restartRoot() error {
 	t.rootTrack.attach(f)
 	t.rootTrack.noteRestart(fellBack)
 	t.rep.Restarts++
-	// The two spellings predate the single driver; the committed goldens
-	// pin them.
-	if len(t.subs) == 0 {
-		t.g.tracef("farmer-restart n=%d fallback=%v", t.rep.Restarts, fellBack)
-	} else {
-		t.g.tracef("root-restart n=%d", t.rep.Restarts)
-	}
+	t.g.tracef("farmer-restart n=%d fallback=%v", t.rep.Restarts, fellBack)
 	return nil
 }
 

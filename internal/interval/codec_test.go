@@ -49,7 +49,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeltaCodecCompactness(t *testing.T) {
+func TestDeltaCodecSize(t *testing.T) {
 	huge := new(big.Int).Lsh(big.NewInt(1), 214)
 	ref := New(big.NewInt(0), huge)
 

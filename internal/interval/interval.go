@@ -299,8 +299,8 @@ func (iv Interval) String() string {
 	return fmt.Sprintf("[%s,%s)", cloneOrZero(iv.a), cloneOrZero(iv.b))
 }
 
-// MarshalText encodes the interval as "A B" in base 10; it is the wire and
-// checkpoint representation, deliberately tiny compared to the active-node
+// MarshalText encodes the interval as "A B" in base 10; it is the
+// checkpoint representation (the wire uses AppendDelta), deliberately tiny compared to the active-node
 // lists it stands for (paper abstract: "a special coding of the work units
 // ... allows to optimize the involved communications").
 func (iv Interval) MarshalText() ([]byte, error) {
@@ -324,13 +324,6 @@ func (iv *Interval) UnmarshalText(text []byte) error {
 	iv.a, iv.b = a, b
 	return nil
 }
-
-// GobEncode implements gob.GobEncoder via the text form, so intervals can
-// cross process boundaries in RPC messages and checkpoint files.
-func (iv Interval) GobEncode() ([]byte, error) { return iv.MarshalText() }
-
-// GobDecode implements gob.GobDecoder.
-func (iv *Interval) GobDecode(data []byte) error { return iv.UnmarshalText(data) }
 
 // Union returns the smallest interval containing both operands. It is only
 // meaningful for adjacent or overlapping intervals, which is exactly the

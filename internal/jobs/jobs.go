@@ -5,14 +5,16 @@
 // one shared store directory, and a fair share of the fleet.
 //
 // The table itself implements transport.Coordinator, so the existing RPC
-// server serves it without modification. Routing is by the optional Job
-// tag on the three protocol messages (empty UpdateInterval/ReportSolution
-// tags mean the default job — what pre-multitenant workers are). An
-// untagged RequestWork is answered by whichever running job has the
-// smallest weighted fleet power — deficit-based fair share: the job
-// furthest below its entitled slice of the grid gets the next worker.
-// Within the chosen job, the paper's §4.2 selection and partitioning
-// operators decide which interval to donate, exactly as before.
+// server serves it without modification. Routing is by the Job tag on the
+// three protocol messages: a fold or a report must carry the tag its
+// interval was assigned under (WorkReply.Job, which every worker echoes),
+// and an untagged one is a counted rejection — the table never guesses
+// which tenant a number belongs to. An untagged RequestWork is answered
+// by whichever running job has the smallest weighted fleet power —
+// deficit-based fair share: the job furthest below its entitled slice of
+// the grid gets the next worker. Within the chosen job, the paper's §4.2
+// selection and partitioning operators decide which interval to donate,
+// exactly as before.
 package jobs
 
 import (
@@ -121,8 +123,8 @@ type Counters struct {
 	// duplicate id, full queue, or a per-user cap.
 	RejectedSubmits int64
 	// InvalidJobIDs counts messages naming a job id that cannot be a
-	// checkpoint namespace (empty after defaulting, oversize, or with
-	// path-capable bytes).
+	// checkpoint namespace (empty — an untagged fold or report —
+	// oversize, or with path-capable bytes).
 	InvalidJobIDs int64
 	// UnknownJobs counts messages naming a well-formed id the table has
 	// never seen.
@@ -420,20 +422,13 @@ func (tb *Table) pickLocked() *job {
 	return best
 }
 
-// routeLocked resolves a message's job tag to a live table entry,
-// charging the appropriate rejection counter on failure. An empty tag is
-// a pre-multitenant sender: it resolves to the job named by the default
-// checkpoint namespace, or — when no such job exists and exactly one job
-// is running — to that sole job, so a legacy single-job fleet works
-// whatever id the operator submitted under. With several jobs live an
-// untagged fold is genuinely ambiguous and stays an error.
+// routeLocked resolves a message's job tag to a table entry, charging the
+// appropriate rejection counter on failure. An empty tag is invalid like
+// any other malformed one: interval ids are per job, so routing an
+// untagged fold to "the only job running" would let a straggler from a
+// cancelled job shrink its successor's table with numbers from another
+// tree.
 func (tb *Table) routeLocked(id string) (*job, error) {
-	if id == "" {
-		id = checkpoint.DefaultNamespace
-		if _, ok := tb.jobs[id]; !ok && len(tb.running) == 1 && len(tb.queue) == 0 {
-			return tb.running[0], nil
-		}
-	}
 	if !checkpoint.ValidNamespace(id) {
 		tb.ctr.InvalidJobIDs++
 		return nil, fmt.Errorf("jobs: invalid job id %q", clipID(id))

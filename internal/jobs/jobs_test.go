@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,84 +65,109 @@ func TestSingleJobSolvesToOptimum(t *testing.T) {
 	}
 }
 
-// TestDefaultJobServesLegacyWorkers: a pre-multitenant worker.Session
-// (no Job tags anywhere) solves a job named "default" through the table.
-func TestDefaultJobServesLegacyWorkers(t *testing.T) {
+// TestSingleJobWorkerServesOneJobTable: the single-job deployment story —
+// cmd/worker against a one-job jobd — holds by construction, not by a
+// routing guess: worker.Session echoes the WorkReply.Job tag on every fold
+// and report, so it proves the table's job whatever id the operator
+// submitted under. Untagged folds and reports are rejected and counted
+// with one job running exactly as with two.
+func TestSingleJobWorkerServesOneJobTable(t *testing.T) {
 	spec := knapSpec(18, 7)
 	want, _ := bb.Solve(knapsack.NewProblem(knapsack.Random(18, 7)), bb.Infinity)
-	tb := NewTable(Config{})
-	if err := tb.Submit(checkpoint.DefaultNamespace, spec); err != nil {
-		t.Fatal(err)
-	}
-	sess := worker.NewSession(worker.Config{ID: "legacy", Power: 50, UpdatePeriodNodes: 1 << 10},
-		tb, knapsack.NewProblem(knapsack.Random(18, 7)))
-	for i := 0; ; i++ {
-		_, fin, err := sess.Advance(1 << 14)
-		if err != nil {
+	for _, id := range []string{checkpoint.DefaultNamespace, "ops-picked-a-name"} {
+		tb := NewTable(Config{})
+		if err := tb.Submit(id, spec); err != nil {
 			t.Fatal(err)
 		}
-		if fin {
-			break
+		sess := worker.NewSession(worker.Config{ID: "solo", Power: 50, UpdatePeriodNodes: 1 << 10},
+			tb, knapsack.NewProblem(knapsack.Random(18, 7)))
+		for i := 0; ; i++ {
+			_, fin, err := sess.Advance(1 << 14)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin {
+				break
+			}
+			if i > 10_000 {
+				t.Fatal("single-job worker never finished")
+			}
 		}
-		if i > 10_000 {
-			t.Fatal("legacy worker never finished")
+		p, _ := tb.Progress(id)
+		if p.State != "done" || p.BestCost != want.Cost {
+			t.Fatalf("single-job worker left job %q %s at %d, want done/%d", id, p.State, p.BestCost, want.Cost)
+		}
+		if c := tb.Counters(); c.InvalidJobIDs != 0 || c.UnknownJobs != 0 {
+			t.Fatalf("job %q: tagged traffic was rejected: %+v", id, c)
 		}
 	}
-	p, _ := tb.Progress(checkpoint.DefaultNamespace)
-	if p.BestCost != want.Cost {
-		t.Fatalf("legacy worker proved %d, want %d", p.BestCost, want.Cost)
+
+	for _, ids := range [][]string{{"one"}, {"one", "two"}} {
+		tb := NewTable(Config{})
+		for i, id := range ids {
+			if err := tb.Submit(id, knapSpec(14, int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, _ := tb.Progress("one")
+		if _, err := tb.UpdateInterval(transport.UpdateRequest{Worker: "w", IntervalID: 1, ExploredDelta: 5}); err == nil {
+			t.Fatalf("untagged update accepted with %d job(s) running", len(ids))
+		}
+		if _, err := tb.ReportSolution(transport.SolutionReport{Worker: "w", Cost: 1}); err == nil {
+			t.Fatalf("untagged report accepted with %d job(s) running", len(ids))
+		}
+		if c := tb.Counters(); c.InvalidJobIDs != 2 {
+			t.Fatalf("%d job(s): InvalidJobIDs %d, want 2", len(ids), c.InvalidJobIDs)
+		}
+		if after, _ := tb.Progress("one"); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%d job(s): rejected untagged traffic moved the job: %+v -> %+v", len(ids), before, after)
+		}
 	}
 }
 
-// TestSoleJobServesLegacyWorkers: the single-job deployment story must
-// not hinge on the operator picking the magic "default" id — an untagged
-// legacy fleet's folds and reports route to the sole running job whatever
-// it is named. (Caught live: a legacy worker against a one-job jobd
-// reconnect-looped forever on "unknown job default" and never explored a
-// node.) With a second job live the ambiguity is real and untagged
-// non-request traffic goes back to being an error.
-func TestSoleJobServesLegacyWorkers(t *testing.T) {
-	spec := knapSpec(18, 7)
-	want, _ := bb.Solve(knapsack.NewProblem(knapsack.Random(18, 7)), bb.Infinity)
+// TestStragglerFoldStaysWithItsJob pins the cross-tenant bug the sole-job
+// routing guess caused: a single-job worker holds job A's interval, A is
+// cancelled, B is submitted and runs alone, and the straggler folds. The
+// fold must be answered with A's terminal verdict and leave B untouched —
+// routed to B, B's farmer would intersect its own copy with numbers from
+// A's tree and record ground nobody explored as done.
+func TestStragglerFoldStaysWithItsJob(t *testing.T) {
 	tb := NewTable(Config{})
-	if err := tb.Submit("ops-picked-a-name", spec); err != nil {
+	if err := tb.Submit("A", knapSpec(18, 3)); err != nil {
 		t.Fatal(err)
 	}
-	sess := worker.NewSession(worker.Config{ID: "legacy", Power: 50, UpdatePeriodNodes: 1 << 10},
-		tb, knapsack.NewProblem(knapsack.Random(18, 7)))
-	for i := 0; ; i++ {
-		_, fin, err := sess.Advance(1 << 14)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fin {
-			break
-		}
-		if i > 10_000 {
-			t.Fatal("legacy worker never finished")
-		}
+	straggler := worker.NewSession(worker.Config{ID: "straggler", Power: 50, UpdatePeriodNodes: 1 << 20},
+		tb, knapsack.NewProblem(knapsack.Random(18, 3)))
+	if n, _, err := straggler.Advance(50); err != nil || n == 0 || !straggler.HasWork() {
+		t.Fatalf("straggler did not take and explore A's root: n=%d err=%v", n, err)
 	}
-	p, _ := tb.Progress("ops-picked-a-name")
-	if p.State != "done" || p.BestCost != want.Cost {
-		t.Fatalf("legacy worker left job %s at %d, want done/%d", p.State, p.BestCost, want.Cost)
+	if err := tb.Cancel("A"); err != nil {
+		t.Fatal(err)
 	}
+	if err := tb.Submit("B", knapSpec(18, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := tb.RequestWork(transport.WorkRequest{Worker: "w2", Power: 50}); err != nil ||
+		rep.Status != transport.WorkAssigned || rep.Job != "B" {
+		t.Fatalf("second worker on B's root: %+v %v", rep, err)
+	}
+	before, _ := tb.Progress("B")
 
-	// Two running jobs: untagged folds and reports are ambiguous again.
-	tb2 := NewTable(Config{})
-	if err := tb2.Submit("one", knapSpec(14, 1)); err != nil {
+	if err := straggler.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb2.Submit("two", knapSpec(14, 2)); err != nil {
-		t.Fatal(err)
+	if after, _ := tb.Progress("B"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("A's straggler moved B:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if _, err := tb2.UpdateInterval(transport.UpdateRequest{Worker: "legacy"}); err == nil {
-		t.Fatal("untagged update accepted with two jobs running")
+	if straggler.HasWork() || !straggler.Finished() {
+		t.Fatalf("straggler kept going (work=%v finished=%v), want A's terminal verdict",
+			straggler.HasWork(), straggler.Finished())
 	}
-	if _, err := tb2.ReportSolution(transport.SolutionReport{Worker: "legacy", Cost: 1}); err == nil {
-		t.Fatal("untagged report accepted with two jobs running")
+	if a, _ := tb.Progress("A"); a.Counters.ExploredNodes == 0 {
+		t.Fatal("the late fold's nodes were not credited to A")
 	}
-	if tb2.Counters().UnknownJobs != 2 {
-		t.Fatalf("UnknownJobs %d, want 2", tb2.Counters().UnknownJobs)
+	if c := tb.Counters(); c.StoppedJobTraffic != 1 {
+		t.Fatalf("StoppedJobTraffic = %d, want 1", c.StoppedJobTraffic)
 	}
 }
 

@@ -19,8 +19,8 @@ func testFarmer() *farmer.Farmer {
 	return farmer.New(interval.FromInt64(0, 1_000_000))
 }
 
-// blackholeListener accepts connections and never responds — the stalled
-// coordinator in the flesh. It returns the address and a stop function.
+// blackholeListener accepts connections and never responds: a coordinator
+// stalled before the wire negotiation, which is where a dial now meets it.
 func blackholeListener(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -51,25 +51,60 @@ func blackholeListener(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestClientDeadlineOnStalledCoordinator: the core liveness promise — a
-// call at a black-holed endpoint returns ErrDeadline within the policy's
-// timeout instead of blocking forever.
-func TestClientDeadlineOnStalledCoordinator(t *testing.T) {
-	addr := blackholeListener(t)
-	c, err := transport.DialWith(addr, transport.DialOptions{
-		Policy: transport.Policy{Timeout: 100 * time.Millisecond},
+// stalledCoordinator negotiates like any coordinator and then never
+// answers: every call blocks until the test ends.
+type stalledCoordinator struct{ release chan struct{} }
+
+func (s stalledCoordinator) RequestWork(transport.WorkRequest) (transport.WorkReply, error) {
+	<-s.release
+	return transport.WorkReply{}, nil
+}
+func (s stalledCoordinator) UpdateInterval(transport.UpdateRequest) (transport.UpdateReply, error) {
+	<-s.release
+	return transport.UpdateReply{}, nil
+}
+func (s stalledCoordinator) ReportSolution(transport.SolutionReport) (transport.SolutionAck, error) {
+	<-s.release
+	return transport.SolutionAck{}, nil
+}
+
+// stalledServer serves a stalledCoordinator: a coordinator stalled after
+// the wire negotiation, which is where an established client meets it.
+func stalledServer(t *testing.T) string {
+	t.Helper()
+	release := make(chan struct{})
+	srv, err := transport.Serve(stalledCoordinator{release}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(release)
+		srv.Close()
 	})
+	return srv.Addr()
+}
+
+// TestClientDeadlineOnStalledCoordinator: the core liveness promise — a
+// stalled endpoint yields ErrDeadline within the policy's timeout instead
+// of blocking forever, whether it stalls before the negotiation (the dial
+// times out) or after it (the call does).
+func TestClientDeadlineOnStalledCoordinator(t *testing.T) {
+	opts := transport.DialOptions{Policy: transport.Policy{Timeout: 100 * time.Millisecond}}
+	start := time.Now()
+	if _, err := transport.DialWith(blackholeListener(t), opts); !errors.Is(err, transport.ErrDeadline) {
+		t.Fatalf("dial at a black hole: err = %v, want ErrDeadline", err)
+	}
+	c, err := transport.DialWith(stalledServer(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	start := time.Now()
 	_, err = c.RequestWork(transport.WorkRequest{Worker: "w", Power: 1})
 	if !errors.Is(err, transport.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline took %v to fire", elapsed)
+		t.Fatalf("deadlines took %v to fire", elapsed)
 	}
 }
 
@@ -295,19 +330,14 @@ func TestTokenAuthentication(t *testing.T) {
 		t.Fatalf("AuthFailures = %d, want 1", got)
 	}
 
-	// A client that skips the preamble entirely: its first call must fail
-	// and the farmer must stay untouched.
-	bare, err := transport.DialWith(srv.Addr(), transport.DialOptions{
+	// A client that skips the token entirely is refused at the dial: its
+	// wire preamble is not a token frame.
+	if _, err := transport.DialWith(srv.Addr(), transport.DialOptions{
 		Policy: transport.Policy{Timeout: 2 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}); err == nil {
+		t.Fatal("token-less dial accepted")
 	}
-	defer bare.Close()
-	if _, err := bare.ReportSolution(transport.SolutionReport{Worker: "w", Cost: 1}); err == nil {
-		t.Fatal("unauthenticated call accepted")
-	}
-	if got := f.Counters().SolutionReports; got != 0 {
-		t.Fatalf("farmer processed %d reports from unauthenticated peers", got)
+	if got := srv.Stats().AuthFailures; got != 2 {
+		t.Fatalf("AuthFailures = %d, want 2", got)
 	}
 }

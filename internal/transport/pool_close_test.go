@@ -26,7 +26,7 @@ func TestSharedClosedHandleFailsFast(t *testing.T) {
 	}
 	defer srv.Close()
 
-	opts := transport.DialOptions{Compact: true, Share: true}
+	opts := transport.DialOptions{Share: true}
 	h := transport.DialShared(srv.Addr(), opts)
 	if _, err := h.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); err != nil {
 		t.Fatal(err)

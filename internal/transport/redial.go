@@ -249,9 +249,6 @@ func (r *Redial) ReportSolution(req SolutionReport) (reply SolutionAck, err erro
 
 // Exchange implements BatchCoordinator, retried per policy: every leg of
 // a batch is individually retry-safe (see Policy), so the whole batch is.
-// Against an old coordinator the first attempt returns the rpc "can't
-// find method" ServerError — never retried — which callers treat as
-// "speak the three-call protocol".
 func (r *Redial) Exchange(req BatchRequest) (reply BatchReply, err error) {
 	err = r.do(func(c *Client) (e error) {
 		reply, e = c.Exchange(req)

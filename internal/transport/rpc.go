@@ -3,11 +3,13 @@ package transport
 import (
 	"crypto/tls"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/rpc"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,66 +57,22 @@ func (s *RPCService) ReportSolution(req *SolutionReport, reply *SolutionAck) err
 	return nil
 }
 
-// Exchange is the RPC carrier of BatchCoordinator: it decomposes the
-// batch into the coordinator's three-call protocol server-side, so one
-// WAN round-trip replaces up to four without the Coordinator interface
-// growing. Leg order is report, fold, refill — and a fold that learns the
-// resolution is finished suppresses the refill.
+// Exchange is the RPC carrier of BatchCoordinator: the batch is executed
+// server-side by the package-level Exchange, so one WAN round-trip replaces
+// up to three without the Coordinator interface growing.
 func (s *RPCService) Exchange(req *BatchRequest, reply *BatchReply) error {
-	if req.HasReport {
-		ack, err := s.coord.ReportSolution(SolutionReport{
-			Worker: req.Worker, Cost: req.Cost, Path: req.Path,
-		})
-		if err != nil {
-			return err
-		}
-		reply.BestCost = ack.BestCost
+	r, err := Exchange(s.coord, *req)
+	if err != nil {
+		return err
 	}
-	if req.HasFold {
-		ur, err := s.coord.UpdateInterval(UpdateRequest{
-			Worker:        req.Worker,
-			IntervalID:    req.FoldID,
-			Remaining:     req.Remaining,
-			Power:         req.Power,
-			ExploredDelta: req.ExploredDelta,
-			PrunedDelta:   req.PrunedDelta,
-			LeavesDelta:   req.LeavesDelta,
-			HasGap:        req.HasFoldGap,
-			Gap:           req.FoldGap,
-			Content:       req.FoldContent,
-		})
-		if err != nil {
-			return err
-		}
-		reply.HasFold = true
-		reply.Finished = ur.Finished
-		reply.Known = ur.Known
-		reply.Interval = ur.Interval
-		reply.BestCost = ur.BestCost
-		reply.Hint = ur.Hint
-	}
-	if req.WantWork && !reply.Finished {
-		wr, err := s.coord.RequestWork(WorkRequest{Worker: req.Worker, Power: req.Power})
-		if err != nil {
-			return err
-		}
-		reply.HasWork = true
-		reply.Status = wr.Status
-		reply.IntervalID = wr.IntervalID
-		reply.WorkInterval = wr.Interval
-		reply.Duplicated = wr.Duplicated
-		reply.BestCost = wr.BestCost
-		if wr.Status == WorkFinished {
-			reply.Finished = true
-		}
-	}
+	*reply = r
 	return nil
 }
 
 // serviceName is the rpc-registered name of the farmer service.
 const serviceName = "GridBB"
 
-// DefaultMaxMessageBytes bounds one gob message on both ends of the wire.
+// DefaultMaxMessageBytes bounds one message on both ends of the wire.
 // The protocol's messages are intervals and short paths — a few hundred
 // bytes at depth-60 trees — so one mebibyte is three orders of magnitude
 // of headroom while still making a gigabyte Path unsendable.
@@ -147,9 +105,9 @@ type ServerOptions struct {
 	// authentication mode; combine with TLS so the token is not sent in
 	// clear).
 	Token string
-	// WireRef is the reference interval of the compact wire codec: when a
-	// client negotiates the compact dialect, both ends delta-encode every
-	// interval against it. The natural choice is the root interval the
+	// WireRef is the reference interval of the wire codec: both ends
+	// delta-encode every interval against it, the client learning it at
+	// connection time. The natural choice is the root interval the
 	// coordinator boundary pins (gridbb wires it automatically); the zero
 	// value is still correct — intervals then encode their absolute
 	// bounds — just larger on the wire.
@@ -289,33 +247,21 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 	}
 	c.authed.Store(true)
-	// Dialect sniff: a compact-codec client opens with wirePreamble, whose
-	// lead byte can never begin a gob stream; anything else is the legacy
-	// text-gob dialect, replayed through prefixedConn.
-	var first [1]byte
-	if _, err := io.ReadFull(c, first[:]); err != nil {
+	// Every client opens with wirePreamble; anything else is not a peer
+	// of this protocol and is dropped before it reaches the rpc layer.
+	nc.SetDeadline(time.Now().Add(authTimeout))
+	var pre [len(wirePreamble)]byte
+	if _, err := io.ReadFull(nc, pre[:]); err != nil || pre != wirePreamble {
 		return
 	}
-	if first[0] == wirePreamble[0] {
-		rest := make([]byte, len(wirePreamble)-1)
-		if _, err := io.ReadFull(c, rest); err != nil {
-			return
-		}
-		for i, b := range rest {
-			if b != wirePreamble[i+1] {
-				return
-			}
-		}
-		enc := s.opts.WireRef.AppendDelta(nil, interval.Interval{})
-		ack := append([]byte{wireAck}, binary.AppendUvarint(nil, uint64(len(enc)))...)
-		ack = append(ack, enc...)
-		if _, err := c.Write(ack); err != nil {
-			return
-		}
-		s.rpcSrv.ServeCodec(newWireServerCodec(c, s.opts.WireRef, s.opts.MaxMessageBytes))
+	enc := s.opts.WireRef.AppendDelta(nil, interval.Interval{})
+	ack := append([]byte{wireAck}, binary.AppendUvarint(nil, uint64(len(enc)))...)
+	ack = append(ack, enc...)
+	if _, err := nc.Write(ack); err != nil {
 		return
 	}
-	s.rpcSrv.ServeConn(&prefixedConn{ReadWriteCloser: c, prefix: first[:]})
+	nc.SetDeadline(time.Time{})
+	s.rpcSrv.ServeCodec(newWireServerCodec(c, s.opts.WireRef, s.opts.MaxMessageBytes))
 }
 
 // register tracks c, evicting a connection when MaxConns is reached. The
@@ -400,7 +346,7 @@ func (s *Server) Close() error {
 // net/rpc is strictly request/reply per codec, that span can cover at most
 // one full inbound message (plus the start of a pipelined next one), so a
 // cap of MaxMessageBytes+slack bounds every message without teaching the
-// wrapper gob framing.
+// wrapper the codec's framing.
 type srvConn struct {
 	net.Conn
 	srv        *Server
@@ -419,7 +365,7 @@ func (c *srvConn) Read(p []byte) (int, error) {
 	if n > 0 {
 		c.touch()
 		// Allow one full message of pipelined readahead beyond the cap:
-		// the wrapper cannot see gob frame boundaries, only byte flow.
+		// the wrapper cannot see frame boundaries, only byte flow.
 		if max := c.srv.opts.MaxMessageBytes; max > 0 && c.window.Add(int64(n)) > 2*max {
 			c.srv.oversize.Add(1)
 			return 0, fmt.Errorf("transport: inbound message beyond %d bytes: %w", max, ErrOversize)
@@ -450,11 +396,9 @@ type DialOptions struct {
 	// MaxMessageBytes bounds one inbound reply. Zero means
 	// DefaultMaxMessageBytes; negative disables the bound.
 	MaxMessageBytes int64
-	// Compact asks for the compact wire dialect (delta-coded intervals,
-	// one-byte methods; see wire.go). Negotiated, not assumed: an old
-	// server closes the connection at the preamble, and the dial falls
-	// back to a fresh text-gob connection — so Compact is always safe to
-	// set, whatever the server's vintage.
+	// Compact is accepted and ignored — every dial speaks the one wire
+	// dialect. The field remains only because bench/, frozen for the PR
+	// that removed the second dialect, still sets it.
 	Compact bool
 	// Share marks this client as safe to pool on one physical connection
 	// per coordinator address (see DialShared): net/rpc multiplexes
@@ -492,28 +436,22 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if opts.MaxMessageBytes == 0 {
 		opts.MaxMessageBytes = DefaultMaxMessageBytes
 	}
-	timeout := opts.Policy.Timeout
 	nc, err := dialAuthedConn(addr, opts)
 	if err != nil {
 		return nil, err
 	}
-	cc := &cliConn{Conn: nc, max: opts.MaxMessageBytes}
-	if opts.Compact {
-		codec, err := negotiateCompact(cc, opts.MaxMessageBytes)
-		if err == nil {
-			nc.SetDeadline(time.Time{})
-			return &Client{rc: rpc.NewClientWithCodec(codec), timeout: timeout}, nil
-		}
-		// An old server trips over the preamble and closes the stream;
-		// re-dial from scratch and speak the dialect it does know.
+	codec, err := negotiateCompact(&cliConn{Conn: nc, max: opts.MaxMessageBytes}, opts.MaxMessageBytes)
+	if err != nil {
 		nc.Close()
-		if nc, err = dialAuthedConn(addr, opts); err != nil {
-			return nil, err
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// A coordinator that accepts and then says nothing is the
+			// black hole Policy.Timeout exists for, met one step early.
+			err = ErrDeadline
 		}
-		cc = &cliConn{Conn: nc, max: opts.MaxMessageBytes}
+		return nil, fmt.Errorf("transport: negotiate with %s: %w", addr, err)
 	}
 	nc.SetDeadline(time.Time{})
-	return &Client{rc: rpc.NewClient(cc), timeout: timeout}, nil
+	return &Client{rc: rpc.NewClientWithCodec(codec), timeout: opts.Policy.Timeout}, nil
 }
 
 // dialAuthedConn dials, TLS-handshakes, and token-authenticates one
@@ -643,9 +581,7 @@ func (c *Client) ReportSolution(req SolutionReport) (SolutionAck, error) {
 	return reply, err
 }
 
-// Exchange implements BatchCoordinator. Against an old server the call
-// returns rpc.ServerError("rpc: can't find method ..."); callers use
-// that as the signal to fall back to the three-call protocol.
+// Exchange implements BatchCoordinator.
 func (c *Client) Exchange(req BatchRequest) (BatchReply, error) {
 	var reply BatchReply
 	err := c.invoke(serviceName+".Exchange", &req, &reply)

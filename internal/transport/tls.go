@@ -10,7 +10,7 @@
 //
 // The token exchange is a fixed-frame preamble (magic, length, token; one
 // ACK byte back) rather than a text line, so the server never reads past
-// the frame into the gob stream that follows.
+// the frame into the wire preamble that follows.
 package transport
 
 import (
@@ -41,8 +41,7 @@ const maxTokenBytes = 512
 var ErrAuth = errors.New("transport: authentication failed")
 
 // tokenMagic opens the preamble frame; the version byte lets the framing
-// evolve without ambiguity against gob traffic (gob never starts a
-// connection with these bytes).
+// evolve.
 var tokenMagic = [3]byte{'G', 'B', 1}
 
 // presentToken writes the client side of the token preamble and waits for

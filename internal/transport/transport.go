@@ -67,8 +67,6 @@ type WorkRequest struct {
 	// coordinator (internal/jobs): the reply must come from that job's
 	// interval table. Empty means "any job" — a single-job coordinator
 	// ignores the field entirely, and a job table picks by fair share.
-	// Optional in both directions: old peers omit it and are served from
-	// the default job.
 	Job string
 }
 
@@ -92,8 +90,7 @@ type WorkReply struct {
 	// is a multi-tenant job table. A worker that asked with an empty
 	// WorkRequest.Job learns here which job it was routed to and must
 	// echo the value on every fold and report for this interval. Empty
-	// from single-job coordinators; old workers ignore it (they only
-	// ever talk to one job anyway).
+	// from single-job coordinators, so the echo costs them nothing.
 	Job string
 }
 
@@ -114,10 +111,8 @@ type UpdateRequest struct {
 	// region strictly interior to Remaining that the reporter vouches is
 	// fully explored — a sub-farmer's [C,B) hull fold overstates its
 	// fragmented table, and the gap lets the coordinator carve the
-	// explored hole out instead of re-issuing it as work. Optional in
-	// both directions: old senders omit it, old coordinators ignore it
-	// (the fold then keeps plain hull semantics), so mixed-version trees
-	// stay correct either way.
+	// explored hole out instead of re-issuing it as work. Optional: a
+	// fold without it keeps plain hull semantics.
 	HasGap bool
 	Gap    interval.Interval
 	// Content, when non-nil, is the true amount of unexplored ground (in
@@ -125,12 +120,12 @@ type UpdateRequest struct {
 	// of a fragmented table and can overstate its holdings by orders of
 	// magnitude; Content lets the coordinator value the copy honestly for
 	// size accounting, victim selection, and endgame detection. Advisory
-	// and optional in both directions: old senders omit it, old
-	// coordinators ignore it, and it never moves work by itself.
+	// and optional: it never moves work by itself.
 	Content *big.Int
 	// Job routes the fold to one job of a multi-tenant coordinator: the
 	// IntervalID namespace is per job, so a fold must name the table it
-	// folds into. Empty means the default job (what old workers are).
+	// folds into: the worker echoes WorkReply.Job. A job table rejects an
+	// untagged fold; a single-job coordinator ignores the field.
 	Job string
 }
 
@@ -149,8 +144,8 @@ type UpdateReply struct {
 	BestCost int64
 	// Hint, when non-nil, is a root-initiated steal hint (DESIGN.md §12):
 	// a summary of the work the coordinator still tracks beyond the
-	// updated copy. Optional in both directions — old peers omit it and
-	// ignore it — so its absence must never change caller behaviour.
+	// updated copy. Optional: only a coordinator built WithStealHints
+	// sends it, so its absence must never change caller behaviour.
 	Hint *StealHint
 }
 
@@ -179,8 +174,8 @@ type SolutionReport struct {
 	// Path is the rank path of the leaf (problem-independent form).
 	Path []int
 	// Job routes the report to one job's SOLUTION file on a multi-tenant
-	// coordinator — incumbents never cross jobs. Empty means the default
-	// job. Optional in both directions like WorkRequest.Job.
+	// coordinator — incumbents never cross jobs. Echoed from
+	// WorkReply.Job like UpdateRequest.Job.
 	Job string
 }
 
@@ -193,15 +188,15 @@ type SolutionAck struct {
 	Accepted bool
 }
 
-// BatchRequest coalesces one cadence worth of upstream traffic — solution
-// report, interval fold (with retire expressed as an empty Remaining), and
-// work refill — into a single round-trip. Flat deployments keep the three
-// separate calls; the batch exists for the hierarchical tree, where a
-// sub-farmer's cadence would otherwise pay two to four WAN round-trips.
-// The batch deliberately carries no Job field: a sub-farmer binds to one
-// job for its lifetime (its local table must be one partition fragment),
-// so its upstream leg is single-job by construction and the server-side
-// decomposition routes it to the default job.
+// BatchRequest is one sub-farmer cadence worth of upstream traffic —
+// solution report, interval fold (with retire expressed as an empty
+// Remaining), and work refill — as a single message: one round-trip over
+// a BatchCoordinator, up to three calls against any other Coordinator
+// (see Exchange). Workers keep the three separate calls; the batch exists
+// for the hierarchical tree, where a sub-farmer's cadence would otherwise
+// pay two to four WAN round-trips. The batch deliberately carries no Job
+// field: a sub-farmer's local table must be one partition fragment, so
+// its parent is a single-job coordinator by construction.
 type BatchRequest struct {
 	// Worker and Power are as in WorkRequest/UpdateRequest.
 	Worker WorkerID
@@ -214,7 +209,7 @@ type BatchRequest struct {
 	ExploredDelta, PrunedDelta, LeavesDelta int64
 	// HasFoldGap/FoldGap mirror UpdateRequest.HasGap/Gap for the fold
 	// leg: an explored hole interior to Remaining the coordinator may
-	// carve out. Optional in both directions, like the steal hint.
+	// carve out.
 	HasFoldGap bool
 	FoldGap    interval.Interval
 	// FoldContent mirrors UpdateRequest.Content for the fold leg.
@@ -247,19 +242,80 @@ type BatchReply struct {
 	// reports it; the last one wins, and they are monotone anyway).
 	BestCost int64
 	// Hint mirrors UpdateReply.Hint for the fold leg (optional, may be
-	// nil; old peers omit and ignore it).
+	// nil).
 	Hint *StealHint
 }
 
 // BatchCoordinator is the optional coalescing extension of Coordinator.
-// The RPC transport implements it end to end (an old coordinator answers
-// "can't find method", which callers treat as "speak the three-call
-// protocol"); in-process coordinators need not bother, because a batch
-// over a function call saves nothing.
+// The RPC transport implements it end to end; in-process coordinators need
+// not bother, because a batch over a function call saves nothing — Exchange
+// decomposes it for them.
 type BatchCoordinator interface {
 	// Exchange runs report, fold, and refill — whichever the request
 	// enables, in that order — in one round-trip.
 	Exchange(req BatchRequest) (BatchReply, error)
+}
+
+// Exchange runs one batch against any coordinator: a BatchCoordinator gets
+// it in one round-trip, any other Coordinator gets the legs as separate
+// calls — which is also how the RPC server executes a batch it received.
+// Leg order is report, fold, refill, and a fold that learns the resolution
+// is finished suppresses the refill. A failing leg fails the batch with the
+// earlier legs delivered; every leg is retry-safe, so the caller just
+// resends the whole batch.
+func Exchange(coord Coordinator, req BatchRequest) (BatchReply, error) {
+	if bc, ok := coord.(BatchCoordinator); ok {
+		return bc.Exchange(req)
+	}
+	var reply BatchReply
+	if req.HasReport {
+		ack, err := coord.ReportSolution(SolutionReport{
+			Worker: req.Worker, Cost: req.Cost, Path: req.Path,
+		})
+		if err != nil {
+			return reply, err
+		}
+		reply.BestCost = ack.BestCost
+	}
+	if req.HasFold {
+		ur, err := coord.UpdateInterval(UpdateRequest{
+			Worker:        req.Worker,
+			IntervalID:    req.FoldID,
+			Remaining:     req.Remaining,
+			Power:         req.Power,
+			ExploredDelta: req.ExploredDelta,
+			PrunedDelta:   req.PrunedDelta,
+			LeavesDelta:   req.LeavesDelta,
+			HasGap:        req.HasFoldGap,
+			Gap:           req.FoldGap,
+			Content:       req.FoldContent,
+		})
+		if err != nil {
+			return reply, err
+		}
+		reply.HasFold = true
+		reply.Finished = ur.Finished
+		reply.Known = ur.Known
+		reply.Interval = ur.Interval
+		reply.BestCost = ur.BestCost
+		reply.Hint = ur.Hint
+	}
+	if req.WantWork && !reply.Finished {
+		wr, err := coord.RequestWork(WorkRequest{Worker: req.Worker, Power: req.Power})
+		if err != nil {
+			return reply, err
+		}
+		reply.HasWork = true
+		reply.Status = wr.Status
+		reply.IntervalID = wr.IntervalID
+		reply.WorkInterval = wr.Interval
+		reply.Duplicated = wr.Duplicated
+		reply.BestCost = wr.BestCost
+		if wr.Status == WorkFinished {
+			reply.Finished = true
+		}
+	}
+	return reply, nil
 }
 
 // Coordinator is the farmer-side API workers pull on. Implementations must

@@ -1,6 +1,6 @@
-// The compact wire codec (DESIGN.md §11): a drop-in replacement for the
-// text-gob net/rpc stream that cuts an UpdateInterval round from ~350
-// bytes to a few tens. Three mechanisms stack:
+// The wire codec (DESIGN.md §11): the one dialect net/rpc speaks here. An
+// UpdateInterval round costs a few tens of bytes, against ~350 for the
+// reflective gob stream it replaced. Three mechanisms stack:
 //
 //   - intervals go as binary deltas against a reference range negotiated
 //     at connection time (interval.AppendDelta; the server's WireRef,
@@ -18,13 +18,13 @@
 // the srvConn/cliConn byte windows carries over (the windows themselves
 // still run beneath this codec).
 //
-// Negotiation: after authentication the client sends wirePreamble, whose
-// lead byte 0x00 can never begin a gob stream (a gob message length is
-// never zero), so a new server distinguishes the two dialects from the
-// first byte. A new server answers with an ack and the reference
-// interval; an old server trips over the preamble and closes, and the
-// client re-dials speaking plain text-gob — old and new peers interoperate
-// in both directions with no configuration.
+// Negotiation: after authentication the client sends wirePreamble and the
+// server answers with an ack and the reference interval; a connection
+// that opens with anything else is closed. Forward compatibility lives in
+// two places and costs nothing: the preamble's version byte, and the
+// optional fields of a frame, which trail its fixed layout behind flag or
+// ext bits — a decoder skips bits it does not know and bytes it does not
+// reach.
 package transport
 
 import (
@@ -41,9 +41,8 @@ import (
 	"repro/internal/interval"
 )
 
-// wirePreamble opens a compact-codec connection, after authentication.
-// The lead 0x00 is unambiguous against gob: a gob stream begins with a
-// message length, which is never zero.
+// wirePreamble opens every connection, after authentication: a zero lead
+// byte, the magic, and the dialect version.
 var wirePreamble = [5]byte{0x00, 'G', 'B', 'W', 1}
 
 // wireAck is the server's one-byte acceptance of the preamble, followed
@@ -268,9 +267,8 @@ func appendWireRequestBody(dst []byte, ref interval.Interval, x any) (body []byt
 	case *WorkRequest:
 		dst = appendWireStr(dst, string(q.Worker))
 		dst = binary.AppendVarint(dst, q.Power)
-		// Job trails the PR-7 fixed layout behind an ext bitmask byte
-		// (1 = job id), the same mixed-version discipline as the fold
-		// extensions: an old decoder stops at Power and never sees it.
+		// Job trails the fixed layout behind an ext bitmask byte (1 = job
+		// id), so an untagged request is exactly the fixed layout.
 		if q.Job != "" {
 			dst = append(dst, 1)
 			dst = appendWireStr(dst, q.Job)
@@ -286,8 +284,7 @@ func appendWireRequestBody(dst []byte, ref interval.Interval, x any) (body []byt
 		dst = binary.AppendVarint(dst, q.PrunedDelta)
 		dst = binary.AppendVarint(dst, q.LeavesDelta)
 		// Extensions trail the fixed layout behind a bitmask byte (1 = gap,
-		// 2 = content): an old decoder stops at LeavesDelta and ignores the
-		// trailing bytes, so both folds are optional in both directions.
+		// 2 = content, 4 = job id); a fold with none is the fixed layout.
 		ext := byte(0)
 		if q.HasGap {
 			ext |= 1
@@ -350,9 +347,7 @@ func appendWireRequestBody(dst []byte, ref interval.Interval, x any) (body []byt
 			dst = binary.AppendVarint(dst, q.Cost)
 			dst = appendWirePath(dst, q.Path)
 		}
-		// Trailing gap and content, same mixed-version discipline as the
-		// reply hints: an old decoder ignores the unknown flag bits and
-		// these bytes.
+		// Gap and content trail the legs, each behind its flag bit.
 		if q.HasFoldGap {
 			dst = q.FoldGap.AppendDelta(dst, ref)
 		}
@@ -394,9 +389,8 @@ func decodeWireRequestBody(r *wireReader, ref interval.Interval, x any) (interva
 		q.PrunedDelta = r.varint()
 		q.LeavesDelta = r.varint()
 		// Optional trailing extensions behind a bitmask byte: 1 = delta-coded
-		// gap interval, 2 = fold-content length. Unknown bits are future
-		// extensions this decoder ignores, exactly as an old decoder ignores
-		// these.
+		// gap interval, 2 = fold-content length, 4 = job id. Unknown bits are
+		// future extensions this decoder ignores, with whatever trails them.
 		if r.err == nil && r.pos < len(r.data) {
 			ext := r.byte()
 			if ext&1 != 0 {
@@ -477,8 +471,7 @@ func appendWireReplyBody(dst []byte, ref interval.Interval, x any, elideWant []b
 		dst = p.Interval.AppendDelta(dst, ref)
 		dst = binary.AppendVarint(dst, p.BestCost)
 		dst = append(dst, wireBool(p.Duplicated))
-		// Job trails the PR-7 fixed layout behind an ext byte: an old
-		// worker stops at Duplicated and never sees the routing tag.
+		// Job trails the fixed layout behind an ext byte, like WorkRequest.
 		if p.Job != "" {
 			dst = append(dst, 1)
 			dst = appendWireStr(dst, p.Job)
@@ -504,9 +497,7 @@ func appendWireReplyBody(dst []byte, ref interval.Interval, x any, elideWant []b
 			dst = append(dst, enc...)
 		}
 		dst = binary.AppendVarint(dst, p.BestCost)
-		// The hint trails the fixed layout: an old decoder stops at
-		// BestCost and ignores both the unknown flag bit and these bytes,
-		// which is exactly the "optional in both directions" contract.
+		// The hint trails the fixed layout behind its flag bit.
 		if p.Hint != nil {
 			dst = binary.AppendVarint(dst, p.Hint.Others)
 			dst = binary.AppendVarint(dst, p.Hint.RichestBits)
@@ -544,7 +535,7 @@ func appendWireReplyBody(dst []byte, ref interval.Interval, x any, elideWant []b
 			dst = p.WorkInterval.AppendDelta(dst, ref)
 		}
 		dst = binary.AppendVarint(dst, p.BestCost)
-		// Trailing hint, same mixed-version discipline as UpdateReply.
+		// Trailing hint, as in UpdateReply.
 		if p.Hint != nil {
 			dst = binary.AppendVarint(dst, p.Hint.Others)
 			dst = binary.AppendVarint(dst, p.Hint.RichestBits)
@@ -843,11 +834,9 @@ func (c *wireClientCodec) ReadResponseBody(x any) error {
 
 func (c *wireClientCodec) Close() error { return c.conn.Close() }
 
-// negotiateCompact runs the client half of the dialect negotiation over
-// an authenticated connection and returns the compact codec on success.
-// Any failure — most commonly an old server closing the connection at the
-// sight of the preamble — leaves the connection unusable; the caller
-// closes it and re-dials plain gob.
+// negotiateCompact runs the client half of the negotiation over an
+// authenticated connection and returns the codec. Any failure leaves the
+// connection unusable; the caller closes it.
 func negotiateCompact(conn io.ReadWriteCloser, max int64) (*wireClientCodec, error) {
 	if _, err := conn.Write(wirePreamble[:]); err != nil {
 		return nil, err
@@ -876,20 +865,4 @@ func negotiateCompact(conn io.ReadWriteCloser, max int64) (*wireClientCodec, err
 		return nil, fmt.Errorf("wire: bad reference interval: %v", err)
 	}
 	return newWireClientCodec(conn, br, ref, max), nil
-}
-
-// prefixedConn replays sniffed bytes before the underlying stream, so the
-// server's one-byte dialect sniff is invisible to the gob path.
-type prefixedConn struct {
-	io.ReadWriteCloser
-	prefix []byte
-}
-
-func (p *prefixedConn) Read(b []byte) (int, error) {
-	if len(p.prefix) > 0 {
-		n := copy(b, p.prefix)
-		p.prefix = p.prefix[n:]
-		return n, nil
-	}
-	return p.ReadWriteCloser.Read(b)
 }

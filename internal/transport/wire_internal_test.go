@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"math/big"
 	"net"
 	"net/rpc"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -122,5 +125,131 @@ func TestWireServerSurvivesUnknownMethodID(t *testing.T) {
 	}
 	if reply.Status != WorkAssigned || reply.IntervalID != 7 || reply.BestCost != 42 {
 		t.Fatalf("reply after unknown frame = %+v", reply)
+	}
+}
+
+// TestWireFrameExtensions pins the one forward-compatibility mechanism of
+// the codec: optional fields trail a frame's fixed layout behind flag or
+// ext bits. For every message that has optionals the table checks that a
+// frame without them is exactly the committed fixed layout (so single-job,
+// hint-less traffic never grows) and decodes with the optionals zero; that
+// the optionals — Job tags on all three worker messages and the work
+// reply, gap/content, steal hints — round-trip; and that a set-but-unknown
+// bit and whatever trails the known fields are skipped, not rejected.
+func TestWireFrameExtensions(t *testing.T) {
+	ref := interval.FromInt64(0, 1_000_000)
+	gap := interval.FromInt64(40_000, 90_000)
+	hint := &StealHint{Others: 5, RichestBits: 31}
+	// future marks a frame as coming from a later dialect revision: an
+	// unknown bit set in the flag/ext byte at off (appended when the frame
+	// ends before it), and bytes no current decoder reaches.
+	future := func(off int) func([]byte) []byte {
+		return func(enc []byte) []byte {
+			if off == len(enc) {
+				enc = append(enc, 0)
+			}
+			enc[off] |= 0x80
+			return append(enc, 0xde, 0xad)
+		}
+	}
+	plainUpdate := &UpdateRequest{
+		Worker: "w", IntervalID: 4, Remaining: interval.FromInt64(5, 500),
+		Power: 9, ExploredDelta: 10, PrunedDelta: 11, LeavesDelta: 12,
+	}
+	fullUpdate := *plainUpdate
+	fullUpdate.HasGap, fullUpdate.Gap = true, gap
+	fullUpdate.Content, fullUpdate.Job = big.NewInt(123_456), "job-b"
+	jobUpdate := *plainUpdate
+	jobUpdate.Job = "job-e"
+	plainUpdateReply := &UpdateReply{Known: true, Interval: interval.FromInt64(5, 500), BestCost: 3}
+	plainBatch := &BatchRequest{
+		Worker: "s", Power: 2, HasFold: true, FoldID: 3, Remaining: interval.FromInt64(1000, 800_000),
+		ExploredDelta: 5, HasReport: true, Cost: 1109, Path: []int{3, 1, 2}, WantWork: true,
+	}
+	fullBatch := *plainBatch
+	fullBatch.HasFoldGap, fullBatch.FoldGap, fullBatch.FoldContent = true, gap, big.NewInt(424_242)
+	plainBatchReply := &BatchReply{
+		HasFold: true, Known: true, Interval: interval.FromInt64(50, 600),
+		HasWork: true, Status: WorkAssigned, IntervalID: 9, WorkInterval: interval.FromInt64(600, 900),
+		Duplicated: true, BestCost: 42,
+	}
+	hintedBatchReply := *plainBatchReply
+	hintedBatchReply.Hint = hint
+
+	for _, tc := range []struct {
+		name string
+		msg  any                 // encoded
+		wire func([]byte) []byte // rewrites the encoding before the decode
+		want any                 // what the decode must equal; nil means msg
+		hex  string              // committed encoding of msg; "" skips the check
+	}{
+		{name: "WorkRequest", msg: &WorkRequest{Worker: "w", Power: 1}, hex: "017702"},
+		{name: "WorkRequest+job", msg: &WorkRequest{Worker: "w-1", Power: 640, Job: "job-a"}},
+		{name: "WorkRequest+future", msg: &WorkRequest{Worker: "w", Power: 1}, wire: future(3)},
+		{name: "UpdateRequest", msg: plainUpdate, hex: "0177080205060f404c12141618"},
+		{name: "UpdateRequest+gap+content+job", msg: &fullUpdate},
+		{name: "UpdateRequest+job", msg: &jobUpdate},
+		{name: "UpdateRequest+future", msg: plainUpdate, wire: future(13)},
+		{name: "UpdateRequest+job+future", msg: &jobUpdate, wire: future(13)},
+		{name: "SolutionReport", msg: &SolutionReport{Worker: "w", Cost: 1, Path: []int{1}}, hex: "0177020102"},
+		{name: "SolutionReport+job", msg: &SolutionReport{Worker: "w-3", Cost: 42, Path: []int{1, 2, 3}, Job: "job-c"}},
+		{name: "SolutionReport+future", msg: &SolutionReport{Worker: "w", Cost: 1, Path: []int{1}}, wire: future(5)},
+		{name: "WorkReply", msg: &WorkReply{Status: WorkWait}, hex: "020000060f42400000"},
+		{name: "WorkReply+job", msg: &WorkReply{Status: WorkAssigned, IntervalID: 9, Interval: interval.FromInt64(50, 500), BestCost: 7, Duplicated: true, Job: "job-d"}},
+		{name: "WorkReply+future", msg: &WorkReply{Status: WorkWait}, wire: future(9)},
+		{name: "UpdateReply", msg: plainUpdateReply, hex: "020205060f404c06"},
+		{name: "UpdateReply+hint", msg: &UpdateReply{Known: true, Interval: interval.FromInt64(5, 500), BestCost: 3, Hint: hint}},
+		{name: "UpdateReply+future", msg: plainUpdateReply, wire: future(0)},
+		{name: "BatchRequest", msg: plainBatch, hex: "01730407060403e806030d400a0000aa1103060204"},
+		{name: "BatchRequest+gap+content", msg: &fullBatch},
+		{name: "BatchRequest+future", msg: plainBatch, wire: future(3)},
+		{name: "BatchReply", msg: plainBatchReply, hex: "1d0232060f3fe80012040258060f3ebc54"},
+		{name: "BatchReply+hint", msg: &hintedBatchReply},
+		{name: "BatchReply+future", msg: plainBatchReply, wire: future(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			encode := func(x any) []byte {
+				t.Helper()
+				var enc []byte
+				var err error
+				switch x.(type) {
+				case *WorkReply, *UpdateReply, *BatchReply:
+					enc, err = appendWireReplyBody(nil, ref, x, nil)
+				default:
+					enc, _, err = appendWireRequestBody(nil, ref, x)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return enc
+			}
+			enc := encode(tc.msg)
+			if tc.hex != "" && hex.EncodeToString(enc) != tc.hex {
+				t.Fatalf("frame without optionals = %x, committed layout is %s", enc, tc.hex)
+			}
+			if tc.wire != nil {
+				enc = tc.wire(enc)
+			}
+			got := reflect.New(reflect.TypeOf(tc.msg).Elem()).Interface()
+			r := &wireReader{data: enc}
+			switch got.(type) {
+			case *WorkReply, *UpdateReply, *BatchReply:
+				decodeWireReplyBody(r, ref, got, nil)
+			default:
+				decodeWireRequestBody(r, ref, got)
+			}
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			// Decoded and expected values are compared through their
+			// canonical encoding, which covers every field on the wire.
+			want := tc.want
+			if want == nil {
+				want = tc.msg
+			}
+			if !bytes.Equal(encode(got), encode(want)) {
+				t.Fatalf("decoded %+v, want %+v", got, want)
+			}
+		})
 	}
 }

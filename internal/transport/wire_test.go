@@ -3,9 +3,8 @@ package transport_test
 import (
 	"crypto/tls"
 	"fmt"
+	"io"
 	"net"
-	"net/rpc"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,64 +15,6 @@ import (
 	"repro/internal/interval"
 	"repro/internal/transport"
 )
-
-// legacyCoordinator is the PR-6 service surface: the three-call protocol
-// only, no Exchange frame. Served over plain text-gob with no dialect
-// sniff, it is the "old root" end of the mixed-version matrix.
-type legacyCoordinator struct{ coord transport.Coordinator }
-
-func (l *legacyCoordinator) RequestWork(req *transport.WorkRequest, reply *transport.WorkReply) error {
-	r, err := l.coord.RequestWork(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
-}
-
-func (l *legacyCoordinator) UpdateInterval(req *transport.UpdateRequest, reply *transport.UpdateReply) error {
-	r, err := l.coord.UpdateInterval(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
-}
-
-func (l *legacyCoordinator) ReportSolution(req *transport.SolutionReport, reply *transport.SolutionAck) error {
-	r, err := l.coord.ReportSolution(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
-}
-
-// legacyServe runs coord behind an old-vintage rpc server: gob streams
-// only, closing any connection that opens with bytes gob cannot parse —
-// exactly what a compact-dialect preamble looks like to it.
-func legacyServe(t *testing.T, coord transport.Coordinator) string {
-	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("GridBB", &legacyCoordinator{coord}); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(c)
-		}
-	}()
-	return ln.Addr().String()
-}
 
 // waitFor polls cond until it holds or the deadline lapses.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -87,13 +28,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestCompactRoundTrip: the compact dialect carries every protocol message
-// over a real TCP hop with the same results as text-gob, at 50-job
-// big.Int scale — including the steady-state reply elision (the folded
-// interval comes back bound-exact even though it never crossed the wire)
-// and the non-elided Known=false path. A plain gob client shares the same
-// server throughout: the dialects coexist per connection.
-func TestCompactRoundTrip(t *testing.T) {
+// TestWireRoundTrip: the wire codec carries every protocol message over a
+// real TCP hop bound-exact at 50-job big.Int scale — including the
+// steady-state reply elision (the folded interval comes back exact even
+// though it never crossed the wire) and the non-elided Known=false path.
+func TestWireRoundTrip(t *testing.T) {
 	nb := core.NewNumbering(flowshop.NewProblem(flowshop.Ta056(), flowshop.BoundOneMachine, flowshop.PairsAll).Shape())
 	root := nb.RootRange()
 	f := farmer.New(root)
@@ -102,7 +41,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{Compact: true})
+	c, err := transport.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +55,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatalf("status = %v", reply.Status)
 	}
 	if !reply.Interval.Equal(root) {
-		t.Fatalf("assigned %v over the compact wire, want %v", reply.Interval, root)
+		t.Fatalf("assigned %v over the wire, want %v", reply.Interval, root)
 	}
 
 	ack, err := c.ReportSolution(transport.SolutionReport{Worker: "remote", Cost: 4000, Path: []int{1, 2, 3}})
@@ -143,13 +82,13 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !up.Known {
-		t.Fatal("interval unknown after compact update")
+		t.Fatal("interval unknown after the update")
 	}
 	if !up.Interval.Equal(remaining) {
 		t.Fatalf("elided reply restored as %v, want %v", up.Interval, remaining)
 	}
 	if up.BestCost != 4000 {
-		t.Fatalf("best over the compact wire = %d", up.BestCost)
+		t.Fatalf("best over the wire = %d", up.BestCost)
 	}
 
 	// Unknown id: the reply differs from the fold (Known=false, empty
@@ -163,29 +102,12 @@ func TestCompactRoundTrip(t *testing.T) {
 	if up2.Known {
 		t.Fatal("bogus interval id reported known")
 	}
-
-	// A text-gob client on the same server, mid-stream: negotiation is per
-	// connection, not per process.
-	g, err := transport.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	gu, err := g.UpdateInterval(transport.UpdateRequest{
-		Worker: "remote", IntervalID: reply.IntervalID, Remaining: remaining, Power: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gu.Known || gu.BestCost != 4000 {
-		t.Fatalf("gob client beside a compact one: %+v", gu)
-	}
 }
 
-// TestCompactExchangeBatch: the coalesced Exchange frame over the compact
-// wire — refill-only, fold+report, and the retire-and-refill round that
+// TestWireExchangeBatch: the coalesced Exchange frame over the wire —
+// refill-only, fold+report, and the retire-and-refill round that
 // discovers global termination in the same trip.
-func TestCompactExchangeBatch(t *testing.T) {
+func TestWireExchangeBatch(t *testing.T) {
 	root := interval.FromInt64(0, 1_000_000)
 	f := farmer.New(root)
 	srv, err := transport.ServeWith(f, "127.0.0.1:0", transport.ServerOptions{WireRef: root})
@@ -193,7 +115,7 @@ func TestCompactExchangeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{Compact: true})
+	c, err := transport.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,34 +160,48 @@ func TestCompactExchangeBatch(t *testing.T) {
 	}
 }
 
-// TestCompactFallsBackToTextGob: a Compact dial against an old text-gob
-// server survives — the server closes the preamble connection, the client
-// re-dials speaking gob, and the calls work. The batch frame then fails
-// with the rpc "can't find" ServerError, which is the documented signal
-// to speak the three-call protocol.
-func TestCompactFallsBackToTextGob(t *testing.T) {
-	f := testFarmer()
-	addr := legacyServe(t, f)
-	c, err := transport.DialWith(addr, transport.DialOptions{Compact: true})
-	if err != nil {
-		t.Fatalf("compact dial against an old server: %v", err)
-	}
-	defer c.Close()
-	reply, err := c.RequestWork(transport.WorkRequest{Worker: "w", Power: 1})
+// TestNonPreamblePeerIsDropped: a connection that does not open with the
+// wire preamble — a wrong first byte, or the right magic with a version
+// this server does not speak — is closed and its slot freed, never handed
+// to the rpc layer; a client dialled afterwards on the same server is
+// served as usual. A peer that sends nothing at all is dropped by
+// authTimeout.
+func TestNonPreamblePeerIsDropped(t *testing.T) {
+	old := transport.SetAuthTimeout(300 * time.Millisecond)
+	defer transport.SetAuthTimeout(old)
+	srv, err := transport.Serve(testFarmer(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Status != transport.WorkAssigned {
-		t.Fatalf("status = %v", reply.Status)
+	defer srv.Close()
+
+	for name, opening := range map[string][]byte{
+		"gob-like first byte": {0x2f, 0xff, 0x81, 0x03, 0x01},
+		"unknown version":     {0x00, 'G', 'B', 'W', 2},
+		"silent":              nil,
+	} {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := nc.Read(make([]byte, 16)); err != io.EOF {
+			t.Fatalf("%s: read %d bytes, err %v — want the server to close without answering", name, n, err)
+		}
+		nc.Close()
+		waitFor(t, name+": the connection slot to be freed", func() bool { return srv.Stats().ActiveConns == 0 })
 	}
-	if _, err := c.Exchange(transport.BatchRequest{Worker: "w", Power: 1, WantWork: true}); err == nil {
-		t.Fatal("batch frame accepted by an old server")
-	} else if _, ok := err.(rpc.ServerError); !ok || !strings.Contains(err.Error(), "can't find") {
-		t.Fatalf("old-server batch error = %v, want the can't-find ServerError", err)
+
+	c, err := transport.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The connection survived the rejected frame.
-	if _, err := c.ReportSolution(transport.SolutionReport{Worker: "w", Cost: 5}); err != nil {
-		t.Fatalf("connection dead after rejected batch frame: %v", err)
+	defer c.Close()
+	if reply, err := c.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); err != nil || reply.Status != transport.WorkAssigned {
+		t.Fatalf("round-trip after the dropped peers: %+v %v", reply, err)
 	}
 }
 
@@ -282,7 +218,7 @@ func TestDialSharedMultiplexes(t *testing.T) {
 	}
 	defer srv.Close()
 
-	opts := transport.DialOptions{Compact: true, Share: true}
+	opts := transport.DialOptions{Share: true}
 	h1 := transport.DialShared(srv.Addr(), opts)
 	h2 := transport.DialShared(srv.Addr(), opts)
 	h3 := transport.DialShared(srv.Addr(), opts)
@@ -374,11 +310,11 @@ func TestEvictionPrefersUnauthenticated(t *testing.T) {
 }
 
 // TestRedialConcurrentCallsNotSerialized pins the PR-6 bug of Redial.call
-// holding the mutex across the RPC: two calls against a black-holed
+// holding the mutex across the RPC: two calls against a stalled
 // coordinator must time out CONCURRENTLY (elapsed ≈ one timeout), not
 // back to back (elapsed ≈ two timeouts).
 func TestRedialConcurrentCallsNotSerialized(t *testing.T) {
-	addr := blackholeListener(t)
+	addr := stalledServer(t)
 	r := transport.NewRedialWith(addr, transport.DialOptions{
 		Policy: transport.Policy{Timeout: time.Second},
 	})
@@ -398,7 +334,7 @@ func TestRedialConcurrentCallsNotSerialized(t *testing.T) {
 	elapsed := time.Since(start)
 	for i, err := range errs {
 		if err == nil {
-			t.Fatalf("call %d succeeded against a black hole", i)
+			t.Fatalf("call %d succeeded against a stalled coordinator", i)
 		}
 	}
 	if elapsed >= 1800*time.Millisecond {
@@ -410,7 +346,7 @@ func TestRedialConcurrentCallsNotSerialized(t *testing.T) {
 // bug — Close must return immediately while a call is mid-flight, and
 // closing the connection must unblock that call long before its deadline.
 func TestRedialCloseNotBlockedByInflightCall(t *testing.T) {
-	addr := blackholeListener(t)
+	addr := stalledServer(t)
 	r := transport.NewRedialWith(addr, transport.DialOptions{
 		Policy: transport.Policy{Timeout: 30 * time.Second},
 	})
@@ -430,7 +366,7 @@ func TestRedialCloseNotBlockedByInflightCall(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("in-flight call succeeded against a black hole")
+			t.Fatal("in-flight call succeeded against a stalled coordinator")
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("in-flight call still blocked after Close")

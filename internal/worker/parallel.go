@@ -76,6 +76,7 @@ type parallelWorker struct {
 	// round.
 	mu       sync.Mutex
 	best     bb.Solution
+	job      string       // WorkReply.Job of the held interval, echoed on folds and reports
 	pending  *bb.Solution // local improvement awaiting its ReportSolution
 	pushErr  error
 	messages struct{ requests, updates, reports int64 }
@@ -167,10 +168,11 @@ func (w *parallelWorker) flushReport() {
 		return
 	}
 	w.messages.reports++
+	job := w.job
 	w.mu.Unlock()
 	w.reportMu.Lock()
 	ack, err := w.coord.ReportSolution(transport.SolutionReport{
-		Worker: w.cfg.ID, Cost: sol.Cost, Path: sol.Path,
+		Worker: w.cfg.ID, Cost: sol.Cost, Path: sol.Path, Job: job,
 	})
 	w.reportMu.Unlock()
 	w.mu.Lock()
@@ -440,6 +442,9 @@ func (w *parallelWorker) run(ctx context.Context) (Result, error) {
 			case transport.WorkAssigned:
 				backoff = 10 * time.Millisecond
 				intervalID = reply.IntervalID
+				w.mu.Lock()
+				w.job = reply.Job
+				w.mu.Unlock()
 				w.assign(reply.Interval, reply.BestCost)
 				haveWork = true
 				continue
@@ -487,6 +492,7 @@ func (w *parallelWorker) run(ctx context.Context) (Result, error) {
 			ExploredDelta: stats.Explored - w.reported.Explored,
 			PrunedDelta:   stats.Pruned - w.reported.Pruned,
 			LeavesDelta:   stats.Leaves - w.reported.Leaves,
+			Job:           w.job,
 		})
 		if err != nil {
 			return w.result(), fmt.Errorf("worker %s: update interval: %w", w.cfg.ID, err)

@@ -96,7 +96,11 @@ type Session struct {
 	// hook back into pushSolution.
 	newEngine func(iv interval.Interval, bestCost int64) engine
 
-	intervalID  int64
+	intervalID int64
+	// job is the WorkReply.Job tag of the held interval, echoed on every
+	// fold and report so a multi-tenant coordinator routes them to the
+	// table the interval came from. Empty against a single-job coordinator.
+	job         string
 	haveWork    bool
 	finished    bool
 	sinceUpdate int64
@@ -262,7 +266,7 @@ func (s *Session) requestWork() (bool, error) {
 			s.ex.Reassign(reply.Interval)
 			s.ex.AdoptBest(reply.BestCost)
 		}
-		s.intervalID = reply.IntervalID
+		s.intervalID, s.job = reply.IntervalID, reply.Job
 		s.haveWork = true
 		s.sinceUpdate = 0
 		return true, nil
@@ -277,7 +281,7 @@ func (s *Session) requestWork() (bool, error) {
 func (s *Session) pushSolution(sol bb.Solution) {
 	s.Messages.Reports++
 	ack, err := s.coord.ReportSolution(transport.SolutionReport{
-		Worker: s.cfg.ID, Cost: sol.Cost, Path: sol.Path,
+		Worker: s.cfg.ID, Cost: sol.Cost, Path: sol.Path, Job: s.job,
 	})
 	if err != nil {
 		s.pushErr = fmt.Errorf("worker %s: report solution: %w", s.cfg.ID, err)
@@ -300,6 +304,7 @@ func (s *Session) update() error {
 		ExploredDelta: stats.Explored - s.reported.Explored,
 		PrunedDelta:   stats.Pruned - s.reported.Pruned,
 		LeavesDelta:   stats.Leaves - s.reported.Leaves,
+		Job:           s.job,
 	}
 	s.Messages.Updates++
 	reply, err := s.coord.UpdateInterval(req)
