@@ -96,10 +96,11 @@ type Session struct {
 	// hook back into pushSolution.
 	newEngine func(iv interval.Interval, bestCost int64) engine
 
-	intervalID int64
-	// job is the WorkReply.Job tag of the held interval, echoed on every
-	// fold and report so a multi-tenant coordinator routes them to the
-	// table the interval came from. Empty against a single-job coordinator.
+	// intervalID and job name the held interval to the coordinator: job is
+	// its WorkReply.Job tag, echoed on every fold and report so a
+	// multi-tenant coordinator routes them to the table the interval came
+	// from. Empty against a single-job coordinator.
+	intervalID  int64
 	job         string
 	haveWork    bool
 	finished    bool
