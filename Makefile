@@ -129,4 +129,6 @@ loc:
 	@echo "internal/gridsim   $$(find internal/gridsim -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/transport $$(find internal/transport -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/farmer    $$(find internal/farmer -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/worker    $$(find internal/worker -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/jobs      $$(find internal/jobs -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "whole tree         $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | $(LOC))"

@@ -1,12 +1,13 @@
 // Command worker joins a TCP farmer (cmd/farmer) or sub-farmer
 // (cmd/subfarmer) as one or more B&B processes — the paper's worker side:
 // pull-model messaging (works from behind firewalls and NATs), periodic
-// interval checkpointing, immediate solution push. Kill it any time: the
-// farmer's lease mechanism recovers its intervals from their last
-// checkpoint. If the coordinator goes away, the worker reconnects with
-// jittered exponential backoff and a bounded retry budget, so a farmer
-// restart is met by a trickle of staggered rejoins instead of a
-// thundering herd.
+// interval checkpointing, immediate solution push. Interrupt or terminate
+// it and it leaves gracefully, folding what it explored one last time; kill
+// it outright and the farmer's lease mechanism recovers its intervals from
+// their last checkpoint. If the coordinator goes away, the worker
+// reconnects with jittered exponential backoff and a bounded retry budget,
+// so a farmer restart is met by a trickle of staggered rejoins instead of
+// a thundering herd.
 //
 // The instance configuration must match the farmer's — like the paper's
 // deployment, problem data is distributed out of band and only intervals
@@ -26,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/gridbb"
@@ -108,7 +110,7 @@ func main() {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	var wg sync.WaitGroup
@@ -141,6 +143,11 @@ func main() {
 					return flowshop.NewProblem(ins, kind, flowshop.PairsAll)
 				})
 				explored += res.Stats.Explored
+				if ctx.Err() != nil && err != nil {
+					// err carries the final fold's failure, if any, beside
+					// the cancellation.
+					log.Printf("process %d: left on a final fold: %v", i, err)
+				}
 				if err == nil || ctx.Err() != nil {
 					log.Printf("process %d done in %s: explored %d nodes, %d updates, local best %s",
 						i, time.Since(start).Round(time.Second), explored, res.Updates, costString(res.Best.Cost))

@@ -5,40 +5,14 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/bb"
-	"repro/internal/jobs"
 	"repro/internal/transport"
 	"repro/internal/worker"
 )
 
-// hostSession is the simulator's view of a B&B process: the calls both
-// session types answer, plus the protocol messages sent so far.
-type hostSession interface {
-	Advance(budget int64) (explored int64, finished bool, err error)
-	HasWork() bool
-	Checkpoint() error
-	Stats() bb.Stats
-	Reported() bb.Stats
-	messages() messageTally
-}
-
-// messageTally is the Messages field both session types carry.
-type messageTally = struct{ Requests, Updates, Reports int64 }
-
-// flatSession and tenantSession adapt the two session types: the tally is
-// a field on both.
-type flatSession struct{ *worker.Session }
-
-func (s flatSession) messages() messageTally { return s.Messages }
-
-type tenantSession struct{ *jobs.WorkerSession }
-
-func (s tenantSession) messages() messageTally { return s.Messages }
-
 // host is one active processor hosting a B&B process.
 type host struct {
 	id      transport.WorkerID
-	session hostSession
+	session *worker.Session
 	rate    float64 // nodes per virtual second
 	credit  float64 // fractional node budget
 
@@ -76,7 +50,7 @@ type fleet struct {
 	idPrefix string
 	// start builds the session of a host joining on slot; cfg carries the
 	// id, power, update period and core count the fleet computed for it.
-	start func(slot int, cfg worker.Config) hostSession
+	start func(slot int, cfg worker.Config) *worker.Session
 
 	slots   []float64 // GHz per processor slot
 	cores   []int     // cores per processor slot (>= 1)
@@ -265,7 +239,7 @@ func (f *fleet) step(w *host, explTime float64) (n, budget int64, done bool, err
 // re-register its fold — it keeps the lease alive and bounds the work lost
 // to a crash (§4.1).
 func (f *fleet) maybeCheckpoint(w *host) error {
-	if u := w.session.messages().Updates; u > w.lastUpdateCount {
+	if u := w.session.Messages.Updates; u > w.lastUpdateCount {
 		// The session updated on its own (node-count cadence).
 		w.lastUpdateCount = u
 		w.lastUpdateSecs = f.nowSecs
@@ -277,7 +251,7 @@ func (f *fleet) maybeCheckpoint(w *host) error {
 	if err := w.session.Checkpoint(); err != nil {
 		return fmt.Errorf("gridsim: worker %s checkpoint: %w", w.id, err)
 	}
-	w.lastUpdateCount = w.session.messages().Updates
+	w.lastUpdateCount = w.session.Messages.Updates
 	w.lastUpdateSecs = f.nowSecs
 	return nil
 }

@@ -1,7 +1,7 @@
 // Multi-tenant grid simulation: the same volatile processor pool and
 // availability physics as Sim, but the coordinator is a jobs.Table holding
 // several concurrent resolutions and every simulated host runs the
-// multiplexing jobs.WorkerSession — one machine serves whichever tenant
+// multi-job worker.Session — one machine serves whichever tenant
 // fair share routes it to, switching trees between work units. This is the
 // acceptance substrate for the multi-tenant service: many jobs of mixed
 // domains sharing one fleet, each terminating at its proven optimum,
@@ -138,12 +138,10 @@ func NewMultiJob(cfg MultiJobConfig) (*MultiJobSim, error) {
 	s.fleet.tickSeconds = cfg.TickSeconds
 	s.fleet.nodesPerGHzPerSecond = cfg.NodesPerGHzPerSecond
 	s.fleet.updatePeriodSeconds = cfg.UpdatePeriodSeconds
-	// One machine serves whichever tenant fair share routes it to; the
-	// multi-job session has no shard engine, so cores scale only the rate.
-	s.fleet.start = func(slot int, wc worker.Config) hostSession {
-		return tenantSession{jobs.NewWorkerSession(jobs.WorkerConfig{
-			ID: wc.ID, Power: wc.Power, UpdatePeriodNodes: wc.UpdatePeriodNodes,
-		}, s.table, s.factories)}
+	// One machine serves whichever tenant fair share routes it to, on the
+	// real shard engine when the slot is multicore.
+	s.fleet.start = func(slot int, wc worker.Config) *worker.Session {
+		return worker.NewMultiJobSession(wc, s.table, s.factories)
 	}
 
 	if cfg.CheckpointDir != "" {

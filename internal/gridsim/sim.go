@@ -253,12 +253,12 @@ func New(cfg Config, factory func() bb.Problem) *Sim {
 // on the root farmer or — under a tree — on its slot's sub-farmer. A
 // multicore slot hosts the real shard engine, stepped deterministically
 // inside the session.
-func (s *Sim) startSession(slot int, cfg worker.Config) hostSession {
+func (s *Sim) startSession(slot int, cfg worker.Config) *worker.Session {
 	var coord transport.Coordinator = s.farmer
 	if len(s.subs) > 0 {
 		coord = s.subs[slot%len(s.subs)]
 	}
-	return flatSession{worker.NewShardedSession(cfg, coord, s.factory)}
+	return worker.NewShardedSession(cfg, coord, s.factory)
 }
 
 // Farmer exposes the coordinator (e.g. for mid-run inspection in tests).
@@ -322,7 +322,7 @@ func (s *Sim) Run() (Result, error) {
 					return s.result, err
 				}
 			}
-			m := w.session.messages()
+			m := w.session.Messages
 			msgs := m.Requests + m.Updates + m.Reports
 			w.pendingComm += float64(msgs-w.lastMsgs) * cfg.WorkerRTTSeconds
 			w.lastMsgs = msgs

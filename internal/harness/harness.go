@@ -38,6 +38,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/farmer"
 	"repro/internal/transport"
+	"repro/internal/worker"
 )
 
 // KillEvent schedules a worker crash: the session on Slot dies at Tick
@@ -286,17 +287,9 @@ func evalPath(p bb.Problem, path []int) (int64, error) {
 	return p.Cost(), nil
 }
 
-// session is what the driver needs of a worker process, single-job
-// (worker.Session) or multi-job (jobs.WorkerSession) alike.
-type session interface {
-	Advance(budget int64) (explored int64, finished bool, err error)
-	Stats() bb.Stats
-	Reported() bb.Stats
-}
-
 // slot is one worker seat of the grid.
 type slot struct {
-	sess     session
+	sess     *worker.Session
 	id       transport.WorkerID
 	gen      int // incarnation count, for unique ids across rejoins
 	rejoinAt int // tick to rejoin at; -1 = stay empty

@@ -23,6 +23,7 @@ import (
 	"repro/internal/interval"
 	"repro/internal/jobs"
 	"repro/internal/transport"
+	"repro/internal/worker"
 )
 
 // MultiJob is one tenant of a multi-job scenario.
@@ -120,8 +121,8 @@ func (t *jobTable) topology() topology {
 }
 
 // session starts a multi-job worker, heterogeneous by construction.
-func (t *jobTable) session(i int, id transport.WorkerID, coord transport.Coordinator) session {
-	return jobs.NewWorkerSession(jobs.WorkerConfig{
+func (t *jobTable) session(i int, id transport.WorkerID, coord transport.Coordinator) *worker.Session {
+	return worker.NewMultiJobSession(worker.Config{
 		ID:                id,
 		Power:             1 + int64(i),
 		UpdatePeriodNodes: t.sc.UpdatePeriodNodes,

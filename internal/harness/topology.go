@@ -27,7 +27,7 @@ type topology struct {
 	// job table, one per sub-farmer under a tree.
 	endpoints []transport.Coordinator
 	// session starts a fresh worker process for the slot on coord.
-	session func(slot int, id transport.WorkerID, coord transport.Coordinator) session
+	session func(slot int, id transport.WorkerID, coord transport.Coordinator) *worker.Session
 	// before runs the tick's scheduled coordinator events ahead of the
 	// fleet (root and sub-farmer restarts, disk corruption, job cancels);
 	// after runs behind it (the sub→root pulse). Either may be nil.
@@ -186,7 +186,7 @@ func (t *farmerTree) subCfg(i int) farmer.SubConfig {
 
 // session starts a single-job worker: heterogeneous by construction
 // (power grows with the slot), scaled by cores.
-func (t *farmerTree) session(i int, id transport.WorkerID, coord transport.Coordinator) session {
+func (t *farmerTree) session(i int, id transport.WorkerID, coord transport.Coordinator) *worker.Session {
 	return worker.NewShardedSession(worker.Config{
 		ID:                id,
 		Power:             (1 + int64(i)) * int64(max(t.sc.Cores, 1)),

@@ -24,9 +24,9 @@ func knapSpec(n int, seed int64) Spec {
 }
 
 // drain runs one mux worker session against the table to completion.
-func drain(t *testing.T, tb *Table, specs map[string]Spec) *WorkerSession {
+func drain(t *testing.T, tb *Table, specs map[string]Spec) *worker.Session {
 	t.Helper()
-	sess := NewWorkerSession(WorkerConfig{ID: "w0", Power: 100, UpdatePeriodNodes: 1 << 10},
+	sess := worker.NewMultiJobSession(worker.Config{ID: "w0", Power: 100, UpdatePeriodNodes: 1 << 10},
 		tb, SpecFactories(specs))
 	for i := 0; ; i++ {
 		_, fin, err := sess.Advance(1 << 14)
@@ -100,6 +100,36 @@ func TestSingleJobWorkerServesOneJobTable(t *testing.T) {
 		if c := tb.Counters(); c.InvalidJobIDs != 0 || c.UnknownJobs != 0 {
 			t.Fatalf("job %q: tagged traffic was rejected: %+v", id, c)
 		}
+	}
+
+	// Handed a second job, the one-problem worker stops with a
+	// configuration error naming both: same-shape instances pass every
+	// boundary check, so exploring on would report costs from the wrong
+	// tree under the second job's tag. Fair share sends it to B once a
+	// stronger helper holds the rest of A.
+	tb := NewTable(Config{})
+	for i, id := range []string{"A", "B"} {
+		if err := tb.Submit(id, knapSpec(18, int64(7+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := worker.NewSession(worker.Config{ID: "solo", Power: 50, UpdatePeriodNodes: 1 << 10},
+		tb, knapsack.NewProblem(knapsack.Random(18, 7)))
+	_, _, err := sess.Advance(0)
+	for _, helper := range []struct {
+		job   string
+		power int64
+	}{{"B", 60}, {"A", 1000}} {
+		rep, herr := tb.RequestWork(transport.WorkRequest{Worker: transport.WorkerID("on" + helper.job), Power: helper.power})
+		if herr != nil || rep.Job != helper.job {
+			t.Fatalf("helper meant for %s: %+v %v", helper.job, rep, herr)
+		}
+	}
+	for i := 0; err == nil && !sess.Finished() && i < 10_000; i++ {
+		_, _, err = sess.Advance(1 << 14)
+	}
+	if err == nil || !strings.Contains(err.Error(), `"A"`) || !strings.Contains(err.Error(), `"B"`) {
+		t.Fatalf("one-problem worker on a two-job table: err = %v, want a configuration error naming both jobs", err)
 	}
 
 	for _, ids := range [][]string{{"one"}, {"one", "two"}} {
@@ -268,7 +298,7 @@ func TestCancelResubmitResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Explore a little, fold, checkpoint, cancel.
-	sess := NewWorkerSession(WorkerConfig{ID: "w0", Power: 100, UpdatePeriodNodes: 256},
+	sess := worker.NewMultiJobSession(worker.Config{ID: "w0", Power: 100, UpdatePeriodNodes: 256},
 		tb, SpecFactories(map[string]Spec{"resume-me": spec}))
 	for i := 0; i < 4; i++ {
 		if _, _, err := sess.Advance(512); err != nil {
@@ -380,7 +410,7 @@ func TestCorruptJobQuarantined(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sess := NewWorkerSession(WorkerConfig{ID: "w0", Power: 100, UpdatePeriodNodes: 256},
+	sess := worker.NewMultiJobSession(worker.Config{ID: "w0", Power: 100, UpdatePeriodNodes: 256},
 		tb, SpecFactories(specs))
 	for i := 0; i < 6; i++ {
 		if _, _, err := sess.Advance(512); err != nil {

@@ -1,19 +1,15 @@
-// The multi-job worker: one process, one protocol endpoint, many trees.
-// A WorkerSession asks an untagged RequestWork ("give me whichever job is
-// starved"), learns the job from the reply tag, and keeps one explorer
-// per job it has ever served — numbering and incumbent are per tree, so
-// they can never be shared across jobs. Folds and solution reports echo
-// the job tag, which is what keeps the coordinator-side tables disjoint.
+// The multi-job worker: one process, one protocol endpoint, many trees. It
+// is worker.Session built over a job-id resolver — the session asks an
+// untagged RequestWork ("give me whichever job is starved"), learns the job
+// from the reply tag, keeps one engine per job it has ever served, and
+// echoes the tag on folds and solution reports, which is what keeps the
+// coordinator-side tables disjoint.
 package jobs
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/bb"
-	"repro/internal/core"
-	"repro/internal/interval"
 	"repro/internal/transport"
+	"repro/internal/worker"
 )
 
 // Factories resolves a job id to that job's problem constructor. A worker
@@ -37,266 +33,15 @@ func SpecFactories(specs map[string]Spec) Factories {
 	}
 }
 
-// WorkerConfig shapes a WorkerSession.
-type WorkerConfig struct {
-	// ID identifies the worker to the coordinator.
-	ID transport.WorkerID
-	// Power is the self-estimated speed in nodes per second.
-	Power int64
-	// UpdatePeriodNodes is the fold cadence per job; zero means 1<<16.
-	UpdatePeriodNodes int64
-}
+// WorkerSession, WorkerConfig and NewWorkerSession are the names the frozen
+// bench/tenants.go spells for worker.Session, worker.Config and
+// worker.NewMultiJobSession; nothing else may use them (ROADMAP item 3).
+type (
+	WorkerSession = worker.Session
+	WorkerConfig  = worker.Config
+)
 
-// jobEngine is one job's local exploration state.
-type jobEngine struct {
-	job        string
-	ex         *core.Explorer
-	intervalID int64
-	haveWork   bool
-	// sinceUpdate counts nodes explored since the last fold for this
-	// job; reported is what has already been shipped upstream.
-	sinceUpdate int64
-	reported    bb.Stats
-	// done records that the coordinator declared this job finished.
-	done bool
-}
-
-// WorkerSession drives one worker against a multi-tenant coordinator. It
-// is single-goroutine (like worker.Session); run one per goroutine for a
-// concurrent fleet.
-type WorkerSession struct {
-	cfg       WorkerConfig
-	coord     transport.Coordinator
-	factories Factories
-
-	engines map[string]*jobEngine
-	active  *jobEngine
-	// finished means the coordinator answered WorkFinished to an
-	// untagged request: the whole table is drained.
-	finished bool
-	pushErr  error
-
-	// Messages counts protocol exchanges.
-	Messages struct {
-		Requests, Updates, Reports int64
-	}
-}
-
-// NewWorkerSession builds a session over a coordinator.
+// NewWorkerSession is worker.NewMultiJobSession under its bench name.
 func NewWorkerSession(cfg WorkerConfig, coord transport.Coordinator, factories Factories) *WorkerSession {
-	if cfg.UpdatePeriodNodes <= 0 {
-		cfg.UpdatePeriodNodes = 1 << 16
-	}
-	return &WorkerSession{
-		cfg:       cfg,
-		coord:     coord,
-		factories: factories,
-		engines:   make(map[string]*jobEngine),
-	}
-}
-
-// Finished reports whether the coordinator declared the whole table over.
-func (s *WorkerSession) Finished() bool { return s.finished }
-
-// HasWork reports whether the session holds an interval right now.
-func (s *WorkerSession) HasWork() bool { return s.active != nil }
-
-// Advance explores up to budget nodes across whatever jobs the fair-share
-// rule routes this worker to, interleaving folds as they come due. A
-// (0, false, nil) return means the coordinator asked the worker to wait.
-func (s *WorkerSession) Advance(budget int64) (explored int64, finished bool, err error) {
-	if budget <= 0 && s.active == nil && !s.finished {
-		// Zero-budget calls still acquire work (simulator ticks on a
-		// slow host), mirroring worker.Session.
-		_, err := s.requestWork()
-		return 0, s.finished, err
-	}
-	for explored < budget && !s.finished {
-		if s.active == nil {
-			ok, err := s.requestWork()
-			if err != nil {
-				return explored, s.finished, err
-			}
-			if !ok {
-				return explored, s.finished, nil // wait
-			}
-			continue
-		}
-		st := s.active
-		slice := budget - explored
-		if due := s.cfg.UpdatePeriodNodes - st.sinceUpdate; due < slice {
-			slice = due
-		}
-		n, done := st.ex.Step(slice)
-		explored += n
-		st.sinceUpdate += n
-		if s.pushErr != nil {
-			err := s.pushErr
-			s.pushErr = nil
-			return explored, s.finished, err
-		}
-		if done || st.sinceUpdate >= s.cfg.UpdatePeriodNodes {
-			if err := s.update(st); err != nil {
-				return explored, s.finished, err
-			}
-		}
-	}
-	return explored, s.finished, nil
-}
-
-// requestWork asks for an interval from any job. It returns false with a
-// nil error when told to wait.
-func (s *WorkerSession) requestWork() (bool, error) {
-	s.Messages.Requests++
-	reply, err := s.coord.RequestWork(transport.WorkRequest{Worker: s.cfg.ID, Power: s.cfg.Power})
-	if err != nil {
-		return false, fmt.Errorf("worker %s: request work: %w", s.cfg.ID, err)
-	}
-	switch reply.Status {
-	case transport.WorkFinished:
-		s.finished = true
-		return false, nil
-	case transport.WorkWait:
-		return false, nil
-	case transport.WorkAssigned:
-		st, err := s.engine(reply.Job)
-		if err != nil {
-			return false, err
-		}
-		st.ex.Reassign(reply.Interval)
-		st.ex.AdoptBest(reply.BestCost)
-		st.intervalID = reply.IntervalID
-		st.haveWork = true
-		st.sinceUpdate = 0
-		st.done = false
-		s.active = st
-		return true, nil
-	default:
-		return false, fmt.Errorf("worker %s: unknown work status %v", s.cfg.ID, reply.Status)
-	}
-}
-
-// engine returns (building on first use) the per-job exploration state.
-func (s *WorkerSession) engine(jobID string) (*jobEngine, error) {
-	if st, ok := s.engines[jobID]; ok {
-		return st, nil
-	}
-	factory, ok := s.factories(jobID)
-	if !ok {
-		return nil, fmt.Errorf("worker %s: no problem factory for job %q", s.cfg.ID, jobID)
-	}
-	p := factory()
-	nb := core.NewNumbering(p.Shape())
-	st := &jobEngine{job: jobID}
-	st.ex = core.NewExplorer(p, nb, interval.Interval{}, bb.Infinity)
-	st.ex.OnImprove = func(sol bb.Solution) { s.pushSolution(st, sol) }
-	s.engines[jobID] = st
-	return st, nil
-}
-
-// pushSolution ships an improvement to the owning job's SOLUTION file
-// (rule 2 of §4.4, per job). It runs inside Explorer.Step; errors are
-// stashed and surfaced by Advance.
-func (s *WorkerSession) pushSolution(st *jobEngine, sol bb.Solution) {
-	s.Messages.Reports++
-	ack, err := s.coord.ReportSolution(transport.SolutionReport{
-		Worker: s.cfg.ID, Cost: sol.Cost, Path: sol.Path, Job: st.job,
-	})
-	if err != nil {
-		s.pushErr = fmt.Errorf("worker %s: report solution: %w", s.cfg.ID, err)
-		return
-	}
-	st.ex.AdoptBest(ack.BestCost)
-}
-
-// update folds one job's remaining interval upstream, tagged with the
-// job id so it lands in the right table.
-func (s *WorkerSession) update(st *jobEngine) error {
-	stats := st.ex.Stats()
-	req := transport.UpdateRequest{
-		Worker:        s.cfg.ID,
-		IntervalID:    st.intervalID,
-		Remaining:     st.ex.Remaining(),
-		Power:         s.cfg.Power,
-		ExploredDelta: stats.Explored - st.reported.Explored,
-		PrunedDelta:   stats.Pruned - st.reported.Pruned,
-		LeavesDelta:   stats.Leaves - st.reported.Leaves,
-		Job:           st.job,
-	}
-	s.Messages.Updates++
-	reply, err := s.coord.UpdateInterval(req)
-	if err != nil {
-		return fmt.Errorf("worker %s: update job %s: %w", s.cfg.ID, st.job, err)
-	}
-	st.reported = stats
-	st.sinceUpdate = 0
-	if !reply.Known {
-		st.ex.Reassign(interval.Interval{})
-		st.haveWork = false
-		st.done = reply.Finished
-		s.active = nil
-		return nil
-	}
-	st.ex.Restrict(reply.Interval)
-	st.ex.AdoptBest(reply.BestCost)
-	if reply.Finished {
-		st.done = true
-	}
-	if st.ex.Done() {
-		st.haveWork = false
-		s.active = nil
-	}
-	return nil
-}
-
-// Checkpoint folds every job that currently holds work — called before a
-// planned shutdown so nothing is re-explored on resume.
-func (s *WorkerSession) Checkpoint() error {
-	for _, id := range s.jobIDs() {
-		st := s.engines[id]
-		if !st.haveWork {
-			continue
-		}
-		if err := s.update(st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// jobIDs returns engine keys in sorted order, for deterministic sweeps.
-func (s *WorkerSession) jobIDs() []string {
-	ids := make([]string, 0, len(s.engines))
-	for id := range s.engines {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Stats sums local exploration counters across all jobs.
-func (s *WorkerSession) Stats() bb.Stats {
-	var out bb.Stats
-	for _, st := range s.engines {
-		out.Add(st.ex.Stats())
-	}
-	return out
-}
-
-// Reported sums the counters already shipped upstream; Stats minus
-// Reported is the work lost if this worker crashed right now.
-func (s *WorkerSession) Reported() bb.Stats {
-	var out bb.Stats
-	for _, st := range s.engines {
-		out.Add(st.reported)
-	}
-	return out
-}
-
-// JobStats returns one job's local exploration counters.
-func (s *WorkerSession) JobStats(jobID string) bb.Stats {
-	if st, ok := s.engines[jobID]; ok {
-		return st.ex.Stats()
-	}
-	return bb.Stats{}
+	return worker.NewMultiJobSession(cfg, coord, factories)
 }

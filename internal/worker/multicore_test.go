@@ -141,12 +141,12 @@ func TestMulticoreCrossCheck(t *testing.T) {
 					if _, _, err := m.sess.Advance(32 + rng.Int63n(512)); err != nil {
 						t.Fatalf("advance: %v", err)
 					}
-					if m.sess.ex == nil {
+					if m.sess.cur == nil {
 						continue // never assigned (resolution may already be over)
 					}
-					g, ok := m.sess.ex.(*shardEngine)
+					g, ok := m.sess.cur.ex.(*shardEngine)
 					if !ok {
-						t.Fatalf("session engine is %T, want *shardEngine", m.sess.ex)
+						t.Fatalf("session engine is %T, want *shardEngine", m.sess.cur.ex)
 					}
 					remainders := checkShardTiling(t, g)
 					if m.sess.Messages.Requests != m.requests {
@@ -234,7 +234,8 @@ func TestShardEngineStealsRebalance(t *testing.T) {
 	factory := func() bb.Problem { return knapsack.NewProblem(ins) }
 	nb := core.NewNumbering(factory().Shape())
 	root := nb.RootRange()
-	g := newShardEngine(factory, nb, 2, 128, root, bb.Infinity)
+	g := newShardEngine([]bb.Problem{factory(), factory()}, 128, nil)
+	g.Reassign(root)
 	// Kill shard 1's tile outright: it must immediately steal from shard 0.
 	g.shards[1].Reassign(interval.Interval{})
 	for i := 0; i < 1_000_000 && !g.Done(); i++ {

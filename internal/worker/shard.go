@@ -51,23 +51,21 @@ type shardEngine struct {
 	onImprove func(bb.Solution)
 }
 
-func newShardEngine(factory func() bb.Problem, nb *core.Numbering, cores int, stepSize int64, iv interval.Interval, bestCost int64) *shardEngine {
+// newShardEngine builds an idle engine with one shard per problem; Reassign
+// deals it an interval.
+func newShardEngine(probs []bb.Problem, stepSize int64, onImprove func(bb.Solution)) *shardEngine {
 	g := &shardEngine{
-		nb:      nb,
-		quantum: stepSize / int64(cores),
-		best:    bb.Solution{Cost: bestCost},
-		lo:      new(big.Int),
-		hi:      new(big.Int),
+		nb:        core.NewNumbering(probs[0].Shape()),
+		quantum:   max(stepSize/int64(len(probs)), 64),
+		best:      bb.Solution{Cost: bb.Infinity},
+		lo:        new(big.Int),
+		hi:        new(big.Int),
+		onImprove: onImprove,
 	}
-	if g.quantum < 64 {
-		g.quantum = 64
-	}
-	g.shards = make([]*core.Explorer, cores)
-	parts := g.tile(iv)
-	for i := range g.shards {
-		ex := core.NewExplorer(factory(), nb, parts[i], bestCost)
+	for _, p := range probs {
+		ex := core.NewExplorer(p, g.nb, interval.Interval{}, bb.Infinity)
 		ex.OnImprove = g.improve
-		g.shards[i] = ex
+		g.shards = append(g.shards, ex)
 	}
 	return g
 }

@@ -1,20 +1,24 @@
 // Package worker implements the B&B process of the paper's architecture
-// (§4): it hosts one interval-driven explorer (internal/core), speaks the
-// pull-model protocol of internal/transport, checkpoints its interval by
-// periodically re-registering its fold with the coordinator (§4.1), pushes
-// improving solutions immediately and pulls the global best regularly
-// (§4.4), and requests a new interval when it joins and whenever it
-// finishes one (§4.2).
+// (§4): it hosts an interval-driven exploration engine (internal/core),
+// speaks the pull-model protocol of internal/transport, checkpoints its
+// interval by periodically re-registering its fold with the coordinator
+// (§4.1), pushes improving solutions immediately and pulls the global best
+// regularly (§4.4), and requests a new interval when it joins and whenever
+// it finishes one (§4.2).
 //
-// The protocol logic lives in Session, a step-driven state machine: the
-// goroutine runtime (Run) and the discrete-event grid simulator
-// (internal/gridsim) drive the same code, so simulated statistics are
+// The protocol logic lives in Session, a step-driven state machine and the
+// only code on the worker side that builds a protocol message: the
+// goroutine runtimes (Run, RunParallel), the multi-job workers of
+// internal/jobs, the discrete-event grid simulator (internal/gridsim) and
+// the chaos harness all drive the same code, so simulated statistics are
 // produced by the real protocol, not a model of it.
 package worker
 
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/bb"
@@ -45,14 +49,14 @@ type Config struct {
 	// StepSize is the engine slice used by Run between context checks.
 	// Default 1<<12.
 	StepSize int64
-	// Cores is how many shard explorers this worker runs over a tiling of
-	// its assigned interval (the intra-worker multicore engine; see
-	// DESIGN.md §7). It only takes effect through the entry points that
-	// can supply one Problem instance per shard: NewShardedSession (the
-	// deterministic, step-driven form used by the simulator and the chaos
-	// harness) and RunParallel (the goroutine runtime used on real
-	// multicore hosts, where zero means runtime.GOMAXPROCS). Zero or one
-	// keeps the paper's single-explorer worker.
+	// Cores is how many shard explorers each job's engine runs over a
+	// tiling of its assigned interval (the intra-worker multicore engine;
+	// see DESIGN.md §7). It needs one Problem instance per shard, so
+	// NewSession, which is handed a single instance, ignores it. Sessions
+	// step the shards deterministically on the calling goroutine;
+	// RunParallel runs them on goroutines of their own, where zero means
+	// runtime.GOMAXPROCS. Zero or one keeps the paper's single-explorer
+	// worker.
 	Cores int
 }
 
@@ -69,8 +73,9 @@ func (c *Config) fillDefaults() {
 }
 
 // engine abstracts the exploration side of a session: the paper's single
-// interval-driven Explorer or the multicore shard engine that presents the
-// same fold/restrict surface over a tiling of the interval. Everything the
+// interval-driven Explorer, or a multicore shard engine (step-driven in
+// shard.go, on goroutines in parallel.go) that presents the same
+// fold/restrict surface over a tiling of the interval. Everything the
 // protocol state machine needs is here; *core.Explorer satisfies it as-is.
 type engine interface {
 	Step(budget int64) (explored int64, done bool)
@@ -80,37 +85,69 @@ type engine interface {
 	AdoptBest(cost int64)
 	Best() bb.Solution
 	Stats() bb.Stats
-	Done() bool
+}
+
+// jobState is one job's side of the session: numbering, incumbent and
+// counters are per tree, so nothing here is ever shared across jobs.
+type jobState struct {
+	// tag is the WorkReply.Job the engine was built for, echoed on every
+	// fold and report so a multi-tenant coordinator routes them to the
+	// table the interval came from. Empty against a plain farmer.
+	tag         string
+	ex          engine
+	intervalID  int64
+	sinceUpdate int64
+	reported    bb.Stats // stats already shipped to the coordinator
 }
 
 // Session is the worker's protocol state machine. Drive it with Advance.
-// Not safe for concurrent use.
+// Not safe for concurrent use: every coordinator call is made by the
+// goroutine driving it.
 type Session struct {
 	cfg   Config
 	coord transport.Coordinator
-	nb    *core.Numbering
-	ex    engine
 
-	// newEngine builds the exploration engine on the first assignment;
-	// it decides single-explorer vs sharded and wires the improvement
-	// hook back into pushSolution.
-	newEngine func(iv interval.Interval, bestCost int64) engine
+	// problems resolves a job tag to that job's problem constructor. A
+	// worker can only explore trees it can rebuild locally; an assignment
+	// for an unresolvable job is a configuration error. sole marks the
+	// one-problem session: its resolver binds the first tag it meets, and
+	// that job's Finished verdict ends the session. A multi-job session
+	// ends only when the coordinator answers WorkFinished.
+	problems func(job string) (func() bb.Problem, bool)
+	sole     bool
+	// concurrent selects the goroutine form of the shard engine.
+	concurrent bool
 
-	// intervalID and job name the held interval to the coordinator: job is
-	// its WorkReply.Job tag, echoed on every fold and report so a
-	// multi-tenant coordinator routes them to the table the interval came
-	// from. Empty against a single-job coordinator.
-	intervalID  int64
-	job         string
-	haveWork    bool
-	finished    bool
-	sinceUpdate int64
-	reported    bb.Stats // stats already shipped to the coordinator
-	pushErr     error
+	// jobs holds the state of every job served so far; cur is the one most
+	// recently assigned and haveWork says its interval is still held (a
+	// session holds at most one interval at a time).
+	jobs     map[string]*jobState
+	cur      *jobState
+	haveWork bool
+	finished bool
+	pushErr  error
 
 	// Messages counts protocol calls by kind, for tests and statistics.
 	Messages struct {
 		Requests, Updates, Reports int64
+	}
+}
+
+func newSession(cfg Config, coord transport.Coordinator, problems func(string) (func() bb.Problem, bool), sole bool) *Session {
+	cfg.fillDefaults()
+	return &Session{cfg: cfg, coord: coord, problems: problems, sole: sole, jobs: make(map[string]*jobState)}
+}
+
+// bindFirst is the one-problem resolver: the first job tag asked for is
+// bound to factory — a plain farmer's empty tag, or whatever id the
+// operator submitted the job under — and any other tag is refused.
+func bindFirst(factory func() bb.Problem) func(string) (func() bb.Problem, bool) {
+	bound, tag := false, ""
+	return func(job string) (func() bb.Problem, bool) {
+		if !bound {
+			bound, tag = true, job
+		}
+		return factory, job == tag
 	}
 }
 
@@ -119,14 +156,8 @@ type Session struct {
 // ignored here because one Problem instance can only back one shard — use
 // NewShardedSession with a factory for the multicore engine.
 func NewSession(cfg Config, coord transport.Coordinator, prob bb.Problem) *Session {
-	cfg.fillDefaults()
-	s := &Session{cfg: cfg, coord: coord, nb: core.NewNumbering(prob.Shape())}
-	s.newEngine = func(iv interval.Interval, bestCost int64) engine {
-		e := core.NewExplorer(prob, s.nb, iv, bestCost)
-		e.OnImprove = s.pushSolution
-		return e
-	}
-	return s
+	cfg.Cores = 1
+	return newSession(cfg, coord, bindFirst(func() bb.Problem { return prob }), true)
 }
 
 // NewShardedSession builds a session whose exploration engine runs
@@ -139,32 +170,17 @@ func NewSession(cfg Config, coord transport.Coordinator, prob bb.Problem) *Sessi
 // single-worker protocol — one fold, one power, one checkpoint. Cores <= 1
 // degenerates to the classic single-explorer session.
 func NewShardedSession(cfg Config, coord transport.Coordinator, factory func() bb.Problem) *Session {
-	if cfg.Cores <= 1 {
-		return NewSession(cfg, coord, factory())
-	}
-	cfg.fillDefaults()
-	probe := factory()
-	s := &Session{cfg: cfg, coord: coord, nb: core.NewNumbering(probe.Shape())}
-	fac := reuseFirst(probe, factory)
-	s.newEngine = func(iv interval.Interval, bestCost int64) engine {
-		g := newShardEngine(fac, s.nb, cfg.Cores, cfg.StepSize, iv, bestCost)
-		g.onImprove = s.pushSolution
-		return g
-	}
-	return s
+	return newSession(cfg, coord, bindFirst(factory), true)
 }
 
-// reuseFirst wraps factory so the instance already built to read Shape()
-// backs the first shard instead of being discarded (Problem construction
-// is not free — flowshop builds job matrices and Johnson pair orders).
-func reuseFirst(probe bb.Problem, factory func() bb.Problem) func() bb.Problem {
-	return func() bb.Problem {
-		if p := probe; p != nil {
-			probe = nil
-			return p
-		}
-		return factory()
-	}
+// NewMultiJobSession builds a session that serves whichever job the
+// coordinator's fair-share rule routes it to: it asks an untagged
+// RequestWork, learns the job from the reply tag, and keeps one engine
+// (sharded when cfg.Cores > 1) per job it has ever served, built from the
+// constructor problems resolves the tag to. It ends when the coordinator
+// answers WorkFinished — the whole table is drained.
+func NewMultiJobSession(cfg Config, coord transport.Coordinator, problems func(job string) (func() bb.Problem, bool)) *Session {
+	return newSession(cfg, coord, problems, false)
 }
 
 // SetPower refreshes the exploration-speed estimate reported to the
@@ -184,27 +200,49 @@ func (s *Session) Finished() bool { return s.finished }
 // HasWork reports whether the session currently holds an interval.
 func (s *Session) HasWork() bool { return s.haveWork }
 
-// Stats returns the cumulative exploration counters of the local engine.
+// Stats returns the cumulative exploration counters of the local engines,
+// summed over every job served.
 func (s *Session) Stats() bb.Stats {
-	if s.ex == nil {
-		return bb.Stats{}
+	var out bb.Stats
+	for _, st := range s.jobs {
+		out.Add(st.ex.Stats())
 	}
-	return s.ex.Stats()
+	return out
 }
 
-// Best returns the local best solution (which, thanks to sharing, tracks
-// the global best cost).
+// JobStats returns one job's local exploration counters.
+func (s *Session) JobStats(job string) bb.Stats {
+	if st, ok := s.jobs[job]; ok {
+		return st.ex.Stats()
+	}
+	return bb.Stats{}
+}
+
+// Reported returns the cumulative statistics already shipped to the
+// coordinator. The difference with Stats is the work that would be redone
+// if this worker crashed right now — the raw material of the paper's
+// redundant-node rate.
+func (s *Session) Reported() bb.Stats {
+	var out bb.Stats
+	for _, st := range s.jobs {
+		out.Add(st.reported)
+	}
+	return out
+}
+
+// Best returns the local best solution of the job most recently worked on
+// (which, thanks to sharing, tracks that job's global best cost).
 func (s *Session) Best() bb.Solution {
-	if s.ex == nil {
+	if s.cur == nil {
 		return bb.Solution{Cost: bb.Infinity}
 	}
-	return s.ex.Best()
+	return s.cur.ex.Best()
 }
 
 // Advance explores up to budget nodes, interleaving protocol exchanges as
 // they come due. It returns the number of nodes actually explored and
-// whether the whole resolution is finished. A (0, false, nil) return means
-// the coordinator asked the worker to wait.
+// whether the whole resolution is finished. A (0, false, nil) return
+// without work held means the coordinator asked the worker to wait.
 func (s *Session) Advance(budget int64) (explored int64, finished bool, err error) {
 	if budget <= 0 && !s.haveWork && !s.finished {
 		// A zero-budget call still acquires work, so a slow host (in a
@@ -225,22 +263,23 @@ func (s *Session) Advance(budget int64) (explored int64, finished bool, err erro
 			}
 			continue
 		}
-		slice := budget - explored
-		if due := s.cfg.UpdatePeriodNodes - s.sinceUpdate; due < slice {
-			slice = due
-		}
-		n, done := s.ex.Step(slice)
+		st := s.cur
+		slice := min(budget-explored, s.cfg.UpdatePeriodNodes-st.sinceUpdate)
+		n, done := st.ex.Step(slice)
 		explored += n
-		s.sinceUpdate += n
-		if s.pushErr != nil {
-			err := s.pushErr
-			s.pushErr = nil
+		st.sinceUpdate += n
+		if err := s.takePushErr(); err != nil {
 			return explored, s.finished, err
 		}
-		if done || s.sinceUpdate >= s.cfg.UpdatePeriodNodes {
+		if done || st.sinceUpdate >= s.cfg.UpdatePeriodNodes {
 			if err := s.update(); err != nil {
 				return explored, s.finished, err
 			}
+		} else if n == 0 {
+			// Only the goroutine engine's safety-net wait ends a step
+			// with nothing new: hand control back so the driver can look
+			// at its context.
+			break
 		}
 	}
 	return explored, s.finished, nil
@@ -261,81 +300,130 @@ func (s *Session) requestWork() (bool, error) {
 	case transport.WorkWait:
 		return false, nil
 	case transport.WorkAssigned:
-		if s.ex == nil {
-			s.ex = s.newEngine(reply.Interval, reply.BestCost)
-		} else {
-			s.ex.Reassign(reply.Interval)
-			s.ex.AdoptBest(reply.BestCost)
+		st, err := s.job(reply.Job)
+		if err != nil {
+			return false, err
 		}
-		s.intervalID, s.job = reply.IntervalID, reply.Job
-		s.haveWork = true
-		s.sinceUpdate = 0
+		st.ex.AdoptBest(reply.BestCost)
+		st.ex.Reassign(reply.Interval)
+		st.intervalID, st.sinceUpdate = reply.IntervalID, 0
+		s.cur, s.haveWork = st, true
 		return true, nil
 	default:
 		return false, fmt.Errorf("worker %s: unknown work status %v", s.cfg.ID, reply.Status)
 	}
 }
 
+// job returns the state of the tagged job, building its engine — idle,
+// with no incumbent — the first time the tag is met.
+func (s *Session) job(tag string) (*jobState, error) {
+	if st, ok := s.jobs[tag]; ok {
+		return st, nil
+	}
+	factory, ok := s.problems(tag)
+	if !ok {
+		serving := make([]string, 0, len(s.jobs))
+		for t := range s.jobs {
+			serving = append(serving, t)
+		}
+		sort.Strings(serving)
+		return nil, fmt.Errorf("worker %s: no problem for job %q (serving %q)", s.cfg.ID, tag, serving)
+	}
+	st := &jobState{tag: tag}
+	push := func(sol bb.Solution) { s.pushSolution(st, sol) }
+	probs := make([]bb.Problem, max(s.cfg.Cores, 1))
+	for i := range probs {
+		probs[i] = factory()
+	}
+	switch {
+	case len(probs) == 1:
+		ex := core.NewExplorer(probs[0], core.NewNumbering(probs[0].Shape()), interval.Interval{}, bb.Infinity)
+		ex.OnImprove = push
+		st.ex = ex
+	case s.concurrent:
+		st.ex = newParallelWorker(probs, s.cfg.StepSize, push)
+	default:
+		st.ex = newShardEngine(probs, s.cfg.StepSize, push)
+	}
+	s.jobs[tag] = st
+	return st, nil
+}
+
 // pushSolution implements rule 2 of solution sharing: improvements go to
-// the coordinator immediately. It runs inside Explorer.Step; errors are
-// stashed and surfaced by Advance.
-func (s *Session) pushSolution(sol bb.Solution) {
+// the coordinator immediately. It runs inside the engine's Step (or, for
+// the goroutine engine, its Remaining); errors are stashed and surfaced by
+// the caller of either.
+func (s *Session) pushSolution(st *jobState, sol bb.Solution) {
 	s.Messages.Reports++
 	ack, err := s.coord.ReportSolution(transport.SolutionReport{
-		Worker: s.cfg.ID, Cost: sol.Cost, Path: sol.Path, Job: s.job,
+		Worker: s.cfg.ID, Cost: sol.Cost, Path: sol.Path, Job: st.tag,
 	})
 	if err != nil {
 		s.pushErr = fmt.Errorf("worker %s: report solution: %w", s.cfg.ID, err)
 		return
 	}
-	s.ex.AdoptBest(ack.BestCost)
+	st.ex.AdoptBest(ack.BestCost)
 }
 
-// update re-registers the folded remaining interval (the worker checkpoint
-// of §4.1), ships statistics deltas, applies the intersected copy and the
-// shared best, and releases the interval when it is finished or was
-// retired by the coordinator.
+// takePushErr returns and clears a stashed report error.
+func (s *Session) takePushErr() error {
+	err := s.pushErr
+	s.pushErr = nil
+	return err
+}
+
+// update re-registers the folded remaining interval of the held job (the
+// worker checkpoint of §4.1), ships statistics deltas, applies the
+// intersected copy and the shared best, and releases the interval when it
+// is finished or was retired by the coordinator.
 func (s *Session) update() error {
-	stats := s.ex.Stats()
-	req := transport.UpdateRequest{
-		Worker:        s.cfg.ID,
-		IntervalID:    s.intervalID,
-		Remaining:     s.ex.Remaining(),
-		Power:         s.cfg.Power,
-		ExploredDelta: stats.Explored - s.reported.Explored,
-		PrunedDelta:   stats.Pruned - s.reported.Pruned,
-		LeavesDelta:   stats.Leaves - s.reported.Leaves,
-		Job:           s.job,
+	st := s.cur
+	// Fold before counting: an engine that keeps exploring during the call
+	// then never claims ground its counters have not paid for.
+	rem := st.ex.Remaining()
+	if err := s.takePushErr(); err != nil {
+		return err
 	}
+	stats := st.ex.Stats()
 	s.Messages.Updates++
-	reply, err := s.coord.UpdateInterval(req)
+	reply, err := s.coord.UpdateInterval(transport.UpdateRequest{
+		Worker:        s.cfg.ID,
+		IntervalID:    st.intervalID,
+		Remaining:     rem,
+		Power:         s.cfg.Power,
+		ExploredDelta: stats.Explored - st.reported.Explored,
+		PrunedDelta:   stats.Pruned - st.reported.Pruned,
+		LeavesDelta:   stats.Leaves - st.reported.Leaves,
+		Job:           st.tag,
+	})
 	if err != nil {
 		return fmt.Errorf("worker %s: update interval: %w", s.cfg.ID, err)
 	}
-	s.reported = stats
-	s.sinceUpdate = 0
+	st.reported = stats
+	st.sinceUpdate = 0
+	if s.sole {
+		s.finished = reply.Finished
+	}
 	if !reply.Known {
 		// Interval completed elsewhere or reassigned after this worker
 		// was presumed dead: drop it.
-		s.ex.Reassign(interval.Interval{})
+		st.ex.Reassign(interval.Interval{})
 		s.haveWork = false
-		s.finished = reply.Finished
 		return nil
 	}
-	s.ex.Restrict(reply.Interval)
-	s.ex.AdoptBest(reply.BestCost)
-	if s.ex.Done() {
+	st.ex.Restrict(reply.Interval)
+	st.ex.AdoptBest(reply.BestCost)
+	// Release on what the fold said, not on the engine's state now: the
+	// coordinator retires the interval when it saw an empty fold or its
+	// intersected copy came back empty. An engine that ran dry during the
+	// call still owns a non-empty leased copy there, and only its next
+	// (empty) fold releases it — dropping early would strand that copy
+	// until the lease expires and re-explore it wholesale.
+	if rem.IsEmpty() || reply.Interval.IsEmpty() {
 		s.haveWork = false
 	}
-	s.finished = reply.Finished
 	return nil
 }
-
-// Reported returns the cumulative statistics already shipped to the
-// coordinator. The difference with Stats is the work that would be redone
-// if this worker crashed right now — the raw material of the paper's
-// redundant-node rate.
-func (s *Session) Reported() bb.Stats { return s.reported }
 
 // Checkpoint forces an immediate interval update if the session holds work:
 // the graceful-leave path of a cycle-stealing host (the owner reclaims the
@@ -358,47 +446,84 @@ type Result struct {
 	Requests, Updates, Reports int64
 }
 
-// Run drives a session until the resolution finishes or the context is
-// cancelled. Wait replies back off with a short sleep (the cycle-stealing
-// worker keeps polling; remember the farmer never calls back).
+// Run drives a single-explorer session until the resolution finishes or the
+// context is cancelled; on cancellation it leaves gracefully, with one
+// final Checkpoint. Wait replies back off with a short sleep (the
+// cycle-stealing worker keeps polling; remember the farmer never calls
+// back).
 func Run(ctx context.Context, cfg Config, coord transport.Coordinator, prob bb.Problem) (Result, error) {
-	cfg.fillDefaults()
-	s := NewSession(cfg, coord, prob)
+	return NewSession(cfg, coord, prob).run(ctx)
+}
+
+// RunParallel is Run over the goroutine form of the multicore engine:
+// cfg.Cores shard explorers (zero means runtime.GOMAXPROCS) run
+// concurrently over a tiling of the worker's assigned interval, while the
+// calling goroutine owns the protocol — every coordinator call is made
+// from it. factory must return a fresh Problem per call (one per shard;
+// Problem state machines are single-threaded).
+//
+// The farmer-visible protocol is byte-for-byte the single-worker protocol:
+// one fold, one power, one interval id. Unlike the step-driven shardEngine,
+// this engine is scheduled by the Go runtime and is therefore not
+// deterministic — the simulator and the chaos harness use
+// NewShardedSession instead (the determinism boundary, DESIGN.md §7).
+func RunParallel(ctx context.Context, cfg Config, coord transport.Coordinator, factory func() bb.Problem) (Result, error) {
+	if cfg.Cores <= 0 {
+		cfg.Cores = runtime.GOMAXPROCS(0)
+	}
+	s := NewShardedSession(cfg, coord, factory)
+	s.concurrent = true
+	return s.run(ctx)
+}
+
+// run is the one driver loop of the goroutine runtimes.
+func (s *Session) run(ctx context.Context) (Result, error) {
+	defer s.stop()
 	backoff := 10 * time.Millisecond
 	calStart := time.Now()
 	var calNodes int64
-	for {
-		select {
-		case <-ctx.Done():
-			return s.result(), ctx.Err()
-		default:
-		}
-		n, finished, err := s.Advance(cfg.StepSize)
-		if err != nil {
+	for ctx.Err() == nil {
+		n, finished, err := s.Advance(s.cfg.StepSize)
+		if err != nil || finished {
 			return s.result(), err
 		}
-		if finished {
-			return s.result(), nil
-		}
-		if cfg.AutoPower {
+		if s.cfg.AutoPower {
 			calNodes += n
 			if elapsed := time.Since(calStart); elapsed >= 2*time.Second {
 				s.SetPower(calNodes * int64(time.Second) / int64(elapsed))
 				calStart, calNodes = time.Now(), 0
 			}
 		}
-		if n == 0 && !s.haveWork {
-			// Told to wait.
-			select {
-			case <-ctx.Done():
-				return s.result(), ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff < time.Second {
-				backoff *= 2
-			}
-		} else {
+		if n > 0 || s.haveWork {
 			backoff = 10 * time.Millisecond
+			continue
+		}
+		// Told to wait.
+		select {
+		case <-ctx.Done():
+		case <-time.After(backoff):
+		}
+		if backoff < time.Second {
+			backoff *= 2
+		}
+	}
+	// Graceful leave: quiesce the engines so the fold is final, then
+	// checkpoint once, so nothing explored here is explored again. The
+	// call is not bound to ctx (it is already cancelled); the transport's
+	// own call timeout bounds it.
+	s.stop()
+	err := ctx.Err()
+	if cerr := s.Checkpoint(); cerr != nil {
+		err = fmt.Errorf("%w; final checkpoint: %w", err, cerr)
+	}
+	return s.result(), err
+}
+
+// stop ends the shard goroutines of every concurrent engine. Idempotent.
+func (s *Session) stop() {
+	for _, st := range s.jobs {
+		if w, ok := st.ex.(*parallelWorker); ok {
+			w.stop()
 		}
 	}
 }

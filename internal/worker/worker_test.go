@@ -2,6 +2,8 @@ package worker
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -196,26 +198,46 @@ func TestSolutionSharingAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunContextCancel: Run returns promptly on context cancellation.
+// TestRunContextCancel: both goroutine runtimes return promptly on context
+// cancellation, and leave gracefully — one final fold, so the farmer has
+// been told of every node the worker explored and nothing is re-explored.
 func TestRunContextCancel(t *testing.T) {
 	ins := testInstance(14, 8, 5) // ~430k nodes: does not finish within the cancel window
-	p := flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
-	f := newFarmerFor(p)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(ctx, Config{ID: "w", Power: 1, StepSize: 100}, f, p)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker did not stop on cancellation")
+	factory := func() bb.Problem {
+		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
+	}
+	for _, cores := range []int{1, 3} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			f := newFarmerFor(factory())
+			ctx, cancel := context.WithCancel(context.Background())
+			type outcome struct {
+				res Result
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				// The default update period is rarely reached in the
+				// window: the leave is what folds.
+				res, err := RunParallel(ctx, Config{ID: "w", Power: 1, StepSize: 100, Cores: cores}, f, factory)
+				done <- outcome{res, err}
+			}()
+			for f.Counters().WorkAllocations == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			select {
+			case out := <-done:
+				if !errors.Is(out.err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", out.err)
+				}
+				if got, want := f.Counters().ExploredNodes, out.res.Stats.Explored; got != want {
+					t.Fatalf("farmer was told of %d nodes, worker explored %d", got, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("worker did not stop on cancellation")
+			}
+		})
 	}
 }
 
