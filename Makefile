@@ -19,10 +19,13 @@ check: vet build test race fuzz-smoke bench-smoke docs-check
 
 # The docs gate (CI runs it as its own job): the README must exist —
 # doc.go points at it — and the tree must be gofmt-clean and vet-clean so
-# pkgsite/godoc render what we think they render.
+# pkgsite/godoc render what we think they render. It also holds the one
+# dependency the docs promise is gone: nothing in the module may pull
+# net/rpc (and its reflective call path) back in.
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing (doc.go references it)"; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "docs-check: gofmt -l flags:"; echo "$$out"; exit 1; fi
+	@if $(GO) list -deps ./... | grep -qx 'net/rpc'; then echo "docs-check: net/rpc is a dependency again (go list -deps ./...)"; exit 1; fi
 	$(GO) vet ./...
 
 build:
@@ -57,27 +60,28 @@ bench-tree:
 	$(GO) test -run '^$$' -bench BenchmarkFarmerTreeThroughput -benchmem -benchtime 1s -count 2 .
 
 # The hardening overhead record (DESIGN.md §10): raw vs hardened transport
-# over loopback. Acceptance gate: hardened within 5% of raw (BENCH_pr6.json).
+# over loopback. The bar is hardened within 5% of raw; the hardened row's
+# absolute cost is held by bench-gate against $(BENCH_BASELINE).
 bench-transport:
 	$(GO) test -run '^$$' -bench BenchmarkHardenedCallOverhead -benchmem -benchtime 1s -count 5 .
 
 # The wire record (DESIGN.md §11): bytes and latency per steady-state
 # fold through a counting TCP proxy, plus the hardened-call overhead the
-# codec must not regress (hardened ns/op no worse than the BENCH_pr6.json
-# record). wire-B/fold itself is held by bench-gate.
+# codec must not regress. Both bars — wire-B/fold and the per-call ns/op
+# and allocs/op — are the $(BENCH_BASELINE) rows bench-gate holds.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkWireBytesPerFold|BenchmarkHardenedCallOverhead' -benchmem -benchtime 1s -count 3 .
 
 # The CI perf gate (DESIGN.md §12): the protocol-hot benchmarks — wire
-# fold, single-farmer request, multi-tenant job-table request, durable
-# snapshot write — and the engine's two hot loops (node throughput and the
+# fold, hardened loopback call, single-farmer request, multi-tenant
+# job-table request, durable snapshot write — and the engine's two hot loops (node throughput and the
 # interior step, which must stay at 0 allocs/op), three repetitions each,
 # best-of compared by cmd/benchgate against the gate section of
 # $(BENCH_BASELINE); fails on a regression beyond the record's allowance.
 # Deterministic metrics (wire-B/fold, file-B, allocs/op) hold across
 # hosts; ns/op is host-relative, hence the percentage allowance.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkWireBytesPerFold|BenchmarkFarmerRequestThroughput|BenchmarkJobTableRequestThroughput|BenchmarkCheckpointSave|BenchmarkTable1EngineThroughput|BenchmarkExplorerInteriorStep' -benchmem -benchtime 1s -count 3 . | $(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE)
+	$(GO) test -run '^$$' -bench 'BenchmarkWireBytesPerFold|BenchmarkHardenedCallOverhead|BenchmarkFarmerRequestThroughput|BenchmarkJobTableRequestThroughput|BenchmarkCheckpointSave|BenchmarkTable1EngineThroughput|BenchmarkExplorerInteriorStep' -benchmem -benchtime 1s -count 3 . | $(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE)
 
 # The hostile-input fuzzers, briefly: the corpus seeds plus a few seconds
 # of fresh mutation on every gate run, so the invariants cannot silently

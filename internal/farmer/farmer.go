@@ -198,7 +198,7 @@ type Farmer struct {
 	// the partitioning operator, drained where the seed re-scanned the
 	// whole table. See index.go and DESIGN.md §8.
 	idx     *selIndex
-	lease   leaseHeap
+	lease   lazyHeap[leaseEntry]
 	empties []int64
 	// Interval ids are epoch-qualified: id = epoch<<epochShift | seq.
 	// The epoch is bumped on every restore from checkpoint, so an id
@@ -231,7 +231,7 @@ type Farmer struct {
 	// frontier a sub-farmer reports upstream (min A over INTERVALS). Flat
 	// farmers never read it, so they never pay for it either — pushes are
 	// gated on trackFront.
-	front      frontierHeap
+	front      lazyHeap[frontierEntry]
 	trackFront bool
 
 	// rootLo/rootHi are the root range the boundary pins inbound
@@ -500,22 +500,17 @@ func (f *Farmer) expireLocked(now int64) {
 	if f.leaseTTL <= 0 {
 		return
 	}
-	for len(f.lease) > 0 && f.lease[0].deadline < now {
+	for len(f.lease.s) > 0 && f.lease.s[0].deadline < now {
 		e := f.lease.pop()
-		t, ok := f.intervals[e.t.id]
-		if !ok || t != e.t {
-			continue // interval retired: stale entry
+		if !f.leaseLive(e) {
+			continue // interval retired, or owner dropped or replaced: stale entry
 		}
-		o, ok := t.owners[e.w]
-		if !ok || o != e.o {
-			continue // owner dropped or replaced: stale entry
-		}
-		if now-o.lastSeen > f.leaseTTL {
-			delete(t.owners, e.w)
+		if now-e.o.lastSeen > f.leaseTTL {
+			delete(e.t.owners, e.w)
 			f.counters.ExpiredOwners++
-			f.idx.fix(t) // the holder-power class changed
+			f.idx.fix(e.t) // the holder-power class changed
 		} else {
-			f.pushLease(t, e.w, o) // reported since: re-arm
+			f.pushLease(e.t, e.w, e.o) // reported since: re-arm
 		}
 	}
 }

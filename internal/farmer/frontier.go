@@ -6,9 +6,10 @@ import "math/big"
 // tracked intervals?" — the fold a sub-farmer reports upstream — in
 // amortized O(log W) instead of an O(W) table scan per fold. It follows the
 // lease heap's lazy discipline: one entry is pushed when an interval is
-// tracked, and staleness is resolved at read time. An entry is stale when
-// its interval was retired (discard) or when the interval's beginning has
-// advanced past the recorded one (re-file at the current beginning; a
+// tracked, staleness is resolved at read time, and lazyHeap's compaction
+// rule (index.go) bounds what stale entries can pile up. An entry is stale
+// when its interval was retired (discard) or when the interval's beginning
+// has advanced past the recorded one (re-file at the current beginning; a
 // beginning only ever advances, so the re-filed entry is correctly placed
 // and the old position was a valid lower bound all along).
 
@@ -19,47 +20,13 @@ type frontierEntry struct {
 	t *tracked
 }
 
-// frontierHeap is a plain min-heap on a.
-type frontierHeap []frontierEntry
+func (e frontierEntry) before(o frontierEntry) bool { return e.a.Cmp(o.a) < 0 }
 
-func (h *frontierHeap) push(e frontierEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].a.Cmp(s[i].a) <= 0 {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-}
-
-func (h *frontierHeap) pop() frontierEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = frontierEntry{} // release the pointers
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l].a.Cmp(s[m].a) < 0 {
-			m = l
-		}
-		if r < n && s[r].a.Cmp(s[m].a) < 0 {
-			m = r
-		}
-		if m == i {
-			return top
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
+// frontierLive reports whether e's interval is still tracked. An entry
+// whose beginning has merely advanced stays: its recorded position is
+// still a valid lower bound, and the reader re-files it when it surfaces.
+func (f *Farmer) frontierLive(e frontierEntry) bool {
+	return f.intervals[e.t.id] == e.t && !e.t.iv.IsEmpty()
 }
 
 // pushFrontier files a freshly tracked interval in the frontier heap. A
@@ -70,6 +37,7 @@ func (f *Farmer) pushFrontier(t *tracked) {
 		return
 	}
 	f.front.push(frontierEntry{a: t.iv.A(), t: t})
+	f.front.compactIfFull(f.frontierLive)
 }
 
 // frontierLocked resolves the heap top to the current minimum beginning and
@@ -77,18 +45,17 @@ func (f *Farmer) pushFrontier(t *tracked) {
 // reports false when the table is empty (or tracking is off). Caller holds
 // f.mu.
 func (f *Farmer) frontierLocked(dst *big.Int) bool {
-	for len(f.front) > 0 {
-		e := f.front[0]
-		t, ok := f.intervals[e.t.id]
-		if !ok || t != e.t || t.iv.IsEmpty() {
+	for len(f.front.s) > 0 {
+		e := f.front.s[0]
+		if !f.frontierLive(e) {
 			f.front.pop()
 			continue
 		}
-		if t.iv.CmpA(e.a) != 0 {
+		if e.t.iv.CmpA(e.a) != 0 {
 			// The beginning advanced since filing: re-file at the
 			// current position (reusing the entry's big.Int).
 			e = f.front.pop()
-			t.iv.AInto(e.a)
+			e.t.iv.AInto(e.a)
 			f.front.push(e)
 			continue
 		}

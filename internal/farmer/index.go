@@ -371,18 +371,41 @@ type leaseEntry struct {
 	o        *owner
 }
 
-// leaseHeap is a plain min-heap on deadline. The top is the farmer's
-// next-expiry watermark: when it has not passed, the whole expiry sweep is
-// one comparison.
-type leaseHeap []leaseEntry
+func (e leaseEntry) before(o leaseEntry) bool { return e.deadline < o.deadline }
 
-func (h *leaseHeap) push(e leaseEntry) {
-	*h = append(*h, e)
-	s := *h
+// leaseLive reports whether e still schedules anything: its interval is
+// still tracked and still owned by the very owner the entry was pushed for.
+func (f *Farmer) leaseLive(e leaseEntry) bool {
+	t := f.intervals[e.t.id]
+	return t == e.t && t.owners[e.w] == e.o
+}
+
+// lazyHeap is the min-heap under both of the farmer's lazy schedules (the
+// lease heap here, the frontier heap in frontier.go): entries go stale in
+// place and are only discarded when they surface at the top, which for a
+// lease entry is a whole TTL after its interval retired — so left alone the
+// heap, and everything its entries point at, grows with allocation rate ×
+// TTL instead of table size. The one rule that bounds it: when the entries
+// outnumber twice what the last compaction kept (plus lazyHeapSlack), the
+// stale ones are filtered out in place and the rest re-heapified. That is
+// amortised O(1) per push and changes no decision — a stale entry was
+// going to be discarded unread, and any valid heap pops the same keys in
+// the same order.
+type lazyHeap[E interface{ before(E) bool }] struct {
+	s     []E
+	limit int // compact once len(s) passes it
+}
+
+// lazyHeapSlack keeps a small table from compacting on every few pushes.
+const lazyHeapSlack = 64
+
+func (h *lazyHeap[E]) push(e E) {
+	h.s = append(h.s, e)
+	s := h.s
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if s[p].deadline <= s[i].deadline {
+		if !s[i].before(s[p]) {
 			break
 		}
 		s[p], s[i] = s[i], s[p]
@@ -390,30 +413,54 @@ func (h *leaseHeap) push(e leaseEntry) {
 	}
 }
 
-func (h *leaseHeap) pop() leaseEntry {
-	s := *h
+func (h *lazyHeap[E]) pop() E {
+	var zero E
+	s := h.s
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = leaseEntry{} // release the pointers
-	s = s[:n]
-	*h = s
-	i := 0
+	s[n] = zero // release the pointers
+	h.s = s[:n]
+	h.down(0)
+	return top
+}
+
+func (h *lazyHeap[E]) down(i int) {
+	s := h.s
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < n && s[l].deadline < s[m].deadline {
+		if l < len(s) && s[l].before(s[m]) {
 			m = l
 		}
-		if r < n && s[r].deadline < s[m].deadline {
+		if r < len(s) && s[r].before(s[m]) {
 			m = r
 		}
 		if m == i {
-			return top
+			return
 		}
 		s[i], s[m] = s[m], s[i]
 		i = m
 	}
+}
+
+// compactIfFull applies the bounding rule after a push of a new entry.
+func (h *lazyHeap[E]) compactIfFull(live func(E) bool) {
+	if len(h.s) <= h.limit {
+		return
+	}
+	kept := h.s[:0]
+	for _, e := range h.s {
+		if live(e) {
+			kept = append(kept, e)
+		}
+	}
+	clear(h.s[len(kept):]) // release the pointers
+	h.s = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	h.limit = 2*len(kept) + lazyHeapSlack
 }
 
 // pushLease schedules the owner's next possible expiry. A zero lease TTL
@@ -427,4 +474,5 @@ func (f *Farmer) pushLease(t *tracked, w transport.WorkerID, o *owner) {
 		deadline = math.MaxInt64
 	}
 	f.lease.push(leaseEntry{deadline: deadline, t: t, w: w, o: o})
+	f.lease.compactIfFull(f.leaseLive)
 }

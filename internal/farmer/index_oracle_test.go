@@ -233,24 +233,33 @@ func bruteSelect(byID map[int64]*tracked, rp int64) (int64, *big.Int, bool) {
 }
 
 // TestLeaseHeapOrder: the deadline heap pops in order whatever the push
-// order, the base property the lazy expiry sweep rests on.
+// order, the base property the lazy expiry sweep rests on — and still does
+// after a compaction has filtered stale entries out from under it.
 func TestLeaseHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var h leaseHeap
-	n := 500
+	var h lazyHeap[leaseEntry]
+	n, live := 500, 0
 	for i := 0; i < n; i++ {
-		h.push(leaseEntry{deadline: int64(rng.Intn(100))})
+		d := int64(rng.Intn(100))
+		if d%3 != 0 {
+			live++
+		}
+		h.push(leaseEntry{deadline: d})
+	}
+	h.compactIfFull(func(e leaseEntry) bool { return e.deadline%3 != 0 })
+	if len(h.s) != live || h.limit != 2*live+lazyHeapSlack {
+		t.Fatalf("compaction kept %d entries under limit %d, want %d under %d", len(h.s), h.limit, live, 2*live+lazyHeapSlack)
 	}
 	last := int64(-1)
-	for i := 0; i < n; i++ {
+	for i := 0; i < live; i++ {
 		e := h.pop()
-		if e.deadline < last {
+		if e.deadline < last || e.deadline%3 == 0 {
 			t.Fatalf("pop %d: deadline %d after %d", i, e.deadline, last)
 		}
 		last = e.deadline
 	}
-	if len(h) != 0 {
-		t.Fatalf("heap not drained: %d left", len(h))
+	if len(h.s) != 0 {
+		t.Fatalf("heap not drained: %d left", len(h.s))
 	}
 }
 
@@ -295,6 +304,115 @@ func TestExpiryHeapMatchesSeedSemantics(t *testing.T) {
 	f.ExpireNow()
 	if n := f.Counters().ExpiredOwners; n != 1 {
 		t.Fatalf("silent owner past its lease not expired: ExpiredOwners=%d", n)
+	}
+	if err := f.CheckIndexInvariantsForTest(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// churn runs n worker life cycles against f: a power-1 request, then the
+// retiring fold [B,B) — each leaves one stale entry in every lazy heap.
+func churn(t *testing.T, f *Farmer, n int, each func(i int)) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		w := transport.WorkerID(fmt.Sprintf("churn-%d", i%7))
+		rep, err := f.RequestWork(transport.WorkRequest{Worker: w, Power: 1})
+		if err != nil || rep.Status != transport.WorkAssigned {
+			t.Fatalf("cycle %d: request answered %v, %v", i, rep.Status, err)
+		}
+		end := rep.Interval.B()
+		if _, err := f.UpdateInterval(transport.UpdateRequest{
+			Worker: w, IntervalID: rep.IntervalID, Remaining: interval.New(end, end), Power: 1,
+		}); err != nil {
+			t.Fatalf("cycle %d: retiring fold: %v", i, err)
+		}
+		if each != nil {
+			each(i)
+		}
+	}
+}
+
+// TestLazyHeapsStayBounded pins the compaction rule where it matters: 100k
+// request → retire cycles against a preloaded table, under a lease no
+// entry outlives, must leave both heaps within a constant factor of what
+// is live — not 100k entries each pinning a retired interval.
+func TestLazyHeapsStayBounded(t *testing.T) {
+	const holders, cycles = 300, 100_000
+	f := New(interval.FromInt64(0, 1<<60),
+		WithClock(func() int64 { return 0 }), WithLeaseTTL(time.Hour), WithFrontierTracking())
+	for i := 0; i < holders; i++ {
+		w := transport.WorkerID(fmt.Sprintf("holder-%d", i))
+		if rep, err := f.RequestWork(transport.WorkRequest{Worker: w, Power: 800 + int64(i%8)*300}); err != nil || rep.Status != transport.WorkAssigned {
+			t.Fatalf("preload %d: %v, %v", i, rep.Status, err)
+		}
+	}
+	var maxLease, maxFront int
+	churn(t, f, cycles, func(int) {
+		maxLease = max(maxLease, len(f.lease.s))
+		maxFront = max(maxFront, len(f.front.s))
+	})
+	owners := 0
+	for _, tr := range f.intervals {
+		owners += len(tr.owners)
+	}
+	if len(f.intervals) != holders || owners != holders {
+		t.Fatalf("table drifted to %d intervals, %d owners; the cycles should leave it at %d", len(f.intervals), owners, holders)
+	}
+	// Twice the live entries plus the slack is the rule; one more cycle's
+	// push may sit on top before the next compaction.
+	if bound := 2*(owners+1) + lazyHeapSlack + 1; maxLease > bound {
+		t.Fatalf("lease heap reached %d entries for %d owners (bound %d)", maxLease, owners, bound)
+	}
+	if bound := 2*(holders+1) + lazyHeapSlack + 1; maxFront > bound {
+		t.Fatalf("frontier heap reached %d entries for %d intervals (bound %d)", maxFront, holders, bound)
+	}
+	var front big.Int
+	if !f.frontierLocked(&front) || front.Sign() != 0 {
+		t.Fatalf("frontier after the churn = %v, want the root's beginning", &front)
+	}
+}
+
+// TestExpirySurvivesCompaction: compaction may only drop entries that were
+// going to be discarded anyway. An owner whose entry lived through several
+// compactions still expires on the first sweep past its deadline — not
+// before, not later — and one that reported in the meantime is re-armed,
+// not expired.
+func TestExpirySurvivesCompaction(t *testing.T) {
+	var now int64
+	f := New(interval.FromInt64(0, 1<<60),
+		WithClock(func() int64 { return now }), WithLeaseTTL(100*time.Nanosecond))
+	var held [2]transport.WorkReply
+	for i, w := range []transport.WorkerID{"silent", "reporting"} {
+		var err error
+		if held[i], err = f.RequestWork(transport.WorkRequest{Worker: w, Power: 1000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now = 10
+	churn(t, f, 1000, nil)
+	if pushed, left := 2+1000, len(f.lease.s); left > 2*3+lazyHeapSlack+1 {
+		t.Fatalf("%d of %d lease entries left: no compaction ran", left, pushed)
+	}
+	now = 50
+	if up, err := f.UpdateInterval(transport.UpdateRequest{
+		Worker: "reporting", IntervalID: held[1].IntervalID, Remaining: held[1].Interval, Power: 1000,
+	}); err != nil || !up.Known {
+		t.Fatalf("report at 50: known=%v, %v", up.Known, err)
+	}
+	for _, step := range []struct {
+		now     int64
+		expired int64
+	}{
+		{100, 0}, // at the deadline: the seed rule is strict
+		{101, 1}, // the silent owner, exactly one tick past it
+		{150, 1}, // the reporting owner was re-armed to 50+100
+		{151, 2},
+	} {
+		now = step.now
+		f.ExpireNow()
+		if got := f.Counters().ExpiredOwners; got != step.expired {
+			t.Fatalf("at now=%d: ExpiredOwners = %d, want %d", step.now, got, step.expired)
+		}
 	}
 	if err := f.CheckIndexInvariantsForTest(); err != nil {
 		t.Fatal(err)

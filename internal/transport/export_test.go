@@ -10,3 +10,8 @@ func SetAuthTimeout(d time.Duration) time.Duration {
 	authTimeout = d
 	return old
 }
+
+// DoForTest runs f under the Redial's retry policy, as the four protocol
+// methods do, so a test can put its own wrapping between the Client and
+// the retry decision.
+func (r *Redial) DoForTest(f func(*Client) error) error { return r.do(f) }

@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -176,6 +177,26 @@ func TestRedialNeverRetriesServerErrors(t *testing.T) {
 	}
 	if got := f.Counters().RejectedPowers; got != 1 {
 		t.Fatalf("farmer saw %d rejected requests, want exactly 1 (no retries)", got)
+	}
+
+	// The same verdict wrapped on its way up is still the server's: one
+	// more rejection, no retries, and the connection it came over is kept.
+	err = r.DoForTest(func(c *transport.Client) error {
+		_, err := c.RequestWork(transport.WorkRequest{Worker: "w", Power: -1})
+		return fmt.Errorf("asking for work: %w", err)
+	})
+	var se transport.ServerError
+	if !errors.As(err, &se) {
+		t.Fatalf("wrapped rejection surfaced as %v, want a ServerError in the chain", err)
+	}
+	if got := f.Counters().RejectedPowers; got != 2 {
+		t.Fatalf("farmer saw %d rejected requests after the wrapped one, want 2 (no retries)", got)
+	}
+	if _, err := r.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().ActiveConns; got != 1 {
+		t.Fatalf("%d connections after a wrapped server error, want the original 1", got)
 	}
 }
 

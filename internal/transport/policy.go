@@ -22,6 +22,20 @@ var ErrDeadline = errors.New("transport: call deadline exceeded")
 // materializes them.
 var ErrOversize = errors.New("transport: message exceeds size limit")
 
+// ErrClosed is returned by a call on a handle that has been closed — a
+// Client, Redial or Shared after its Close, or a Client whose connection a
+// sharer's deadline expiry took down mid-flight. On a Redial or Shared it
+// is terminal: a closed handle never dials again.
+var ErrClosed = errors.New("transport: connection is shut down")
+
+// ServerError is an error the coordinator returned for a request, carried
+// back over the wire as text. It is a verdict on the request, not on the
+// link: the connection stays up and the call is never retried. Match it
+// with errors.As.
+type ServerError string
+
+func (e ServerError) Error() string { return string(e) }
+
 // Policy is the liveness discipline of one client leg: how long a single
 // protocol call may take, and how failures are retried. The zero value is
 // the seed behaviour — no deadline, no retries — so existing callers are

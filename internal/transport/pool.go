@@ -1,6 +1,6 @@
 // Shared-connection multiplexing (DESIGN.md §11): many worker sessions on
-// one host ride one physical connection per coordinator address. net/rpc
-// already multiplexes concurrent calls over a connection by sequence
+// one host ride one physical connection per coordinator address. A Client
+// already multiplexes concurrent calls over its connection by sequence
 // number, and Redial (whose lock covers only acquisition and teardown,
 // never an in-flight call) is safe to share — so "pooling" is just
 // refcounting one Redial per (address, options) pair. At the root, 10k
@@ -17,10 +17,7 @@
 // makes: any lost exchange is retried by its sender.
 package transport
 
-import (
-	"net/rpc"
-	"sync"
-)
+import "sync"
 
 // poolKey identifies a shareable connection: same address, same options.
 // DialOptions is comparable (its TLS config and backoff Rng compare by
@@ -74,7 +71,7 @@ func DialShared(addr string, opts DialOptions) *Shared {
 	return &Shared{p: p}
 }
 
-// leg returns the shared Redial, or rpc.ErrShutdown once this handle has
+// leg returns the shared Redial, or ErrClosed once this handle has
 // been Closed. The check is what keeps the pool's refcount honest: a
 // closed handle already released its reference, so letting it reach the
 // Redial could drive calls on — or re-dial — a connection the pool no
@@ -84,7 +81,7 @@ func (s *Shared) leg() (*Redial, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, rpc.ErrShutdown
+		return nil, ErrClosed
 	}
 	return s.p.r, nil
 }

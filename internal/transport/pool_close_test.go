@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"errors"
-	"net/rpc"
 	"sync"
 	"testing"
 
@@ -16,7 +15,7 @@ import (
 // would happily re-dial — resurrecting a socket the pool's refcount no
 // longer accounted for (and, if the key had been re-pooled since, driving
 // a different handle's connection). A closed handle must fail fast with
-// rpc.ErrShutdown and leave the wire untouched.
+// transport.ErrClosed and leave the wire untouched.
 func TestSharedClosedHandleFailsFast(t *testing.T) {
 	root := interval.FromInt64(0, 1_000_000)
 	f := farmer.New(root)
@@ -38,17 +37,17 @@ func TestSharedClosedHandleFailsFast(t *testing.T) {
 	waitFor(t, "the last release to close the socket", func() bool { return srv.Stats().ActiveConns == 0 })
 
 	// Every method of the closed handle fails fast — no redial, no socket.
-	if _, err := h.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); !errors.Is(err, rpc.ErrShutdown) {
-		t.Fatalf("RequestWork on a closed handle: err=%v, want rpc.ErrShutdown", err)
+	if _, err := h.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("RequestWork on a closed handle: err=%v, want transport.ErrClosed", err)
 	}
-	if _, err := h.UpdateInterval(transport.UpdateRequest{Worker: "w", IntervalID: 1}); !errors.Is(err, rpc.ErrShutdown) {
-		t.Fatalf("UpdateInterval on a closed handle: err=%v, want rpc.ErrShutdown", err)
+	if _, err := h.UpdateInterval(transport.UpdateRequest{Worker: "w", IntervalID: 1}); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("UpdateInterval on a closed handle: err=%v, want transport.ErrClosed", err)
 	}
-	if _, err := h.ReportSolution(transport.SolutionReport{Worker: "w", Cost: 1}); !errors.Is(err, rpc.ErrShutdown) {
-		t.Fatalf("ReportSolution on a closed handle: err=%v, want rpc.ErrShutdown", err)
+	if _, err := h.ReportSolution(transport.SolutionReport{Worker: "w", Cost: 1}); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("ReportSolution on a closed handle: err=%v, want transport.ErrClosed", err)
 	}
-	if _, err := h.Exchange(transport.BatchRequest{Worker: "w", Power: 1}); !errors.Is(err, rpc.ErrShutdown) {
-		t.Fatalf("Exchange on a closed handle: err=%v, want rpc.ErrShutdown", err)
+	if _, err := h.Exchange(transport.BatchRequest{Worker: "w", Power: 1}); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("Exchange on a closed handle: err=%v, want transport.ErrClosed", err)
 	}
 	if got := srv.Stats().ActiveConns; got != 0 {
 		t.Fatalf("calls on a closed handle resurrected %d connections", got)
@@ -61,13 +60,13 @@ func TestSharedClosedHandleFailsFast(t *testing.T) {
 	if _, err := h2.RequestWork(transport.WorkRequest{Worker: "w2", Power: 1}); err != nil {
 		t.Fatalf("fresh handle after re-pool: %v", err)
 	}
-	if _, err := h.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); !errors.Is(err, rpc.ErrShutdown) {
-		t.Fatalf("stale handle after re-pool: err=%v, want rpc.ErrShutdown", err)
+	if _, err := h.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("stale handle after re-pool: err=%v, want transport.ErrClosed", err)
 	}
 }
 
 // TestRedialCloseIsTerminal pins Redial's terminal Close: once Closed, a
-// Redial never dials again — later calls fail fast with rpc.ErrShutdown
+// Redial never dials again — later calls fail fast with transport.ErrClosed
 // even though the server is alive and a re-dial would succeed.
 func TestRedialCloseIsTerminal(t *testing.T) {
 	f := testFarmer()
@@ -85,8 +84,8 @@ func TestRedialCloseIsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the connection to close", func() bool { return srv.Stats().ActiveConns == 0 })
-	if _, err := r.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); !errors.Is(err, rpc.ErrShutdown) {
-		t.Fatalf("call after Close: err=%v, want rpc.ErrShutdown", err)
+	if _, err := r.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("call after Close: err=%v, want transport.ErrClosed", err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
@@ -115,15 +114,15 @@ func TestRedialCloseRacesDial(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// Errors are expected here (ErrShutdown when Close wins the
+				// Errors are expected here (ErrClosed when Close wins the
 				// race); the invariant under test is the socket accounting.
 				_, _ = r.RequestWork(transport.WorkRequest{Worker: "w", Power: 1})
 			}()
 		}
 		r.Close()
 		wg.Wait()
-		if _, err := r.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); !errors.Is(err, rpc.ErrShutdown) {
-			t.Fatalf("round %d: call after Close: err=%v, want rpc.ErrShutdown", i, err)
+		if _, err := r.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("round %d: call after Close: err=%v, want transport.ErrClosed", i, err)
 		}
 	}
 	waitFor(t, "all raced sockets to be torn down", func() bool { return srv.Stats().ActiveConns == 0 })

@@ -1,8 +1,8 @@
 package transport
 
 import (
+	"errors"
 	"math/rand"
-	"net/rpc"
 	"sync"
 	"time"
 )
@@ -62,7 +62,7 @@ func (b *Backoff) Reset() { b.cur = 0 }
 // like the SubFarmer already treat any upstream error as "lost, retry on
 // the next cadence", which is exactly the pacing the backoff enforces.
 // The mutex guards only client acquisition and teardown, never an
-// in-flight RPC: the multiplexing layer shares one Redial among every
+// in-flight call: the multiplexing layer shares one Redial among every
 // worker on a host, so one slow WAN round-trip must not serialize the
 // rest (or block Close). Concurrent callers during a re-dial wait on the
 // condition variable rather than racing duplicate dials.
@@ -114,21 +114,18 @@ func (r *Redial) do(f func(*Client) error) error {
 			time.Sleep(d)
 		}
 		err = r.call(f, a > 0)
-		if err == nil {
-			return nil
-		}
-		if _, serverSide := err.(rpc.ServerError); serverSide {
+		if err == nil || isServerError(err) {
 			return err
 		}
-		// A terminal Close is never retried — but an rpc.ErrShutdown
-		// from the call itself (a sharer's deadline expiry closed the
-		// connection mid-flight) is only terminal when this Redial was
-		// actually Closed; otherwise the retry re-dials as usual.
+		// A terminal Close is never retried — but an ErrClosed from the
+		// call itself (a sharer's deadline expiry closed the connection
+		// mid-flight) is only terminal when this Redial was actually
+		// Closed; otherwise the retry re-dials as usual.
 		r.mu.Lock()
 		closed := r.closed
 		r.mu.Unlock()
 		if closed {
-			return rpc.ErrShutdown
+			return ErrClosed
 		}
 	}
 	return err
@@ -145,7 +142,7 @@ func (r *Redial) acquire(force bool) (*Client, error) {
 	defer r.mu.Unlock()
 	for {
 		if r.closed {
-			return nil, rpc.ErrShutdown
+			return nil, ErrClosed
 		}
 		if r.client != nil {
 			return r.client, nil
@@ -180,7 +177,7 @@ func (r *Redial) acquire(force bool) (*Client, error) {
 			r.mu.Unlock()
 			c.Close()
 			r.mu.Lock()
-			return nil, rpc.ErrShutdown
+			return nil, ErrClosed
 		}
 		r.client = c
 		r.backoff.Reset()
@@ -188,8 +185,8 @@ func (r *Redial) acquire(force bool) (*Client, error) {
 	}
 }
 
-// call runs one exchange, (re)dialing as needed. The RPC itself runs
-// outside the mutex: a shared Redial stays concurrent (net/rpc
+// call runs one exchange, (re)dialing as needed. The exchange itself
+// runs outside the mutex: a shared Redial stays concurrent (the Client
 // multiplexes in-flight calls by sequence number), and Close is never
 // blocked behind a WAN round-trip.
 func (r *Redial) call(f func(*Client) error, force bool) error {
@@ -201,9 +198,9 @@ func (r *Redial) call(f func(*Client) error, force bool) error {
 	if err == nil {
 		return nil
 	}
-	if _, serverSide := err.(rpc.ServerError); !serverSide {
-		// Transport-level failure: the net/rpc client is unusable from
-		// here on. Drop it — but only if a concurrent failer hasn't
+	if !isServerError(err) {
+		// Transport-level failure: the client is unusable from here on.
+		// Drop it — but only if a concurrent failer hasn't
 		// already replaced it — and close outside the lock.
 		r.mu.Lock()
 		if r.client == c {
@@ -215,6 +212,14 @@ func (r *Redial) call(f func(*Client) error, force bool) error {
 		c.Close()
 	}
 	return err
+}
+
+// isServerError reports whether the coordinator judged the request (never
+// retried, connection kept) rather than the link failing — however many
+// layers have wrapped the verdict on its way up.
+func isServerError(err error) bool {
+	var se ServerError
+	return errors.As(err, &se)
 }
 
 // RequestWork implements Coordinator. Retried per policy: a re-issued
@@ -259,7 +264,7 @@ func (r *Redial) Exchange(req BatchRequest) (reply BatchReply, err error) {
 
 // Close tears down the current connection, if any, and retires the Redial
 // for good: every later (or concurrently waiting) call fails fast with
-// rpc.ErrShutdown instead of re-dialing. Terminal semantics are what make
+// ErrClosed instead of re-dialing. Terminal semantics are what make
 // the connection pool's accounting sound — a closed handle that could
 // quietly resurrect its socket would leak a connection the pool no longer
 // counts. It swaps the client out under the lock and closes outside it, so

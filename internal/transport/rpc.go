@@ -1,6 +1,11 @@
+// The TCP carrier (DESIGN.md §§10, 11): a Server that answers wire frames
+// straight from a Coordinator and a Client that multiplexes calls over one
+// connection. Both ends are a loop over readWireFrame and a write lock;
+// wire.go holds the bytes they move.
 package transport
 
 import (
+	"bufio"
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
@@ -8,7 +13,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"net/rpc"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -16,61 +20,6 @@ import (
 
 	"repro/internal/interval"
 )
-
-// RPCService adapts a Coordinator to the net/rpc calling convention so a
-// farmer can serve workers across machines. All methods are goroutine-safe
-// if the underlying Coordinator is.
-type RPCService struct {
-	coord Coordinator
-}
-
-// NewRPCService wraps a coordinator.
-func NewRPCService(coord Coordinator) *RPCService { return &RPCService{coord: coord} }
-
-// RequestWork is the RPC wrapper of Coordinator.RequestWork.
-func (s *RPCService) RequestWork(req *WorkRequest, reply *WorkReply) error {
-	r, err := s.coord.RequestWork(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
-}
-
-// UpdateInterval is the RPC wrapper of Coordinator.UpdateInterval.
-func (s *RPCService) UpdateInterval(req *UpdateRequest, reply *UpdateReply) error {
-	r, err := s.coord.UpdateInterval(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
-}
-
-// ReportSolution is the RPC wrapper of Coordinator.ReportSolution.
-func (s *RPCService) ReportSolution(req *SolutionReport, reply *SolutionAck) error {
-	r, err := s.coord.ReportSolution(*req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
-}
-
-// Exchange is the RPC carrier of BatchCoordinator: the batch is executed
-// server-side by the package-level Exchange, so one WAN round-trip replaces
-// up to three without the Coordinator interface growing.
-func (s *RPCService) Exchange(req *BatchRequest, reply *BatchReply) error {
-	r, err := Exchange(s.coord, *req)
-	if err != nil {
-		return err
-	}
-	*reply = r
-	return nil
-}
-
-// serviceName is the rpc-registered name of the farmer service.
-const serviceName = "GridBB"
 
 // DefaultMaxMessageBytes bounds one message on both ends of the wire.
 // The protocol's messages are intervals and short paths — a few hundred
@@ -101,7 +50,7 @@ type ServerOptions struct {
 	// client-certificate authentication mode.
 	TLS *tls.Config
 	// Token, when non-empty, requires each connection to open with a
-	// matching shared token before any RPC is accepted (the lightweight
+	// matching shared token before any call is accepted (the lightweight
 	// authentication mode; combine with TLS so the token is not sent in
 	// clear).
 	Token string
@@ -134,7 +83,7 @@ type ServerStats struct {
 // Server serves a Coordinator over TCP.
 type Server struct {
 	listener net.Listener
-	rpcSrv   *rpc.Server
+	coord    Coordinator
 	opts     ServerOptions
 
 	mu     sync.Mutex
@@ -147,7 +96,7 @@ type Server struct {
 	acceptErrors atomic.Int64
 }
 
-// Serve registers the coordinator and starts accepting connections on addr
+// Serve starts answering the coordinator's protocol on addr
 // (e.g. ":4321") with default options. It returns immediately; connections
 // are handled on background goroutines until Close.
 func Serve(coord Coordinator, addr string) (*Server, error) {
@@ -166,10 +115,6 @@ func ServeWith(coord Coordinator, addr string, opts ServerOptions) (*Server, err
 	if opts.MaxMessageBytes == 0 {
 		opts.MaxMessageBytes = DefaultMaxMessageBytes
 	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(serviceName, NewRPCService(coord)); err != nil {
-		return nil, fmt.Errorf("transport: register: %w", err)
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -179,7 +124,7 @@ func ServeWith(coord Coordinator, addr string, opts ServerOptions) (*Server, err
 	}
 	s := &Server{
 		listener: ln,
-		rpcSrv:   srv,
+		coord:    coord,
 		opts:     opts,
 		conns:    make(map[*srvConn]struct{}),
 	}
@@ -248,7 +193,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	c.authed.Store(true)
 	// Every client opens with wirePreamble; anything else is not a peer
-	// of this protocol and is dropped before it reaches the rpc layer.
+	// of this protocol and is dropped before a frame of it is read.
 	nc.SetDeadline(time.Now().Add(authTimeout))
 	var pre [len(wirePreamble)]byte
 	if _, err := io.ReadFull(nc, pre[:]); err != nil || pre != wirePreamble {
@@ -261,7 +206,139 @@ func (s *Server) serveConn(nc net.Conn) {
 		return
 	}
 	nc.SetDeadline(time.Time{})
-	s.rpcSrv.ServeCodec(newWireServerCodec(c, s.opts.WireRef, s.opts.MaxMessageBytes))
+	c.serveFrames()
+}
+
+// maxInflight bounds the requests one connection may have running at once;
+// past it the read loop stops reading and TCP pushes back on the peer. A
+// closed-loop session has one call in flight, so this is the number of
+// sessions one shared connection serves without queueing.
+const maxInflight = 256
+
+// serveFrames is the server's frame loop: read a frame, hand it to a
+// handler goroutine, read the next. Requests on one connection are served
+// overlapped, not in turn: a pooled host's sessions share the socket, and
+// a coordinator may legitimately hold one call for a long time (a
+// sub-farmer's upstream round-trip), which must not park the others.
+// Handlers are started on demand — one more whenever a frame finds none
+// idle — and then stay with the connection, so its steady state starts no
+// goroutine and grows no stack per request.
+func (c *srvConn) serveFrames() {
+	br := bufio.NewReader(c)
+	work := make(chan []byte) // unbuffered: a send lands only in an idle handler
+	var handlers sync.WaitGroup
+	// The requests still running get to answer (or fail on the dead
+	// socket) before the connection is closed and its slot released.
+	defer handlers.Wait()
+	defer close(work)
+	started := 0
+	for {
+		frame, err := readWireFrame(br, c.srv.opts.MaxMessageBytes, nil)
+		if err != nil {
+			return
+		}
+		select {
+		case work <- frame:
+			continue
+		default:
+		}
+		if started == maxInflight {
+			work <- frame
+			continue
+		}
+		started++
+		handlers.Add(1)
+		go c.handle(frame, work, &handlers)
+	}
+}
+
+// handle answers first, then whatever frames the read loop hands over,
+// until the connection ends.
+func (c *srvConn) handle(first []byte, work <-chan []byte, done *sync.WaitGroup) {
+	defer done.Done()
+	for frame, ok := first, true; ok; frame, ok = <-work {
+		c.answer(frame)
+	}
+}
+
+// answer serves one request frame and writes its reply frame.
+func (c *srvConn) answer(frame []byte) {
+	ref := c.srv.opts.WireRef
+	a, ok := dispatchWireFrame(c.srv.coord, ref, frame)
+	if !ok {
+		// No sequence number to answer under: the peer is not speaking
+		// the dialect, and the read loop ends with the connection.
+		c.Conn.Close()
+		return
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = a.appendFrame(c.wbuf, ref)
+	// A failed write needs no handling here: the read loop meets the
+	// same dead socket and tears the connection down.
+	_, _ = c.Write(endWireFrame(c.wbuf))
+}
+
+// wireAnswer is the outcome of one served request, ready to be encoded.
+type wireAnswer struct {
+	method byte   // echoed method id; zero for an id this server does not know
+	seq    uint64 // echoed sequence number
+	reply  any    // the typed reply (*WorkReply, ...) when err is nil
+	elide  []byte // an UpdateRequest's encoded Remaining, aliasing the frame
+	err    error  // answered as an error frame; the connection survives it
+}
+
+// dispatchWireFrame is everything the server does with an inbound frame
+// short of writing the answer: header, typed body decode, the coordinator
+// call. ok is false only when the header itself is unreadable. A body that
+// does not decode and a method id no version of this server defines are
+// both answered with an error frame.
+func dispatchWireFrame(coord Coordinator, ref interval.Interval, frame []byte) (a wireAnswer, ok bool) {
+	r := wireReader{data: frame}
+	a.method, a.seq = r.byte(), r.uvarint()
+	if r.err != nil {
+		return a, false
+	}
+	switch a.method {
+	case wireRequestWork:
+		a.reply, _, a.err = serveWireCall(&r, ref, coord.RequestWork)
+	case wireUpdateInterval:
+		a.reply, a.elide, a.err = serveWireCall(&r, ref, coord.UpdateInterval)
+	case wireReportSolution:
+		a.reply, _, a.err = serveWireCall(&r, ref, coord.ReportSolution)
+	case wireExchange:
+		a.reply, _, a.err = serveWireCall(&r, ref, func(req BatchRequest) (BatchReply, error) {
+			return Exchange(coord, req)
+		})
+	default:
+		a.err = fmt.Errorf("transport: unknown method id %#x", a.method)
+		a.method = 0
+	}
+	return a, true
+}
+
+// serveWireCall decodes the request body left in r and runs call on it.
+func serveWireCall[Q, P any](r *wireReader, ref interval.Interval, call func(Q) (P, error)) (any, []byte, error) {
+	var req Q
+	seg := decodeWireRequestBody(r, ref, &req)
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	reply, err := call(req)
+	return &reply, seg, err
+}
+
+// appendFrame encodes the answer as a reply frame into buf (reused from its
+// start; see beginWireFrame).
+func (a *wireAnswer) appendFrame(buf []byte, ref interval.Interval) []byte {
+	buf = beginWireFrame(buf, a.method, a.seq)
+	if a.err != nil {
+		return appendWireStr(append(buf, wireFlagError), a.err.Error())
+	}
+	// The encoder only refuses a type that is not a reply, and
+	// dispatchWireFrame sets nothing else.
+	buf, _ = appendWireReplyBody(append(buf, 0), ref, a.reply, a.elide)
+	return buf
 }
 
 // register tracks c, evicting a connection when MaxConns is reached. The
@@ -339,20 +416,24 @@ func (s *Server) Close() error {
 	return err
 }
 
-// srvConn is the server's per-connection hardening wrapper: it arms the
-// idle read deadline before every Read, timestamps traffic for the
-// MaxConns eviction policy, and enforces the message-size window. The
-// window is the bytes read since the connection's last write — because
-// net/rpc is strictly request/reply per codec, that span can cover at most
-// one full inbound message (plus the start of a pipelined next one), so a
-// cap of MaxMessageBytes+slack bounds every message without teaching the
-// wrapper the codec's framing.
+// srvConn is one served connection: the hardening wrapper under the frame
+// loop — it arms the idle read deadline before every Read, timestamps
+// traffic for the MaxConns eviction policy, and enforces the message-size
+// window — and the write lock the overlapped answers share. The window is
+// the bytes read since the connection's last write: a peer that waits for
+// its replies can put at most one message (plus the start of the next) in
+// that span, so a cap of MaxMessageBytes+slack bounds every message
+// without teaching the wrapper the framing, and a shared connection's
+// concurrent calls are three orders of magnitude below it.
 type srvConn struct {
 	net.Conn
 	srv        *Server
 	lastActive atomic.Int64 // wall nanos of last traffic, for eviction
 	window     atomic.Int64 // bytes read since the last write
 	authed     atomic.Bool  // TLS + token passed; eviction spares these first
+
+	wmu  sync.Mutex // one reply frame on the socket at a time
+	wbuf []byte     // the frame being written, reused under wmu
 }
 
 func (c *srvConn) touch() { c.lastActive.Store(time.Now().UnixNano()) }
@@ -401,7 +482,7 @@ type DialOptions struct {
 	// that removed the second dialect, still sets it.
 	Compact bool
 	// Share marks this client as safe to pool on one physical connection
-	// per coordinator address (see DialShared): net/rpc multiplexes
+	// per coordinator address (see DialShared): a Client multiplexes
 	// concurrent calls by sequence number, so workers on one host don't
 	// each need a socket at the root. Honored by the pooling layers
 	// (gridbb, cmd/worker), not by DialWith itself.
@@ -412,13 +493,40 @@ type DialOptions struct {
 // farmer over TCP. Calls are synchronous, matching the pull model: the
 // worker blocks on its own outbound request, never the reverse — but with
 // a Policy.Timeout the block is bounded, and a black-holed farmer yields
-// ErrDeadline instead of a hang. A Client whose call timed out is closed
-// (the reply could still arrive arbitrarily late on that connection);
-// Redial layers reconnection and retries on top.
+// ErrDeadline instead of a hang. Any number of goroutines may call at
+// once: requests are numbered, a table holds the calls awaiting a reply,
+// and one reader goroutine per connection hands each reply frame to its
+// caller. A Client whose call timed out is closed (the reply could still
+// arrive arbitrarily late on that connection), failing every call in
+// flight on it; Redial layers reconnection and retries on top.
 type Client struct {
-	rc      *rpc.Client
+	conn    net.Conn // the cliConn: the reply-size window over the socket
+	ref     interval.Interval
 	timeout time.Duration
+
+	wmu  sync.Mutex // one request frame on the socket at a time
+	seq  uint64     // last sequence number issued, under wmu
+	wbuf []byte     // the frame being written, reused under wmu
+
+	// mu guards the pending table and every write into a caller's reply
+	// value: the reader decodes under it, and a caller that gives up
+	// removes its entry under it, so a late reply finds nothing to fill.
+	mu      sync.Mutex
+	pending map[uint64]*pendingCall
+	err     error // why the connection was given up; set once, then no call starts
 }
+
+// pendingCall is one call awaiting its reply. done receives exactly one
+// verdict, from whoever takes the entry out of the table other than the
+// caller itself — the reader, or shutdown — which is what makes the value
+// safe to recycle once the caller has it back.
+type pendingCall struct {
+	reply any        // the caller's typed reply value
+	seg   []byte     // an UpdateRequest's encoded Remaining, for an elided reply
+	done  chan error // 1-buffered
+}
+
+var pendingPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan error, 1)} }}
 
 // Dial connects to a farmer served by Serve.
 func Dial(addr string) (*Client, error) {
@@ -440,7 +548,8 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, err := negotiateCompact(&cliConn{Conn: nc, max: opts.MaxMessageBytes}, opts.MaxMessageBytes)
+	cc := &cliConn{Conn: nc, max: opts.MaxMessageBytes}
+	br, ref, err := negotiateWire(cc)
 	if err != nil {
 		nc.Close()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -451,7 +560,9 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		return nil, fmt.Errorf("transport: negotiate with %s: %w", addr, err)
 	}
 	nc.SetDeadline(time.Time{})
-	return &Client{rc: rpc.NewClientWithCodec(codec), timeout: opts.Policy.Timeout}, nil
+	c := &Client{conn: cc, ref: ref, timeout: opts.Policy.Timeout, pending: make(map[uint64]*pendingCall)}
+	go c.readLoop(br, opts.MaxMessageBytes)
+	return c, nil
 }
 
 // dialAuthedConn dials, TLS-handshakes, and token-authenticates one
@@ -530,15 +641,111 @@ func (c *cliConn) Write(p []byte) (int, error) {
 // every few seconds would otherwise allocate a runtime timer per call.
 var timerPool sync.Pool
 
-// invoke runs one RPC under the client's deadline. On timeout the
-// connection is closed and the in-flight call drained before returning, so
-// a late reply can never race a caller that has moved on and reused its
-// reply value.
-func (c *Client) invoke(method string, req, reply any) error {
-	if c.timeout <= 0 {
-		return c.rc.Call(method, req, reply)
+// readLoop is the connection's one reader: it hands reply frames to their
+// callers until the socket fails or is closed, then fails whoever is left.
+func (c *Client) readLoop(br *bufio.Reader, max int64) {
+	var frame []byte
+	var err error
+	for err == nil {
+		if frame, err = readWireFrame(br, max, frame); err == nil {
+			err = c.deliver(frame)
+		}
 	}
-	call := c.rc.Go(method, req, reply, make(chan *rpc.Call, 1))
+	c.shutdown(fmt.Errorf("transport: connection lost: %w", err))
+}
+
+// deliver completes the call a reply frame answers. A frame nobody waits
+// for — its caller timed out — is dropped; only an unreadable header is an
+// error, and a fatal one: the stream cannot be trusted past it.
+func (c *Client) deliver(frame []byte) error {
+	r := wireReader{data: frame}
+	r.byte() // the method id echo: the pending entry already knows the reply type
+	seq, flags := r.uvarint(), r.byte()
+	if r.err != nil {
+		return r.err
+	}
+	c.mu.Lock()
+	call := c.pending[seq]
+	delete(c.pending, seq)
+	if call == nil {
+		c.mu.Unlock()
+		return nil
+	}
+	var verdict error
+	if flags&wireFlagError != 0 {
+		if msg := r.str(); r.err != nil {
+			verdict = r.err
+		} else if msg == "" {
+			verdict = ServerError("wire: unnamed server error")
+		} else {
+			verdict = ServerError(msg)
+		}
+	} else if decodeWireReplyBody(&r, c.ref, call.reply, call.seg); r.err != nil {
+		verdict = fmt.Errorf("transport: reading reply: %w", r.err)
+	}
+	c.mu.Unlock()
+	call.done <- verdict
+	return nil
+}
+
+// shutdown gives the connection up, once: the first cause stands, the
+// socket is closed — which ends the reader — and every call still pending
+// is failed with that cause. Later calls are no-ops.
+func (c *Client) shutdown(cause error) error {
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return nil
+	}
+	c.err = cause
+	orphans := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	err := c.conn.Close()
+	for _, call := range orphans {
+		call.done <- cause
+	}
+	return err
+}
+
+// invoke runs one call under the client's deadline. On timeout the entry
+// leaves the pending table before the caller returns, so a late reply can
+// never reach a reply value its caller has moved on from and reused — and
+// the connection is closed, since it can no longer be trusted to be live.
+func (c *Client) invoke(method byte, req, reply any) error {
+	call := pendingPool.Get().(*pendingCall)
+	call.reply = reply
+	defer func() {
+		call.reply = nil
+		pendingPool.Put(call)
+	}()
+
+	c.wmu.Lock()
+	c.seq++
+	seq := c.seq
+	// The encoder only refuses a type that is not a request, and the four
+	// typed methods below pass nothing else.
+	buf, seg, _ := appendWireRequestBody(beginWireFrame(c.wbuf, method, seq), c.ref, req)
+	c.wbuf = buf
+	call.seg = append(call.seg[:0], seg...)
+	c.mu.Lock()
+	if err := c.err; err != nil {
+		c.mu.Unlock()
+		c.wmu.Unlock()
+		return err
+	}
+	c.pending[seq] = call
+	c.mu.Unlock()
+	_, err := c.conn.Write(endWireFrame(buf))
+	c.wmu.Unlock()
+	if err != nil {
+		// Fails this call along with the rest: the verdict arrives on done.
+		c.shutdown(fmt.Errorf("transport: send: %w", err))
+	}
+
+	if c.timeout <= 0 {
+		return <-call.done
+	}
 	timer, _ := timerPool.Get().(*time.Timer)
 	if timer == nil {
 		timer = time.NewTimer(c.timeout)
@@ -546,50 +753,57 @@ func (c *Client) invoke(method string, req, reply any) error {
 		timer.Reset(c.timeout)
 	}
 	select {
-	case <-call.Done:
+	case err := <-call.done:
 		if !timer.Stop() {
 			<-timer.C
 		}
 		timerPool.Put(timer)
-		return call.Error
+		return err
 	case <-timer.C:
 		timerPool.Put(timer)
-		c.rc.Close()
-		<-call.Done
-		return fmt.Errorf("transport: %s after %v: %w", method, c.timeout, ErrDeadline)
+		c.mu.Lock()
+		_, waiting := c.pending[seq]
+		delete(c.pending, seq)
+		c.mu.Unlock()
+		if !waiting {
+			// Answered (or failed) in the same instant: that verdict stands.
+			return <-call.done
+		}
+		c.shutdown(ErrClosed)
+		return fmt.Errorf("transport: no reply within %v: %w", c.timeout, ErrDeadline)
 	}
 }
 
 // RequestWork implements Coordinator.
 func (c *Client) RequestWork(req WorkRequest) (WorkReply, error) {
 	var reply WorkReply
-	err := c.invoke(serviceName+".RequestWork", &req, &reply)
+	err := c.invoke(wireRequestWork, &req, &reply)
 	return reply, err
 }
 
 // UpdateInterval implements Coordinator.
 func (c *Client) UpdateInterval(req UpdateRequest) (UpdateReply, error) {
 	var reply UpdateReply
-	err := c.invoke(serviceName+".UpdateInterval", &req, &reply)
+	err := c.invoke(wireUpdateInterval, &req, &reply)
 	return reply, err
 }
 
 // ReportSolution implements Coordinator.
 func (c *Client) ReportSolution(req SolutionReport) (SolutionAck, error) {
 	var reply SolutionAck
-	err := c.invoke(serviceName+".ReportSolution", &req, &reply)
+	err := c.invoke(wireReportSolution, &req, &reply)
 	return reply, err
 }
 
 // Exchange implements BatchCoordinator.
 func (c *Client) Exchange(req BatchRequest) (BatchReply, error) {
 	var reply BatchReply
-	err := c.invoke(serviceName+".Exchange", &req, &reply)
+	err := c.invoke(wireExchange, &req, &reply)
 	return reply, err
 }
 
-// Close tears down the connection.
-func (c *Client) Close() error { return c.rc.Close() }
+// Close tears down the connection; calls in flight fail with ErrClosed.
+func (c *Client) Close() error { return c.shutdown(ErrClosed) }
 
 var _ Coordinator = (*Client)(nil)
 var _ BatchCoordinator = (*Client)(nil)

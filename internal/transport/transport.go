@@ -1,6 +1,6 @@
 // Package transport defines the farmer–worker protocol of the paper's
 // architecture (§4) and its two carriers: direct in-process calls and a TCP
-// net/rpc transport for multi-process deployments.
+// wire transport for multi-process deployments (Server, Client).
 //
 // The protocol is strictly pull-model: workers initiate every exchange and
 // the farmer never contacts a worker, because workers "can be behind

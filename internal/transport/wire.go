@@ -1,13 +1,12 @@
-// The wire codec (DESIGN.md §11): the one dialect net/rpc speaks here. An
-// UpdateInterval round costs a few tens of bytes, against ~350 for the
-// reflective gob stream it replaced. Three mechanisms stack:
+// The wire codec (DESIGN.md §11): the one dialect of the TCP carrier. An
+// UpdateInterval round costs a few tens of bytes. Three mechanisms stack:
 //
 //   - intervals go as binary deltas against a reference range negotiated
 //     at connection time (interval.AppendDelta; the server's WireRef,
 //     typically the root interval the coordinator boundary already pins),
 //     instead of two ~65-digit decimal texts;
-//   - the "GridBB.UpdateInterval" method string both ways collapses to a
-//     one-byte method id and a varint sequence number;
+//   - a call is named by a one-byte method id and a varint sequence
+//     number, echoed by its reply;
 //   - the reply interval is elided entirely when it equals the request's
 //     Remaining — the steady-state no-rebalance case, where the farmer's
 //     intersection (eq. 14) returns exactly what the worker folded.
@@ -25,18 +24,20 @@
 // optional fields of a frame, which trail its fixed layout behind flag or
 // ext bits — a decoder skips bits it does not know and bytes it does not
 // reach.
+//
+// This file is the bytes; Server and Client are the two loops that move
+// them.
 package transport
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/big"
-	"net/rpc"
-	"sync"
 
 	"repro/internal/interval"
 )
@@ -56,43 +57,13 @@ const maxWireRefBytes = 1 << 16
 // instead of a reply payload.
 const wireFlagError = 0x01
 
-// Method ids replace ServiceMethod strings on the wire.
+// Method ids name the four calls on the wire.
 const (
 	wireRequestWork    = 0x01
 	wireUpdateInterval = 0x02
 	wireReportSolution = 0x03
 	wireExchange       = 0x04
 )
-
-func wireMethodName(id byte) string {
-	switch id {
-	case wireRequestWork:
-		return serviceName + ".RequestWork"
-	case wireUpdateInterval:
-		return serviceName + ".UpdateInterval"
-	case wireReportSolution:
-		return serviceName + ".ReportSolution"
-	case wireExchange:
-		return serviceName + ".Exchange"
-	default:
-		return ""
-	}
-}
-
-func wireMethodID(name string) byte {
-	switch name {
-	case serviceName + ".RequestWork":
-		return wireRequestWork
-	case serviceName + ".UpdateInterval":
-		return wireUpdateInterval
-	case serviceName + ".ReportSolution":
-		return wireReportSolution
-	case serviceName + ".Exchange":
-		return wireExchange
-	default:
-		return 0
-	}
-}
 
 // readWireFrame reads one length-prefixed frame, reusing buf. The length
 // is vetted against max before a byte of body is read.
@@ -260,8 +231,16 @@ func (r *wireReader) big() *big.Int {
 	return v
 }
 
+// errWireType is the body codecs' verdict on a value that is not one of the
+// protocol's messages. It deliberately does not format the value: naming
+// it would make every message handed to a codec escape to the heap.
+var errWireType = errors.New("wire: not a protocol message")
+
 // Request payloads.
 
+// appendWireRequestBody appends x's payload to dst; for UpdateRequest it
+// also returns the encoded Remaining (aliasing body), which the caller
+// keeps to restore an elided reply interval.
 func appendWireRequestBody(dst []byte, ref interval.Interval, x any) (body []byte, intervalSeg []byte, err error) {
 	switch q := x.(type) {
 	case *WorkRequest:
@@ -278,7 +257,7 @@ func appendWireRequestBody(dst []byte, ref interval.Interval, x any) (body []byt
 		dst = binary.AppendVarint(dst, q.IntervalID)
 		p0 := len(dst)
 		dst = q.Remaining.AppendDelta(dst, ref)
-		intervalSeg = append([]byte(nil), dst[p0:]...)
+		intervalSeg = dst[p0:len(dst):len(dst)]
 		dst = binary.AppendVarint(dst, q.Power)
 		dst = binary.AppendVarint(dst, q.ExploredDelta)
 		dst = binary.AppendVarint(dst, q.PrunedDelta)
@@ -355,13 +334,14 @@ func appendWireRequestBody(dst []byte, ref interval.Interval, x any) (body []byt
 			dst = appendWireBig(dst, q.FoldContent)
 		}
 	default:
-		return dst, nil, fmt.Errorf("wire: unsupported request type %T", x)
+		return dst, nil, errWireType
 	}
 	return dst, intervalSeg, nil
 }
 
 // decodeWireRequestBody fills x from r; for UpdateRequest it also returns
-// the raw byte segment of the encoded Remaining, for reply elision.
+// the raw byte segment of the encoded Remaining (aliasing r.data), for
+// reply elision.
 func decodeWireRequestBody(r *wireReader, ref interval.Interval, x any) (intervalSeg []byte) {
 	switch q := x.(type) {
 	case *WorkRequest:
@@ -382,7 +362,7 @@ func decodeWireRequestBody(r *wireReader, ref interval.Interval, x any) (interva
 		p0 := r.pos
 		q.Remaining = r.interval(ref)
 		if r.err == nil {
-			intervalSeg = append([]byte(nil), r.data[p0:r.pos]...)
+			intervalSeg = r.data[p0:r.pos]
 		}
 		q.Power = r.varint()
 		q.ExploredDelta = r.varint()
@@ -456,7 +436,7 @@ func decodeWireRequestBody(r *wireReader, ref interval.Interval, x any) (interva
 			}
 		}
 	default:
-		r.fail("wire: unsupported request type %T", x)
+		r.err = errWireType
 	}
 	return intervalSeg
 }
@@ -477,8 +457,14 @@ func appendWireReplyBody(dst []byte, ref interval.Interval, x any, elideWant []b
 			dst = appendWireStr(dst, p.Job)
 		}
 	case *UpdateReply:
-		enc := p.Interval.AppendDelta(nil, ref)
-		elide := elideWant != nil && bytes.Equal(enc, elideWant)
+		// The flag byte is patched in once the elision is decided: the
+		// interval is encoded in place and cut off again when it matches.
+		f0 := len(dst)
+		dst = p.Interval.AppendDelta(append(dst, 0), ref)
+		elide := elideWant != nil && bytes.Equal(dst[f0+1:], elideWant)
+		if elide {
+			dst = dst[:f0+1]
+		}
 		var f byte
 		if p.Finished {
 			f |= 1
@@ -492,10 +478,7 @@ func appendWireReplyBody(dst []byte, ref interval.Interval, x any, elideWant []b
 		if p.Hint != nil {
 			f |= 8
 		}
-		dst = append(dst, f)
-		if !elide {
-			dst = append(dst, enc...)
-		}
+		dst[f0] = f
 		dst = binary.AppendVarint(dst, p.BestCost)
 		// The hint trails the fixed layout behind its flag bit.
 		if p.Hint != nil {
@@ -541,13 +524,13 @@ func appendWireReplyBody(dst []byte, ref interval.Interval, x any, elideWant []b
 			dst = binary.AppendVarint(dst, p.Hint.RichestBits)
 		}
 	default:
-		return dst, fmt.Errorf("wire: unsupported reply type %T", x)
+		return dst, errWireType
 	}
 	return dst, nil
 }
 
 // decodeWireReplyBody fills x from r; stashed is the encoded Remaining of
-// the matching request, consumed when the reply interval was elided.
+// the matching request, decoded in place of an elided reply interval.
 func decodeWireReplyBody(r *wireReader, ref interval.Interval, x any, stashed []byte) {
 	switch p := x.(type) {
 	case *WorkReply:
@@ -616,253 +599,64 @@ func decodeWireReplyBody(r *wireReader, ref interval.Interval, x any, stashed []
 			}
 		}
 	default:
-		r.fail("wire: unsupported reply type %T", x)
+		r.err = errWireType
 	}
 }
 
-// wireServerCodec is the coordinator side of the compact dialect. Reads
-// run on net/rpc's single input goroutine; writes are serialized by the
-// rpc server's sending mutex (wmu is cheap insurance). The stash carries
-// each UpdateInterval request's encoded Remaining from the read side to
-// the response side, keyed by sequence number, so the reply interval can
-// be elided when the coordinator changed nothing.
-type wireServerCodec struct {
-	conn io.ReadWriteCloser
-	br   *bufio.Reader
-	ref  interval.Interval
-	max  int64
+// A frame is built in one buffer: wireFrameHead bytes are kept free in
+// front of the body, and the body's uvarint length is written right-aligned
+// into them once it is known — one buffer, one Write per frame.
+const wireFrameHead = binary.MaxVarintLen64
 
-	rbuf   []byte
-	method byte
-	seq    uint64
-	body   []byte
-
-	wmu        sync.Mutex
-	wbuf, pbuf []byte
-
-	stashMu sync.Mutex
-	stash   map[uint64][]byte
+// beginWireFrame resets buf to an empty body behind the head room and
+// opens it with the call's method id and sequence number.
+func beginWireFrame(buf []byte, method byte, seq uint64) []byte {
+	var head [wireFrameHead]byte
+	buf = append(append(buf[:0], head[:]...), method)
+	return binary.AppendUvarint(buf, seq)
 }
 
-func newWireServerCodec(conn io.ReadWriteCloser, ref interval.Interval, max int64) *wireServerCodec {
-	return &wireServerCodec{
-		conn:  conn,
-		br:    bufio.NewReader(conn),
-		ref:   ref,
-		max:   max,
-		stash: make(map[uint64][]byte),
-	}
+// endWireFrame prefixes the finished body with its length and returns the
+// bytes to send (a suffix of buf).
+func endWireFrame(buf []byte) []byte {
+	var head [wireFrameHead]byte
+	n := binary.PutUvarint(head[:], uint64(len(buf)-wireFrameHead))
+	start := wireFrameHead - n
+	copy(buf[start:], head[:n])
+	return buf[start:]
 }
 
-func (c *wireServerCodec) ReadRequestHeader(req *rpc.Request) error {
-	frame, err := readWireFrame(c.br, c.max, c.rbuf)
-	if err != nil {
-		return err
-	}
-	c.rbuf = frame
-	r := wireReader{data: frame}
-	c.method = r.byte()
-	c.seq = r.uvarint()
-	if r.err != nil {
-		return r.err
-	}
-	req.Seq = c.seq
-	if name := wireMethodName(c.method); name != "" {
-		req.ServiceMethod = name
-	} else {
-		// Unknown id: hand rpc a method it cannot find, so the peer gets
-		// a ServerError reply and the connection survives.
-		req.ServiceMethod = fmt.Sprintf("%s.wire#%d", serviceName, c.method)
-	}
-	c.body = frame[r.pos:]
-	return nil
-}
-
-func (c *wireServerCodec) ReadRequestBody(x any) error {
-	body := c.body
-	c.body = nil
-	if x == nil {
-		return nil
-	}
-	r := wireReader{data: body}
-	seg := decodeWireRequestBody(&r, c.ref, x)
-	if r.err != nil {
-		return r.err
-	}
-	if seg != nil {
-		c.stashMu.Lock()
-		c.stash[c.seq] = seg
-		c.stashMu.Unlock()
-	}
-	return nil
-}
-
-func (c *wireServerCodec) WriteResponse(resp *rpc.Response, x any) error {
-	c.stashMu.Lock()
-	want := c.stash[resp.Seq]
-	delete(c.stash, resp.Seq)
-	c.stashMu.Unlock()
-
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	body := c.pbuf[:0]
-	body = append(body, wireMethodID(resp.ServiceMethod))
-	body = binary.AppendUvarint(body, resp.Seq)
-	if resp.Error != "" {
-		body = append(body, wireFlagError)
-		body = appendWireStr(body, resp.Error)
-	} else {
-		body = append(body, 0)
-		var err error
-		if body, err = appendWireReplyBody(body, c.ref, x, want); err != nil {
-			return err
-		}
-	}
-	c.pbuf = body
-	out := binary.AppendUvarint(c.wbuf[:0], uint64(len(body)))
-	out = append(out, body...)
-	c.wbuf = out
-	_, err := c.conn.Write(out)
-	return err
-}
-
-func (c *wireServerCodec) Close() error { return c.conn.Close() }
-
-// wireClientCodec is the worker side. WriteRequest stashes the encoded
-// Remaining of each UpdateInterval by sequence number; ReadResponseBody
-// (which net/rpc calls exactly once per response, nil body included)
-// consumes the stash, restoring the interval when the reply elided it.
-type wireClientCodec struct {
-	conn io.ReadWriteCloser
-	br   *bufio.Reader
-	ref  interval.Interval
-	max  int64
-
-	wmu        sync.Mutex
-	wbuf, pbuf []byte
-
-	rbuf     []byte
-	respSeq  uint64
-	respBody []byte
-
-	stashMu sync.Mutex
-	stash   map[uint64][]byte
-}
-
-func newWireClientCodec(conn io.ReadWriteCloser, br *bufio.Reader, ref interval.Interval, max int64) *wireClientCodec {
-	return &wireClientCodec{
-		conn:  conn,
-		br:    br,
-		ref:   ref,
-		max:   max,
-		stash: make(map[uint64][]byte),
-	}
-}
-
-func (c *wireClientCodec) WriteRequest(req *rpc.Request, x any) error {
-	id := wireMethodID(req.ServiceMethod)
-	if id == 0 {
-		return fmt.Errorf("wire: unknown method %q", req.ServiceMethod)
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	body := c.pbuf[:0]
-	body = append(body, id)
-	body = binary.AppendUvarint(body, req.Seq)
-	body, seg, err := appendWireRequestBody(body, c.ref, x)
-	if err != nil {
-		return err
-	}
-	if seg != nil {
-		c.stashMu.Lock()
-		c.stash[req.Seq] = seg
-		c.stashMu.Unlock()
-	}
-	c.pbuf = body
-	out := binary.AppendUvarint(c.wbuf[:0], uint64(len(body)))
-	out = append(out, body...)
-	c.wbuf = out
-	_, werr := c.conn.Write(out)
-	return werr
-}
-
-func (c *wireClientCodec) ReadResponseHeader(resp *rpc.Response) error {
-	frame, err := readWireFrame(c.br, c.max, c.rbuf)
-	if err != nil {
-		return err
-	}
-	c.rbuf = frame
-	r := wireReader{data: frame}
-	mid := r.byte()
-	seq := r.uvarint()
-	flags := r.byte()
-	if r.err != nil {
-		return r.err
-	}
-	resp.Seq = seq
-	resp.ServiceMethod = wireMethodName(mid)
-	c.respSeq = seq
-	c.respBody = nil
-	if flags&wireFlagError != 0 {
-		resp.Error = r.str()
-		if r.err != nil {
-			return r.err
-		}
-		if resp.Error == "" {
-			resp.Error = "wire: unnamed server error"
-		}
-	} else {
-		c.respBody = frame[r.pos:]
-	}
-	return nil
-}
-
-func (c *wireClientCodec) ReadResponseBody(x any) error {
-	c.stashMu.Lock()
-	stashed := c.stash[c.respSeq]
-	delete(c.stash, c.respSeq)
-	c.stashMu.Unlock()
-	body := c.respBody
-	c.respBody = nil
-	if x == nil {
-		return nil
-	}
-	r := wireReader{data: body}
-	decodeWireReplyBody(&r, c.ref, x, stashed)
-	return r.err
-}
-
-func (c *wireClientCodec) Close() error { return c.conn.Close() }
-
-// negotiateCompact runs the client half of the negotiation over an
-// authenticated connection and returns the codec. Any failure leaves the
+// negotiateWire runs the client half of the negotiation over an
+// authenticated connection and returns the buffered reader the replies
+// will arrive on and the reference interval. Any failure leaves the
 // connection unusable; the caller closes it.
-func negotiateCompact(conn io.ReadWriteCloser, max int64) (*wireClientCodec, error) {
+func negotiateWire(conn io.ReadWriter) (*bufio.Reader, interval.Interval, error) {
+	var ref interval.Interval
 	if _, err := conn.Write(wirePreamble[:]); err != nil {
-		return nil, err
+		return nil, ref, err
 	}
 	br := bufio.NewReader(conn)
 	ack, err := br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("wire: peer rejected preamble: %w", err)
+		return nil, ref, fmt.Errorf("wire: peer rejected preamble: %w", err)
 	}
 	if ack != wireAck {
-		return nil, fmt.Errorf("wire: bad negotiation ack 0x%02x", ack)
+		return nil, ref, fmt.Errorf("wire: bad negotiation ack 0x%02x", ack)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("wire: reference frame: %w", err)
+		return nil, ref, fmt.Errorf("wire: reference frame: %w", err)
 	}
 	if n > maxWireRefBytes {
-		return nil, fmt.Errorf("wire: %d-byte reference frame: %w", n, ErrOversize)
+		return nil, ref, fmt.Errorf("wire: %d-byte reference frame: %w", n, ErrOversize)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("wire: reference frame: %w", err)
+		return nil, ref, fmt.Errorf("wire: reference frame: %w", err)
 	}
 	ref, used, err := interval.DecodeDelta(buf, interval.Interval{}, 0)
 	if err != nil || used != len(buf) {
-		return nil, fmt.Errorf("wire: bad reference interval: %v", err)
+		return nil, ref, fmt.Errorf("wire: bad reference interval: %v", err)
 	}
-	return newWireClientCodec(conn, br, ref, max), nil
+	return br, ref, nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // FuzzWireFrame drives arbitrary bytes through the compact dialect's whole
-// inbound surface: the length-prefixed frame reader, the server-side
-// request header/body decode (every method id, known and unknown), and the
+// inbound surface: the length-prefixed frame reader, the server's
+// dispatchWireFrame (every method id, known and unknown), and the
 // client-side reply header/body decode — error-flag frames included, and
 // elided replies both with and without a stashed request interval. The
 // properties are the codec's safety contract: no panic and no allocation
@@ -70,28 +70,18 @@ func FuzzWireFrame(f *testing.F) {
 		// yield a body, never panic.
 		_, _ = readWireFrame(bufio.NewReader(bytes.NewReader(data)), 256, nil)
 
-		// Server side: header then request body, as wireServerCodec does.
-		r := wireReader{data: data}
-		method := r.byte()
-		r.uvarint() // seq
-		if r.err == nil {
-			var x any
-			switch method {
-			case wireRequestWork:
-				x = new(WorkRequest)
-			case wireUpdateInterval:
-				x = new(UpdateRequest)
-			case wireReportSolution:
-				x = new(SolutionReport)
-			case wireExchange:
-				x = new(BatchRequest)
-			default:
-				// Unknown id: the codec hands rpc an unfindable method
-				// name and the connection survives — nothing to decode.
+		// Server side: the frame loop's own decode-and-dispatch, against a
+		// canned coordinator. Whatever comes back — a reply, or an error
+		// frame for an unknown id or an undecodable body — must encode to
+		// a frame that echoes the request's sequence number.
+		if a, ok := dispatchWireFrame(stubCoord{}, ref, data); ok {
+			out := wireReader{data: a.appendFrame(nil, ref)[wireFrameHead:]}
+			out.byte()
+			if seq := out.uvarint(); out.err != nil || seq != a.seq {
+				t.Fatalf("answer frame echoes seq %d (err %v), request had %d", seq, out.err, a.seq)
 			}
-			if x != nil {
-				br := wireReader{data: data[r.pos:]}
-				decodeWireRequestBody(&br, ref, x)
+			if flags := out.byte(); (flags&wireFlagError != 0) != (a.err != nil) {
+				t.Fatalf("answer frame flags %#x for err %v", flags, a.err)
 			}
 		}
 

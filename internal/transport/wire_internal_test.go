@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/big"
 	"net"
-	"net/rpc"
 	"reflect"
 	"strings"
 	"testing"
@@ -52,21 +51,37 @@ func TestReadWireFrameLengthOverflow(t *testing.T) {
 	}
 }
 
-// TestWireServerSurvivesUnknownMethodID: the forward-compatibility half of
-// the dialect matrix — a frame with a method id this server does not know
-// must come back as an rpc can't-find error on a connection that stays
-// alive for the next, known frame.
-func TestWireServerSurvivesUnknownMethodID(t *testing.T) {
+// pipeServer runs the real serveConn loop for coord over one end of a
+// net.Pipe and returns the other end, negotiated: the buffered reader the
+// replies arrive on and the reference interval the server announced.
+func pipeServer(t *testing.T, coord Coordinator, ref interval.Interval) (net.Conn, *bufio.Reader) {
+	t.Helper()
 	cliSide, srvSide := net.Pipe()
-	defer cliSide.Close()
-	ref := interval.FromInt64(0, 1000)
-	rsrv := rpc.NewServer()
-	if err := rsrv.RegisterName(serviceName, NewRPCService(stubCoord{})); err != nil {
+	t.Cleanup(func() { cliSide.Close() })
+	s := &Server{
+		coord: coord,
+		opts:  ServerOptions{WireRef: ref, MaxMessageBytes: DefaultMaxMessageBytes},
+		conns: make(map[*srvConn]struct{}),
+	}
+	go s.serveConn(srvSide)
+	cliSide.SetDeadline(time.Now().Add(5 * time.Second))
+	br, got, err := negotiateWire(cliSide)
+	if err != nil {
 		t.Fatal(err)
 	}
-	go rsrv.ServeCodec(newWireServerCodec(srvSide, ref, DefaultMaxMessageBytes))
+	if !got.Equal(ref) {
+		t.Fatalf("negotiated reference %v, want %v", got, ref)
+	}
+	return cliSide, br
+}
 
-	cliSide.SetDeadline(time.Now().Add(5 * time.Second))
+// TestWireServerSurvivesUnknownMethodID: the forward-compatibility half of
+// the dialect matrix — a frame with a method id this server does not know
+// must come back as an error frame on a connection that stays alive for
+// the next, known frame. Driven through the server's own frame loop.
+func TestWireServerSurvivesUnknownMethodID(t *testing.T) {
+	ref := interval.FromInt64(0, 1000)
+	cliSide, br := pipeServer(t, stubCoord{}, ref)
 	send := func(body []byte) {
 		t.Helper()
 		frame := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
@@ -74,7 +89,6 @@ func TestWireServerSurvivesUnknownMethodID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReader(cliSide)
 	recv := func() *wireReader {
 		t.Helper()
 		frame, err := readWireFrame(br, DefaultMaxMessageBytes, nil)
@@ -94,8 +108,8 @@ func TestWireServerSurvivesUnknownMethodID(t *testing.T) {
 	if flags := r.byte(); flags&wireFlagError == 0 {
 		t.Fatal("unknown method id did not come back as an error response")
 	}
-	if msg := r.str(); !strings.Contains(msg, "can't find") {
-		t.Fatalf("unknown-id error = %q, want the rpc can't-find text", msg)
+	if msg := r.str(); !strings.Contains(msg, "unknown method id 0x7f") {
+		t.Fatalf("unknown-id error = %q, want it to name the id", msg)
 	}
 	if r.err != nil {
 		t.Fatal(r.err)

@@ -202,7 +202,10 @@ func TestSolutionSharingAcrossWorkers(t *testing.T) {
 // cancellation, and leave gracefully — one final fold, so the farmer has
 // been told of every node the worker explored and nothing is re-explored.
 func TestRunContextCancel(t *testing.T) {
-	ins := testInstance(14, 8, 5) // ~430k nodes: does not finish within the cancel window
+	// 20 jobs: a proof this bound needs hours for, so the worker is
+	// mid-exploration at the cancel on any machine — the window below is
+	// how much it explores before leaving, not a race against the proof.
+	ins := testInstance(20, 10, 5)
 	factory := func() bb.Problem {
 		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 	}
