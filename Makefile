@@ -48,9 +48,10 @@ bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime 1s . > $(BENCH_OUT)
 	@echo "benchmark record written to $(BENCH_OUT)"
 
-# The two hot-loop benchmarks the perf acceptance gates watch.
+# The two hot-loop benchmarks the perf acceptance gates watch, and the
+# bounding call they spend their time in.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable1EngineThroughput|BenchmarkExplorerInteriorStep' -benchmem -benchtime 2s -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkTable1EngineThroughput|BenchmarkExplorerInteriorStep|BenchmarkBoundChild' -benchmem -benchtime 2s -count 3 .
 
 # The hierarchical-farmer throughput record (flat vs 2-level tree, plus
 # root-cost flatness in the subtree count). ns/op is aggregate: read the
@@ -75,30 +76,35 @@ bench-wire:
 # The CI perf gate (DESIGN.md §12): the protocol-hot benchmarks — wire
 # fold, hardened loopback call, single-farmer request, multi-tenant
 # job-table request, durable snapshot write — and the engine's two hot loops (node throughput and the
-# interior step, which must stay at 0 allocs/op), three repetitions each,
+# interior step, which must stay at 0 allocs/op) with the one bounding call
+# under them (BoundChild, per bound family), three repetitions each,
 # best-of compared by cmd/benchgate against the gate section of
 # $(BENCH_BASELINE); fails on a regression beyond the record's allowance.
 # Deterministic metrics (wire-B/fold, file-B, allocs/op) hold across
 # hosts; ns/op is host-relative, hence the percentage allowance.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkWireBytesPerFold|BenchmarkHardenedCallOverhead|BenchmarkFarmerRequestThroughput|BenchmarkJobTableRequestThroughput|BenchmarkCheckpointSave|BenchmarkTable1EngineThroughput|BenchmarkExplorerInteriorStep' -benchmem -benchtime 1s -count 3 . | $(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE)
+	$(GO) test -run '^$$' -bench 'BenchmarkWireBytesPerFold|BenchmarkHardenedCallOverhead|BenchmarkFarmerRequestThroughput|BenchmarkJobTableRequestThroughput|BenchmarkCheckpointSave|BenchmarkTable1EngineThroughput|BenchmarkExplorerInteriorStep|BenchmarkBoundChild' -benchmem -benchtime 1s -count 3 . | $(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE)
 
 # The hostile-input fuzzers, briefly: the corpus seeds plus a few seconds
 # of fresh mutation on every gate run, so the invariants cannot silently
-# rot between dedicated fuzzing sessions. Three frontiers: the coordinator
+# rot between dedicated fuzzing sessions. Four frontiers: the coordinator
 # boundary (no panic, INTERVALS stays a partition fragment, rejections are
 # counted), the multi-tenant job boundary (hostile job tags and cross-job
 # intervals land in rejection counters, the partition invariant holds per
 # job), the wire codec (no panic or over-read on arbitrary
 # frames; decoded frames re-encode canonically), and the checkpoint
 # snapshot parser (arbitrary on-disk bytes either load cleanly or fail
-# with ErrCorrupt — never panic, never a silently wrong snapshot). go
-# test runs one fuzz target per invocation, hence the separate lines.
+# with ErrCorrupt — never panic, never a silently wrong snapshot). The
+# fifth is not about hostile input: the engines' one bounding call,
+# BoundChild, held to its definition on fuzzer-written walks over every
+# domain (DESIGN.md §2). go test runs one fuzz target per invocation,
+# hence the separate lines.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorBoundary$$' -fuzztime 10s ./internal/farmer
 	$(GO) test -run '^$$' -fuzz '^FuzzJobBoundary$$' -fuzztime 10s ./internal/jobs
 	$(GO) test -run '^$$' -fuzz '^FuzzWireFrame$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundChild$$' -fuzztime 10s ./gridbb
 
 # Every benchmark exactly once: not a measurement, a compile-and-run guard
 # so bench_test.go cannot bit-rot between perf PRs. CI runs this on every
@@ -129,6 +135,9 @@ golden:
 # instrument, not the system, and is left out of the total.
 LOC = xargs cat | grep -cvE '^\s*(//|$$)'
 loc:
+	@echo "internal/flowshop  $$(find internal/flowshop -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/core      $$(find internal/core -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/bb        $$(find internal/bb -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/harness   $$(find internal/harness -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/gridsim   $$(find internal/gridsim -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/transport $$(find internal/transport -name '*.go' ! -name '*_test.go' | $(LOC))"

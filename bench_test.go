@@ -15,6 +15,7 @@
 //	Fig 7  BenchmarkFig7AvailabilityTrace   trace generation
 //	Tab 1  BenchmarkTable1EngineThroughput  engine speed defining "power"
 //	—      BenchmarkExplorerInteriorStep    interior-mode hot loop, 0 allocs
+//	—      BenchmarkBoundChild              one child bound, per bound family
 //	Tab 2  BenchmarkTable2Resolution        full simulated grid resolution
 //	Tab 3  BenchmarkTable3Domains           flowshop vs TSP vs knapsack
 //
@@ -726,6 +727,44 @@ func BenchmarkTable1EngineThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkBoundChild prices the engines' one bounding call per bound family:
+// the siblings of one node of ta056 14x8, four levels down, bounded in turn
+// with no cutoff to stop at, so every stage the family has runs to its end
+// (sweep, lost minima, Johnson pairs). The batch is built once and stays
+// valid: this is the per-child cost, the dearest a child can be.
+func BenchmarkBoundChild(b *testing.B) {
+	ins, err := flowshop.Ta056().Reduced(14, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []struct {
+		name string
+		kind flowshop.BoundKind
+	}{
+		{"one-machine", flowshop.BoundOneMachine},
+		{"two-machine", flowshop.BoundTwoMachine},
+		{"combined", flowshop.BoundCombined},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			p := flowshop.NewProblem(ins, k.kind, flowshop.PairsAll)
+			for d := 0; d < 4; d++ {
+				p.Descend(0)
+			}
+			width, r := p.Shape().Branching(4), 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += p.BoundChild(r, bb.Infinity)
+				if r++; r == width {
+					r = 0
+				}
+			}
+		})
+	}
+}
+
+var benchSink int64
+
 // BenchmarkExplorerInteriorStep isolates the engine's interior-mode hot
 // loop: the interval lies strictly inside the root range, so after the
 // boundary descent the walk runs the boundary-free int-cursor DFS. The
@@ -1144,6 +1183,59 @@ func BenchmarkMulticoreWorker(b *testing.B) {
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/resolution")
 		})
 	}
+}
+
+// TestProblemsShareNoCacheLine: two flowshop.Problems built back to back on
+// one goroutine — what gridbb.Solve, the harness and every factory()-in-a-loop
+// caller do — must explore as fast on two goroutines as two built each on its
+// explorer's own goroutine. Before a Problem owned its scratch in padded
+// blocks the allocator packed the two problems' hot slices into the same
+// cache lines and both walks ran 40-90 % slower.
+func TestProblemsShareNoCacheLine(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two processors")
+	}
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	ins, err := flowshop.Ta056().Reduced(12, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() bb.Problem { return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll) }
+	// pair times two concurrent proofs; probs holds the problems built up
+	// front, nil for "build your own".
+	pair := func(probs []bb.Problem) time.Duration {
+		var wg sync.WaitGroup
+		t0 := time.Now()
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				p := build()
+				if probs != nil {
+					p = probs[w]
+				}
+				bb.Solve(p, bb.Infinity)
+			}(w)
+		}
+		wg.Wait()
+		return time.Since(t0)
+	}
+	// Load from outside only ever adds time, so each side's minimum over
+	// alternating repetitions is the number that belongs to the code; a
+	// loaded box gets more rounds before the verdict.
+	together, apart := time.Duration(1<<62), time.Duration(1<<62)
+	for round := 0; round < 4; round++ {
+		for rep := 0; rep < 3; rep++ {
+			together = min(together, pair([]bb.Problem{build(), build()}))
+			apart = min(apart, pair(nil))
+		}
+		if float64(together) <= 1.10*float64(apart) {
+			return
+		}
+	}
+	t.Fatalf("two problems built back to back explore in %v, two built on their own goroutines in %v: more than 10 %% apart", together, apart)
 }
 
 func solveParallel(b *testing.B, factory func() bb.Problem, workers int, prime int64) int64 {

@@ -69,9 +69,29 @@ type Problem interface {
 	// nodes cheap: most are eliminated by a fraction of the full bound
 	// computation (see DESIGN.md §2).
 	Bound(cutoff int64) int64
+	// BoundChild returns, without moving the path, what
+	//
+	//	Descend(rank); b := Bound(cutoff); Ascend()
+	//
+	// would: the bound of the rank-th child under the same cutoff contract
+	// (>= cutoff agrees with the full bound, exact when below). It is how
+	// the engines bound — most children are eliminated the moment they are
+	// bounded, and one eliminated here costs no Descend and no Ascend — and
+	// it is never called for a child that is a leaf. An implementation with
+	// nothing to gain delegates to BoundByDescent.
+	BoundChild(rank int, cutoff int64) int64
 	// Cost returns the objective value of the current leaf. It is only
 	// called when the path has reached depth Shape().Depth().
 	Cost() int64
+}
+
+// BoundByDescent is BoundChild by its definition, for problems whose bound
+// needs the child's state in place.
+func BoundByDescent(p Problem, rank int, cutoff int64) int64 {
+	p.Descend(rank)
+	b := p.Bound(cutoff)
+	p.Ascend()
+	return b
 }
 
 // Decoder is implemented by problems that can translate a rank path into a
@@ -173,10 +193,10 @@ func (e *engine) run() {
 		r := cursor[depth]
 		cursor[depth]++
 		path[depth] = r
-		p.Descend(r)
 		e.stats.Explored++
 		if depth+1 == depthMax {
 			// Leaf.
+			p.Descend(r)
 			e.stats.Leaves++
 			if c := p.Cost(); c < e.best.Cost {
 				e.best.Cost = c
@@ -186,11 +206,11 @@ func (e *engine) run() {
 			p.Ascend()
 			continue
 		}
-		if b := p.Bound(e.best.Cost); b >= e.best.Cost {
+		if b := p.BoundChild(r, e.best.Cost); b >= e.best.Cost {
 			e.stats.Pruned++
-			p.Ascend()
 			continue
 		}
+		p.Descend(r)
 		depth++
 	}
 }

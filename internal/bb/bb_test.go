@@ -47,6 +47,10 @@ func (t *toyProblem) Bound(int64) int64 {
 	return t.costOf(t.path)
 }
 
+func (t *toyProblem) BoundChild(rank int, cutoff int64) int64 {
+	return BoundByDescent(t, rank, cutoff)
+}
+
 // TestSolveFindsEnumerateOptimum: with a useless bound, Solve degenerates
 // to full enumeration and both agree.
 func TestSolveFindsEnumerateOptimum(t *testing.T) {

@@ -276,8 +276,8 @@ func (e *Explorer) Step(budget int64) (explored int64, done bool) {
 				explored++
 				e.stats.Explored++
 				e.path[d] = r
-				p.Descend(r)
 				if d+1 == depthMax {
+					p.Descend(r)
 					e.stats.Leaves++
 					if c := p.Cost(); c < cutoff {
 						e.improve(c, d+1)
@@ -286,13 +286,13 @@ func (e *Explorer) Step(budget int64) (explored int64, done bool) {
 					p.Ascend()
 					continue
 				}
-				if b := p.Bound(cutoff); b >= cutoff {
+				if b := p.BoundChild(r, cutoff); b >= cutoff {
 					// The elimination operator (see boundary mode below
 					// for why pruning stays valid across processes).
 					e.stats.Pruned++
-					p.Ascend()
 					continue
 				}
+				p.Descend(r)
 				e.depth++
 			}
 			continue
@@ -347,10 +347,10 @@ func (e *Explorer) Step(budget int64) (explored int64, done bool) {
 			e.stats.Explored++
 		}
 		e.path[d] = r
-		p.Descend(r)
 		if childDepth == depthMax {
 			// A leaf's range is one unit wide, so it can never straddle
 			// lo: counted is always true here.
+			p.Descend(r)
 			e.stats.Leaves++
 			if c := p.Cost(); c < e.best.Cost {
 				e.improve(c, childDepth)
@@ -358,7 +358,7 @@ func (e *Explorer) Step(budget int64) (explored int64, done bool) {
 			p.Ascend()
 			continue
 		}
-		if b := p.Bound(e.best.Cost); b >= e.best.Cost {
+		if b := p.BoundChild(r, e.best.Cost); b >= e.best.Cost {
 			// The elimination operator. Pruning is justified by the
 			// cost of a feasible solution, so it stays valid for any
 			// process that may re-explore this region later; skipped
@@ -367,9 +367,9 @@ func (e *Explorer) Step(budget int64) (explored int64, done bool) {
 			if counted {
 				e.stats.Pruned++
 			}
-			p.Ascend()
 			continue
 		}
+		p.Descend(r)
 		e.num[childDepth].Set(e.childNum)
 		e.depth++
 		if e.childNum.Cmp(e.lo) >= 0 && e.childEnd.Cmp(e.hi) <= 0 {

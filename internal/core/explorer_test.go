@@ -134,6 +134,9 @@ func (c *countingProblem) Reset()            { c.path = c.path[:0] }
 func (c *countingProblem) Descend(rank int)  { c.path = append(c.path, rank) }
 func (c *countingProblem) Ascend()           { c.path = c.path[:len(c.path)-1] }
 func (c *countingProblem) Bound(int64) int64 { return 0 }
+func (c *countingProblem) BoundChild(rank int, cutoff int64) int64 {
+	return bb.BoundByDescent(c, rank, cutoff)
+}
 func (c *countingProblem) Cost() int64 {
 	var n int64
 	for _, r := range c.path {

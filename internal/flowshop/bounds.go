@@ -1,6 +1,10 @@
 package flowshop
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+	"sync"
+)
 
 // BoundKind selects the lower-bound family used by the B&B bounding
 // operator. The paper does not spell out its bound; the DOLPHIN team's
@@ -40,61 +44,85 @@ const (
 	PairsFirstLast
 )
 
-// Bounder computes lower bounds for partial flowshop schedules. It owns all
-// precomputed tables and scratch space; it is not safe for concurrent use
-// (each worker builds its own, mirroring one B&B process per processor in
-// the paper).
-//
-// Bound is cutoff-aware (see bb.Problem): evaluation is staged from cheapest
-// to most expensive component and returns as soon as any stage proves the
-// bound >= cutoff, so the hopeless nodes that dominate a B&B run mostly pay
-// the scan-free first stage only.
-//
-// The per-machine minima over the remaining jobs (minTail, minCum) that both
-// bound families consume are not rescanned per node: the owner keeps the
-// Bounder synchronized with the search path through Push/Pop (counter
-// updates, nothing else), and the minima row for the current depth is
-// materialized lazily, only when a Bound call survives the scan-free first
-// stage. Materialization jumps from the nearest still-valid ancestor row
-// with argmin tracking — a machine's minimum carries over as long as its
-// argmin job is still unscheduled, so the expected cost is O(M) with only
-// the occasional O(remaining) single-machine rescan, instead of the O(N·M)
-// full scan a stateless bound pays on every surviving node. Nodes that
-// prune at stage one (the vast majority deep in the tree) touch none of it.
-type Bounder struct {
-	ins  *Instance
-	kind BoundKind
+// tables holds everything the bounding operator reads and never writes: it
+// is built once per Instance (see Instance.tables) and shared by every
+// Problem over it, so a factory called per worker, per shard or per
+// simulated session costs one scratch block and no table building.
+type tables struct {
+	// proc[j*M+m] and procT[m*N+j] are Instance.Proc, flat and transposed.
+	proc, procT []int64
+	// total[m] is machine m's load over all jobs (the root's sumRem).
+	total []int64
+	// The sorted orders behind the remaining-set minima. Slot s < M is
+	// machine s's tail (sum of p[j][k] for k > s: what job j still needs
+	// after leaving the machine), slot M+m is machine m's cum (sum of
+	// p[j][k] for k < m: what it needs before reaching it). ordJob[s*(N+1)+k]
+	// is the job with slot s's k-th smallest value, ties by job index, and
+	// ordVal that value; each order ends on the sentinel job N, which is
+	// "remaining" for ever, so a walk along an order needs no end test. The
+	// minimum over any remaining set is the first remaining job along the
+	// order, and when that job leaves, the next one — no rescan.
+	ordJob []int
+	ordVal []int64
+	// batchOff[d] is where depth d's sibling batch starts in a Problem's
+	// scratch block (see NewProblem): (N-d) rows of M completion times.
+	batchOff []int
 
-	// tails[j][m] = sum of p[j][k] for k > m: time job j still needs
-	// after finishing machine m.
-	tails [][]int64
-	// cum[j][m] = sum of p[j][k] for k < m: time job j needs before
-	// reaching machine m.
-	cum [][]int64
-	// tailsT and cumT are the transposed tables ([m][j]), so the
-	// single-machine rescans triggered by an argmin removal walk
-	// contiguous memory.
-	tailsT [][]int64
-	cumT   [][]int64
-	// gMinTail and gMinCum are the per-machine minima over ALL jobs:
-	// constant lower bounds of the remaining-set minima (which are minima
-	// over a subset), letting the scan-free first bound stage approximate
-	// the full one-machine bound without knowing which jobs remain.
-	gMinTail []int64
-	gMinCum  []int64
+	pairs [3]struct {
+		once sync.Once
+		list []johnsonPair
+	}
+}
 
-	pairs []johnsonPair
+// maxTime is larger than any completion time or bound and small enough to
+// be added to one without overflow: the "minimum" over no job at all.
+const maxTime = int64(1) << 62
 
-	// Minima stack, one row per search depth; row sDepth describes the
-	// current remaining set when valid[sDepth] holds, and is rebuilt
-	// lazily otherwise. arg*S[d][m] is a remaining job achieving the
-	// minimum (-1 when no job remains).
-	sDepth   int
-	valid    []bool
-	minTailS [][]int64
-	minCumS  [][]int64
-	argTailS [][]int
-	argCumS  [][]int
+func buildTables(ins *Instance) *tables {
+	N, M := ins.Jobs, ins.Machines
+	t := &tables{
+		proc:     make([]int64, N*M),
+		procT:    make([]int64, N*M),
+		total:    make([]int64, M),
+		ordJob:   make([]int, 2*M*(N+1)),
+		ordVal:   make([]int64, 2*M*(N+1)),
+		batchOff: make([]int, N+1),
+	}
+	key := make([]int64, 2*M*N) // key[s*N+j]: job j's value in slot s
+	for j, row := range ins.Proc {
+		var cum int64
+		for m, p := range row {
+			t.proc[j*M+m], t.procT[m*N+j] = p, p
+			t.total[m] += p
+			key[(M+m)*N+j] = cum
+			cum += p
+		}
+		var tail int64
+		for m := M - 1; m >= 0; m-- {
+			key[m*N+j] = tail
+			tail += row[m]
+		}
+	}
+	for s := 0; s < 2*M; s++ {
+		k, jobs, vals := key[s*N:][:N], t.ordJob[s*(N+1):][:N+1], t.ordVal[s*(N+1):][:N+1]
+		for j := range jobs {
+			jobs[j] = j
+		}
+		sort.SliceStable(jobs[:N], func(x, y int) bool { return k[jobs[x]] < k[jobs[y]] })
+		for i, j := range jobs[:N] {
+			vals[i] = k[j]
+		}
+		vals[N] = maxTime
+	}
+	// The root's own completion times (all zero) sit in front of the
+	// batches, so every depth's row — the root's included — lives in the
+	// same block.
+	off := M
+	for d := 0; d <= N; d++ {
+		t.batchOff[d] = off
+		off += (N - d) * M
+	}
+	return t
 }
 
 // johnsonPair holds the precomputed Johnson order for the two-machine
@@ -111,152 +139,26 @@ type johnsonPair struct {
 	pv    []int64 // pv[i] = Proc[order[i]][v]
 }
 
-// NewBounder builds a bounder of the given kind. The pair strategy is only
-// consulted for the two-machine kinds.
-func NewBounder(ins *Instance, kind BoundKind, ps PairStrategy) *Bounder {
-	b := &Bounder{
-		ins:      ins,
-		kind:     kind,
-		tails:    make([][]int64, ins.Jobs),
-		cum:      make([][]int64, ins.Jobs),
-		tailsT:   make([][]int64, ins.Machines),
-		cumT:     make([][]int64, ins.Machines),
-		minTailS: make([][]int64, ins.Jobs+1),
-		minCumS:  make([][]int64, ins.Jobs+1),
-		argTailS: make([][]int, ins.Jobs+1),
-		argCumS:  make([][]int, ins.Jobs+1),
+// johnsonPairs returns the instance's pairs for a strategy, built on first
+// use and shared read-only like the rest of the tables.
+func (ins *Instance) johnsonPairs(ps PairStrategy) []johnsonPair {
+	t := ins.tables()
+	if ps < 0 || int(ps) >= len(t.pairs) {
+		return nil
 	}
-	for m := 0; m < ins.Machines; m++ {
-		b.tailsT[m] = make([]int64, ins.Jobs)
-		b.cumT[m] = make([]int64, ins.Jobs)
-	}
-	for j := 0; j < ins.Jobs; j++ {
-		b.tails[j] = make([]int64, ins.Machines)
-		b.cum[j] = make([]int64, ins.Machines)
-		var t int64
-		for m := ins.Machines - 2; m >= 0; m-- {
-			t += ins.Proc[j][m+1]
-			b.tails[j][m] = t
-		}
-		var c int64
-		for m := 1; m < ins.Machines; m++ {
-			c += ins.Proc[j][m-1]
-			b.cum[j][m] = c
-		}
-		for m := 0; m < ins.Machines; m++ {
-			b.tailsT[m][j] = b.tails[j][m]
-			b.cumT[m][j] = b.cum[j][m]
-		}
-	}
-	b.gMinTail = make([]int64, ins.Machines)
-	b.gMinCum = make([]int64, ins.Machines)
-	all := make([]int, ins.Jobs)
-	for j := range all {
-		all[j] = j
-	}
-	for m := 0; m < ins.Machines; m++ {
-		b.gMinTail[m], _ = scanMin(b.tailsT[m], all)
-		b.gMinCum[m], _ = scanMin(b.cumT[m], all)
-	}
-	b.valid = make([]bool, ins.Jobs+1)
-	for d := 0; d <= ins.Jobs; d++ {
-		b.minTailS[d] = make([]int64, ins.Machines)
-		b.minCumS[d] = make([]int64, ins.Machines)
-		b.argTailS[d] = make([]int, ins.Machines)
-		b.argCumS[d] = make([]int, ins.Machines)
-	}
-	if kind == BoundTwoMachine || kind == BoundCombined {
-		b.buildPairs(ps)
-	}
-	return b
+	c := &t.pairs[ps]
+	c.once.Do(func() { c.list = buildPairs(ins, ps) })
+	return c.list
 }
 
-// ResetStack (re)initializes the minima stack for the full remaining set.
-// The owner calls it whenever the search path returns to the root (see
-// Problem.Reset); remaining must list every job.
-func (b *Bounder) ResetStack(remaining []int) {
-	b.sDepth = 0
-	for d := range b.valid {
-		b.valid[d] = false
-	}
-	for m := 0; m < b.ins.Machines; m++ {
-		b.minTailS[0][m], b.argTailS[0][m] = scanMin(b.tailsT[m], remaining)
-		b.minCumS[0][m], b.argCumS[0][m] = scanMin(b.cumT[m], remaining)
-	}
-	b.valid[0] = true
-}
-
-// scanMin finds the minimum of table over the given jobs and a job
-// achieving it (-1 when jobs is empty).
-func scanMin(table []int64, jobs []int) (int64, int) {
-	min, arg := int64(1)<<62, -1
-	for _, j := range jobs {
-		if table[j] < min {
-			min, arg = table[j], j
-		}
-	}
-	return min, arg
-}
-
-// Push descends one level: one more job left the remaining set, so the row
-// for the new depth — whatever a previous visit left there — no longer
-// describes it. Deliberately O(1): nodes whose Bound call never gets past
-// the scan-free first stage (and leaves, whose Bound is never called) must
-// not pay for minima bookkeeping they do not use.
-func (b *Bounder) Push() {
-	b.sDepth++
-	b.valid[b.sDepth] = false
-}
-
-// Pop ascends one level, restoring the minima of the re-grown remaining set
-// (rows below the top are never clobbered, so this is a counter decrement;
-// an ancestor row stays valid until a Push overwrites its depth again).
-func (b *Bounder) Pop() {
-	b.sDepth--
-}
-
-// topMinima returns the minTail/minCum rows for the current depth,
-// materializing them if the walk moved since they were last built. The jump
-// starts from the nearest valid ancestor row: its minima are over a superset
-// of the current remaining set, so wherever the recorded argmin job is still
-// remaining the value is carried as-is, and only the machines whose argmin
-// has since been scheduled rescan their (contiguous, transposed) column.
-func (b *Bounder) topMinima(remaining []int, inRemaining []bool) (minTail, minCum []int64) {
-	d := b.sDepth
-	if !b.valid[d] {
-		v := d - 1
-		for !b.valid[v] {
-			v--
-		}
-		M := b.ins.Machines
-		st, sc := b.minTailS[v][:M], b.minCumS[v][:M]
-		sat, sac := b.argTailS[v][:M], b.argCumS[v][:M]
-		nt, nc := b.minTailS[d][:M], b.minCumS[d][:M]
-		nat, nac := b.argTailS[d][:M], b.argCumS[d][:M]
-		for m := 0; m < M; m++ {
-			if a := sat[m]; a >= 0 && inRemaining[a] {
-				nt[m], nat[m] = st[m], a
-			} else {
-				nt[m], nat[m] = scanMin(b.tailsT[m], remaining)
-			}
-			if a := sac[m]; a >= 0 && inRemaining[a] {
-				nc[m], nac[m] = sc[m], a
-			} else {
-				nc[m], nac[m] = scanMin(b.cumT[m], remaining)
-			}
-		}
-		b.valid[d] = true
-	}
-	return b.minTailS[d], b.minCumS[d]
-}
-
-func (b *Bounder) buildPairs(ps PairStrategy) {
-	M := b.ins.Machines
+func buildPairs(ins *Instance, ps PairStrategy) []johnsonPair {
+	M := ins.Machines
+	var pairs []johnsonPair
 	add := func(u, v int) {
 		if u < 0 || v >= M || u >= v {
 			return
 		}
-		b.pairs = append(b.pairs, b.makePair(u, v))
+		pairs = append(pairs, makePair(ins, u, v))
 	}
 	switch ps {
 	case PairsAll:
@@ -277,15 +179,18 @@ func (b *Bounder) buildPairs(ps PairStrategy) {
 			add(u, M-1)
 		}
 	}
+	return pairs
 }
 
-// lag returns the Mitten time lag of job j between machines u and v.
-func (b *Bounder) lag(j, u, v int) int64 {
-	return b.cum[j][v] - b.cum[j][u+1]
-}
-
-func (b *Bounder) makePair(u, v int) johnsonPair {
-	ins := b.ins
+func makePair(ins *Instance, u, v int) johnsonPair {
+	// lag is the Mitten time lag of job j between machines u and v.
+	lag := func(j int) int64 {
+		var l int64
+		for k := u + 1; k < v; k++ {
+			l += ins.Proc[j][k]
+		}
+		return l
+	}
 	order := make([]int, ins.Jobs)
 	for j := range order {
 		order[j] = j
@@ -300,7 +205,7 @@ func (b *Bounder) makePair(u, v int) johnsonPair {
 	}
 	keys := make([]key, ins.Jobs)
 	for j := 0; j < ins.Jobs; j++ {
-		l := b.lag(j, u, v)
+		l := lag(j)
 		a := ins.Proc[j][u] + l
 		bb := l + ins.Proc[j][v]
 		if a <= bb {
@@ -327,97 +232,229 @@ func (b *Bounder) makePair(u, v int) johnsonPair {
 	}
 	for i, j := range order {
 		p.pu[i] = ins.Proc[j][u]
-		p.lag[i] = b.lag(j, u, v)
+		p.lag[i] = lag(j)
 		p.pv[i] = ins.Proc[j][v]
 	}
 	return p
 }
 
-// Bound returns a lower bound on the makespan of every completion of the
-// partial schedule described by:
+// Bound implements bb.Problem: a lower bound on the makespan of every
+// completion of the current prefix, under the cutoff contract — admissible,
+// exact when below cutoff, and returned the moment a partial value reaches
+// cutoff: the one-machine sweep first (oneMachine), then the Johnson pairs
+// (twoMachine), each family only when the kind enables it. The engines bound
+// through BoundChild; Bound serves whoever stands on a node already (the
+// root bound, the oracles). With no job remaining the bound is exactly the
+// prefix makespan.
+func (p *Problem) Bound(cutoff int64) int64 {
+	if len(p.remaining) == 0 {
+		return p.Cost()
+	}
+	var lb int64
+	if p.one {
+		if lb = p.oneMachine(p.depth, cutoff); lb >= cutoff {
+			return lb
+		}
+	}
+	if p.pairs != nil {
+		if v := p.twoMachine(p.depth, cutoff); v > lb {
+			lb = v
+		}
+	}
+	return lb
+}
+
+// BoundChild implements bb.Problem: the bound of the rank-th child under the
+// cutoff contract, equal in every observable way to Descend(rank);
+// Bound(cutoff); Ascend() — without moving the path, and for the one-machine
+// family without writing anything.
 //
-//   - heads: completion time of the prefix on each machine;
-//   - remaining: the unscheduled jobs (any order);
-//   - inRemaining: membership mask over job ids (len = Jobs);
-//   - sumRem: per-machine total processing time of the remaining jobs.
+// Most children of a B&B tree are pruned the moment they are bounded, so
+// what a pruned child costs is what a node costs. Stages:
 //
-// The caller maintains those incrementally (see problem.go). When no job
-// remains the bound is exactly the prefix makespan.
+//  1. the first call at a depth computes the completion times of ALL the
+//     remaining children in one pass (batchSiblings) — they are what every
+//     later stage of every sibling starts from;
+//  2. the child is swept bottleneck-machine-first against the PARENT's
+//     remaining-set minima. The child's own set is one job smaller, so the
+//     parent's minima are lower bounds of the child's: the value is
+//     admissible, and exact on every machine but those with a minimum
+//     sitting on the child's own job;
+//  3. those machines — the slots the job holds — are evaluated again with
+//     the minimum that follows the job along the slot's order;
+//  4. the Johnson pairs, when the kind has them, on the child's own state:
+//     the job leaves the remaining set for the length of the stage.
 //
-// Bound follows the cutoff contract of bb.Problem: the result is an
-// admissible lower bound, it is exact when below cutoff, and evaluation
-// stops at the first stage whose partial value reaches cutoff. Stages, in
-// order of cost:
-//
-//  1. machine-load bound max_m(heads[m] + sumRem[m]) — no scan at all, the
-//     incremental sums suffice (one-machine family only);
-//  2. the full one-machine bound, reading the incrementally maintained
-//     per-machine minTail/minCum minima (see Push) — O(M), no scan;
-//  3. the Johnson pairs, each evaluation abandoned the moment its running
-//     completion time plus the minimal tail reaches cutoff (the running
-//     value is itself admissible, so returning it early is sound).
-//
-// The caller must have kept the minima stack synchronized through
-// Push/Pop/ResetStack: sDepth must equal Jobs - len(remaining).
-func (b *Bounder) Bound(heads []int64, remaining []int, inRemaining []bool, sumRem []int64, cutoff int64) int64 {
-	M := b.ins.Machines
-	if len(remaining) == 0 {
+// The batch holds completion times only, never bounds: every sweep reads the
+// cutoff it is given, so an incumbent that improves between two siblings
+// prunes exactly as it would have node by node.
+func (p *Problem) BoundChild(rank int, cutoff int64) int64 {
+	d, M := p.depth, p.ins.Machines
+	if !p.batched[d] {
+		p.batchSiblings(d)
+	}
+	off := p.tab.batchOff[d] + rank*M
+	heads := p.f[off:][:M]
+	if len(p.remaining) == 1 {
 		return heads[M-1]
 	}
-	oneEnabled := b.kind == BoundOneMachine || b.kind == BoundCombined
+	job := p.remaining[rank]
+	proc := p.tab.proc[job*M:][:M]
+	sum := p.f[p.sumOff+d*M:][:M]
 	var lb int64
-	if oneEnabled {
-		// Stage 1: the one-machine bound with the constant whole-instance
-		// minima standing in for the remaining-set ones. Every term is a
-		// lower bound of its stage-2 counterpart (gMin* <= min over any
-		// remaining subset), so the value is admissible and the early
-		// exit prunes only where the full bound would have — at the cost
-		// of one machine sweep over data that is already in registers or
-		// L1, with no per-remaining-job work at all. The sweep runs from
-		// the last machine down because the accumulated heads make late
-		// machines the usual bottleneck: pruned nodes — the common case
-		// deep in the tree — mostly exit within the first iterations.
+	if p.one {
+		minTail, minCum := p.f[p.minOff:][:M], p.f[p.minOff+M:][:M]
 		h0 := heads[0]
-		gc, gt := b.gMinCum, b.gMinTail
 		for m := M - 1; m >= 0; m-- {
-			rel := heads[m]
-			if r := h0 + gc[m]; r > rel {
-				rel = r
-			}
-			if v := rel + sumRem[m] + gt[m]; v > lb {
+			if v := machineBound(heads[m], h0+minCum[m], sum[m]-proc[m], minTail[m]); v > lb {
 				if v >= cutoff {
 					return v
 				}
 				lb = v
 			}
 		}
-	}
-	minTail, minCum := b.topMinima(remaining, inRemaining)
-	if oneEnabled {
-		// Stage 2: the full one-machine bound — for each machine m,
-		// release(m) + sumRem[m] + minTail[m], where release(m) =
-		// max(heads[m], heads[0] + minCum[m]): machine m is busy until
-		// heads[m], no remaining job can reach it before passing
-		// machines 0..m-1 (which cannot start before heads[0]), and the
-		// last job still needs its minimal tail to exit the shop. Same
-		// bottleneck-first sweep and in-loop exit as stage 1.
-		h0 := heads[0]
-		for m := M - 1; m >= 0; m-- {
-			rel := heads[m]
-			if r := h0 + minCum[m]; r > rel {
-				rel = r
-			}
-			if v := rel + sumRem[m] + minTail[m]; v > lb {
-				if v >= cutoff {
-					return v
+		W := p.maskWords
+		for w, held := range p.holds[job*W:][:W] {
+			for ; held != 0; held &= held - 1 {
+				m := w*64 + bits.TrailingZeros64(held)
+				if m >= M {
+					m -= M
 				}
-				lb = v
+				if v := machineBound(heads[m], h0+p.minWithout(M+m, job), sum[m]-proc[m], p.minWithout(m, job)); v > lb {
+					if v >= cutoff {
+						return v
+					}
+					lb = v
+				}
 			}
 		}
 	}
-	if b.kind == BoundTwoMachine || b.kind == BoundCombined {
-		// Stage 3: the Johnson pairs.
-		if v := b.twoMachine(heads, inRemaining, cutoff, minTail, minCum); v > lb {
+	if p.pairs != nil {
+		p.headOff[d+1] = off
+		p.leave(d, job)
+		if v := p.twoMachine(d+1, cutoff); v > lb {
+			lb = v
+		}
+		p.rejoin(d, job)
+	}
+	return lb
+}
+
+// batchSiblings fills depth d's batch: row i holds the machine completion
+// times of the prefix extended by the i-th remaining job. Machines outside,
+// children inside: the r recurrences are independent, so the processor
+// overlaps what would be one serial max-add chain per child, and the
+// transposed processing times of one machine are read from one row.
+func (p *Problem) batchSiblings(d int) {
+	N, M := p.ins.Jobs, p.ins.Machines
+	rem := p.remaining
+	heads := p.f[p.headOff[d]:][:M]
+	batch := p.f[p.tab.batchOff[d]:][:len(rem)*M]
+	procT := p.tab.procT
+	h0 := heads[0]
+	for i, j := range rem {
+		batch[i*M] = h0 + procT[j]
+	}
+	for m := 1; m < M; m++ {
+		hm, row := heads[m], procT[m*N:][:N]
+		k := m
+		for _, j := range rem {
+			c := batch[k-1]
+			if c < hm {
+				c = hm
+			}
+			batch[k] = c + row[j]
+			k += M
+		}
+	}
+	p.batched[d] = true
+}
+
+// The remaining-set minima — per slot (see tables), the smallest value over
+// the unscheduled jobs — are kept current along the path, not per depth:
+// p.f[minOff+s] is slot s's minimum, at[s] where along the slot's order it
+// sits, and holds[j] the set of slots whose minimum sits on job j, a bitmask
+// of maskWords words. When a job leaves, only the slots it holds move, each
+// to the next remaining job along its order; what moved is logged, and undone
+// when the job rejoins. Both cost a few steps per slot held, nothing per slot
+// kept, and there is nothing to invalidate.
+
+// minWithout returns what slot s's minimum would be with the job gone.
+func (p *Problem) minWithout(s, job int) int64 {
+	k := s*(p.ins.Jobs+1) + p.at[s]
+	if p.tab.ordJob[k] != job {
+		return p.f[p.minOff+s]
+	}
+	for k++; !p.inRem[p.tab.ordJob[k]]; k++ {
+	}
+	return p.tab.ordVal[k]
+}
+
+// leave takes the job the depth-d node's child schedules out of the
+// remaining set.
+func (p *Problem) leave(d, job int) {
+	p.inRem[job] = false
+	p.logMark[d] = p.logTop
+	stride, W := p.ins.Jobs+1, p.maskWords
+	t, inRem := p.tab, p.inRem
+	for w, held := range p.holds[job*W:][:W] {
+		for ; held != 0; held &= held - 1 {
+			s := w*64 + bits.TrailingZeros64(held)
+			p.logSlot[p.logTop], p.logAt[p.logTop] = s, p.at[s]
+			p.logTop++
+			k := s*stride + p.at[s] + 1
+			for !inRem[t.ordJob[k]] {
+				k++
+			}
+			p.at[s], p.f[p.minOff+s] = k-s*stride, t.ordVal[k]
+			p.holds[t.ordJob[k]*W+w] |= held & -held
+		}
+	}
+}
+
+// rejoin undoes leave(d, job).
+func (p *Problem) rejoin(d, job int) {
+	stride, W := p.ins.Jobs+1, p.maskWords
+	t := p.tab
+	for p.logTop > p.logMark[d] {
+		p.logTop--
+		s := p.logSlot[p.logTop]
+		p.holds[t.ordJob[s*stride+p.at[s]]*W+s/64] &^= 1 << (s % 64)
+		p.at[s] = p.logAt[p.logTop]
+		p.f[p.minOff+s] = t.ordVal[s*stride+p.at[s]]
+	}
+	p.inRem[job] = true
+}
+
+// machineBound is the one-machine bound's term for one machine:
+// release + load + minTail, where release = max(head, arrival) — the machine
+// is busy until head, no remaining job can reach it before passing the
+// machines in front of it (arrival: the first machine's completion time plus
+// the minimal cum), it then has the remaining jobs' load to run, and the last
+// of them still needs its minimal tail to exit the shop.
+func machineBound(head, arrival, load, minTail int64) int64 {
+	if arrival > head {
+		head = arrival
+	}
+	return head + load + minTail
+}
+
+// oneMachine is the full one-machine bound of the node whose rows sit at
+// depth d: the largest machineBound, swept from the last machine down —
+// the accumulated heads make late machines the usual bottleneck — with an
+// in-loop exit.
+func (p *Problem) oneMachine(d int, cutoff int64) int64 {
+	M := p.ins.Machines
+	heads := p.f[p.headOff[d]:][:M]
+	sum := p.f[p.sumOff+d*M:][:M]
+	minTail, minCum := p.f[p.minOff:][:M], p.f[p.minOff+M:][:M]
+	var lb int64
+	h0 := heads[0]
+	for m := M - 1; m >= 0; m-- {
+		if v := machineBound(heads[m], h0+minCum[m], sum[m], minTail[m]); v > lb {
+			if v >= cutoff {
+				return v
+			}
 			lb = v
 		}
 	}
@@ -428,31 +465,36 @@ func (b *Bounder) Bound(heads []int64, remaining []int, inRemaining []bool, sumR
 //
 //	Johnson makespan of the remaining jobs on (u,v) with lags,
 //	started at the machines' release times, plus the minimal tail
-//	after v.
+//	after v,
 //
-// The completion time c2 never decreases as jobs are appended, so the
-// moment c2 + minTail[v] reaches cutoff the pair — and the whole bound —
-// is already proved >= cutoff and the partial value is returned: it is a
-// lower bound on this pair's final value, hence admissible.
-func (b *Bounder) twoMachine(heads []int64, inRemaining []bool, cutoff int64, minTail, minCum []int64) int64 {
+// for the node whose rows sit at depth d. The completion time c2 never
+// decreases as jobs are appended, so the moment c2 + minTail[v] reaches
+// cutoff the pair — and the whole bound — is already proved >= cutoff and
+// the partial value is returned: it is a lower bound on this pair's final
+// value, hence admissible.
+func (p *Problem) twoMachine(d int, cutoff int64) int64 {
+	M := p.ins.Machines
+	heads := p.f[p.headOff[d]:][:M]
+	minTail, minCum := p.f[p.minOff:][:M], p.f[p.minOff+M:][:M]
+	inRem := p.inRem
 	var lb int64
-	for i := range b.pairs {
-		p := &b.pairs[i]
-		relU := heads[p.u]
-		if r := heads[0] + minCum[p.u]; r > relU {
+	for i := range p.pairs {
+		pr := &p.pairs[i]
+		relU := heads[pr.u]
+		if r := heads[0] + minCum[pr.u]; r > relU {
 			relU = r
 		}
-		tail := minTail[p.v]
-		c1, c2 := relU, heads[p.v]
-		for k, j := range p.order {
-			if !inRemaining[j] {
+		tail := minTail[pr.v]
+		c1, c2 := relU, heads[pr.v]
+		for k, j := range pr.order {
+			if !inRem[j] {
 				continue
 			}
-			c1 += p.pu[k]
-			if t := c1 + p.lag[k]; c2 < t {
+			c1 += pr.pu[k]
+			if t := c1 + pr.lag[k]; c2 < t {
 				c2 = t
 			}
-			c2 += p.pv[k]
+			c2 += pr.pv[k]
 			if c2+tail >= cutoff {
 				return c2 + tail
 			}

@@ -13,6 +13,7 @@ package flowshop
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Instance is a permutation flowshop instance: Proc[j][m] is the processing
@@ -24,8 +25,19 @@ type Instance struct {
 	Jobs int
 	// Machines is the number of machines M.
 	Machines int
-	// Proc holds the processing times, job-major.
+	// Proc holds the processing times, job-major. It must not change once
+	// a Problem has been built over the instance.
 	Proc [][]int64
+
+	// The bounding operator's read-only tables (bounds.go), built by the
+	// first NewProblem and shared by every Problem over this instance.
+	tabOnce sync.Once
+	tab     *tables
+}
+
+func (ins *Instance) tables() *tables {
+	ins.tabOnce.Do(func() { ins.tab = buildTables(ins) })
+	return ins.tab
 }
 
 // NewInstance validates and wraps raw processing times.

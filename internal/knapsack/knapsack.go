@@ -183,12 +183,28 @@ func (p *Problem) Ascend() { p.depth-- }
 // bb.Problem contract and the exact bound is always returned (the scan is
 // already short: it stops at the first item that does not fit).
 func (p *Problem) Bound(int64) int64 {
-	if p.load[p.depth] > p.ins.Capacity {
+	return p.relaxed(p.depth, p.value[p.depth], p.load[p.depth])
+}
+
+// BoundChild implements bb.Problem: the same relaxation from the child's
+// value and load, which are one addition away.
+func (p *Problem) BoundChild(rank int, _ int64) int64 {
+	v, w := p.value[p.depth], p.load[p.depth]
+	if rank == 0 {
+		v += p.ins.Values[p.depth]
+		w += p.ins.Weights[p.depth]
+	}
+	return p.relaxed(p.depth+1, v, w)
+}
+
+// relaxed is the bound of a node at the given depth carrying value and load.
+func (p *Problem) relaxed(depth int, value, load int64) int64 {
+	if load > p.ins.Capacity {
 		return bb.Infinity
 	}
-	capLeft := p.ins.Capacity - p.load[p.depth]
-	ub := p.value[p.depth]
-	for i := p.depth; i < len(p.ins.Values); i++ {
+	capLeft := p.ins.Capacity - load
+	ub := value
+	for i := depth; i < len(p.ins.Values); i++ {
 		if p.ins.Weights[i] <= capLeft {
 			capLeft -= p.ins.Weights[i]
 			ub += p.ins.Values[i]

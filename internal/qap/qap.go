@@ -241,6 +241,12 @@ func (p *Problem) Bound(cutoff int64) int64 {
 	return lb
 }
 
+// BoundChild implements bb.Problem. Every stage of Bound scans the child's
+// own free set, so the child is bounded in place.
+func (p *Problem) BoundChild(rank int, cutoff int64) int64 {
+	return bb.BoundByDescent(p, rank, cutoff)
+}
+
 // DecodePath implements bb.Decoder: facility → location list.
 func (p *Problem) DecodePath(ranks []int) string {
 	loc, err := AssignmentOfPath(p.ins.N, ranks)

@@ -184,6 +184,13 @@ func (p *Problem) Bound(int64) int64 {
 	return p.pathLen[p.depth] + p.minEdge[p.current[p.depth]] + p.sumMin
 }
 
+// BoundChild implements bb.Problem: visiting the child's city adds one edge
+// to the path and trades that city's share of sumMin for its cheapest
+// departure — the same minEdge term, so the two cancel.
+func (p *Problem) BoundChild(rank int, _ int64) int64 {
+	return p.pathLen[p.depth] + p.ins.Dist[p.current[p.depth]][p.remaining[rank]] + p.sumMin
+}
+
 // Cost implements bb.Problem: the closed tour length.
 func (p *Problem) Cost() int64 {
 	return p.pathLen[p.depth] + p.ins.Dist[p.current[p.depth]][0]
