@@ -136,6 +136,7 @@ golden:
 LOC = xargs cat | grep -cvE '^\s*(//|$$)'
 loc:
 	@echo "internal/flowshop  $$(find internal/flowshop -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/qap       $$(find internal/qap -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/core      $$(find internal/core -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/bb        $$(find internal/bb -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/harness   $$(find internal/harness -name '*.go' ! -name '*_test.go' | $(LOC))"

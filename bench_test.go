@@ -731,26 +731,34 @@ func BenchmarkTable1EngineThroughput(b *testing.B) {
 // the siblings of one node of ta056 14x8, four levels down, bounded in turn
 // with no cutoff to stop at, so every stage the family has runs to its end
 // (sweep, lost minima, Johnson pairs). The batch is built once and stays
-// valid: this is the per-child cost, the dearest a child can be.
+// valid: this is the per-child cost, the dearest a child can be. The qap row
+// is the same at a depth-3 node of the 11-facility instance the end-to-end
+// benchmark proves: eight children priced off the parent's fixed–free table,
+// every minimum taken, the rearrangement walk run to its last flow.
 func BenchmarkBoundChild(b *testing.B) {
 	ins, err := flowshop.Ta056().Reduced(14, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
+	flowshopProblem := func(kind flowshop.BoundKind) func() bb.Problem {
+		return func() bb.Problem { return flowshop.NewProblem(ins, kind, flowshop.PairsAll) }
+	}
 	for _, k := range []struct {
-		name string
-		kind flowshop.BoundKind
+		name    string
+		problem func() bb.Problem
+		depth   int // of the node whose children are bounded
 	}{
-		{"one-machine", flowshop.BoundOneMachine},
-		{"two-machine", flowshop.BoundTwoMachine},
-		{"combined", flowshop.BoundCombined},
+		{"one-machine", flowshopProblem(flowshop.BoundOneMachine), 4},
+		{"two-machine", flowshopProblem(flowshop.BoundTwoMachine), 4},
+		{"combined", flowshopProblem(flowshop.BoundCombined), 4},
+		{"qap", func() bb.Problem { return qap.NewProblem(qap.Random(11, 20, 1)) }, 3},
 	} {
 		b.Run(k.name, func(b *testing.B) {
-			p := flowshop.NewProblem(ins, k.kind, flowshop.PairsAll)
-			for d := 0; d < 4; d++ {
+			p, depth := k.problem(), k.depth
+			for d := 0; d < depth; d++ {
 				p.Descend(0)
 			}
-			width, r := p.Shape().Branching(4), 0
+			width, r := p.Shape().Branching(depth), 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -30,6 +30,7 @@ func boundChildDomains() []domain {
 	domains := []domain{
 		{"tsp", func() gridbb.Problem { return tsp.NewProblem(tsp.RandomEuclidean(8, 150, 6)) }},
 		{"qap", func() gridbb.Problem { return qap.NewProblem(qap.Random(6, 12, 5)) }},
+		{"qap-asymmetric", func() gridbb.Problem { return qap.NewProblem(asymmetricQAP) }},
 		{"knapsack", func() gridbb.Problem { return knapsack.NewProblem(knapsack.Random(12, 11)) }},
 	}
 	ins := flowshop.Taillard(8, 5, 13)
@@ -42,6 +43,28 @@ func boundChildDomains() []domain {
 	}
 	return domains
 }
+
+// asymmetricQAP is what qap.Random never draws — Flow[i][j] != Flow[j][i],
+// Dist likewise, non-zero diagonals — so the self-loop term and the two
+// directions of every fixed–free product are each told apart.
+var asymmetricQAP = func() *qap.Instance {
+	rng := rand.New(rand.NewSource(18))
+	gen := func() [][]int64 {
+		m := make([][]int64, 6)
+		for i := range m {
+			m[i] = make([]int64, 6)
+			for j := range m[i] {
+				m[i][j] = 1 + rng.Int63n(12)
+			}
+		}
+		return m
+	}
+	ins, err := qap.NewInstance("qap-asymmetric", gen(), gen())
+	if err != nil {
+		panic(err)
+	}
+	return ins
+}()
 
 // boundChildWalk drives p and its BoundChild-free twin ref through the same
 // moves, drawn from next (any non-negative ints), and checks every child
@@ -148,6 +171,7 @@ func FuzzBoundChild(f *testing.F) {
 	f.Add([]byte{0, 6, 0, 1, 2, 5, 0, 3, 7, 0, 4, 1, 0, 2})
 	f.Add([]byte{5, 4, 0, 4, 1, 0, 0, 200, 5, 5, 1, 1, 9, 6, 3, 3, 0, 1, 1})
 	f.Add([]byte{11, 6, 1, 2, 3, 4, 5, 0, 0, 17, 5, 0, 1, 33})
+	f.Add([]byte{2, 4, 1, 0, 3, 0, 9, 4, 0, 2, 1, 7, 5, 1, 3, 6}) // qap-asymmetric
 	domains := boundChildDomains()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

@@ -47,6 +47,13 @@ import (
 // regular tree. See repro/internal/bb for the full contract.
 type Problem = bb.Problem
 
+// BoundByDescent is Problem.BoundChild by its definition — Descend, Bound,
+// Ascend. A problem written outside this module whose bound gains nothing
+// from seeing the parent implements BoundChild by calling it.
+func BoundByDescent(p Problem, rank int, cutoff int64) int64 {
+	return bb.BoundByDescent(p, rank, cutoff)
+}
+
 // Solution is an incumbent (cost + rank path).
 type Solution = bb.Solution
 

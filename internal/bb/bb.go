@@ -78,7 +78,8 @@ type Problem interface {
 	// the engines bound — most children are eliminated the moment they are
 	// bounded, and one eliminated here costs no Descend and no Ascend — and
 	// it is never called for a child that is a leaf. An implementation with
-	// nothing to gain delegates to BoundByDescent.
+	// nothing to gain delegates to BoundByDescent (gridbb.BoundByDescent
+	// outside this module).
 	BoundChild(rank int, cutoff int64) int64
 	// Cost returns the objective value of the current leaf. It is only
 	// called when the path has reached depth Shape().Depth().

@@ -15,9 +15,12 @@
 package qap
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/bb"
 	"repro/internal/tree"
@@ -31,8 +34,71 @@ type Instance struct {
 	N int
 	// Flow[i][j] is the traffic from facility i to facility j.
 	Flow [][]int64
-	// Dist[a][b] is the distance from location a to location b.
+	// Dist[a][b] is the distance from location a to location b. Neither
+	// matrix may change once a Problem has been built over the instance.
 	Dist [][]int64
+
+	// The bounding kernel's read-only tables, built by the first
+	// NewProblem and shared by every Problem over this instance.
+	tabOnce sync.Once
+	tab     *tables
+}
+
+// tables holds everything the bounding kernel reads and never writes.
+type tables struct {
+	// flow and dist are the matrices row-major; distT is dist transposed,
+	// so the distances to a location are as contiguous as those from it.
+	flow, dist, distT []int64
+	// flows[flowOff[d]:flowOff[d+1]] are the off-diagonal flows among
+	// facilities d..N-1, ascending: the set depends on the depth alone.
+	flows   []int64
+	flowOff []int
+	// pairs lists every ordered pair of distinct locations by descending
+	// distance; the free–free distances of any node are a subsequence.
+	pairs []distPair
+	// cOff[d] is where depth d's fixed–free table, N-d rows of N, starts
+	// in Problem.c.
+	cOff []int
+}
+
+type distPair struct {
+	d    int64
+	a, b int32
+}
+
+func (ins *Instance) tables() *tables {
+	ins.tabOnce.Do(func() { ins.tab = buildTables(ins) })
+	return ins.tab
+}
+
+func buildTables(ins *Instance) *tables {
+	n := ins.N
+	t := &tables{cOff: []int{0}}
+	for i := 0; i < n; i++ {
+		t.flow = append(t.flow, ins.Flow[i]...)
+		t.dist = append(t.dist, ins.Dist[i]...)
+		for j := 0; j < n; j++ {
+			t.distT = append(t.distT, ins.Dist[j][i])
+			if i != j {
+				t.pairs = append(t.pairs, distPair{ins.Dist[i][j], int32(i), int32(j)})
+			}
+		}
+	}
+	slices.SortFunc(t.pairs, func(x, y distPair) int { return cmp.Compare(y.d, x.d) })
+	for d := 0; d <= n; d++ {
+		t.cOff = append(t.cOff, t.cOff[d]+(n-d)*n)
+		t.flowOff = append(t.flowOff, len(t.flows))
+		for a := d; a < n; a++ {
+			for b := d; b < n; b++ {
+				if a != b {
+					t.flows = append(t.flows, ins.Flow[a][b])
+				}
+			}
+		}
+		slices.Sort(t.flows[t.flowOff[d]:])
+	}
+	t.flowOff = append(t.flowOff, len(t.flows))
+	return t
 }
 
 // NewInstance validates and wraps the matrices.
@@ -96,34 +162,51 @@ func (ins *Instance) Cost(loc []int) int64 {
 }
 
 // Problem adapts the instance to bb.Problem: depth d assigns facility d,
-// rank r picks the r-th smallest free location.
+// rank r picks the r-th smallest free location. A Problem is not safe for
+// concurrent use; create one per worker.
+//
+// Everything a Problem writes while it is explored is carved out of one
+// allocation padded by a cache line at both ends, and the struct is padded
+// the same way: two Problems built back to back and explored by two
+// goroutines share no cache line. The read-only tables belong to the
+// Instance and are shared.
 type Problem struct {
-	ins *Instance
+	_ [cacheLine]byte
 
-	depth   int
-	loc     []int // loc[i] for i < depth
-	free    []int // free locations, ascending
-	chosen  []int // location chosen per depth
-	ranks   []int
-	fixed   []int64 // fixed-fixed cost per depth (prefix sums)
-	scratch []int64
-	flowsLo []int64 // scratch for the rearrangement bound
-	distsHi []int64
+	ins   *Instance
+	tab   *tables
+	depth int
+
+	free   []int64 // free locations, ascending
+	chosen []int64 // location chosen per depth
+	ranks  []int64 // its rank at Descend time, for Ascend
+	isFree []int64 // 1 for a free location: the rearrangement walk's mask
+	fixed  []int64 // cost among the placed facilities, per depth
+	// c holds the fixed–free table of every depth on the path
+	// (tables.cOff): at depth d, row f-d is unplaced facility f, column l
+	// is what f would pay on free location l against everything placed,
+	// its self-loop included. Only the free columns are kept up.
+	c []int64
+
+	_ [cacheLine]byte
 }
+
+const cacheLine = 64
 
 // NewProblem builds the adapter.
 func NewProblem(ins *Instance) *Problem {
-	p := &Problem{
-		ins:     ins,
-		loc:     make([]int, ins.N),
-		free:    make([]int, 0, ins.N),
-		chosen:  make([]int, ins.N),
-		ranks:   make([]int, ins.N),
-		fixed:   make([]int64, ins.N+1),
-		scratch: make([]int64, ins.N),
-		flowsLo: make([]int64, 0, ins.N*ins.N),
-		distsHi: make([]int64, 0, ins.N*ins.N),
+	n := ins.N
+	p := &Problem{ins: ins, tab: ins.tables()}
+	const pad = cacheLine / 8
+	tableLen := p.tab.cOff[n]
+	block := make([]int64, pad+4*n+(n+1)+tableLen+pad)[pad:]
+	carve := func(k int) []int64 {
+		s := block[:k:k]
+		block = block[k:]
+		return s
 	}
+	p.free, p.chosen, p.ranks, p.isFree = carve(n), carve(n), carve(n), carve(n)
+	p.fixed, p.c = carve(n+1), carve(tableLen)
 	p.Reset()
 	return p
 }
@@ -136,42 +219,53 @@ func (p *Problem) Shape() tree.Shape { return tree.Permutation{N: p.ins.N} }
 
 // Reset implements bb.Problem.
 func (p *Problem) Reset() {
+	n, t := p.ins.N, p.tab
 	p.depth = 0
-	p.free = p.free[:0]
-	for l := 0; l < p.ins.N; l++ {
-		p.free = append(p.free, l)
+	p.free = p.free[:n]
+	for l := range p.free {
+		p.free[l], p.isFree[l] = int64(l), 1
 	}
 	p.fixed[0] = 0
+	// Nothing is placed: a facility on a location pays its self-loop.
+	for f := 0; f < n; f++ {
+		for l := 0; l < n; l++ {
+			p.c[f*n+l] = t.flow[f*n+f] * t.dist[l*n+l]
+		}
+	}
 }
 
-// Descend implements bb.Problem.
+// Descend implements bb.Problem: facility d takes its location, and every
+// facility still unplaced pays its two flows with d over the distances
+// between that location and each location still free — one rank-1 update of
+// the depth's table into the next depth's.
 func (p *Problem) Descend(rank int) {
-	l := p.free[rank]
+	n, t, d := p.ins.N, p.tab, p.depth
+	l := int(p.free[rank])
 	copy(p.free[rank:], p.free[rank+1:])
 	p.free = p.free[:len(p.free)-1]
-	f := p.depth // the facility being placed
-	// Incremental fixed-fixed cost: interactions of the new facility
-	// with the already placed ones (both directions) plus its self-loop.
-	delta := p.ins.Flow[f][f] * p.ins.Dist[l][l]
-	for i := 0; i < p.depth; i++ {
-		delta += p.ins.Flow[f][i]*p.ins.Dist[l][p.loc[i]] +
-			p.ins.Flow[i][f]*p.ins.Dist[p.loc[i]][l]
+	p.isFree[l] = 0
+	p.chosen[d], p.ranks[d] = int64(l), int64(rank)
+	cur, next := p.c[t.cOff[d]:], p.c[t.cOff[d+1]:]
+	p.fixed[d+1] = p.fixed[d] + cur[l]
+	from, to := t.dist[l*n:][:n], t.distT[l*n:][:n]
+	for f := d + 1; f < n; f++ {
+		out, in := t.flow[d*n+f], t.flow[f*n+d]
+		src, dst := cur[(f-d)*n:][:n], next[(f-d-1)*n:][:n]
+		for _, l2 := range p.free {
+			dst[l2] = src[l2] + out*from[l2] + in*to[l2]
+		}
 	}
-	p.loc[f] = l
-	p.chosen[p.depth] = l
-	p.ranks[p.depth] = rank
-	p.fixed[p.depth+1] = p.fixed[p.depth] + delta
 	p.depth++
 }
 
-// Ascend implements bb.Problem.
+// Ascend implements bb.Problem. The deeper tables are simply dead.
 func (p *Problem) Ascend() {
 	p.depth--
-	l := p.chosen[p.depth]
-	rank := p.ranks[p.depth]
+	l, rank := p.chosen[p.depth], p.ranks[p.depth]
 	p.free = p.free[:len(p.free)+1]
 	copy(p.free[rank+1:], p.free[rank:])
 	p.free[rank] = l
+	p.isFree[l] = 1
 }
 
 // Cost implements bb.Problem.
@@ -180,71 +274,98 @@ func (p *Problem) Cost() int64 { return p.fixed[p.depth] }
 // Bound implements bb.Problem: fixed cost + fixed–free minima + free–free
 // rearrangement bound. Every term added is non-negative, so the running sum
 // is itself an admissible lower bound at every step; per the cutoff contract
-// the evaluation returns the moment it reaches cutoff, which skips the
-// per-facility location scans and — most importantly — the two sorts of the
-// rearrangement stage for the bulk of the pruned nodes.
+// the evaluation returns the moment it reaches cutoff. The engines bound
+// through BoundChild; Bound serves whoever stands on a node already.
 func (p *Problem) Bound(cutoff int64) int64 {
-	lb := p.fixed[p.depth]
+	n, d := p.ins.N, p.depth
+	lb := p.fixed[d]
 	if lb >= cutoff {
 		return lb
 	}
-	n := p.ins.N
-	// Fixed–free: each unplaced facility f interacts with every placed
-	// facility; whatever location f ends on, it pays at least the
-	// minimum over free locations. Summing per-facility minima relaxes
-	// the all-different constraint, which only lowers the bound.
-	for f := p.depth; f < n; f++ {
-		min := int64(1) << 62
-		for _, l := range p.free {
-			var c int64
-			for i := 0; i < p.depth; i++ {
-				c += p.ins.Flow[f][i]*p.ins.Dist[l][p.loc[i]] +
-					p.ins.Flow[i][f]*p.ins.Dist[p.loc[i]][l]
-			}
-			c += p.ins.Flow[f][f] * p.ins.Dist[l][l]
-			if c < min {
+	// Fixed–free: whatever location an unplaced facility ends on, it pays
+	// at least its row's minimum over the free locations. Summing
+	// per-facility minima relaxes the all-different constraint, which
+	// only lowers the bound.
+	cur := p.c[p.tab.cOff[d]:]
+	for f := d; f < n; f++ {
+		row := cur[(f-d)*n:][:n]
+		min := int64(math.MaxInt64)
+		for _, l2 := range p.free {
+			if c := row[l2]; c < min {
 				min = c
 			}
 		}
-		if min < (int64(1) << 62) {
-			lb += min
-			if lb >= cutoff {
-				return lb
-			}
+		if lb += min; lb >= cutoff {
+			return lb
 		}
 	}
-	// Free–free: the off-diagonal flows among unplaced facilities will
-	// be matched one-to-one with off-diagonal distances among free
-	// locations. By the rearrangement inequality the cheapest conceivable
-	// matching pairs ascending flows with descending distances.
-	p.flowsLo = p.flowsLo[:0]
-	p.distsHi = p.distsHi[:0]
-	for a := p.depth; a < n; a++ {
-		for bIdx := p.depth; bIdx < n; bIdx++ {
-			if a != bIdx {
-				p.flowsLo = append(p.flowsLo, p.ins.Flow[a][bIdx])
+	return p.rearrange(lb, d, cutoff)
+}
+
+// BoundChild implements bb.Problem: the rank-th child is priced from this
+// node's table without moving the path. Its fixed cost is one entry of
+// facility d's row; its fixed–free minima are the other rows plus the two
+// flow·distance terms Descend would add, taken over the free locations but
+// the child's own.
+func (p *Problem) BoundChild(rank int, cutoff int64) int64 {
+	n, t, d := p.ins.N, p.tab, p.depth
+	l := int(p.free[rank])
+	cur := p.c[t.cOff[d]:]
+	lb := p.fixed[d] + cur[l]
+	if lb >= cutoff {
+		return lb
+	}
+	from, to := t.dist[l*n:][:n], t.distT[l*n:][:n]
+	// The minima run over every free location but l: the last one stands
+	// in for it while they do (the order does not matter to a minimum).
+	last := len(p.free) - 1
+	p.free[rank] = p.free[last]
+	for f := d + 1; f < n && lb < cutoff; f++ {
+		out, in := t.flow[d*n+f], t.flow[f*n+d]
+		row := cur[(f-d)*n:][:n]
+		min := int64(math.MaxInt64)
+		for _, l2 := range p.free[:last] {
+			if c := row[l2] + out*from[l2] + in*to[l2]; c < min {
+				min = c
 			}
 		}
+		lb += min
 	}
-	for ai := range p.free {
-		for bi := range p.free {
-			if ai != bi {
-				p.distsHi = append(p.distsHi, p.ins.Dist[p.free[ai]][p.free[bi]])
-			}
-		}
+	p.free[rank] = int64(l)
+	if lb >= cutoff {
+		return lb
 	}
-	sort.Slice(p.flowsLo, func(i, j int) bool { return p.flowsLo[i] < p.flowsLo[j] })
-	sort.Slice(p.distsHi, func(i, j int) bool { return p.distsHi[i] > p.distsHi[j] })
-	for i := range p.flowsLo {
-		lb += p.flowsLo[i] * p.distsHi[i]
-	}
+	p.isFree[l] = 0
+	lb = p.rearrange(lb, d+1, cutoff)
+	p.isFree[l] = 1
 	return lb
 }
 
-// BoundChild implements bb.Problem. Every stage of Bound scans the child's
-// own free set, so the child is bounded in place.
-func (p *Problem) BoundChild(rank int, cutoff int64) int64 {
-	return bb.BoundByDescent(p, rank, cutoff)
+// rearrange adds the free–free stage to lb for a node of the given depth
+// whose free locations are the ones isFree marks: the off-diagonal flows
+// among the unplaced facilities will be matched one-to-one with the
+// off-diagonal distances among the free locations, and by the rearrangement
+// inequality the cheapest conceivable matching pairs ascending flows with
+// descending distances. Neither side is sorted here: the flows are the
+// depth's presorted run, the distances come off the instance's one
+// descending order, pairs with a taken end skipped.
+func (p *Problem) rearrange(lb int64, depth int, cutoff int64) int64 {
+	t := p.tab
+	flows := t.flows[t.flowOff[depth]:t.flowOff[depth+1]]
+	if len(flows) == 0 {
+		return lb
+	}
+	i := 0
+	for _, pr := range t.pairs {
+		both := p.isFree[pr.a] & p.isFree[pr.b]
+		if lb += flows[i] * pr.d * both; lb >= cutoff {
+			return lb
+		}
+		if i += int(both); i == len(flows) {
+			break
+		}
+	}
+	return lb
 }
 
 // DecodePath implements bb.Decoder: facility → location list.
