@@ -21,11 +21,14 @@ check: vet build test race fuzz-smoke bench-smoke docs-check
 # doc.go points at it — and the tree must be gofmt-clean and vet-clean so
 # pkgsite/godoc render what we think they render. It also holds the one
 # dependency the docs promise is gone: nothing in the module may pull
-# net/rpc (and its reflective call path) back in.
+# net/rpc (and its reflective call path) back in. And the daemons' signal
+# handling stays in one place: internal/daemon owns SIGINT/SIGTERM, so a
+# signal.NotifyContext under cmd/ is a second stop path.
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing (doc.go references it)"; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "docs-check: gofmt -l flags:"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./... | grep -qx 'net/rpc'; then echo "docs-check: net/rpc is a dependency again (go list -deps ./...)"; exit 1; fi
+	@if grep -rn 'signal\.NotifyContext' cmd; then echo "docs-check: signal handling belongs to internal/daemon (daemon.Run, daemon.SignalContext), not cmd/"; exit 1; fi
 	$(GO) vet ./...
 
 build:
@@ -145,4 +148,6 @@ loc:
 	@echo "internal/farmer    $$(find internal/farmer -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/worker    $$(find internal/worker -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/jobs      $$(find internal/jobs -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/daemon    $$(find internal/daemon -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "cmd                $$(find cmd -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "whole tree         $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | $(LOC))"

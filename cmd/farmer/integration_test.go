@@ -2,18 +2,23 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"math/big"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/bb"
 	"repro/internal/flowshop"
 	"repro/internal/harness"
+	"repro/internal/transport"
+	"repro/internal/worker"
 )
 
 // reducedTa056 is the 11x6 reduction of the paper's instance; its optimum
@@ -320,16 +325,7 @@ func TestTreeBinaries(t *testing.T) {
 // awaitAddr polls a process's log for its bound address.
 func awaitAddr(t *testing.T, buf *syncBuffer, re *regexp.Regexp) string {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if m := re.FindStringSubmatch(buf.String()); m != nil {
-			return m[1]
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("address never appeared; output:\n%s", buf.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	return awaitAfter(t, buf, 0, re)
 }
 
 func repoRoot(t *testing.T) string {
@@ -340,4 +336,203 @@ func repoRoot(t *testing.T) string {
 	}
 	// cmd/farmer -> repo root is two levels up.
 	return filepath.Dir(filepath.Dir(dir))
+}
+
+// startDaemon starts bin with args, its output collected for polling; the
+// process is killed when the test ends if it is still running.
+func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, *syncBuffer) {
+	t.Helper()
+	out := &syncBuffer{}
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = out
+	cmd.Stderr = out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() }) // a no-op once it has exited
+	return cmd, out
+}
+
+// stopBySignal sends SIGTERM and requires a clean exit (status 0).
+func stopBySignal(t *testing.T, cmd *exec.Cmd, out *syncBuffer) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s did not exit cleanly on SIGTERM: %v\n%s", cmd.Path, err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s still running 30s after SIGTERM:\n%s", cmd.Path, out.String())
+	}
+}
+
+// awaitExit waits for a daemon to finish on its own.
+func awaitExit(t *testing.T, cmd *exec.Cmd, out *syncBuffer) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", cmd.Path, err, out.String())
+		}
+	case <-time.After(90 * time.Second):
+		t.Fatalf("%s did not finish; output so far:\n%s", cmd.Path, out.String())
+	}
+}
+
+// cancelOnFold cancels its worker's context once a fold is acknowledged.
+type cancelOnFold struct {
+	transport.Coordinator
+	cancel context.CancelFunc
+}
+
+func (c cancelOnFold) UpdateInterval(req transport.UpdateRequest) (transport.UpdateReply, error) {
+	reply, err := c.Coordinator.UpdateInterval(req)
+	if err == nil {
+		c.cancel()
+	}
+	return reply, err
+}
+
+// foldOnce runs one in-process worker on the 11x6 reduction against the
+// coordinator at addr until its first fold is acknowledged; it then leaves
+// with a final fold, so the resolution is left part-explored whatever the
+// machine's speed (the whole proof is a few thousand nodes).
+func foldOnce(t *testing.T, addr string) {
+	t.Helper()
+	ins := reducedTa056(t)
+	client, err := transport.DialWith(addr, transport.DialOptions{Policy: transport.Policy{Timeout: 10 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := worker.Config{ID: "fold-once", Power: 1, UpdatePeriodNodes: 200, StepSize: 100}
+	res, err := worker.Run(ctx, cfg, cancelOnFold{client, cancel},
+		flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll))
+	if err != nil && ctx.Err() == nil {
+		t.Fatal(err)
+	}
+	if res.Updates == 0 || res.Stats.Explored == 0 {
+		t.Fatalf("worker left without folding: %+v", res)
+	}
+}
+
+// awaitAfter polls a process's log, past its first skip bytes, for re.
+func awaitAfter(t *testing.T, buf *syncBuffer, skip int, re *regexp.Regexp) string {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if m := re.FindStringSubmatch(buf.String()[skip:]); m != nil {
+			return m[1]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%v never appeared; output:\n%s", re, buf.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// atMost reports whether the decimal a is at most the decimal b.
+func atMost(t *testing.T, a, b string) bool {
+	t.Helper()
+	x, ok1 := new(big.Int).SetString(a, 10)
+	y, ok2 := new(big.Int).SetString(b, 10)
+	if !ok1 || !ok2 {
+		t.Fatalf("not decimals: %q, %q", a, b)
+	}
+	return x.Cmp(y) <= 0
+}
+
+// TestFarmerSIGTERMCheckpoints: the farmer binary, whose periodic snapshot
+// is an hour away, is stopped by SIGTERM after a worker folded. It must
+// exit 0 after a final checkpoint, so a restart resumes with no more
+// numbers left than its last status line reported, and the resumed run
+// still proves the optimum.
+func TestFarmerSIGTERMCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test")
+	}
+	dir := t.TempDir()
+	farmerBin := buildDaemon(t, dir, "farmer")
+	workerBin := buildDaemon(t, dir, "worker")
+	args := []string{
+		"-addr", "127.0.0.1:0", "-checkpoint-dir", filepath.Join(dir, "ckpt"),
+		"-checkpoint-period", "3600", "-status-period", "1",
+		"-instance", "ta056", "-reduce-jobs", "11", "-reduce-machines", "6",
+	}
+	first, out := startDaemon(t, farmerBin, args...)
+	foldOnce(t, awaitAddr(t, out, regexp.MustCompile(`serving on (\S+)`)))
+	// The first status line after the fold is the farmer's own account of
+	// what is left.
+	remaining := awaitAfter(t, out, len(out.String()), regexp.MustCompile(`intervals=\d+ remaining=(\d+)`))
+	stopBySignal(t, first, out)
+
+	second, out := startDaemon(t, farmerBin, args...)
+	left := awaitAddr(t, out, regexp.MustCompile(`resumed from checkpoint: \d+ intervals, (\d+) numbers left`))
+	if !atMost(t, left, remaining) {
+		t.Fatalf("resumed with %s numbers left, but the last status line before SIGTERM reported %s", left, remaining)
+	}
+	addr := awaitAddr(t, out, regexp.MustCompile(`serving on (\S+)`))
+	w := exec.Command(workerBin, "-addr", addr, "-update-nodes", "2000",
+		"-instance", "ta056", "-reduce-jobs", "11", "-reduce-machines", "6")
+	w.Stdout = os.Stderr
+	w.Stderr = os.Stderr
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Wait()
+	awaitExit(t, second, out)
+	if !strings.Contains(out.String(), "optimal makespan: 842") {
+		t.Fatalf("resumed farmer did not prove 842:\n%s", out.String())
+	}
+}
+
+// TestSubFarmerSIGTERMCheckpoints is TestTreeBinaries with a SIGTERM to the
+// sub-farmer mid-run: it must exit 0 after its stop path (a last upstream
+// Pulse, then a final checkpoint), a restart must resume from that
+// checkpoint, and the root must still prove the optimum.
+func TestSubFarmerSIGTERMCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test")
+	}
+	dir := t.TempDir()
+	farmerBin := buildDaemon(t, dir, "farmer")
+	subBin := buildDaemon(t, dir, "subfarmer")
+	workerBin := buildDaemon(t, dir, "worker")
+	root, rootOut := startDaemon(t, farmerBin,
+		"-addr", "127.0.0.1:0", "-checkpoint-dir", filepath.Join(dir, "root-ckpt"),
+		"-lease-ttl", "5", "-status-period", "1",
+		"-instance", "ta056", "-reduce-jobs", "11", "-reduce-machines", "6")
+	subArgs := []string{
+		"-root", awaitAddr(t, rootOut, regexp.MustCompile(`serving on (\S+)`)),
+		"-addr", "127.0.0.1:0", "-checkpoint-dir", filepath.Join(dir, "sub-ckpt"),
+		"-checkpoint-period", "3600", "-update-period", "1", "-lease-ttl", "3", "-status-period", "1",
+	}
+	sub, subOut := startDaemon(t, subBin, subArgs...)
+	foldOnce(t, awaitAddr(t, subOut, regexp.MustCompile(`serving subtree .* on (\S+),`)))
+	stopBySignal(t, sub, subOut)
+
+	sub, subOut = startDaemon(t, subBin, subArgs...)
+	awaitAfter(t, subOut, 0, regexp.MustCompile(`(resumed from checkpoint)`))
+	w := exec.Command(workerBin, "-addr", awaitAddr(t, subOut, regexp.MustCompile(`serving subtree .* on (\S+),`)),
+		"-update-nodes", "2000", "-procs", "2",
+		"-instance", "ta056", "-reduce-jobs", "11", "-reduce-machines", "6")
+	w.Stdout = os.Stderr
+	w.Stderr = os.Stderr
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Wait()
+	awaitExit(t, root, rootOut)
+	if !strings.Contains(rootOut.String(), "optimal makespan: 842") {
+		t.Fatalf("root did not prove 842:\n%s\nsubfarmer output:\n%s", rootOut.String(), subOut.String())
+	}
 }

@@ -3,6 +3,8 @@
 // (cmd/worker), checkpoints to two files, and prints the proven optimum
 // when INTERVALS empties. If a checkpoint exists in -checkpoint-dir the
 // farmer resumes from it — the paper's farmer fault tolerance (§4.1).
+// SIGINT or SIGTERM stops it after a final checkpoint, so a restart loses
+// nothing.
 //
 // Usage:
 //
@@ -11,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -18,51 +21,30 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/farmer"
 	"repro/internal/flowshop"
-	"repro/internal/transport"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("farmer: ")
 	var (
-		addr     = flag.String("addr", ":4321", "listen address")
+		serve    = daemon.Serve(flag.CommandLine, ":4321", "listen address")
 		instance = flag.String("instance", "ta056", "Taillard instance")
 		redJobs  = flag.Int("reduce-jobs", 0, "reduce to this many jobs")
 		redMach  = flag.Int("reduce-machines", 0, "reduce to this many machines")
 		ckptDir  = flag.String("checkpoint-dir", "farmer-checkpoints", "two-file snapshot directory")
-		ckptSecs = flag.Int("checkpoint-period", 1800, "snapshot period in seconds (paper: 30 minutes)")
+		ckpt     = daemon.NewPeriod(flag.CommandLine, "checkpoint-period", 1800, "snapshot period in seconds (paper: 30 minutes)")
 		leaseTTL = flag.Int("lease-ttl", 300, "seconds of silence before a worker is presumed dead")
 		useNEH   = flag.Bool("neh", true, "prime SOLUTION with the NEH heuristic")
-		statusIv = flag.Int("status-period", 10, "seconds between status lines")
-
-		// Hostile-WAN hardening (DESIGN.md §10).
-		readTimeout = flag.Int("read-timeout", 300, "seconds a connection may stay silent before eviction (0: no deadline)")
-		maxConns    = flag.Int("max-conns", 0, "max simultaneous connections, evicting the most idle at the cap (0: unlimited)")
-		maxMsg      = flag.Int64("max-msg-bytes", transport.DefaultMaxMessageBytes, "per-message byte limit (negative: unlimited)")
-		tlsCert     = flag.String("tls-cert", "", "server certificate PEM (with -tls-key enables TLS)")
-		tlsKey      = flag.String("tls-key", "", "server key PEM")
-		tlsClientCA = flag.String("tls-client-ca", "", "require client certificates signed by this CA (certificate auth mode)")
-		authToken   = flag.String("auth-token", "", "shared token workers must present (token auth mode)")
+		status   = daemon.NewPeriod(flag.CommandLine, "status-period", 10, "seconds between status lines")
 	)
-	flag.Parse()
+	daemon.Parse(flag.CommandLine, ckpt, status)
 
-	ins, err := flowshop.TaillardNamed(*instance)
+	ins, err := flowshop.TaillardReduced(*instance, *redJobs, *redMach)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *redJobs > 0 || *redMach > 0 {
-		j, m := *redJobs, *redMach
-		if j == 0 {
-			j = ins.Jobs
-		}
-		if m == 0 {
-			m = ins.Machines
-		}
-		if ins, err = ins.Reduced(j, m); err != nil {
-			log.Fatal(err)
-		}
 	}
 	log.Printf("instance %s", ins)
 
@@ -88,62 +70,34 @@ func main() {
 		log.Printf("resumed from checkpoint: %d intervals, %s numbers left", card, size)
 	}
 
-	so := transport.ServerOptions{
-		ReadTimeout:     time.Duration(*readTimeout) * time.Second,
-		MaxConns:        *maxConns,
-		MaxMessageBytes: *maxMsg,
-		Token:           *authToken,
-		// Clients delta-encode intervals against the root
-		// range — the tightest reference there is for this resolution.
-		WireRef: nb.RootRange(),
-	}
-	if *tlsCert != "" || *tlsKey != "" {
-		if so.TLS, err = transport.LoadServerTLS(*tlsCert, *tlsKey, *tlsClientCA); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("TLS enabled (client CA: %v, token: %v)", *tlsClientCA != "", *authToken != "")
-	}
-	srv, err := transport.ServeWith(f, *addr, so)
+	// Clients delta-encode intervals against the root range — the
+	// tightest reference there is for this resolution.
+	srv, err := serve.Listen(f, nb.RootRange())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
 	log.Printf("serving on %s", srv.Addr())
 
-	ckptTicker := time.NewTicker(time.Duration(*ckptSecs) * time.Second)
-	defer ckptTicker.Stop()
-	statusTicker := time.NewTicker(time.Duration(*statusIv) * time.Second)
-	defer statusTicker.Stop()
-	for {
-		select {
-		case <-ckptTicker.C:
-			if err := f.Checkpoint(); err != nil {
-				log.Printf("checkpoint failed: %v", err)
-			}
-		case <-statusTicker.C:
+	done, err := daemon.Run(context.Background(), daemon.Loop{
+		Checkpoint:      f.Checkpoint,
+		CheckpointEvery: ckpt.Duration(),
+		StatusEvery:     status.Duration(),
+		Status: func() bool {
 			card, size := f.Size()
-			best := f.Best()
 			c := f.Counters()
-			ss := srv.Stats()
 			log.Printf("intervals=%d remaining=%s best=%s alloc=%d ckpt=%d nodes=%d rejected=%d evicted=%d",
-				card, size, costString(best.Cost), c.WorkAllocations, c.WorkerCheckpoints, c.ExploredNodes,
-				c.RejectedIntervals+c.RejectedReports+c.RejectedPowers, ss.Evicted)
-			if f.Done() {
-				if err := f.Checkpoint(); err != nil {
-					log.Printf("final checkpoint failed: %v", err)
-				}
-				printResult(ins, f)
-				return
-			}
-		}
+				card, size, daemon.Cost(f.Best().Cost), c.WorkAllocations, c.WorkerCheckpoints, c.ExploredNodes,
+				c.RejectedIntervals+c.RejectedReports+c.RejectedPowers, srv.Stats().Evicted)
+			return f.Done()
+		},
+	})
+	if done {
+		printResult(ins, f)
 	}
-}
-
-func costString(c int64) string {
-	if c == int64(^uint64(0)>>1) {
-		return "inf"
+	if err != nil {
+		log.Fatal(err)
 	}
-	return fmt.Sprint(c)
 }
 
 func printResult(ins *flowshop.Instance, f *farmer.Farmer) {

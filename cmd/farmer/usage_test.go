@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -64,5 +66,41 @@ func TestDaemonUsageGolden(t *testing.T) {
 				t.Errorf("%s -h differs from %s:\n--- got\n%s\n--- want\n%s", name, golden, got, want)
 			}
 		})
+	}
+}
+
+// TestNonPositivePeriodIsUsageError: every cadence flag refuses a period
+// that is not positive as a usage error naming the flag — exit status 2,
+// no ticker panic — before the daemon opens a store or a port.
+func TestNonPositivePeriodIsUsageError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the daemon binaries")
+	}
+	dir := t.TempDir()
+	bins := map[string]string{}
+	for _, name := range []string{"farmer", "subfarmer", "jobd"} {
+		bins[name] = buildDaemon(t, dir, name)
+	}
+	for _, c := range []struct{ daemon, flag, value string }{
+		{"farmer", "checkpoint-period", "0"},
+		{"farmer", "status-period", "0"},
+		{"subfarmer", "checkpoint-period", "0"},
+		{"subfarmer", "status-period", "-1"},
+		{"subfarmer", "update-period", "0"},
+		{"jobd", "checkpoint-period", "0"},
+		{"jobd", "status-period", "0"},
+	} {
+		cmd := exec.Command(bins[c.daemon], "-addr", "127.0.0.1:0", "-"+c.flag, c.value)
+		cmd.Dir = t.TempDir() // where a daemon past its flags would put its store
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s -%s %s: %v, want exit status 2\n%s", c.daemon, c.flag, c.value, err, out)
+			continue
+		}
+		want := "invalid value " + c.value + " for flag -" + c.flag + ": must be positive\nUsage of "
+		if !strings.Contains(string(out), want) || strings.Contains(string(out), "goroutine") {
+			t.Errorf("%s -%s %s: not a usage error naming the flag:\n%s", c.daemon, c.flag, c.value, out)
+		}
 	}
 }

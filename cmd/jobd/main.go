@@ -14,7 +14,8 @@
 //
 // Every job checkpoints under its own namespace of -store, and its spec
 // is persisted next to the checkpoint, so a restarted jobd resubmits and
-// resumes every unfinished job on its own.
+// resumes every unfinished job on its own. SIGINT or SIGTERM stops it
+// after a final checkpoint of every job, so a restart loses nothing.
 //
 // Usage:
 //
@@ -23,20 +24,21 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"time"
 
-	"repro/internal/bb"
 	"repro/internal/checkpoint"
+	"repro/internal/daemon"
+	"repro/internal/interval"
 	"repro/internal/jobs"
-	"repro/internal/transport"
 )
 
 // specFile is the per-namespace sidecar making a job's checkpoint
@@ -100,12 +102,15 @@ type api struct {
 	token    string
 }
 
-func (a *api) auth(w http.ResponseWriter, r *http.Request) bool {
-	if a.token == "" || r.Header.Get("Authorization") == "Bearer "+a.token {
-		return true
+// auth wraps h with the bearer-token check.
+func (a *api) auth(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if a.token != "" && r.Header.Get("Authorization") != "Bearer "+a.token {
+			http.Error(w, "unauthorized", http.StatusUnauthorized)
+			return
+		}
+		h(w, r)
 	}
-	http.Error(w, "unauthorized", http.StatusUnauthorized)
-	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -119,9 +124,6 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 func (a *api) submit(w http.ResponseWriter, r *http.Request) {
-	if !a.auth(w, r) {
-		return
-	}
 	var req struct {
 		ID   string    `json:"id"`
 		Spec jobs.Spec `json:"spec"`
@@ -148,16 +150,10 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *api) list(w http.ResponseWriter, r *http.Request) {
-	if !a.auth(w, r) {
-		return
-	}
 	writeJSON(w, http.StatusOK, a.tb.List())
 }
 
 func (a *api) get(w http.ResponseWriter, r *http.Request) {
-	if !a.auth(w, r) {
-		return
-	}
 	p, err := a.tb.Progress(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
@@ -167,9 +163,6 @@ func (a *api) get(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *api) cancel(w http.ResponseWriter, r *http.Request) {
-	if !a.auth(w, r) {
-		return
-	}
 	id := r.PathValue("id")
 	if err := a.tb.Cancel(id); err != nil {
 		writeErr(w, http.StatusConflict, err)
@@ -185,10 +178,10 @@ func (a *api) cancel(w http.ResponseWriter, r *http.Request) {
 
 func (a *api) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", a.submit)
-	mux.HandleFunc("GET /jobs", a.list)
-	mux.HandleFunc("GET /jobs/{id}", a.get)
-	mux.HandleFunc("DELETE /jobs/{id}", a.cancel)
+	mux.HandleFunc("POST /jobs", a.auth(a.submit))
+	mux.HandleFunc("GET /jobs", a.auth(a.list))
+	mux.HandleFunc("GET /jobs/{id}", a.auth(a.get))
+	mux.HandleFunc("DELETE /jobs/{id}", a.auth(a.cancel))
 	return mux
 }
 
@@ -219,28 +212,19 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("jobd: ")
 	var (
-		addr     = flag.String("addr", ":4321", "worker RPC listen address")
+		serve    = daemon.Serve(flag.CommandLine, ":4321", "worker RPC listen address")
 		httpAddr = flag.String("http", ":8080", "HTTP API listen address (empty: disabled)")
 		storeDir = flag.String("store", "jobd-store", "checkpoint store directory (one namespace per job)")
-		ckptSecs = flag.Int("checkpoint-period", 1800, "snapshot period in seconds (paper: 30 minutes)")
+		ckpt     = daemon.NewPeriod(flag.CommandLine, "checkpoint-period", 1800, "snapshot period in seconds (paper: 30 minutes)")
 		leaseTTL = flag.Int("lease-ttl", 300, "seconds of silence before a worker is presumed dead")
-		statusIv = flag.Int("status-period", 10, "seconds between status lines")
+		status   = daemon.NewPeriod(flag.CommandLine, "status-period", 10, "seconds between status lines")
 
 		maxActive  = flag.Int("max-active", 8, "concurrently running jobs")
 		maxQueued  = flag.Int("max-queued", 64, "admission queue length")
 		maxPerUser = flag.Int("max-per-user", 0, "live jobs per owner (0: unlimited)")
-
-		// Hostile-WAN hardening (DESIGN.md §10), as in cmd/farmer.
-		readTimeout = flag.Int("read-timeout", 300, "seconds a connection may stay silent before eviction (0: no deadline)")
-		maxConns    = flag.Int("max-conns", 0, "max simultaneous connections, evicting the most idle at the cap (0: unlimited)")
-		maxMsg      = flag.Int64("max-msg-bytes", transport.DefaultMaxMessageBytes, "per-message byte limit (negative: unlimited)")
-		tlsCert     = flag.String("tls-cert", "", "server certificate PEM (with -tls-key enables TLS)")
-		tlsKey      = flag.String("tls-key", "", "server key PEM")
-		tlsClientCA = flag.String("tls-client-ca", "", "require client certificates signed by this CA (certificate auth mode)")
-		authToken   = flag.String("auth-token", "", "shared token workers must present (token auth mode)")
-		httpToken   = flag.String("http-token", "", "bearer token the HTTP API requires (empty: open)")
+		httpToken  = flag.String("http-token", "", "bearer token the HTTP API requires (empty: open)")
 	)
-	flag.Parse()
+	daemon.Parse(flag.CommandLine, ckpt, status)
 
 	store, err := checkpoint.NewStore(*storeDir)
 	if err != nil {
@@ -256,21 +240,9 @@ func main() {
 	})
 	resumeAll(tb, *storeDir)
 
-	so := transport.ServerOptions{
-		ReadTimeout:     time.Duration(*readTimeout) * time.Second,
-		MaxConns:        *maxConns,
-		MaxMessageBytes: *maxMsg,
-		Token:           *authToken,
-		// No WireRef: job roots differ, so intervals ride absolute —
-		// correct for every job, just without delta compression.
-	}
-	if *tlsCert != "" || *tlsKey != "" {
-		if so.TLS, err = transport.LoadServerTLS(*tlsCert, *tlsKey, *tlsClientCA); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("TLS enabled (client CA: %v, token: %v)", *tlsClientCA != "", *authToken != "")
-	}
-	srv, err := transport.ServeWith(tb, *addr, so)
+	// No wire reference: job roots differ, so intervals ride absolute —
+	// correct for every job, just without delta compression.
+	srv, err := serve.Listen(tb, interval.Interval{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -278,38 +250,30 @@ func main() {
 	log.Printf("serving workers on %s", srv.Addr())
 
 	if *httpAddr != "" {
-		a := &api{tb: tb, storeDir: *storeDir, token: *httpToken}
-		go func() {
-			log.Printf("HTTP API on %s", *httpAddr)
-			if err := a.server(*httpAddr).ListenAndServe(); err != nil &&
-				!errors.Is(err, http.ErrServerClosed) {
-				log.Fatal(err)
-			}
-		}()
+		ln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("HTTP API on %s", ln.Addr())
+		hs := (&api{tb: tb, storeDir: *storeDir, token: *httpToken}).server(*httpAddr)
+		go hs.Serve(ln) // returns once the deferred Close below runs
+		defer hs.Close()
 	}
 
-	ckptTicker := time.NewTicker(time.Duration(*ckptSecs) * time.Second)
-	defer ckptTicker.Stop()
-	statusTicker := time.NewTicker(time.Duration(*statusIv) * time.Second)
-	defer statusTicker.Stop()
-	for {
-		select {
-		case <-ckptTicker.C:
-			if err := tb.Checkpoint(); err != nil {
-				log.Printf("checkpoint: %v", err)
-			}
-		case <-statusTicker.C:
+	if _, err := daemon.Run(context.Background(), daemon.Loop{
+		Checkpoint:      tb.Checkpoint,
+		CheckpointEvery: ckpt.Duration(),
+		StatusEvery:     status.Duration(),
+		Status: func() bool {
 			for _, p := range tb.List() {
-				if p.State != "running" {
-					continue
+				if p.State == "running" {
+					log.Printf("job %-20s %6.2f%% explored, %d intervals, fleet %d, best %s",
+						p.ID, p.FrontierPct, p.Intervals, p.FleetPower, daemon.Cost(p.BestCost))
 				}
-				best := "∞"
-				if p.BestCost != bb.Infinity {
-					best = fmt.Sprint(p.BestCost)
-				}
-				log.Printf("job %-20s %6.2f%% explored, %d intervals, fleet %d, best %s",
-					p.ID, p.FrontierPct, p.Intervals, p.FleetPower, best)
 			}
-		}
+			return false // a service runs until it is stopped
+		},
+	}); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -1,19 +1,27 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/jobs"
+	"repro/internal/transport"
+	"repro/internal/worker"
 )
 
 func newTestTable(t *testing.T, dir string, maxActive int) *jobs.Table {
@@ -162,6 +170,32 @@ func TestDeleteQueuedJob(t *testing.T) {
 	}
 }
 
+// TestHTTPTokenGuardsEveryRoute: with -http-token set, every route answers
+// 401 without the bearer token, and serves with it.
+func TestHTTPTokenGuardsEveryRoute(t *testing.T) {
+	a := &api{tb: newTestTable(t, t.TempDir(), 8), token: "s3cret"}
+	h := a.handler()
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/jobs", `{"id":"k","spec":{"domain":"knapsack","n":12,"seed":1}}`},
+		{"GET", "/jobs", ""},
+		{"GET", "/jobs/k", ""},
+		{"DELETE", "/jobs/k", ""},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusUnauthorized {
+			t.Errorf("%s %s without token: %d, want 401", c.method, c.path, rec.Code)
+		}
+		rec = httptest.NewRecorder()
+		req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
+		req.Header.Set("Authorization", "Bearer s3cret")
+		h.ServeHTTP(rec, req)
+		if rec.Code == http.StatusUnauthorized || rec.Code >= 300 {
+			t.Errorf("%s %s with token: %d %s", c.method, c.path, rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestHTTPServerDropsStalledHeaders: the API server carries the worker
 // port's connection discipline. A client that opens a connection and never
 // finishes its request headers is dropped once the header timeout passes,
@@ -212,5 +246,149 @@ func TestHTTPServerDropsStalledHeaders(t *testing.T) {
 	stalled.SetReadDeadline(time.Now().Add(20 * bound))
 	if _, err := io.Copy(io.Discard, stalled); err != nil {
 		t.Fatalf("stalled client still connected %v after opening (header bound %v): %v", time.Since(opened), bound, err)
+	}
+}
+
+// syncBuffer collects a subprocess's output while the test polls it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// startJobd starts the jobd binary and returns it with its worker address.
+func startJobd(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, out *syncBuffer, workers string) {
+	t.Helper()
+	out = &syncBuffer{}
+	cmd = exec.Command(bin, args...)
+	cmd.Stdout = out
+	cmd.Stderr = out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() }) // a no-op once it has exited
+	re := regexp.MustCompile(`(?s)serving workers on (\S+).*HTTP API on`)
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if m := re.FindStringSubmatch(out.String()); m != nil {
+			return cmd, out, m[1]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("jobd never bound; output:\n%s", out.String())
+		}
+	}
+}
+
+func frontierPct(t *testing.T, api, id string) float64 {
+	t.Helper()
+	resp, err := http.Get(api + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var p jobs.Progress
+	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	return p.FrontierPct
+}
+
+// cancelOnFold cancels its worker's context once a fold is acknowledged.
+type cancelOnFold struct {
+	transport.Coordinator
+	cancel context.CancelFunc
+}
+
+func (c cancelOnFold) UpdateInterval(req transport.UpdateRequest) (transport.UpdateReply, error) {
+	reply, err := c.Coordinator.UpdateInterval(req)
+	if err == nil {
+		c.cancel()
+	}
+	return reply, err
+}
+
+// TestSIGTERMCheckpointsJobs: the jobd binary, its periodic snapshot an
+// hour away, is stopped by SIGTERM after a worker folded part of a job. It
+// must exit 0 after a final checkpoint, so after a restart the job reports
+// at least the frontier it had reached before the signal.
+func TestSIGTERMCheckpointsJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "jobd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build jobd: %v\n%s", err, out)
+	}
+	// The HTTP API keeps its port across the restart.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpAddr := ln.Addr().String()
+	ln.Close()
+	api := "http://" + httpAddr
+	args := []string{
+		"-addr", "127.0.0.1:0", "-http", httpAddr, "-store", filepath.Join(dir, "store"),
+		"-checkpoint-period", "3600", "-status-period", "1",
+	}
+	first, out, workers := startJobd(t, bin, args...)
+	spec := jobs.Spec{Domain: "flowshop", Jobs: 11, Machines: 6, Seed: 3}
+	body, _ := json.Marshal(map[string]any{"id": "j1", "spec": spec})
+	resp, err := http.Post(api+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /jobs: %s", resp.Status)
+	}
+
+	// One worker folds once and leaves: the job is part-explored whatever
+	// the machine's speed.
+	factory, err := spec.Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := transport.DialWith(workers, transport.DialOptions{Policy: transport.Policy{Timeout: 10 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := worker.Run(ctx, worker.Config{ID: "fold-once", Power: 1, UpdatePeriodNodes: 200, StepSize: 100},
+		cancelOnFold{client, cancel}, factory())
+	if err != nil && ctx.Err() == nil {
+		t.Fatal(err)
+	}
+	if res.Updates == 0 {
+		t.Fatalf("worker left without folding: %+v", res)
+	}
+	before := frontierPct(t, api, "j1")
+	if before <= 0 || before >= 100 {
+		t.Fatalf("frontier %.2f%% after one fold, want part-explored", before)
+	}
+
+	if err := first.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Wait(); err != nil {
+		t.Fatalf("jobd did not exit cleanly on SIGTERM: %v\n%s", err, out.String())
+	}
+	startJobd(t, bin, args...)
+	if after := frontierPct(t, api, "j1"); after < before {
+		t.Fatalf("restarted job reports frontier %.2f%%, %.2f%% before SIGTERM", after, before)
 	}
 }

@@ -56,15 +56,9 @@ func main() {
 	switch *problem {
 	case "flowshop":
 		ins := flowshopInstance(*instance, *redJobs, *redMach, *jobs, *machines, *seed)
-		kind := flowshop.BoundOneMachine
-		switch *bound {
-		case "one":
-		case "two":
-			kind = flowshop.BoundTwoMachine
-		case "combined":
-			kind = flowshop.BoundCombined
-		default:
-			log.Fatalf("unknown bound %q", *bound)
+		kind, err := flowshop.ParseBound(*bound)
+		if err != nil {
+			log.Fatal(err)
 		}
 		if *useNEH {
 			_, cmax := flowshop.NEH(ins)
@@ -150,21 +144,9 @@ func flowshopInstance(name string, redJobs, redMach, jobs, machines int, seed in
 	if name == "" {
 		return flowshop.Taillard(jobs, machines, seed)
 	}
-	ins, err := flowshop.TaillardNamed(name)
+	ins, err := flowshop.TaillardReduced(name, redJobs, redMach)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if redJobs > 0 || redMach > 0 {
-		if redJobs == 0 {
-			redJobs = ins.Jobs
-		}
-		if redMach == 0 {
-			redMach = ins.Machines
-		}
-		ins, err = ins.Reduced(redJobs, redMach)
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	return ins
 }

@@ -5,7 +5,9 @@
 // one power, and asks the root for a fresh sub-range only when its local
 // table runs dry. Kill it any time: it checkpoints its local INTERVALS,
 // SOLUTION and root binding to disk and resumes on restart — the root
-// sees only a lease blip.
+// sees only a lease blip. SIGINT or SIGTERM stops it cleanly: a last
+// upstream Pulse (a fold to the root, when one is due), a final
+// checkpoint, exit 0.
 //
 // Unlike the root farmer and the workers, a sub-farmer needs NO problem
 // configuration: it is pure interval algebra. Work units are intervals at
@@ -21,14 +23,15 @@
 package main
 
 import (
+	"context"
 	"flag"
-	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/daemon"
 	"repro/internal/farmer"
+	"repro/internal/interval"
 	"repro/internal/transport"
 )
 
@@ -37,40 +40,39 @@ func main() {
 	log.SetPrefix("subfarmer: ")
 	var (
 		rootAddr = flag.String("root", "127.0.0.1:4321", "root farmer address")
-		addr     = flag.String("addr", ":4322", "listen address for this subtree's workers")
 		name     = flag.String("name", "", "sub-farmer identity at the root (default host-pid)")
 		ckptDir  = flag.String("checkpoint-dir", "subfarmer-checkpoints", "snapshot directory (two files + root binding)")
-		ckptSecs = flag.Int("checkpoint-period", 1800, "snapshot period in seconds")
-		foldSecs = flag.Int("update-period", 30, "seconds between folds to the root (keep well under the root's lease TTL)")
+		ckpt     = daemon.NewPeriod(flag.CommandLine, "checkpoint-period", 1800, "snapshot period in seconds")
+		fold     = daemon.NewPeriod(flag.CommandLine, "update-period", 30, "seconds between folds to the root (keep well under the root's lease TTL)")
 		leaseTTL = flag.Int("lease-ttl", 300, "seconds of silence before a fleet worker is presumed dead")
-		statusIv = flag.Int("status-period", 10, "seconds between status lines")
+		status   = daemon.NewPeriod(flag.CommandLine, "status-period", 10, "seconds between status lines")
 
-		// Upstream hardening (DESIGN.md §10): deadline + in-call retries on
-		// the root leg, identity presented to the root.
-		callTimeout = flag.Int("call-timeout", 30, "seconds one root call may take before ErrDeadline (0: no deadline)")
 		callRetries = flag.Int("call-retries", 2, "in-call retries against the root before surfacing the error")
-		rootCA      = flag.String("root-tls-ca", "", "CA to verify the root farmer against (enables TLS upstream)")
-		rootCert    = flag.String("root-tls-cert", "", "client certificate PEM for the root (certificate auth mode)")
-		rootKey     = flag.String("root-tls-key", "", "client key PEM for the root")
-		rootName    = flag.String("root-tls-server-name", "", "expected root server name when it differs from -root's host")
-		rootToken   = flag.String("root-auth-token", "", "shared token to present to the root (token auth mode)")
-
-		// Fleet-side hardening: same listener knobs as cmd/farmer.
-		readTimeout = flag.Int("read-timeout", 300, "seconds a fleet connection may stay silent before eviction (0: no deadline)")
-		maxConns    = flag.Int("max-conns", 0, "max simultaneous fleet connections, evicting the most idle at the cap (0: unlimited)")
-		maxMsg      = flag.Int64("max-msg-bytes", transport.DefaultMaxMessageBytes, "per-message byte limit (negative: unlimited)")
-		tlsCert     = flag.String("tls-cert", "", "server certificate PEM for the fleet listener (with -tls-key enables TLS)")
-		tlsKey      = flag.String("tls-key", "", "server key PEM for the fleet listener")
-		tlsClientCA = flag.String("tls-client-ca", "", "require fleet client certificates signed by this CA")
-		authToken   = flag.String("auth-token", "", "shared token fleet workers must present")
+		up          = daemon.Dial(flag.CommandLine, "root-")
+		serve       = daemon.Serve(flag.CommandLine, ":4322", "listen address for this subtree's workers")
 	)
-	flag.Parse()
-
-	id := transport.WorkerID(*name)
-	if id == "" {
-		host, _ := os.Hostname()
-		id = transport.WorkerID(fmt.Sprintf("sub-%s-%d", host, os.Getpid()))
+	// Upstream hardening (DESIGN.md §10) — deadline and in-call retries on
+	// the root leg, identity presented to the root — and the same
+	// listener knobs as cmd/farmer on the fleet side, worded for each leg.
+	for name, usage := range map[string]string{
+		"call-timeout":         "seconds one root call may take before ErrDeadline (0: no deadline)",
+		"root-tls-ca":          "CA to verify the root farmer against (enables TLS upstream)",
+		"root-tls-cert":        "client certificate PEM for the root (certificate auth mode)",
+		"root-tls-key":         "client key PEM for the root",
+		"root-tls-server-name": "expected root server name when it differs from -root's host",
+		"root-auth-token":      "shared token to present to the root (token auth mode)",
+		"read-timeout":         "seconds a fleet connection may stay silent before eviction (0: no deadline)",
+		"max-conns":            "max simultaneous fleet connections, evicting the most idle at the cap (0: unlimited)",
+		"tls-cert":             "server certificate PEM for the fleet listener (with -tls-key enables TLS)",
+		"tls-key":              "server key PEM for the fleet listener",
+		"tls-client-ca":        "require fleet client certificates signed by this CA",
+		"auth-token":           "shared token fleet workers must present",
+	} {
+		flag.Lookup(name).Usage = usage
 	}
+	daemon.Parse(flag.CommandLine, ckpt, fold, status)
+
+	id := transport.WorkerID(daemon.Identity(*name, "sub-"))
 
 	store, err := checkpoint.NewStore(*ckptDir)
 	if err != nil {
@@ -83,30 +85,23 @@ func main() {
 	// retry later" — so a root outage degrades to a lease blip instead of
 	// permanently severing the subtree (a mid tier must never need a
 	// human to rejoin).
-	upOpts := transport.DialOptions{
-		Policy: transport.Policy{
-			Timeout: time.Duration(*callTimeout) * time.Second,
-			Retries: *callRetries,
-		},
-		Token: *rootToken,
+	upOpts, err := up.Options()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *rootCA != "" || *rootCert != "" || *rootKey != "" {
-		if upOpts.TLS, err = transport.LoadClientTLS(*rootCA, *rootCert, *rootKey, *rootName); err != nil {
-			log.Fatal(err)
-		}
-	}
-	up := transport.NewRedialWith(*rootAddr, upOpts)
-	defer up.Close()
+	upOpts.Policy.Retries = *callRetries
+	root := transport.NewRedialWith(*rootAddr, upOpts)
+	defer root.Close()
 
 	sub, err := farmer.RestoreSubFarmer(farmer.SubConfig{
 		ID:           id,
-		UpdatePeriod: time.Duration(*foldSecs) * time.Second,
+		UpdatePeriod: fold.Duration(),
 		FleetTTL:     time.Duration(*leaseTTL) * time.Second,
 		Store:        store,
 		InnerOptions: []farmer.Option{
 			farmer.WithLeaseTTL(time.Duration(*leaseTTL) * time.Second),
 		},
-	}, up)
+	}, root)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,52 +111,34 @@ func main() {
 		log.Printf("resumed from checkpoint: %d intervals, %s numbers left, bound=%v(root id %d)", card, size, bound, upID)
 	}
 
-	so := transport.ServerOptions{
-		ReadTimeout:     time.Duration(*readTimeout) * time.Second,
-		MaxConns:        *maxConns,
-		MaxMessageBytes: *maxMsg,
-		Token:           *authToken,
-	}
-	if *tlsCert != "" || *tlsKey != "" {
-		if so.TLS, err = transport.LoadServerTLS(*tlsCert, *tlsKey, *tlsClientCA); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("fleet TLS enabled (client CA: %v, token: %v)", *tlsClientCA != "", *authToken != "")
-	}
-	srv, err := transport.ServeWith(sub, *addr, so)
+	srv, err := serve.Listen(sub, interval.Interval{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
 	log.Printf("serving subtree %q on %s, root %s", id, srv.Addr(), *rootAddr)
 
-	pulse := time.NewTicker(time.Duration(*foldSecs) * time.Second)
-	defer pulse.Stop()
-	ckpt := time.NewTicker(time.Duration(*ckptSecs) * time.Second)
-	defer ckpt.Stop()
-	status := time.NewTicker(time.Duration(*statusIv) * time.Second)
-	defer status.Stop()
-	for {
-		select {
-		case <-pulse.C:
-			sub.Pulse()
-		case <-ckpt.C:
-			if err := sub.Checkpoint(); err != nil {
-				log.Printf("checkpoint failed: %v", err)
-			}
-		case <-status.C:
+	// The stop path's last Pulse folds the fleet's progress to the root
+	// when a fold is due, before the final checkpoint.
+	done, err := daemon.Run(context.Background(), daemon.Loop{
+		Checkpoint:      sub.Checkpoint,
+		CheckpointEvery: ckpt.Duration(),
+		Tick:            sub.Pulse,
+		TickEvery:       fold.Duration(),
+		StatusEvery:     status.Duration(),
+		Status: func() bool {
 			card, size := sub.Inner().Size()
 			c := sub.Counters()
 			log.Printf("intervals=%d remaining=%s refills=%d folds=%d lost=%d timeouts=%d",
 				card, size, c.Refills, c.UpstreamUpdates, c.UpstreamLost, c.UpstreamTimeouts)
-			if sub.Finished() {
-				if err := sub.Checkpoint(); err != nil {
-					log.Printf("final checkpoint failed: %v", err)
-				}
-				ic := sub.Inner().Counters()
-				log.Printf("resolution complete: subtree explored %d nodes over %d allocations", ic.ExploredNodes, ic.WorkAllocations)
-				return
-			}
-		}
+			return sub.Finished()
+		},
+	})
+	if done {
+		ic := sub.Inner().Counters()
+		log.Printf("resolution complete: subtree explored %d nodes over %d allocations", ic.ExploredNodes, ic.WorkAllocations)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }

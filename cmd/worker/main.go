@@ -25,12 +25,11 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/gridbb"
+	"repro/internal/daemon"
 	"repro/internal/flowshop"
 	"repro/internal/transport"
 	"repro/internal/worker"
@@ -50,67 +49,33 @@ func main() {
 		update   = flag.Int64("update-nodes", 1<<16, "nodes between interval checkpoints")
 		name     = flag.String("name", "", "worker name prefix (default host-pid)")
 		retries  = flag.Int("max-retries", 10, "bounded reconnect attempts per process (progress resets the budget)")
-
-		// Hostile-WAN hardening (DESIGN.md §10).
-		callTimeout = flag.Int("call-timeout", 30, "seconds one protocol call may take before ErrDeadline (0: no deadline)")
-		tlsCA       = flag.String("tls-ca", "", "CA to verify the farmer against (enables TLS)")
-		tlsCert     = flag.String("tls-cert", "", "client certificate PEM (certificate auth mode)")
-		tlsKey      = flag.String("tls-key", "", "client key PEM")
-		tlsName     = flag.String("tls-server-name", "", "expected server name when it differs from -addr's host")
-		authToken   = flag.String("auth-token", "", "shared token to present to the farmer (token auth mode)")
+		dial     = daemon.Dial(flag.CommandLine, "") // hostile-WAN hardening (DESIGN.md §10)
 
 		// Wire-level speed (DESIGN.md §11).
 		share = flag.Bool("share", true, "multiplex all -procs sessions over one physical connection per farmer address")
 	)
 	flag.Parse()
 
-	ins, err := flowshop.TaillardNamed(*instance)
+	ins, err := flowshop.TaillardReduced(*instance, *redJobs, *redMach)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *redJobs > 0 || *redMach > 0 {
-		j, m := *redJobs, *redMach
-		if j == 0 {
-			j = ins.Jobs
-		}
-		if m == 0 {
-			m = ins.Machines
-		}
-		if ins, err = ins.Reduced(j, m); err != nil {
-			log.Fatal(err)
-		}
+	kind, err := flowshop.ParseBound(*bound)
+	if err != nil {
+		log.Fatal(err)
 	}
-	kind := flowshop.BoundOneMachine
-	switch *bound {
-	case "one":
-	case "two":
-		kind = flowshop.BoundTwoMachine
-	case "combined":
-		kind = flowshop.BoundCombined
-	default:
-		log.Fatalf("unknown bound %q", *bound)
-	}
-	prefix := *name
-	if prefix == "" {
-		host, _ := os.Hostname()
-		prefix = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
+	prefix := daemon.Identity(*name, "")
 
 	// Per-call deadline plus identity. Retries stay 0 at this layer: the
 	// per-process reconnect loop below is the retry mechanism, with its
 	// own jitter and budget.
-	dialOpts := gridbb.DialOptions{
-		Policy: gridbb.Policy{Timeout: time.Duration(*callTimeout) * time.Second},
-		Token:  *authToken,
-		Share:  *share,
+	dialOpts, err := dial.Options()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *tlsCA != "" || *tlsCert != "" || *tlsKey != "" {
-		if dialOpts.TLS, err = transport.LoadClientTLS(*tlsCA, *tlsCert, *tlsKey, *tlsName); err != nil {
-			log.Fatal(err)
-		}
-	}
+	dialOpts.Share = *share
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := daemon.SignalContext(context.Background())
 	defer stop()
 
 	var wg sync.WaitGroup
@@ -150,7 +115,7 @@ func main() {
 				}
 				if err == nil || ctx.Err() != nil {
 					log.Printf("process %d done in %s: explored %d nodes, %d updates, local best %s",
-						i, time.Since(start).Round(time.Second), explored, res.Updates, costString(res.Best.Cost))
+						i, time.Since(start).Round(time.Second), explored, res.Updates, daemon.Cost(res.Best.Cost))
 					return
 				}
 				// A run that made progress proves the coordinator was
@@ -176,11 +141,4 @@ func main() {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func costString(c int64) string {
-	if c == gridbb.Infinity {
-		return "inf"
-	}
-	return fmt.Sprint(c)
 }

@@ -1,6 +1,7 @@
 package flowshop
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 	"sync"
@@ -29,6 +30,20 @@ const (
 	// BoundCombined takes the max of both families.
 	BoundCombined
 )
+
+// ParseBound maps a command-line bound name — one, two or combined — to
+// its BoundKind.
+func ParseBound(name string) (BoundKind, error) {
+	switch name {
+	case "one":
+		return BoundOneMachine, nil
+	case "two":
+		return BoundTwoMachine, nil
+	case "combined":
+		return BoundCombined, nil
+	}
+	return 0, fmt.Errorf("unknown bound %q", name)
+}
 
 // PairStrategy selects which machine pairs the two-machine bound inspects.
 type PairStrategy int

@@ -149,6 +149,36 @@ func TestReduced(t *testing.T) {
 	}
 }
 
+// TestTaillardReduced: the command-line reduction, where zero keeps a
+// dimension whole and both zero means the published instance itself.
+func TestTaillardReduced(t *testing.T) {
+	for _, c := range []struct {
+		jobs, machines int
+		want           string // instance name, or "" for an error
+	}{
+		{0, 0, "ta056"},
+		{11, 0, "ta056-reduced-11x20"},
+		{0, 6, "ta056-reduced-50x6"},
+		{11, 6, "ta056-reduced-11x6"},
+		{51, 0, ""},
+		{0, 21, ""},
+		{-1, 6, ""},
+	} {
+		ins, err := TaillardReduced("ta056", c.jobs, c.machines)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("reduce to %dx%d accepted as %s", c.jobs, c.machines, ins.Name)
+		case c.want != "" && err != nil:
+			t.Errorf("reduce to %dx%d: %v", c.jobs, c.machines, err)
+		case c.want != "" && ins.Name != c.want:
+			t.Errorf("reduce to %dx%d gave %s, want %s", c.jobs, c.machines, ins.Name, c.want)
+		}
+	}
+	if _, err := TaillardReduced("ta999", 0, 0); err == nil {
+		t.Error("unknown instance accepted")
+	}
+}
+
 // TestBoundsAdmissible is the soundness property of the bounding operator:
 // for random partial schedules, every bound family is a true lower bound on
 // the best completion (verified by brute force on small instances).
@@ -436,5 +466,17 @@ func TestLocalSearchNeverWorsens(t *testing.T) {
 		if got := ins.Makespan(seq); got != after {
 			t.Fatalf("reported %d but sequence evaluates to %d", after, got)
 		}
+	}
+}
+
+// TestParseBound: the three command-line bound names, and nothing else.
+func TestParseBound(t *testing.T) {
+	for name, want := range map[string]BoundKind{"one": BoundOneMachine, "two": BoundTwoMachine, "combined": BoundCombined} {
+		if got, err := ParseBound(name); err != nil || got != want {
+			t.Errorf("ParseBound(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseBound("bogus"); err == nil {
+		t.Error("ParseBound accepted an unknown name")
 	}
 }

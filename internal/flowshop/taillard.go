@@ -1,6 +1,7 @@
 package flowshop
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -100,6 +101,18 @@ func TaillardNamed(name string) (*Instance, error) {
 		return nil, fmt.Errorf("flowshop: bad Taillard instance name %q", name)
 	}
 	return TaillardByIndex(idx)
+}
+
+// TaillardReduced returns the named published instance reduced to its
+// first jobs jobs and machines machines, the command-line tools' instance
+// flags (-instance, -reduce-jobs, -reduce-machines). Zero keeps that
+// dimension whole; with both zero the instance is returned unreduced.
+func TaillardReduced(name string, jobs, machines int) (*Instance, error) {
+	ins, err := TaillardNamed(name)
+	if err != nil || (jobs == 0 && machines == 0) {
+		return ins, err
+	}
+	return ins.Reduced(cmp.Or(jobs, ins.Jobs), cmp.Or(machines, ins.Machines))
 }
 
 // TaillardByIndex returns published instance number idx (1..120).
