@@ -45,9 +45,10 @@ func renderMultiJobResult(r MultiJobResult, progress []jobs.Progress) string {
 
 // TestSimGolden pins the exact counts of three small deterministic
 // simulations — one flat, one tree with the endgame machinery armed, one
-// multi-tenant — so a change to the fleet lifecycle (join, leave, the
-// credit→budget→Advance step, the time-based checkpoint) is held to the
-// same numbers tick for tick, inside `go test ./...`.
+// multi-tenant — and of the massive flat grid, whose Table 2 sums run over
+// thousands of departed hosts, so a change to the fleet lifecycle (join,
+// leave, the credit→budget→Advance step, the time-based checkpoint) is
+// held to the same numbers tick for tick, inside `go test ./...`.
 func TestSimGolden(t *testing.T) {
 	single := func(subtrees int) func() (string, error) {
 		return func() (string, error) {
@@ -71,6 +72,10 @@ func TestSimGolden(t *testing.T) {
 			}
 			res, err := sim.Run()
 			return renderMultiJobResult(res, sim.Table().List()), err
+		}},
+		{"massive-flat", func() (string, error) {
+			run := massiveFlat()
+			return renderResult(run.res), run.err
 		}},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,7 @@
 package gridsim
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/bb"
@@ -25,24 +26,16 @@ import (
 // the paper's message pressure, the coordinator stays far from
 // saturation.
 func TestMassiveGridScenario(t *testing.T) {
-	ins := flowshop.Taillard(12, 10, 5) // ~130k sequential nodes
-	factory := func() bb.Problem {
-		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
-	}
-	seq, _ := bb.Solve(factory(), bb.Infinity)
-
-	cfg := MassiveScenario(1, 130_000, 2.0)
-	cfg.InitialUpper = seq.Cost + 1 // run-2 protocol: primed one above the optimum
-	cfg.MaxTicks = 30_000
-	res, err := New(cfg, factory).Run()
-	if err != nil {
-		t.Fatal(err)
+	run := massiveFlat()
+	res := run.res
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
 	if !res.Finished {
 		t.Fatalf("massive grid did not finish in %d ticks", res.Ticks)
 	}
-	if res.Best.Cost != seq.Cost {
-		t.Fatalf("massive grid proved %d, sequential optimum is %d", res.Best.Cost, seq.Cost)
+	if res.Best.Cost != run.optimum {
+		t.Fatalf("massive grid proved %d, sequential optimum is %d", res.Best.Cost, run.optimum)
 	}
 	if res.Table2.MaxWorkers < 1500 {
 		t.Errorf("peak concurrency %d, want ≥ 1500 (the scenario exists for fleet scale)", res.Table2.MaxWorkers)
@@ -65,6 +58,31 @@ func TestMassiveGridScenario(t *testing.T) {
 		res.Table2.FarmerExploitation*100, res.Table2.WorkerExploitation*100,
 		res.Table2.WorkAllocations, res.Table2.RedundantRate*100)
 }
+
+// massiveFlatRun is one run of the massive-grid scenario with the
+// sequential optimum it must prove.
+type massiveFlatRun struct {
+	res     Result
+	optimum int64
+	err     error
+}
+
+// massiveFlat runs the massive-grid scenario once per test binary:
+// TestMassiveGridScenario checks its Table 2 claims and TestSimGolden pins
+// its exact counts, on the same run.
+var massiveFlat = sync.OnceValue(func() massiveFlatRun {
+	ins := flowshop.Taillard(12, 10, 5) // ~130k sequential nodes
+	factory := func() bb.Problem {
+		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
+	}
+	seq, _ := bb.Solve(factory(), bb.Infinity)
+
+	cfg := MassiveScenario(1, 130_000, 2.0)
+	cfg.InitialUpper = seq.Cost + 1 // run-2 protocol: primed one above the optimum
+	cfg.MaxTicks = 30_000
+	res, err := New(cfg, factory).Run()
+	return massiveFlatRun{res: res, optimum: seq.Cost, err: err}
+})
 
 // TestMassiveTreeGridScenario is the order-of-magnitude step past the
 // indexed farmer: the Table 1 pool topped up to 10,000 processors, run
