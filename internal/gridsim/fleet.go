@@ -56,7 +56,11 @@ type fleet struct {
 	cores   []int     // cores per processor slot (>= 1)
 	domains []domainState
 	active  []*host // per slot, nil = idle host
-	retired []*host
+	// Table 2's per-host sums over the hosts that left, added at leave in
+	// leave order: a departed host's B&B process is released, not kept
+	// for the report.
+	departedPresentSecs, departedExploreSecs float64
+	departedExplored                         int64
 
 	nowSecs   float64
 	nextID    int64 // worker id sequence
@@ -207,7 +211,9 @@ func (f *fleet) leave(slot int) {
 		f.crashes++
 	}
 	f.active[slot] = nil
-	f.retired = append(f.retired, w)
+	f.departedPresentSecs += w.presentSecs
+	f.departedExploreSecs += w.exploreSecs
+	f.departedExplored += w.session.Stats().Explored
 }
 
 // step spends explTime virtual seconds of the host's CPU: the time is

@@ -181,9 +181,10 @@ type Sim struct {
 	result Result
 }
 
-// New builds a simulation. factory must return a fresh Problem per call
-// (every simulated processor hosts its own B&B process, like the paper's
-// one-process-per-processor deployment).
+// New builds a simulation. factory must return a fresh Problem per call:
+// every simulated processor hosts its own B&B process from join to leave,
+// like the paper's one-process-per-processor deployment, and a host that
+// leaves releases that process, so memory follows the hosts present.
 func New(cfg Config, factory func() bb.Problem) *Sim {
 	cfg.fillDefaults()
 	s := &Sim{cfg: cfg, factory: factory}
@@ -365,22 +366,17 @@ func (s *Sim) finalize(sumActive int64) {
 	s.result.Joins, s.result.Leaves, s.result.Crashes = f.joins, f.leaves, f.crashes
 	t2 := &s.result.Table2
 	t2.WallClockSeconds = float64(s.result.Ticks) * cfg.TickSeconds
-	// Every host that ever ran, retired ones first. The ground-truth node
-	// count is every session's engine counter, including work that died
-	// unreported in a crash.
-	var present, explore float64
-	var gt int64
-	consider := func(w *host) {
-		present += w.presentSecs
-		explore += w.exploreSecs
-		gt += w.session.Stats().Explored
-	}
-	for _, w := range f.retired {
-		consider(w)
-	}
+	// Every host that ever ran: the departed ones, summed at leave in
+	// leave order, then the present ones in slot order — the addition
+	// order the goldens pin bit for bit. The ground-truth node count is
+	// every session's engine counter, including work that died unreported
+	// in a crash.
+	present, explore, gt := f.departedPresentSecs, f.departedExploreSecs, f.departedExplored
 	for _, w := range f.active {
 		if w != nil {
-			consider(w)
+			present += w.presentSecs
+			explore += w.exploreSecs
+			gt += w.session.Stats().Explored
 		}
 	}
 	t2.TotalCPUSeconds = present
