@@ -496,9 +496,11 @@ func TestFarmerSIGTERMCheckpoints(t *testing.T) {
 }
 
 // TestSubFarmerSIGTERMCheckpoints is TestTreeBinaries with a SIGTERM to the
-// sub-farmer mid-run: it must exit 0 after its stop path (a last upstream
-// Pulse, then a final checkpoint), a restart must resume from that
-// checkpoint, and the root must still prove the optimum.
+// sub-farmer mid-run: it must exit 0 after its stop path (a fold to the
+// root, then a final checkpoint), a restart must resume from that
+// checkpoint, and the root must still prove the optimum. The SIGTERM lands
+// an hour inside the first run's update period, so only a stop fold that
+// ignores the period lets the root count the nodes the fleet explored.
 func TestSubFarmerSIGTERMCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process integration test")
@@ -511,16 +513,25 @@ func TestSubFarmerSIGTERMCheckpoints(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-checkpoint-dir", filepath.Join(dir, "root-ckpt"),
 		"-lease-ttl", "5", "-status-period", "1",
 		"-instance", "ta056", "-reduce-jobs", "11", "-reduce-machines", "6")
-	subArgs := []string{
-		"-root", awaitAddr(t, rootOut, regexp.MustCompile(`serving on (\S+)`)),
-		"-addr", "127.0.0.1:0", "-checkpoint-dir", filepath.Join(dir, "sub-ckpt"),
-		"-checkpoint-period", "3600", "-update-period", "1", "-lease-ttl", "3", "-status-period", "1",
+	rootAddr := awaitAddr(t, rootOut, regexp.MustCompile(`serving on (\S+)`))
+	subArgs := func(updatePeriod string) []string {
+		return []string{
+			"-root", rootAddr,
+			"-addr", "127.0.0.1:0", "-checkpoint-dir", filepath.Join(dir, "sub-ckpt"),
+			"-checkpoint-period", "3600", "-update-period", updatePeriod, "-lease-ttl", "3", "-status-period", "1",
+		}
 	}
-	sub, subOut := startDaemon(t, subBin, subArgs...)
+	rootNodes := regexp.MustCompile(` nodes=(\d+) `)
+	sub, subOut := startDaemon(t, subBin, subArgs("3600")...)
 	foldOnce(t, awaitAddr(t, subOut, regexp.MustCompile(`serving subtree .* on (\S+),`)))
+	before := awaitAfter(t, rootOut, len(rootOut.String()), rootNodes)
 	stopBySignal(t, sub, subOut)
+	if after := awaitAfter(t, rootOut, len(rootOut.String()), rootNodes); atMost(t, after, before) {
+		t.Fatalf("root counts %s nodes after the sub-farmer's SIGTERM, %s before: the stop path did not fold\nsubfarmer output:\n%s",
+			after, before, subOut.String())
+	}
 
-	sub, subOut = startDaemon(t, subBin, subArgs...)
+	sub, subOut = startDaemon(t, subBin, subArgs("1")...)
 	awaitAfter(t, subOut, 0, regexp.MustCompile(`(resumed from checkpoint)`))
 	w := exec.Command(workerBin, "-addr", awaitAddr(t, subOut, regexp.MustCompile(`serving subtree .* on (\S+),`)),
 		"-update-nodes", "2000", "-procs", "2",

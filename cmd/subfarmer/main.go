@@ -5,9 +5,9 @@
 // one power, and asks the root for a fresh sub-range only when its local
 // table runs dry. Kill it any time: it checkpoints its local INTERVALS,
 // SOLUTION and root binding to disk and resumes on restart — the root
-// sees only a lease blip. SIGINT or SIGTERM stops it cleanly: a last
-// upstream Pulse (a fold to the root, when one is due), a final
-// checkpoint, exit 0.
+// sees only a lease blip. SIGINT or SIGTERM stops it cleanly: a last fold
+// to the root, due or not, so the root loses none of the subtree's
+// progress; a final checkpoint; exit 0.
 //
 // Unlike the root farmer and the workers, a sub-farmer needs NO problem
 // configuration: it is pure interval algebra. Work units are intervals at
@@ -118,13 +118,14 @@ func main() {
 	defer srv.Close()
 	log.Printf("serving subtree %q on %s, root %s", id, srv.Addr(), *rootAddr)
 
-	// The stop path's last Pulse folds the fleet's progress to the root
-	// when a fold is due, before the final checkpoint.
+	// The stop path folds the fleet's progress to the root whether or not
+	// -update-period has elapsed, before the final checkpoint.
 	done, err := daemon.Run(context.Background(), daemon.Loop{
 		Checkpoint:      sub.Checkpoint,
 		CheckpointEvery: ckpt.Duration(),
 		Tick:            sub.Pulse,
 		TickEvery:       fold.Duration(),
+		Flush:           sub.Flush,
 		StatusEvery:     status.Duration(),
 		Status: func() bool {
 			card, size := sub.Inner().Size()

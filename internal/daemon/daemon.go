@@ -156,15 +156,18 @@ type Loop struct {
 	// resolution is over.
 	Status      func() (done bool)
 	StatusEvery time.Duration
-	// Tick, if set, runs every TickEvery and once more on the stop path,
-	// before the final checkpoint (the sub-farmer's upstream fold).
+	// Tick, if set, runs every TickEvery (the sub-farmer's upstream
+	// cadence).
 	Tick      func()
 	TickEvery time.Duration
+	// Flush, if set, runs once on the stop path, before the final
+	// checkpoint (the sub-farmer's upstream fold, due or not).
+	Flush func()
 }
 
 // Run drives l until Status reports the resolution over, ctx ends or the
 // process receives SIGINT or SIGTERM. Every way out takes the same stop
-// path: a last Tick, then a final Checkpoint; the caller closes its
+// path: Flush, then a final Checkpoint; the caller closes its
 // servers after Run returns. Run reports whether the resolution is over,
 // and fails only when the final checkpoint does — a failed periodic one
 // is logged and retried at the next period.
@@ -195,8 +198,8 @@ func Run(ctx context.Context, l Loop) (done bool, err error) {
 			done = l.Status()
 		}
 	}
-	if l.Tick != nil {
-		l.Tick()
+	if l.Flush != nil {
+		l.Flush()
 	}
 	if err := l.Checkpoint(); err != nil {
 		return done, fmt.Errorf("final checkpoint failed: %w", err)

@@ -20,15 +20,16 @@ func recorder(calls *[]string, done bool, ckptErr error) Loop {
 		StatusEvery:     time.Millisecond,
 		Tick:            func() { *calls = append(*calls, "tick") },
 		TickEvery:       time.Hour,
+		Flush:           func() { *calls = append(*calls, "flush") },
 	}
 }
 
-// TestRunStopPath: finished or stopped, Run ends on the same path — one
-// last Tick, then the final checkpoint — and reports which it was.
+// TestRunStopPath: finished or stopped, Run ends on the same path — a
+// Flush, then the final checkpoint — and reports which it was.
 func TestRunStopPath(t *testing.T) {
 	var calls []string
 	done, err := Run(context.Background(), recorder(&calls, true, nil))
-	if !done || err != nil || !reflect.DeepEqual(calls, []string{"status", "tick", "checkpoint"}) {
+	if !done || err != nil || !reflect.DeepEqual(calls, []string{"status", "flush", "checkpoint"}) {
 		t.Errorf("finished run: done=%v err=%v calls=%v", done, err, calls)
 	}
 
@@ -38,7 +39,7 @@ func TestRunStopPath(t *testing.T) {
 	l := recorder(&calls, false, nil)
 	l.StatusEvery = time.Hour
 	done, err = Run(ctx, l)
-	if done || err != nil || !reflect.DeepEqual(calls, []string{"tick", "checkpoint"}) {
+	if done || err != nil || !reflect.DeepEqual(calls, []string{"flush", "checkpoint"}) {
 		t.Errorf("stopped run: done=%v err=%v calls=%v", done, err, calls)
 	}
 }
@@ -48,7 +49,7 @@ func TestRunFailedFinalCheckpoint(t *testing.T) {
 	disk := errors.New("disk full")
 	var calls []string
 	l := recorder(&calls, true, disk)
-	l.Tick = nil
+	l.Flush = nil
 	if _, err := Run(context.Background(), l); !errors.Is(err, disk) {
 		t.Fatalf("Run = %v, want the checkpoint's error", err)
 	}

@@ -477,7 +477,15 @@ func (s *SubFarmer) ReportSolution(req transport.SolutionReport) (transport.Solu
 // global termination it flushes any straggler statistics instead (fleet
 // checkpoints that landed after the final fold), so the root's Table 2
 // counters converge on the whole tree's totals.
-func (s *SubFarmer) Pulse() {
+func (s *SubFarmer) Pulse() { s.pulse(false) }
+
+// Flush is Pulse without the UpdatePeriod throttle: it folds the fleet's
+// progress to the parent now, due or not. A daemon's stop path calls it so
+// the parent sees the subtree's progress up to the stop, not up to the
+// last period.
+func (s *SubFarmer) Flush() { s.pulse(true) }
+
+func (s *SubFarmer) pulse(force bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.cfg.Clock()
@@ -485,7 +493,7 @@ func (s *SubFarmer) Pulse() {
 		s.flushStatsLocked(now)
 		return
 	}
-	if len(s.bindings) > 0 && now-s.lastFoldNanos >= int64(s.cfg.UpdatePeriod) {
+	if len(s.bindings) > 0 && (force || now-s.lastFoldNanos >= int64(s.cfg.UpdatePeriod)) {
 		s.foldUpLocked(now)
 	}
 }
