@@ -188,12 +188,14 @@ func (a *api) handler() http.Handler {
 // The HTTP API's connection discipline, the same as the worker port's
 // (DESIGN.md §10): a peer gets as long to finish its request headers as a
 // worker gets to authenticate, a request or a response may not dribble
-// forever, and an idle keep-alive connection is eventually reclaimed.
+// forever, and an idle keep-alive connection is eventually reclaimed. On
+// the stop path a request in flight gets httpShutdownTimeout to finish.
 const (
 	httpReadHeaderTimeout = 10 * time.Second
 	httpReadTimeout       = 30 * time.Second
 	httpWriteTimeout      = 30 * time.Second
 	httpIdleTimeout       = 120 * time.Second
+	httpShutdownTimeout   = 5 * time.Second
 )
 
 // server builds the HTTP API server for addr.
@@ -256,8 +258,16 @@ func main() {
 		}
 		log.Printf("HTTP API on %s", ln.Addr())
 		hs := (&api{tb: tb, storeDir: *storeDir, token: *httpToken}).server(*httpAddr)
-		go hs.Serve(ln) // returns once the deferred Close below runs
-		defer hs.Close()
+		go hs.Serve(ln) // returns once the deferred Shutdown below runs
+		defer func() {
+			// Refuse new connections, but let a submit or cancel in
+			// flight finish and answer.
+			ctx, cancel := context.WithTimeout(context.Background(), httpShutdownTimeout)
+			defer cancel()
+			if err := hs.Shutdown(ctx); err != nil {
+				log.Printf("HTTP API shutdown: %v", err)
+			}
+		}()
 	}
 
 	if _, err := daemon.Run(context.Background(), daemon.Loop{

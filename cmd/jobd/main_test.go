@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -267,6 +269,17 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// buildJobd builds the jobd binary into dir.
+func buildJobd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "jobd")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build jobd: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // startJobd starts the jobd binary and returns it with its worker address.
 func startJobd(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, out *syncBuffer, workers string) {
 	t.Helper()
@@ -326,11 +339,7 @@ func TestSIGTERMCheckpointsJobs(t *testing.T) {
 		t.Skip("multi-process integration test")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "jobd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build jobd: %v\n%s", err, out)
-	}
+	bin := buildJobd(t, dir)
 	// The HTTP API keeps its port across the restart.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -390,5 +399,60 @@ func TestSIGTERMCheckpointsJobs(t *testing.T) {
 	startJobd(t, bin, args...)
 	if after := frontierPct(t, api, "j1"); after < before {
 		t.Fatalf("restarted job reports frontier %.2f%%, %.2f%% before SIGTERM", after, before)
+	}
+}
+
+// TestSIGTERMAnswersInFlightRequest: a submit whose body is still arriving
+// when jobd receives SIGTERM is answered, not cut. The HTTP API stops
+// taking connections on the stop path, and the request then completes.
+func TestSIGTERMAnswersInFlightRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test")
+	}
+	dir := t.TempDir()
+	cmd, out, _ := startJobd(t, buildJobd(t, dir),
+		"-addr", "127.0.0.1:0", "-http", "127.0.0.1:0", "-store", filepath.Join(dir, "store"),
+		"-checkpoint-period", "3600", "-status-period", "3600")
+	httpAddr := regexp.MustCompile(`HTTP API on (\S+)`).FindStringSubmatch(out.String())[1]
+
+	body, _ := json.Marshal(map[string]any{"id": "late", "spec": jobs.Spec{Domain: "flowshop", Jobs: 8, Machines: 4, Seed: 1}})
+	conn, err := net.Dial("tcp", httpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := fmt.Sprintf("POST /jobs HTTP/1.1\r\nHost: jobd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+	if _, err := conn.Write(append([]byte(head), body[:len(body)/2]...)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	// Once the API refuses connections the stop path has reached it.
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		c, err := net.Dial("tcp", httpAddr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatalf("HTTP API still accepting 15s after SIGTERM:\n%s", out.String())
+		}
+	}
+	if _, err := conn.Write(body[len(body)/2:]); err != nil {
+		t.Fatalf("in-flight request cut on SIGTERM: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("in-flight request cut on SIGTERM: %v\n%s", err, out.String())
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("in-flight POST /jobs answered %s", resp.Status)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("jobd did not exit cleanly on SIGTERM: %v\n%s", err, out.String())
 	}
 }
