@@ -23,12 +23,16 @@ check: vet build test race fuzz-smoke bench-smoke docs-check
 # dependency the docs promise is gone: nothing in the module may pull
 # net/rpc (and its reflective call path) back in. And the daemons' signal
 # handling stays in one place: internal/daemon owns SIGINT/SIGTERM, so a
-# signal.NotifyContext under cmd/ is a second stop path.
+# signal.NotifyContext under cmd/ is a second stop path. And there is one
+# concurrent work-stealing runtime, the worker's goroutine shard engine:
+# internal/p2p is the deterministic ring only, so a go statement or a chan
+# type in its non-test code is a second one coming back.
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing (doc.go references it)"; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "docs-check: gofmt -l flags:"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./... | grep -qx 'net/rpc'; then echo "docs-check: net/rpc is a dependency again (go list -deps ./...)"; exit 1; fi
 	@if grep -rn 'signal\.NotifyContext' cmd; then echo "docs-check: signal handling belongs to internal/daemon (daemon.Run, daemon.SignalContext), not cmd/"; exit 1; fi
+	@if find internal/p2p -name '*.go' ! -name '*_test.go' | xargs grep -nE '^[[:space:]]*go[[:space:]]|\<chan\>' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: internal/p2p is the deterministic ring; concurrent peers run on the worker's shard engine (gridbb.SolveP2P)"; exit 1; fi
 	$(GO) vet ./...
 
 build:
@@ -148,6 +152,8 @@ loc:
 	@echo "internal/farmer    $$(find internal/farmer -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/worker    $$(find internal/worker -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/jobs      $$(find internal/jobs -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "internal/p2p       $$(find internal/p2p -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/daemon    $$(find internal/daemon -name '*.go' ! -name '*_test.go' | $(LOC))"
+	@echo "gridbb             $$(find gridbb -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "cmd                $$(find cmd -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "whole tree         $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | $(LOC))"

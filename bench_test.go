@@ -41,6 +41,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/gridbb"
 	"repro/internal/bb"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -50,7 +51,6 @@ import (
 	"repro/internal/interval"
 	"repro/internal/jobs"
 	"repro/internal/knapsack"
-	"repro/internal/p2p"
 	"repro/internal/qap"
 	"repro/internal/transport"
 	"repro/internal/tree"
@@ -615,7 +615,7 @@ func BenchmarkWireBytesPerFold(b *testing.B) {
 		}
 		defer srv.Close()
 		proxy := newCountingProxy(b, srv.Addr())
-		cli, err := transport.Dial(proxy.Addr())
+		cli, err := transport.DialWith(proxy.Addr(), transport.DialOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1138,15 +1138,18 @@ func BenchmarkHeadlineParallelSpeedup(b *testing.B) {
 		})
 	}
 	b.Run("p2p-peers=4", func(b *testing.B) {
+		var nodes int64
 		for i := 0; i < b.N; i++ {
-			res, err := p2p.Solve(factory, p2p.Options{Peers: 4, InitialUpper: prime, Seed: int64(i + 1)})
+			res, err := gridbb.SolveP2P(factory, gridbb.P2POptions{Peers: 4, InitialUpper: prime})
 			if err != nil {
 				b.Fatal(err)
 			}
 			if res.Best.Cost != seq.Cost {
 				b.Fatal("wrong optimum")
 			}
+			nodes += res.Stats.Explored
 		}
+		b.ReportMetric(float64(nodes)/float64(b.N), "nodes/resolution")
 	})
 }
 
@@ -1191,59 +1194,6 @@ func BenchmarkMulticoreWorker(b *testing.B) {
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/resolution")
 		})
 	}
-}
-
-// TestProblemsShareNoCacheLine: two flowshop.Problems built back to back on
-// one goroutine — what gridbb.Solve, the harness and every factory()-in-a-loop
-// caller do — must explore as fast on two goroutines as two built each on its
-// explorer's own goroutine. Before a Problem owned its scratch in padded
-// blocks the allocator packed the two problems' hot slices into the same
-// cache lines and both walks ran 40-90 % slower.
-func TestProblemsShareNoCacheLine(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs two processors")
-	}
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	ins, err := flowshop.Ta056().Reduced(12, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() bb.Problem { return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll) }
-	// pair times two concurrent proofs; probs holds the problems built up
-	// front, nil for "build your own".
-	pair := func(probs []bb.Problem) time.Duration {
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				p := build()
-				if probs != nil {
-					p = probs[w]
-				}
-				bb.Solve(p, bb.Infinity)
-			}(w)
-		}
-		wg.Wait()
-		return time.Since(t0)
-	}
-	// Load from outside only ever adds time, so each side's minimum over
-	// alternating repetitions is the number that belongs to the code; a
-	// loaded box gets more rounds before the verdict.
-	together, apart := time.Duration(1<<62), time.Duration(1<<62)
-	for round := 0; round < 4; round++ {
-		for rep := 0; rep < 3; rep++ {
-			together = min(together, pair([]bb.Problem{build(), build()}))
-			apart = min(apart, pair(nil))
-		}
-		if float64(together) <= 1.10*float64(apart) {
-			return
-		}
-	}
-	t.Fatalf("two problems built back to back explore in %v, two built on their own goroutines in %v: more than 10 %% apart", together, apart)
 }
 
 func solveParallel(b *testing.B, factory func() bb.Problem, workers int, prime int64) int64 {

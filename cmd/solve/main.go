@@ -115,13 +115,12 @@ func main() {
 	}
 	if *p2pMode {
 		start := time.Now()
-		res, err := gridbb.SolveP2P(factory, gridbb.P2POptions{Peers: *workers, InitialUpper: upper, Seed: *seed})
+		res, err := gridbb.SolveP2P(factory, gridbb.P2POptions{Peers: *workers, InitialUpper: upper})
 		if err != nil {
 			log.Fatal(err)
 		}
 		report(res.Best, decode, time.Since(start))
-		fmt.Printf("peers %d | steals %d/%d | token rounds %d | explored %d nodes\n",
-			*workers, res.Steals, res.StealAttempts, res.TokenRounds, res.Stats.Explored)
+		fmt.Printf("peers %d | steals %d | explored %d nodes\n", *workers, res.Steals, res.Stats.Explored)
 		return
 	}
 

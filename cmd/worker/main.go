@@ -102,9 +102,9 @@ func main() {
 			attempt := 0
 			var explored int64
 			for {
-				// RunRemoteWorkerParallel degrades to the classic single
-				// explorer when cores is 1.
-				res, err := gridbb.RunRemoteWorkerParallelWith(ctx, *addr, dialOpts, cfg, func() gridbb.Problem {
+				// RunRemoteWorker runs the classic single explorer when
+				// cores is 1.
+				res, err := gridbb.RunRemoteWorker(ctx, *addr, dialOpts, cfg, func() gridbb.Problem {
 					return flowshop.NewProblem(ins, kind, flowshop.PairsAll)
 				})
 				explored += res.Stats.Explored

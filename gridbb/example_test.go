@@ -27,17 +27,17 @@ func ExampleSolve() {
 	// optimal makespan 683, schedule valid: true
 }
 
-// ExampleRunRemoteWorkerParallel runs a real multi-process deployment in
+// ExampleRunRemoteWorker runs a real multi-process deployment in
 // miniature: a TCP farmer (what cmd/farmer wraps) and one multicore worker
 // (what cmd/worker -cores wraps) that shards its assigned interval across
 // two explorers while the farmer sees the unchanged single-worker protocol
 // — one fold, one power, one checkpoint per round.
-func ExampleRunRemoteWorkerParallel() {
+func ExampleRunRemoteWorker() {
 	ins := flowshop.Taillard(9, 5, 7)
 	factory := func() gridbb.Problem {
 		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 	}
-	srv, farmer, err := gridbb.ServeFarmer(factory(), "127.0.0.1:0")
+	srv, farmer, err := gridbb.ServeFarmer(factory(), "127.0.0.1:0", gridbb.ServerOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -45,7 +45,7 @@ func ExampleRunRemoteWorkerParallel() {
 	defer srv.Close()
 
 	cfg := gridbb.WorkerConfig{ID: "mc-worker", Power: 2, Cores: 2}
-	if _, err := gridbb.RunRemoteWorkerParallel(context.Background(), srv.Addr(), cfg, factory); err != nil {
+	if _, err := gridbb.RunRemoteWorker(context.Background(), srv.Addr(), gridbb.DialOptions{}, cfg, factory); err != nil {
 		fmt.Println(err)
 		return
 	}

@@ -15,11 +15,10 @@
 //	res, err := gridbb.Solve(problem, gridbb.Options{Workers: 8, ProblemFactory: factory})
 //
 // For multi-process deployments, run a farmer with ServeFarmer and connect
-// workers with RunRemoteWorker — or RunRemoteWorkerParallel to shard each
-// worker's interval across its host's cores behind the unchanged
-// single-worker protocol (see cmd/farmer, cmd/worker and the package
-// examples). SolveP2P runs the decentralized variant with no coordinator
-// at all.
+// workers with RunRemoteWorker, which shards each worker's interval across
+// WorkerConfig.Cores explorers behind the unchanged single-worker protocol
+// (see cmd/farmer, cmd/worker and the package examples). SolveP2P runs
+// in-process peers with no coordinator at all.
 //
 // README.md is the repository tour; DESIGN.md records the engineering
 // decisions (the two-mode explorer §1, the multicore shard engine §7, the
@@ -38,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/farmer"
 	"repro/internal/interval"
-	"repro/internal/p2p"
 	"repro/internal/transport"
 	"repro/internal/worker"
 )
@@ -313,18 +311,59 @@ func Solve(p Problem, opt Options) (Result, error) {
 	}, nil
 }
 
-// P2POptions parameterizes the decentralized runtime.
-type P2POptions = p2p.Options
+// P2POptions parameterizes SolveP2P.
+type P2POptions struct {
+	// Peers is the number of concurrent B&B processes. Default 4.
+	Peers int
+	// InitialUpper primes the shared incumbent (0 → Infinity).
+	InitialUpper int64
+	// StepBudget is the node slice a peer explores between looks at the
+	// shared incumbent. Default 4096.
+	StepBudget int64
+}
 
 // P2PResult is the outcome of a peer-to-peer resolution.
-type P2PResult = p2p.Result
+type P2PResult struct {
+	// Best is the proven optimum.
+	Best Solution
+	// Stats aggregates all peers' engine counters.
+	Stats Stats
+	// PerPeer are the per-peer explored-node counts.
+	PerPeer []int64
+	// Steals counts work transfers between peers.
+	Steals int64
+}
 
-// SolveP2P runs the decentralized peer-to-peer variant (the paper's §6
-// future work): no coordinator, hungry peers steal intervals directly from
-// random victims, and termination is detected by a ring token. It proves
-// the same optima as Solve; the trade-off is no central checkpoint.
+// SolveP2P runs the decentralized variant (the paper's §6 future work)
+// in-process: opt.Peers concurrent explorers split the root range with no
+// coordinator above them, dry peers steal half of the richest peer's
+// remaining interval, every improvement goes to one shared incumbent, and
+// the resolution ends when every peer is parked without work. It runs on
+// the worker's goroutine shard engine (DESIGN.md §7) and proves the same
+// optima as Solve; the trade-off is no central checkpoint. The
+// decentralized protocol itself — random victims, a ring token for
+// termination, per-peer checkpoints — is modelled, deterministically and
+// under chaos, by internal/p2p's Lockstep ring.
 func SolveP2P(factory func() Problem, opt P2POptions) (P2PResult, error) {
-	return p2p.Solve(factory, opt)
+	if opt.Peers <= 0 {
+		opt.Peers = 4
+	}
+	if opt.StepBudget <= 0 {
+		opt.StepBudget = 4096
+	}
+	if opt.InitialUpper <= 0 {
+		opt.InitialUpper = Infinity
+	}
+	best, perPeer, steals := worker.SolveLocal(factory, opt.Peers, opt.StepBudget, opt.InitialUpper)
+	res := P2PResult{Best: best, PerPeer: make([]int64, len(perPeer)), Steals: steals}
+	for i, st := range perPeer {
+		res.Stats.Add(st)
+		res.PerPeer[i] = st.Explored
+	}
+	if res.Best.Cost < opt.InitialUpper && !res.Best.Valid() {
+		return res, fmt.Errorf("p2p: inconsistent incumbent (cost %d without a path)", res.Best.Cost)
+	}
+	return res, nil
 }
 
 // ServerOptions hardens a served farmer against a hostile WAN: read
@@ -342,18 +381,13 @@ type DialOptions = transport.DialOptions
 type Policy = transport.Policy
 
 // ServeFarmer starts a TCP farmer for the problem's tree on addr and
-// returns the server and the coordinator. Use cmd/farmer for the packaged
-// binary.
-func ServeFarmer(p Problem, addr string, opts ...farmer.Option) (*transport.Server, *Farmer, error) {
-	return ServeFarmerWith(p, addr, ServerOptions{}, opts...)
-}
-
-// ServeFarmerWith is ServeFarmer with transport hardening options. The
-// wire codec's reference interval defaults to the problem's root range —
-// the same range the coordinator boundary pins — so connections
-// delta-encode every interval against the tightest possible
-// reference without the caller doing anything.
-func ServeFarmerWith(p Problem, addr string, so ServerOptions, opts ...farmer.Option) (*transport.Server, *Farmer, error) {
+// returns the server and the coordinator; so hardens the listener (a zero
+// value serves plain TCP with default limits). The wire codec's reference
+// interval defaults to the problem's root range — the same range the
+// coordinator boundary pins — so connections delta-encode every interval
+// against the tightest possible reference without the caller doing
+// anything. Use cmd/farmer for the packaged binary.
+func ServeFarmer(p Problem, addr string, so ServerOptions, opts ...farmer.Option) (*transport.Server, *Farmer, error) {
 	nb := core.NewNumbering(p.Shape())
 	f := farmer.New(nb.RootRange(), opts...)
 	if so.WireRef.IsEmpty() {
@@ -367,44 +401,16 @@ func ServeFarmerWith(p Problem, addr string, so ServerOptions, opts ...farmer.Op
 }
 
 // RunRemoteWorker connects to a TCP farmer and works until the resolution
-// finishes or the context is cancelled.
-func RunRemoteWorker(ctx context.Context, addr string, cfg WorkerConfig, p Problem) (worker.Result, error) {
-	return RunRemoteWorkerWith(ctx, addr, DialOptions{}, cfg, p)
-}
-
-// RunRemoteWorkerWith is RunRemoteWorker with transport hardening options
-// (call deadlines, TLS, token). With do.Share set, every worker session
-// in this process dialed with the same address and options multiplexes
-// over ONE physical connection (transport.DialShared) instead of opening
-// its own socket at the coordinator.
-func RunRemoteWorkerWith(ctx context.Context, addr string, do DialOptions, cfg WorkerConfig, p Problem) (worker.Result, error) {
-	if do.Share {
-		shared := transport.DialShared(addr, do)
-		defer shared.Close()
-		return worker.Run(ctx, cfg, shared, p)
-	}
-	client, err := transport.DialWith(addr, do)
-	if err != nil {
-		return worker.Result{}, err
-	}
-	defer client.Close()
-	return worker.Run(ctx, cfg, client, p)
-}
-
-// RunRemoteWorkerParallel connects to a TCP farmer and works with the
-// multicore shard engine: cfg.Cores shard explorers (zero means all
-// available cores) over one worker identity — the farmer sees the same
-// single-worker protocol as RunRemoteWorker. factory must return a fresh
-// Problem per call.
-func RunRemoteWorkerParallel(ctx context.Context, addr string, cfg WorkerConfig, factory func() Problem) (worker.Result, error) {
-	return RunRemoteWorkerParallelWith(ctx, addr, DialOptions{}, cfg, factory)
-}
-
-// RunRemoteWorkerParallelWith is RunRemoteWorkerParallel with transport
-// hardening options (call deadlines, TLS, token). With do.Share set, the
-// session multiplexes over one pooled connection per (addr, options)
-// pair, like RunRemoteWorkerWith.
-func RunRemoteWorkerParallelWith(ctx context.Context, addr string, do DialOptions, cfg WorkerConfig, factory func() Problem) (worker.Result, error) {
+// finishes or the context is cancelled. cfg.Cores shard explorers (zero
+// means all available cores, one the paper's single explorer) share one
+// worker identity, so the farmer sees the single-worker protocol whatever
+// the count; factory must return a fresh Problem per call. do hardens the
+// client leg (call deadlines, TLS, token; a zero value is the plain dial).
+// With do.Share set, every worker session in this process dialed with the
+// same address and options multiplexes over ONE physical connection
+// (transport.DialShared) instead of opening its own socket at the
+// coordinator.
+func RunRemoteWorker(ctx context.Context, addr string, do DialOptions, cfg WorkerConfig, factory func() Problem) (worker.Result, error) {
 	if do.Share {
 		shared := transport.DialShared(addr, do)
 		defer shared.Close()

@@ -138,7 +138,7 @@ func TestSolveP2PFacade(t *testing.T) {
 		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 	}
 	want, _ := SolveSequential(factory(), Infinity)
-	res, err := SolveP2P(factory, P2POptions{Peers: 4, Seed: 2})
+	res, err := SolveP2P(factory, P2POptions{Peers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,3 @@
-// Lockstep is the deterministic twin of Solve: the same peers, the same
-// steal-by-halving donation, the same shared incumbent and the same
-// Dijkstra–Feijen–van Gasteren termination rules, driven round-robin by a
-// single goroutine instead of one goroutine per peer. Channel exchanges
-// collapse into direct calls (a steal is victim.donate(), a token pass is a
-// field move), which removes the scheduler from the trace: equal seeds give
-// byte-identical event sequences. internal/harness uses it to put the p2p
-// runtime under chaos (ring partitions, delayed tokens) while still being
-// able to assert exact work-conservation invariants.
 package p2p
 
 import (
@@ -31,9 +22,14 @@ type LockstepEvent struct {
 	Interval interval.Interval
 }
 
-// Lockstep drives a peer ring deterministically. Create with NewLockstep,
-// advance with Sweep until it reports termination. Not safe for concurrent
-// use — single-threadedness is its entire point.
+// Lockstep drives a peer ring deterministically: every peer, in ring
+// order, either explores one budget slice or — when idle — tries one steal
+// and serves the token, all on the calling goroutine. A steal is a direct
+// victim.donate() and a token pass is a field move, so the scheduler never
+// enters the trace and equal seeds give byte-identical event sequences.
+// Create with NewLockstep, advance with Sweep until it reports
+// termination. Not safe for concurrent use — single-threadedness is its
+// entire point.
 type Lockstep struct {
 	g       *group
 	best    *sharedBest
@@ -133,7 +129,8 @@ func (l *Lockstep) Sweep() bool {
 }
 
 // trySteal probes the other peers in seeded random order until one donates
-// half of its remainder — the synchronous form of the concurrent trySteal.
+// half of its remainder (most peers are empty early on: a single random
+// probe would routinely miss the few holders).
 func (l *Lockstep) trySteal(p *peer) {
 	n := len(l.g.peers)
 	if n == 1 {
@@ -170,8 +167,8 @@ func (l *Lockstep) trySteal(p *peer) {
 }
 
 // serveToken advances the termination token if this idle peer holds it.
-// Busy peers hold the token in the concurrent runtime; here "busy" can only
-// be observed between sweeps, so the token moves at most one hop per visit.
+// A busy peer holds the token (it is living proof the computation is not
+// over); the token moves at most one hop per visit.
 func (l *Lockstep) serveToken(p *peer) {
 	if l.tokenAt != p.idx || !p.ex.Done() {
 		return
@@ -186,7 +183,7 @@ func (l *Lockstep) serveToken(p *peer) {
 	}
 	t, terminated := p.advanceToken(l.token)
 	if terminated {
-		l.g.terminate(t.rounds)
+		l.g.tokenRounds = t.rounds
 		l.terminated = true
 		l.record("terminate", p.idx, -1, interval.Interval{})
 		return

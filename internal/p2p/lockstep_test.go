@@ -130,3 +130,31 @@ func TestLockstepBlockedRingStillTerminates(t *testing.T) {
 		t.Fatalf("%d steals crossed a fully blocked ring", res.Steals)
 	}
 }
+
+// TestP2PWorkDistribution: with enough peers and a real workload, more
+// than one peer ends up exploring (the steal mechanism spreads work). The
+// lockstep driver makes this deterministic — among concurrent peers
+// (gridbb.SolveP2P) the same property is a coin flip on a loaded
+// single-core host.
+func TestP2PWorkDistribution(t *testing.T) {
+	ins := flowshop.Taillard(12, 10, 5)
+	factory := func() bb.Problem {
+		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
+	}
+	res, ok := SolveLockstep(factory, Options{Peers: 4, Seed: 11, StepBudget: 200}, 0)
+	if !ok {
+		t.Fatal("lockstep ring did not terminate")
+	}
+	if res.Steals == 0 {
+		t.Fatalf("no steals happened: %v", res.PerPeer)
+	}
+	working := 0
+	for _, n := range res.PerPeer {
+		if n > 0 {
+			working++
+		}
+	}
+	if working < 2 {
+		t.Fatalf("only %d peers explored anything: %v", working, res.PerPeer)
+	}
+}

@@ -1,46 +1,48 @@
-// Package p2p implements the peer-to-peer paradigm the paper announces as
+// Package p2p models the peer-to-peer paradigm the paper announces as
 // future work (§6: "It is also planned to use the approach with a peer to
 // peer paradigm. This paradigm makes it possible to push far the
-// scalability limits of the method.").
+// scalability limits of the method.") as a deterministic ring that the
+// chaos harness can audit.
 //
 // The interval coding carries over unchanged: a work unit is still an
 // interval, but instead of a farmer partitioning a central INTERVALS set,
 // hungry peers steal directly from randomly chosen victims — the victim
 // folds its remaining work, splits it in half, restricts its own explorer
-// to the left part and hands the right part over. No central copy of the
-// work exists, so the farmer bottleneck disappears; what must be rebuilt is
-// termination detection, which the farmer got for free (§4.3). This
-// package uses the Dijkstra–Feijen–van Gasteren ring-token algorithm with
-// conservative blackening: any peer that donated work since the last token
-// pass taints the token, forcing another round.
-//
+// to the left part and hands the right part over (core.Donate, the same
+// algebra the worker's shard engines steal with). No central copy of the
+// work exists, so what must be rebuilt is termination detection, which the
+// farmer got for free (§4.3). The ring uses the Dijkstra–Feijen–van
+// Gasteren token with conservative blackening: any peer that donated work
+// since the last token pass taints the token, forcing another round.
 // Solution sharing degenerates to a shared incumbent cell: peers publish
 // improvements immediately and adopt the global cost between steps —
 // rules (2) and (3) of §4.4 without the coordinator in the middle.
+//
+// Lockstep drives the ring round-robin on one goroutine, so equal seeds
+// give byte-identical event traces. That is what lets internal/harness put
+// the protocol under ring partitions, delayed tokens and peer crashes
+// (ringstore.go: per-peer two-file checkpoints) and still assert exact
+// work conservation. The package starts no goroutines and owns no
+// channels: concurrent in-process peers are gridbb.SolveP2P, which runs
+// the worker's goroutine shard engine with no coordinator above it.
 package p2p
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
-
 	"repro/internal/bb"
 	"repro/internal/core"
 	"repro/internal/interval"
 )
 
-// Options parameterizes a peer-to-peer resolution.
+// Options parameterizes a ring.
 type Options struct {
-	// Peers is the number of concurrent B&B processes. Default 4.
+	// Peers is the ring size. Default 4.
 	Peers int
 	// InitialUpper primes the shared incumbent (0 → Infinity).
 	InitialUpper int64
-	// StepBudget is the engine slice between protocol interactions.
-	// Default 4096.
+	// StepBudget is a busy peer's exploration slice per sweep. Default
+	// 4096.
 	StepBudget int64
-	// Seed drives victim selection. Runs are concurrent, so equal seeds
-	// do not make runs identical; the seed only pins the victim
-	// sequence per peer.
+	// Seed drives victim selection; equal seeds reproduce the run.
 	Seed int64
 }
 
@@ -58,24 +60,17 @@ type Result struct {
 	PerPeer []int64
 }
 
-// sharedBest is the decentralized SOLUTION: an incumbent cell all peers
-// read and write. A mutex (not atomics) keeps cost and path consistent;
-// contention is negligible next to exploration.
+// sharedBest is the decentralized SOLUTION: one incumbent cell every peer
+// reads and writes. Lockstep runs every peer on one goroutine, so the cell
+// needs no lock.
 type sharedBest struct {
-	mu   sync.Mutex
 	cost int64
 	path []int
 }
 
-func (b *sharedBest) get() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cost
-}
+func (b *sharedBest) get() int64 { return b.cost }
 
 func (b *sharedBest) offer(sol bb.Solution) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if sol.Cost < b.cost {
 		b.cost = sol.Cost
 		b.path = append(b.path[:0], sol.Path...)
@@ -83,18 +78,10 @@ func (b *sharedBest) offer(sol bb.Solution) {
 }
 
 func (b *sharedBest) solution() bb.Solution {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.path == nil {
 		return bb.Solution{Cost: b.cost}
 	}
 	return bb.Solution{Cost: b.cost, Path: append([]int(nil), b.path...)}
-}
-
-// stealRequest asks a victim for work; the reply is an interval (empty =
-// nothing to give).
-type stealRequest struct {
-	reply chan interval.Interval
 }
 
 // token is the termination-detection message.
@@ -105,14 +92,8 @@ type token struct {
 
 // peer is one B&B process.
 type peer struct {
-	idx   int
-	ex    *core.Explorer
-	rng   *rand.Rand
-	best  *sharedBest
-	group *group
-
-	steals chan stealRequest
-	tokens chan token
+	idx int
+	ex  *core.Explorer
 
 	// dirty marks "donated work since last token pass" (conservative
 	// blackening).
@@ -123,23 +104,10 @@ type peer struct {
 	}
 }
 
-// group is the shared wiring of a resolution.
+// group is the shared wiring of a ring.
 type group struct {
-	peers []*peer
-	done  chan struct{} // closed on termination
-	once  sync.Once
-
-	mu          sync.Mutex
+	peers       []*peer
 	tokenRounds int64
-}
-
-func (g *group) terminate(rounds int64) {
-	g.once.Do(func() {
-		g.mu.Lock()
-		g.tokenRounds = rounds
-		g.mu.Unlock()
-		close(g.done)
-	})
 }
 
 // fillDefaults normalizes the options in place.
@@ -157,21 +125,13 @@ func (opt *Options) fillDefaults() {
 
 // newGroup wires a ring of peers over fresh problems: peer 0 starts with
 // the whole tree, the others start empty and steal their first interval —
-// exactly how grid workers join an ongoing computation. Shared by the
-// goroutine runtime (Solve) and the deterministic lockstep driver.
+// exactly how grid workers join an ongoing computation.
 func newGroup(factory func() bb.Problem, opt Options) (*group, *sharedBest) {
 	nb := core.NewNumbering(factory().Shape())
 	best := &sharedBest{cost: opt.InitialUpper}
-	g := &group{done: make(chan struct{})}
+	g := &group{}
 	for i := 0; i < opt.Peers; i++ {
-		p := &peer{
-			idx:    i,
-			rng:    rand.New(rand.NewSource(opt.Seed + int64(i)*7919)),
-			best:   best,
-			group:  g,
-			steals: make(chan stealRequest, opt.Peers),
-			tokens: make(chan token, 1),
-		}
+		p := &peer{idx: i}
 		iv := interval.Interval{}
 		if i == 0 {
 			iv = nb.RootRange()
@@ -185,7 +145,7 @@ func newGroup(factory func() bb.Problem, opt Options) (*group, *sharedBest) {
 
 // result assembles the common Result block from the group's final state.
 func (g *group) result(best *sharedBest) Result {
-	res := Result{Best: best.solution(), PerPeer: make([]int64, len(g.peers))}
+	res := Result{Best: best.solution(), PerPeer: make([]int64, len(g.peers)), TokenRounds: g.tokenRounds}
 	for i, p := range g.peers {
 		st := p.ex.Stats()
 		res.Stats.Add(st)
@@ -193,82 +153,13 @@ func (g *group) result(best *sharedBest) Result {
 		res.Steals += p.stats.steals
 		res.StealAttempts += p.stats.attempts
 	}
-	g.mu.Lock()
-	res.TokenRounds = g.tokenRounds
-	g.mu.Unlock()
 	return res
 }
 
-// Solve runs the peer-to-peer resolution to completion and returns the
-// proven optimum. factory must return a fresh Problem per call.
-func Solve(factory func() bb.Problem, opt Options) (Result, error) {
-	opt.fillDefaults()
-	upper := opt.InitialUpper
-	g, best := newGroup(factory, opt)
-
-	var wg sync.WaitGroup
-	for _, p := range g.peers {
-		wg.Add(1)
-		go func(p *peer) {
-			defer wg.Done()
-			p.run(opt.StepBudget)
-		}(p)
-	}
-	// Peer 0 initiates the termination token once; it circulates
-	// forever, held by busy peers, until a white round completes.
-	g.peers[0].tokens <- token{}
-	wg.Wait()
-
-	res := g.result(best)
-	if res.Best.Cost < upper && !res.Best.Valid() {
-		return res, fmt.Errorf("p2p: inconsistent incumbent (cost %d without a path)", res.Best.Cost)
-	}
-	return res, nil
-}
-
-// run is the peer's main loop.
-func (p *peer) run(stepBudget int64) {
-	for {
-		select {
-		case <-p.group.done:
-			return
-		default:
-		}
-		p.serveSteals()
-		p.serveToken()
-		if p.ex.Done() {
-			if !p.trySteal() {
-				// Idle: wait for work, the token, or the end.
-				if !p.idleWait() {
-					return
-				}
-			}
-			continue
-		}
-		p.ex.AdoptBest(p.best.get())
-		p.ex.Step(stepBudget)
-	}
-}
-
-// serveSteals answers pending steal requests without blocking. A victim
-// with work folds its remainder (eq. 10), splits at the midpoint, restricts
-// itself to the left half (the part it is already exploring, §4.2) and
-// donates the right half.
-func (p *peer) serveSteals() {
-	for {
-		select {
-		case req := <-p.steals:
-			req.reply <- p.donate()
-		default:
-			return
-		}
-	}
-}
-
 // donate carves off half of the remaining interval via the shared donation
-// operator (core.Donate / interval.Halve — the same algebra the multicore
-// shard engine steals with), or returns an empty interval when there is
-// nothing worth giving.
+// operator (core.Donate / interval.Halve), or returns an empty interval
+// when there is nothing worth giving. A victim restricts itself to the
+// left half, the part it is already exploring (§4.2).
 func (p *peer) donate() interval.Interval {
 	give := core.Donate(p.ex)
 	if !give.IsEmpty() {
@@ -277,24 +168,10 @@ func (p *peer) donate() interval.Interval {
 	return give
 }
 
-// serveToken forwards the termination token if this peer is idle; busy
-// peers hold it (they are living proof the computation is not over).
-func (p *peer) serveToken() {
-	if !p.ex.Done() {
-		return
-	}
-	select {
-	case t := <-p.tokens:
-		p.forwardToken(t)
-	default:
-	}
-}
-
 // advanceToken applies the Dijkstra–Feijen–van Gasteren counting rules at
 // this peer and reports whether a white round completed (termination). It
-// is a pure state transition — delivery to the successor is the caller's
-// business — so the goroutine runtime and the deterministic lockstep driver
-// share the exact same termination logic.
+// is a pure state transition; delivery to the successor is the caller's
+// business.
 func (p *peer) advanceToken(t token) (token, bool) {
 	if p.dirty {
 		t.black = true
@@ -310,91 +187,4 @@ func (p *peer) advanceToken(t token) (token, bool) {
 		t.black = false // start a fresh round
 	}
 	return t, false
-}
-
-// forwardToken applies the Dijkstra–Feijen–van Gasteren rules and passes
-// the token along the ring.
-func (p *peer) forwardToken(t token) {
-	t, terminated := p.advanceToken(t)
-	if terminated {
-		p.group.terminate(t.rounds)
-		return
-	}
-	n := len(p.group.peers)
-	next := p.group.peers[(p.idx+1)%n]
-	select {
-	case next.tokens <- t:
-	case <-p.group.done:
-	}
-}
-
-// trySteal probes the other peers for work in seeded random order until
-// one donates (most peers are empty early on: a single random probe would
-// routinely miss the few holders). While waiting for a reply it keeps
-// serving its own steal queue, so two peers stealing from each other
-// cannot deadlock.
-func (p *peer) trySteal() bool {
-	n := len(p.group.peers)
-	if n == 1 {
-		return false
-	}
-	for _, off := range p.rng.Perm(n - 1) {
-		victimIdx := off
-		if victimIdx >= p.idx {
-			victimIdx++
-		}
-		if p.stealFrom(p.group.peers[victimIdx]) {
-			return true
-		}
-		select {
-		case <-p.group.done:
-			return false
-		default:
-		}
-	}
-	return false
-}
-
-// stealFrom asks one victim for work and waits for the reply.
-func (p *peer) stealFrom(victim *peer) bool {
-	p.stats.attempts++
-	req := stealRequest{reply: make(chan interval.Interval, 1)}
-	select {
-	case victim.steals <- req:
-	case <-p.group.done:
-		return false
-	}
-	for {
-		select {
-		case iv := <-req.reply:
-			if iv.IsEmpty() {
-				return false
-			}
-			p.ex.Reassign(iv)
-			p.ex.AdoptBest(p.best.get())
-			p.stats.steals++
-			return true
-		case other := <-p.steals:
-			other.reply <- interval.Interval{} // nothing to give while hungry
-		case t := <-p.tokens:
-			p.forwardToken(t)
-		case <-p.group.done:
-			return false
-		}
-	}
-}
-
-// idleWait blocks until a steal request, the token or termination arrives.
-// It returns false when the resolution is over.
-func (p *peer) idleWait() bool {
-	select {
-	case req := <-p.steals:
-		req.reply <- interval.Interval{}
-		return true
-	case t := <-p.tokens:
-		p.forwardToken(t)
-		return true
-	case <-p.group.done:
-		return false
-	}
 }

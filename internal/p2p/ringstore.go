@@ -23,6 +23,7 @@
 // restore; and a dead peer blocks token delivery entirely, so the ring
 // cannot terminate while any peer — and the work its snapshot re-opens —
 // is missing.
+
 package p2p
 
 import (

@@ -74,7 +74,7 @@ func (s stalledCoordinator) ReportSolution(transport.SolutionReport) (transport.
 func stalledServer(t *testing.T) string {
 	t.Helper()
 	release := make(chan struct{})
-	srv, err := transport.Serve(stalledCoordinator{release}, "127.0.0.1:0")
+	srv, err := transport.ServeWith(stalledCoordinator{release}, "127.0.0.1:0", transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRedialRetriesThenSurfacesDeadline(t *testing.T) {
 // retries — the request is wrong, not lost.
 func TestRedialNeverRetriesServerErrors(t *testing.T) {
 	f := testFarmer()
-	srv, err := transport.Serve(f, "127.0.0.1:0")
+	srv, err := transport.ServeWith(f, "127.0.0.1:0", transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestServerKillsOversizeMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.Dial(srv.Addr())
+	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestServerEvictsForMaxConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c1, err := transport.Dial(srv.Addr())
+	c1, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestServerEvictsForMaxConns(t *testing.T) {
 	if _, err := c1.RequestWork(transport.WorkRequest{Worker: "w1", Power: 1}); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := transport.Dial(srv.Addr())
+	c2, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +292,11 @@ func TestServerReadTimeoutDropsSilentPeers(t *testing.T) {
 // not just the listener — in-flight clients observe the shutdown instead
 // of holding dead sockets forever.
 func TestServerCloseDisconnectsClients(t *testing.T) {
-	srv, err := transport.Serve(testFarmer(), "127.0.0.1:0")
+	srv, err := transport.ServeWith(testFarmer(), "127.0.0.1:0", transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := transport.Dial(srv.Addr())
+	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,12 +65,12 @@ func awaitEntered(t *testing.T, g *gateCoord, n int) {
 // behind the first.
 func TestOneConnectionServesCallsOverlapped(t *testing.T) {
 	g := newGateCoord(t)
-	srv, err := Serve(g, "127.0.0.1:0")
+	srv, err := ServeWith(g, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	c, err := DialWith(srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestOneConnectionServesCallsOverlapped(t *testing.T) {
 func TestServerCloseFailsEveryInflightCall(t *testing.T) {
 	const calls = 8
 	g := newGateCoord(t)
-	srv, err := Serve(g, "127.0.0.1:0")
+	srv, err := ServeWith(g, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(srv.Addr())
+	c, err := DialWith(srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestRedialCloseIsTerminal(t *testing.T) {
 	}
 	defer srv.Close()
 
-	r := transport.NewRedial(srv.Addr())
+	r := transport.NewRedialWith(srv.Addr(), transport.DialOptions{})
 	if _, err := r.RequestWork(transport.WorkRequest{Worker: "w", Power: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRedialCloseRacesDial(t *testing.T) {
 	defer srv.Close()
 
 	for i := 0; i < 20; i++ {
-		r := transport.NewRedial(srv.Addr())
+		r := transport.NewRedialWith(srv.Addr(), transport.DialOptions{})
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)

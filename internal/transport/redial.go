@@ -79,14 +79,10 @@ type Redial struct {
 	lastErr error
 }
 
-// NewRedial returns a reconnecting coordinator for addr. No connection is
-// attempted until the first call.
-func NewRedial(addr string) *Redial { return &Redial{addr: addr} }
-
-// NewRedialWith is NewRedial with hardening options: opts.Policy gives
-// every call a deadline and a retry budget (this is where Policy.Retries
-// acts — a plain Client cannot retry), and opts.TLS/Token authenticate
-// each redial.
+// NewRedialWith returns a reconnecting coordinator for addr. No connection
+// is attempted until the first call. opts.Policy gives every call a
+// deadline and a retry budget (this is where Policy.Retries acts — a plain
+// Client cannot retry), and opts.TLS/Token authenticate each redial.
 func NewRedialWith(addr string, opts DialOptions) *Redial {
 	return &Redial{addr: addr, opts: opts}
 }

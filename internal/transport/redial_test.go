@@ -31,13 +31,13 @@ func (c *countingCoord) ReportSolution(req SolutionReport) (SolutionAck, error) 
 // rather than a dial storm.
 func TestRedialSurvivesServerRestart(t *testing.T) {
 	coord := &countingCoord{}
-	srv, err := Serve(coord, "127.0.0.1:0")
+	srv, err := ServeWith(coord, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
 
-	r := NewRedial(addr)
+	r := NewRedialWith(addr, DialOptions{})
 	r.backoff.Base = 5 * time.Millisecond
 	defer r.Close()
 
@@ -60,7 +60,7 @@ func TestRedialSurvivesServerRestart(t *testing.T) {
 
 	// Restart on the same address: within a few backoff windows the
 	// client must re-dial and serve calls again.
-	srv2, err := Serve(coord, addr)
+	srv2, err := ServeWith(coord, addr, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,21 +96,10 @@ type Server struct {
 	acceptErrors atomic.Int64
 }
 
-// Serve starts answering the coordinator's protocol on addr
-// (e.g. ":4321") with default options. It returns immediately; connections
-// are handled on background goroutines until Close.
-func Serve(coord Coordinator, addr string) (*Server, error) {
-	return ServeWith(coord, addr, ServerOptions{})
-}
-
-// ServeTLS is Serve with TLS and optional shared-token authentication.
-// tlsConf typically comes from LoadServerTLS; token may be empty when the
-// TLS config itself authenticates clients (client-certificate mode).
-func ServeTLS(coord Coordinator, addr string, tlsConf *tls.Config, token string) (*Server, error) {
-	return ServeWith(coord, addr, ServerOptions{TLS: tlsConf, Token: token})
-}
-
-// ServeWith is Serve with explicit hardening options.
+// ServeWith starts answering the coordinator's protocol on addr
+// (e.g. ":4321") under opts (a zero value serves plain TCP with default
+// limits). It returns immediately; connections are handled on background
+// goroutines until Close.
 func ServeWith(coord Coordinator, addr string, opts ServerOptions) (*Server, error) {
 	if opts.MaxMessageBytes == 0 {
 		opts.MaxMessageBytes = DefaultMaxMessageBytes
@@ -528,18 +517,8 @@ type pendingCall struct {
 
 var pendingPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan error, 1)} }}
 
-// Dial connects to a farmer served by Serve.
-func Dial(addr string) (*Client, error) {
-	return DialWith(addr, DialOptions{})
-}
-
-// DialTLS is Dial over TLS with optional shared-token authentication,
-// mirroring ServeTLS.
-func DialTLS(addr string, tlsConf *tls.Config, token string) (*Client, error) {
-	return DialWith(addr, DialOptions{TLS: tlsConf, Token: token})
-}
-
-// DialWith is Dial with explicit hardening options.
+// DialWith connects to a farmer served by ServeWith under opts (a zero
+// value is a plain dial with default limits).
 func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if opts.MaxMessageBytes == 0 {
 		opts.MaxMessageBytes = DefaultMaxMessageBytes

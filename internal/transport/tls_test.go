@@ -106,16 +106,18 @@ func (p *testPKI) caPool(t *testing.T) *x509.CertPool {
 // and shared-token worker authentication — the token mode.
 func TestTLSRoundTrip(t *testing.T) {
 	pki := newTestPKI(t)
-	srv, err := transport.ServeTLS(testFarmer(), "127.0.0.1:0",
-		&tls.Config{Certificates: []tls.Certificate{pki.serverCert}, MinVersion: tls.VersionTLS12},
-		"fleet-token")
+	srv, err := transport.ServeWith(testFarmer(), "127.0.0.1:0", transport.ServerOptions{
+		TLS:   &tls.Config{Certificates: []tls.Certificate{pki.serverCert}, MinVersion: tls.VersionTLS12},
+		Token: "fleet-token",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.DialTLS(srv.Addr(),
-		&tls.Config{RootCAs: pki.caPool(t), MinVersion: tls.VersionTLS12},
-		"fleet-token")
+	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{
+		TLS:   &tls.Config{RootCAs: pki.caPool(t), MinVersion: tls.VersionTLS12},
+		Token: "fleet-token",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +136,12 @@ func TestTLSRoundTrip(t *testing.T) {
 // a certified one is served.
 func TestTLSClientCertMode(t *testing.T) {
 	pki := newTestPKI(t)
-	srv, err := transport.ServeTLS(testFarmer(), "127.0.0.1:0", &tls.Config{
+	srv, err := transport.ServeWith(testFarmer(), "127.0.0.1:0", transport.ServerOptions{TLS: &tls.Config{
 		Certificates: []tls.Certificate{pki.serverCert},
 		ClientCAs:    pki.caPool(t),
 		ClientAuth:   tls.RequireAndVerifyClientCert,
 		MinVersion:   tls.VersionTLS12,
-	}, "")
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +167,11 @@ func TestTLSClientCertMode(t *testing.T) {
 		t.Fatal("certificate-less dial not counted as an auth failure")
 	}
 
-	c, err := transport.DialTLS(srv.Addr(), &tls.Config{
+	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{TLS: &tls.Config{
 		RootCAs:      pki.caPool(t),
 		Certificates: []tls.Certificate{pki.clientCert},
 		MinVersion:   tls.VersionTLS12,
-	}, "")
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +207,12 @@ func TestLoadTLSHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := transport.ServeTLS(testFarmer(), "127.0.0.1:0", serverConf, "")
+	srv, err := transport.ServeWith(testFarmer(), "127.0.0.1:0", transport.ServerOptions{TLS: serverConf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.DialTLS(srv.Addr(), clientConf, "")
+	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{TLS: clientConf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,12 @@ func TestRPCRoundTrip(t *testing.T) {
 	nb := core.NewNumbering(flowshop.NewProblem(flowshop.Ta056(), flowshop.BoundOneMachine, flowshop.PairsAll).Shape())
 	root := nb.RootRange() // [0, 50!) — definitely not a machine word
 	f := farmer.New(root)
-	srv, err := transport.Serve(f, "127.0.0.1:0")
+	srv, err := transport.ServeWith(f, "127.0.0.1:0", transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := transport.Dial(srv.Addr())
+	client, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRPCEndToEndResolution(t *testing.T) {
 
 	nb := core.NewNumbering(oracleP.Shape())
 	f := farmer.New(nb.RootRange())
-	srv, err := transport.Serve(f, "127.0.0.1:0")
+	srv, err := transport.ServeWith(f, "127.0.0.1:0", transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRPCEndToEndResolution(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			client, err := transport.Dial(srv.Addr())
+			client, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 			if err != nil {
 				errs[i] = err
 				return

@@ -41,7 +41,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.Dial(srv.Addr())
+	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWireExchangeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.Dial(srv.Addr())
+	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestWireExchangeBatch(t *testing.T) {
 func TestNonPreamblePeerIsDropped(t *testing.T) {
 	old := transport.SetAuthTimeout(300 * time.Millisecond)
 	defer transport.SetAuthTimeout(old)
-	srv, err := transport.Serve(testFarmer(), "127.0.0.1:0")
+	srv, err := transport.ServeWith(testFarmer(), "127.0.0.1:0", transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestNonPreamblePeerIsDropped(t *testing.T) {
 		waitFor(t, name+": the connection slot to be freed", func() bool { return srv.Stats().ActiveConns == 0 })
 	}
 
-	c, err := transport.Dial(srv.Addr())
+	c, err := transport.DialWith(srv.Addr(), transport.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"math"
 	"math/big"
 	"sync"
 	"time"
@@ -41,8 +42,10 @@ type parallelWorker struct {
 	// already-collected thief and the fold would report it explored —
 	// lost work. Shard-local exploration needs no such fence; a fold
 	// racing a Step slice merely reports a slightly stale (larger)
-	// remainder, which is always safe.
+	// remainder, which is always safe. steals counts the donations it
+	// fenced.
 	stealMu sync.Mutex
+	steals  int64
 
 	// mu guards the incumbent cell, the pending improvement and the node
 	// tally. It is never held across onImprove: every shard touches it
@@ -300,6 +303,7 @@ func (w *parallelWorker) steal(thief *pshard) bool {
 		thief.ex.Reassign(give)
 		thief.ex.AdoptBest(w.bestCost())
 		thief.mu.Unlock()
+		w.steals++
 		return true
 	}
 }
@@ -371,3 +375,29 @@ func (w *parallelWorker) Stats() bb.Stats {
 }
 
 var _ engine = (*parallelWorker)(nil)
+
+// SolveLocal proves factory's whole tree on the goroutine shard engine with
+// no coordinator above it: shards explorers (one fresh Problem each) split
+// the root range, share one incumbent primed with initialUpper, steal by
+// halving the richest sibling when dry, and stop once every shard parks.
+// stepSize is each shard's slice between looks at the incumbent. It returns
+// the best solution (cost initialUpper without a path when nothing beat
+// it), every shard's counters and the number of steals.
+func SolveLocal(factory func() bb.Problem, shards int, stepSize, initialUpper int64) (bb.Solution, []bb.Stats, int64) {
+	probs := make([]bb.Problem, shards)
+	for i := range probs {
+		probs[i] = factory()
+	}
+	w := newParallelWorker(probs, stepSize, func(bb.Solution) {})
+	w.AdoptBest(initialUpper)
+	w.Reassign(w.nb.RootRange())
+	for done := false; !done; {
+		_, done = w.Step(math.MaxInt64)
+	}
+	w.stop()
+	stats := make([]bb.Stats, shards)
+	for i, sh := range w.shards {
+		stats[i] = sh.ex.Stats()
+	}
+	return w.Best(), stats, w.steals
+}
