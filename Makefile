@@ -26,13 +26,17 @@ check: vet build test race fuzz-smoke bench-smoke docs-check
 # signal.NotifyContext under cmd/ is a second stop path. And there is one
 # concurrent work-stealing runtime, the worker's goroutine shard engine:
 # internal/p2p is the deterministic ring only, so a go statement or a chan
-# type in its non-test code is a second one coming back.
+# type in its non-test code is a second one coming back. And the worker
+# has one multicore engine with two schedulers (DESIGN.md §7): a second
+# Remaining() interval.Interval method in internal/worker's non-test code
+# is a second fold implementation coming back.
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing (doc.go references it)"; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "docs-check: gofmt -l flags:"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./... | grep -qx 'net/rpc'; then echo "docs-check: net/rpc is a dependency again (go list -deps ./...)"; exit 1; fi
 	@if grep -rn 'signal\.NotifyContext' cmd; then echo "docs-check: signal handling belongs to internal/daemon (daemon.Run, daemon.SignalContext), not cmd/"; exit 1; fi
 	@if find internal/p2p -name '*.go' ! -name '*_test.go' | xargs grep -nE '^[[:space:]]*go[[:space:]]|\<chan\>' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: internal/p2p is the deterministic ring; concurrent peers run on the worker's shard engine (gridbb.SolveP2P)"; exit 1; fi
+	@folds="$$(find internal/worker -name '*.go' ! -name '*_test.go' | xargs grep -nE '^func \([^)]*\) Remaining\(\) interval\.Interval')"; if [ "$$(echo "$$folds" | grep -c .)" -gt 1 ]; then echo "$$folds"; echo "docs-check: internal/worker has one multicore engine (shardEngine, two schedulers); a second Remaining is a second fold"; exit 1; fi
 	$(GO) vet ./...
 
 build:

@@ -421,8 +421,20 @@ func TestSIGTERMAnswersInFlightRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	head := fmt.Sprintf("POST /jobs HTTP/1.1\r\nHost: jobd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
-	if _, err := conn.Write(append([]byte(head), body[:len(body)/2]...)); err != nil {
+	// Expect: 100-continue makes the server answer the head only once a
+	// handler reads the body: after the 100, a handler holds this
+	// connection, so it is no longer waiting in the accept backlog when
+	// the signal lands.
+	head := fmt.Sprintf("POST /jobs HTTP/1.1\r\nHost: jobd\r\nContent-Type: application/json\r\nContent-Length: %d\r\nExpect: 100-continue\r\n\r\n", len(body))
+	if _, err := conn.Write([]byte(head)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	rd := bufio.NewReader(conn)
+	if resp, err := http.ReadResponse(rd, nil); err != nil || resp.StatusCode != http.StatusContinue {
+		t.Fatalf("no 100 Continue before the body: %v %v\n%s", resp, err, out.String())
+	}
+	if _, err := conn.Write(body[:len(body)/2]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -444,7 +456,7 @@ func TestSIGTERMAnswersInFlightRequest(t *testing.T) {
 		t.Fatalf("in-flight request cut on SIGTERM: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	resp, err := http.ReadResponse(rd, nil)
 	if err != nil {
 		t.Fatalf("in-flight request cut on SIGTERM: %v\n%s", err, out.String())
 	}

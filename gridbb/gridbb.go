@@ -339,11 +339,11 @@ type P2PResult struct {
 // coordinator above them, dry peers steal half of the richest peer's
 // remaining interval, every improvement goes to one shared incumbent, and
 // the resolution ends when every peer is parked without work. It runs on
-// the worker's goroutine shard engine (DESIGN.md §7) and proves the same
-// optima as Solve; the trade-off is no central checkpoint. The
-// decentralized protocol itself — random victims, a ring token for
-// termination, per-peer checkpoints — is modelled, deterministically and
-// under chaos, by internal/p2p's Lockstep ring.
+// the worker's shard engine under its goroutine scheduler (DESIGN.md §7)
+// and proves the same optima as Solve; the trade-off is no central
+// checkpoint. The decentralized protocol itself — random victims, a ring
+// token for termination, per-peer checkpoints — is modelled,
+// deterministically and under chaos, by internal/p2p's Lockstep ring.
 func SolveP2P(factory func() Problem, opt P2POptions) (P2PResult, error) {
 	if opt.Peers <= 0 {
 		opt.Peers = 4

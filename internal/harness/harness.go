@@ -120,7 +120,7 @@ type Scenario struct {
 	Factory func() bb.Problem
 	// Cores makes every worker a multicore one: Cores shard explorers
 	// over a tiling of its interval, stepped deterministically inside the
-	// session (the shard engine's step-driven form), so chaos runs with
+	// session (the shard engine's stepped scheduler), so chaos runs with
 	// multicore workers still produce byte-identical traces. Zero or one
 	// keeps the paper's single-explorer worker.
 	Cores int

@@ -12,6 +12,13 @@
 // internal/jobs, the discrete-event grid simulator (internal/gridsim) and
 // the chaos harness all drive the same code, so simulated statistics are
 // produced by the real protocol, not a model of it.
+//
+// A session explores with the paper's single explorer or, given Cores > 1,
+// with the one multicore engine (shard.go): shard explorers over a tiling
+// of the interval, presenting one fold. The engine has two schedulers: a
+// stepped one that advances the shards round-robin on the caller's
+// goroutine, deterministic for the simulator and the harness, and a
+// goroutine one for real hosts (RunParallel, SolveLocal).
 package worker
 
 import (
@@ -73,8 +80,8 @@ func (c *Config) fillDefaults() {
 }
 
 // engine abstracts the exploration side of a session: the paper's single
-// interval-driven Explorer, or a multicore shard engine (step-driven in
-// shard.go, on goroutines in parallel.go) that presents the same
+// interval-driven Explorer, or the multicore shard engine (shard.go, under
+// its stepped or its goroutine scheduler) that presents the same
 // fold/restrict surface over a tiling of the interval. Everything the
 // protocol state machine needs is here; *core.Explorer satisfies it as-is.
 type engine interface {
@@ -115,7 +122,7 @@ type Session struct {
 	// ends only when the coordinator answers WorkFinished.
 	problems func(job string) (func() bb.Problem, bool)
 	sole     bool
-	// concurrent selects the goroutine form of the shard engine.
+	// concurrent selects the shard engine's goroutine scheduler.
 	concurrent bool
 
 	// jobs holds the state of every job served so far; cur is the one most
@@ -162,9 +169,10 @@ func NewSession(cfg Config, coord transport.Coordinator, prob bb.Problem) *Sessi
 
 // NewShardedSession builds a session whose exploration engine runs
 // cfg.Cores shard explorers over a tiling of the assigned interval, each on
-// its own Problem instance from factory. The engine is stepped
-// deterministically inside Advance (round-robin shards, richest-victim
-// halving steals), so the session stays a single-threaded state machine:
+// its own Problem instance from factory. The engine runs under its stepped
+// scheduler, deterministically inside Advance (round-robin shards,
+// richest-victim halving steals, improvements pushed from the slice that
+// found them), so the session stays a single-threaded state machine:
 // the grid simulator and the chaos harness drive multicore workers with
 // byte-identical traces, while the farmer still sees the paper's exact
 // single-worker protocol — one fold, one power, one checkpoint. Cores <= 1
@@ -276,7 +284,7 @@ func (s *Session) Advance(budget int64) (explored int64, finished bool, err erro
 				return explored, s.finished, err
 			}
 		} else if n == 0 {
-			// Only the goroutine engine's safety-net wait ends a step
+			// Only the goroutine scheduler's safety-net wait ends a step
 			// with nothing new: hand control back so the driver can look
 			// at its context.
 			break
@@ -335,24 +343,25 @@ func (s *Session) job(tag string) (*jobState, error) {
 	for i := range probs {
 		probs[i] = factory()
 	}
-	switch {
-	case len(probs) == 1:
+	if len(probs) == 1 {
 		ex := core.NewExplorer(probs[0], core.NewNumbering(probs[0].Shape()), interval.Interval{}, bb.Infinity)
 		ex.OnImprove = push
 		st.ex = ex
-	case s.concurrent:
-		st.ex = newParallelWorker(probs, s.cfg.StepSize, push)
-	default:
-		st.ex = newShardEngine(probs, s.cfg.StepSize, push)
+	} else {
+		g := newShardEngine(probs, s.cfg.StepSize, push)
+		if s.concurrent {
+			g.start(s.cfg.StepSize)
+		}
+		st.ex = g
 	}
 	s.jobs[tag] = st
 	return st, nil
 }
 
 // pushSolution implements rule 2 of solution sharing: improvements go to
-// the coordinator immediately. It runs inside the engine's Step (or, for
-// the goroutine engine, its Remaining); errors are stashed and surfaced by
-// the caller of either.
+// the coordinator immediately. It runs inside the engine's Step (or, under
+// the goroutine scheduler, its Remaining); errors are stashed and surfaced
+// by the caller of either.
 func (s *Session) pushSolution(st *jobState, sol bb.Solution) {
 	s.Messages.Reports++
 	ack, err := s.coord.ReportSolution(transport.SolutionReport{
@@ -455,18 +464,18 @@ func Run(ctx context.Context, cfg Config, coord transport.Coordinator, prob bb.P
 	return NewSession(cfg, coord, prob).run(ctx)
 }
 
-// RunParallel is Run over the goroutine form of the multicore engine:
+// RunParallel is Run over the multicore engine's goroutine scheduler:
 // cfg.Cores shard explorers (zero means runtime.GOMAXPROCS) run
-// concurrently over a tiling of the worker's assigned interval, while the
-// calling goroutine owns the protocol — every coordinator call is made
-// from it. factory must return a fresh Problem per call (one per shard;
-// Problem state machines are single-threaded).
+// concurrently, one goroutine each, over a tiling of the worker's assigned
+// interval, while the calling goroutine owns the protocol — every
+// coordinator call is made from it. factory must return a fresh Problem
+// per call (one per shard; Problem state machines are single-threaded).
 //
 // The farmer-visible protocol is byte-for-byte the single-worker protocol:
-// one fold, one power, one interval id. Unlike the step-driven shardEngine,
-// this engine is scheduled by the Go runtime and is therefore not
-// deterministic — the simulator and the chaos harness use
-// NewShardedSession instead (the determinism boundary, DESIGN.md §7).
+// one fold, one power, one interval id. It is the same engine
+// NewShardedSession steps, but scheduled by the Go runtime and therefore
+// not deterministic — the simulator and the chaos harness use
+// NewShardedSession instead (DESIGN.md §7).
 func RunParallel(ctx context.Context, cfg Config, coord transport.Coordinator, factory func() bb.Problem) (Result, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = runtime.GOMAXPROCS(0)
@@ -519,11 +528,11 @@ func (s *Session) run(ctx context.Context) (Result, error) {
 	return s.result(), err
 }
 
-// stop ends the shard goroutines of every concurrent engine. Idempotent.
+// stop ends the shard goroutines of every multicore engine. Idempotent.
 func (s *Session) stop() {
 	for _, st := range s.jobs {
-		if w, ok := st.ex.(*parallelWorker); ok {
-			w.stop()
+		if g, ok := st.ex.(*shardEngine); ok {
+			g.stop()
 		}
 	}
 }

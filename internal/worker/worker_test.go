@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -199,8 +200,9 @@ func TestSolutionSharingAcrossWorkers(t *testing.T) {
 }
 
 // TestRunContextCancel: both goroutine runtimes return promptly on context
-// cancellation, and leave gracefully — one final fold, so the farmer has
-// been told of every node the worker explored and nothing is re-explored.
+// cancellation — within 100 ms, even with more shards than processors —
+// and leave gracefully: one final fold, so the farmer has been told of
+// every node the worker explored and nothing is re-explored.
 func TestRunContextCancel(t *testing.T) {
 	// 20 jobs: a proof this bound needs hours for, so the worker is
 	// mid-exploration at the cancel on any machine — the window below is
@@ -209,8 +211,17 @@ func TestRunContextCancel(t *testing.T) {
 	factory := func() bb.Problem {
 		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 	}
-	for _, cores := range []int{1, 3} {
-		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+	for _, tc := range []struct{ cores, procs int }{{1, 0}, {3, 0}, {3, 1}} {
+		name := fmt.Sprintf("cores=%d", tc.cores)
+		if tc.procs > 0 {
+			name += fmt.Sprintf(",GOMAXPROCS=%d", tc.procs)
+		}
+		t.Run(name, func(t *testing.T) {
+			if tc.procs > 0 {
+				// Shards on every processor: the protocol goroutine must
+				// still get to run, take the shard locks and fold.
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
 			f := newFarmerFor(factory())
 			ctx, cancel := context.WithCancel(context.Background())
 			type outcome struct {
@@ -221,7 +232,7 @@ func TestRunContextCancel(t *testing.T) {
 			go func() {
 				// The default update period is rarely reached in the
 				// window: the leave is what folds.
-				res, err := RunParallel(ctx, Config{ID: "w", Power: 1, StepSize: 100, Cores: cores}, f, factory)
+				res, err := RunParallel(ctx, Config{ID: "w", Power: 1, StepSize: 100, Cores: tc.cores}, f, factory)
 				done <- outcome{res, err}
 			}()
 			for f.Counters().WorkAllocations == 0 {
@@ -229,8 +240,12 @@ func TestRunContextCancel(t *testing.T) {
 			}
 			time.Sleep(20 * time.Millisecond)
 			cancel()
+			cancelled := time.Now()
 			select {
 			case out := <-done:
+				if took := time.Since(cancelled); took > 100*time.Millisecond {
+					t.Fatalf("worker took %v to return after cancel, want <= 100ms", took)
+				}
 				if !errors.Is(out.err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", out.err)
 				}
