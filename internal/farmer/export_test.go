@@ -3,6 +3,8 @@ package farmer
 import (
 	"fmt"
 	"math/big"
+
+	"repro/internal/interval"
 )
 
 // Test-only hooks. SelectOracleForTest is the RETAINED SEED SELECTION SCAN
@@ -20,7 +22,7 @@ func (f *Farmer) SelectOracleForTest(power int64) (id int64, donated *big.Int, o
 	var chosen *tracked
 	bestDonated := new(big.Int)
 	for _, t := range f.intervals {
-		d := f.donatedLength(f.scrA, t.iv, t.holderPower(), power)
+		d := seedDonated(t.iv, ownerPowerSum(t), power)
 		if chosen == nil || d.Cmp(bestDonated) > 0 ||
 			(d.Cmp(bestDonated) == 0 && t.id < chosen.id) {
 			chosen = t
@@ -31,6 +33,20 @@ func (f *Farmer) SelectOracleForTest(power int64) (id int64, donated *big.Int, o
 		return 0, nil, false
 	}
 	return chosen.id, bestDonated, true
+}
+
+// seedDonated is the seed's donated length, len([C,B)) for a split of iv
+// between a holder of power hp and a requester of power rp.
+func seedDonated(iv interval.Interval, hp, rp int64) *big.Int {
+	l := iv.Len()
+	if hp <= 0 {
+		return l
+	}
+	if rp <= 0 {
+		return new(big.Int)
+	}
+	l.Mul(l, big.NewInt(rp))
+	return l.Quo(l, big.NewInt(hp+rp))
 }
 
 // SelectIndexForTest answers the same question through the selection index
@@ -87,7 +103,7 @@ func (f *Farmer) CheckIndexInvariantsForTest() error {
 	}
 	var powerSum int64
 	for _, t := range f.intervals {
-		powerSum += t.holderPower()
+		powerSum += ownerPowerSum(t)
 	}
 	if powerSum != f.idx.powerSum {
 		return fmt.Errorf("incremental power sum %d, re-summed table %d", f.idx.powerSum, powerSum)
@@ -97,6 +113,17 @@ func (f *Farmer) CheckIndexInvariantsForTest() error {
 
 // FleetPowerForTest re-exports the incremental fleet power.
 func (f *Farmer) FleetPowerForTest() int64 { return f.FleetPower() }
+
+// ownerPowerSum re-sums an entry's owner powers from the owner map: the
+// oracles' independent view of the holder power the farmer keeps in
+// tracked.power.
+func ownerPowerSum(t *tracked) int64 {
+	var p int64
+	for _, o := range t.owners {
+		p += o.power
+	}
+	return p
+}
 
 func (f *Farmer) groupRootsLocked() map[int64]*selNode { return f.idx.groups }
 
@@ -116,8 +143,8 @@ func (f *Farmer) checkTreapLocked(n *selNode, hp int64, seen map[int64]bool, tot
 	if t.idxHP != hp {
 		return fmt.Errorf("interval %d filed under power %d but cached %d", t.id, hp, t.idxHP)
 	}
-	if t.holderPower() != hp {
-		return fmt.Errorf("interval %d filed under power %d but its owners sum to %d", t.id, hp, t.holderPower())
+	if sum := ownerPowerSum(t); sum != hp || sum != t.power {
+		return fmt.Errorf("interval %d filed under power %d with kept holder power %d, but its owners sum to %d", t.id, hp, t.power, sum)
 	}
 	if t.iv.LenInto(new(big.Int)).Cmp(t.idxLen) != 0 {
 		return fmt.Errorf("interval %d cached length %s, live length %s", t.id, t.idxLen, t.iv.Len())

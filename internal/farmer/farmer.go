@@ -11,6 +11,7 @@ package farmer
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -138,6 +139,12 @@ type tracked struct {
 	owners    map[transport.WorkerID]*owner
 	coveredTo *big.Int // high watermark of reported beginnings
 
+	// power is the holder power: the sum of the owners' powers, the
+	// partitioning operator's holder share and the selection index's class
+	// key. setOwner, dropOwner and UpdateInterval's one power update keep
+	// it, so reading it is O(1) however many workers share the copy.
+	power int64
+
 	// gapA/gapB, when non-nil, bound the largest fully-explored hole
 	// strictly interior to iv that the holder vouched for in a gap-carving
 	// fold (DESIGN.md §12). The gap is advisory metadata, not a cut: the
@@ -167,12 +174,21 @@ type tracked struct {
 	idxHP  int64
 }
 
-func (t *tracked) holderPower() int64 {
-	var p int64
-	for _, o := range t.owners {
-		p += o.power
+// setOwner makes o w's ownership of t, replacing any earlier one.
+func (t *tracked) setOwner(w transport.WorkerID, o *owner) {
+	if old := t.owners[w]; old != nil {
+		t.power -= old.power
 	}
-	return p
+	t.owners[w] = o
+	t.power += o.power
+}
+
+// dropOwner ends w's ownership of t, if any.
+func (t *tracked) dropOwner(w transport.WorkerID) {
+	if o := t.owners[w]; o != nil {
+		t.power -= o.power
+		delete(t.owners, w)
+	}
 }
 
 // Farmer is the coordinator. It is a monitor: every operation takes the
@@ -396,7 +412,7 @@ func New(root interval.Interval, opts ...Option) *Farmer {
 	f.redundancy = RedundancyStats{ConsumedUnits: new(big.Int), RedundantUnits: new(big.Int)}
 	if !root.IsEmpty() {
 		f.rootLo, f.rootHi = root.A(), root.B()
-		f.addTracked(root)
+		f.addTracked(root.Clone())
 	}
 	return f
 }
@@ -458,16 +474,17 @@ func (f *Farmer) addTracked(iv interval.Interval) *tracked {
 // addTrackedFor registers a new interval already owned by w (the donated
 // part of a split), so the index files it under its owner's power class in
 // one insert instead of an orphan insert plus a re-key. A nil owner
-// registers an orphan.
+// registers an orphan. The entry takes iv over: callers pass bounds nobody
+// else holds.
 func (f *Farmer) addTrackedFor(iv interval.Interval, w transport.WorkerID, o *owner) *tracked {
 	t := &tracked{
 		id:        f.epoch<<epochShift | f.nextID,
-		iv:        iv.Clone(),
+		iv:        iv,
 		owners:    make(map[transport.WorkerID]*owner),
 		coveredTo: iv.A(),
 	}
 	if o != nil {
-		t.owners[w] = o
+		t.setOwner(w, o)
 	}
 	f.nextID++
 	f.intervals[t.id] = t
@@ -506,7 +523,7 @@ func (f *Farmer) expireLocked(now int64) {
 			continue // interval retired, or owner dropped or replaced: stale entry
 		}
 		if now-e.o.lastSeen > f.leaseTTL {
-			delete(e.t.owners, e.w)
+			e.t.dropOwner(e.w)
 			f.counters.ExpiredOwners++
 			f.idx.fix(e.t) // the holder-power class changed
 		} else {
@@ -603,7 +620,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		// adopts the authoritative bounds without injecting (§4.2: one
 		// copy per duplicated interval).
 		o := &owner{power: req.Power, lastSeen: now, lastA: chosen.iv.A()}
-		chosen.owners[req.Worker] = o
+		chosen.setOwner(req.Worker, o)
 		f.idx.fix(chosen) // the holder-power class may have changed
 		f.pushLease(chosen, req.Worker, o)
 		f.counters.Duplications++
@@ -618,7 +635,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		reply.Interval = nt.iv.Clone()
 		return reply, nil
 	}
-	holderPower := chosen.holderPower()
+	holderPower := chosen.power
 	belowThreshold := chosen.iv.LenInto(f.scrLen).Cmp(f.threshold) < 0
 	// Endgame rule (WithEndgameThreshold): once the TOTAL tracked length
 	// is crumb-scale, splitting only mints smaller crumbs — share held
@@ -633,7 +650,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		// of a duplicated interval, even if it is assigned to several
 		// processes" (§4.2).
 		o := &owner{power: req.Power, lastSeen: now, lastA: chosen.iv.A()}
-		chosen.owners[req.Worker] = o
+		chosen.setOwner(req.Worker, o)
 		f.idx.fix(chosen) // the holder-power class changed
 		f.pushLease(chosen, req.Worker, o)
 		f.counters.Duplications++
@@ -651,11 +668,13 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 	if f.equalSplit && holderPower > 0 && req.Power > 0 {
 		splitHolderPower, splitReqPower = 1, 1
 	}
-	holder, donated := chosen.iv.SplitProportional(splitHolderPower, splitReqPower)
+	// The split runs in place: the entry keeps [A,C), and the donated
+	// [C,B) takes over its old end and becomes the new entry's own.
+	donated := chosen.iv.SplitProportionalInPlace(splitHolderPower, splitReqPower, f.scrA)
 	if holderPower == 0 {
 		f.counters.HandedOffOrphans++
 	}
-	if holder.IsEmpty() {
+	if chosen.iv.IsEmpty() {
 		// Whole interval handed over (orphans: the virtual null-power
 		// process rule). Retire the old copy; the new owner gets a
 		// fresh id so any late update from a presumed-dead previous
@@ -664,7 +683,6 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		f.idx.remove(chosen)
 		delete(f.intervals, chosen.id)
 	} else {
-		chosen.iv = holder
 		chosen.content = nil // the split invalidates the vouched count
 		f.reslackLocked(chosen)
 		f.idx.fix(chosen) // the kept part is shorter: re-key
@@ -718,22 +736,6 @@ func (f *Farmer) splitAtGapLocked(t *tracked, w transport.WorkerID, power int64,
 	f.counters.GapCarves++
 	f.counters.WorkAllocations++
 	return nt, true
-}
-
-// donatedLength computes len([C,B)) for a hypothetical split of iv between
-// a holder of power hp and a requester of power rp, into dst. Only the
-// farmer's own scratch big.Ints are used; nothing is allocated.
-func (f *Farmer) donatedLength(dst *big.Int, iv interval.Interval, hp, rp int64) *big.Int {
-	l := iv.LenInto(f.scrLen)
-	if hp <= 0 {
-		return dst.Set(l)
-	}
-	if rp <= 0 {
-		return dst.SetInt64(0)
-	}
-	dst.Mul(l, f.scrMul.SetInt64(rp))
-	dst.Quo(dst, f.scrMul.SetInt64(hp+rp))
-	return dst
 }
 
 // UpdateInterval implements transport.Coordinator: the intersection
@@ -792,11 +794,12 @@ func (f *Farmer) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 			admitted = 1
 		}
 		o = &owner{power: admitted, lastSeen: now, lastA: t.iv.A()}
-		t.owners[req.Worker] = o
+		t.setOwner(req.Worker, o)
 		f.pushLease(t, req.Worker, o)
 	}
 	o.lastSeen = now
 	if power > 0 {
+		t.power += power - o.power
 		o.power = power
 	}
 
@@ -845,7 +848,7 @@ func (f *Farmer) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 			// drop the work while this farmer kept it as a leased
 			// owner, stalling recovery for a full lease TTL. Drop the
 			// ownership and send the worker back for fresh work.
-			delete(t.owners, req.Worker)
+			t.dropOwner(req.Worker)
 			f.idx.fix(t) // owner set (and maybe power) changed above
 			f.cleanLocked()
 			return transport.UpdateReply{
@@ -1028,69 +1031,55 @@ func (f *Farmer) forgetSlackLocked(t *tracked) {
 	t.content = nil
 }
 
-// LargestGapWithin reports the largest hole strictly inside iv covered by
-// no tracked interval — fully-explored ground a [C,B) hull fold would
-// misreport as remaining. A sub-farmer calls it on its embedded farmer at
-// fold time to build the gap-carving declaration. ok is false when fewer
-// than two tracked fragments intersect iv: then no interior hole exists
-// and the hull is already exact.
-func (f *Farmer) LargestGapWithin(iv interval.Interval) (a, b *big.Int, ok bool) {
+// foldScan is the one table pass behind a sub-farmer's fold of the binding
+// iv (DESIGN.md §9). Over the tracked intervals overlapping iv it reports
+// whether there are any, writes their smallest beginning into front (when
+// front is non-nil: the per-binding frontier of a multi-binding
+// sub-farmer), and returns, fresh, the length they hold inside iv — the
+// true content behind a [C,B) hull fold — and the largest hole strictly
+// inside iv that none of them covers — fully-explored ground the hull
+// would misreport as remaining; gapA is nil when there is no such hole.
+// O(W log W) per call, once per fold cadence, never per message.
+func (f *Farmer) foldScan(iv interval.Interval, front *big.Int) (found bool, content, gapA, gapB *big.Int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	type span struct{ a, b *big.Int }
-	spans := make([]span, 0, len(f.intervals))
+	hits := make([]*tracked, 0, len(f.intervals))
 	for _, t := range f.intervals {
-		if t.iv.IsEmpty() || !t.iv.Overlaps(iv) {
-			continue
+		if !t.iv.IsEmpty() && t.iv.Overlaps(iv) {
+			hits = append(hits, t)
 		}
-		sa, sb := t.iv.A(), t.iv.B()
-		if iv.CmpA(sa) > 0 {
-			sa = iv.A()
-		}
-		if iv.CmpB(sb) < 0 {
-			sb = iv.B()
-		}
-		spans = append(spans, span{a: sa, b: sb})
 	}
-	if len(spans) < 2 {
-		return nil, nil, false
+	content = new(big.Int)
+	if len(hits) == 0 {
+		return false, content, nil, nil
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].a.Cmp(spans[j].a) < 0 })
-	cover := new(big.Int).Set(spans[0].b)
-	bestLen := new(big.Int)
-	scratch := new(big.Int)
-	for _, s := range spans[1:] {
-		if s.a.Cmp(cover) > 0 {
-			scratch.Sub(s.a, cover)
-			if scratch.Cmp(bestLen) > 0 {
-				a, b = new(big.Int).Set(cover), s.a
-				bestLen.Set(scratch)
+	slices.SortFunc(hits, func(x, y *tracked) int { return x.iv.Cmp(y.iv) })
+	if front != nil {
+		hits[0].iv.AInto(front)
+	}
+	// Walk the fragments by beginning, each clipped to iv: cover is the
+	// end of the ground covered so far, and a fragment starting past it
+	// opens a hole.
+	lo, hi, cover, span, best := new(big.Int), new(big.Int), new(big.Int), new(big.Int), new(big.Int)
+	for i, t := range hits {
+		if t.iv.AInto(lo); iv.CmpA(lo) > 0 {
+			iv.AInto(lo)
+		}
+		if t.iv.BInto(hi); iv.CmpB(hi) < 0 {
+			iv.BInto(hi)
+		}
+		content.Add(content, span.Sub(hi, lo))
+		if i > 0 && lo.Cmp(cover) > 0 {
+			if span.Sub(lo, cover); span.Cmp(best) > 0 {
+				gapA, gapB = new(big.Int).Set(cover), new(big.Int).Set(lo)
+				best.Set(span)
 			}
 		}
-		if s.b.Cmp(cover) > 0 {
-			cover.Set(s.b)
+		if i == 0 || hi.Cmp(cover) > 0 {
+			cover.Set(hi)
 		}
 	}
-	return a, b, a != nil
-}
-
-// ContentWithin sums the lengths of all tracked intervals inside iv — the
-// true unexplored content behind a [C,B) hull fold whose fragmented table
-// iv hulls over. A sub-farmer calls it on its embedded farmer at fold time
-// to build the content-honest declaration. O(cardinality).
-func (f *Farmer) ContentWithin(iv interval.Interval) *big.Int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	total := new(big.Int)
-	scratch := new(big.Int)
-	for _, t := range f.intervals {
-		if t.iv.IsEmpty() || !t.iv.Overlaps(iv) {
-			continue
-		}
-		clipped := t.iv.Intersect(iv)
-		total.Add(total, clipped.LenInto(scratch))
-	}
-	return total
+	return true, content, gapA, gapB
 }
 
 // stealHintLocked summarizes what the farmer tracks beyond the copy with
@@ -1153,13 +1142,6 @@ func (f *Farmer) BusyNanos() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.busyNanos
-}
-
-// AddBusyNanos lets a simulator charge virtual per-message costs.
-func (f *Farmer) AddBusyNanos(n int64) {
-	f.mu.Lock()
-	f.busyNanos += n
-	f.mu.Unlock()
 }
 
 // Done reports whether INTERVALS is empty — the paper's implicit
@@ -1311,7 +1293,7 @@ func (f *Farmer) Inject(iv interval.Interval) {
 	if iv.IsEmpty() {
 		return
 	}
-	f.addTracked(iv)
+	f.addTracked(iv.Clone())
 }
 
 // RestrictTo intersects every tracked interval with iv (eq. 14 applied
@@ -1394,28 +1376,6 @@ func (f *Farmer) FrontierInto(dst *big.Int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.frontierLocked(dst)
-}
-
-// FrontierWithinInto writes the smallest beginning among tracked intervals
-// overlapping iv into dst, reporting false when none does. It is the
-// per-binding frontier of a multi-binding sub-farmer: each upstream fold
-// covers one binding's range, not the whole table. The scan is O(W) —
-// acceptable because a sub-farmer holds more than one binding only in
-// low-water episodes, and folds run once per cadence, not per message.
-func (f *Farmer) FrontierWithinInto(dst *big.Int, iv interval.Interval) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	found := false
-	for _, t := range f.intervals {
-		if t.iv.IsEmpty() || !t.iv.Overlaps(iv) {
-			continue
-		}
-		if !found || t.iv.CmpA(dst) < 0 {
-			t.iv.AInto(dst)
-			found = true
-		}
-	}
-	return found
 }
 
 var _ transport.Coordinator = (*Farmer)(nil)

@@ -204,8 +204,9 @@ type selIndex struct {
 	rng uint64 // deterministic treap priorities (splitmix64)
 
 	// Scratch big.Ints: selection runs entirely on these, allocating
-	// nothing per request.
-	scrLen, scrBest, scrCand, scrBound, scrW *big.Int
+	// nothing per request. Divisions go through QuoRem into scrRem:
+	// big.Int.Quo allocates a fresh remainder on every call.
+	scrLen, scrBest, scrCand, scrBound, scrW, scrRem *big.Int
 }
 
 func newSelIndex() *selIndex {
@@ -218,6 +219,7 @@ func newSelIndex() *selIndex {
 		scrCand:  new(big.Int),
 		scrBound: new(big.Int),
 		scrW:     new(big.Int),
+		scrRem:   new(big.Int),
 	}
 }
 
@@ -247,7 +249,7 @@ func (x *selIndex) setRoot(hp int64, root *selNode) {
 // can find it whatever has mutated since.
 func (x *selIndex) insert(t *tracked) {
 	t.idxLen = t.iv.Len()
-	t.idxHP = t.holderPower()
+	t.idxHP = t.power
 	x.setRoot(t.idxHP, insertNode(x.groups[t.idxHP], &selNode{t: t, pri: x.nextPri()}))
 	x.total.Add(x.total, t.idxLen)
 	x.powerSum += t.idxHP
@@ -268,7 +270,7 @@ func (x *selIndex) remove(t *tracked) {
 // not the current state. No-ops when the key is unchanged, which keeps the
 // steady-state update path at one O(log W) re-key for the length shrink.
 func (x *selIndex) fix(t *tracked) {
-	hp := t.holderPower()
+	hp := t.power
 	t.iv.LenInto(x.scrLen)
 	if hp == t.idxHP && x.scrLen.Cmp(t.idxLen) == 0 {
 		return
@@ -289,9 +291,9 @@ func (x *selIndex) fix(t *tracked) {
 	x.total.Add(x.total, t.idxLen)
 }
 
-// donatedInto mirrors Farmer.donatedLength on a cached length: the donated
-// part a requester of power rp would receive from a holder class of power
-// hp, floor semantics and all.
+// donatedInto computes the donated part a requester of power rp would
+// receive from a holder class of power hp on a cached length, floor
+// semantics and all — the partitioning operator's len([C,B)).
 func (x *selIndex) donatedInto(dst, length *big.Int, hp, rp int64) *big.Int {
 	if hp <= 0 {
 		return dst.Set(length)
@@ -300,7 +302,8 @@ func (x *selIndex) donatedInto(dst, length *big.Int, hp, rp int64) *big.Int {
 		return dst.SetInt64(0)
 	}
 	dst.Mul(length, x.scrW.SetInt64(rp))
-	return dst.Quo(dst, x.scrW.SetInt64(hp+rp))
+	dst.QuoRem(dst, x.scrW.SetInt64(hp+rp), x.scrRem)
+	return dst
 }
 
 // classWinner returns the smallest id in the class achieving donated d (the
@@ -319,7 +322,7 @@ func (x *selIndex) classWinner(root *selNode, hp, rp int64, d *big.Int) (int64, 
 		// (the upper end is free: d is the class maximum).
 		x.scrBound.Mul(d, x.scrW.SetInt64(hp+rp))
 		x.scrBound.Add(x.scrBound, x.scrW.SetInt64(rp-1))
-		x.scrBound.Quo(x.scrBound, x.scrW.SetInt64(rp))
+		x.scrBound.QuoRem(x.scrBound, x.scrW.SetInt64(rp), x.scrRem)
 		minLen = x.scrBound
 	}
 	return minIDAtLeast(root, minLen)

@@ -143,7 +143,7 @@ func TestSelIndexBruteForce(t *testing.T) {
 			}
 			tr.owners = map[transport.WorkerID]*owner{}
 			if hp := int64(rng.Intn(5)); hp > 0 {
-				tr.owners["h"] = &owner{power: hp}
+				tr.setOwner("h", &owner{power: hp})
 			}
 			nextID++
 			byID[tr.id] = tr
@@ -167,9 +167,9 @@ func TestSelIndexBruteForce(t *testing.T) {
 					tr.iv = interval.FromInt64(0, int64(rng.Intn(1000)))
 					if rng.Intn(2) == 0 {
 						if hp := int64(rng.Intn(5)); hp > 0 {
-							tr.owners["h"] = &owner{power: hp}
+							tr.setOwner("h", &owner{power: hp})
 						} else {
-							delete(tr.owners, "h")
+							tr.dropOwner("h")
 						}
 					}
 					x.fix(tr)
@@ -211,7 +211,7 @@ func bruteSelect(byID map[int64]*tracked, rp int64) (int64, *big.Int, bool) {
 	d := new(big.Int)
 	for _, t := range byID {
 		l := t.iv.Len()
-		hp := t.holderPower()
+		hp := ownerPowerSum(t)
 		switch {
 		case hp <= 0:
 			d.Set(l)

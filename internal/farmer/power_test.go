@@ -116,3 +116,94 @@ func r2d(f *Farmer, id int64) interval.Interval {
 	}
 	return interval.Interval{}
 }
+
+// TestHolderPowerKeptThroughEveryOwnerMutation drives every path that
+// changes an owner set or an owner's power, and after each one checks the
+// kept holder power against the owner maps re-summed (the index
+// invariants) and the fleet power against the hand-computed sum.
+func TestHolderPowerKeptThroughEveryOwnerMutation(t *testing.T) {
+	step := func(f *Farmer, name string, fleet int64) {
+		t.Helper()
+		if err := f.CheckIndexInvariantsForTest(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := f.FleetPower(); got != fleet {
+			t.Fatalf("%s: fleet power %d, want %d", name, got, fleet)
+		}
+	}
+	request := func(f *Farmer, w transport.WorkerID, power int64) transport.WorkReply {
+		t.Helper()
+		r, err := f.RequestWork(transport.WorkRequest{Worker: w, Power: power})
+		if err != nil || r.Status != transport.WorkAssigned {
+			t.Fatalf("request from %s: %v, status %v", w, err, r.Status)
+		}
+		return r
+	}
+	update := func(f *Farmer, w transport.WorkerID, id, a, b, power int64, gap interval.Interval) transport.UpdateReply {
+		t.Helper()
+		r, err := f.UpdateInterval(transport.UpdateRequest{
+			Worker: w, IntervalID: id, Remaining: interval.FromInt64(a, b), Power: power,
+			HasGap: !gap.IsEmpty(), Gap: gap,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	none := interval.Interval{}
+
+	// Splits, the gap carve, power updates, lease expiry and re-admission,
+	// and the stale-copy drop.
+	f, clk := newTestFarmer(1_000_000, WithLeaseTTL(100))
+	r1 := request(f, "w1", 10)
+	step(f, "orphan hand-off", 10)
+	r2 := request(f, "w2", 30) // splits w1's copy: [0,250000) and [250000,1000000)
+	step(f, "split admit", 40)
+	update(f, "w2", r2.IntervalID, 250_000, 1_000_000, 30, interval.FromInt64(400_000, 500_000))
+	request(f, "w3", 10) // the gapped copy donates the most: cut at the gap
+	if c := f.Counters(); c.GapCarves != 1 {
+		t.Fatalf("GapCarves = %d, want 1", c.GapCarves)
+	}
+	step(f, "gap carve", 50)
+	update(f, "w1", r1.IntervalID, 0, 250_000, 50, none)
+	step(f, "power update", 90)
+	update(f, "w1", r1.IntervalID, 0, 250_000, 0, none)
+	if c := f.Counters(); c.IgnoredPowers != 1 {
+		t.Fatalf("IgnoredPowers = %d, want 1", c.IgnoredPowers)
+	}
+	step(f, "ignored non-positive power", 90)
+	clk.now = 1000
+	f.ExpireNow()
+	if c := f.Counters(); c.ExpiredOwners != 3 {
+		t.Fatalf("ExpiredOwners = %d, want 3", c.ExpiredOwners)
+	}
+	step(f, "lease expiry", 0)
+	update(f, "w1", r1.IntervalID, 0, 250_000, 20, none)
+	step(f, "re-admission", 20)
+	if r := update(f, "w2", r2.IntervalID, 100, 200, 30, none); r.Known {
+		t.Fatal("an update entirely behind the copy kept its owner")
+	}
+	step(f, "stale-copy drop", 20)
+
+	// Below-threshold duplication, then the co-owner re-grant.
+	f, _ = newTestFarmer(1000, WithThreshold(big.NewInt(2000)))
+	r1 = request(f, "w1", 10)
+	step(f, "orphan hand-off", 10)
+	if r := request(f, "w2", 20); !r.Duplicated || r.IntervalID != r1.IntervalID {
+		t.Fatalf("below-threshold request not duplicated: %+v", r)
+	}
+	step(f, "below-threshold duplication", 30)
+	if r := request(f, "w2", 40); !r.Duplicated || r.IntervalID != r1.IntervalID {
+		t.Fatalf("co-owner request not re-granted: %+v", r)
+	}
+	step(f, "co-owner re-grant", 50)
+
+	// Endgame duplication.
+	f, _ = newTestFarmer(1_000_000, WithEndgameThreshold(big.NewInt(2_000_000)))
+	request(f, "w1", 10)
+	request(f, "w2", 25)
+	if c := f.Counters(); c.EndgameDuplications != 1 {
+		t.Fatalf("EndgameDuplications = %d, want 1", c.EndgameDuplications)
+	}
+	step(f, "endgame duplication", 35)
+}

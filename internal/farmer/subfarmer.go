@@ -328,19 +328,6 @@ func (s *SubFarmer) Bound() (int64, bool) {
 	return s.bindings[0].id, true
 }
 
-// Bindings returns the ids of every held upstream binding, primary first —
-// observability for tests and the harness; usually one entry, two during a
-// low-water episode.
-func (s *SubFarmer) Bindings() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]int64, len(s.bindings))
-	for i, b := range s.bindings {
-		ids[i] = b.id
-	}
-	return ids
-}
-
 // IntervalsSnapshot exposes the local INTERVALS content — the tier view the
 // nested conformance harness audits.
 func (s *SubFarmer) IntervalsSnapshot() []checkpoint.IntervalRecord {
@@ -594,59 +581,6 @@ func (s *SubFarmer) bindingIvsLocked() []interval.Interval {
 	return ivs
 }
 
-// frontierForLocked writes binding b's fold frontier into scrFront,
-// reporting false when no tracked interval remains under it. The common
-// single-binding case reads the O(log W) frontier heap; only a low-water
-// episode (two bindings) pays the O(W) per-range scan.
-func (s *SubFarmer) frontierForLocked(b upBinding) bool {
-	if len(s.bindings) == 1 {
-		return s.inner.FrontierInto(s.scrFront)
-	}
-	return s.inner.FrontierWithinInto(s.scrFront, b.iv)
-}
-
-// gapForFoldLocked builds the gap-carving declaration for binding b's
-// fold: the largest fully-explored hole interior to the local table's
-// share of the binding, offered when it is worth carving — at least 1/64
-// of the hull whose bounds the caller just wrote into scrFront/scrB. The
-// declaration is gated on having seen a parent hint: hints mark a parent
-// running the endgame machinery the gap feeds, and without one the fold
-// stays the plain hull. The gap is computed before
-// the mutex is released for the RPC, and stays valid across the flight:
-// explored ground never un-explores, and no refill can inject work into
-// the hole while the upBusy token is held.
-func (s *SubFarmer) gapForFoldLocked(b upBinding, rangeLive bool) (interval.Interval, bool) {
-	if s.lastHint == nil || !rangeLive {
-		return interval.Interval{}, false
-	}
-	ga, gb, ok := s.inner.LargestGapWithin(b.iv)
-	if !ok {
-		return interval.Interval{}, false
-	}
-	gapLen := new(big.Int).Sub(gb, ga)
-	hullLen := new(big.Int).Sub(s.scrB, s.scrFront)
-	if gapLen.Lsh(gapLen, 6).Cmp(hullLen) < 0 {
-		return interval.Interval{}, false
-	}
-	return interval.New(ga, gb), true
-}
-
-// contentForFoldLocked builds the content declaration for binding b's fold:
-// the true tracked length (in leaf units) behind the hull, so the parent can
-// value a fragmented table honestly instead of by its hull. Gated exactly
-// like the gap declaration, on having seen a parent hint. Unlike the gap
-// there is no
-// worth-it floor: honest valuation is useful at any size. The value is a
-// snapshot taken before the RPC flight; it can only overstate the ground
-// left when the reply lands (exploration is monotone), which keeps the
-// parent's discount conservative.
-func (s *SubFarmer) contentForFoldLocked(b upBinding, rangeLive bool) *big.Int {
-	if s.lastHint == nil || !rangeLive {
-		return nil
-	}
-	return s.inner.ContentWithin(b.iv)
-}
-
 // foldUpLocked sends the worker-side checkpoint of this tier: the fold
 // [frontier, B) of each binding's share of the local INTERVALS, the fleet
 // power, and the exploration deltas, one exchange per binding, primary
@@ -713,7 +647,26 @@ func (s *SubFarmer) exchangeUpLocked(bi int, now int64, wantWork bool) (delivere
 	var ec, pc, lc int64
 	if bi >= 0 {
 		b := s.bindings[bi]
-		rangeLive = s.frontierForLocked(b)
+		// The fold frontier: the single-binding case reads the O(log W)
+		// frontier heap; only a low-water episode (two bindings) needs the
+		// per-range table pass. Behind a parent that hints — one running
+		// the endgame machinery — the fold also declares the binding's
+		// true content and its largest explored hole, from that same one
+		// pass. Both declarations are snapshots taken before the mutex is
+		// released for the RPC and stay sound across the flight:
+		// exploration is monotone, so the content can only overstate the
+		// ground left (keeping the parent's discount conservative), and no
+		// refill can inject work into the hole while the upBusy token is
+		// held.
+		var content, ga, gb *big.Int
+		if len(s.bindings) == 1 {
+			rangeLive = s.inner.FrontierInto(s.scrFront)
+			if rangeLive && s.lastHint != nil {
+				_, content, ga, gb = s.inner.foldScan(b.iv, nil)
+			}
+		} else {
+			rangeLive, content, ga, gb = s.inner.foldScan(b.iv, s.scrFront)
+		}
 		if !rangeLive {
 			// An empty range folds to the empty interval [B, B): the parent
 			// retires the copy, completing this sub-range.
@@ -725,10 +678,18 @@ func (s *SubFarmer) exchangeUpLocked(bi int, now int64, wantWork bool) (delivere
 		req.ExploredDelta = ec - s.sentExplored
 		req.PrunedDelta = pc - s.sentPruned
 		req.LeavesDelta = lc - s.sentLeaves
-		if g, withGap := s.gapForFoldLocked(b, rangeLive); withGap {
-			req.HasFoldGap, req.FoldGap = true, g
+		if s.lastHint != nil && rangeLive {
+			req.FoldContent = content
+			// The gap is offered when it is worth carving: at least 1/64
+			// of the hull.
+			if ga != nil {
+				gapLen := new(big.Int).Sub(gb, ga)
+				hullLen := new(big.Int).Sub(s.scrB, s.scrFront)
+				if gapLen.Lsh(gapLen, 6).Cmp(hullLen) >= 0 {
+					req.HasFoldGap, req.FoldGap = true, interval.New(ga, gb)
+				}
+			}
 		}
-		req.FoldContent = s.contentForFoldLocked(b, rangeLive)
 	}
 	if best := s.inner.Best(); best.Cost < s.bestSentUp {
 		req.HasReport, req.Cost, req.Path = true, best.Cost, best.Path

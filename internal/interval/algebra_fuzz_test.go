@@ -105,7 +105,9 @@ func TestFuzzSplitsTile(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			holder, donated = iv.SplitAt(big.NewInt(rng.Int63n(fuzzUniverse + 1)))
 		} else {
-			holder, donated = iv.SplitProportional(rng.Int63n(5), rng.Int63n(5))
+			hp, rp := rng.Int63n(7)-2, rng.Int63n(7)-2 // negatives included
+			checkSplitInPlace(t, iv, hp, rp)
+			holder, donated = iv.SplitProportional(hp, rp)
 		}
 		sum := new(big.Int).Add(holder.Len(), donated.Len())
 		if sum.Cmp(iv.Len()) != 0 {

@@ -251,26 +251,35 @@ func (iv Interval) SplitAt(c *big.Int) (holder, donated Interval) {
 // Negative powers are treated as zero. If both powers are zero the split is
 // at A (the whole interval is donated), matching the orphan rule.
 func (iv Interval) SplitProportional(holderPower, requesterPower int64) (holder, donated Interval) {
+	holder = iv.Clone()
+	donated = holder.SplitProportionalInPlace(holderPower, requesterPower, new(big.Int))
+	return holder, donated
+}
+
+// SplitProportionalInPlace is SplitProportional for the owner of a
+// long-lived interval (the farmer's INTERVALS entries): the receiver keeps
+// [A, C) and the returned donated part [C, B) takes over the receiver's old
+// end bound, so the split copies C twice and nothing else. The point C is
+// computed in scratch, which is neither retained nor exposed. Both parts
+// agree with SplitAt at the same point on every input, empty ones included.
+func (iv *Interval) SplitProportionalInPlace(holderPower, requesterPower int64, scratch *big.Int) (donated Interval) {
 	if iv.IsEmpty() {
-		return iv.SplitAt(iv.a)
+		*iv, donated = iv.SplitAt(iv.a)
+		return donated
 	}
-	if holderPower < 0 {
-		holderPower = 0
-	}
-	if requesterPower < 0 {
-		requesterPower = 0
-	}
-	total := holderPower + requesterPower
-	if total == 0 {
-		return iv.SplitAt(iv.a)
-	}
+	holderPower, requesterPower = max(holderPower, 0), max(requesterPower, 0)
 	// C = A + len * holderPower/total, rounded down so ties favour the
 	// requester (the process known to be alive and asking for work).
-	c := iv.Len()
-	c.Mul(c, big.NewInt(holderPower))
-	c.Quo(c, big.NewInt(total))
-	c.Add(c, iv.a)
-	return iv.SplitAt(c)
+	c := scratch.Set(iv.a)
+	if total := holderPower + requesterPower; total > 0 {
+		c.Sub(iv.b, iv.a)
+		c.Mul(c, big.NewInt(holderPower))
+		c.Quo(c, big.NewInt(total))
+		c.Add(c, iv.a)
+	}
+	donated = Interval{a: new(big.Int).Set(c), b: iv.b}
+	iv.b = new(big.Int).Set(c)
+	return donated
 }
 
 // Equal reports whether the two intervals denote the same set of numbers.
@@ -288,10 +297,10 @@ func (iv Interval) Equal(other Interval) bool {
 // Cmp orders intervals by beginning, then by end; empty intervals order by
 // their raw bounds. It gives the canonical ascending order of work units.
 func (iv Interval) Cmp(other Interval) int {
-	if c := cloneOrZero(iv.a).Cmp(cloneOrZero(other.a)); c != 0 {
+	if c := orZero(iv.a).Cmp(orZero(other.a)); c != 0 {
 		return c
 	}
-	return cloneOrZero(iv.b).Cmp(cloneOrZero(other.b))
+	return orZero(iv.b).Cmp(orZero(other.b))
 }
 
 // String renders the interval as "[A,B)".

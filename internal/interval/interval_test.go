@@ -137,6 +137,55 @@ func TestSplitProportional(t *testing.T) {
 	if !donated.Equal(x) {
 		t.Fatalf("negative holder power split = %v / %v", holder, donated)
 	}
+	// Both forms against SplitAt at the same point: empty receivers (the
+	// zero value and a reversed pair included), zero and negative powers,
+	// and C clamped at B by a powerless requester.
+	for _, r := range []Interval{x, iv(7, 8), iv(5, 5), iv(9, 3), {}} {
+		for _, p := range [][2]int64{{30, 10}, {1, 2}, {0, 10}, {10, 0}, {0, 0}, {-5, 10}, {10, -5}, {-1, -1}} {
+			checkSplitInPlace(t, r, p[0], p[1])
+		}
+	}
+}
+
+// splitPoint is the §4.2 split point by its definition, independent of the
+// code under test: A + ⌊len·hp/(hp+rp)⌋, negative powers as zero, and A
+// when both powers vanish.
+func splitPoint(x Interval, hp, rp int64) *big.Int {
+	hp, rp = max(hp, 0), max(rp, 0)
+	c := x.A()
+	if hp+rp > 0 {
+		share := new(big.Int).Mul(x.Len(), big.NewInt(hp))
+		c.Add(c, share.Quo(share, big.NewInt(hp+rp)))
+	}
+	return c
+}
+
+// checkSplitInPlace holds SplitProportional and SplitProportionalInPlace to
+// SplitAt at the same point, bound for bound, and checks that the in-place
+// form's donated part shares no *big.Int with the receiver and that the
+// value form leaves its receiver alone.
+func checkSplitInPlace(t *testing.T, x Interval, hp, rp int64) {
+	t.Helper()
+	before := x.String()
+	wantH, wantD := x.SplitAt(splitPoint(x, hp, rp))
+	h := x.Clone()
+	d := h.SplitProportionalInPlace(hp, rp, new(big.Int))
+	hv, dv := x.SplitProportional(hp, rp)
+	want := wantH.String() + " " + wantD.String()
+	if got := h.String() + " " + d.String(); got != want {
+		t.Fatalf("%v in place at %d:%d = %s, SplitAt = %s", x, hp, rp, got, want)
+	}
+	if got := hv.String() + " " + dv.String(); got != want {
+		t.Fatalf("%v split at %d:%d = %s, SplitAt = %s", x, hp, rp, got, want)
+	}
+	if x.String() != before {
+		t.Fatalf("SplitProportional moved its receiver: %s -> %v", before, x)
+	}
+	for _, p := range []*big.Int{d.a, d.b} {
+		if p == h.a || p == h.b {
+			t.Fatalf("%v in place at %d:%d: the donated part shares a bound with the receiver", x, hp, rp)
+		}
+	}
 }
 
 // TestSplitProportionalShares: the holder's share is proportional within
