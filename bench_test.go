@@ -426,29 +426,28 @@ func BenchmarkFarmerTreeThroughput(b *testing.B) {
 	}
 
 	for _, workers := range []int{2000, 5000, 10000} {
-		b.Run(fmt.Sprintf("flat/workers=%d", workers), func(b *testing.B) {
-			f := farmer.New(nb.RootRange(), farmer.WithClock(func() int64 { return 0 }))
-			if err := seed(f, workers, 0); err != nil {
-				b.Fatal(err)
-			}
-			hammer(b, func(int) transport.Coordinator { return f })
-		})
-		b.Run(fmt.Sprintf("tree/workers=%d", workers), func(b *testing.B) {
-			tr := farmer.NewTree(nb.RootRange(), farmer.TreeConfig{
-				Subtrees:       subtrees,
-				SubUpdateEvery: 64,
-				Clock:          func() int64 { return 0 },
-			})
-			// Each sub-farmer pulls its sub-range from the root on its
-			// fleet's first request and then serves its 1/8 of the
-			// tracked fleet.
-			for s := 0; s < subtrees; s++ {
-				if err := seed(tr.Sub(s), workers/subtrees, s*(workers/subtrees)); err != nil {
-					b.Fatal(err)
+		for _, topo := range []struct {
+			name string
+			subs int
+		}{{"flat", 0}, {"tree", subtrees}} {
+			b.Run(fmt.Sprintf("%s/workers=%d", topo.name, workers), func(b *testing.B) {
+				tr := farmer.NewTree(nb.RootRange(), farmer.TreeConfig{
+					Subtrees:       topo.subs,
+					SubUpdateEvery: 64,
+					Clock:          func() int64 { return 0 },
+				})
+				// The flat root tracks the whole fleet. Each sub-farmer
+				// pulls its sub-range from the root on its fleet's first
+				// request and then serves its 1/8 of the tracked fleet.
+				n := max(len(tr.Subs), 1)
+				for s := 0; s < n; s++ {
+					if err := seed(tr.Endpoint(s), workers/n, s*(workers/n)); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			hammer(b, func(g int) transport.Coordinator { return tr.Sub(g % subtrees) })
-		})
+				hammer(b, tr.Endpoint)
+			})
+		}
 	}
 
 	// Root flatness: the root's request cost as a function of how many

@@ -195,44 +195,34 @@ func Solve(p Problem, opt Options) (Result, error) {
 		}
 		fopts = append(fopts, farmer.WithCheckpointStore(store))
 	}
-	var (
-		f  *farmer.Farmer
-		tr *farmer.Tree
-	)
-	if opt.Subtrees >= 2 {
-		var inner []farmer.Option
-		if opt.Threshold != nil {
-			inner = append(inner, farmer.WithThreshold(opt.Threshold))
-		}
-		tr = farmer.NewTree(nb.RootRange(), farmer.TreeConfig{
-			Subtrees:     opt.Subtrees,
-			RootOptions:  fopts,
-			InnerOptions: inner,
-		})
-		f = tr.Root
-	} else {
-		f = farmer.New(nb.RootRange(), fopts...)
+	var inner []farmer.Option
+	if opt.Threshold != nil {
+		inner = append(inner, farmer.WithThreshold(opt.Threshold))
 	}
+	tr := farmer.NewTree(nb.RootRange(), farmer.TreeConfig{
+		Subtrees:     opt.Subtrees,
+		RootOptions:  fopts,
+		InnerOptions: inner,
+	})
+	f := tr.Root
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if tr != nil {
-		// The time half of the sub→root fold cadence: quiet fleets must
-		// keep their root leases alive even when the piggyback cadence
-		// (one fold per UpdateEvery fleet messages) has nothing to ride.
-		go func() {
-			ticker := time.NewTicker(time.Second)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					tr.Pulse()
-				}
+	// The time half of the sub→root fold cadence: quiet fleets must keep
+	// their root leases alive even when the piggyback cadence (one fold
+	// per UpdateEvery fleet messages) has nothing to ride.
+	go func() {
+		ticker := time.NewTicker(time.Second)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+				tr.Pulse()
 			}
-		}()
-	}
+		}
+	}()
 	if store != nil {
 		period := opt.CheckpointPeriod
 		if period <= 0 {
@@ -269,10 +259,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 				UpdatePeriodNodes: opt.UpdatePeriodNodes,
 				Cores:             opt.Cores,
 			}
-			coord := transport.Coordinator(f)
-			if tr != nil {
-				coord = tr.Sub(i)
-			}
+			coord := tr.Endpoint(i)
 			if opt.Cores > 1 {
 				results[i], errs[i] = worker.RunParallel(ctx, cfg, coord, opt.ProblemFactory)
 				return
@@ -290,12 +277,10 @@ func Solve(p Problem, opt Options) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if tr != nil {
-		// One final pulse: flush straggler statistics (fleet checkpoints
-		// that landed after each sub-farmer's last fold), so the root
-		// counters below report the whole tree.
-		tr.Pulse()
-	}
+	// One final pulse: flush straggler statistics (fleet checkpoints that
+	// landed after each sub-farmer's last fold), so the root counters
+	// below report the whole tree.
+	tr.Pulse()
 	if store != nil {
 		// Final snapshot records the completed state.
 		if err := f.Checkpoint(); err != nil {

@@ -38,10 +38,6 @@ func EIO() Fault { return Fault{Err: ErrInjected} }
 // reports success.
 func TornWrite(k int) Fault { return Fault{Torn: true, Keep: k} }
 
-// ShortWrite returns a Fault that keeps the first k bytes of a write and
-// reports ErrInjected — the crash-during-write shape.
-func ShortWrite(k int) Fault { return Fault{Err: ErrInjected, Keep: k} }
-
 // FaultFS wraps an inner FS and consults Decide before every operation.
 // Decide runs under the FaultFS lock, so injector state (op counters,
 // crash points) needs no extra synchronisation. A nil Decide passes

@@ -91,7 +91,7 @@ func runSubtree(t *testing.T, overTCP bool) subtreeRun {
 	}
 
 	var now int64
-	sub := farmer.NewSubFarmer(farmer.SubConfig{
+	sub := farmer.NewSubFarmerForTest(farmer.SubConfig{
 		ID:           "sub",
 		UpdateEvery:  4,
 		UpdatePeriod: time.Hour, // the message cadence drives all folds

@@ -12,6 +12,10 @@ import (
 // byte-identical decisions, which index_oracle_test.go pins by running both
 // over the same live state.
 
+// NewSubFarmerForTest builds a lone sub-farmer over any parent, the way
+// NewTree builds each of its own.
+var NewSubFarmerForTest = newSubFarmer
+
 // SelectOracleForTest runs the seed linear scan over the current INTERVALS
 // and returns the decision it would take for a requester of the given
 // power: the chosen interval id and the donated length that won. It

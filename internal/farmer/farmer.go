@@ -47,7 +47,7 @@ type Counters struct {
 	// paper's source of redundant exploration.
 	Duplications int64
 	// EndgameDuplications counts the subset of Duplications triggered by
-	// the endgame rule (WithEndgameThreshold): the tracked total, not the
+	// the endgame rule (withEndgameThreshold): the tracked total, not the
 	// chosen interval, fell under a threshold, so the crumb was shared
 	// across subtrees instead of split (DESIGN.md §12).
 	EndgameDuplications int64
@@ -234,10 +234,10 @@ type Farmer struct {
 	store      *checkpoint.Store
 	equalSplit bool
 
-	// hints makes fold replies carry a StealHint (WithStealHints);
+	// hints makes fold replies carry a StealHint (withStealHints);
 	// endgame, when non-nil, is the tracked-total threshold under which
 	// the partitioning operator duplicates instead of splitting even
-	// above the per-interval threshold (WithEndgameThreshold). Both are
+	// above the per-interval threshold (withEndgameThreshold). Both are
 	// tree-root features; flat farmers leave them off.
 	hints   bool
 	endgame *big.Int
@@ -322,23 +322,24 @@ func WithFrontierTracking() Option {
 	return func(f *Farmer) { f.trackFront = true }
 }
 
-// WithStealHints makes every fold reply carry a transport.StealHint — a
+// withStealHints makes every fold reply carry a transport.StealHint — a
 // summary of the work the farmer still tracks beyond the updated copy —
 // so a draining sub-farmer can refill before its table runs dry
 // (DESIGN.md §12). Off by default: the hint is only meaningful from a
-// tree root to its sub-farmers.
-func WithStealHints() Option {
+// tree root to its sub-farmers, and NewTree arms it under
+// TreeConfig.Endgame.
+func withStealHints() Option {
 	return func(f *Farmer) { f.hints = true }
 }
 
-// WithEndgameThreshold arms the endgame duplication rule: when the total
+// withEndgameThreshold arms the endgame duplication rule: when the total
 // tracked length falls under t, the partitioning operator duplicates
 // actively-held intervals instead of splitting them — the paper's §4.2
 // minimum-size rule lifted from one interval to the whole table. At that
 // point every split would mint crumbs anyway; sharing the survivors across
 // subtrees restores the global mixing a pull-only tree loses at the end of
 // a resolution. Off (nil) by default.
-func WithEndgameThreshold(t *big.Int) Option {
+func withEndgameThreshold(t *big.Int) Option {
 	return func(f *Farmer) { f.endgame = new(big.Int).Set(t) }
 }
 
@@ -361,12 +362,13 @@ const (
 	innerFanoutFactor = 8
 )
 
-// EndgameThresholds derives the crumb-endgame configuration of a farmer
+// endgameThresholds derives the crumb-endgame configuration of a farmer
 // tree (DESIGN.md §12) from the root's duplication threshold thr and the
-// number of sub-farmers: the root's WithEndgameThreshold value, the
+// number of sub-farmers: the root's withEndgameThreshold value, the
 // sub-farmers' SubConfig.LowWater mark, and the WithThreshold value of
-// their inner farmers (at least 1).
-func EndgameThresholds(thr *big.Int, subtrees int) (endgame, lowWater, inner *big.Int) {
+// their inner farmers (at least 1). NewTree applies them under
+// TreeConfig.Endgame.
+func endgameThresholds(thr *big.Int, subtrees int) (endgame, lowWater, inner *big.Int) {
 	endgame = new(big.Int).Mul(thr, big.NewInt(endgameFactor))
 	lowWater = new(big.Int).Mul(thr, big.NewInt(lowWaterFactor))
 	inner = new(big.Int).Div(thr, big.NewInt(int64(subtrees)*innerFanoutFactor))
@@ -619,16 +621,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		// copy back instead: the requester recognizes the id and
 		// adopts the authoritative bounds without injecting (§4.2: one
 		// copy per duplicated interval).
-		o := &owner{power: req.Power, lastSeen: now, lastA: chosen.iv.A()}
-		chosen.setOwner(req.Worker, o)
-		f.idx.fix(chosen) // the holder-power class may have changed
-		f.pushLease(chosen, req.Worker, o)
-		f.counters.Duplications++
-		f.counters.WorkAllocations++
-		reply.IntervalID = chosen.id
-		reply.Interval = chosen.iv.Clone()
-		reply.Duplicated = true
-		return reply, nil
+		return f.shareLocked(chosen, req, now), nil
 	}
 	if nt, ok := f.splitAtGapLocked(chosen, req.Worker, req.Power, now); ok {
 		reply.IntervalID = nt.id
@@ -637,7 +630,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 	}
 	holderPower := chosen.power
 	belowThreshold := chosen.iv.LenInto(f.scrLen).Cmp(f.threshold) < 0
-	// Endgame rule (WithEndgameThreshold): once the TOTAL tracked length
+	// Endgame rule (withEndgameThreshold): once the TOTAL tracked length
 	// is crumb-scale, splitting only mints smaller crumbs — share held
 	// intervals across requesters instead (DESIGN.md §12). Orphans
 	// (holderPower == 0) still hand off whole below.
@@ -649,19 +642,10 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		// than splitting crumbs. "The coordinator keeps only one copy
 		// of a duplicated interval, even if it is assigned to several
 		// processes" (§4.2).
-		o := &owner{power: req.Power, lastSeen: now, lastA: chosen.iv.A()}
-		chosen.setOwner(req.Worker, o)
-		f.idx.fix(chosen) // the holder-power class changed
-		f.pushLease(chosen, req.Worker, o)
-		f.counters.Duplications++
 		if endgame {
 			f.counters.EndgameDuplications++
 		}
-		f.counters.WorkAllocations++
-		reply.IntervalID = chosen.id
-		reply.Interval = chosen.iv.Clone()
-		reply.Duplicated = true
-		return reply, nil
+		return f.shareLocked(chosen, req, now), nil
 	}
 
 	splitHolderPower, splitReqPower := holderPower, req.Power
@@ -696,6 +680,19 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 	reply.IntervalID = nt.id
 	reply.Interval = donated.Clone()
 	return reply, nil
+}
+
+// shareLocked is the duplication rule's grant: the requester becomes a
+// co-owner of t's one copy and gets it back flagged Duplicated.
+func (f *Farmer) shareLocked(t *tracked, req transport.WorkRequest, now int64) transport.WorkReply {
+	o := &owner{power: req.Power, lastSeen: now, lastA: t.iv.A()}
+	t.setOwner(req.Worker, o)
+	f.idx.fix(t) // the holder-power class may have changed
+	f.pushLease(t, req.Worker, o)
+	f.counters.Duplications++
+	f.counters.WorkAllocations++
+	return transport.WorkReply{Status: transport.WorkAssigned, BestCost: f.bestCost,
+		IntervalID: t.id, Interval: t.iv.Clone(), Duplicated: true}
 }
 
 // splitAtGapLocked is the partitioning operator's gap-aware cut
@@ -1084,7 +1081,7 @@ func (f *Farmer) foldScan(iv interval.Interval, front *big.Int) (found bool, con
 
 // stealHintLocked summarizes what the farmer tracks beyond the copy with
 // id excludeID: how many other entries, and the bit length of their total
-// remaining length. Nil unless WithStealHints armed it. The exclusion
+// remaining length. Nil unless withStealHints armed it. The exclusion
 // keeps the hint honest for the requester — its own copy is not stealable
 // work — and costs one subtraction on scratch.
 func (f *Farmer) stealHintLocked(excludeID int64) *transport.StealHint {

@@ -157,7 +157,7 @@ func TestGapFloorsContentSlack(t *testing.T) {
 // gap-carved new id, which would hand it ground its local table already
 // covers and make a sub-farmer's INTERVALS overlap itself.
 func TestCoOwnerRegrantKeepsOneCopy(t *testing.T) {
-	f, _ := newTestFarmer(1000, WithEndgameThreshold(big.NewInt(2000)))
+	f, _ := newTestFarmer(1000, withEndgameThreshold(big.NewInt(2000)))
 	r1, _ := f.RequestWork(transport.WorkRequest{Worker: "w1", Power: 10})
 
 	// Endgame (total 1000 < 2000): w2's request duplicates w1's copy.

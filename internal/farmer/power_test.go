@@ -199,7 +199,7 @@ func TestHolderPowerKeptThroughEveryOwnerMutation(t *testing.T) {
 	step(f, "co-owner re-grant", 50)
 
 	// Endgame duplication.
-	f, _ = newTestFarmer(1_000_000, WithEndgameThreshold(big.NewInt(2_000_000)))
+	f, _ = newTestFarmer(1_000_000, withEndgameThreshold(big.NewInt(2_000_000)))
 	request(f, "w1", 10)
 	request(f, "w2", 25)
 	if c := f.Counters(); c.EndgameDuplications != 1 {

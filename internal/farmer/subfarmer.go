@@ -99,7 +99,7 @@ type SubConfig struct {
 	// subtree never idles a WAN round-trip waiting for the retire-and-
 	// refill pair. Nil (default) keeps the strict refill-on-dry rule;
 	// the rule also stays dormant under a parent that never hints (one
-	// built without WithStealHints).
+	// built without withStealHints).
 	LowWater *big.Int
 	// Clock injects a nanosecond clock (virtual in the simulator and the
 	// chaos harness). Default wall clock.
@@ -214,9 +214,9 @@ type SubFarmer struct {
 	scrFront, scrB *big.Int
 }
 
-// NewSubFarmer creates a sub-farmer with an empty local table. The first
+// newSubFarmer creates a sub-farmer with an empty local table. The first
 // fleet request triggers the first refill from the parent.
-func NewSubFarmer(cfg SubConfig, up transport.Coordinator) *SubFarmer {
+func newSubFarmer(cfg SubConfig, up transport.Coordinator) *SubFarmer {
 	cfg.fillDefaults()
 	s := &SubFarmer{
 		cfg:        cfg,
@@ -233,11 +233,11 @@ func NewSubFarmer(cfg SubConfig, up transport.Coordinator) *SubFarmer {
 // RestoreSubFarmer creates a sub-farmer from its checkpoint store: the
 // local table from the two-file snapshot (§4.1 replayed at this tier) and
 // the parent session from the binding file. With no checkpoint on disk it
-// degenerates to NewSubFarmer.
+// degenerates to newSubFarmer.
 func RestoreSubFarmer(cfg SubConfig, up transport.Coordinator) (*SubFarmer, error) {
 	cfg.fillDefaults()
 	if cfg.Store == nil || !cfg.Store.Exists() {
-		return NewSubFarmer(cfg, up), nil
+		return newSubFarmer(cfg, up), nil
 	}
 	s := &SubFarmer{
 		cfg:        cfg,

@@ -1,25 +1,28 @@
-// The 2-level farmer tree (DESIGN.md §9): a root farmer whose "workers"
-// are sub-farmers, each serving its own fleet over the unchanged protocol.
-// Tree is the in-process wiring used by gridbb.Solve, the grid simulator
-// and the benchmarks; multi-process deployments wire the same pieces over
-// TCP with cmd/farmer (root) and cmd/subfarmer (mid tier) instead.
+// The in-process coordinator (DESIGN.md §9): a root farmer plus zero or
+// more sub-farmers, each serving its own fleet over the unchanged
+// protocol. A flat farmer is the tree with no sub-farmers. NewTree is the
+// only code that builds one in-process — for gridbb.Solve, the grid
+// simulator, the chaos harness and the benchmarks — and so the only code
+// that decides what Subtrees means and how the endgame thresholds are
+// derived. Multi-process deployments wire the same pieces over TCP with
+// cmd/farmer (root) and cmd/subfarmer (mid tier) instead.
 package farmer
 
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 
-	"repro/internal/bb"
 	"repro/internal/checkpoint"
 	"repro/internal/interval"
 	"repro/internal/transport"
 )
 
-// TreeConfig parameterizes a 2-level farmer tree.
+// TreeConfig parameterizes an in-process coordinator.
 type TreeConfig struct {
-	// Subtrees is the number of sub-farmers. Minimum 1 (a degenerate
-	// tree, useful mainly in tests).
+	// Subtrees is the number of sub-farmers. Below 2 the tree is flat:
+	// no sub-farmers, and the fleet pulls on the root directly.
 	Subtrees int
 	// SubUpdateEvery and SubUpdatePeriod set the sub→root fold cadences
 	// (see SubConfig).
@@ -27,18 +30,20 @@ type TreeConfig struct {
 	SubUpdatePeriod time.Duration
 	// FleetTTL is the sub-farmers' fleet power TTL.
 	FleetTTL time.Duration
-	// SubLowWater arms each sub-farmer's work-conserving refill rule
-	// (SubConfig.LowWater): refill before the local table runs dry when
-	// the root's steal hints promise work elsewhere. Nil keeps the
-	// strict refill-on-dry rule. Pair it with WithStealHints (and
-	// optionally WithEndgameThreshold) in RootOptions — without hints
-	// the rule stays dormant.
-	SubLowWater *big.Int
+	// Endgame arms the crumb-endgame trio (DESIGN.md §12) on a tree with
+	// sub-farmers: the root piggybacks steal hints on fold replies and
+	// duplicates crumbs once its tracked total is under 64·thr, each
+	// sub-farmer refills under a low-water mark of 1024·thr, and the
+	// inner farmers split down to thr/(8·Subtrees), floor 1 — all from
+	// the duplication threshold thr that RootOptions set. No effect on a
+	// flat tree.
+	Endgame bool
 	// Clock is shared by the root and every sub-farmer. Default wall
 	// clock.
 	Clock func() int64
 	// RootOptions configure the root farmer; InnerOptions every
-	// sub-farmer's embedded farmer. The clock is appended automatically.
+	// sub-farmer's embedded farmer. The clock and the endgame options
+	// are appended after them.
 	RootOptions, InnerOptions []Option
 	// StoreFor, when set, supplies each sub-farmer's checkpoint store.
 	StoreFor func(i int) *checkpoint.Store
@@ -49,26 +54,42 @@ type TreeConfig struct {
 	Upstream func(root *Farmer) transport.Coordinator
 }
 
-// Tree is a root farmer plus its sub-farmers.
+// Tree is a root farmer plus its sub-farmers, none on a flat tree.
 type Tree struct {
 	Root *Farmer
 	Subs []*SubFarmer
+	// RootOptions are the options the root was built with, the clock and
+	// the endgame options included: a root restart passes them to
+	// Restore.
+	RootOptions []Option
+	subCfgs     []SubConfig
 }
 
-// NewTree builds the tree over the root interval. Sub-farmers start with
-// empty tables; the first fleet request on each pulls its first sub-range
-// from the root, and from then on the root only arbitrates inter-subtree
-// rebalancing — its per-request cost depends on the subtree count, never
-// on the fleet size.
+// NewTree builds the coordinator over the root interval. Sub-farmers start
+// with empty tables; the first fleet request on each pulls its first
+// sub-range from the root, and from then on the root only arbitrates
+// inter-subtree rebalancing — its per-request cost depends on the subtree
+// count, never on the fleet size.
 func NewTree(root interval.Interval, cfg TreeConfig) *Tree {
-	if cfg.Subtrees < 1 {
-		cfg.Subtrees = 1
-	}
-	rootOpts := append([]Option{}, cfg.RootOptions...)
+	t := &Tree{RootOptions: slices.Clone(cfg.RootOptions)}
 	if cfg.Clock != nil {
-		rootOpts = append(rootOpts, WithClock(cfg.Clock))
+		t.RootOptions = append(t.RootOptions, WithClock(cfg.Clock))
 	}
-	t := &Tree{Root: New(root, rootOpts...)}
+	t.Root = New(root, t.RootOptions...)
+	if cfg.Subtrees < 2 {
+		return t
+	}
+	var lowWater *big.Int
+	inner := slices.Clip(cfg.InnerOptions)
+	if cfg.Endgame {
+		endgame, lw, innerThr := endgameThresholds(t.Root.threshold, cfg.Subtrees)
+		for _, opt := range []Option{withStealHints(), withEndgameThreshold(endgame)} {
+			opt(t.Root)
+			t.RootOptions = append(t.RootOptions, opt)
+		}
+		lowWater = lw
+		inner = append(inner, WithThreshold(innerThr))
+	}
 	var up transport.Coordinator = t.Root
 	if cfg.Upstream != nil {
 		up = cfg.Upstream(t.Root)
@@ -79,33 +100,36 @@ func NewTree(root interval.Interval, cfg TreeConfig) *Tree {
 			UpdateEvery:  cfg.SubUpdateEvery,
 			UpdatePeriod: cfg.SubUpdatePeriod,
 			FleetTTL:     cfg.FleetTTL,
-			LowWater:     cfg.SubLowWater,
+			LowWater:     lowWater,
 			Clock:        cfg.Clock,
-			InnerOptions: cfg.InnerOptions,
+			InnerOptions: inner,
 		}
 		if cfg.StoreFor != nil {
 			sc.Store = cfg.StoreFor(i)
 		}
-		t.Subs = append(t.Subs, NewSubFarmer(sc, up))
+		t.subCfgs = append(t.subCfgs, sc)
+		t.Subs = append(t.Subs, newSubFarmer(sc, up))
 	}
 	return t
 }
 
-// Sub returns the i-th sub-farmer's fleet-facing coordinator; workers are
-// attached round-robin (or by domain) across subs.
-func (t *Tree) Sub(i int) *SubFarmer { return t.Subs[i%len(t.Subs)] }
+// SubConfig returns the configuration sub-farmer i was built with: a
+// sub-farmer restart passes it to RestoreSubFarmer.
+func (t *Tree) SubConfig(i int) SubConfig { return t.subCfgs[i] }
 
-// Pulse drives every sub-farmer's time-based upstream cadence once.
+// Endpoint returns slot i's coordinator: its sub-farmer, round-robin, or
+// the root of a flat tree.
+func (t *Tree) Endpoint(i int) transport.Coordinator {
+	if len(t.Subs) == 0 {
+		return t.Root
+	}
+	return t.Subs[i%len(t.Subs)]
+}
+
+// Pulse drives every sub-farmer's time-based upstream cadence once; on a
+// flat tree it does nothing.
 func (t *Tree) Pulse() {
 	for _, s := range t.Subs {
 		s.Pulse()
 	}
 }
-
-// Done reports global termination: the root's INTERVALS is empty (§4.3,
-// unchanged — sub-farmer tables drain into their root copies first).
-func (t *Tree) Done() bool { return t.Root.Done() }
-
-// Best returns the root SOLUTION — cost and leaf path, since improvements
-// are pushed up with their paths.
-func (t *Tree) Best() bb.Solution { return t.Root.Best() }

@@ -80,7 +80,7 @@ func TestTreePartitionComposition(t *testing.T) {
 						ID:                transport.WorkerID(fmt.Sprintf("t%d-s%d-w%d", trial, si, wi)),
 						Power:             int64(1+si+wi) * 3,
 						UpdatePeriodNodes: 64,
-					}, tree.Sub(si), dom.factory()))
+					}, tree.Endpoint(si), dom.factory()))
 				}
 			}
 
@@ -108,7 +108,7 @@ func TestTreePartitionComposition(t *testing.T) {
 				if _, fin, err := s.Advance(64 + int64(rng.Intn(192))); err != nil {
 					t.Fatal(err)
 				} else if fin {
-					done = tree.Done()
+					done = tree.Root.Done()
 				}
 				if step%len(sessions) == 0 {
 					tree.Pulse()
@@ -116,7 +116,7 @@ func TestTreePartitionComposition(t *testing.T) {
 				if step%64 == 0 {
 					check(step)
 				}
-				if tree.Done() {
+				if tree.Root.Done() {
 					done = true
 				}
 			}
@@ -151,7 +151,7 @@ func TestTreePartitionComposition(t *testing.T) {
 				}
 			}
 
-			best := tree.Best()
+			best := tree.Root.Best()
 			if best.Cost != want.Cost {
 				t.Fatalf("tree proved %d, sequential optimum is %d", best.Cost, want.Cost)
 			}

@@ -1,6 +1,7 @@
 package gridsim
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -104,26 +105,42 @@ func TestMassiveTreeGridScenario(t *testing.T) {
 	}
 	seq, _ := bb.Solve(factory(), bb.Infinity)
 
-	run := func(subtrees int) Result {
-		t.Helper()
+	run := func(subtrees int) (Result, error) {
 		cfg := MassiveTreeScenario(1, 285_000, 1.5, 10_000, subtrees)
 		cfg.InitialUpper = seq.Cost + 1 // run-2 protocol: primed one above the optimum
 		cfg.MaxTicks = 30_000
 		res, err := New(cfg, factory).Run()
+		switch {
+		case err != nil:
+			return res, err
+		case !res.Finished:
+			return res, fmt.Errorf("subtrees=%d: did not finish in %d ticks", subtrees, res.Ticks)
+		case res.Best.Cost != seq.Cost:
+			return res, fmt.Errorf("subtrees=%d: proved %d, sequential optimum is %d", subtrees, res.Best.Cost, seq.Cost)
+		}
+		return res, nil
+	}
+
+	// The tree run and its flat control are independent, deterministic,
+	// single-threaded simulations: run them side by side, and fail only
+	// from the test goroutine.
+	var (
+		flat    Result
+		flatErr error
+		wg      sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		flat, flatErr = run(0)
+	}()
+	tree, treeErr := run(8)
+	wg.Wait()
+	for _, err := range []error{treeErr, flatErr} {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Finished {
-			t.Fatalf("subtrees=%d: did not finish in %d ticks", subtrees, res.Ticks)
-		}
-		if res.Best.Cost != seq.Cost {
-			t.Fatalf("subtrees=%d: proved %d, sequential optimum is %d", subtrees, res.Best.Cost, seq.Cost)
-		}
-		return res
 	}
-
-	tree := run(8)
-	flat := run(0)
 
 	if tree.Table2.MaxWorkers < 6000 {
 		t.Errorf("tree peak concurrency %d, want ≥ 6000 (the scenario exists for 10k-fleet scale)", tree.Table2.MaxWorkers)

@@ -192,8 +192,11 @@ func (s *MultiJobSim) Run() (MultiJobResult, error) {
 			if _, _, _, err := f.step(w, cfg.TickSeconds); err != nil {
 				return s.result, err
 			}
-			// Unlike Sim, the timer runs on idle hosts too: it keeps the
-			// leases alive across every job a host holds (§4.1, per tenant).
+			// Unlike Sim, the timer runs on idle hosts too. Checkpoint is
+			// a no-op without work, so on an idle host the call only
+			// restarts the update clock once a period, which sets when the
+			// first timed checkpoint after a grant falls; the multi-tenant
+			// golden pins that timing.
 			if err := f.maybeCheckpoint(w); err != nil {
 				return s.result, err
 			}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/farmer"
-	"repro/internal/transport"
 	"repro/internal/worker"
 )
 
@@ -45,9 +44,6 @@ type Config struct {
 	// WorkerRTTSeconds stalls a worker per protocol exchange (pull-model
 	// synchronous round trip across the WAN). Default 0.5.
 	WorkerRTTSeconds float64
-	// Threshold is an absolute duplication threshold in leaf units.
-	// When zero, ThresholdFraction applies instead.
-	Threshold int64
 	// ThresholdFraction expresses the duplication threshold as a
 	// fraction of the root interval's length — the natural scale, since
 	// interval lengths count leaves of a factorially large tree, not
@@ -62,22 +58,24 @@ type Config struct {
 	CheckpointDir string
 	// EqualSplit disables power-proportional partitioning (ablation).
 	EqualSplit bool
-	// Subtrees ≥ 2 coordinates the pool through a 2-level farmer tree
-	// (DESIGN.md §9): hosts attach to sub-farmers round-robin by slot,
-	// each sub-farmer aggregates its fleet into one fold and one power,
-	// and the root only arbitrates inter-subtree rebalancing. Result
-	// counters and the farmer-exploitation rate are the ROOT's — the
-	// per-message pressure the tree removes from the single coordinator
-	// is exactly what the massive-tree scenario measures.
+	// Subtrees is farmer.TreeConfig.Subtrees: ≥ 2 coordinates the pool
+	// through a 2-level farmer tree (DESIGN.md §9), where hosts attach
+	// to sub-farmers round-robin by slot, each sub-farmer aggregates its
+	// fleet into one fold and one power, and the root only arbitrates
+	// inter-subtree rebalancing; below 2 the hosts pull on the one flat
+	// farmer. Result counters and the farmer-exploitation rate are the
+	// ROOT's — the per-message pressure the tree removes from the single
+	// coordinator is exactly what the massive-tree scenario measures.
 	Subtrees int
 	// SubUpdatePeriodSeconds is the sub→root fold cadence. Default:
 	// UpdatePeriodSeconds (the same cadence a worker checkpoints at).
 	SubUpdatePeriodSeconds float64
-	// Endgame arms the tree's crumb-endgame trio (DESIGN.md §12) in tree
-	// mode: the root piggybacks steal hints on fold replies, sub-farmers
-	// refill before their tables run dry (low-water rule), and the root
-	// duplicates the survivors across subtrees once its tracked total is
-	// crumb-scale. No effect when Subtrees < 2.
+	// Endgame is farmer.TreeConfig.Endgame: the tree arms its
+	// crumb-endgame trio (DESIGN.md §12) from the duplication threshold
+	// above — the root piggybacks steal hints on fold replies,
+	// sub-farmers refill before their tables run dry (low-water rule),
+	// and the root duplicates the survivors across subtrees once its
+	// tracked total is crumb-scale. No effect when Subtrees < 2.
 	Endgame bool
 }
 
@@ -106,8 +104,11 @@ func (c *Config) fillDefaults() {
 	if c.WorkerRTTSeconds <= 0 {
 		c.WorkerRTTSeconds = 0.5
 	}
-	if c.Threshold <= 0 && c.ThresholdFraction <= 0 {
+	if c.ThresholdFraction <= 0 {
 		c.ThresholdFraction = 1e-6
+	}
+	if c.SubUpdatePeriodSeconds <= 0 {
+		c.SubUpdatePeriodSeconds = c.UpdatePeriodSeconds
 	}
 	if c.InitialUpper <= 0 {
 		c.InitialUpper = bb.Infinity
@@ -175,9 +176,8 @@ type Sim struct {
 	factory func() bb.Problem
 	fleet   *fleet
 
-	farmer *farmer.Farmer
+	tree   *farmer.Tree
 	store  *checkpoint.Store
-	subs   []*farmer.SubFarmer // tree mode: mid-tier coordinators
 	result Result
 }
 
@@ -195,18 +195,14 @@ func New(cfg Config, factory func() bb.Problem) *Sim {
 	s.fleet.start = s.startSession
 
 	nb := core.NewNumbering(factory().Shape())
-	thr := big.NewInt(cfg.Threshold)
-	if cfg.Threshold <= 0 {
-		f := new(big.Float).SetInt(nb.RootRange().Len())
-		f.Mul(f, big.NewFloat(cfg.ThresholdFraction))
-		thr, _ = f.Int(nil)
-		if thr.Sign() <= 0 {
-			thr = big.NewInt(2)
-		}
+	f := new(big.Float).SetInt(nb.RootRange().Len())
+	f.Mul(f, big.NewFloat(cfg.ThresholdFraction))
+	thr, _ := f.Int(nil)
+	if thr.Sign() <= 0 {
+		thr = big.NewInt(2)
 	}
 	leaseTTL := time.Duration(cfg.LeaseTTLSeconds * 1e9)
 	fopts := []farmer.Option{
-		farmer.WithClock(s.fleet.clock),
 		farmer.WithLeaseTTL(leaseTTL),
 		farmer.WithThreshold(thr),
 		farmer.WithInitialBest(cfg.InitialUpper, nil),
@@ -218,52 +214,33 @@ func New(cfg Config, factory func() bb.Problem) *Sim {
 			fopts = append(fopts, farmer.WithCheckpointStore(store))
 		}
 	}
-	var lowWater *big.Int
-	innerThr := thr
-	if cfg.Endgame && cfg.Subtrees >= 2 {
-		var endgame *big.Int
-		endgame, lowWater, innerThr = farmer.EndgameThresholds(thr, cfg.Subtrees)
-		fopts = append(fopts, farmer.WithStealHints(), farmer.WithEndgameThreshold(endgame))
-	}
-	s.farmer = farmer.New(nb.RootRange(), fopts...)
-	if cfg.Subtrees >= 2 {
-		subPeriod := cfg.SubUpdatePeriodSeconds
-		if subPeriod <= 0 {
-			subPeriod = cfg.UpdatePeriodSeconds
-		}
-		for i := 0; i < cfg.Subtrees; i++ {
-			s.subs = append(s.subs, farmer.NewSubFarmer(farmer.SubConfig{
-				ID:           transport.WorkerID(fmt.Sprintf("sub-%d", i)),
-				UpdateEvery:  64,
-				UpdatePeriod: time.Duration(subPeriod * 1e9),
-				FleetTTL:     leaseTTL,
-				LowWater:     lowWater,
-				Clock:        s.fleet.clock,
-				InnerOptions: []farmer.Option{
-					farmer.WithLeaseTTL(leaseTTL),
-					farmer.WithThreshold(innerThr),
-					farmer.WithEqualSplit(cfg.EqualSplit),
-				},
-			}, s.farmer))
-		}
-	}
+	s.tree = farmer.NewTree(nb.RootRange(), farmer.TreeConfig{
+		Subtrees:        cfg.Subtrees,
+		SubUpdateEvery:  64,
+		SubUpdatePeriod: time.Duration(cfg.SubUpdatePeriodSeconds * 1e9),
+		FleetTTL:        leaseTTL,
+		Endgame:         cfg.Endgame,
+		Clock:           s.fleet.clock,
+		RootOptions:     fopts,
+		InnerOptions: []farmer.Option{
+			farmer.WithLeaseTTL(leaseTTL),
+			farmer.WithThreshold(thr),
+			farmer.WithEqualSplit(cfg.EqualSplit),
+		},
+	})
 	return s
 }
 
 // startSession hosts a single-resolution B&B process on the slot, pulling
-// on the root farmer or — under a tree — on its slot's sub-farmer. A
-// multicore slot hosts the real shard engine, stepped deterministically
-// inside the session.
+// on the slot's coordinator. A multicore slot hosts the real shard engine,
+// stepped deterministically inside the session.
 func (s *Sim) startSession(slot int, cfg worker.Config) *worker.Session {
-	var coord transport.Coordinator = s.farmer
-	if len(s.subs) > 0 {
-		coord = s.subs[slot%len(s.subs)]
-	}
-	return worker.NewShardedSession(cfg, coord, s.factory)
+	return worker.NewShardedSession(cfg, s.tree.Endpoint(slot), s.factory)
 }
 
-// Farmer exposes the coordinator (e.g. for mid-run inspection in tests).
-func (s *Sim) Farmer() *farmer.Farmer { return s.farmer }
+// Farmer exposes the root coordinator (e.g. for mid-run inspection in
+// tests).
+func (s *Sim) Farmer() *farmer.Farmer { return s.tree.Root }
 
 // Run executes the simulation to termination (or MaxTicks) and returns the
 // result. The default rate, when the config left NodesPerGHzPerSecond at
@@ -328,33 +305,29 @@ func (s *Sim) Run() (Result, error) {
 			w.pendingComm += float64(msgs-w.lastMsgs) * cfg.WorkerRTTSeconds
 			w.lastMsgs = msgs
 		}
-		// Tree mode: drive the sub→root fold cadence so quiet fleets
-		// keep their leases alive and rebalancing decisions propagate.
-		for _, sub := range s.subs {
-			sub.Pulse()
-		}
+		// Drive the sub→root fold cadence so quiet fleets keep their
+		// leases alive and rebalancing decisions propagate.
+		s.tree.Pulse()
 		s.result.Trace = append(s.result.Trace, TracePoint{TimeSeconds: f.nowSecs, Active: activeCount})
 		sumActive += int64(activeCount)
 		if activeCount > s.result.Table2.MaxWorkers {
 			s.result.Table2.MaxWorkers = activeCount
 		}
 		if cfg.CheckpointDir != "" && f.nowSecs >= nextFarmerCkpt {
-			if err := s.farmer.Checkpoint(); err != nil {
+			if err := s.tree.Root.Checkpoint(); err != nil {
 				return s.result, err
 			}
 			nextFarmerCkpt += cfg.FarmerCheckpointSeconds
 		}
 		s.result.Ticks = tick + 1
-		if finished || s.farmer.Done() {
+		if finished || s.tree.Root.Done() {
 			s.result.Finished = true
 			break
 		}
 	}
 	// Final pulse round: sub-farmers flush straggler statistics so the
 	// root counters in the result cover the whole tree.
-	for _, sub := range s.subs {
-		sub.Pulse()
-	}
+	s.tree.Pulse()
 	s.finalize(sumActive)
 	return s.result, nil
 }
@@ -386,9 +359,9 @@ func (s *Sim) finalize(sumActive int64) {
 	if present > 0 {
 		t2.WorkerExploitation = explore / present
 	}
-	c := s.farmer.Counters()
+	c := s.tree.Root.Counters()
 	s.result.Counters = c
-	s.result.Redundancy = s.farmer.Redundancy()
+	s.result.Redundancy = s.tree.Root.Redundancy()
 	if s.store != nil {
 		s.result.Store = s.store.Stats()
 	}
@@ -405,5 +378,5 @@ func (s *Sim) finalize(sumActive int64) {
 	if gt > 0 {
 		t2.RedundantRate = float64(f.lostNodes)/float64(gt) + s.result.Redundancy.Rate()
 	}
-	s.result.Best = s.farmer.Best()
+	s.result.Best = s.tree.Root.Best()
 }

@@ -48,12 +48,12 @@ func TestSimulationWritesCheckpoints(t *testing.T) {
 	}
 }
 
-// TestSimulationAbsoluteThreshold: an enormous absolute threshold forces
+// TestSimulationAbsoluteThreshold: a threshold twice the root range forces
 // duplication on every allocation after the first, and the run still
 // completes correctly — the stress test of the §4.2 duplication rule.
 func TestSimulationAbsoluteThreshold(t *testing.T) {
 	cfg, factory, want := fastConfig(23)
-	cfg.Threshold = int64(1) << 62 // everything is "below threshold"
+	cfg.ThresholdFraction = 2 // everything is "below threshold"
 	res, err := New(cfg, factory).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,6 @@ func TestFractionShape(t *testing.T) {
 func TestThresholdFractionComputation(t *testing.T) {
 	cfg, factory, _ := fastConfig(29)
 	cfg.ThresholdFraction = 0.5
-	cfg.Threshold = 0
 	sim := New(cfg, factory)
 	// 12! = 479001600; half of it.
 	_, total := sim.Farmer().Size()

@@ -136,11 +136,12 @@ type Scenario struct {
 	// Dir, when set, hosts the checkpoint stores; empty uses a private
 	// temporary directory removed at the end of the run.
 	Dir string
-	// Subtrees ≥ 2 puts that many sub-farmers between the fleet and the
-	// farmer (DESIGN.md §9): workers attach to sub-farmers round-robin,
-	// sub-farmers speak the unchanged protocol to the root, and the
-	// conformance layer audits both tiers. Below 2 the fleet pulls on the
-	// farmer directly — the flat grid is the tree with no sub-farmers.
+	// Subtrees is farmer.TreeConfig.Subtrees: ≥ 2 puts that many
+	// sub-farmers between the fleet and the farmer (DESIGN.md §9),
+	// workers attach to sub-farmers round-robin, sub-farmers speak the
+	// unchanged protocol to the root, and the conformance layer audits
+	// both tiers. Below 2 the fleet pulls on the farmer directly — the
+	// flat grid is the tree with no sub-farmers.
 	Subtrees int
 	// SubUpdateEvery is the sub→root fold cadence in fleet messages.
 	// Default 4.
@@ -149,13 +150,14 @@ type Scenario struct {
 	// dies at Tick and is restored from its own checkpoint store, binding
 	// file included, while its fleet keeps hammering the same endpoint.
 	SubRestarts []SubRestart
-	// Endgame arms the crumb-endgame machinery of a tree (DESIGN.md §12):
-	// steal hints and endgame crumb duplication at the root, low-water
-	// pre-fetch and gap/content-honest folds at the subs, and the
-	// fan-out-scaled inner threshold, all derived from the root range by
-	// farmer.EndgameThresholds exactly as the grid simulator derives them,
-	// so the chaos matrix exercises the same code paths the 10k-fleet
-	// scenario measures.
+	// Endgame sets the root's duplication threshold to the simulator's
+	// default, 1e-6 of the root range, and arms farmer.TreeConfig.Endgame
+	// on it: under a tree, steal hints and endgame crumb duplication at
+	// the root, low-water pre-fetch and gap/content-honest folds at the
+	// subs, and the fan-out-scaled inner threshold, all derived by the
+	// tree exactly as it derives them for the grid simulator, so the
+	// chaos matrix exercises the same code paths the 10k-fleet scenario
+	// measures. On a flat grid only the threshold changes.
 	Endgame bool
 }
 
@@ -168,9 +170,6 @@ func (s *Scenario) fillDefaults() {
 	s.Fleet.fillDefaults()
 	if s.InitialUpper <= 0 {
 		s.InitialUpper = bb.Infinity
-	}
-	if s.Subtrees < 2 {
-		s.Subtrees = 0
 	}
 	if s.SubUpdateEvery <= 0 {
 		s.SubUpdateEvery = 4
@@ -386,15 +385,15 @@ func Run(sc Scenario) (Report, error) {
 
 	t.settle()
 	t.rootTrack.noteTermination()
-	rep.Best = t.root.Best()
+	rep.Best = t.tree.Root.Best()
 	g.conclude([]*tracker{t.rootTrack}, outcome{factory: sc.Factory, best: rep.Best, baseline: rep.Baseline})
-	for _, sub := range t.subs {
+	for _, sub := range t.tree.Subs {
 		c := sub.Counters()
 		rep.Refills += c.Refills
 		rep.LowWaterRefills += c.LowWaterRefills
 		rep.UpstreamTimeouts += c.UpstreamTimeouts
 	}
-	rep.Counters = t.root.Counters()
+	rep.Counters = t.tree.Root.Counters()
 	rep.OverlapUnits.Set(t.rootTrack.overlap)
 	rep.ReworkBudget.Set(t.rootTrack.reworkBudget)
 	return rep, nil

@@ -80,22 +80,16 @@ type farmerTree struct {
 	rep *Report
 
 	rootRange interval.Interval
-	root      *farmer.Farmer
 	rootDir   string
 	rootStore *checkpoint.Store
-	rootOpts  []farmer.Option
 	rootTrack *tracker
 
-	// up is the chaos-wrapped root endpoint the sub-farmers fold into.
+	// tree is the coordinator itself; up is the chaos-wrapped root
+	// endpoint its sub-farmers fold into.
+	tree      *farmer.Tree
 	up        transport.Coordinator
-	subs      []*farmer.SubFarmer
-	subStores []*checkpoint.Store
 	subTracks []*subTracker
 	endpoints []transport.Coordinator
-
-	// Endgame-mode thresholds (nil when Scenario.Endgame is off), derived
-	// once so restarted sub-farmers get the same configuration.
-	lowWater, innerThr *big.Int
 }
 
 // newFarmerTree builds the root tier under dir and the sub tier under
@@ -108,47 +102,56 @@ func newFarmerTree(g *grid, sc *Scenario, rep *Report, dir string) (*farmerTree,
 	if t.rootStore, err = checkpoint.NewStoreFS(g.fs, dir); err != nil {
 		return nil, err
 	}
-	t.rootOpts = []farmer.Option{
-		farmer.WithClock(g.clock),
+	rootOpts := []farmer.Option{
 		farmer.WithLeaseTTL(g.leaseTTL()),
 		farmer.WithCheckpointStore(t.rootStore),
 	}
 	if sc.InitialUpper < bb.Infinity {
-		t.rootOpts = append(t.rootOpts, farmer.WithInitialBest(sc.InitialUpper, nil))
+		rootOpts = append(rootOpts, farmer.WithInitialBest(sc.InitialUpper, nil))
 	}
-	if sc.Endgame && sc.Subtrees > 0 {
+	if sc.Endgame {
 		// The simulator's default threshold: 1e-6 of the root range.
 		thr := new(big.Int).Div(t.rootRange.Len(), big.NewInt(1_000_000))
 		if thr.Sign() <= 0 {
 			thr = big.NewInt(2)
 		}
-		var endgame *big.Int
-		endgame, t.lowWater, t.innerThr = farmer.EndgameThresholds(thr, sc.Subtrees)
-		t.rootOpts = append(t.rootOpts,
-			farmer.WithThreshold(thr),
-			farmer.WithStealHints(),
-			farmer.WithEndgameThreshold(endgame))
+		rootOpts = append(rootOpts, farmer.WithThreshold(thr))
 	}
-	t.root = farmer.New(t.rootRange, t.rootOpts...)
 	t.rootTrack = newTracker(t.rootRange)
-	t.rootTrack.attach(t.root)
-
-	if sc.Subtrees == 0 {
-		t.endpoints = []transport.Coordinator{g.intercept(t.rootTrack, "")}
-		return t, nil
+	var storeErr error
+	t.tree = farmer.NewTree(t.rootRange, farmer.TreeConfig{
+		Subtrees:        sc.Subtrees,
+		SubUpdateEvery:  sc.SubUpdateEvery,
+		SubUpdatePeriod: time.Second, // one virtual tick
+		FleetTTL:        g.leaseTTL(),
+		Endgame:         sc.Endgame,
+		Clock:           g.clock,
+		RootOptions:     rootOpts,
+		InnerOptions:    []farmer.Option{farmer.WithLeaseTTL(g.leaseTTL())},
+		StoreFor: func(i int) *checkpoint.Store {
+			store, err := checkpoint.NewStoreFS(g.fs, filepath.Join(dir, fmt.Sprintf("sub-%d", i)))
+			if storeErr == nil {
+				storeErr = err
+			}
+			return store
+		},
+		Upstream: func(*farmer.Farmer) transport.Coordinator {
+			t.up = g.intercept(t.rootTrack, legUp)
+			return t.up
+		},
+	})
+	if storeErr != nil {
+		return nil, storeErr
 	}
-	t.up = g.intercept(t.rootTrack, legUp)
-	for i := 0; i < sc.Subtrees; i++ {
-		store, err := checkpoint.NewStoreFS(g.fs, filepath.Join(dir, fmt.Sprintf("sub-%d", i)))
-		if err != nil {
-			return nil, err
-		}
-		t.subStores = append(t.subStores, store)
-		sub := farmer.NewSubFarmer(t.subCfg(i), t.up)
-		t.subs = append(t.subs, sub)
+	t.rootTrack.attach(t.tree.Root)
+
+	for i, sub := range t.tree.Subs {
 		track := &subTracker{rec: &g.recorder, root: t.rootTrack, name: fmt.Sprintf("sub-%d", i), sub: sub, lastCkpt: interval.NewSet()}
 		t.subTracks = append(t.subTracks, track)
 		t.endpoints = append(t.endpoints, g.intercept(track, legWorker))
+	}
+	if len(t.endpoints) == 0 {
+		t.endpoints = []transport.Coordinator{g.intercept(t.rootTrack, "")}
 	}
 	return t, nil
 }
@@ -158,29 +161,11 @@ func (t *farmerTree) topology() topology {
 		endpoints:         t.endpoints,
 		session:           t.session,
 		before:            t.before,
-		after:             t.pulse,
+		after:             t.tree.Pulse,
 		sweep:             t.sweep,
 		noteCheckpoint:    t.noteCheckpoint,
 		done:              t.done,
 		unreportedPeriods: 1,
-	}
-}
-
-// subCfg builds the (restart-stable) configuration of sub-farmer i.
-func (t *farmerTree) subCfg(i int) farmer.SubConfig {
-	inner := []farmer.Option{farmer.WithLeaseTTL(t.g.leaseTTL())}
-	if t.innerThr != nil {
-		inner = append(inner, farmer.WithThreshold(t.innerThr))
-	}
-	return farmer.SubConfig{
-		ID:           transport.WorkerID(fmt.Sprintf("sub-%d", i)),
-		UpdateEvery:  t.sc.SubUpdateEvery,
-		UpdatePeriod: time.Second, // one virtual tick
-		FleetTTL:     t.g.leaseTTL(),
-		LowWater:     t.lowWater,
-		Clock:        t.g.clock,
-		Store:        t.subStores[i],
-		InnerOptions: inner,
 	}
 }
 
@@ -220,17 +205,10 @@ func (t *farmerTree) before(tick int) error {
 	return nil
 }
 
-// pulse drives the sub→root fold cadence after the fleet has moved.
-func (t *farmerTree) pulse() {
-	for _, sub := range t.subs {
-		sub.Pulse()
-	}
-}
-
 // sweep snapshots the root and every sub-farmer, root first.
 func (t *farmerTree) sweep() error {
-	first := t.root.Checkpoint()
-	for _, sub := range t.subs {
+	first := t.tree.Root.Checkpoint()
+	for _, sub := range t.tree.Subs {
 		if err := sub.Checkpoint(); err != nil && first == nil {
 			first = err
 		}
@@ -246,10 +224,10 @@ func (t *farmerTree) noteCheckpoint() {
 }
 
 func (t *farmerTree) done() bool {
-	if !t.root.Done() {
+	if !t.tree.Root.Done() {
 		return false
 	}
-	t.g.tracef("done best=%d", t.root.Best().Cost)
+	t.g.tracef("done best=%d", t.tree.Root.Best().Cost)
 	return true
 }
 
@@ -260,9 +238,9 @@ func (t *farmerTree) done() bool {
 func (t *farmerTree) settle() {
 	for round := 0; round < 4; round++ {
 		t.g.nowNano += int64(time.Minute)
-		t.pulse()
+		t.tree.Pulse()
 	}
-	for i, sub := range t.subs {
+	for i, sub := range t.tree.Subs {
 		if card, totalLen := sub.Inner().Size(); card != 0 {
 			t.g.violatef("sub-%d: %d intervals (%s units) left after the termination folds", i, card, totalLen)
 		}
@@ -299,12 +277,12 @@ func (t *farmerTree) corruptIntervals() {
 // current generation is audited against the previous one.
 func (t *farmerTree) restartRoot() error {
 	before := t.rootStore.Stats().FallbackLoads
-	f, err := farmer.Restore(t.rootRange, t.rootStore, t.rootOpts...)
+	f, err := farmer.Restore(t.rootRange, t.rootStore, t.tree.RootOptions...)
 	if err != nil {
 		return err
 	}
 	fellBack := t.rootStore.Stats().FallbackLoads > before
-	t.root = f
+	t.tree.Root = f
 	t.rootTrack.attach(f)
 	t.rootTrack.noteRestart(fellBack)
 	t.rep.Restarts++
@@ -317,11 +295,11 @@ func (t *farmerTree) restartRoot() error {
 // (the chaos interceptor and tracker), exactly like real workers keep the
 // address of a restarted coordinator.
 func (t *farmerTree) restartSub(i int) error {
-	sub, err := farmer.RestoreSubFarmer(t.subCfg(i), t.up)
+	sub, err := farmer.RestoreSubFarmer(t.tree.SubConfig(i), t.up)
 	if err != nil {
 		return err
 	}
-	t.subs[i] = sub
+	t.tree.Subs[i] = sub
 	t.subTracks[i].noteRestart(sub)
 	t.rep.Restarts++
 	t.g.tracef("sub-restart sub=%d n=%d", i, t.rep.Restarts)

@@ -55,9 +55,6 @@ func (l *Lockstep) AttachStore(store *checkpoint.Store) error {
 	return l.CheckpointAll()
 }
 
-// Stores reports whether checkpointing is attached.
-func (l *Lockstep) Stores() bool { return l.stores != nil }
-
 // Dead reports whether peer i is currently killed.
 func (l *Lockstep) Dead(i int) bool { return l.dead != nil && l.dead[i] }
 

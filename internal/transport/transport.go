@@ -144,8 +144,9 @@ type UpdateReply struct {
 	BestCost int64
 	// Hint, when non-nil, is a root-initiated steal hint (DESIGN.md §12):
 	// a summary of the work the coordinator still tracks beyond the
-	// updated copy. Optional: only a coordinator built WithStealHints
-	// sends it, so its absence must never change caller behaviour.
+	// updated copy. Optional: only a tree root built with
+	// farmer.TreeConfig.Endgame sends it, so its absence must never
+	// change caller behaviour.
 	Hint *StealHint
 }
 
