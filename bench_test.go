@@ -431,11 +431,18 @@ func BenchmarkFarmerTreeThroughput(b *testing.B) {
 			subs int
 		}{{"flat", 0}, {"tree", subtrees}} {
 			b.Run(fmt.Sprintf("%s/workers=%d", topo.name, workers), func(b *testing.B) {
-				tr := farmer.NewTree(nb.RootRange(), farmer.TreeConfig{
+				// The root is the one job of a job table, as in
+				// gridbb.Solve; Ta056's shape is 50 jobs on 20 machines.
+				table := jobs.NewTable(jobs.Config{})
+				tr := farmer.NewTree(farmer.TreeConfig{
 					Subtrees:       topo.subs,
 					SubUpdateEvery: 64,
 					Clock:          func() int64 { return 0 },
+					Upstream:       table.Endpoint("ta056"),
 				})
+				if err := table.Submit("ta056", jobs.Spec{Domain: "flowshop", Jobs: 50, Machines: 20}, tr.RootOptions...); err != nil {
+					b.Fatal(err)
+				}
 				// The flat root tracks the whole fleet. Each sub-farmer
 				// pulls its sub-range from the root on its fleet's first
 				// request and then serves its 1/8 of the tracked fleet.

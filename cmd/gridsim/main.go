@@ -37,7 +37,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		fast     = flag.Bool("fast", false, "small pool, short day: finishes in seconds")
 		prime    = flag.Bool("prime", true, "prime SOLUTION like the paper's run 2 (best known + 1)")
-		ckptDir  = flag.String("checkpoint-dir", "", "write real farmer snapshots here")
+		ckptDir  = flag.String("checkpoint-dir", "", "write real farmer snapshots under this directory (in its default/ job namespace)")
 		traceCSV = flag.String("trace-csv", "", "dump the Figure 7 series (seconds,active) to this CSV file")
 		subtrees = flag.Int("subtrees", 0, "coordinate through a 2-level farmer tree of this many sub-farmers (0: the paper's flat farmer)")
 	)

@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/farmer"
 	"repro/internal/interval"
+	"repro/internal/jobs"
 	"repro/internal/transport"
 	"repro/internal/worker"
 )
@@ -129,7 +130,12 @@ type Options struct {
 	// operator (§4.2); nil uses the farmer default.
 	Threshold *big.Int
 	// CheckpointDir, when non-empty, attaches a two-file checkpoint
-	// store and snapshots the farmer every CheckpointPeriod.
+	// store and snapshots the farmer every CheckpointPeriod, and once
+	// more at the end. The resolution is the one job of a job table, so
+	// its files land in the default namespace:
+	// <CheckpointDir>/default/intervals.ckpt and solution.ckpt (a store
+	// written directly into CheckpointDir by an older version migrates
+	// there). A directory already holding a snapshot is resumed from.
 	CheckpointDir string
 	// CheckpointPeriod defaults to 30 time.Minute like the paper's
 	// coordinator; only used when CheckpointDir is set.
@@ -164,9 +170,9 @@ type Result struct {
 }
 
 // Solve runs the full farmer–worker resolution in-process: one coordinator
-// goroutine-safe monitor and opt.Workers worker goroutines exchanging
-// intervals. It terminates when INTERVALS is empty and returns the proven
-// optimum.
+// goroutine-safe monitor — the one job of a job table — and opt.Workers
+// worker goroutines exchanging intervals. It terminates when INTERVALS is
+// empty and returns the proven optimum.
 func Solve(p Problem, opt Options) (Result, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 4
@@ -180,8 +186,6 @@ func Solve(p Problem, opt Options) (Result, error) {
 	if opt.Cores > 1 && opt.ProblemFactory == nil {
 		return Result{}, fmt.Errorf("gridbb: Cores=%d needs a ProblemFactory (one Problem per shard)", opt.Cores)
 	}
-	nb := core.NewNumbering(p.Shape())
-
 	fopts := []farmer.Option{farmer.WithInitialBest(opt.InitialUpper, opt.InitialPath)}
 	if opt.Threshold != nil {
 		fopts = append(fopts, farmer.WithThreshold(opt.Threshold))
@@ -189,22 +193,32 @@ func Solve(p Problem, opt Options) (Result, error) {
 	var store *checkpoint.Store
 	if opt.CheckpointDir != "" {
 		var err error
-		store, err = checkpoint.NewStore(opt.CheckpointDir)
-		if err != nil {
+		if store, err = checkpoint.NewStore(opt.CheckpointDir); err != nil {
 			return Result{}, err
 		}
-		fopts = append(fopts, farmer.WithCheckpointStore(store))
 	}
 	var inner []farmer.Option
 	if opt.Threshold != nil {
 		inner = append(inner, farmer.WithThreshold(opt.Threshold))
 	}
-	tr := farmer.NewTree(nb.RootRange(), farmer.TreeConfig{
+	// The coordinator is a job table holding this resolution as its one
+	// job; the sub-farmers of a tree fold into that job's endpoint.
+	const id = checkpoint.DefaultNamespace
+	table := jobs.NewTable(jobs.Config{Store: store})
+	tr := farmer.NewTree(farmer.TreeConfig{
 		Subtrees:     opt.Subtrees,
 		RootOptions:  fopts,
 		InnerOptions: inner,
+		Upstream:     table.Endpoint(id),
 	})
-	f := tr.Root
+	factory := opt.ProblemFactory
+	if factory == nil {
+		factory = func() Problem { return p }
+	}
+	if err := table.Submit(id, jobs.Spec{Problem: factory}, tr.RootOptions...); err != nil {
+		return Result{}, err
+	}
+	f := table.Farmer(id)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

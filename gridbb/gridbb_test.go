@@ -84,7 +84,8 @@ func TestSolveSingleWorkerNoFactory(t *testing.T) {
 }
 
 // TestSolveWritesCheckpoints: with a checkpoint dir the farmer leaves a
-// readable final snapshot recording the completed state.
+// readable final snapshot recording the completed state, in the default
+// namespace of the resolution's one-job table.
 func TestSolveWritesCheckpoints(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	ins := tsp.RandomEuclidean(8, 50, 2)
@@ -96,7 +97,7 @@ func TestSolveWritesCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := checkpoint.NewStore(dir)
+	store, err := checkpoint.NewStore(filepath.Join(dir, checkpoint.DefaultNamespace))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,15 +30,10 @@ type Binding struct {
 // bindingFile is the sub-farmer's upstream-session file.
 const bindingFile = "upstream.ckpt"
 
-// SaveBinding persists the upstream binding durably (same footer, fsync
-// and rotation discipline as the two snapshot files).
-func (s *Store) SaveBinding(b Binding) error {
-	return s.SaveBindings([]Binding{b})
-}
-
-// SaveBindings persists every held upstream binding, one "bound" line per
-// entry — the multi-binding extension (a sub-farmer in a low-water episode
-// holds more than one parent copy, DESIGN.md §12).
+// SaveBindings persists every held upstream binding durably (same footer,
+// fsync and rotation discipline as the two snapshot files), one "bound"
+// line per entry: a sub-farmer in a low-water episode holds more than one
+// parent copy (DESIGN.md §12), and an empty list is the unbound state.
 func (s *Store) SaveBindings(bs []Binding) error {
 	var sb strings.Builder
 	records := 0
@@ -56,19 +51,10 @@ func (s *Store) SaveBindings(bs []Binding) error {
 	return s.writeSnapshotFile(bindingFile, "upstream", sb.String(), records)
 }
 
-// LoadBinding reads the primary upstream binding. ok is false when no
-// binding file exists (a first start, or a store written by a flat farmer).
-func (s *Store) LoadBinding() (Binding, bool, error) {
-	bs, ok, err := s.LoadBindings()
-	if err != nil || !ok || len(bs) == 0 {
-		return Binding{}, ok, err
-	}
-	return bs[0], true, nil
-}
-
 // LoadBindings reads every persisted upstream binding, in file order (the
-// primary binding first). ok is false when no binding file exists; an
-// existing file with no bound lines returns ok with an empty slice.
+// primary binding first). ok is false when no binding file exists (a
+// first start, or a store written by a flat farmer); an existing file
+// with no bound lines returns ok with an empty slice.
 //
 // Unlike Load, a corrupt binding never fails the caller: losing a binding
 // is a designed-for state (the parent's lease mechanism recovers the

@@ -423,13 +423,13 @@ func TestCorruptBindingDegradesToUnbound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveBinding(Binding{Bound: true, ID: 5, Interval: interval.FromInt64(0, 10)}); err != nil {
+	if err := store.SaveBindings([]Binding{Binding{Bound: true, ID: 5, Interval: interval.FromInt64(0, 10)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, bindingFile), []byte("zap\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := store.LoadBinding()
+	_, ok, err := store.LoadBindings()
 	if err != nil || ok {
 		t.Fatalf("corrupt binding: ok=%v err=%v, want unbound and nil", ok, err)
 	}
@@ -438,18 +438,18 @@ func TestCorruptBindingDegradesToUnbound(t *testing.T) {
 	}
 	// With a previous generation present, the stale binding restores
 	// instead — staleness is safe, the parent rejects retired ids.
-	if err := store.SaveBinding(Binding{Bound: true, ID: 6, Interval: interval.FromInt64(0, 10)}); err != nil {
+	if err := store.SaveBindings([]Binding{Binding{Bound: true, ID: 6, Interval: interval.FromInt64(0, 10)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveBinding(Binding{Bound: true, ID: 7, Interval: interval.FromInt64(0, 10)}); err != nil {
+	if err := store.SaveBindings([]Binding{Binding{Bound: true, ID: 7, Interval: interval.FromInt64(0, 10)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, bindingFile), []byte("zap\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b, ok, err := store.LoadBinding()
-	if err != nil || !ok || b.ID != 6 {
-		t.Fatalf("binding fallback: b=%+v ok=%v err=%v, want previous generation id 6", b, ok, err)
+	bs, ok, err := store.LoadBindings()
+	if err != nil || !ok || len(bs) != 1 || bs[0].ID != 6 {
+		t.Fatalf("binding fallback: %+v ok=%v err=%v, want previous generation id 6", bs, ok, err)
 	}
 }
 

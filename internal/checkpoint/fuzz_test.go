@@ -38,7 +38,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 	if err := store.Save(snap); err != nil {
 		f.Fatal(err)
 	}
-	if err := store.SaveBinding(Binding{Bound: true, ID: 4, Interval: iv}); err != nil {
+	if err := store.SaveBindings([]Binding{Binding{Bound: true, ID: 4, Interval: iv}}); err != nil {
 		f.Fatal(err)
 	}
 	for _, name := range []string{intervalsFile, solutionFile, bindingFile} {

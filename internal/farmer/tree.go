@@ -1,11 +1,13 @@
-// The in-process coordinator (DESIGN.md §9): a root farmer plus zero or
-// more sub-farmers, each serving its own fleet over the unchanged
-// protocol. A flat farmer is the tree with no sub-farmers. NewTree is the
-// only code that builds one in-process — for gridbb.Solve, the grid
-// simulator, the chaos harness and the benchmarks — and so the only code
-// that decides what Subtrees means and how the endgame thresholds are
-// derived. Multi-process deployments wire the same pieces over TCP with
-// cmd/farmer (root) and cmd/subfarmer (mid tier) instead.
+// The in-process farmer tree (DESIGN.md §9): zero or more sub-farmers,
+// each serving its own fleet over the unchanged protocol, all folding into
+// one upstream root. A flat farmer is the tree with no sub-farmers. The
+// tree builds no root: in-process the root is a job of a jobs.Table, and
+// the tree derives that job's farmer options (the endgame trio included)
+// and folds its sub-farmers into the job's endpoint. NewTree is the only
+// code that decides what Subtrees means and how the endgame thresholds
+// are derived — for gridbb.Solve, the grid simulator, the chaos harness
+// and the benchmarks. Multi-process deployments wire the same pieces over
+// TCP with cmd/farmer (root) and cmd/subfarmer (mid tier) instead.
 package farmer
 
 import (
@@ -19,10 +21,10 @@ import (
 	"repro/internal/transport"
 )
 
-// TreeConfig parameterizes an in-process coordinator.
+// TreeConfig parameterizes an in-process farmer tree.
 type TreeConfig struct {
 	// Subtrees is the number of sub-farmers. Below 2 the tree is flat:
-	// no sub-farmers, and the fleet pulls on the root directly.
+	// no sub-farmers, and the fleet pulls on the upstream root directly.
 	Subtrees int
 	// SubUpdateEvery and SubUpdatePeriod set the sub→root fold cadences
 	// (see SubConfig).
@@ -47,52 +49,48 @@ type TreeConfig struct {
 	RootOptions, InnerOptions []Option
 	// StoreFor, when set, supplies each sub-farmer's checkpoint store.
 	StoreFor func(i int) *checkpoint.Store
-	// Upstream, when set, wraps the root as seen by the sub-farmers —
-	// the hook the chaos harness uses to interpose fault injection and
-	// conformance tracking on the coordinator-to-coordinator legs.
-	// Default: the sub-farmers call the root directly.
-	Upstream func(root *Farmer) transport.Coordinator
+	// Upstream is the root as its clients see it — in-process, the
+	// root job's jobs.Table endpoint, possibly wrapped (the chaos harness
+	// interposes fault injection and conformance tracking here). The
+	// sub-farmers fold into it; on a flat tree it is every slot's
+	// endpoint.
+	Upstream transport.Coordinator
 }
 
-// Tree is a root farmer plus its sub-farmers, none on a flat tree.
+// Tree is the sub-farmer tier of a farmer tree, empty when flat, plus the
+// options its root is to be built with.
 type Tree struct {
-	Root *Farmer
 	Subs []*SubFarmer
-	// RootOptions are the options the root was built with, the clock and
-	// the endgame options included: a root restart passes them to
-	// Restore.
+	// RootOptions are the options the root farmer must be built (and
+	// restored) with: TreeConfig.RootOptions, then the clock and the
+	// endgame options.
 	RootOptions []Option
+	up          transport.Coordinator
 	subCfgs     []SubConfig
 }
 
-// NewTree builds the coordinator over the root interval. Sub-farmers start
-// with empty tables; the first fleet request on each pulls its first
-// sub-range from the root, and from then on the root only arbitrates
-// inter-subtree rebalancing — its per-request cost depends on the subtree
-// count, never on the fleet size.
-func NewTree(root interval.Interval, cfg TreeConfig) *Tree {
-	t := &Tree{RootOptions: slices.Clone(cfg.RootOptions)}
+// NewTree derives the root's options and builds the sub-farmers over
+// cfg.Upstream. Sub-farmers start with empty tables; the first fleet
+// request on each pulls its first sub-range from the root, and from then
+// on the root only arbitrates inter-subtree rebalancing — its per-request
+// cost depends on the subtree count, never on the fleet size.
+func NewTree(cfg TreeConfig) *Tree {
+	t := &Tree{RootOptions: slices.Clone(cfg.RootOptions), up: cfg.Upstream}
 	if cfg.Clock != nil {
 		t.RootOptions = append(t.RootOptions, WithClock(cfg.Clock))
 	}
-	t.Root = New(root, t.RootOptions...)
 	if cfg.Subtrees < 2 {
 		return t
 	}
 	var lowWater *big.Int
 	inner := slices.Clip(cfg.InnerOptions)
 	if cfg.Endgame {
-		endgame, lw, innerThr := endgameThresholds(t.Root.threshold, cfg.Subtrees)
-		for _, opt := range []Option{withStealHints(), withEndgameThreshold(endgame)} {
-			opt(t.Root)
-			t.RootOptions = append(t.RootOptions, opt)
-		}
+		// The root's duplication threshold, as its options set it.
+		thr := New(interval.Interval{}, t.RootOptions...).threshold
+		endgame, lw, innerThr := endgameThresholds(thr, cfg.Subtrees)
+		t.RootOptions = append(t.RootOptions, withStealHints(), withEndgameThreshold(endgame))
 		lowWater = lw
 		inner = append(inner, WithThreshold(innerThr))
-	}
-	var up transport.Coordinator = t.Root
-	if cfg.Upstream != nil {
-		up = cfg.Upstream(t.Root)
 	}
 	for i := 0; i < cfg.Subtrees; i++ {
 		sc := SubConfig{
@@ -108,7 +106,7 @@ func NewTree(root interval.Interval, cfg TreeConfig) *Tree {
 			sc.Store = cfg.StoreFor(i)
 		}
 		t.subCfgs = append(t.subCfgs, sc)
-		t.Subs = append(t.Subs, newSubFarmer(sc, up))
+		t.Subs = append(t.Subs, newSubFarmer(sc, cfg.Upstream))
 	}
 	return t
 }
@@ -118,10 +116,10 @@ func NewTree(root interval.Interval, cfg TreeConfig) *Tree {
 func (t *Tree) SubConfig(i int) SubConfig { return t.subCfgs[i] }
 
 // Endpoint returns slot i's coordinator: its sub-farmer, round-robin, or
-// the root of a flat tree.
+// the upstream root of a flat tree.
 func (t *Tree) Endpoint(i int) transport.Coordinator {
 	if len(t.Subs) == 0 {
-		return t.Root
+		return t.up
 	}
 	return t.Subs[i%len(t.Subs)]
 }

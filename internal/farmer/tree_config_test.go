@@ -9,33 +9,36 @@ import (
 )
 
 // TestTreeFlatHasNoSubs: Subtrees below 2 is the flat farmer — no
-// sub-farmers, every slot's endpoint is the root, Pulse does nothing, and
-// Endgame arms nothing at the root.
+// sub-farmers, every slot's endpoint is the upstream root, Pulse does
+// nothing, and Endgame arms nothing in the root's options.
 func TestTreeFlatHasNoSubs(t *testing.T) {
 	for _, n := range []int{0, 1} {
-		tree := NewTree(interval.FromInt64(0, 1000), TreeConfig{
+		up := New(interval.FromInt64(0, 1000))
+		tree := NewTree(TreeConfig{
 			Subtrees:    n,
 			Endgame:     true,
 			RootOptions: []Option{WithThreshold(big.NewInt(100))},
+			Upstream:    up,
 		})
 		if len(tree.Subs) != 0 {
 			t.Fatalf("Subtrees=%d built %d sub-farmers", n, len(tree.Subs))
 		}
 		for i := 0; i < 4; i++ {
-			if tree.Endpoint(i) != tree.Root {
-				t.Errorf("Subtrees=%d: Endpoint(%d) is not the root", n, i)
+			if tree.Endpoint(i) != up {
+				t.Errorf("Subtrees=%d: Endpoint(%d) is not the upstream root", n, i)
 			}
 		}
 		tree.Pulse()
-		if tree.Root.hints || tree.Root.endgame != nil {
-			t.Errorf("Subtrees=%d: flat root armed the endgame (hints=%v endgame=%v)", n, tree.Root.hints, tree.Root.endgame)
+		root := New(interval.FromInt64(0, 1000), tree.RootOptions...)
+		if root.hints || root.endgame != nil {
+			t.Errorf("Subtrees=%d: flat root armed the endgame (hints=%v endgame=%v)", n, root.hints, root.endgame)
 		}
 	}
 }
 
 // TestTreeEndgameDerivation: under Endgame the tree derives the whole trio
-// from the root's own duplication threshold thr — root hints on and
-// endgame at 64·thr, each sub's low water at 1024·thr, and an inner
+// from the root options' own duplication threshold thr — root hints on
+// and endgame at 64·thr, each sub's low water at 1024·thr, and an inner
 // threshold of thr/(8·subtrees), floored at 1 — and hands slots to subs
 // round-robin.
 func TestTreeEndgameDerivation(t *testing.T) {
@@ -45,7 +48,7 @@ func TestTreeEndgameDerivation(t *testing.T) {
 		{thr: 1000, subtrees: 3, inner: 41},
 		{thr: 5, subtrees: 2, inner: 1},
 	} {
-		tree := NewTree(interval.FromInt64(0, 1_000_000), TreeConfig{
+		tree := NewTree(TreeConfig{
 			Subtrees:    int(tc.subtrees),
 			Endgame:     true,
 			RootOptions: []Option{WithThreshold(big.NewInt(tc.thr))},
@@ -53,11 +56,12 @@ func TestTreeEndgameDerivation(t *testing.T) {
 		if int64(len(tree.Subs)) != tc.subtrees {
 			t.Fatalf("thr=%d: %d subs, want %d", tc.thr, len(tree.Subs), tc.subtrees)
 		}
-		if !tree.Root.hints {
+		root := New(interval.FromInt64(0, 1_000_000), tree.RootOptions...)
+		if !root.hints {
 			t.Errorf("thr=%d: root steal hints off", tc.thr)
 		}
-		if want := big.NewInt(64 * tc.thr); tree.Root.endgame == nil || tree.Root.endgame.Cmp(want) != 0 {
-			t.Errorf("thr=%d: root endgame %v, want %s", tc.thr, tree.Root.endgame, want)
+		if want := big.NewInt(64 * tc.thr); root.endgame == nil || root.endgame.Cmp(want) != 0 {
+			t.Errorf("thr=%d: root endgame %v, want %s", tc.thr, root.endgame, want)
 		}
 		for i, sub := range tree.Subs {
 			if tree.Endpoint(i) != sub || tree.Endpoint(i+len(tree.Subs)) != sub {
@@ -75,7 +79,8 @@ func TestTreeEndgameDerivation(t *testing.T) {
 
 // TestTreeRestartKeepsEndgame: a root restored with tree.RootOptions, and a
 // sub-farmer restored with tree.SubConfig, come back with the endgame
-// configuration the tree derived for them.
+// configuration the tree derived for them. No message flows, so the tree
+// needs no upstream.
 func TestTreeRestartKeepsEndgame(t *testing.T) {
 	root := interval.FromInt64(0, 1_000_000)
 	rootStore, err := checkpoint.NewStore(t.TempDir())
@@ -87,7 +92,7 @@ func TestTreeRestartKeepsEndgame(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := &fixedClock{}
-	tree := NewTree(root, TreeConfig{
+	tree := NewTree(TreeConfig{
 		Subtrees:    2,
 		Endgame:     true,
 		Clock:       clk.fn(),
@@ -99,7 +104,7 @@ func TestTreeRestartKeepsEndgame(t *testing.T) {
 			return nil
 		},
 	})
-	if err := tree.Root.Checkpoint(); err != nil {
+	if err := New(root, tree.RootOptions...).Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tree.Subs[0].Checkpoint(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/farmer"
 	"repro/internal/flowshop"
 	"repro/internal/interval"
+	"repro/internal/jobs"
 	"repro/internal/knapsack"
 	"repro/internal/qap"
 	"repro/internal/transport"
@@ -66,12 +67,19 @@ func TestTreePartitionComposition(t *testing.T) {
 			var now int64
 			nb := core.NewNumbering(dom.factory().Shape())
 			root := nb.RootRange()
-			tree := farmer.NewTree(root, farmer.TreeConfig{
+			clock := func() int64 { return now }
+			tb := jobs.NewTable(jobs.Config{Clock: clock})
+			tree := farmer.NewTree(farmer.TreeConfig{
 				Subtrees:        subtrees,
 				SubUpdateEvery:  int64(2 + rng.Intn(5)),
 				SubUpdatePeriod: 2 * time.Second,
-				Clock:           func() int64 { return now },
+				Clock:           clock,
+				Upstream:        tb.Endpoint("root"),
 			})
+			if err := tb.Submit("root", jobs.Spec{Problem: dom.factory}, tree.RootOptions...); err != nil {
+				t.Fatal(err)
+			}
+			rootFarmer := tb.Farmer("root")
 
 			var sessions []*worker.Session
 			for si := 0; si < subtrees; si++ {
@@ -87,7 +95,7 @@ func TestTreePartitionComposition(t *testing.T) {
 			rootSet := interval.NewSet(root)
 			prevRoot := interval.NewSet(root)
 			check := func(step int) {
-				rootU := unionOf(t, step, "root", tree.Root.IntervalsSnapshot())
+				rootU := unionOf(t, step, "root", rootFarmer.IntervalsSnapshot())
 				if grown := interval.SetDiff(rootU, prevRoot); !grown.IsEmpty() {
 					t.Fatalf("step %d: root INTERVALS grew by %s", step, grown)
 				}
@@ -108,7 +116,7 @@ func TestTreePartitionComposition(t *testing.T) {
 				if _, fin, err := s.Advance(64 + int64(rng.Intn(192))); err != nil {
 					t.Fatal(err)
 				} else if fin {
-					done = tree.Root.Done()
+					done = rootFarmer.Done()
 				}
 				if step%len(sessions) == 0 {
 					tree.Pulse()
@@ -116,7 +124,7 @@ func TestTreePartitionComposition(t *testing.T) {
 				if step%64 == 0 {
 					check(step)
 				}
-				if tree.Root.Done() {
+				if rootFarmer.Done() {
 					done = true
 				}
 			}
@@ -151,7 +159,7 @@ func TestTreePartitionComposition(t *testing.T) {
 				}
 			}
 
-			best := tree.Root.Best()
+			best := rootFarmer.Best()
 			if best.Cost != want.Cost {
 				t.Fatalf("tree proved %d, sequential optimum is %d", best.Cost, want.Cost)
 			}

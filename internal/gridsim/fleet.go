@@ -19,7 +19,7 @@ type host struct {
 	lastUpdateCount int64   // session updates seen so far
 	lastUpdateSecs  float64 // virtual time of the last update
 
-	// Table 2 accounting, kept by Sim around the shared step.
+	// Table 2 accounting, kept by Sim around the step.
 	presentSecs float64
 	exploreSecs float64
 	pendingComm float64 // stall carried into the next tick
@@ -34,20 +34,18 @@ type domainState struct {
 	nextNoise float64 // when to redraw it
 }
 
-// fleet is the volatile processor pool both simulators run on: the slot
+// fleet is the volatile processor pool the simulator runs on: the slot
 // layout, the availability-driven churn, the host lifecycle (join, graceful
 // leave, crash) and the per-tick step that turns a host's CPU time into a
 // node budget for its session. What a host runs is the start constructor's
-// business: a single-resolution session for Sim, a multi-job one for
-// MultiJobSim.
+// business: a single-resolution session for one job, a multi-job one for
+// several.
 type fleet struct {
 	avail                AvailabilityModel
 	tickSeconds          float64
 	nodesPerGHzPerSecond float64
 	updatePeriodSeconds  float64
 	rng                  *rand.Rand
-	// idPrefix keeps the two simulators' worker ids apart.
-	idPrefix string
 	// start builds the session of a host joining on slot; cfg carries the
 	// id, power, update period and core count the fleet computed for it.
 	start func(slot int, cfg worker.Config) *worker.Session
@@ -71,8 +69,8 @@ type fleet struct {
 
 // newFleet expands a pool into per-slot speeds and cores plus domain
 // groups, drawing each domain's availability phase from the seed's rng.
-func newFleet(pool []CPUSpec, m AvailabilityModel, seed int64, idPrefix string) *fleet {
-	f := &fleet{avail: m, rng: rand.New(rand.NewSource(seed)), idPrefix: idPrefix}
+func newFleet(pool []CPUSpec, m AvailabilityModel, seed int64) *fleet {
+	f := &fleet{avail: m, rng: rand.New(rand.NewSource(seed))}
 	domIdx := make(map[string]int)
 	for _, spec := range pool {
 		di, ok := domIdx[spec.Domain]
@@ -175,7 +173,7 @@ func (f *fleet) beginTick(tick int) {
 // its reported power both scale with the slot's core count.
 func (f *fleet) join(slot int) {
 	f.nextID++
-	id := transport.WorkerID(fmt.Sprintf("%s-%d-s%d", f.idPrefix, f.nextID, slot))
+	id := transport.WorkerID(fmt.Sprintf("sim-%d-s%d", f.nextID, slot))
 	cores := f.cores[slot]
 	rate := f.slots[slot] * float64(cores) * f.nodesPerGHzPerSecond * (1 - f.avail.HostLoadFraction)
 	power := int64(rate * 1000) // fixed-point so slow hosts stay > 0

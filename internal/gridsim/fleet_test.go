@@ -31,10 +31,7 @@ func TestDepartedHostsAreReleased(t *testing.T) {
 		{"flat", single(0)},
 		{"tree4", single(4)},
 		{"multi-tenant", func() (*fleet, func() error, error) {
-			sim, err := NewMultiJob(MultiTenantScenario(99))
-			if err != nil {
-				return nil, nil, err
-			}
+			sim := New(MultiTenantScenario(99), nil)
 			return sim.fleet, func() error { _, err := sim.Run(); return err }, nil
 		}},
 	}

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/jobs"
 )
 
 // update regenerates testdata/*.golden from the current behaviour
@@ -28,17 +26,16 @@ func renderResult(r Result) string {
 }
 
 // renderMultiJobResult prints the service-level scalars plus, per job, the
-// farmer's message counters (read off the table: the result keeps only the
-// explored total, which moves when late folds are credited differently).
-func renderMultiJobResult(r MultiJobResult, progress []jobs.Progress) string {
+// farmer's message counters.
+func renderMultiJobResult(r Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ticks %d finished %v\n", r.Ticks, r.Finished)
 	fmt.Fprintf(&b, "joins %d leaves %d crashes %d\n", r.Joins, r.Leaves, r.Crashes)
 	fmt.Fprintf(&b, "table %+v\n", r.Table)
-	for _, p := range progress {
-		c := p.Counters
+	for _, j := range r.Jobs {
+		c := j.Counters
 		fmt.Fprintf(&b, "job %s %s best %d requests %d allocations %d checkpoints %d reports %d duplications %d expired %d\n",
-			p.ID, p.State, p.BestCost, c.WorkRequests, c.WorkAllocations, c.WorkerCheckpoints, c.SolutionReports, c.Duplications, c.ExpiredOwners)
+			j.ID, j.State, j.BestCost, c.WorkRequests, c.WorkAllocations, c.WorkerCheckpoints, c.SolutionReports, c.Duplications, c.ExpiredOwners)
 	}
 	return b.String()
 }
@@ -66,12 +63,8 @@ func TestSimGolden(t *testing.T) {
 		{"flat", single(0)},
 		{"tree4-endgame", single(4)},
 		{"multi-tenant", func() (string, error) {
-			sim, err := NewMultiJob(MultiTenantScenario(99))
-			if err != nil {
-				return "", err
-			}
-			res, err := sim.Run()
-			return renderMultiJobResult(res, sim.Table().List()), err
+			res, err := New(MultiTenantScenario(99), nil).Run()
+			return renderMultiJobResult(res), err
 		}},
 		{"massive-flat", func() (string, error) {
 			run := massiveFlat()

@@ -9,7 +9,7 @@ import (
 )
 
 // multiTenantOracles solves every job of the scenario sequentially.
-func multiTenantOracles(t *testing.T, cfg MultiJobConfig) map[string]bb.Solution {
+func multiTenantOracles(t *testing.T, cfg Config) map[string]bb.Solution {
 	t.Helper()
 	out := make(map[string]bb.Solution, len(cfg.Jobs))
 	for _, sj := range cfg.Jobs {
@@ -38,10 +38,7 @@ func TestMultiTenantGridScenario(t *testing.T) {
 		roots[sj.ID] = core.NewNumbering(factory().Shape()).RootRange()
 	}
 
-	sim, err := NewMultiJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := New(cfg, nil)
 	leaks := 0
 	sim.onTick = func(tick int) {
 		if tick%25 != 0 {
@@ -78,10 +75,10 @@ func TestMultiTenantGridScenario(t *testing.T) {
 			t.Errorf("job %s: state %s, want done", jr.ID, jr.State)
 			continue
 		}
-		if jr.Best.Cost != oracles[jr.ID].Cost {
-			t.Errorf("job %s: grid optimum %d, sequential %d", jr.ID, jr.Best.Cost, oracles[jr.ID].Cost)
+		if jr.BestCost != oracles[jr.ID].Cost {
+			t.Errorf("job %s: grid optimum %d, sequential %d", jr.ID, jr.BestCost, oracles[jr.ID].Cost)
 		}
-		if jr.Explored == 0 {
+		if jr.Counters.ExploredNodes == 0 {
 			t.Errorf("job %s: zero explored nodes accounted", jr.ID)
 		}
 	}
@@ -93,11 +90,7 @@ func TestMultiTenantGridScenario(t *testing.T) {
 	}
 
 	// Determinism: an identically seeded service reproduces the run.
-	again, err := NewMultiJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := again.Run()
+	res2, err := New(cfg, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +99,9 @@ func TestMultiTenantGridScenario(t *testing.T) {
 			res.Ticks, res.Joins, res.Crashes, res2.Ticks, res2.Joins, res2.Crashes)
 	}
 	for i := range res.Jobs {
-		if res2.Jobs[i].Explored != res.Jobs[i].Explored {
+		if res2.Jobs[i].Counters.ExploredNodes != res.Jobs[i].Counters.ExploredNodes {
 			t.Errorf("determinism: job %s explored %d vs %d",
-				res.Jobs[i].ID, res.Jobs[i].Explored, res2.Jobs[i].Explored)
+				res.Jobs[i].ID, res.Jobs[i].Counters.ExploredNodes, res2.Jobs[i].Counters.ExploredNodes)
 		}
 	}
 
@@ -129,11 +122,7 @@ func TestMultiTenantServiceRestart(t *testing.T) {
 	// Phase 1: run long enough for several table checkpoints, then stop
 	// as if the service host died.
 	cfg.MaxTicks = 100
-	sim, err := NewMultiJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
+	res, err := New(cfg, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +132,7 @@ func TestMultiTenantServiceRestart(t *testing.T) {
 
 	// Phase 2: a fresh service over the same store and job list.
 	cfg.MaxTicks = 0 // back to the default ceiling
-	sim2, err := NewMultiJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := sim2.Run()
+	res2, err := New(cfg, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +147,8 @@ func TestMultiTenantServiceRestart(t *testing.T) {
 			t.Errorf("job %s: state %s after restart, want done", jr.ID, jr.State)
 			continue
 		}
-		if jr.Best.Cost != oracles[jr.ID].Cost {
-			t.Errorf("job %s: post-restart optimum %d, sequential %d", jr.ID, jr.Best.Cost, oracles[jr.ID].Cost)
+		if jr.BestCost != oracles[jr.ID].Cost {
+			t.Errorf("job %s: post-restart optimum %d, sequential %d", jr.ID, jr.BestCost, oracles[jr.ID].Cost)
 		}
 	}
 	t.Logf("restart: phase1 ticks=%d, phase2 ticks=%d resumed=%d",
@@ -176,11 +161,7 @@ func TestMultiTenantServiceRestart(t *testing.T) {
 // fleet power — discrete assignments make any single tick noisy, but the
 // time integral must track the 3:1 entitlement ordering.
 func TestMultiTenantFairShareWeights(t *testing.T) {
-	cfg := MultiTenantScenario(99)
-	sim, err := NewMultiJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := New(MultiTenantScenario(99), nil)
 	var heavySum, lightSum int64
 	var window int
 	sim.onTick = func(tick int) {
@@ -214,4 +195,18 @@ func TestMultiTenantFairShareWeights(t *testing.T) {
 			heavySum, window, lightSum)
 	}
 	t.Logf("fair share: weight-3 power-integral %d vs weight-1 %d over %d shared ticks", heavySum, lightSum, window)
+}
+
+// TestMultiTenantRejectsTree: several jobs on a farmer tree are a
+// configuration error, reported by Run before the first tick.
+func TestMultiTenantRejectsTree(t *testing.T) {
+	cfg := MultiTenantScenario(1)
+	cfg.Subtrees = 2
+	res, err := New(cfg, nil).Run()
+	if err == nil {
+		t.Fatal("8 jobs on a 2-sub-farmer tree ran")
+	}
+	if res.Ticks != 0 {
+		t.Fatalf("rejected configuration stepped %d ticks", res.Ticks)
+	}
 }

@@ -1,11 +1,17 @@
 // Package gridsim is the computational-grid substrate of this reproduction:
 // a deterministic discrete-event simulator standing in for the paper's
 // ≈1900 physical processors spread over 9 administrative domains (Table 1,
-// Figure 6). It drives the real farmer and real worker sessions under a
-// virtual clock, models heterogeneous CPU speeds, non-dedicated hosts
+// Figure 6). It drives the real coordinator and real worker sessions under
+// a virtual clock, models heterogeneous CPU speeds, non-dedicated hosts
 // (cycle stealing: machines join and leave), and hard failures, and
 // produces the paper's Table 2 execution statistics and the Figure 7
 // availability trace.
+//
+// The coordinator is always a job table (internal/jobs): a single
+// resolution is the table with one job, its root flat or under a farmer
+// tree, and a multi-tenant service is the same simulator with several
+// jobs (Config.Jobs), every host then running the multi-job worker
+// session. There is one host loop either way.
 //
 // Substitution note (see DESIGN.md): the paper's statistics depend on the
 // protocol and on the relative speeds and volatility of the pool — not on

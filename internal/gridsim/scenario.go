@@ -1,5 +1,7 @@
 package gridsim
 
+import "repro/internal/jobs"
+
 // Scenario presets. The same two configurations are used by cmd/gridsim,
 // cmd/experiments and the examples; keeping them here makes the replay
 // parameters part of the library's contract rather than copy-pasted
@@ -101,5 +103,34 @@ func FastScenario(seed int64, expectedNodes int64, wallDays float64) Config {
 		UpdatePeriodSeconds:  10,
 		LeaseTTLSeconds:      60,
 		NodesPerGHzPerSecond: CalibrateRate(pool, m, expectedNodes, wallDays*1200),
+	}
+}
+
+// MultiTenantScenario returns the 8-job acceptance configuration: two
+// instances each of the four problem domains — mixed tree shapes and
+// weights — on the compressed 60-processor pool with 20-minute "days".
+// Every job must terminate at its proven optimum with zero cross-job
+// leakage; with a checkpoint dir the whole service survives a restart
+// (build a new simulation over the same dir and the same job list).
+func MultiTenantScenario(seed int64) Config {
+	return Config{
+		Pool:                    SmallPool(60),
+		Availability:            compressedAvailability(),
+		Seed:                    seed,
+		TickSeconds:             1,
+		NodesPerGHzPerSecond:    3,
+		UpdatePeriodSeconds:     10,
+		FarmerCheckpointSeconds: 30,
+		LeaseTTLSeconds:         60,
+		Jobs: []SubmittedJob{
+			{ID: "fs10x5a", Spec: jobs.Spec{Domain: "flowshop", Jobs: 10, Machines: 5, Seed: 2, Weight: 3}},
+			{ID: "fs10x5b", Spec: jobs.Spec{Domain: "flowshop", Jobs: 10, Machines: 5, Seed: 5, Weight: 2}},
+			{ID: "tsp9", Spec: jobs.Spec{Domain: "tsp", N: 9, Seed: 5}},
+			{ID: "tsp8", Spec: jobs.Spec{Domain: "tsp", N: 8, Seed: 3}},
+			{ID: "qap7a", Spec: jobs.Spec{Domain: "qap", N: 7, Seed: 1}},
+			{ID: "qap7b", Spec: jobs.Spec{Domain: "qap", N: 7, Seed: 5}},
+			{ID: "knap24", Spec: jobs.Spec{Domain: "knapsack", N: 24, Seed: 5}},
+			{ID: "knap20", Spec: jobs.Spec{Domain: "knapsack", N: 20, Seed: 1}},
+		},
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/farmer"
+	"repro/internal/jobs"
+	"repro/internal/transport"
 	"repro/internal/worker"
 )
 
@@ -31,8 +33,9 @@ type Config struct {
 	// workers averaged one checkpoint every ~3 minutes
 	// (4,094,176 ops / 25 days / 328 workers). Default 180.
 	UpdatePeriodSeconds float64
-	// FarmerCheckpointSeconds is the coordinator snapshot period; the
-	// paper's coordinator saves every 30 minutes. Default 1800.
+	// FarmerCheckpointSeconds is the coordinator snapshot period: every
+	// running job's farmer writes its two-file checkpoint. The paper's
+	// coordinator saves every 30 minutes. Default 1800.
 	FarmerCheckpointSeconds float64
 	// LeaseTTLSeconds is how long a silent worker keeps its interval.
 	// Default 3600.
@@ -53,8 +56,10 @@ type Config struct {
 	InitialUpper int64
 	// MaxTicks aborts a runaway simulation. Default 200_000.
 	MaxTicks int
-	// CheckpointDir, when set, makes the farmer write real two-file
-	// snapshots on its cadence.
+	// CheckpointDir, when set, backs the job table with a real store:
+	// each job writes two-file snapshots under CheckpointDir/<job-id>/
+	// (a single resolution's under default/) on its cadence, and a new
+	// simulation over the same directory and jobs resumes from them.
 	CheckpointDir string
 	// EqualSplit disables power-proportional partitioning (ablation).
 	EqualSplit bool
@@ -77,6 +82,23 @@ type Config struct {
 	// and the root duplicates the survivors across subtrees once its
 	// tracked total is crumb-scale. No effect when Subtrees < 2.
 	Endgame bool
+	// Jobs, when set, makes the run multi-tenant: the jobs are submitted
+	// to the one job table in order, the factory passed to New is
+	// ignored, and every host runs the multi-job worker session, serving
+	// whichever job fair share routes it to. Several jobs on a farmer
+	// tree (Subtrees ≥ 2) are rejected. Empty: one job, the factory's
+	// instance, under checkpoint.DefaultNamespace.
+	Jobs []SubmittedJob
+	// MaxActive bounds concurrently running jobs (0: all of them).
+	MaxActive int
+}
+
+// SubmittedJob is one tenant of a multi-tenant simulation.
+type SubmittedJob struct {
+	// ID keys the job and its checkpoint namespace.
+	ID string
+	// Spec describes the instance (weight included).
+	Spec jobs.Spec
 }
 
 func (c *Config) fillDefaults() {
@@ -116,6 +138,9 @@ func (c *Config) fillDefaults() {
 	if c.MaxTicks <= 0 {
 		c.MaxTicks = 200_000
 	}
+	if c.MaxActive <= 0 {
+		c.MaxActive = max(len(c.Jobs), 1)
+	}
 }
 
 // CalibrateRate returns the NodesPerGHzPerSecond that makes a workload of
@@ -147,107 +172,178 @@ type TracePoint struct {
 
 // Result summarizes a simulated resolution.
 type Result struct {
-	// Best is the proven optimum.
+	// Best is the proven optimum of the first job — a single
+	// resolution's only one.
 	Best bb.Solution
-	// Table2 is the paper-style statistics block.
+	// Table2 is the paper-style statistics block; its coordinator rows
+	// sum over every job.
 	Table2 Table2
 	// Trace is the Figure 7 availability series (one point per tick).
 	Trace []TracePoint
-	// Counters are the raw farmer counters.
+	// Counters are the first job's raw farmer counters.
 	Counters farmer.Counters
-	// Redundancy is the duplicated-work accounting.
+	// Redundancy is the first job's duplicated-work accounting.
 	Redundancy farmer.RedundancyStats
+	// Jobs holds per-job outcomes (state, incumbent, farmer counters) in
+	// submission order.
+	Jobs []jobs.Progress
+	// Table carries the job table's tallies (fair-share assignments,
+	// resumes, rejections, late traffic).
+	Table jobs.Counters
 	// Ticks is the number of simulation steps executed.
 	Ticks int
-	// Finished reports whether the resolution completed (false: MaxTicks
-	// hit first).
+	// Finished reports whether every job completed (false: MaxTicks hit
+	// first — a new simulation over the same CheckpointDir resumes).
 	Finished bool
 	// Joins and Leaves and Crashes count churn events.
 	Joins, Leaves, Crashes int64
 	// Store reports the checkpoint store's self-healing events (corrupt
-	// generations quarantined, fallback loads, stale temp files swept) —
-	// all zero on a healthy disk. Zero-valued with no CheckpointDir.
+	// generations quarantined, fallback loads, stale temp files swept)
+	// across every job namespace — all zero on a healthy disk.
+	// Zero-valued with no CheckpointDir.
 	Store checkpoint.Stats
 }
 
-// Sim runs one simulated resolution. Create with New, drive with Run.
+// Sim runs one simulated grid: a volatile pool whose hosts pull on one
+// job table. Create with New, drive with Run.
 type Sim struct {
-	cfg     Config
-	factory func() bb.Problem
-	fleet   *fleet
-
-	tree   *farmer.Tree
-	store  *checkpoint.Store
+	cfg   Config
+	fleet *fleet
+	table *jobs.Table
+	ids   []string     // job ids, in submission order
+	tree  *farmer.Tree // a single resolution's sub-farmer tier
+	store *checkpoint.Store
+	// err is a configuration or store failure found by New; Run returns
+	// it before the first tick.
+	err    error
 	result Result
+
+	// onTick, when set (tests), observes the state after every step.
+	onTick func(tick int)
 }
 
 // New builds a simulation. factory must return a fresh Problem per call:
 // every simulated processor hosts its own B&B process from join to leave,
 // like the paper's one-process-per-processor deployment, and a host that
-// leaves releases that process, so memory follows the hosts present.
+// leaves releases that process, so memory follows the hosts present. The
+// coordinator is a job table holding the factory's instance as its one
+// job — or cfg.Jobs. With CheckpointDir set, a job whose namespace already
+// holds a snapshot resumes from it.
 func New(cfg Config, factory func() bb.Problem) *Sim {
 	cfg.fillDefaults()
-	s := &Sim{cfg: cfg, factory: factory}
-	s.fleet = newFleet(cfg.Pool, cfg.Availability, cfg.Seed, "sim")
+	s := &Sim{cfg: cfg}
+	s.fleet = newFleet(cfg.Pool, cfg.Availability, cfg.Seed)
 	s.fleet.tickSeconds = cfg.TickSeconds
 	s.fleet.nodesPerGHzPerSecond = cfg.NodesPerGHzPerSecond
 	s.fleet.updatePeriodSeconds = cfg.UpdatePeriodSeconds
-	s.fleet.start = s.startSession
+	s.err = s.submit(factory)
+	return s
+}
 
+// submit opens the store, builds the table and submits every job with the
+// farmer options its farmer tree derives for it. A single job's tree folds
+// into the job's endpoint and may have sub-farmers; several jobs share the
+// table through multi-job sessions, each job's tree flat over the table
+// itself.
+func (s *Sim) submit(factory func() bb.Problem) error {
+	cfg := &s.cfg
+	list := cfg.Jobs
+	if len(list) == 0 {
+		list = []SubmittedJob{{ID: checkpoint.DefaultNamespace, Spec: jobs.Spec{Problem: factory}}}
+	}
+	if len(list) > 1 && cfg.Subtrees >= 2 {
+		return fmt.Errorf("gridsim: %d jobs on a farmer tree of %d sub-farmers: a tree serves one job", len(list), cfg.Subtrees)
+	}
+	if cfg.CheckpointDir != "" {
+		var err error
+		if s.store, err = checkpoint.NewStore(cfg.CheckpointDir); err != nil {
+			return err
+		}
+	}
+	leaseTTL := time.Duration(cfg.LeaseTTLSeconds * 1e9)
+	s.table = jobs.NewTable(jobs.Config{
+		MaxActive: cfg.MaxActive,
+		Store:     s.store,
+		Clock:     s.fleet.clock,
+		LeaseTTL:  leaseTTL,
+	})
+	var up transport.Coordinator = s.table // untagged: fair share picks the job
+	if len(list) == 1 {
+		up = s.table.Endpoint(list[0].ID)
+	}
+	specs := make(map[string]jobs.Spec, len(list))
+	for _, sj := range list {
+		factory, err := sj.Spec.Factory()
+		if err != nil {
+			return err
+		}
+		thr := threshold(factory, cfg.ThresholdFraction)
+		s.tree = farmer.NewTree(farmer.TreeConfig{
+			Subtrees:        cfg.Subtrees,
+			SubUpdateEvery:  64,
+			SubUpdatePeriod: time.Duration(cfg.SubUpdatePeriodSeconds * 1e9),
+			FleetTTL:        leaseTTL,
+			Endgame:         cfg.Endgame,
+			Clock:           s.fleet.clock,
+			RootOptions: []farmer.Option{
+				farmer.WithLeaseTTL(leaseTTL),
+				farmer.WithThreshold(thr),
+				farmer.WithInitialBest(cfg.InitialUpper, nil),
+				farmer.WithEqualSplit(cfg.EqualSplit),
+			},
+			InnerOptions: []farmer.Option{
+				farmer.WithLeaseTTL(leaseTTL),
+				farmer.WithThreshold(thr),
+				farmer.WithEqualSplit(cfg.EqualSplit),
+			},
+			Upstream: up,
+		})
+		if err := s.table.Submit(sj.ID, sj.Spec, s.tree.RootOptions...); err != nil {
+			return err
+		}
+		specs[sj.ID] = sj.Spec
+	}
+	// Every host runs the real shard engine when its slot is multicore,
+	// stepped deterministically inside the session: a single-resolution
+	// B&B process pulling on its slot's coordinator, or one machine
+	// serving whichever job fair share routes it to.
+	factories := jobs.SpecFactories(specs)
+	factory, _ = list[0].Spec.Factory()
+	s.fleet.start = func(slot int, wc worker.Config) *worker.Session {
+		if len(list) > 1 {
+			return worker.NewMultiJobSession(wc, s.tree.Endpoint(slot), factories)
+		}
+		return worker.NewShardedSession(wc, s.tree.Endpoint(slot), factory)
+	}
+	return nil
+}
+
+// threshold is the duplication threshold: fraction of the instance's root
+// range, at least 2.
+func threshold(factory func() bb.Problem, fraction float64) *big.Int {
 	nb := core.NewNumbering(factory().Shape())
 	f := new(big.Float).SetInt(nb.RootRange().Len())
-	f.Mul(f, big.NewFloat(cfg.ThresholdFraction))
+	f.Mul(f, big.NewFloat(fraction))
 	thr, _ := f.Int(nil)
 	if thr.Sign() <= 0 {
 		thr = big.NewInt(2)
 	}
-	leaseTTL := time.Duration(cfg.LeaseTTLSeconds * 1e9)
-	fopts := []farmer.Option{
-		farmer.WithLeaseTTL(leaseTTL),
-		farmer.WithThreshold(thr),
-		farmer.WithInitialBest(cfg.InitialUpper, nil),
-		farmer.WithEqualSplit(cfg.EqualSplit),
-	}
-	if cfg.CheckpointDir != "" {
-		if store, err := checkpoint.NewStore(cfg.CheckpointDir); err == nil {
-			s.store = store
-			fopts = append(fopts, farmer.WithCheckpointStore(store))
-		}
-	}
-	s.tree = farmer.NewTree(nb.RootRange(), farmer.TreeConfig{
-		Subtrees:        cfg.Subtrees,
-		SubUpdateEvery:  64,
-		SubUpdatePeriod: time.Duration(cfg.SubUpdatePeriodSeconds * 1e9),
-		FleetTTL:        leaseTTL,
-		Endgame:         cfg.Endgame,
-		Clock:           s.fleet.clock,
-		RootOptions:     fopts,
-		InnerOptions: []farmer.Option{
-			farmer.WithLeaseTTL(leaseTTL),
-			farmer.WithThreshold(thr),
-			farmer.WithEqualSplit(cfg.EqualSplit),
-		},
-	})
-	return s
+	return thr
 }
 
-// startSession hosts a single-resolution B&B process on the slot, pulling
-// on the slot's coordinator. A multicore slot hosts the real shard engine,
-// stepped deterministically inside the session.
-func (s *Sim) startSession(slot int, cfg worker.Config) *worker.Session {
-	return worker.NewShardedSession(cfg, s.tree.Endpoint(slot), s.factory)
-}
+// Table exposes the job table (mid-run progress queries in tests and
+// tooling — the same surface cmd/jobd serves over HTTP).
+func (s *Sim) Table() *jobs.Table { return s.table }
 
-// Farmer exposes the root coordinator (e.g. for mid-run inspection in
-// tests).
-func (s *Sim) Farmer() *farmer.Farmer { return s.tree.Root }
-
-// Run executes the simulation to termination (or MaxTicks) and returns the
-// result. The default rate, when the config left NodesPerGHzPerSecond at
-// zero, targets a 25-day wall clock using a rough sequential node estimate;
-// prefer setting it explicitly via CalibrateRate with a measured node count.
+// Run executes the simulation until every job terminates (or MaxTicks) and
+// returns the result. The default rate, when the config left
+// NodesPerGHzPerSecond at zero, is refused: calibrate it with
+// CalibrateRate from a measured node count.
 func (s *Sim) Run() (Result, error) {
 	cfg := &s.cfg
+	if s.err != nil {
+		return Result{}, s.err
+	}
 	if cfg.NodesPerGHzPerSecond <= 0 {
 		return Result{}, fmt.Errorf("gridsim: NodesPerGHzPerSecond must be set (use CalibrateRate)")
 	}
@@ -308,19 +404,22 @@ func (s *Sim) Run() (Result, error) {
 		// Drive the sub→root fold cadence so quiet fleets keep their
 		// leases alive and rebalancing decisions propagate.
 		s.tree.Pulse()
+		if s.onTick != nil {
+			s.onTick(tick)
+		}
 		s.result.Trace = append(s.result.Trace, TracePoint{TimeSeconds: f.nowSecs, Active: activeCount})
 		sumActive += int64(activeCount)
 		if activeCount > s.result.Table2.MaxWorkers {
 			s.result.Table2.MaxWorkers = activeCount
 		}
 		if cfg.CheckpointDir != "" && f.nowSecs >= nextFarmerCkpt {
-			if err := s.tree.Root.Checkpoint(); err != nil {
+			if err := s.table.Checkpoint(); err != nil {
 				return s.result, err
 			}
 			nextFarmerCkpt += cfg.FarmerCheckpointSeconds
 		}
 		s.result.Ticks = tick + 1
-		if finished || s.tree.Root.Done() {
+		if finished || s.table.Done() {
 			s.result.Finished = true
 			break
 		}
@@ -332,7 +431,7 @@ func (s *Sim) Run() (Result, error) {
 	return s.result, nil
 }
 
-// finalize assembles the Table 2 block.
+// finalize assembles the Table 2 block and the per-job outcomes.
 func (s *Sim) finalize(sumActive int64) {
 	cfg := &s.cfg
 	f := s.fleet
@@ -359,18 +458,27 @@ func (s *Sim) finalize(sumActive int64) {
 	if present > 0 {
 		t2.WorkerExploitation = explore / present
 	}
-	c := s.tree.Root.Counters()
-	s.result.Counters = c
-	s.result.Redundancy = s.tree.Root.Redundancy()
+	var totalMsgs int64
+	s.result.Jobs = s.table.List()
+	for _, p := range s.result.Jobs {
+		c := p.Counters
+		totalMsgs += c.WorkRequests + c.WorkerCheckpoints + c.SolutionReports
+		t2.CheckpointOps += c.WorkerCheckpoints + c.FarmerCheckpoints
+		t2.WorkAllocations += c.WorkAllocations
+	}
+	first := s.result.Jobs[0]
+	s.result.Best = bb.Solution{Cost: first.BestCost, Path: first.BestPath}
+	s.result.Counters = first.Counters
+	if fm := s.table.Farmer(first.ID); fm != nil {
+		s.result.Redundancy = fm.Redundancy()
+	}
+	s.result.Table = s.table.Counters()
 	if s.store != nil {
 		s.result.Store = s.store.Stats()
 	}
-	totalMsgs := c.WorkRequests + c.WorkerCheckpoints + c.SolutionReports
 	if t2.WallClockSeconds > 0 {
 		t2.FarmerExploitation = float64(totalMsgs) * cfg.FarmerCostPerMessageSeconds / t2.WallClockSeconds
 	}
-	t2.CheckpointOps = c.WorkerCheckpoints + c.FarmerCheckpoints
-	t2.WorkAllocations = c.WorkAllocations
 	t2.ExploredNodes = gt
 	// The redundant rate combines crash re-exploration (node units) with
 	// duplicated-interval overlap (leaf units, a rate over the same total
@@ -378,5 +486,4 @@ func (s *Sim) finalize(sumActive int64) {
 	if gt > 0 {
 		t2.RedundantRate = float64(f.lostNodes)/float64(gt) + s.result.Redundancy.Rate()
 	}
-	s.result.Best = s.tree.Root.Best()
 }

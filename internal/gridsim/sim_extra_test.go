@@ -2,6 +2,7 @@ package gridsim
 
 import (
 	"math/big"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -23,7 +24,8 @@ func TestSimulationEqualSplitStillCorrect(t *testing.T) {
 }
 
 // TestSimulationWritesCheckpoints: with a directory configured the farmer
-// leaves real, loadable two-file snapshots on its cadence.
+// leaves real, loadable two-file snapshots on its cadence, in the single
+// job's namespace.
 func TestSimulationWritesCheckpoints(t *testing.T) {
 	cfg, factory, _ := fastConfig(19)
 	dir := filepath.Join(t.TempDir(), "ckpt")
@@ -36,7 +38,7 @@ func TestSimulationWritesCheckpoints(t *testing.T) {
 	if res.Counters.FarmerCheckpoints == 0 {
 		t.Fatal("no farmer checkpoints recorded")
 	}
-	store, err := checkpoint.NewStore(dir)
+	store, err := checkpoint.NewStore(filepath.Join(dir, checkpoint.DefaultNamespace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +47,30 @@ func TestSimulationWritesCheckpoints(t *testing.T) {
 	}
 	if _, err := store.Load(); err != nil {
 		t.Fatalf("snapshot unreadable: %v", err)
+	}
+}
+
+// TestSimulationStoreErrorFailsRun: a checkpoint directory that cannot be
+// opened (here, one under a regular file) fails Run before the first tick
+// with the open error, instead of running a resolution that never
+// checkpoints.
+func TestSimulationStoreErrorFailsRun(t *testing.T) {
+	cfg, factory, _ := fastConfig(19)
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointDir = filepath.Join(file, "ckpt")
+	_, openErr := checkpoint.NewStore(cfg.CheckpointDir)
+	if openErr == nil {
+		t.Fatal("a store under a regular file opened")
+	}
+	res, err := New(cfg, factory).Run()
+	if err == nil || err.Error() != openErr.Error() {
+		t.Fatalf("Run error %v, want the open error %v", err, openErr)
+	}
+	if res.Ticks != 0 {
+		t.Fatalf("Run stepped %d ticks before failing", res.Ticks)
 	}
 }
 
@@ -195,7 +221,7 @@ func TestThresholdFractionComputation(t *testing.T) {
 	cfg.ThresholdFraction = 0.5
 	sim := New(cfg, factory)
 	// 12! = 479001600; half of it.
-	_, total := sim.Farmer().Size()
+	_, total := sim.Table().Farmer(checkpoint.DefaultNamespace).Size()
 	if total.Cmp(big.NewInt(479001600)) != 0 {
 		t.Fatalf("root size = %s", total)
 	}

@@ -47,7 +47,7 @@ func TestGoldenTraces(t *testing.T) {
 		traces[sc.Name] = rep.Trace
 	}
 	mj := MultiJobChurn()
-	rep, err := RunMultiJob(mj)
+	rep, err := Run(mj)
 	if err != nil {
 		t.Fatalf("%s: %v", mj.Name, err)
 	}

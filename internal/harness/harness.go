@@ -15,15 +15,16 @@
 // refactor is held to the run the goldens were cut from (`make golden`
 // regenerates them; a behaviour-preserving change never needs to).
 //
-// There is one driver. The grid type owns the event loop, the worker
-// slots, the chaos policy, the bounded-rework audit, the fault-armed
-// checkpoint sweep and the trace; what differs between a flat farmer, a
-// farmer tree and a multi-tenant job table is a topology value (see
-// topology.go) that answers only where a slot connects, what runs around
-// the fleet each tick, and what a checkpoint sweep covers. The statistics
-// and the failures are produced by the real protocol code, not a model of
-// it: the chaos layer is transport.Interceptor middleware and the
-// conformance layer is itself a transport.Coordinator.
+// There is one driver and one coordinator shape. The grid type owns the
+// event loop, the worker slots, the chaos policy, the bounded-rework
+// audit, the fault-armed checkpoint sweep and the trace; the topology (see
+// topology.go) is always a job table — a single resolution is the table
+// with one job, its root optionally behind a tier of sub-farmers, and a
+// multi-tenant run is the same table with several jobs served by
+// multi-job workers. The statistics and the failures are produced by the
+// real protocol code, not a model of it: the chaos layer is
+// transport.Interceptor middleware and the conformance layer is itself a
+// transport.Coordinator.
 package harness
 
 import (
@@ -37,6 +38,7 @@ import (
 	"repro/internal/bb"
 	"repro/internal/checkpoint"
 	"repro/internal/farmer"
+	"repro/internal/jobs"
 	"repro/internal/transport"
 	"repro/internal/worker"
 )
@@ -73,9 +75,8 @@ type Fleet struct {
 	// on every snapshot fsync of the sweep: each save aborts cleanly before
 	// any rename, the on-disk generations stay whole, and the next restart
 	// simply re-opens a larger window. The fault covers the whole sweep —
-	// every tier of a tree, every job of a table (which visits jobs in map
-	// order, so a partial fault would persist a nondeterministic subset
-	// and two equal seeds would diverge).
+	// every tier of a tree, every job of a table — so no partial subset of
+	// the stores is ever persisted.
 	DiskFaultEvery int
 	// Kills schedules worker crashes.
 	Kills []KillEvent
@@ -110,14 +111,23 @@ func (f *Fleet) fillDefaults() {
 	}
 }
 
-// Scenario is one named fault schedule over one problem instance.
+// Scenario is one named fault schedule over one problem instance — or, with
+// Jobs set, over several concurrent jobs of one job table.
 type Scenario struct {
 	// Name identifies the scenario in reports and test names.
 	Name string
 	Fleet
 	// Factory returns a fresh Problem per call (one per worker and one
-	// for the sequential baseline).
+	// for the sequential baseline). Ignored when Jobs is set.
 	Factory func() bb.Problem
+	// Jobs, when set, makes the run multi-tenant: every job is submitted
+	// to the one job table, every worker is a multi-job session serving
+	// whichever job fair share routes it to, and every job gets its own
+	// conformance tracker. Several jobs reject Subtrees ≥ 2,
+	// FarmerRestarts and CorruptTicks. Empty: one job over Factory.
+	Jobs []Job
+	// MaxActive bounds concurrently running jobs (0: all of them).
+	MaxActive int
 	// Cores makes every worker a multicore one: Cores shard explorers
 	// over a tiling of its interval, stepped deterministically inside the
 	// session (the shard engine's stepped scheduler), so chaos runs with
@@ -125,16 +135,20 @@ type Scenario struct {
 	// keeps the paper's single-explorer worker.
 	Cores int
 	// FarmerRestarts lists ticks at which the (root) farmer process is
-	// killed and restored from its latest snapshot.
+	// killed and restored from its latest snapshot: the job is cancelled
+	// and resubmitted under the same id, which resumes it from its
+	// namespace.
 	FarmerRestarts []int
 	// CorruptTicks lists ticks at which a byte of the (root) farmer's
-	// current intervals snapshot is flipped on disk: a later restart must
-	// quarantine the corrupt generation and fall back to *.prev.
+	// current intervals snapshot, in the job's namespace directory, is
+	// flipped on disk: a later restart must quarantine the corrupt
+	// generation and fall back to *.prev.
 	CorruptTicks []int
 	// InitialUpper primes SOLUTION (0: Infinity).
 	InitialUpper int64
-	// Dir, when set, hosts the checkpoint stores; empty uses a private
-	// temporary directory removed at the end of the run.
+	// Dir, when set, hosts the checkpoint stores (each job's under
+	// Dir/<job-id>, a sub-farmer's under Dir/sub-<i>); empty uses a
+	// private temporary directory removed at the end of the run.
 	Dir string
 	// Subtrees is farmer.TreeConfig.Subtrees: ≥ 2 puts that many
 	// sub-farmers between the fleet and the farmer (DESIGN.md §9),
@@ -166,7 +180,20 @@ type SubRestart struct {
 	Tick, Sub int
 }
 
-func (s *Scenario) fillDefaults() {
+// Job is one job of a scenario's table.
+type Job struct {
+	// ID keys the job (and its checkpoint namespace).
+	ID string
+	// Spec describes the instance; its Weight is the fair-share weight.
+	Spec jobs.Spec
+	// CancelAt cancels the job at this tick (0: run to completion).
+	CancelAt int
+}
+
+// fillDefaults also resolves the job list: a scenario without Jobs is one
+// job over Factory, in the default checkpoint namespace. It rejects the
+// configurations several jobs do not support.
+func (s *Scenario) fillDefaults() error {
 	s.Fleet.fillDefaults()
 	if s.InitialUpper <= 0 {
 		s.InitialUpper = bb.Infinity
@@ -174,6 +201,16 @@ func (s *Scenario) fillDefaults() {
 	if s.SubUpdateEvery <= 0 {
 		s.SubUpdateEvery = 4
 	}
+	if len(s.Jobs) == 0 {
+		s.Jobs = []Job{{ID: checkpoint.DefaultNamespace, Spec: jobs.Spec{Problem: s.Factory}}}
+	}
+	if s.MaxActive <= 0 {
+		s.MaxActive = len(s.Jobs)
+	}
+	if len(s.Jobs) > 1 && (s.Subtrees >= 2 || len(s.FarmerRestarts) > 0 || len(s.CorruptTicks) > 0) {
+		return fmt.Errorf("harness: %s: %d jobs with sub-farmers, root restarts or disk corruption; those are single-job faults", s.Name, len(s.Jobs))
+	}
+	return nil
 }
 
 // Tally is the part of a run's outcome every driver produces: the trace,
@@ -199,11 +236,17 @@ type Tally struct {
 	Timeouts int
 }
 
-// Report is the outcome of a single-resolution scenario (Run, RunRing).
+// Report is the outcome of a scenario (Run, RunRing).
 type Report struct {
 	Tally
-	// Best is the resolution's answer; Baseline the sequential oracle's.
+	// Best is the (first) resolution's answer; Baseline the sequential
+	// oracle's.
 	Best, Baseline bb.Solution
+	// Jobs holds every job's final state (incumbent and farmer counters
+	// included) in submission order, and Table the job table's tallies;
+	// both empty for the ring.
+	Jobs  []jobs.Progress
+	Table jobs.Counters
 	// Restarts counts coordinator restarts (root and sub-farmer alike; for
 	// the ring, peer restores).
 	Restarts int
@@ -217,9 +260,9 @@ type Report struct {
 	// machinery. All zero without sub-farmers.
 	UpstreamTimeouts, Refills, LowWaterRefills int64
 	// OverlapUnits is the re-covered leaf measure; ReworkBudget what the
-	// fault events justify.
+	// fault events justify (summed over the jobs).
 	OverlapUnits, ReworkBudget *big.Int
-	// Counters are the final (root) farmer counters.
+	// Counters are the final (root) farmer counters of the first job.
 	Counters farmer.Counters
 }
 
@@ -299,7 +342,7 @@ type slot struct {
 type grid struct {
 	recorder
 	fleet Fleet
-	topo  topology
+	topo  *topology
 	tally *Tally
 
 	rng     *rand.Rand
@@ -365,45 +408,33 @@ func tempDir(dir string) (string, func(), error) {
 // error is reserved for harness misuse (unexpected protocol errors bubble
 // up as violations, not errors).
 func Run(sc Scenario) (Report, error) {
-	sc.fillDefaults()
 	rep := newReport(sc.Name)
+	if err := sc.fillDefaults(); err != nil {
+		return rep, err
+	}
 	dir, cleanup, err := tempDir(sc.Dir)
 	if err != nil {
 		return rep, err
 	}
 	defer cleanup()
 
-	rep.Baseline, _ = bb.Solve(sc.Factory(), sc.InitialUpper)
 	g := newGrid(sc.Fleet, &rep.Tally)
-	t, err := newFarmerTree(g, &sc, &rep, dir)
+	t, err := newTopology(g, &sc, &rep, dir)
 	if err != nil {
 		return rep, err
 	}
-	if err := g.loop(t.topology()); err != nil {
+	if err := g.loop(t); err != nil {
 		return rep, err
 	}
-
 	t.settle()
-	t.rootTrack.noteTermination()
-	rep.Best = t.tree.Root.Best()
-	g.conclude([]*tracker{t.rootTrack}, outcome{factory: sc.Factory, best: rep.Best, baseline: rep.Baseline})
-	for _, sub := range t.tree.Subs {
-		c := sub.Counters()
-		rep.Refills += c.Refills
-		rep.LowWaterRefills += c.LowWaterRefills
-		rep.UpstreamTimeouts += c.UpstreamTimeouts
-	}
-	rep.Counters = t.tree.Root.Counters()
-	rep.OverlapUnits.Set(t.rootTrack.overlap)
-	rep.ReworkBudget.Set(t.rootTrack.reworkBudget)
-	return rep, nil
+	return rep, t.conclude()
 }
 
 // loop is the virtual-time event loop: seat the fleet, then per tick run
 // the topology's scheduled coordinator events, the checkpoint sweep, the
 // kill/rejoin schedule, one seeded-shuffled pass over the fleet, and the
 // topology's post-fleet step, until the topology reports the work done.
-func (g *grid) loop(topo topology) error {
+func (g *grid) loop(topo *topology) error {
 	g.topo = topo
 	fl := &g.fleet
 	for i := 0; i < fl.Workers; i++ {
@@ -414,10 +445,8 @@ func (g *grid) loop(topo topology) error {
 		g.tick = tick
 		g.nowNano = int64(tick) * int64(time.Second)
 
-		if topo.before != nil {
-			if err := topo.before(tick); err != nil {
-				return err
-			}
+		if err := topo.before(tick); err != nil {
+			return err
 		}
 		if fl.CheckpointEvery > 0 && tick > 0 && tick%fl.CheckpointEvery == 0 {
 			if err := g.checkpoint(); err != nil {
@@ -468,9 +497,7 @@ func (g *grid) loop(topo topology) error {
 			}
 		}
 
-		if topo.after != nil {
-			topo.after()
-		}
+		topo.tree.Pulse()
 		if topo.done() {
 			g.tally.Finished = true
 			g.tally.Ticks = tick + 1
@@ -619,25 +646,21 @@ func (g *grid) observe(leg string, op transport.Op, w transport.WorkerID, fault 
 	}
 }
 
-// conclude writes the run's verdict into the tally: the optimality check,
-// then every tracker's violations followed by the driver's own.
+// conclude writes the run's verdict into the tally: every tracker's
+// violations, then the driver's own — among them the optimality check. A
+// B&B proof of optimality takes a run that terminated within its tick
+// budget and, for every resolution it proved, an incumbent matching the
+// sequential oracle.
 func (g *grid) conclude(trackers []*tracker, proven ...outcome) {
-	g.checkOptimality(proven)
-	g.tally.Trace = g.trace
-	for _, tr := range trackers {
-		g.tally.Violations = append(g.tally.Violations, tr.violations...)
-	}
-	g.tally.Violations = append(g.tally.Violations, g.violations...)
-}
-
-// checkOptimality holds the run to what a B&B proof of optimality takes:
-// it terminated within its tick budget, and every resolution it proved
-// matches its sequential oracle.
-func (g *grid) checkOptimality(proven []outcome) {
 	if !g.tally.Finished {
 		g.violatef("scenario did not terminate within %d ticks", g.fleet.MaxTicks)
 	}
 	for _, o := range proven {
 		g.checkIncumbent(o)
 	}
+	g.tally.Trace = g.trace
+	for _, tr := range trackers {
+		g.tally.Violations = append(g.tally.Violations, tr.violations...)
+	}
+	g.tally.Violations = append(g.tally.Violations, g.violations...)
 }

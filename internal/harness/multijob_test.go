@@ -11,7 +11,7 @@ import (
 // byte-identical event trace.
 func TestMultiJobChurnConformance(t *testing.T) {
 	sc := MultiJobChurn()
-	rep, err := RunMultiJob(sc)
+	rep, err := Run(sc)
 	if err != nil {
 		t.Fatalf("harness error: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestMultiJobChurnConformance(t *testing.T) {
 	states := map[string]string{}
 	for _, out := range rep.Jobs {
 		states[out.ID] = out.State
-		if out.State == "done" && out.Explored == 0 {
+		if out.State == "done" && out.Counters.ExploredNodes == 0 {
 			t.Errorf("job %s: done with zero explored nodes", out.ID)
 		}
 	}
@@ -63,7 +63,7 @@ func TestMultiJobChurnConformance(t *testing.T) {
 		t.Errorf("qap7 state %q, want cancelled", states["qap7"])
 	}
 
-	again, err := RunMultiJob(sc)
+	again, err := Run(sc)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -72,4 +72,21 @@ func TestMultiJobChurnConformance(t *testing.T) {
 	t.Logf("%s: ticks=%d drops=%d kills=%d rejoins=%d ckpts=%d ckpt-faults=%d fair-share=%d",
 		rep.Name, rep.Ticks, rep.Drops, rep.Kills, rep.Rejoins,
 		rep.Checkpoints, rep.DiskFaults, rep.Table.FairShareAssignments)
+}
+
+// TestMultiJobRejectsSingleJobFaults: sub-farmers, root restarts and disk
+// corruption target one job's root, so a scenario with several jobs and
+// any of them is refused before it runs.
+func TestMultiJobRejectsSingleJobFaults(t *testing.T) {
+	for name, mutate := range map[string]func(*Scenario){
+		"subtrees":        func(sc *Scenario) { sc.Subtrees = 2 },
+		"farmer-restarts": func(sc *Scenario) { sc.FarmerRestarts = []int{3} },
+		"corrupt-ticks":   func(sc *Scenario) { sc.CorruptTicks = []int{3} },
+	} {
+		sc := MultiJobChurn()
+		mutate(&sc)
+		if rep, err := Run(sc); err == nil || rep.Ticks != 0 {
+			t.Errorf("%s: ran %d ticks, err %v; want a refusal", name, rep.Ticks, err)
+		}
+	}
 }

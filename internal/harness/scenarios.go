@@ -3,6 +3,7 @@ package harness
 import (
 	"repro/internal/bb"
 	"repro/internal/flowshop"
+	"repro/internal/jobs"
 	"repro/internal/knapsack"
 	"repro/internal/qap"
 	"repro/internal/tsp"
@@ -274,6 +275,38 @@ func StalledCoordinator() Scenario {
 			LeaseTTLTicks:     3,
 			CheckpointEvery:   3,
 			BlackholePct:      12,
+		},
+	}
+}
+
+// MultiJobChurn is the canonical multi-tenant chaos story: three jobs of
+// three different domains (flowshop ~8k sequential nodes, TSP ~6k, QAP
+// ~3k) share one five-worker fleet of multi-job workers while workers die
+// and rejoin, replies drop, every second checkpoint sweep hits an fsync
+// EIO, and the operator cancels the QAP job mid-run. The two surviving
+// jobs must prove their sequential optima with zero cross-job leakage; the
+// flowshop job carries double fair-share weight.
+func MultiJobChurn() Scenario {
+	return Scenario{
+		Name: "multi-job-churn",
+		Jobs: []Job{
+			{ID: "fs10x5", Spec: jobs.Spec{Domain: "flowshop", Jobs: 10, Machines: 5, Seed: 2, Weight: 2}},
+			{ID: "tsp9", Spec: jobs.Spec{Domain: "tsp", N: 9, Seed: 1}},
+			{ID: "qap7", Spec: jobs.Spec{Domain: "qap", N: 7, Seed: 2}, CancelAt: 6},
+		},
+		Fleet: Fleet{
+			Seed:              17,
+			Workers:           5,
+			UpdatePeriodNodes: 256,
+			TickBudget:        256,
+			LeaseTTLTicks:     3,
+			CheckpointEvery:   3,
+			DiskFaultEvery:    2,
+			DropReplyPct:      6,
+			Kills: []KillEvent{
+				{Tick: 4, Slot: 1, RejoinAfter: 3},
+				{Tick: 8, Slot: 3, RejoinAfter: 4},
+			},
 		},
 	}
 }

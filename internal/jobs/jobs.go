@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,11 +103,9 @@ type Config struct {
 	// WorkWait instead of WorkFinished: a live service expects more
 	// submissions, a batch harness wants workers to drain and stop.
 	KeepAlive bool
-	// FarmerOptions are applied to every job's farmer, before the
-	// table-provided clock/TTL/store options.
-	FarmerOptions []farmer.Option
 	// Wrap, when non-nil, intercepts each job's protocol endpoint — the
-	// conformance harness hangs its per-job tracker here. Progress and
+	// conformance harness hangs its per-job tracker here. It runs every
+	// time the job's farmer is built, a resumption included. Progress and
 	// fair-share accounting still read the farmer directly.
 	Wrap func(id string, f *farmer.Farmer) transport.Coordinator
 }
@@ -131,7 +130,9 @@ type Counters struct {
 	UnknownJobs int64
 	// StoppedJobTraffic counts messages addressed to a cancelled, done,
 	// or failed job; they are answered with a terminal verdict (the
-	// worker must drop that job) and touch no interval state.
+	// worker must drop that job). A done job's late folds still reach
+	// its kept farmer, which counts them and has no interval left for
+	// them to touch.
 	StoppedJobTraffic int64
 	// FairShareAssignments counts untagged work requests that the
 	// deficit rule routed to a job.
@@ -158,12 +159,16 @@ type job struct {
 	factory func() bb.Problem
 	root    interval.Interval
 	rootLen *big.Int
+	// opts are the job's own farmer options from Submit, kept for a
+	// queued start.
+	opts []farmer.Option
 
-	f     *farmer.Farmer        // live while Running (kept after Done for inspection)
+	f     *farmer.Farmer        // live while Running, kept after Done
 	coord transport.Coordinator // f, possibly wrapped
 
-	// Terminal snapshot, captured when the farmer is dropped (Cancelled)
-	// or the job completes, so Progress stays answerable forever.
+	// Terminal snapshot, captured when the job stops: the best answers
+	// stopped-job traffic, and after a cancel, which drops the farmer, both
+	// keep Progress answerable forever.
 	best bb.Solution
 	ctrs farmer.Counters
 }
@@ -203,22 +208,30 @@ func clipID(id string) string {
 // namespace, so it must satisfy checkpoint.ValidNamespace. If the table's
 // store already holds a checkpoint under that namespace, the job resumes
 // from it instead of starting fresh — this is both crash recovery and the
-// cancel/resubmit pause button.
-func (tb *Table) Submit(id string, spec Spec) error {
+// cancel/resubmit pause button (an in-process root restart is exactly
+// that pair). opts are the job's own farmer options (threshold, initial
+// best, a farmer tree's derived root options); the table's clock, lease
+// and store options are applied after them. A resubmission that passes
+// none keeps its predecessor's.
+func (tb *Table) Submit(id string, spec Spec, opts ...farmer.Option) error {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	if !checkpoint.ValidNamespace(id) {
 		tb.ctr.InvalidJobIDs++
 		return fmt.Errorf("jobs: invalid job id %q", clipID(id))
 	}
-	if j, ok := tb.jobs[id]; ok && j.state != Cancelled && j.state != Failed && j.state != Quarantined {
+	prev, resubmit := tb.jobs[id]
+	if resubmit && prev.state != Cancelled && prev.state != Failed && prev.state != Quarantined {
 		tb.ctr.RejectedSubmits++
-		return fmt.Errorf("jobs: job %q already exists (%s)", id, j.state)
+		return fmt.Errorf("jobs: job %q already exists (%s)", id, prev.state)
 	}
 	factory, err := spec.Factory()
 	if err != nil {
 		tb.ctr.RejectedSubmits++
 		return err
+	}
+	if resubmit && len(opts) == 0 {
+		opts = prev.opts
 	}
 	if tb.cfg.MaxPerUser > 0 {
 		live := 0
@@ -256,10 +269,15 @@ func (tb *Table) Submit(id string, spec Spec) error {
 		factory: factory,
 		root:    root,
 		rootLen: root.Len(),
+		opts:    opts,
 		best:    bb.Solution{Cost: bb.Infinity},
 	}
 	tb.jobs[id] = j
-	tb.order = append(tb.order, j)
+	if i := slices.Index(tb.order, prev); resubmit && i >= 0 {
+		tb.order[i] = j // a resubmission takes its predecessor's place
+	} else {
+		tb.order = append(tb.order, j)
+	}
 	tb.ctr.Submitted++
 	if len(tb.running) < tb.cfg.MaxActive {
 		return tb.startLocked(j)
@@ -272,7 +290,7 @@ func (tb *Table) Submit(id string, spec Spec) error {
 // startLocked brings an admitted job live: build (or restore) its farmer
 // and enter it into the running set.
 func (tb *Table) startLocked(j *job) error {
-	opts := append([]farmer.Option{}, tb.cfg.FarmerOptions...)
+	opts := slices.Clone(j.opts)
 	if tb.cfg.Clock != nil {
 		opts = append(opts, farmer.WithClock(tb.cfg.Clock))
 	}
@@ -324,14 +342,14 @@ func (tb *Table) startLocked(j *job) error {
 }
 
 // finishLocked retires a completed job and promotes the queue head into
-// the freed slot.
+// the freed slot. The job keeps its farmer: late folds still land there,
+// so a one-job table counts them exactly as the bare farmer would.
 func (tb *Table) finishLocked(j *job) {
 	if j.state != Running {
 		return
 	}
 	j.state = Done
 	j.best = j.f.Best()
-	j.ctrs = j.f.Counters()
 	tb.dropRunningLocked(j)
 	tb.ctr.Completed++
 	tb.promoteLocked()
@@ -507,7 +525,8 @@ func (tb *Table) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 // the job named by the tag. A fold for a stopped job answers
 // Known:false/Finished:true — the worker drops the interval and, if it is
 // a single-job worker, stops; interval state is never touched, but the
-// fold's progress deltas are credited to the retired job's counters.
+// fold's progress deltas count toward the stopped job: a done job's kept
+// farmer takes the fold itself, a cancelled job's snapshot is credited.
 func (tb *Table) UpdateInterval(req transport.UpdateRequest) (transport.UpdateReply, error) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -530,12 +549,18 @@ func (tb *Table) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 		// legitimately held; the fold is misaddressed.
 		tb.ctr.StoppedJobTraffic++
 		return transport.UpdateReply{Known: false, BestCost: j.best.Cost}, nil
-	default:
+	case Done:
 		// A late fold: the worker explored these nodes before it could
-		// learn the job had stopped, so they still count toward the job's
-		// totals, whatever stopped it. No farmer vets this branch, so the
-		// live farmer's refusal of negative deltas is applied here — a
-		// late fold must not be a way to unwind counters.
+		// learn the job had finished. The kept farmer has no interval
+		// left, so it answers Known:false/Finished:true and counts the
+		// fold as it would have without the table in front of it.
+		tb.ctr.StoppedJobTraffic++
+		return j.coord.UpdateInterval(req)
+	default:
+		// A late fold for a job whose farmer is gone: the nodes still
+		// count toward the job's totals. No farmer vets this branch, so
+		// the live farmer's refusal of negative deltas is applied here —
+		// a late fold must not be a way to unwind counters.
 		tb.ctr.StoppedJobTraffic++
 		if req.ExploredDelta < 0 || req.PrunedDelta < 0 || req.LeavesDelta < 0 {
 			j.ctrs.RejectedIntervals++
@@ -562,6 +587,33 @@ func (tb *Table) ReportSolution(req transport.SolutionReport) (transport.Solutio
 		return transport.SolutionAck{BestCost: j.best.Cost}, nil
 	}
 	return j.coord.ReportSolution(req)
+}
+
+// Endpoint returns job id's coordinator: every message is stamped with the
+// job's tag and handed to the table, so an in-process client of one job —
+// a worker session or a sub-farmer of a farmer tree — needs no tag logic
+// of its own. The job need not exist yet; until it does, messages are
+// rejected as for any unknown job.
+func (tb *Table) Endpoint(id string) transport.Coordinator { return jobEndpoint{tb, id} }
+
+type jobEndpoint struct {
+	tb *Table
+	id string
+}
+
+func (e jobEndpoint) RequestWork(req transport.WorkRequest) (transport.WorkReply, error) {
+	req.Job = e.id
+	return e.tb.RequestWork(req)
+}
+
+func (e jobEndpoint) UpdateInterval(req transport.UpdateRequest) (transport.UpdateReply, error) {
+	req.Job = e.id
+	return e.tb.UpdateInterval(req)
+}
+
+func (e jobEndpoint) ReportSolution(req transport.SolutionReport) (transport.SolutionAck, error) {
+	req.Job = e.id
+	return e.tb.ReportSolution(req)
 }
 
 // Progress is a job's externally visible state.
@@ -594,8 +646,7 @@ func (tb *Table) progressLocked(j *job) Progress {
 		Domain: j.spec.Domain,
 		Owner:  j.spec.Owner,
 	}
-	switch j.state {
-	case Running:
+	if j.f != nil { // Running, or Done with its farmer kept
 		best := j.f.Best()
 		p.BestCost, p.BestPath = best.Cost, best.Path
 		p.Counters = j.f.Counters()
@@ -604,11 +655,7 @@ func (tb *Table) progressLocked(j *job) Progress {
 		p.Intervals = card
 		rem, _ := new(big.Rat).SetFrac(total, j.rootLen).Float64()
 		p.FrontierPct = (1 - rem) * 100
-	case Done:
-		p.BestCost, p.BestPath = j.best.Cost, j.best.Path
-		p.Counters = j.ctrs
-		p.FrontierPct = 100
-	default:
+	} else {
 		p.BestCost, p.BestPath = j.best.Cost, j.best.Path
 		p.Counters = j.ctrs
 	}
@@ -673,12 +720,12 @@ func (tb *Table) Counters() Counters {
 	return c
 }
 
-// Farmer exposes a running job's farmer for tests and local tooling; nil
-// when the job is not running.
+// Farmer exposes a running or done job's farmer for drivers, tests and
+// local tooling; nil when the job has none (queued, cancelled, failed).
 func (tb *Table) Farmer(id string) *farmer.Farmer {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	if j, ok := tb.jobs[id]; ok && j.state == Running {
+	if j, ok := tb.jobs[id]; ok {
 		return j.f
 	}
 	return nil

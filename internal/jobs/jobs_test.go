@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -478,15 +479,14 @@ func TestCorruptJobQuarantined(t *testing.T) {
 // TestLateFoldCountsTowardFinishedJob: a worker still holding an un-folded
 // period when its job completes folds late. The fold is answered with the
 // terminal verdict and touches no interval state, but the nodes were
-// really explored, so they are credited to the finished job's counters —
-// by exactly the reported deltas — and a negative delta is refused.
+// really explored, so the finished job's kept farmer counts them — by
+// exactly the reported deltas, as the bare farmer would — the table counts
+// the fold as stopped-job traffic, and a negative delta is refused.
 func TestLateFoldCountsTowardFinishedJob(t *testing.T) {
 	// A threshold above any root length: the second requester gets a
 	// duplicate of the first one's interval instead of a split.
-	tb := NewTable(Config{FarmerOptions: []farmer.Option{
-		farmer.WithThreshold(new(big.Int).Lsh(big.NewInt(1), 200)),
-	}})
-	if err := tb.Submit("k", knapSpec(14, 1)); err != nil {
+	tb := NewTable(Config{})
+	if err := tb.Submit("k", knapSpec(14, 1), farmer.WithThreshold(new(big.Int).Lsh(big.NewInt(1), 200))); err != nil {
 		t.Fatal(err)
 	}
 	first, err := tb.RequestWork(transport.WorkRequest{Worker: "w1", Power: 10, Job: "k"})
@@ -536,6 +536,18 @@ func TestLateFoldCountsTowardFinishedJob(t *testing.T) {
 	if c := tb.Counters(); c.StoppedJobTraffic != 1 {
 		t.Errorf("StoppedJobTraffic = %d, want 1", c.StoppedJobTraffic)
 	}
+	// The done job kept its farmer, which counted the late fold as a
+	// checkpoint like any other; Progress reads that farmer.
+	fm := tb.Farmer("k")
+	if fm == nil {
+		t.Fatal("the done job dropped its farmer")
+	}
+	if got := fm.Counters(); got != after.Counters {
+		t.Errorf("Progress counters %+v, farmer counters %+v", after.Counters, got)
+	}
+	if got := after.Counters.WorkerCheckpoints - before.Counters.WorkerCheckpoints; got != 1 {
+		t.Errorf("the late fold counted as %d worker checkpoints, want 1", got)
+	}
 
 	// A late fold is not a way to unwind counters.
 	if _, err := tb.UpdateInterval(transport.UpdateRequest{
@@ -551,5 +563,126 @@ func TestLateFoldCountsTowardFinishedJob(t *testing.T) {
 	}
 	if c := tb.Counters(); c.StoppedJobTraffic != 2 {
 		t.Errorf("StoppedJobTraffic = %d after the rejected fold, want 2", c.StoppedJobTraffic)
+	}
+}
+
+// TestEndpointStampsItsJob: a job's Endpoint tags all three messages with
+// that job, whatever tag the caller set, and a farmer tree whose
+// sub-farmers fold through job A's endpoint proves A without touching B.
+func TestEndpointStampsItsJob(t *testing.T) {
+	tb := NewTable(Config{})
+	specA, specB := knapSpec(16, 3), knapSpec(16, 4)
+	if err := tb.Submit("A", specA); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Submit("B", specB); err != nil {
+		t.Fatal(err)
+	}
+	ep := tb.Endpoint("A")
+	rep, err := ep.RequestWork(transport.WorkRequest{Worker: "w1", Power: 1, Job: "B"})
+	if err != nil || rep.Status != transport.WorkAssigned || rep.Job != "A" {
+		t.Fatalf("request through A's endpoint: %+v %v", rep, err)
+	}
+	if _, err := ep.UpdateInterval(transport.UpdateRequest{
+		Worker: "w1", IntervalID: rep.IntervalID, Remaining: rep.Interval, Power: 1, ExploredDelta: 5,
+	}); err != nil {
+		t.Fatalf("untagged fold through A's endpoint: %v", err)
+	}
+	if _, err := ep.ReportSolution(transport.SolutionReport{Worker: "w1", Cost: -1, Job: "B"}); err != nil {
+		t.Fatalf("report through A's endpoint: %v", err)
+	}
+	a, _ := tb.Progress("A")
+	if a.Counters.WorkRequests != 1 || a.Counters.WorkerCheckpoints != 1 || a.Counters.SolutionReports != 1 {
+		t.Fatalf("A counted requests/folds/reports %d/%d/%d, want 1/1/1",
+			a.Counters.WorkRequests, a.Counters.WorkerCheckpoints, a.Counters.SolutionReports)
+	}
+	if c := tb.Counters(); c.InvalidJobIDs != 0 {
+		t.Fatalf("the endpoint let an untagged message through: %+v", c)
+	}
+	beforeB, _ := tb.Progress("B")
+
+	// A farmer tree over job C's endpoint, driven to completion.
+	specC := knapSpec(18, 5)
+	want, _ := bb.Solve(knapsack.NewProblem(knapsack.Random(18, 5)), bb.Infinity)
+	tree := farmer.NewTree(farmer.TreeConfig{Subtrees: 2, SubUpdateEvery: 2, Upstream: tb.Endpoint("C")})
+	if err := tb.Submit("C", specC, tree.RootOptions...); err != nil {
+		t.Fatal(err)
+	}
+	factory, _ := specC.Factory()
+	var sessions []*worker.Session
+	for i := 0; i < 4; i++ {
+		sessions = append(sessions, worker.NewSession(worker.Config{
+			ID: transport.WorkerID(fmt.Sprintf("t%d", i)), Power: 3, UpdatePeriodNodes: 256,
+		}, tree.Endpoint(i), factory()))
+	}
+	for step := 0; ; step++ {
+		if p, _ := tb.Progress("C"); p.State == "done" {
+			break
+		}
+		if step > 100_000 {
+			t.Fatal("tree never finished job C")
+		}
+		if _, _, err := sessions[step%len(sessions)].Advance(512); err != nil {
+			t.Fatal(err)
+		}
+		tree.Pulse()
+	}
+	c, _ := tb.Progress("C")
+	if c.BestCost != want.Cost {
+		t.Fatalf("tree proved %d for C, sequential optimum %d", c.BestCost, want.Cost)
+	}
+	if afterB, _ := tb.Progress("B"); !reflect.DeepEqual(afterB, beforeB) {
+		t.Fatalf("C's sub-farmers moved B:\nbefore %+v\nafter  %+v", beforeB, afterB)
+	}
+}
+
+// TestSubmitOptionsSurvivePromotionAndResubmit: a job's own farmer options
+// reach its farmer when it is promoted from the queue, and again when it
+// is cancelled and resubmitted without them. The probe option is a
+// threshold above any root length, under which a second requester gets a
+// duplicate of the first one's interval instead of a split.
+func TestSubmitOptionsSurvivePromotionAndResubmit(t *testing.T) {
+	tb := NewTable(Config{MaxActive: 1})
+	duplicates := func(id string) bool {
+		t.Helper()
+		first, err := tb.RequestWork(transport.WorkRequest{Worker: "w1", Power: 10, Job: id})
+		if err != nil || first.Status != transport.WorkAssigned {
+			t.Fatalf("%s first request: %v %v", id, first.Status, err)
+		}
+		second, err := tb.RequestWork(transport.WorkRequest{Worker: "w2", Power: 10, Job: id})
+		if err != nil || second.Status != transport.WorkAssigned {
+			t.Fatalf("%s second request: %v %v", id, second.Status, err)
+		}
+		return second.IntervalID == first.IntervalID
+	}
+	if err := tb.Submit("plain", knapSpec(14, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Submit("dup", knapSpec(14, 2), farmer.WithThreshold(new(big.Int).Lsh(big.NewInt(1), 200))); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := tb.Progress("dup"); p.State != "queued" {
+		t.Fatalf("dup is %s, want queued behind plain", p.State)
+	}
+	if duplicates("plain") {
+		t.Fatal("plain, submitted without options, duplicated")
+	}
+	if err := tb.Cancel("plain"); err != nil {
+		t.Fatal(err)
+	}
+	if !duplicates("dup") {
+		t.Fatal("promoted from the queue, dup lost its threshold option")
+	}
+	if err := tb.Cancel("dup"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Submit("dup", knapSpec(14, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if !duplicates("dup") {
+		t.Fatal("cancelled and resubmitted, dup lost its threshold option")
+	}
+	if n := len(tb.List()); n != 2 {
+		t.Fatalf("List holds %d entries for 2 jobs: a resubmission must replace its predecessor", n)
 	}
 }

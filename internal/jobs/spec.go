@@ -41,12 +41,19 @@ type Spec struct {
 	Owner string `json:"owner,omitempty"`
 	// Weight scales the job's fair share of the fleet; zero means 1.
 	Weight int64 `json:"weight,omitempty"`
+	// Problem, when set, is the instance itself and the generator fields
+	// are ignored: an in-process driver submits whatever problem it was
+	// handed. It never travels over the submission API.
+	Problem func() bb.Problem `json:"-"`
 }
 
 // Factory compiles the spec into a problem constructor, or explains why it
 // cannot. The constructor is deterministic: every call yields an identical
 // instance, so workers anywhere rebuild the same tree.
 func (s Spec) Factory() (func() bb.Problem, error) {
+	if s.Problem != nil {
+		return s.Problem, nil
+	}
 	switch s.Domain {
 	case "flowshop":
 		if s.Jobs <= 0 || s.Machines <= 0 {

@@ -109,10 +109,6 @@ func LeafCount(s Shape) *big.Int {
 	return Weights(s)[0]
 }
 
-// MaxPath returns the maximum number of nodes on a root-to-leaf path
-// (Depth()+1), a convenient sizing hint for path-indexed buffers.
-func MaxPath(s Shape) int { return s.Depth() + 1 }
-
 // Validate checks that the rank path is a well-formed node address in the
 // shape: every rank must satisfy 0 <= ranks[d] < Branching(d) and the path
 // must not be longer than Depth(). It returns a descriptive error otherwise.

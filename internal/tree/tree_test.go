@@ -129,7 +129,8 @@ func TestValidateProperty(t *testing.T) {
 	}
 }
 
-// TestNamesAndMaxPath covers the descriptive helpers.
+// TestNamesAndMaxPath covers the descriptive helpers, and the
+// root-to-leaf node count Depth()+1.
 func TestNamesAndMaxPath(t *testing.T) {
 	if (Permutation{N: 3}).Name() != "permutation(3)" {
 		t.Error("permutation name")
@@ -140,7 +141,7 @@ func TestNamesAndMaxPath(t *testing.T) {
 	if (Uniform{P: 2, K: 5}).Name() != "uniform(5^2)" {
 		t.Error("uniform name")
 	}
-	if MaxPath(Permutation{N: 7}) != 8 {
+	if (Permutation{N: 7}).Depth()+1 != 8 {
 		t.Error("max path")
 	}
 }
