@@ -193,7 +193,8 @@ func Solve(p Problem, opt Options) (Result, error) {
 	var store *checkpoint.Store
 	if opt.CheckpointDir != "" {
 		var err error
-		if store, err = checkpoint.NewStore(opt.CheckpointDir); err != nil {
+		store, err = checkpoint.NewStore(opt.CheckpointDir)
+		if err != nil {
 			return Result{}, err
 		}
 	}

@@ -308,11 +308,11 @@ func (s *Sim) submit(factory func() bb.Problem) error {
 	// B&B process pulling on its slot's coordinator, or one machine
 	// serving whichever job fair share routes it to.
 	factories := jobs.SpecFactories(specs)
-	factory, _ = list[0].Spec.Factory()
 	s.fleet.start = func(slot int, wc worker.Config) *worker.Session {
 		if len(list) > 1 {
 			return worker.NewMultiJobSession(wc, s.tree.Endpoint(slot), factories)
 		}
+		factory, _ := factories(list[0].ID)
 		return worker.NewShardedSession(wc, s.tree.Endpoint(slot), factory)
 	}
 	return nil

@@ -124,10 +124,9 @@ type Scenario struct {
 	// to the one job table, every worker is a multi-job session serving
 	// whichever job fair share routes it to, and every job gets its own
 	// conformance tracker. Several jobs reject Subtrees ≥ 2,
-	// FarmerRestarts and CorruptTicks. Empty: one job over Factory.
+	// FarmerRestarts and CorruptTicks. Empty: one job over Factory. All
+	// of them run at once.
 	Jobs []Job
-	// MaxActive bounds concurrently running jobs (0: all of them).
-	MaxActive int
 	// Cores makes every worker a multicore one: Cores shard explorers
 	// over a tiling of its interval, stepped deterministically inside the
 	// session (the shard engine's stepped scheduler), so chaos runs with
@@ -203,9 +202,6 @@ func (s *Scenario) fillDefaults() error {
 	}
 	if len(s.Jobs) == 0 {
 		s.Jobs = []Job{{ID: checkpoint.DefaultNamespace, Spec: jobs.Spec{Problem: s.Factory}}}
-	}
-	if s.MaxActive <= 0 {
-		s.MaxActive = len(s.Jobs)
 	}
 	if len(s.Jobs) > 1 && (s.Subtrees >= 2 || len(s.FarmerRestarts) > 0 || len(s.CorruptTicks) > 0) {
 		return fmt.Errorf("harness: %s: %d jobs with sub-farmers, root restarts or disk corruption; those are single-job faults", s.Name, len(s.Jobs))

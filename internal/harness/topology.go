@@ -82,10 +82,9 @@ type topology struct {
 	unreportedPeriods int64
 }
 
-// newTopology builds the table over a store under dir, every job's tracker,
-// and for a single job its tree, with sub-farmer stores under dir/sub-<i>;
-// every store is opened through the grid's fault seam. It submits every
-// job with the options the scenario derives for it.
+// newTopology builds the table over a store under dir, each job's oracle,
+// tracker and farmer tree (sub-farmer stores under dir/sub-<i>), every
+// store opened through the grid's fault seam, and submits the jobs.
 func newTopology(g *grid, sc *Scenario, rep *Report, dir string) (*topology, error) {
 	t := &topology{
 		g: g, sc: sc, rep: rep, dir: dir,
@@ -99,7 +98,7 @@ func newTopology(g *grid, sc *Scenario, rep *Report, dir string) (*topology, err
 		return nil, err
 	}
 	t.table = jobs.NewTable(jobs.Config{
-		MaxActive: sc.MaxActive,
+		MaxActive: len(sc.Jobs),
 		Store:     t.store,
 		Clock:     g.clock,
 		LeaseTTL:  g.leaseTTL(),

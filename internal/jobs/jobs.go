@@ -160,7 +160,7 @@ type job struct {
 	root    interval.Interval
 	rootLen *big.Int
 	// opts are the job's own farmer options from Submit, kept for a
-	// queued start.
+	// queued start and a resubmission that passes none.
 	opts []farmer.Option
 
 	f     *farmer.Farmer        // live while Running, kept after Done
@@ -273,8 +273,8 @@ func (tb *Table) Submit(id string, spec Spec, opts ...farmer.Option) error {
 		best:    bb.Solution{Cost: bb.Infinity},
 	}
 	tb.jobs[id] = j
-	if i := slices.Index(tb.order, prev); resubmit && i >= 0 {
-		tb.order[i] = j // a resubmission takes its predecessor's place
+	if resubmit {
+		tb.order[slices.Index(tb.order, prev)] = j // takes its predecessor's place
 	} else {
 		tb.order = append(tb.order, j)
 	}
