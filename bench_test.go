@@ -433,11 +433,12 @@ func BenchmarkFarmerTreeThroughput(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", topo.name, workers), func(b *testing.B) {
 				// The root is the one job of a job table, as in
 				// gridbb.Solve; Ta056's shape is 50 jobs on 20 machines.
-				table := jobs.NewTable(jobs.Config{})
+				clock := func() int64 { return 0 }
+				table := jobs.NewTable(jobs.Config{Clock: clock})
 				tr := farmer.NewTree(farmer.TreeConfig{
 					Subtrees:       topo.subs,
 					SubUpdateEvery: 64,
-					Clock:          func() int64 { return 0 },
+					Clock:          clock,
 					Upstream:       table.Endpoint("ta056"),
 				})
 				if err := table.Submit("ta056", jobs.Spec{Domain: "flowshop", Jobs: 50, Machines: 20}, tr.RootOptions...); err != nil {

@@ -135,7 +135,8 @@ type Options struct {
 	// its files land in the default namespace:
 	// <CheckpointDir>/default/intervals.ckpt and solution.ckpt (a store
 	// written directly into CheckpointDir by an older version migrates
-	// there). A directory already holding a snapshot is resumed from.
+	// there). Solve always starts fresh: a snapshot already in the
+	// directory is overwritten, never resumed from.
 	CheckpointDir string
 	// CheckpointPeriod defaults to 30 time.Minute like the paper's
 	// coordinator; only used when CheckpointDir is set.
@@ -192,11 +193,18 @@ func Solve(p Problem, opt Options) (Result, error) {
 	}
 	var store *checkpoint.Store
 	if opt.CheckpointDir != "" {
-		var err error
-		store, err = checkpoint.NewStore(opt.CheckpointDir)
+		root, err := checkpoint.NewStore(opt.CheckpointDir)
 		if err != nil {
 			return Result{}, err
 		}
+		if store, err = root.Namespace(checkpoint.DefaultNamespace); err != nil {
+			return Result{}, err
+		}
+		// The farmer writes into the default namespace, but the table
+		// gets no store: a table resumes a namespace's snapshot, and a
+		// snapshot carries no instance to check it against, so Solve
+		// starts fresh every time, as a bare farmer did.
+		fopts = append(fopts, farmer.WithCheckpointStore(store))
 	}
 	var inner []farmer.Option
 	if opt.Threshold != nil {
@@ -205,7 +213,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 	// The coordinator is a job table holding this resolution as its one
 	// job; the sub-farmers of a tree fold into that job's endpoint.
 	const id = checkpoint.DefaultNamespace
-	table := jobs.NewTable(jobs.Config{Store: store})
+	table := jobs.NewTable(jobs.Config{})
 	tr := farmer.NewTree(farmer.TreeConfig{
 		Subtrees:     opt.Subtrees,
 		RootOptions:  fopts,

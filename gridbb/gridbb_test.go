@@ -116,6 +116,40 @@ func TestSolveWritesCheckpoints(t *testing.T) {
 	}
 }
 
+// TestSolveReusedCheckpointDirStartsFresh: two resolutions of different
+// instances of one shape over one checkpoint directory each prove their
+// own optimum. The first run's final snapshot (an empty INTERVALS and its
+// incumbent) must not be resumed by the second, which would finish at
+// once with the first instance's answer.
+func TestSolveReusedCheckpointDirStartsFresh(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	var bests []int64
+	for _, seed := range []int64{21, 22} {
+		ins := flowshop.Taillard(10, 6, seed)
+		factory := func() Problem {
+			return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
+		}
+		want, _ := SolveSequential(factory(), Infinity)
+		res, err := Solve(factory(), Options{
+			Workers: 2, ProblemFactory: factory,
+			CheckpointDir: dir, CheckpointPeriod: time.Hour, // final snapshot only
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best.Cost != want.Cost {
+			t.Fatalf("seed %d over a reused dir: best %d, sequential %d", seed, res.Best.Cost, want.Cost)
+		}
+		if res.Counters.WorkAllocations == 0 {
+			t.Fatalf("seed %d allocated no work: resumed a finished snapshot", seed)
+		}
+		bests = append(bests, want.Cost)
+	}
+	if bests[0] == bests[1] {
+		t.Fatalf("both instances have optimum %d: the test cannot tell them apart", bests[0])
+	}
+}
+
 // TestFoldUnfoldFacade exercises the re-exported operators.
 func TestFoldUnfoldFacade(t *testing.T) {
 	p := knapsack.NewProblem(knapsack.Random(6, 9))

@@ -378,6 +378,10 @@ func endgameThresholds(thr *big.Int, subtrees int) (endgame, lowWater, inner *bi
 	return endgame, lowWater, inner
 }
 
+// defaultThreshold is the duplication threshold of a farmer built with
+// no WithThreshold option.
+const defaultThreshold = 2
+
 // WithInitialBest primes SOLUTION with an externally known solution — the
 // paper initializes its Ta056 runs with the best known makespans 3681 and
 // 3680 (§5.3). The path may be nil when only the cost is known.
@@ -398,7 +402,7 @@ func New(root interval.Interval, opts ...Option) *Farmer {
 		intervals: make(map[int64]*tracked),
 		idx:       newSelIndex(),
 		bestCost:  bb.Infinity,
-		threshold: big.NewInt(2),
+		threshold: big.NewInt(defaultThreshold),
 		clock:     func() int64 { return time.Now().UnixNano() },
 		leaseTTL:  int64(time.Minute),
 		slack:     new(big.Int),

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/interval"
 	"repro/internal/transport"
 )
 
@@ -40,12 +39,12 @@ type TreeConfig struct {
 	// the duplication threshold thr that RootOptions set. No effect on a
 	// flat tree.
 	Endgame bool
-	// Clock is shared by the root and every sub-farmer. Default wall
-	// clock.
+	// Clock is every sub-farmer's clock. Default wall clock. The root's
+	// clock is its job table's (jobs.Config.Clock).
 	Clock func() int64
 	// RootOptions configure the root farmer; InnerOptions every
-	// sub-farmer's embedded farmer. The clock and the endgame options
-	// are appended after them.
+	// sub-farmer's embedded farmer. The endgame options are appended
+	// after them.
 	RootOptions, InnerOptions []Option
 	// StoreFor, when set, supplies each sub-farmer's checkpoint store.
 	StoreFor func(i int) *checkpoint.Store
@@ -62,8 +61,7 @@ type TreeConfig struct {
 type Tree struct {
 	Subs []*SubFarmer
 	// RootOptions are the options the root farmer must be built (and
-	// restored) with: TreeConfig.RootOptions, then the clock and the
-	// endgame options.
+	// restored) with: TreeConfig.RootOptions, then the endgame options.
 	RootOptions []Option
 	up          transport.Coordinator
 	subCfgs     []SubConfig
@@ -76,18 +74,13 @@ type Tree struct {
 // cost depends on the subtree count, never on the fleet size.
 func NewTree(cfg TreeConfig) *Tree {
 	t := &Tree{RootOptions: slices.Clone(cfg.RootOptions), up: cfg.Upstream}
-	if cfg.Clock != nil {
-		t.RootOptions = append(t.RootOptions, WithClock(cfg.Clock))
-	}
 	if cfg.Subtrees < 2 {
 		return t
 	}
 	var lowWater *big.Int
 	inner := slices.Clip(cfg.InnerOptions)
 	if cfg.Endgame {
-		// The root's duplication threshold, as its options set it.
-		thr := New(interval.Interval{}, t.RootOptions...).threshold
-		endgame, lw, innerThr := endgameThresholds(thr, cfg.Subtrees)
+		endgame, lw, innerThr := endgameThresholds(optionThreshold(t.RootOptions), cfg.Subtrees)
 		t.RootOptions = append(t.RootOptions, withStealHints(), withEndgameThreshold(endgame))
 		lowWater = lw
 		inner = append(inner, WithThreshold(innerThr))
@@ -109,6 +102,16 @@ func NewTree(cfg TreeConfig) *Tree {
 		t.Subs = append(t.Subs, newSubFarmer(sc, cfg.Upstream))
 	}
 	return t
+}
+
+// optionThreshold is the duplication threshold opts set, read off a bare
+// farmer: no option needs the rest of a farmer built.
+func optionThreshold(opts []Option) *big.Int {
+	f := Farmer{threshold: big.NewInt(defaultThreshold)}
+	for _, opt := range opts {
+		opt(&f)
+	}
+	return f.threshold
 }
 
 // SubConfig returns the configuration sub-farmer i was built with: a

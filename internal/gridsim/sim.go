@@ -58,8 +58,9 @@ type Config struct {
 	MaxTicks int
 	// CheckpointDir, when set, backs the job table with a real store:
 	// each job writes two-file snapshots under CheckpointDir/<job-id>/
-	// (a single resolution's under default/) on its cadence, and a new
-	// simulation over the same directory and jobs resumes from them.
+	// on its cadence, and a new simulation over the same directory and
+	// Jobs resumes from them. A single resolution writes under default/
+	// and always starts fresh, overwriting what it finds there.
 	CheckpointDir string
 	// EqualSplit disables power-proportional partitioning (ablation).
 	EqualSplit bool
@@ -87,10 +88,9 @@ type Config struct {
 	// ignored, and every host runs the multi-job worker session, serving
 	// whichever job fair share routes it to. Several jobs on a farmer
 	// tree (Subtrees ≥ 2) are rejected. Empty: one job, the factory's
-	// instance, under checkpoint.DefaultNamespace.
+	// instance, under checkpoint.DefaultNamespace. Every job runs at
+	// once.
 	Jobs []SubmittedJob
-	// MaxActive bounds concurrently running jobs (0: all of them).
-	MaxActive int
 }
 
 // SubmittedJob is one tenant of a multi-tenant simulation.
@@ -137,9 +137,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxTicks <= 0 {
 		c.MaxTicks = 200_000
-	}
-	if c.MaxActive <= 0 {
-		c.MaxActive = max(len(c.Jobs), 1)
 	}
 }
 
@@ -193,7 +190,8 @@ type Result struct {
 	// Ticks is the number of simulation steps executed.
 	Ticks int
 	// Finished reports whether every job completed (false: MaxTicks hit
-	// first — a new simulation over the same CheckpointDir resumes).
+	// first — a new simulation over the same CheckpointDir and Jobs
+	// resumes).
 	Finished bool
 	// Joins and Leaves and Crashes count churn events.
 	Joins, Leaves, Crashes int64
@@ -210,7 +208,6 @@ type Sim struct {
 	cfg   Config
 	fleet *fleet
 	table *jobs.Table
-	ids   []string     // job ids, in submission order
 	tree  *farmer.Tree // a single resolution's sub-farmer tier
 	store *checkpoint.Store
 	// err is a configuration or store failure found by New; Run returns
@@ -227,8 +224,9 @@ type Sim struct {
 // like the paper's one-process-per-processor deployment, and a host that
 // leaves releases that process, so memory follows the hosts present. The
 // coordinator is a job table holding the factory's instance as its one
-// job — or cfg.Jobs. With CheckpointDir set, a job whose namespace already
-// holds a snapshot resumes from it.
+// job — or cfg.Jobs. With CheckpointDir set, a job of cfg.Jobs whose
+// namespace already holds a snapshot resumes from it; the factory's single
+// resolution starts fresh.
 func New(cfg Config, factory func() bb.Problem) *Sim {
 	cfg.fillDefaults()
 	s := &Sim{cfg: cfg}
@@ -260,10 +258,22 @@ func (s *Sim) submit(factory func() bb.Problem) error {
 			return err
 		}
 	}
+	// Listed jobs resume their namespaces through the table's store. The
+	// factory's single resolution gets its namespace as a farmer option
+	// and the table no store: a snapshot carries no instance to check it
+	// against, so that run starts fresh, as a bare farmer did.
+	tableStore, ownStore := s.store, []farmer.Option(nil)
+	if s.store != nil && len(cfg.Jobs) == 0 {
+		ns, err := s.store.Namespace(checkpoint.DefaultNamespace)
+		if err != nil {
+			return err
+		}
+		tableStore, ownStore = nil, []farmer.Option{farmer.WithCheckpointStore(ns)}
+	}
 	leaseTTL := time.Duration(cfg.LeaseTTLSeconds * 1e9)
 	s.table = jobs.NewTable(jobs.Config{
-		MaxActive: cfg.MaxActive,
-		Store:     s.store,
+		MaxActive: len(list),
+		Store:     tableStore,
 		Clock:     s.fleet.clock,
 		LeaseTTL:  leaseTTL,
 	})
@@ -285,12 +295,12 @@ func (s *Sim) submit(factory func() bb.Problem) error {
 			FleetTTL:        leaseTTL,
 			Endgame:         cfg.Endgame,
 			Clock:           s.fleet.clock,
-			RootOptions: []farmer.Option{
+			RootOptions: append([]farmer.Option{
 				farmer.WithLeaseTTL(leaseTTL),
 				farmer.WithThreshold(thr),
 				farmer.WithInitialBest(cfg.InitialUpper, nil),
 				farmer.WithEqualSplit(cfg.EqualSplit),
-			},
+			}, ownStore...),
 			InnerOptions: []farmer.Option{
 				farmer.WithLeaseTTL(leaseTTL),
 				farmer.WithThreshold(thr),

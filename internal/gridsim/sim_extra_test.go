@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bb"
 	"repro/internal/checkpoint"
+	"repro/internal/flowshop"
 )
 
 // TestSimulationEqualSplitStillCorrect: the ablation knob changes load
@@ -47,6 +49,46 @@ func TestSimulationWritesCheckpoints(t *testing.T) {
 	}
 	if _, err := store.Load(); err != nil {
 		t.Fatalf("snapshot unreadable: %v", err)
+	}
+}
+
+// TestSimulationReusedCheckpointDirStartsFresh: a second single
+// resolution over the first one's checkpoint directory, on another
+// instance of the same shape, proves its own optimum. Resuming the first
+// run's last snapshot would carry its frontier and incumbent over to an
+// instance they do not belong to.
+func TestSimulationReusedCheckpointDirStartsFresh(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	cfg, factory, want := fastConfig(19)
+	cfg.CheckpointDir = dir
+	cfg.FarmerCheckpointSeconds = 30 // snapshots well before the end
+	res, err := New(cfg, factory).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.FarmerCheckpoints == 0 {
+		t.Fatal("the first run left no snapshot to resume")
+	}
+	if !res.Finished || res.Best.Cost != want.Cost {
+		t.Fatalf("first run: finished=%v best=%d want=%d", res.Finished, res.Best.Cost, want.Cost)
+	}
+	ins := flowshop.Taillard(12, 10, 6)
+	other := func() bb.Problem {
+		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
+	}
+	wantOther, _ := bb.Solve(other(), bb.Infinity)
+	if wantOther.Cost == want.Cost {
+		t.Fatalf("both instances have optimum %d: the test cannot tell them apart", want.Cost)
+	}
+	res, err = New(cfg, other).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Finished || res.Best.Cost != wantOther.Cost {
+		t.Fatalf("second run over the same dir: finished=%v best=%d want=%d", res.Finished, res.Best.Cost, wantOther.Cost)
+	}
+	if res.Table.Resumed != 0 {
+		t.Fatalf("the single resolution resumed %d snapshots", res.Table.Resumed)
 	}
 }
 

@@ -146,8 +146,9 @@ type Scenario struct {
 	// InitialUpper primes SOLUTION (0: Infinity).
 	InitialUpper int64
 	// Dir, when set, hosts the checkpoint stores (each job's under
-	// Dir/<job-id>, a sub-farmer's under Dir/sub-<i>); empty uses a
-	// private temporary directory removed at the end of the run.
+	// Dir/<job-id>, a sub-farmer's under Dir/sub-<i>) and must hold no
+	// snapshot yet; empty uses a private temporary directory removed at
+	// the end of the run.
 	Dir string
 	// Subtrees is farmer.TreeConfig.Subtrees: ≥ 2 puts that many
 	// sub-farmers between the fleet and the farmer (DESIGN.md §9),

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/big"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -386,5 +387,28 @@ func TestHarnessBaselineAgreement(t *testing.T) {
 	want, _ := bb.Solve(knapsack.NewProblem(knapsack.Random(20, 5)), bb.Infinity)
 	if rep.Baseline.Cost != want.Cost {
 		t.Fatalf("baseline %d, direct solve %d", rep.Baseline.Cost, want.Cost)
+	}
+}
+
+// TestRunRefusesDirWithSnapshots: a run over a Dir that already holds a
+// snapshot is refused before it starts, because the job table would
+// resume the snapshot and the oracle audits every job from its root
+// range. The same Dir runs while it holds none.
+func TestRunRefusesDirWithSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	sc := QuietGrid()
+	sc.Dir = dir
+	if _, err := Run(sc); err != nil {
+		t.Fatalf("an empty Dir: %v", err)
+	}
+	store, err := checkpoint.NewStore(filepath.Join(dir, checkpoint.DefaultNamespace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(checkpoint.Snapshot{BestCost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "already holds snapshots") {
+		t.Fatalf("a Dir holding a snapshot: err %v, want a refusal", err)
 	}
 }

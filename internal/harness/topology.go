@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 	"os"
@@ -96,6 +97,11 @@ func newTopology(g *grid, sc *Scenario, rep *Report, dir string) (*topology, err
 	var err error
 	if t.store, err = checkpoint.NewStoreFS(g.fs, dir); err != nil {
 		return nil, err
+	}
+	// A run starts fresh: the table would resume a snapshot already in
+	// dir, and the oracle audits every job from its root range.
+	if held, err := t.store.Namespaces(); err != nil || len(held) > 0 {
+		return nil, cmp.Or(err, fmt.Errorf("harness: %s already holds snapshots of %v: a run starts fresh", dir, held))
 	}
 	t.table = jobs.NewTable(jobs.Config{
 		MaxActive: len(sc.Jobs),
@@ -380,8 +386,8 @@ func (t *topology) corruptIntervals() {
 
 // restartRoot kills the root farmer and restores it from the latest
 // snapshot — or from scratch when none exists: the job is cancelled and
-// resubmitted under its id, which resumes it from its namespace with the
-// options it was first submitted with. Its clients keep their connection
+// resubmitted under its id with its tree's root options, which resumes it
+// from its namespace. Its clients keep their connection
 // object (the interceptor wraps the job's endpoint, and the tracker
 // re-attaches to the restored incarnation through Wrap) exactly like real
 // workers reconnect to a restarted coordinator address; under a tree the
@@ -395,7 +401,7 @@ func (t *topology) restartRoot() error {
 	if err := t.table.Cancel(j.ID); err != nil {
 		return err
 	}
-	if err := t.table.Submit(j.ID, j.Spec); err != nil {
+	if err := t.table.Submit(j.ID, j.Spec, t.tree.RootOptions...); err != nil {
 		return err
 	}
 	fellBack := t.store.Stats().FallbackLoads > before

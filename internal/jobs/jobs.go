@@ -160,7 +160,7 @@ type job struct {
 	root    interval.Interval
 	rootLen *big.Int
 	// opts are the job's own farmer options from Submit, kept for a
-	// queued start and a resubmission that passes none.
+	// queued start.
 	opts []farmer.Option
 
 	f     *farmer.Farmer        // live while Running, kept after Done
@@ -211,8 +211,8 @@ func clipID(id string) string {
 // cancel/resubmit pause button (an in-process root restart is exactly
 // that pair). opts are the job's own farmer options (threshold, initial
 // best, a farmer tree's derived root options); the table's clock, lease
-// and store options are applied after them. A resubmission that passes
-// none keeps its predecessor's.
+// and store options are applied after them. A resubmission passes its
+// options again.
 func (tb *Table) Submit(id string, spec Spec, opts ...farmer.Option) error {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
@@ -229,9 +229,6 @@ func (tb *Table) Submit(id string, spec Spec, opts ...farmer.Option) error {
 	if err != nil {
 		tb.ctr.RejectedSubmits++
 		return err
-	}
-	if resubmit && len(opts) == 0 {
-		opts = prev.opts
 	}
 	if tb.cfg.MaxPerUser > 0 {
 		live := 0
@@ -251,13 +248,7 @@ func (tb *Table) Submit(id string, spec Spec, opts ...farmer.Option) error {
 		return fmt.Errorf("jobs: admission queue full (%d running, %d queued)",
 			len(tb.running), len(tb.queue))
 	}
-	weight := spec.Weight
-	if weight <= 0 {
-		weight = 1
-	}
-	if weight > maxWeight {
-		weight = maxWeight
-	}
+	weight := min(max(spec.Weight, 1), maxWeight)
 	nb := core.NewNumbering(factory().Shape())
 	root := nb.RootRange()
 	tb.seq++

@@ -636,12 +636,13 @@ func TestEndpointStampsItsJob(t *testing.T) {
 	}
 }
 
-// TestSubmitOptionsSurvivePromotionAndResubmit: a job's own farmer options
-// reach its farmer when it is promoted from the queue, and again when it
-// is cancelled and resubmitted without them. The probe option is a
+// TestSubmitOptionsOnPromotionAndResubmit: a job's own farmer options
+// reach its farmer when it is promoted from the queue. A cancelled job
+// resubmitted without them runs without them, and resubmitted with them
+// runs with them. The probe option is a
 // threshold above any root length, under which a second requester gets a
 // duplicate of the first one's interval instead of a split.
-func TestSubmitOptionsSurvivePromotionAndResubmit(t *testing.T) {
+func TestSubmitOptionsOnPromotionAndResubmit(t *testing.T) {
 	tb := NewTable(Config{MaxActive: 1})
 	duplicates := func(id string) bool {
 		t.Helper()
@@ -679,8 +680,17 @@ func TestSubmitOptionsSurvivePromotionAndResubmit(t *testing.T) {
 	if err := tb.Submit("dup", knapSpec(14, 2)); err != nil {
 		t.Fatal(err)
 	}
+	if duplicates("dup") {
+		t.Fatal("resubmitted without options, dup kept its predecessor's threshold")
+	}
+	if err := tb.Cancel("dup"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Submit("dup", knapSpec(14, 2), farmer.WithThreshold(new(big.Int).Lsh(big.NewInt(1), 200))); err != nil {
+		t.Fatal(err)
+	}
 	if !duplicates("dup") {
-		t.Fatal("cancelled and resubmitted, dup lost its threshold option")
+		t.Fatal("resubmitted with its threshold option, dup does not duplicate")
 	}
 	if n := len(tb.List()); n != 2 {
 		t.Fatalf("List holds %d entries for 2 jobs: a resubmission must replace its predecessor", n)
