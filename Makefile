@@ -24,9 +24,9 @@ check: vet build test race fuzz-smoke bench-smoke docs-check
 # net/rpc (and its reflective call path) back in. And the daemons' signal
 # handling stays in one place: internal/daemon owns SIGINT/SIGTERM, so a
 # signal.NotifyContext under cmd/ is a second stop path. And there is one
-# concurrent work-stealing runtime, the worker's goroutine shard engine:
-# internal/p2p is the deterministic ring only, so a go statement or a chan
-# type in its non-test code is a second one coming back. And the worker
+# work-stealing runtime over the donation algebra, the worker's shard
+# engine (DESIGN.md §7): a core.Donate call in non-test code outside
+# internal/worker is a second one coming back. And the worker
 # has one multicore engine with two schedulers (DESIGN.md §7): a second
 # Remaining() interval.Interval method in internal/worker's non-test code
 # is a second fold implementation coming back. And a single resolution is
@@ -38,7 +38,7 @@ docs-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "docs-check: gofmt -l flags:"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./... | grep -qx 'net/rpc'; then echo "docs-check: net/rpc is a dependency again (go list -deps ./...)"; exit 1; fi
 	@if grep -rn 'signal\.NotifyContext' cmd; then echo "docs-check: signal handling belongs to internal/daemon (daemon.Run, daemon.SignalContext), not cmd/"; exit 1; fi
-	@if find internal/p2p -name '*.go' ! -name '*_test.go' | xargs grep -nE '^[[:space:]]*go[[:space:]]|\<chan\>' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: internal/p2p is the deterministic ring; concurrent peers run on the worker's shard engine (gridbb.SolveP2P)"; exit 1; fi
+	@if find . -name '*.go' ! -name '*_test.go' ! -path './internal/worker/*' | xargs grep -nE '\<core\.Donate\(' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: core.Donate has one runtime, internal/worker's shard engine; peers without a coordinator run on it too (gridbb.SolveP2P)"; exit 1; fi
 	@if find internal/gridsim internal/harness -name '*.go' ! -name '*_test.go' | xargs grep -nE 'farmer\.(New|Restore)\(' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: gridsim and the harness build their roots through a jobs.Table (one job per single resolution), never farmer.New or farmer.Restore"; exit 1; fi
 	@folds="$$(find internal/worker -name '*.go' ! -name '*_test.go' | xargs grep -nE '^func \([^)]*\) Remaining\(\) interval\.Interval')"; if [ "$$(echo "$$folds" | grep -c .)" -gt 1 ]; then echo "$$folds"; echo "docs-check: internal/worker has one multicore engine (shardEngine, two schedulers); a second Remaining is a second fold"; exit 1; fi
 	$(GO) vet ./...
@@ -52,8 +52,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# The concurrent runtime (farmer monitor, p2p ring, gridbb workers) under
-# the race detector; CI runs this as its own job.
+# The concurrent runtime (farmer monitor, shard engine, gridbb workers)
+# under the race detector; CI runs this as its own job.
 race:
 	$(GO) test -race ./...
 
@@ -125,8 +125,8 @@ fuzz-smoke:
 # so bench_test.go cannot bit-rot between perf PRs. CI runs this on every
 # push (BenchmarkFarmerTreeThroughput included, so the tree record cannot
 # bit-rot either), and the race job runs the full test suite — the
-# chaos scenarios included (tree-churn, ring-restart, and the disk-fault
-# schedules in farmer-failover and multi-job-churn) — under the race
+# chaos scenarios included (tree-churn, and the disk-fault schedules in
+# farmer-failover and multi-job-churn) — under the race
 # detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
@@ -160,7 +160,6 @@ loc:
 	@echo "internal/farmer    $$(find internal/farmer -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/worker    $$(find internal/worker -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/jobs      $$(find internal/jobs -name '*.go' ! -name '*_test.go' | $(LOC))"
-	@echo "internal/p2p       $$(find internal/p2p -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "internal/daemon    $$(find internal/daemon -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "gridbb             $$(find gridbb -name '*.go' ! -name '*_test.go' | $(LOC))"
 	@echo "cmd                $$(find cmd -name '*.go' ! -name '*_test.go' | $(LOC))"

@@ -123,18 +123,8 @@ func TestFarmerWorkerBinaries(t *testing.T) {
 		t.Skip("multi-process integration test")
 	}
 	dir := t.TempDir()
-	farmerBin := filepath.Join(dir, "farmer")
-	workerBin := filepath.Join(dir, "worker")
-	for _, b := range []struct{ out, pkg string }{
-		{farmerBin, "repro/cmd/farmer"},
-		{workerBin, "repro/cmd/worker"},
-	} {
-		cmd := exec.Command("go", "build", "-o", b.out, b.pkg)
-		cmd.Dir = repoRoot(t)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", b.pkg, err, out)
-		}
-	}
+	farmerBin := buildDaemon(t, "farmer")
+	workerBin := buildDaemon(t, "worker")
 
 	args := []string{
 		"-instance", "ta056", "-reduce-jobs", "11", "-reduce-machines", "6",
@@ -233,20 +223,9 @@ func TestTreeBinaries(t *testing.T) {
 		t.Skip("multi-process integration test")
 	}
 	dir := t.TempDir()
-	farmerBin := filepath.Join(dir, "farmer")
-	subBin := filepath.Join(dir, "subfarmer")
-	workerBin := filepath.Join(dir, "worker")
-	for _, b := range []struct{ out, pkg string }{
-		{farmerBin, "repro/cmd/farmer"},
-		{subBin, "repro/cmd/subfarmer"},
-		{workerBin, "repro/cmd/worker"},
-	} {
-		cmd := exec.Command("go", "build", "-o", b.out, b.pkg)
-		cmd.Dir = repoRoot(t)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", b.pkg, err, out)
-		}
-	}
+	farmerBin := buildDaemon(t, "farmer")
+	subBin := buildDaemon(t, "subfarmer")
+	workerBin := buildDaemon(t, "worker")
 
 	args := []string{
 		"-instance", "ta056", "-reduce-jobs", "11", "-reduce-machines", "6",
@@ -461,8 +440,8 @@ func TestFarmerSIGTERMCheckpoints(t *testing.T) {
 		t.Skip("multi-process integration test")
 	}
 	dir := t.TempDir()
-	farmerBin := buildDaemon(t, dir, "farmer")
-	workerBin := buildDaemon(t, dir, "worker")
+	farmerBin := buildDaemon(t, "farmer")
+	workerBin := buildDaemon(t, "worker")
 	args := []string{
 		"-addr", "127.0.0.1:0", "-checkpoint-dir", filepath.Join(dir, "ckpt"),
 		"-checkpoint-period", "3600", "-status-period", "1",
@@ -506,9 +485,9 @@ func TestSubFarmerSIGTERMCheckpoints(t *testing.T) {
 		t.Skip("multi-process integration test")
 	}
 	dir := t.TempDir()
-	farmerBin := buildDaemon(t, dir, "farmer")
-	subBin := buildDaemon(t, dir, "subfarmer")
-	workerBin := buildDaemon(t, dir, "worker")
+	farmerBin := buildDaemon(t, "farmer")
+	subBin := buildDaemon(t, "subfarmer")
+	workerBin := buildDaemon(t, "worker")
 	root, rootOut := startDaemon(t, farmerBin,
 		"-addr", "127.0.0.1:0", "-checkpoint-dir", filepath.Join(dir, "root-ckpt"),
 		"-lease-ttl", "5", "-status-period", "1",

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -17,14 +19,43 @@ var updateUsage = flag.Bool("update", false, "rewrite cmd/*/testdata/usage.golde
 // pinned by a usage golden.
 var daemons = []string{"farmer", "subfarmer", "jobd", "worker"}
 
-// buildDaemon builds repro/cmd/<name> into dir and returns the binary.
-func buildDaemon(t *testing.T, dir, name string) string {
+// binDir holds the daemon binaries of one test-binary run; TestMain
+// creates and removes it.
+var binDir string
+
+// builds maps a daemon name to its once-only build, so each daemon is
+// compiled at most once per package run however many tests start it.
+var builds sync.Map
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "farmer-daemons-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildDaemon builds repro/cmd/<name> once for the package and returns
+// the binary.
+func buildDaemon(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "repro/cmd/"+name)
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, out)
+	root := repoRoot(t)
+	build, _ := builds.LoadOrStore(name, sync.OnceValues(func() (string, error) {
+		bin := filepath.Join(binDir, name)
+		cmd := exec.Command("go", "build", "-o", bin, "repro/cmd/"+name)
+		cmd.Dir = root
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return "", fmt.Errorf("build %s: %v\n%s", name, err, out)
+		}
+		return bin, nil
+	}))
+	bin, err := build.(func() (string, error))()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return bin
 }
@@ -37,10 +68,9 @@ func TestDaemonUsageGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the daemon binaries")
 	}
-	dir := t.TempDir()
 	for _, name := range daemons {
 		t.Run(name, func(t *testing.T) {
-			bin := buildDaemon(t, dir, name)
+			bin := buildDaemon(t, name)
 			var out bytes.Buffer
 			cmd := exec.Command(bin, "-h")
 			cmd.Stdout = &out
@@ -76,10 +106,9 @@ func TestNonPositivePeriodIsUsageError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the daemon binaries")
 	}
-	dir := t.TempDir()
 	bins := map[string]string{}
 	for _, name := range []string{"farmer", "subfarmer", "jobd"} {
-		bins[name] = buildDaemon(t, dir, name)
+		bins[name] = buildDaemon(t, name)
 	}
 	for _, c := range []struct{ daemon, flag, value string }{
 		{"farmer", "checkpoint-period", "0"},

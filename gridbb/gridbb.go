@@ -18,7 +18,8 @@
 // workers with RunRemoteWorker, which shards each worker's interval across
 // WorkerConfig.Cores explorers behind the unchanged single-worker protocol
 // (see cmd/farmer, cmd/worker and the package examples). SolveP2P runs
-// in-process peers with no coordinator at all.
+// in-process peers with no coordinator at all, on the same shard engine;
+// the paper's §6 peer-to-peer outlook over a network is not modelled.
 //
 // README.md is the repository tour; DESIGN.md records the engineering
 // decisions (the two-mode explorer §1, the multicore shard engine §7, the
@@ -349,9 +350,9 @@ type P2PResult struct {
 // the resolution ends when every peer is parked without work. It runs on
 // the worker's shard engine under its goroutine scheduler (DESIGN.md §7)
 // and proves the same optima as Solve; the trade-off is no central
-// checkpoint. The decentralized protocol itself — random victims, a ring
-// token for termination, per-peer checkpoints — is modelled,
-// deterministically and under chaos, by internal/p2p's Lockstep ring.
+// checkpoint. The paper's §6 outlook — peers over a network, with a
+// termination token and per-peer checkpoints — is not modelled here
+// (DESIGN.md §7).
 func SolveP2P(factory func() Problem, opt P2POptions) (P2PResult, error) {
 	if opt.Peers <= 0 {
 		opt.Peers = 4

@@ -13,8 +13,9 @@ import (
 // several concurrency levels, and the per-peer counts add up to the total.
 // Only deterministic outcomes are asserted: steal counts depend on goroutine
 // scheduling (a fast host can legitimately finish a small instance solo
-// before any thief is served), so distribution properties are pinned on
-// the lockstep ring in internal/p2p, where the schedule is part of the seed.
+// before any thief is served), so the steal itself is pinned under the
+// shard engine's stepped scheduler (internal/worker's
+// TestShardEngineStealsRebalance), where the schedule is deterministic.
 func TestP2PSolvesFlowshop(t *testing.T) {
 	ins := flowshop.Taillard(12, 10, 5)
 	factory := func() Problem {

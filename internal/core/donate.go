@@ -8,10 +8,10 @@ import "repro/internal/interval"
 // untouched — when there is nothing worth giving (the explorer is done or
 // its remainder holds fewer than two numbers).
 //
-// This is the work-movement primitive shared by every runtime that
-// rebalances between live explorers: the p2p ring's steal-by-halving
-// (victims donate to hungry peers) and the multicore worker's shard engine
-// (idle shards donate from the richest sibling). Callers own the
+// This is the work-movement primitive of the one runtime that rebalances
+// between live explorers, internal/worker's shard engine: an idle shard —
+// of a multicore worker, or one of gridbb.SolveP2P's peers — takes a
+// donation from the richest sibling. Callers own the
 // synchronization: an Explorer is single-threaded, so concurrent runtimes
 // must hold the victim's lock across the call — the fold (Remaining), the
 // halving and the Restrict must be one atomic step or the donated and kept

@@ -105,7 +105,7 @@ func NewExplorer(p bb.Problem, nb *Numbering, iv interval.Interval, initialUpper
 // An empty interval — including the zero value, whose nil bounds would
 // otherwise read as "no constraint" under the eq. 14 convention and clamp
 // to the whole tree — assigns nothing: an idle explorer owns zero leaves,
-// which is what the p2p peers and the worker's dropped-interval path rely
+// which is what an idle shard and the worker's dropped-interval path rely
 // on.
 func clampAssigned(iv interval.Interval, nb *Numbering) (lo, hi *big.Int) {
 	if iv.IsEmpty() {

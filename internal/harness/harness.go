@@ -1,11 +1,11 @@
 // Package harness is a deterministic in-process grid: it composes the real
-// farmer, real sub-farmers, the real job table, real worker sessions, the
-// real two-file checkpoint store and the real p2p ring over an
-// instrumented transport with seeded fault injection (message
-// drop/duplication/black-holing, worker kill-and-rejoin, coordinator
-// restart from its checkpoint files, disk faults), and holds every run to
-// the paper's invariants as machine-checked conformance properties (see
-// conformance.go and DESIGN.md §5).
+// farmer, real sub-farmers, the real job table, real worker sessions and
+// the real two-file checkpoint store over an instrumented transport with
+// seeded fault injection (message drop/duplication/black-holing, worker
+// kill-and-rejoin, coordinator restart from its checkpoint files, disk
+// faults), and holds every run to the paper's invariants as
+// machine-checked conformance properties (see conformance.go and
+// DESIGN.md §5).
 //
 // Everything runs in one goroutine under a virtual clock: worker sessions
 // are advanced in seeded-shuffled order with seeded budgets, every fault is
@@ -210,10 +210,10 @@ func (s *Scenario) fillDefaults() error {
 	return nil
 }
 
-// Tally is the part of a run's outcome every driver produces: the trace,
-// the verdict and the fault bookkeeping. A run is conformant iff
+// Report is the outcome of a scenario: the trace, the verdict, the fault
+// bookkeeping and the final coordinator state. A run is conformant iff
 // Violations is empty and Finished is true.
-type Tally struct {
+type Report struct {
 	// Name echoes the scenario.
 	Name string
 	// Trace is the deterministic event log (same seed ⇒ same trace).
@@ -231,21 +231,14 @@ type Tally struct {
 	// Timeouts counts black-holed calls that surfaced as ErrDeadline to a
 	// worker.
 	Timeouts int
-}
-
-// Report is the outcome of a scenario (Run, RunRing).
-type Report struct {
-	Tally
 	// Best is the (first) resolution's answer; Baseline the sequential
 	// oracle's.
 	Best, Baseline bb.Solution
 	// Jobs holds every job's final state (incumbent and farmer counters
-	// included) in submission order, and Table the job table's tallies;
-	// both empty for the ring.
+	// included) in submission order, and Table the job table's tallies.
 	Jobs  []jobs.Progress
 	Table jobs.Counters
-	// Restarts counts coordinator restarts (root and sub-farmer alike; for
-	// the ring, peer restores).
+	// Restarts counts coordinator restarts, root and sub-farmer alike.
 	Restarts int
 	// CorruptInjections counts the snapshot bytes flipped on disk.
 	CorruptInjections int
@@ -263,13 +256,9 @@ type Report struct {
 	Counters farmer.Counters
 }
 
-func newReport(name string) Report {
-	return Report{Tally: Tally{Name: name}, OverlapUnits: new(big.Int), ReworkBudget: new(big.Int)}
-}
-
 // recorder is the event log and driver-level violation list of one run,
-// shared by the grid driver and the ring driver. (The conformance trackers
-// keep their own violation lists; a report concatenates them.)
+// shared by the grid and its sub-farmer trackers. (The conformance
+// trackers keep their own violation lists; a report concatenates them.)
 type recorder struct {
 	trace      []string
 	violations []string
@@ -340,7 +329,7 @@ type grid struct {
 	recorder
 	fleet Fleet
 	topo  *topology
-	tally *Tally
+	rep   *Report
 
 	rng     *rand.Rand
 	tick    int
@@ -354,10 +343,10 @@ type grid struct {
 	crashed      map[transport.WorkerID]bool // lost-report verdicts pending a kill
 }
 
-func newGrid(fleet Fleet, tally *Tally) *grid {
+func newGrid(fleet Fleet, rep *Report) *grid {
 	return &grid{
 		fleet:   fleet,
-		tally:   tally,
+		rep:     rep,
 		rng:     rand.New(rand.NewSource(fleet.Seed)),
 		fs:      checkpoint.NewFaultFS(nil),
 		crashed: make(map[transport.WorkerID]bool),
@@ -405,7 +394,7 @@ func tempDir(dir string) (string, func(), error) {
 // error is reserved for harness misuse (unexpected protocol errors bubble
 // up as violations, not errors).
 func Run(sc Scenario) (Report, error) {
-	rep := newReport(sc.Name)
+	rep := Report{Name: sc.Name, OverlapUnits: new(big.Int), ReworkBudget: new(big.Int)}
 	if err := sc.fillDefaults(); err != nil {
 		return rep, err
 	}
@@ -415,8 +404,8 @@ func Run(sc Scenario) (Report, error) {
 	}
 	defer cleanup()
 
-	g := newGrid(sc.Fleet, &rep.Tally)
-	t, err := newTopology(g, &sc, &rep, dir)
+	g := newGrid(sc.Fleet, &rep)
+	t, err := newTopology(g, &sc, dir)
 	if err != nil {
 		return rep, err
 	}
@@ -424,7 +413,10 @@ func Run(sc Scenario) (Report, error) {
 		return rep, err
 	}
 	t.settle()
-	return rep, t.conclude()
+	// conclude fills rep: call it before rep is read for the return, an
+	// order a single return statement leaves unspecified.
+	err = t.conclude()
+	return rep, err
 }
 
 // loop is the virtual-time event loop: seat the fleet, then per tick run
@@ -496,12 +488,12 @@ func (g *grid) loop(topo *topology) error {
 
 		topo.tree.Pulse()
 		if topo.done() {
-			g.tally.Finished = true
-			g.tally.Ticks = tick + 1
+			g.rep.Finished = true
+			g.rep.Ticks = tick + 1
 			return nil
 		}
 	}
-	g.tally.Ticks = fl.MaxTicks
+	g.rep.Ticks = fl.MaxTicks
 	return nil
 }
 
@@ -516,7 +508,7 @@ func (g *grid) join(i int) {
 	sl.rejoinAt = -1
 	sl.finished = false
 	if sl.gen > 1 {
-		g.tally.Rejoins++
+		g.rep.Rejoins++
 	}
 	if n > 1 {
 		g.tracef("join slot=%d sub=%d w=%s", i, i%n, sl.id)
@@ -549,7 +541,7 @@ func (g *grid) kill(i, rejoinAt int, why string) {
 	delete(g.crashed, sl.id)
 	sl.sess = nil
 	sl.rejoinAt = rejoinAt
-	g.tally.Kills++
+	g.rep.Kills++
 }
 
 // checkpoint runs one snapshot sweep over every store of the topology,
@@ -578,16 +570,16 @@ func (g *grid) checkpoint() error {
 		} else if !errors.Is(err, checkpoint.ErrInjected) {
 			return err
 		}
-		g.tally.DiskFaults++
-		g.tracef("ckpt-fault n=%d", g.tally.DiskFaults)
+		g.rep.DiskFaults++
+		g.tracef("ckpt-fault n=%d", g.rep.DiskFaults)
 		return nil
 	}
 	if err != nil {
 		return err
 	}
 	g.topo.noteCheckpoint()
-	g.tally.Checkpoints++
-	g.tracef("ckpt n=%d", g.tally.Checkpoints)
+	g.rep.Checkpoints++
+	g.tracef("ckpt n=%d", g.rep.Checkpoints)
 	return nil
 }
 
@@ -627,15 +619,15 @@ func (g *grid) observe(leg string, op transport.Op, w transport.WorkerID, fault 
 	}
 	switch fault {
 	case transport.FaultDropRequest, transport.FaultDropReply:
-		g.tally.Drops++
+		g.rep.Drops++
 	case transport.FaultBlackhole:
 		// A timed-out call is a loss the deadline had to prove; the
 		// protocol consequences are identical to a drop, including the
 		// worker dying on a timed-out solution report (the real process
 		// restarts on the RPC error).
-		g.tally.Timeouts++
+		g.rep.Timeouts++
 	case transport.FaultDuplicate:
-		g.tally.Duplicates++
+		g.rep.Duplicates++
 		return
 	}
 	if leg != legUp && op == transport.OpReportSolution {
@@ -643,21 +635,21 @@ func (g *grid) observe(leg string, op transport.Op, w transport.WorkerID, fault 
 	}
 }
 
-// conclude writes the run's verdict into the tally: every tracker's
+// conclude writes the run's verdict into the report: every tracker's
 // violations, then the driver's own — among them the optimality check. A
 // B&B proof of optimality takes a run that terminated within its tick
 // budget and, for every resolution it proved, an incumbent matching the
 // sequential oracle.
 func (g *grid) conclude(trackers []*tracker, proven ...outcome) {
-	if !g.tally.Finished {
+	if !g.rep.Finished {
 		g.violatef("scenario did not terminate within %d ticks", g.fleet.MaxTicks)
 	}
 	for _, o := range proven {
 		g.checkIncumbent(o)
 	}
-	g.tally.Trace = g.trace
+	g.rep.Trace = g.trace
 	for _, tr := range trackers {
-		g.tally.Violations = append(g.tally.Violations, tr.violations...)
+		g.rep.Violations = append(g.rep.Violations, tr.violations...)
 	}
-	g.tally.Violations = append(g.tally.Violations, g.violations...)
+	g.rep.Violations = append(g.rep.Violations, g.violations...)
 }

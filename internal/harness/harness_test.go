@@ -35,21 +35,6 @@ func TestScenarioMatrixConformance(t *testing.T) {
 			assertSameTrace(t, rep.Trace, again.Trace)
 		})
 	}
-	for _, sc := range RingScenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			rep, err := RunRing(sc)
-			if err != nil {
-				t.Fatalf("harness error: %v", err)
-			}
-			assertConformant(t, rep)
-			again, err := RunRing(sc)
-			if err != nil {
-				t.Fatalf("second run: %v", err)
-			}
-			assertSameTrace(t, rep.Trace, again.Trace)
-		})
-	}
 }
 
 func assertConformant(t *testing.T, rep Report) {
@@ -201,35 +186,6 @@ func TestScenariosExerciseTheirFaults(t *testing.T) {
 	}
 	if quiet.OverlapUnits.Sign() != 0 {
 		t.Errorf("quiet-grid: %s units re-covered without any fault", quiet.OverlapUnits)
-	}
-
-	ring, err := RunRing(PartitionedRing())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blocked bool
-	for _, line := range ring.Trace {
-		if strings.Contains(line, "-blocked") {
-			blocked = true
-			break
-		}
-	}
-	if !blocked {
-		t.Errorf("partitioned-ring: the partition window never blocked anything")
-	}
-
-	restart, err := RunRing(RingRestart())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(RingRestart().Kills); restart.Restarts != want {
-		t.Errorf("ring-restart: %d restores, scheduled %d", restart.Restarts, want)
-	}
-	if restart.Checkpoints == 0 {
-		t.Errorf("ring-restart: the periodic checkpoint cadence never fired")
-	}
-	if restart.ReworkBudget.Sign() == 0 {
-		t.Errorf("ring-restart: every restore re-opened a fresh frontier — the kills landed on idle peers and exercised nothing")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"repro/internal/flowshop"
 	"repro/internal/jobs"
 	"repro/internal/knapsack"
-	"repro/internal/qap"
 	"repro/internal/tsp"
 )
 
@@ -311,62 +310,7 @@ func MultiJobChurn() Scenario {
 	}
 }
 
-// PartitionedRing is the p2p future-work story (§6) under a network
-// partition on a QAP instance (~13k sequential nodes): the ring is cut in
-// half from the very first sweep — while peers 2 and 3 are still starved,
-// their only work sources on the far side — so no steals and no
-// termination token cross the cut for the window; the ring must neither
-// lose work nor declare termination early, and the starved half must catch
-// up once the partition heals.
-func PartitionedRing() RingScenario {
-	ins := qap.Random(8, 15, 9)
-	return RingScenario{
-		Name:           "partitioned-ring",
-		Seed:           4,
-		Factory:        func() bb.Problem { return qap.NewProblem(ins) },
-		Peers:          4,
-		StepBudget:     256,
-		PartitionFrom:  1,
-		PartitionUntil: 6,
-		PartitionCut:   2,
-	}
-}
-
-// RingRestart is the §6 ring-checkpointing story: peer crashes composed
-// with a partition window on a QAP instance (~13k sequential nodes). Every
-// peer owns a two-file snapshot (saved at attach, on every steal, and on a
-// periodic cadence); two peers die mid-resolution — one of them while the
-// ring is still partitioned — and restart from their own snapshots with
-// the DFvG token tainted. The conformance layer holds every restore to the
-// wrong-search-space guard (the re-opened frontier must cover everything
-// the dead peer owned), bounds all re-covered ground by the restore
-// events' staleness, forbids termination while any peer is down, and the
-// double run must stay byte-identical.
-func RingRestart() RingScenario {
-	ins := qap.Random(8, 15, 21)
-	return RingScenario{
-		Name:            "ring-restart",
-		Seed:            7,
-		Factory:         func() bb.Problem { return qap.NewProblem(ins) },
-		Peers:           4,
-		StepBudget:      256,
-		PartitionFrom:   2,
-		PartitionUntil:  5,
-		PartitionCut:    2,
-		CheckpointEvery: 4,
-		Kills: []RingKill{
-			{Sweep: 4, Peer: 1, RestoreAfter: 3},
-			{Sweep: 10, Peer: 3, RestoreAfter: 4},
-		},
-	}
-}
-
 // GridScenarios returns the farmer-based scenario matrix.
 func GridScenarios() []Scenario {
 	return []Scenario{QuietGrid(), ChurnyGrid(), FarmerFailover(), MulticoreChurn(), PackedGrid(), TreeChurn(), EndgameChurn(), StalledCoordinator()}
-}
-
-// RingScenarios returns the p2p scenario matrix.
-func RingScenarios() []RingScenario {
-	return []RingScenario{PartitionedRing(), RingRestart()}
 }

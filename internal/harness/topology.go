@@ -56,7 +56,6 @@ const (
 type topology struct {
 	g   *grid
 	sc  *Scenario
-	rep *Report
 	dir string
 
 	store     *checkpoint.Store
@@ -86,9 +85,9 @@ type topology struct {
 // newTopology builds the table over a store under dir, each job's oracle,
 // tracker and farmer tree (sub-farmer stores under dir/sub-<i>), every
 // store opened through the grid's fault seam, and submits the jobs.
-func newTopology(g *grid, sc *Scenario, rep *Report, dir string) (*topology, error) {
+func newTopology(g *grid, sc *Scenario, dir string) (*topology, error) {
 	t := &topology{
-		g: g, sc: sc, rep: rep, dir: dir,
+		g: g, sc: sc, dir: dir,
 		factories: make(map[string]func() bb.Problem),
 		roots:     make(map[string]interval.Interval),
 		baselines: make(map[string]bb.Solution),
@@ -319,7 +318,7 @@ func (t *topology) settle() {
 // be done and proven, a cancelled job proves nothing — its only
 // obligations are the tracker laws while it ran.
 func (t *topology) conclude() error {
-	g, rep := t.g, t.rep
+	g, rep := t.g, t.g.rep
 	var trackers []*tracker
 	var proven []outcome
 	for _, j := range t.sc.Jobs {
@@ -380,8 +379,8 @@ func (t *topology) corruptIntervals() {
 		t.g.tracef("disk-corrupt-skipped err=%v", err)
 		return
 	}
-	t.rep.CorruptInjections++
-	t.g.tracef("disk-corrupt n=%d", t.rep.CorruptInjections)
+	t.g.rep.CorruptInjections++
+	t.g.tracef("disk-corrupt n=%d", t.g.rep.CorruptInjections)
 }
 
 // restartRoot kills the root farmer and restores it from the latest
@@ -406,8 +405,8 @@ func (t *topology) restartRoot() error {
 	}
 	fellBack := t.store.Stats().FallbackLoads > before
 	t.tracks[j.ID].noteRestart(fellBack)
-	t.rep.Restarts++
-	t.g.tracef("farmer-restart n=%d fallback=%v", t.rep.Restarts, fellBack)
+	t.g.rep.Restarts++
+	t.g.tracef("farmer-restart n=%d fallback=%v", t.g.rep.Restarts, fellBack)
 	return nil
 }
 
@@ -422,8 +421,8 @@ func (t *topology) restartSub(i int) error {
 	}
 	t.tree.Subs[i] = sub
 	t.subTracks[i].noteRestart(sub)
-	t.rep.Restarts++
-	t.g.tracef("sub-restart sub=%d n=%d", i, t.rep.Restarts)
+	t.g.rep.Restarts++
+	t.g.tracef("sub-restart sub=%d n=%d", i, t.g.rep.Restarts)
 	return nil
 }
 

@@ -333,25 +333,3 @@ func (iv *Interval) UnmarshalText(text []byte) error {
 	iv.a, iv.b = a, b
 	return nil
 }
-
-// Union returns the smallest interval containing both operands. It is only
-// meaningful for adjacent or overlapping intervals, which is exactly the
-// situation of a depth-first active list (eq. 9: consecutive ranges abut);
-// ok is false when the operands leave a gap, in which case the hull is still
-// returned for diagnostic purposes.
-func Union(x, y Interval) (hull Interval, ok bool) {
-	if x.IsEmpty() {
-		return y.Clone(), true
-	}
-	if y.IsEmpty() {
-		return x.Clone(), true
-	}
-	a := minBig(x.a, y.a)
-	b := maxBig(x.b, y.b)
-	hull = Interval{a: cloneOrZero(a), b: cloneOrZero(b)}
-	// A gap exists when one interval ends strictly before the other begins.
-	if x.b.Cmp(y.a) < 0 || y.b.Cmp(x.a) < 0 {
-		return hull, false
-	}
-	return hull, true
-}

@@ -303,25 +303,6 @@ func TestAccessorsAreCopies(t *testing.T) {
 	}
 }
 
-// TestUnion covers the hull semantics and gap detection.
-func TestUnion(t *testing.T) {
-	hull, ok := Union(iv(0, 5), iv(5, 9))
-	if !ok || !hull.Equal(iv(0, 9)) {
-		t.Errorf("union of abutting = %v (ok=%v)", hull, ok)
-	}
-	hull, ok = Union(iv(0, 3), iv(7, 9))
-	if ok {
-		t.Error("gap not detected")
-	}
-	if !hull.Equal(iv(0, 9)) {
-		t.Errorf("hull over gap = %v", hull)
-	}
-	hull, ok = Union(iv(4, 4), iv(1, 2))
-	if !ok || !hull.Equal(iv(1, 2)) {
-		t.Errorf("union with empty = %v (ok=%v)", hull, ok)
-	}
-}
-
 // TestCmpOrdering: intervals order by beginning then end.
 func TestCmpOrdering(t *testing.T) {
 	if iv(1, 5).Cmp(iv(2, 3)) >= 0 {

@@ -1,10 +1,9 @@
-// Sharding operators: the donation algebra the peer-to-peer runtime
-// introduced (steal-by-halving) and the tiling operator the intra-worker
-// multicore engine is built on, extracted here so every runtime that moves
-// work between explorers shares one audited implementation. Both are pure
-// functions of the interval bounds; the fuzz suite pins their conservation
-// laws (pieces tile the input exactly, never overlap, empties stay
-// absorbing) against the brute-force model.
+// Sharding operators: the donation algebra (steal-by-halving) and the
+// tiling operator the intra-worker multicore engine is built on, kept
+// here so the code that moves work between explorers has one audited
+// implementation. Both are pure functions of the interval bounds; the
+// fuzz suite pins their conservation laws (pieces tile the input exactly,
+// never overlap, empties stay absorbing) against the brute-force model.
 package interval
 
 import "math/big"

@@ -3,9 +3,11 @@ package transport_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -267,7 +269,10 @@ func TestServerEvictsForMaxConns(t *testing.T) {
 }
 
 // TestServerReadTimeoutDropsSilentPeers: a peer that connects and goes
-// silent is disconnected after the idle deadline, freeing the slot.
+// silent is disconnected by the server after the idle deadline, freeing
+// the slot — whether it falls silent before its wire preamble or after
+// it. The client's own deadline is far above ReadTimeout and far below
+// the authentication deadline, so only the server's close passes.
 func TestServerReadTimeoutDropsSilentPeers(t *testing.T) {
 	srv, err := transport.ServeWith(testFarmer(), "127.0.0.1:0", transport.ServerOptions{
 		ReadTimeout: 50 * time.Millisecond,
@@ -276,15 +281,27 @@ func TestServerReadTimeoutDropsSilentPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := nc.Read(buf); err == nil {
-		t.Fatal("silent connection still open after the idle deadline")
+	for name, opening := range map[string][]byte{
+		"before-preamble": nil,
+		"after-preamble":  {0x00, 'G', 'B', 'W', 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if _, err := nc.Write(opening); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			nc.SetReadDeadline(start.Add(2 * time.Second))
+			// Drain the preamble's acknowledgement, if any, up to the close.
+			if _, err := io.ReadAll(nc); err != nil && !errors.Is(err, syscall.ECONNRESET) {
+				t.Fatalf("silent connection not closed by the server: %v after %v", err, time.Since(start))
+			}
+			waitFor(t, "the connection slot to be freed", func() bool { return srv.Stats().ActiveConns == 0 })
+		})
 	}
 }
 

@@ -33,9 +33,10 @@ const DefaultMaxMessageBytes = 1 << 20
 // to disable it).
 type ServerOptions struct {
 	// ReadTimeout is the per-connection idle read deadline: a peer that
-	// goes silent longer than this (between requests, or mid-message) has
-	// its connection closed, freeing the slot and the goroutine. Zero
-	// disables the deadline.
+	// goes silent longer than this (before its token or wire preamble,
+	// between requests, or mid-message) has its connection closed,
+	// freeing the slot and the goroutine. Zero disables the deadline; the
+	// opening reads then stay bounded by the authentication deadline.
 	ReadTimeout time.Duration
 	// MaxConns caps simultaneous connections. When a new peer arrives at
 	// the cap, the connection with the oldest traffic is evicted — slow or
@@ -174,8 +175,14 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		nc.SetDeadline(time.Time{})
 	}
+	// The opening reads answer to ReadTimeout when it is the tighter
+	// bound: a peer that connects and says nothing is a silent peer.
+	opening := authTimeout
+	if t := s.opts.ReadTimeout; t > 0 && t < opening {
+		opening = t
+	}
 	if s.opts.Token != "" {
-		if err := verifyToken(nc, s.opts.Token); err != nil {
+		if err := verifyToken(nc, s.opts.Token, opening); err != nil {
 			s.authFailures.Add(1)
 			return
 		}
@@ -183,7 +190,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	c.authed.Store(true)
 	// Every client opens with wirePreamble; anything else is not a peer
 	// of this protocol and is dropped before a frame of it is read.
-	nc.SetDeadline(time.Now().Add(authTimeout))
+	nc.SetDeadline(time.Now().Add(opening))
 	var pre [len(wirePreamble)]byte
 	if _, err := io.ReadFull(nc, pre[:]); err != nil || pre != wirePreamble {
 		return

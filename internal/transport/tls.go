@@ -68,11 +68,11 @@ func presentToken(conn net.Conn, token string) error {
 	return nil
 }
 
-// verifyToken reads and checks the client's token preamble under its own
-// deadline, replying with one ACK byte on success. The comparison is
+// verifyToken reads and checks the client's token preamble within
+// timeout, replying with one ACK byte on success. The comparison is
 // constant-time; the failure path stays silent (close, no oracle).
-func verifyToken(conn net.Conn, token string) error {
-	conn.SetDeadline(time.Now().Add(authTimeout))
+func verifyToken(conn net.Conn, token string, timeout time.Duration) error {
+	conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
 	var header [5]byte
 	if _, err := io.ReadFull(conn, header[:]); err != nil {

@@ -21,10 +21,10 @@ type shard struct {
 }
 
 // shardEngine is the intra-worker multicore engine: P shard explorers over
-// a tiling of the worker's assigned interval. Work balances internally with
-// the same donation algebra the p2p ring steals with — a dry shard halves
-// the richest sibling's remainder (core.Donate) — and improvements go to a
-// shared incumbent that every shard adopts at the start of its next slice.
+// a tiling of the worker's assigned interval. Work balances internally by
+// donation — a dry shard halves the richest sibling's remainder
+// (core.Donate) — and improvements go to a shared incumbent that every
+// shard adopts at the start of its next slice.
 //
 // To the protocol the engine is indistinguishable from one explorer: its
 // fold (Remaining) is the covering interval [min shard frontier, B) of the
