@@ -32,7 +32,10 @@ check: vet build test race fuzz-smoke bench-smoke docs-check
 # is a second fold implementation coming back. And a single resolution is
 # a job table with one job (DESIGN.md §13): a farmer.New or farmer.Restore
 # call in the simulator's or the chaos harness's non-test code is a second
-# kind of root coming back.
+# kind of root coming back. And exploring ahead is the simulator's
+# lookahead (DESIGN.md §4): a Prefetch call in non-test code outside
+# internal/gridsim is a live worker holding back an improvement it must
+# push at once (§4.4 rule 2).
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing (doc.go references it)"; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "docs-check: gofmt -l flags:"; echo "$$out"; exit 1; fi
@@ -40,6 +43,7 @@ docs-check:
 	@if grep -rn 'signal\.NotifyContext' cmd; then echo "docs-check: signal handling belongs to internal/daemon (daemon.Run, daemon.SignalContext), not cmd/"; exit 1; fi
 	@if find . -name '*.go' ! -name '*_test.go' ! -path './internal/worker/*' | xargs grep -nE '\<core\.Donate\(' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: core.Donate has one runtime, internal/worker's shard engine; peers without a coordinator run on it too (gridbb.SolveP2P)"; exit 1; fi
 	@if find internal/gridsim internal/harness -name '*.go' ! -name '*_test.go' | xargs grep -nE 'farmer\.(New|Restore)\(' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: gridsim and the harness build their roots through a jobs.Table (one job per single resolution), never farmer.New or farmer.Restore"; exit 1; fi
+	@if find . -name '*.go' ! -name '*_test.go' ! -path './internal/gridsim/*' ! -path './.bench_build/*' | xargs grep -nE '\.Prefetch\(' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: Session.Prefetch is the simulator's lookahead (internal/gridsim); a live worker pushes an improvement the moment it finds it (§4.4 rule 2) and never explores ahead"; exit 1; fi
 	@folds="$$(find internal/worker -name '*.go' ! -name '*_test.go' | xargs grep -nE '^func \([^)]*\) Remaining\(\) interval\.Interval')"; if [ "$$(echo "$$folds" | grep -c .)" -gt 1 ]; then echo "$$folds"; echo "docs-check: internal/worker has one multicore engine (shardEngine, two schedulers); a second Remaining is a second fold"; exit 1; fi
 	$(GO) vet ./...
 

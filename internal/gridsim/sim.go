@@ -363,7 +363,9 @@ func (s *Sim) Run() (Result, error) {
 	nextFarmerCkpt := cfg.FarmerCheckpointSeconds
 	var sumActive int64
 	for tick := 0; tick < cfg.MaxTicks; tick++ {
-		f.beginTick(tick)
+		if err := f.beginTick(tick); err != nil {
+			return s.result, err
+		}
 
 		activeCount := 0
 		finished := false
@@ -373,18 +375,14 @@ func (s *Sim) Run() (Result, error) {
 			}
 			activeCount++
 			w.presentSecs += dt
+			f.explore(w, tick)
 			// A pull-model exchange stalls the worker for a WAN round
 			// trip; the stall eats into this tick's exploration time.
-			explTime := dt
-			if w.pendingComm > 0 {
-				if w.pendingComm >= explTime {
-					w.pendingComm -= explTime
-					continue
-				}
-				explTime -= w.pendingComm
-				w.pendingComm = 0
+			explTime, budget, ok := w.tick(dt)
+			if !ok {
+				continue
 			}
-			n, budget, done, err := f.step(w, explTime)
+			n, done, err := f.step(w, budget)
 			if err != nil {
 				return s.result, err
 			}
@@ -408,7 +406,7 @@ func (s *Sim) Run() (Result, error) {
 			}
 			m := w.session.Messages
 			msgs := m.Requests + m.Updates + m.Reports
-			w.pendingComm += float64(msgs-w.lastMsgs) * cfg.WorkerRTTSeconds
+			w.stall += float64(msgs-w.lastMsgs) * cfg.WorkerRTTSeconds
 			w.lastMsgs = msgs
 		}
 		// Drive the sub→root fold cadence so quiet fleets keep their

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -134,6 +135,17 @@ type Session struct {
 	finished bool
 	pushErr  error
 
+	// ahead holds the nodes Prefetch explored before the driver budgeted
+	// them, one counter kind each (aheadPruned, aheadLeaf, or zero for a
+	// node descended into); ahead[spent:] are still to be handed out by
+	// Advance. held is an improvement found on the last of them: its push
+	// waits until that node is spent. holding routes pushSolution into
+	// held while Prefetch runs.
+	ahead   []byte
+	spent   int
+	held    *bb.Solution
+	holding bool
+
 	// Messages counts protocol calls by kind, for tests and statistics.
 	Messages struct {
 		Requests, Updates, Reports int64
@@ -209,21 +221,50 @@ func (s *Session) Finished() bool { return s.finished }
 func (s *Session) HasWork() bool { return s.haveWork }
 
 // Stats returns the cumulative exploration counters of the local engines,
-// summed over every job served.
+// summed over every job served. Nodes Prefetch explored that Advance has
+// not handed out yet are not counted.
 func (s *Session) Stats() bb.Stats {
 	var out bb.Stats
 	for _, st := range s.jobs {
 		out.Add(st.ex.Stats())
 	}
+	out.Add(s.unspent())
 	return out
 }
 
-// JobStats returns one job's local exploration counters.
+// JobStats returns one job's local exploration counters, without the
+// nodes explored ahead.
 func (s *Session) JobStats(job string) bb.Stats {
-	if st, ok := s.jobs[job]; ok {
-		return st.ex.Stats()
+	st, ok := s.jobs[job]
+	if !ok {
+		return bb.Stats{}
 	}
-	return bb.Stats{}
+	out := st.ex.Stats()
+	if st == s.cur {
+		out.Add(s.unspent())
+	}
+	return out
+}
+
+// Kinds of a node explored ahead, for unspent.
+const (
+	aheadPruned byte = 1 << iota
+	aheadLeaf
+)
+
+// unspent returns the counters of the nodes explored ahead and not handed
+// out yet, negated.
+func (s *Session) unspent() bb.Stats {
+	var out bb.Stats
+	for _, k := range s.ahead[s.spent:] {
+		out.Explored--
+		out.Pruned -= int64(k & aheadPruned)
+		out.Leaves -= int64(k&aheadLeaf) >> 1
+	}
+	if s.held != nil {
+		out.Improved--
+	}
+	return out
 }
 
 // Reported returns the cumulative statistics already shipped to the
@@ -248,9 +289,10 @@ func (s *Session) Best() bb.Solution {
 }
 
 // Advance explores up to budget nodes, interleaving protocol exchanges as
-// they come due. It returns the number of nodes actually explored and
-// whether the whole resolution is finished. A (0, false, nil) return
-// without work held means the coordinator asked the worker to wait.
+// they come due; nodes Prefetch explored are handed out first. It returns
+// the number of nodes actually explored and whether the whole resolution
+// is finished. A (0, false, nil) return without work held means the
+// coordinator asked the worker to wait.
 func (s *Session) Advance(budget int64) (explored int64, finished bool, err error) {
 	if budget <= 0 && !s.haveWork && !s.finished {
 		// A zero-budget call still acquires work, so a slow host (in a
@@ -272,6 +314,32 @@ func (s *Session) Advance(budget int64) (explored int64, finished bool, err erro
 			continue
 		}
 		st := s.cur
+		if s.spent < len(s.ahead) {
+			// Nodes Prefetch explored: hand them out first. The last one
+			// owes whatever exchange the engine call that explored it
+			// would have made: a held push, then a due update.
+			n := min(budget-explored, int64(len(s.ahead)-s.spent))
+			s.spent += int(n)
+			explored += n
+			st.sinceUpdate += n
+			if s.spent < len(s.ahead) {
+				break
+			}
+			s.ahead, s.spent = s.ahead[:0], 0
+			if sol := s.held; sol != nil {
+				s.held = nil
+				s.pushSolution(st, *sol)
+				if err := s.takePushErr(); err != nil {
+					return explored, s.finished, err
+				}
+			}
+			if st.sinceUpdate >= s.cfg.UpdatePeriodNodes {
+				if err := s.update(); err != nil {
+					return explored, s.finished, err
+				}
+			}
+			continue
+		}
 		slice := min(budget-explored, s.cfg.UpdatePeriodNodes-st.sinceUpdate)
 		n, done := st.ex.Step(slice)
 		explored += n
@@ -291,6 +359,46 @@ func (s *Session) Advance(budget int64) (explored int64, finished bool, err erro
 		}
 	}
 	return explored, s.finished, nil
+}
+
+// Prefetch explores up to limit nodes of the held interval ahead of the
+// driver's budget, with no exchange, and returns how many nodes the session
+// now holds ahead; Advance hands them out before it steps the engine again.
+// It stops on the node where a per-budget run would talk to the
+// coordinator: the one completing an update period (the update is sent
+// when Advance spends it), an improving leaf (its report is held until
+// then) and the interval's end. It never takes a step past limit, so the
+// step that finds the interval's end is one the driver's own budgets
+// would take before any fold.
+//
+// It is the simulator's lookahead (DESIGN.md §4): exact only when limit is
+// no more than the budgets the driver will pass to Advance before anything
+// else touches the session. A live worker must push an improvement the
+// moment it finds it (§4.4 rule 2) and never calls it. A session that
+// already holds nodes ahead, holds no interval or runs the shard engine
+// explores nothing; Prefetch(0) reports the nodes held ahead.
+func (s *Session) Prefetch(limit int64) int64 {
+	if limit <= 0 || s.spent < len(s.ahead) || !s.haveWork || s.finished {
+		return int64(len(s.ahead) - s.spent)
+	}
+	st := s.cur
+	ex, ok := st.ex.(*core.Explorer)
+	if !ok {
+		return 0
+	}
+	limit = min(limit, s.cfg.UpdatePeriodNodes-st.sinceUpdate)
+	s.ahead = slices.Grow(s.ahead, int(limit))
+	s.holding = true
+	for int64(len(s.ahead)) < limit && s.held == nil {
+		before := ex.Stats()
+		if n, _ := ex.Step(1); n == 0 {
+			break // the interval's end
+		}
+		after := ex.Stats()
+		s.ahead = append(s.ahead, byte(after.Pruned-before.Pruned)*aheadPruned|byte(after.Leaves-before.Leaves)*aheadLeaf)
+	}
+	s.holding = false
+	return int64(len(s.ahead))
 }
 
 // requestWork asks the coordinator for an interval. It returns false with a
@@ -363,6 +471,10 @@ func (s *Session) job(tag string) (*jobState, error) {
 // the goroutine scheduler, its Remaining); errors are stashed and surfaced
 // by the caller of either.
 func (s *Session) pushSolution(st *jobState, sol bb.Solution) {
+	if s.holding {
+		s.held = &sol
+		return
+	}
 	s.Messages.Reports++
 	ack, err := s.coord.ReportSolution(transport.SolutionReport{
 		Worker: s.cfg.ID, Cost: sol.Cost, Path: sol.Path, Job: st.tag,
@@ -437,8 +549,12 @@ func (s *Session) update() error {
 // Checkpoint forces an immediate interval update if the session holds work:
 // the graceful-leave path of a cycle-stealing host (the owner reclaims the
 // machine, the B&B process checkpoints and dies; nothing is lost). It is a
-// no-op without work.
+// no-op without work, and an error while nodes Prefetch explored are
+// unspent: the fold would claim ground the driver has not budgeted yet.
 func (s *Session) Checkpoint() error {
+	if n := len(s.ahead) - s.spent; n > 0 {
+		return fmt.Errorf("worker %s: checkpoint with %d prefetched nodes unspent", s.cfg.ID, n)
+	}
 	if !s.haveWork || s.finished {
 		return nil
 	}
