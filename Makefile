@@ -35,7 +35,10 @@ check: vet build test race fuzz-smoke bench-smoke docs-check
 # kind of root coming back. And exploring ahead is the simulator's
 # lookahead (DESIGN.md §4): a Prefetch call in non-test code outside
 # internal/gridsim is a live worker holding back an improvement it must
-# push at once (§4.4 rule 2).
+# push at once (§4.4 rule 2). And node numbers live behind internal/interval
+# (interval.Num, DESIGN.md §15): a math/big import in the
+# non-test code of internal/core, internal/farmer or internal/worker is
+# arbitrary precision coming back onto the word path.
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing (doc.go references it)"; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "docs-check: gofmt -l flags:"; echo "$$out"; exit 1; fi
@@ -44,6 +47,7 @@ docs-check:
 	@if find . -name '*.go' ! -name '*_test.go' ! -path './internal/worker/*' | xargs grep -nE '\<core\.Donate\(' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: core.Donate has one runtime, internal/worker's shard engine; peers without a coordinator run on it too (gridbb.SolveP2P)"; exit 1; fi
 	@if find internal/gridsim internal/harness -name '*.go' ! -name '*_test.go' | xargs grep -nE 'farmer\.(New|Restore)\(' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: gridsim and the harness build their roots through a jobs.Table (one job per single resolution), never farmer.New or farmer.Restore"; exit 1; fi
 	@if find . -name '*.go' ! -name '*_test.go' ! -path './internal/gridsim/*' ! -path './.bench_build/*' | xargs grep -nE '\.Prefetch\(' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then echo "docs-check: Session.Prefetch is the simulator's lookahead (internal/gridsim); a live worker pushes an improvement the moment it finds it (§4.4 rule 2) and never explores ahead"; exit 1; fi
+	@if find internal/core internal/farmer internal/worker -name '*.go' ! -name '*_test.go' | xargs grep -n '"math/big"'; then echo "docs-check: node numbers are interval.Num; internal/core, internal/farmer and internal/worker do not import math/big (it stays behind internal/interval and at the published boundaries)"; exit 1; fi
 	@folds="$$(find internal/worker -name '*.go' ! -name '*_test.go' | xargs grep -nE '^func \([^)]*\) Remaining\(\) interval\.Interval')"; if [ "$$(echo "$$folds" | grep -c .)" -gt 1 ]; then echo "$$folds"; echo "docs-check: internal/worker has one multicore engine (shardEngine, two schedulers); a second Remaining is a second fold"; exit 1; fi
 	$(GO) vet ./...
 

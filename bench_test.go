@@ -122,9 +122,9 @@ func BenchmarkFig3RangeOfNode(b *testing.B) {
 func BenchmarkFig4Fold(b *testing.B) {
 	nb := ta056Numbering()
 	rng := rand.New(rand.NewSource(3))
-	a := new(big.Int).Rand(rng, nb.LeafCount())
+	a := new(big.Int).Rand(rng, nb.LeafCount().Big())
 	bEnd := new(big.Int).Add(a, big.NewInt(1))
-	bEnd.Add(bEnd, new(big.Int).Rand(rng, new(big.Int).Sub(nb.LeafCount(), bEnd)))
+	bEnd.Add(bEnd, new(big.Int).Rand(rng, new(big.Int).Sub(nb.LeafCount().Big(), bEnd)))
 	active := core.Unfold(nb, interval.New(a, bEnd))
 	if len(active) == 0 {
 		b.Fatal("empty active list")
@@ -145,9 +145,9 @@ func BenchmarkFig4Unfold(b *testing.B) {
 	type iv struct{ iv interval.Interval }
 	cases := make([]iv, 32)
 	for i := range cases {
-		a := new(big.Int).Rand(rng, nb.LeafCount())
+		a := new(big.Int).Rand(rng, nb.LeafCount().Big())
 		e := new(big.Int).Add(a, big.NewInt(1))
-		e.Add(e, new(big.Int).Rand(rng, new(big.Int).Sub(nb.LeafCount(), e)))
+		e.Add(e, new(big.Int).Rand(rng, new(big.Int).Sub(nb.LeafCount().Big(), e)))
 		cases[i] = iv{interval.New(a, e)}
 	}
 	b.ResetTimer()
@@ -174,10 +174,10 @@ func BenchmarkFig5ProtocolRound(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mid := new(big.Int).Rand(rng, nb.LeafCount())
+		mid := new(big.Int).Rand(rng, nb.LeafCount().Big())
 		if _, err := f.UpdateInterval(transport.UpdateRequest{
 			Worker: "bench", IntervalID: reply.IntervalID,
-			Remaining: interval.New(mid, nb.LeafCount()), Power: 1, ExploredDelta: 1000,
+			Remaining: interval.New(mid, nb.LeafCount().Big()), Power: 1, ExploredDelta: 1000,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -793,7 +793,7 @@ func BenchmarkExplorerInteriorStep(b *testing.B) {
 	}
 	p := flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 	nb := core.NewNumbering(p.Shape())
-	total := nb.LeafCount()
+	total := nb.LeafCount().Big()
 	a := new(big.Int).Quo(total, big.NewInt(4))
 	end := new(big.Int).Sub(total, a)
 	inner := interval.New(a, end)
@@ -965,9 +965,9 @@ func BenchmarkFig7AvailabilityTrace(b *testing.B) {
 func BenchmarkAblationWorkUnitEncoding(b *testing.B) {
 	nb := ta056Numbering()
 	rng := rand.New(rand.NewSource(9))
-	a := new(big.Int).Rand(rng, nb.LeafCount())
+	a := new(big.Int).Rand(rng, nb.LeafCount().Big())
 	e := new(big.Int).Add(a, big.NewInt(1))
-	e.Add(e, new(big.Int).Rand(rng, new(big.Int).Sub(nb.LeafCount(), e)))
+	e.Add(e, new(big.Int).Rand(rng, new(big.Int).Sub(nb.LeafCount().Big(), e)))
 	iv := interval.New(a, e)
 	active := core.Unfold(nb, iv)
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/gridbb"
 	"repro/internal/flowshop"
+	"repro/internal/interval"
 )
 
 func main() {
@@ -33,11 +34,7 @@ func main() {
 
 	// A work unit is any sub-interval; unfold shows the frontier it
 	// stands for.
-	root := nb.RootRange()
-	a := root.A()
-	b := root.B()
-	mid := a.Add(a, b).Rsh(a, 1)
-	_, right := root.SplitAt(mid)
+	_, right := interval.Halve(nb.RootRange())
 	fmt.Printf("the right half %v unfolds into %d frontier nodes\n",
 		right, len(gridbb.Unfold(nb, right)))
 

@@ -190,7 +190,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 	}
 	fopts := []farmer.Option{farmer.WithInitialBest(opt.InitialUpper, opt.InitialPath)}
 	if opt.Threshold != nil {
-		fopts = append(fopts, farmer.WithThreshold(opt.Threshold))
+		fopts = append(fopts, farmer.WithThreshold(interval.NumBig(opt.Threshold)))
 	}
 	var store *checkpoint.Store
 	if opt.CheckpointDir != "" {
@@ -209,7 +209,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 	}
 	var inner []farmer.Option
 	if opt.Threshold != nil {
-		inner = append(inner, farmer.WithThreshold(opt.Threshold))
+		inner = append(inner, farmer.WithThreshold(interval.NumBig(opt.Threshold)))
 	}
 	// The coordinator is a job table holding this resolution as its one
 	// job; the sub-farmers of a tree fold into that job's endpoint.

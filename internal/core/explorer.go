@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/big"
-
 	"repro/internal/bb"
 	"repro/internal/interval"
 )
@@ -18,12 +16,12 @@ import (
 // The walk runs in two modes (DESIGN.md §1). In boundary mode — while the
 // current subtree straddles an end of [A, B) — each child's number and range
 // are computed incrementally (number(child) = number(parent) + rank·weight,
-// eq. 6) on reused big.Int buffers and compared against the bounds. The
+// eq. 6) on reused interval.Num buffers and compared against the bounds. The
 // moment a child's whole range is known to lie inside the interval, the walk
 // switches to interior mode: every node of that subtree belongs to this
 // explorer by construction, so the descent is a pure machine-integer cursor
-// DFS — identical to the sequential engine in internal/bb — performing zero
-// big.Int work and zero allocations until it ascends back to the depth where
+// DFS — identical to the sequential engine in internal/bb — performing no
+// node-number arithmetic and zero allocations until it ascends back to the depth where
 // it entered. Node numbers below the entry depth are not maintained; they
 // are reconstructed from the rank path on demand (Remaining, Restrict),
 // which happens once per checkpoint rather than once per node. Since a DFS
@@ -37,27 +35,27 @@ type Explorer struct {
 	p  bb.Problem
 	nb *Numbering
 
-	lo, hi *big.Int // assigned interval [lo, hi); owned by the explorer
+	lo, hi interval.Num // assigned interval [lo, hi); owned by the explorer
 
 	// Depth-first walk state. cursor[d] is the rank of the next child to
 	// try at depth d; the current path is cursor[d]-1 for d < depth.
 	cursor []int
 	branch []int // cached branching factor per depth (one slice load per node)
 	depth  int
-	num    []*big.Int // num[d] = number of the current path node at depth d
-	path   []int      // rank path of the current position (path[d] valid for d < depth)
+	num    []interval.Num // num[d] = number of the current path node at depth d
+	path   []int          // rank path of the current position (path[d] valid for d < depth)
 
 	// interior is the depth at which the walk entered a subtree fully
 	// contained in [lo, hi), or -1 while the walk straddles a boundary.
-	// While depth >= interior the hot loop does no big.Int work, and
+	// While depth >= interior the hot loop does no number arithmetic, and
 	// num[d] is only valid for d <= interior (deeper numbers are folded
 	// from the rank path on demand).
 	interior int
 
-	childNum *big.Int // scratch: number of the child being examined
-	childEnd *big.Int // scratch: end of the child's range
-	nextNum  *big.Int // scratch: result buffer of nextNumber
-	tmp      *big.Int // scratch: rank·weight terms in lazy materialization
+	childNum interval.Num // scratch: number of the child being examined
+	childEnd interval.Num // scratch: end of the child's range
+	nextNum  interval.Num // scratch: result buffer of nextNumber
+	tmp      interval.Num // scratch: rank·weight terms in lazy materialization
 
 	best  bb.Solution
 	stats bb.Stats
@@ -80,17 +78,10 @@ func NewExplorer(p bb.Problem, nb *Numbering, iv interval.Interval, initialUpper
 		nb:       nb,
 		cursor:   make([]int, nb.Depth()+1),
 		branch:   make([]int, nb.Depth()+1),
-		num:      make([]*big.Int, nb.Depth()+1),
+		num:      make([]interval.Num, nb.Depth()+1),
 		path:     make([]int, nb.Depth()+1),
 		interior: -1,
-		childNum: new(big.Int),
-		childEnd: new(big.Int),
-		nextNum:  new(big.Int),
-		tmp:      new(big.Int),
 		best:     bb.Solution{Cost: initialUpper},
-	}
-	for d := range e.num {
-		e.num[d] = new(big.Int)
 	}
 	// branch has one extra entry (the leaf depth, zero) so the walk can
 	// index it at any current depth without a bound check.
@@ -107,13 +98,13 @@ func NewExplorer(p bb.Problem, nb *Numbering, iv interval.Interval, initialUpper
 // to the whole tree — assigns nothing: an idle explorer owns zero leaves,
 // which is what an idle shard and the worker's dropped-interval path rely
 // on.
-func clampAssigned(iv interval.Interval, nb *Numbering) (lo, hi *big.Int) {
+func clampAssigned(iv interval.Interval, nb *Numbering) (lo, hi interval.Num) {
 	if iv.IsEmpty() {
-		z := new(big.Int)
-		return z, new(big.Int)
+		return lo, hi
 	}
-	clamped := iv.Intersect(nb.RootRange())
-	return clamped.A(), clamped.B()
+	// A clone: the explorer owns its bounds and narrows them in place.
+	clamped := iv.Intersect(nb.RootRange()).Clone()
+	return clamped.Lo(), clamped.Hi()
 }
 
 // Numbering returns the numbering the explorer navigates with.
@@ -145,16 +136,16 @@ func (e *Explorer) AdoptBest(cost int64) {
 // §4.2); advancing the beginning happens when a duplicated interval was
 // partly explored by another process. Both take effect lazily: the walk
 // skips numbers that fall outside on its way. Restrict mutates the
-// explorer's own bounds in place through the interval's borrow accessors,
-// so steady-state coordination rounds allocate nothing here.
+// explorer's own bounds in place, so steady-state coordination rounds
+// allocate nothing here.
 func (e *Explorer) Restrict(iv interval.Interval) {
 	changed := false
-	if iv.CmpA(e.lo) > 0 {
-		iv.AInto(e.lo)
+	if iv.Lo().Cmp(e.lo) > 0 {
+		e.lo.Set(iv.Lo())
 		changed = true
 	}
-	if iv.CmpB(e.hi) < 0 {
-		iv.BInto(e.hi)
+	if iv.Hi().Cmp(e.hi) < 0 {
+		e.hi.Set(iv.Hi())
 		changed = true
 	}
 	if !changed {
@@ -175,7 +166,7 @@ func (e *Explorer) Restrict(iv interval.Interval) {
 
 // materializeNums computes num[d] for the path depths below the interior
 // entry point (which the fast loop deliberately leaves stale) and leaves
-// interior mode. O(depth) big.Int work; called on the rare external events,
+// interior mode. O(depth) number arithmetic; called on the rare external events,
 // never per node.
 func (e *Explorer) materializeNums() {
 	if e.interior < 0 {
@@ -183,27 +174,26 @@ func (e *Explorer) materializeNums() {
 	}
 	for d := e.interior; d < e.depth; d++ {
 		// number(child) = number(parent) + rank·weight(child) (eq. 6).
-		e.tmp.SetInt64(int64(e.path[d]))
-		e.tmp.Mul(e.tmp, e.nb.weights[d+1])
+		e.tmp.Mul64(e.nb.weights[d+1], int64(e.path[d]))
 		e.num[d+1].Add(e.num[d], e.tmp)
 	}
 	e.interior = -1
 }
 
 // nextNumber returns the number of the next node the walk will visit (into
-// the reused nextNum buffer), or nil if the walk is exhausted. The next node
+// the reused nextNum buffer), or false if the walk is exhausted. The next node
 // is at the deepest level that still has untried children (remaining
 // children of deeper levels come first in depth-first order and carry the
 // smallest numbers).
-func (e *Explorer) nextNumber() *big.Int {
+func (e *Explorer) nextNumber() (*interval.Num, bool) {
 	if e.done {
-		return nil
+		return nil, false
 	}
 	for d := e.depth; d >= 0; d-- {
 		if e.cursor[d] >= e.branch[d] {
 			continue
 		}
-		n := e.nextNum
+		n := &e.nextNum
 		// Fold the number of the current path node at depth d. num[] is
 		// authoritative down to the interior entry depth; below it the
 		// fast loop maintains only the rank path, so the remaining terms
@@ -214,16 +204,12 @@ func (e *Explorer) nextNumber() *big.Int {
 		}
 		n.Set(e.num[base])
 		for k := base; k < d; k++ {
-			e.tmp.SetInt64(int64(e.path[k]))
-			e.tmp.Mul(e.tmp, e.nb.weights[k+1])
-			n.Add(n, e.tmp)
+			n.Add(*n, *e.tmp.Mul64(e.nb.weights[k+1], int64(e.path[k])))
 		}
-		e.tmp.SetInt64(int64(e.cursor[d]))
-		e.tmp.Mul(e.tmp, e.nb.weights[d+1])
-		n.Add(n, e.tmp)
-		return n
+		n.Add(*n, *e.tmp.Mul64(e.nb.weights[d+1], int64(e.cursor[d])))
+		return n, true
 	}
-	return nil
+	return nil, false
 }
 
 // Remaining folds the not-yet-explored part of the assigned interval
@@ -231,14 +217,14 @@ func (e *Explorer) nextNumber() *big.Int {
 // coordinator on every checkpoint/update (§4.1). The result is empty when
 // exploration is finished.
 func (e *Explorer) Remaining() interval.Interval {
-	n := e.nextNumber()
-	if n == nil {
-		return interval.New(e.hi, e.hi)
+	n, ok := e.nextNumber()
+	if !ok {
+		return interval.Of(e.hi, e.hi).Clone()
 	}
 	if n.Cmp(e.lo) < 0 {
 		n.Set(e.lo)
 	}
-	return interval.New(n, e.hi)
+	return interval.Of(*n, e.hi).Clone()
 }
 
 // Step explores up to budget nodes and returns how many were actually
@@ -256,7 +242,7 @@ func (e *Explorer) Step(budget int64) (explored int64, done bool) {
 		if e.interior >= 0 {
 			// Interior mode: the subtree rooted at depth e.interior lies
 			// entirely inside [lo, hi), so ownership is settled for every
-			// node below — pure int-cursor DFS, no big.Int in sight.
+			// node below — pure int-cursor DFS, no node numbers in sight.
 			cutoff := e.best.Cost
 			for explored < budget {
 				d := e.depth
@@ -315,8 +301,7 @@ func (e *Explorer) Step(budget int64) (explored int64, done bool) {
 		e.cursor[d]++
 		childDepth := d + 1
 		// number(child) = number(parent) + rank·weight(child) (eq. 6).
-		e.childNum.SetInt64(int64(r))
-		e.childNum.Mul(e.childNum, e.nb.weights[childDepth])
+		e.childNum.Mul64(e.nb.weights[childDepth], int64(r))
 		e.childNum.Add(e.childNum, e.num[d])
 		if e.childNum.Cmp(e.hi) >= 0 {
 			// Depth-first order visits numbers in ascending order:
@@ -418,7 +403,7 @@ func (e *Explorer) Reassign(iv interval.Interval) {
 		e.cursor[d] = 0
 	}
 	for d := range e.num {
-		e.num[d].SetInt64(0)
+		e.num[d].Set(interval.Num{})
 	}
 	e.p.Reset()
 }

@@ -44,7 +44,7 @@ func TestExplorerRandomRestrictFuzz(t *testing.T) {
 					}
 					cut := new(big.Int).Rand(rng, span)
 					cut.Add(cut, rem.A())
-					keep, donated := rem.SplitAt(cut)
+					keep, donated := rem.SplitAt(interval.NumBig(cut))
 					e.Restrict(keep)
 					if !donated.IsEmpty() {
 						queue = append(queue, pending{donated})
@@ -98,7 +98,7 @@ func TestExplorerQAPDomain(t *testing.T) {
 	rem := e.Remaining()
 	mid := new(big.Int).Add(rem.A(), rem.B())
 	mid.Rsh(mid, 1)
-	keep, donated := rem.SplitAt(mid)
+	keep, donated := rem.SplitAt(interval.NumBig(mid))
 	e.Restrict(keep)
 	sol1, _ := e.Run(1 << 12)
 

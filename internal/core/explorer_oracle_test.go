@@ -56,12 +56,12 @@ func referenceWalk(p bb.Problem, nb *Numbering, iv interval.Interval, initialUpp
 		cursor[depth]++
 		childDepth := depth + 1
 		childNum.SetInt64(int64(r))
-		childNum.Mul(childNum, nb.weights[childDepth])
+		childNum.Mul(childNum, nb.weights[childDepth].Big())
 		childNum.Add(childNum, num[depth])
 		if childNum.Cmp(hi) >= 0 {
 			break
 		}
-		childEnd.Add(childNum, nb.weights[childDepth])
+		childEnd.Add(childNum, nb.weights[childDepth].Big())
 		if childEnd.Cmp(lo) <= 0 {
 			continue
 		}
@@ -129,7 +129,7 @@ func TestExplorerInteriorModeOracle(t *testing.T) {
 			c = oracleCase{"tsp", func() bb.Problem { return tsp.NewProblem(ins) }}
 		}
 		nb := NewNumbering(c.factory().Shape())
-		total := nb.LeafCount()
+		total := nb.LeafCount().Big()
 
 		// Random interval, occasionally the full root range; random
 		// initial incumbent, occasionally infinite.
@@ -160,10 +160,10 @@ func TestExplorerInteriorModeOracle(t *testing.T) {
 			_, done := e.Step(int64(1 + rng.Intn(64)))
 			rem := e.Remaining()
 			if !rem.IsEmpty() {
-				if rem.CmpA(prevA) < 0 {
+				if rem.A().Cmp(prevA) < 0 {
 					t.Fatalf("trial %d (%s) %v: Remaining moved backwards", trial, c.name, iv)
 				}
-				rem.AInto(prevA)
+				prevA.Set(rem.A())
 			}
 			if done {
 				break
@@ -232,7 +232,7 @@ func TestExplorerRestrictInsideInterior(t *testing.T) {
 		}
 		mid := new(big.Int).Add(rem.A(), rem.B())
 		mid.Rsh(mid, 1)
-		keep, donated := rem.SplitAt(mid)
+		keep, donated := rem.SplitAt(interval.NumBig(mid))
 		e2.Restrict(keep)
 		aSol, _ := e2.Run(1 << 14)
 		bSol, _ := referenceWalk(factory(), nb, donated, bb.Infinity)

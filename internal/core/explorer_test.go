@@ -212,7 +212,7 @@ func TestExplorerRestrictEnd(t *testing.T) {
 	p := flowshopProblem(7, 5, 91)
 	nb := NewNumbering(p.Shape())
 	want, _ := bb.Solve(p, bb.Infinity)
-	total := nb.LeafCount()
+	total := nb.LeafCount().Big()
 
 	a := NewExplorer(p, nb, nb.RootRange(), bb.Infinity)
 	// Explore a little, then donate the right half of what remains.
@@ -220,7 +220,7 @@ func TestExplorerRestrictEnd(t *testing.T) {
 	rem := a.Remaining()
 	mid := new(big.Int).Add(rem.A(), rem.B())
 	mid.Rsh(mid, 1)
-	holder, donated := rem.SplitAt(mid)
+	holder, donated := rem.SplitAt(interval.NumBig(mid))
 	a.Restrict(holder)
 	aSol, _ := a.Run(1 << 12)
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/interval"
 	"repro/internal/tree"
@@ -63,7 +62,7 @@ func Fold(nb *Numbering, active []NodeRef) (interval.Interval, error) {
 	a := nb.Number(first.Ranks)
 	b := nb.Number(last.Ranks)
 	b.Add(b, nb.weights[len(last.Ranks)])
-	return interval.New(a, b), nil
+	return interval.Of(a, b), nil
 }
 
 // FoldStrict is Fold plus a verification of the depth-first contiguity
@@ -76,7 +75,7 @@ func FoldStrict(nb *Numbering, active []NodeRef) (interval.Interval, error) {
 	if err != nil {
 		return iv, err
 	}
-	prevEnd := new(big.Int)
+	var prevEnd interval.Num
 	for i, n := range active {
 		if err := tree.Validate(nb.shape, n.Ranks); err != nil {
 			return interval.Interval{}, err
@@ -110,10 +109,10 @@ func Unfold(nb *Numbering, iv interval.Interval) []NodeRef {
 	}
 	var out []NodeRef
 	ranks := make([]int, 0, nb.Depth())
-	var walk func(num *big.Int, depth int)
-	end := new(big.Int)
-	a, b := target.A(), target.B()
-	walk = func(num *big.Int, depth int) {
+	var walk func(num interval.Num, depth int)
+	var end interval.Num
+	a, b := target.Lo(), target.Hi()
+	walk = func(num interval.Num, depth int) {
 		w := nb.weights[depth]
 		end.Add(num, w)
 		// Elimination rule (eq. 12), case "range and [A,B) disjoint".
@@ -133,7 +132,8 @@ func Unfold(nb *Numbering, iv interval.Interval) []NodeRef {
 			panic("core: unfold reached a straddling leaf; numbering invariant broken")
 		}
 		k := nb.shape.Branching(depth)
-		childNum := new(big.Int).Set(num)
+		var childNum interval.Num
+		childNum.Set(num)
 		childW := nb.weights[depth+1]
 		for r := 0; r < k; r++ {
 			ranks = append(ranks, r)
@@ -147,6 +147,6 @@ func Unfold(nb *Numbering, iv interval.Interval) []NodeRef {
 			}
 		}
 	}
-	walk(new(big.Int), 0)
+	walk(interval.Num{}, 0)
 	return out
 }

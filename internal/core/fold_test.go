@@ -96,7 +96,7 @@ func TestUnfoldFoldRoundTrip(t *testing.T) {
 func TestUnfoldCost(t *testing.T) {
 	shape := tree.Permutation{N: 12}
 	nb := NewNumbering(shape)
-	total := nb.LeafCount()
+	total := nb.LeafCount().Big()
 	rng := rand.New(rand.NewSource(3))
 	limit := 2 * shape.Depth() * shape.Branching(0)
 	for trial := 0; trial < 50; trial++ {

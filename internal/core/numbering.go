@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/interval"
 	"repro/internal/tree"
@@ -22,12 +21,17 @@ import (
 // with each depth is calculated").
 type Numbering struct {
 	shape   tree.Shape
-	weights []*big.Int
+	weights []interval.Num
 }
 
 // NewNumbering builds the numbering of the given shape.
 func NewNumbering(s tree.Shape) *Numbering {
-	return &Numbering{shape: s, weights: tree.Weights(s)}
+	ws := tree.Weights(s)
+	nb := &Numbering{shape: s, weights: make([]interval.Num, len(ws))}
+	for d, w := range ws {
+		nb.weights[d] = interval.NumBig(w)
+	}
+	return nb
 }
 
 // Shape returns the tree shape the numbering is defined over.
@@ -38,8 +42,8 @@ func (nb *Numbering) Depth() int { return nb.shape.Depth() }
 
 // Weight returns the weight of any node at the given depth: the number of
 // leaves of the subtree rooted there (eq. 1, simplified per-depth as in
-// eqs. 2–3). The returned value is shared; callers must not mutate it.
-func (nb *Numbering) Weight(depth int) *big.Int {
+// eqs. 2–3). The returned value is shared; callers must not write it.
+func (nb *Numbering) Weight(depth int) interval.Num {
 	if depth < 0 || depth >= len(nb.weights) {
 		panic(fmt.Sprintf("core: depth %d out of range [0,%d]", depth, len(nb.weights)-1))
 	}
@@ -47,23 +51,20 @@ func (nb *Numbering) Weight(depth int) *big.Int {
 }
 
 // LeafCount returns the weight of the root: the total number of leaves.
-func (nb *Numbering) LeafCount() *big.Int { return nb.weights[0] }
+func (nb *Numbering) LeafCount() interval.Num { return nb.weights[0] }
 
 // Number implements eq. (6): the number of the node identified by the rank
 // path is the sum over the path of rank(i)·weight(i). The root (empty path)
 // has number 0. Number panics on a malformed path, because a bad path is a
 // programming error that would silently corrupt work accounting.
-func (nb *Numbering) Number(ranks []int) *big.Int {
+func (nb *Numbering) Number(ranks []int) interval.Num {
 	if err := tree.Validate(nb.shape, ranks); err != nil {
 		panic(err)
 	}
-	n := new(big.Int)
-	tmp := new(big.Int)
+	var n, term interval.Num
 	for d, r := range ranks {
 		// The node chosen at path position d lives at depth d+1.
-		tmp.SetInt64(int64(r))
-		tmp.Mul(tmp, nb.weights[d+1])
-		n.Add(n, tmp)
+		n.Add(n, *term.Mul64(nb.weights[d+1], int64(r)))
 	}
 	return n
 }
@@ -72,32 +73,37 @@ func (nb *Numbering) Number(ranks []int) *big.Int {
 // [number(n), number(n)+weight(n)).
 func (nb *Numbering) Range(ranks []int) interval.Interval {
 	n := nb.Number(ranks)
-	end := new(big.Int).Add(n, nb.weights[len(ranks)])
-	return interval.New(n, end)
+	var end interval.Num
+	end.Add(n, nb.weights[len(ranks)])
+	return interval.Of(n, end)
 }
 
 // RootRange returns the range of the root node, [0, leafCount): the initial
 // content of the coordinator's INTERVALS set (paper §4.3).
 func (nb *Numbering) RootRange() interval.Interval {
-	return interval.New(new(big.Int), nb.weights[0])
+	return interval.Of(interval.Num{}, nb.weights[0])
 }
 
 // PathOfNumber returns the rank path of the leaf with the given number, the
 // inverse of Number restricted to leaves. It errors if the number is outside
 // [0, leafCount). It is the building block used by tests to check that the
 // numbering is a bijection on leaves.
-func (nb *Numbering) PathOfNumber(n *big.Int) ([]int, error) {
+func (nb *Numbering) PathOfNumber(n interval.Num) ([]int, error) {
 	if n.Sign() < 0 || n.Cmp(nb.weights[0]) >= 0 {
 		return nil, fmt.Errorf("core: number %s outside [0,%s)", n, nb.weights[0])
 	}
 	p := nb.shape.Depth()
 	ranks := make([]int, p)
-	rest := new(big.Int).Set(n)
-	q := new(big.Int)
+	var rest interval.Num
+	rest.Set(n)
 	for d := 0; d < p; d++ {
-		// rank at path position d = rest / weight(depth d+1).
-		q.QuoRem(rest, nb.weights[d+1], rest)
-		ranks[d] = int(q.Int64())
+		// rank at path position d = rest / weight(depth d+1), by
+		// subtraction: a rank is below the branching factor.
+		w := nb.weights[d+1]
+		for rest.Cmp(w) >= 0 {
+			rest.Sub(rest, w)
+			ranks[d]++
+		}
 	}
 	return ranks, nil
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/interval"
 	"repro/internal/tree"
 )
 
@@ -170,13 +170,13 @@ func TestNumberMonotonic(t *testing.T) {
 // TestPathOfNumberRejectsOutside checks the domain guard.
 func TestPathOfNumberRejectsOutside(t *testing.T) {
 	nb := NewNumbering(tree.Permutation{N: 4})
-	if _, err := nb.PathOfNumber(big.NewInt(-1)); err == nil {
+	if _, err := nb.PathOfNumber(interval.NumInt64(-1)); err == nil {
 		t.Error("negative number accepted")
 	}
-	if _, err := nb.PathOfNumber(big.NewInt(24)); err == nil {
+	if _, err := nb.PathOfNumber(interval.NumInt64(24)); err == nil {
 		t.Error("number == leaf count accepted")
 	}
-	if _, err := nb.PathOfNumber(big.NewInt(23)); err != nil {
+	if _, err := nb.PathOfNumber(interval.NumInt64(23)); err != nil {
 		t.Errorf("last leaf rejected: %v", err)
 	}
 }

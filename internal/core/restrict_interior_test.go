@@ -66,7 +66,7 @@ func TestRestrictDeepInteriorExactCoverage(t *testing.T) {
 		span := new(big.Int).Sub(rem.B(), rem.A())
 		cut := new(big.Int).Rand(rng, span)
 		cut.Add(cut, rem.A())
-		keep, donated := rem.SplitAt(cut)
+		keep, donated := rem.SplitAt(interval.NumBig(cut))
 
 		e.Restrict(keep)
 		if e.interior != -1 {
@@ -108,7 +108,7 @@ func TestRestrictDeepInteriorAdvancesLo(t *testing.T) {
 		visitedBefore := int64(len(count.visited))
 		// Advance lo beyond the current position by a random stride.
 		newLo := visitedBefore + 1 + rng.Int63n(total-visitedBefore-1)
-		e.Restrict(interval.New(big.NewInt(newLo), nb.LeafCount()))
+		e.Restrict(interval.New(big.NewInt(newLo), nb.LeafCount().Big()))
 		e.Run(1 << 10)
 
 		// Exactly the prefix visited before the restriction plus the
@@ -183,7 +183,7 @@ func TestRestrictInteriorFlowshopOptimality(t *testing.T) {
 					}
 					cut := new(big.Int).Rand(rng, span)
 					cut.Add(cut, rem.A())
-					keep, donated := rem.SplitAt(cut)
+					keep, donated := rem.SplitAt(interval.NumBig(cut))
 					e.Restrict(keep)
 					if !donated.IsEmpty() {
 						queue = append(queue, donated)

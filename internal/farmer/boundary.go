@@ -16,7 +16,6 @@ package farmer
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/interval"
 	"repro/internal/transport"
@@ -39,9 +38,6 @@ const (
 	MaxIntervalBits = 1 << 16
 )
 
-// bigZero is the read-only lower bound of every valid node number.
-var bigZero = new(big.Int)
-
 // truncID renders a worker id for error messages without echoing a
 // hostile payload back at full length.
 func truncID(w transport.WorkerID) string {
@@ -63,7 +59,7 @@ func (f *Farmer) vetWorkerLocked(w transport.WorkerID) string {
 }
 
 // vetIntervalLocked checks one inbound interval's shape: bounded bit
-// length always; when the farmer knows its root range (rootLo/rootHi set),
+// length always; when the farmer knows its root range (root non-empty),
 // non-empty intervals must lie within it. Empty intervals pass on content
 // — an empty remainder is the normal "I finished" checkpoint, and
 // sub-farmer stat flushes carry zero-value intervals by design. Error
@@ -76,15 +72,15 @@ func (f *Farmer) vetIntervalLocked(iv interval.Interval) string {
 	if iv.IsEmpty() {
 		return ""
 	}
-	if f.rootLo != nil && f.rootHi != nil {
-		if iv.CmpA(f.rootLo) < 0 || iv.CmpB(f.rootHi) > 0 {
+	if !f.root.IsEmpty() {
+		if !f.root.ContainsInterval(iv) {
 			return "interval outside the root range"
 		}
 		return ""
 	}
 	// No root knowledge (a sub-farmer's inner table grows by upstream
 	// grants): structural checks only.
-	if iv.CmpA(bigZero) < 0 {
+	if iv.Lo().Sign() < 0 {
 		return "negative interval beginning"
 	}
 	return ""

@@ -62,7 +62,7 @@ func (f *Farmer) SelectIndexForTest(power int64) (id int64, donated *big.Int, ok
 	if !ok {
 		return 0, nil, false
 	}
-	return id, new(big.Int).Set(f.idx.scrBest), true
+	return id, f.idx.scrBest.Big(), true
 }
 
 // CleanForTest drains pending empty intervals, mirroring the sweep
@@ -102,7 +102,7 @@ func (f *Farmer) CheckIndexInvariantsForTest() error {
 	if len(seen) != len(f.intervals) {
 		return fmt.Errorf("index holds %d entries, INTERVALS holds %d", len(seen), len(f.intervals))
 	}
-	if total.Cmp(f.idx.total) != 0 {
+	if total.Cmp(f.idx.total.Big()) != 0 {
 		return fmt.Errorf("incremental total %s, re-summed table %s", f.idx.total, total)
 	}
 	var powerSum int64
@@ -150,10 +150,10 @@ func (f *Farmer) checkTreapLocked(n *selNode, hp int64, seen map[int64]bool, tot
 	if sum := ownerPowerSum(t); sum != hp || sum != t.power {
 		return fmt.Errorf("interval %d filed under power %d with kept holder power %d, but its owners sum to %d", t.id, hp, t.power, sum)
 	}
-	if t.iv.LenInto(new(big.Int)).Cmp(t.idxLen) != 0 {
+	if t.iv.Width().Cmp(t.idxLen) != 0 {
 		return fmt.Errorf("interval %d cached length %s, live length %s", t.id, t.idxLen, t.iv.Len())
 	}
-	total.Add(total, t.idxLen)
+	total.Add(total, t.idxLen.Big())
 	minID := t.id
 	for _, c := range []*selNode{n.left, n.right} {
 		if c == nil {

@@ -10,7 +10,6 @@ package farmer
 
 import (
 	"fmt"
-	"math/big"
 	"slices"
 	"sort"
 	"sync"
@@ -107,29 +106,21 @@ type Counters struct {
 type RedundancyStats struct {
 	// ConsumedUnits is the total leaf-number progress reported by all
 	// workers.
-	ConsumedUnits *big.Int
+	ConsumedUnits interval.Num
 	// RedundantUnits is the progress reported over regions some other
 	// worker had already covered (duplicated intervals, restarts).
-	RedundantUnits *big.Int
+	RedundantUnits interval.Num
 }
 
 // Rate returns RedundantUnits/ConsumedUnits, or 0 when nothing was
 // consumed.
-func (r RedundancyStats) Rate() float64 {
-	if r.ConsumedUnits == nil || r.ConsumedUnits.Sign() == 0 {
-		return 0
-	}
-	num := new(big.Float).SetInt(r.RedundantUnits)
-	den := new(big.Float).SetInt(r.ConsumedUnits)
-	v, _ := new(big.Float).Quo(num, den).Float64()
-	return v
-}
+func (r RedundancyStats) Rate() float64 { return interval.Ratio(r.RedundantUnits, r.ConsumedUnits) }
 
 // owner is a worker currently exploring (a copy of) a tracked interval.
 type owner struct {
 	power    int64
-	lastSeen int64    // clock nanoseconds
-	lastA    *big.Int // last reported beginning, for redundancy accounting
+	lastSeen int64        // clock nanoseconds
+	lastA    interval.Num // last reported beginning, for redundancy accounting
 }
 
 // tracked is one INTERVALS entry with its exploration metadata.
@@ -137,7 +128,7 @@ type tracked struct {
 	id        int64
 	iv        interval.Interval
 	owners    map[transport.WorkerID]*owner
-	coveredTo *big.Int // high watermark of reported beginnings
+	coveredTo interval.Num // high watermark of reported beginnings
 
 	// power is the holder power: the sum of the owners' powers, the
 	// partitioning operator's holder share and the selection index's class
@@ -145,32 +136,34 @@ type tracked struct {
 	// it, so reading it is O(1) however many workers share the copy.
 	power int64
 
-	// gapA/gapB, when non-nil, bound the largest fully-explored hole
+	// gapA/gapB, when hasGap, bound the largest fully-explored hole
 	// strictly interior to iv that the holder vouched for in a gap-carving
 	// fold (DESIGN.md §12). The gap is advisory metadata, not a cut: the
 	// holder keeps working both sides, and the hole only materializes when
 	// the partitioning operator next splits this entry — at the gap, so
 	// the donated part is real work and the explored padding between the
 	// fragments leaves INTERVALS entirely.
-	gapA, gapB *big.Int
+	gapA, gapB interval.Num
+	hasGap     bool
 
-	// content, when non-nil, is the holder's own count of unexplored
+	// content, when hasContent, is the holder's own count of unexplored
 	// ground behind this copy (a content-honest fold): a sub-farmer's hull
 	// can overstate its fragmented table by orders of magnitude, and the
 	// true total keeps size accounting honest. Advisory like the gap; it
 	// never moves work by itself.
-	content *big.Int
+	content    interval.Num
+	hasContent bool
 
 	// slack caches this entry's contribution to f.slack: hull length
-	// minus vouched content, floored by the stored gap length (nil when
-	// zero). reslackLocked keeps it and the aggregate in sync after every
-	// change to iv, gapA/gapB, or content.
-	slack *big.Int
+	// minus vouched content, floored by the stored gap length (zero
+	// without either). reslackLocked keeps it and the aggregate in sync
+	// after every change to iv, the gap, or content.
+	slack interval.Num
 
 	// Selection-index key cache (see index.go): the length and holder
 	// power this entry is currently filed under. Only the index touches
 	// these; they may lag iv/owners between a mutation and its fix.
-	idxLen *big.Int
+	idxLen interval.Num
 	idxHP  int64
 }
 
@@ -228,7 +221,7 @@ type Farmer struct {
 	bestCost int64
 	bestPath []int
 
-	threshold  *big.Int
+	threshold  interval.Num
 	clock      func() int64
 	leaseTTL   int64
 	store      *checkpoint.Store
@@ -240,7 +233,7 @@ type Farmer struct {
 	// above the per-interval threshold (withEndgameThreshold). Both are
 	// tree-root features; flat farmers leave them off.
 	hints   bool
-	endgame *big.Int
+	endgame *interval.Num
 
 	// front, when frontier tracking is enabled, is a lazy min-heap over
 	// the beginnings of all tracked intervals: its valid top is the fold
@@ -250,11 +243,11 @@ type Farmer struct {
 	front      lazyHeap[frontierEntry]
 	trackFront bool
 
-	// rootLo/rootHi are the root range the boundary pins inbound
-	// intervals inside (boundary.go). Nil when the farmer was created
-	// over an empty root (a sub-farmer's inner table, which grows by
-	// upstream grants): then only structural checks apply.
-	rootLo, rootHi *big.Int
+	// root is the root range the boundary pins inbound intervals inside
+	// (boundary.go). Empty when the farmer was created over an empty root
+	// (a sub-farmer's inner table, which grows by upstream grants): then
+	// only structural checks apply.
+	root interval.Interval
 
 	counters   Counters
 	redundancy RedundancyStats
@@ -268,12 +261,12 @@ type Farmer struct {
 	// hulls that holders vouched is explored, via gap-carving folds and
 	// content-honest folds. Honest totals (Size, endgame, steal hints)
 	// subtract it; reslackLocked keeps it current.
-	slack *big.Int
+	slack interval.Num
 
-	// Scratch big.Ints reused across protocol calls (guarded by mu), so
+	// Scratch numbers reused across protocol calls (guarded by mu), so
 	// the steady-state message loop — one UpdateInterval per worker
-	// checkpoint — does not allocate per call.
-	scrA, scrLen, scrMul, scrHint, scrGap *big.Int
+	// checkpoint — does not allocate per call, even on the spill path.
+	scrLen, scrMul, scrHint, scrGap interval.Num
 }
 
 // Option customizes a Farmer.
@@ -283,8 +276,8 @@ type Option func(*Farmer)
 // operator duplicates instead of splitting (§4.2: "An interval which has a
 // length lower than this threshold is duplicated instead of being
 // divided"). The default is 2.
-func WithThreshold(t *big.Int) Option {
-	return func(f *Farmer) { f.threshold = new(big.Int).Set(t) }
+func WithThreshold(t interval.Num) Option {
+	return func(f *Farmer) { f.threshold = t.Clone() }
 }
 
 // WithClock injects a nanosecond clock; the discrete-event simulator uses a
@@ -339,8 +332,11 @@ func withStealHints() Option {
 // point every split would mint crumbs anyway; sharing the survivors across
 // subtrees restores the global mixing a pull-only tree loses at the end of
 // a resolution. Off (nil) by default.
-func withEndgameThreshold(t *big.Int) Option {
-	return func(f *Farmer) { f.endgame = new(big.Int).Set(t) }
+func withEndgameThreshold(t interval.Num) Option {
+	return func(f *Farmer) {
+		e := t.Clone()
+		f.endgame = &e
+	}
 }
 
 // The endgame thresholds as multiples of the duplication threshold. The
@@ -366,14 +362,16 @@ const (
 // tree (DESIGN.md §12) from the root's duplication threshold thr and the
 // number of sub-farmers: the root's withEndgameThreshold value, the
 // sub-farmers' SubConfig.LowWater mark, and the WithThreshold value of
-// their inner farmers (at least 1). NewTree applies them under
+// their inner farmers (at least defaultThreshold: an inner threshold of 1
+// splits even a one-leaf crumb, whose holder keeps nothing, and the crumb
+// then ping-pongs between requesters forever). NewTree applies them under
 // TreeConfig.Endgame.
-func endgameThresholds(thr *big.Int, subtrees int) (endgame, lowWater, inner *big.Int) {
-	endgame = new(big.Int).Mul(thr, big.NewInt(endgameFactor))
-	lowWater = new(big.Int).Mul(thr, big.NewInt(lowWaterFactor))
-	inner = new(big.Int).Div(thr, big.NewInt(int64(subtrees)*innerFanoutFactor))
-	if inner.Sign() <= 0 {
-		inner = big.NewInt(1)
+func endgameThresholds(thr interval.Num, subtrees int) (endgame, lowWater, inner interval.Num) {
+	endgame.Mul64(thr, endgameFactor)
+	lowWater.Mul64(thr, lowWaterFactor)
+	inner.MulQuo(thr, 1, int64(subtrees)*innerFanoutFactor)
+	if floor := interval.NumInt64(defaultThreshold); inner.Cmp(floor) < 0 {
+		inner = floor
 	}
 	return endgame, lowWater, inner
 }
@@ -402,22 +400,15 @@ func New(root interval.Interval, opts ...Option) *Farmer {
 		intervals: make(map[int64]*tracked),
 		idx:       newSelIndex(),
 		bestCost:  bb.Infinity,
-		threshold: big.NewInt(defaultThreshold),
+		threshold: interval.NumInt64(defaultThreshold),
 		clock:     func() int64 { return time.Now().UnixNano() },
 		leaseTTL:  int64(time.Minute),
-		slack:     new(big.Int),
-		scrA:      new(big.Int),
-		scrLen:    new(big.Int),
-		scrMul:    new(big.Int),
-		scrHint:   new(big.Int),
-		scrGap:    new(big.Int),
 	}
 	for _, opt := range opts {
 		opt(f)
 	}
-	f.redundancy = RedundancyStats{ConsumedUnits: new(big.Int), RedundantUnits: new(big.Int)}
 	if !root.IsEmpty() {
-		f.rootLo, f.rootHi = root.A(), root.B()
+		f.root = root.Clone()
 		f.addTracked(root.Clone())
 	}
 	return f
@@ -441,7 +432,7 @@ func Restore(root interval.Interval, store *checkpoint.Store, opts ...Option) (*
 		// The restored table must honour the same boundary as a fresh
 		// one: the root range is a property of the instance, not of the
 		// snapshot.
-		f.rootLo, f.rootHi = root.A(), root.B()
+		f.root = root.Clone()
 	}
 	// A fresh epoch: every id allocated by this incarnation is distinct
 	// from every id any previous incarnation ever issued, including the
@@ -456,7 +447,7 @@ func Restore(root interval.Interval, store *checkpoint.Store, opts ...Option) (*
 			id:        rec.ID,
 			iv:        rec.Interval.Clone(),
 			owners:    make(map[transport.WorkerID]*owner),
-			coveredTo: rec.Interval.A(),
+			coveredTo: rec.Interval.Lo().Clone(),
 		}
 		f.intervals[rec.ID] = t
 		f.idx.insert(t)
@@ -487,7 +478,7 @@ func (f *Farmer) addTrackedFor(iv interval.Interval, w transport.WorkerID, o *ow
 		id:        f.epoch<<epochShift | f.nextID,
 		iv:        iv,
 		owners:    make(map[transport.WorkerID]*owner),
-		coveredTo: iv.A(),
+		coveredTo: iv.Lo().Clone(),
 	}
 	if o != nil {
 		t.setOwner(w, o)
@@ -633,13 +624,13 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		return reply, nil
 	}
 	holderPower := chosen.power
-	belowThreshold := chosen.iv.LenInto(f.scrLen).Cmp(f.threshold) < 0
+	belowThreshold := f.scrLen.SetWidth(chosen.iv).Cmp(f.threshold) < 0
 	// Endgame rule (withEndgameThreshold): once the TOTAL tracked length
 	// is crumb-scale, splitting only mints smaller crumbs — share held
 	// intervals across requesters instead (DESIGN.md §12). Orphans
 	// (holderPower == 0) still hand off whole below.
 	endgame := !belowThreshold && f.endgame != nil &&
-		f.scrMul.Sub(f.idx.total, f.slack).Cmp(f.endgame) < 0
+		f.scrMul.Sub(f.idx.total, f.slack).Cmp(*f.endgame) < 0
 	if (belowThreshold || endgame) && holderPower > 0 {
 		// Partitioning operator, duplication rule: the interval is
 		// below the threshold and actively explored — share it rather
@@ -658,7 +649,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 	}
 	// The split runs in place: the entry keeps [A,C), and the donated
 	// [C,B) takes over its old end and becomes the new entry's own.
-	donated := chosen.iv.SplitProportionalInPlace(splitHolderPower, splitReqPower, f.scrA)
+	donated := chosen.iv.SplitProportionalInPlace(splitHolderPower, splitReqPower)
 	if holderPower == 0 {
 		f.counters.HandedOffOrphans++
 	}
@@ -671,7 +662,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		f.idx.remove(chosen)
 		delete(f.intervals, chosen.id)
 	} else {
-		chosen.content = nil // the split invalidates the vouched count
+		chosen.hasContent = false // the split invalidates the vouched count
 		f.reslackLocked(chosen)
 		f.idx.fix(chosen) // the kept part is shorter: re-key
 		// The holder keeps exploring [A,C) and learns of the shrink
@@ -679,7 +670,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 		// process is also informed to limit its exploration").
 	}
 	nt := f.addTrackedFor(donated, req.Worker,
-		&owner{power: req.Power, lastSeen: now, lastA: donated.A()})
+		&owner{power: req.Power, lastSeen: now, lastA: donated.Lo().Clone()})
 	f.counters.WorkAllocations++
 	reply.IntervalID = nt.id
 	reply.Interval = donated.Clone()
@@ -689,7 +680,7 @@ func (f *Farmer) RequestWork(req transport.WorkRequest) (transport.WorkReply, er
 // shareLocked is the duplication rule's grant: the requester becomes a
 // co-owner of t's one copy and gets it back flagged Duplicated.
 func (f *Farmer) shareLocked(t *tracked, req transport.WorkRequest, now int64) transport.WorkReply {
-	o := &owner{power: req.Power, lastSeen: now, lastA: t.iv.A()}
+	o := &owner{power: req.Power, lastSeen: now, lastA: t.iv.Lo().Clone()}
 	t.setOwner(req.Worker, o)
 	f.idx.fix(t) // the holder-power class may have changed
 	f.pushLease(t, req.Worker, o)
@@ -711,29 +702,29 @@ func (f *Farmer) shareLocked(t *tracked, req transport.WorkRequest, now int64) t
 // split hands it live work. Returns ok=false (after dropping any
 // invalid gap) when the entry carries no usable gap.
 func (f *Farmer) splitAtGapLocked(t *tracked, w transport.WorkerID, power int64, now int64) (*tracked, bool) {
-	if t.gapA == nil {
+	if !t.hasGap {
 		return nil, false
 	}
-	if t.iv.CmpA(t.gapA) >= 0 || t.iv.CmpB(t.gapB) <= 0 {
+	if t.iv.Lo().Cmp(t.gapA) >= 0 || t.iv.Hi().Cmp(t.gapB) <= 0 {
 		// The entry shrank since the gap was stored (defensive — every
 		// shrink revalidates); a gap no longer strictly interior cannot
 		// anchor a two-sided cut.
 		f.clearGapLocked(t)
 		return nil, false
 	}
-	donated := interval.New(t.gapB, t.iv.B())
-	t.iv.IntersectInPlace(interval.New(t.iv.A(), t.gapA))
+	donated := interval.Of(t.gapB, t.iv.Hi()).Clone()
+	t.iv.IntersectInPlace(interval.Of(t.iv.Lo(), t.gapA))
 	if t.coveredTo.Cmp(t.gapA) > 0 {
 		t.coveredTo.Set(t.gapA)
 	}
 	// The holder's vouched content spanned the whole hull; neither
 	// fragment knows its share, so the kept copy falls back to hull
 	// semantics until the next fold re-reports.
-	t.content = nil
+	t.hasContent = false
 	f.clearGapLocked(t)
 	f.idx.fix(t)
 	nt := f.addTrackedFor(donated, w,
-		&owner{power: power, lastSeen: now, lastA: donated.A()})
+		&owner{power: power, lastSeen: now, lastA: donated.Lo().Clone()})
 	f.counters.GapCarves++
 	f.counters.WorkAllocations++
 	return nt, true
@@ -794,7 +785,7 @@ func (f *Farmer) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 		if admitted <= 0 {
 			admitted = 1
 		}
-		o = &owner{power: admitted, lastSeen: now, lastA: t.iv.A()}
+		o = &owner{power: admitted, lastSeen: now, lastA: t.iv.Lo().Clone()}
 		t.setOwner(req.Worker, o)
 		f.pushLease(t, req.Worker, o)
 	}
@@ -806,19 +797,19 @@ func (f *Farmer) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 
 	// Redundancy accounting in leaf units: progress over a region some
 	// other owner had already reported is redundant. All arithmetic runs
-	// on the farmer's scratch and the tracked entries' own big.Ints: a
+	// on the farmer's scratch and the tracked entries' own numbers: a
 	// checkpoint round allocates nothing here.
-	reportedA := req.Remaining.AInto(f.scrA)
+	reportedA := req.Remaining.Lo()
 	if reportedA.Cmp(o.lastA) > 0 {
-		consumed := f.scrLen.Sub(reportedA, o.lastA)
-		f.redundancy.ConsumedUnits.Add(f.redundancy.ConsumedUnits, consumed)
+		f.scrLen.Sub(reportedA, o.lastA)
+		f.redundancy.ConsumedUnits.Add(f.redundancy.ConsumedUnits, f.scrLen)
 		if o.lastA.Cmp(t.coveredTo) < 0 {
 			overlapEnd := reportedA
 			if t.coveredTo.Cmp(overlapEnd) < 0 {
 				overlapEnd = t.coveredTo
 			}
-			redundant := f.scrLen.Sub(overlapEnd, o.lastA)
-			f.redundancy.RedundantUnits.Add(f.redundancy.RedundantUnits, redundant)
+			f.scrLen.Sub(overlapEnd, o.lastA)
+			f.redundancy.RedundantUnits.Add(f.redundancy.RedundantUnits, f.scrLen)
 		}
 		if reportedA.Cmp(t.coveredTo) > 0 {
 			t.coveredTo.Set(reportedA)
@@ -835,10 +826,10 @@ func (f *Farmer) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 	// orphaned. Blindly intersecting would discard that tail as if it had
 	// been explored; instead it is carved back into INTERVALS as a fresh
 	// orphan so the allocation path re-issues it.
-	remB := req.Remaining.BInto(f.scrMul)
-	if t.iv.CmpB(remB) > 0 {
-		if t.iv.CmpA(remB) < 0 {
-			f.addTracked(interval.New(remB, t.iv.B()))
+	remB := req.Remaining.Hi()
+	if t.iv.Hi().Cmp(remB) > 0 {
+		if t.iv.Lo().Cmp(remB) < 0 {
+			f.addTracked(interval.Of(remB, t.iv.Hi()).Clone())
 			f.counters.RecoveredTails++
 		} else {
 			// The worker's whole view lies before the copy: it brings
@@ -870,9 +861,8 @@ func (f *Farmer) UpdateInterval(req transport.UpdateRequest) (transport.UpdateRe
 	} else {
 		if req.Content != nil && req.Content.Sign() >= 0 {
 			// Content-honest fold: adopt the holder's own count of
-			// unexplored ground behind this hull (ownership transfers;
-			// decoders and sub-farmers hand over a fresh value).
-			t.content = req.Content
+			// unexplored ground behind this hull.
+			t.content, t.hasContent = interval.NumBig(req.Content), true
 		}
 		if req.HasGap {
 			f.noteGapLocked(t, req.Gap)
@@ -913,39 +903,39 @@ func (f *Farmer) noteGapLocked(t *tracked, gap interval.Interval) {
 	if gap.IsEmpty() {
 		return
 	}
-	f.applyGapLocked(t, gap.A(), gap.B())
+	f.applyGapLocked(t, gap.Lo(), gap.Hi())
 }
 
 // revalidateGapLocked re-clamps a stored gap after the entry's interval
 // changed; a no-op for the (overwhelmingly common) gapless entry.
 func (f *Farmer) revalidateGapLocked(t *tracked) {
-	if t.gapA == nil {
+	if !t.hasGap {
 		return
 	}
-	ga, gb := t.gapA, t.gapB
-	t.gapA, t.gapB = nil, nil
-	f.applyGapLocked(t, ga, gb)
+	t.hasGap = false
+	f.applyGapLocked(t, t.gapA, t.gapB)
 }
 
 // applyGapLocked reconciles a vouched explored gap with the entry's
-// current bounds, taking ownership of ga/gb. A gap clamped to an edge of
+// current bounds (ga/gb are read, and copied if stored). A gap clamped to
+// an edge of
 // the copy is free precision — the explored prefix or suffix is trimmed
 // off on the spot, no work moves, and the shrink reaches the holder
 // through the ordinary reply verdict. Only a strictly interior remainder
 // is stored for the partitioning operator.
-func (f *Farmer) applyGapLocked(t *tracked, ga, gb *big.Int) {
-	if t.iv.CmpA(ga) > 0 {
-		ga.Set(t.iv.AInto(f.scrGap))
+func (f *Farmer) applyGapLocked(t *tracked, ga, gb interval.Num) {
+	if t.iv.Lo().Cmp(ga) > 0 {
+		ga = t.iv.Lo()
 	}
-	if t.iv.CmpB(gb) < 0 {
-		gb.Set(t.iv.BInto(f.scrGap))
+	if t.iv.Hi().Cmp(gb) < 0 {
+		gb = t.iv.Hi()
 	}
 	if ga.Cmp(gb) >= 0 {
 		f.clearGapLocked(t)
 		return
 	}
-	aEdge := t.iv.CmpA(ga) == 0
-	bEdge := t.iv.CmpB(gb) == 0
+	aEdge := t.iv.Lo().Cmp(ga) == 0
+	bEdge := t.iv.Hi().Cmp(gb) == 0
 	switch {
 	case aEdge && bEdge:
 		// The whole copy vouched explored: emptying it is the reply
@@ -955,13 +945,13 @@ func (f *Farmer) applyGapLocked(t *tracked, ga, gb *big.Int) {
 		f.clearGapLocked(t)
 	case aEdge:
 		// Explored prefix: trim it off now.
-		t.iv.IntersectInPlace(interval.New(gb, t.iv.B()))
+		t.iv.IntersectInPlace(interval.Of(gb, t.iv.Hi()))
 		f.clearGapLocked(t)
 		f.counters.GapCarves++
 	case bEdge:
 		// Explored suffix: trim, keeping the redundancy watermark inside
 		// the shrunk bounds so overlap accounting stays conservative.
-		t.iv.IntersectInPlace(interval.New(t.iv.A(), ga))
+		t.iv.IntersectInPlace(interval.Of(t.iv.Lo(), ga))
 		if t.coveredTo.Cmp(ga) > 0 {
 			t.coveredTo.Set(ga)
 		}
@@ -972,16 +962,18 @@ func (f *Farmer) applyGapLocked(t *tracked, ga, gb *big.Int) {
 	}
 }
 
-func (f *Farmer) setGapLocked(t *tracked, ga, gb *big.Int) {
-	t.gapA, t.gapB = ga, gb
+func (f *Farmer) setGapLocked(t *tracked, ga, gb interval.Num) {
+	t.gapA.Set(ga)
+	t.gapB.Set(gb)
+	t.hasGap = true
 	f.reslackLocked(t)
 }
 
 func (f *Farmer) clearGapLocked(t *tracked) {
-	if t.gapA == nil && t.slack == nil {
+	if !t.hasGap && !t.hasContent && t.slack.Sign() == 0 {
 		return
 	}
-	t.gapA, t.gapB = nil, nil
+	t.hasGap = false
 	f.reslackLocked(t)
 }
 
@@ -990,33 +982,29 @@ func (f *Farmer) clearGapLocked(t *tracked) {
 // folds the change into the farmer-wide aggregate. Call it after any
 // change to t.iv, t.gapA/gapB, or t.content; it is idempotent.
 func (f *Farmer) reslackLocked(t *tracked) {
-	if t.slack != nil {
-		f.slack.Sub(f.slack, t.slack)
-	}
-	if t.content == nil && t.gapA == nil {
-		t.slack = nil
+	f.slack.Sub(f.slack, t.slack)
+	var zero interval.Num
+	if !t.hasContent && !t.hasGap {
+		t.slack.Set(zero)
 		return
 	}
-	if t.slack == nil {
-		t.slack = new(big.Int)
-	}
-	hull := t.iv.LenInto(f.scrGap)
-	if t.content != nil {
-		t.slack.Sub(hull, t.content)
+	hull := f.scrGap.SetWidth(t.iv)
+	if t.hasContent {
+		t.slack.Sub(*hull, t.content)
 		if t.slack.Sign() < 0 {
-			t.slack.SetInt64(0)
+			t.slack.Set(zero)
 		}
 	} else {
-		t.slack.SetInt64(0)
+		t.slack.Set(zero)
 	}
-	if t.gapA != nil {
+	if t.hasGap {
 		// The gap is positional evidence the content count must cover.
-		if g := new(big.Int).Sub(t.gapB, t.gapA); t.slack.Cmp(g) < 0 {
-			t.slack.Set(g)
+		if g := f.scrMul.Sub(t.gapB, t.gapA); t.slack.Cmp(*g) < 0 {
+			t.slack.Set(*g)
 		}
 	}
-	if t.slack.Cmp(hull) > 0 {
-		t.slack.Set(hull)
+	if t.slack.Cmp(*hull) > 0 {
+		t.slack.Set(*hull)
 	}
 	f.slack.Add(f.slack, t.slack)
 }
@@ -1024,24 +1012,21 @@ func (f *Farmer) reslackLocked(t *tracked) {
 // forgetSlackLocked removes the entry's slack contribution and drops its
 // advisory metadata. Call it before retiring the entry from INTERVALS.
 func (f *Farmer) forgetSlackLocked(t *tracked) {
-	if t.slack != nil {
-		f.slack.Sub(f.slack, t.slack)
-		t.slack = nil
-	}
-	t.gapA, t.gapB = nil, nil
-	t.content = nil
+	f.slack.Sub(f.slack, t.slack)
+	t.slack = interval.Num{}
+	t.hasGap, t.hasContent = false, false
 }
 
 // foldScan is the one table pass behind a sub-farmer's fold of the binding
 // iv (DESIGN.md §9). Over the tracked intervals overlapping iv it reports
 // whether there are any, writes their smallest beginning into front (when
 // front is non-nil: the per-binding frontier of a multi-binding
-// sub-farmer), and returns, fresh, the length they hold inside iv — the
-// true content behind a [C,B) hull fold — and the largest hole strictly
-// inside iv that none of them covers — fully-explored ground the hull
-// would misreport as remaining; gapA is nil when there is no such hole.
-// O(W log W) per call, once per fold cadence, never per message.
-func (f *Farmer) foldScan(iv interval.Interval, front *big.Int) (found bool, content, gapA, gapB *big.Int) {
+// sub-farmer), and returns, as owned values, the length they hold inside
+// iv — the true content behind a [C,B) hull fold — and the largest hole
+// strictly inside iv that none of them covers — fully-explored ground the
+// hull would misreport as remaining; gap is empty when there is no such
+// hole. O(W log W) per call, once per fold cadence, never per message.
+func (f *Farmer) foldScan(iv interval.Interval, front *interval.Num) (found bool, content interval.Num, gap interval.Interval) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	hits := make([]*tracked, 0, len(f.intervals))
@@ -1050,37 +1035,32 @@ func (f *Farmer) foldScan(iv interval.Interval, front *big.Int) (found bool, con
 			hits = append(hits, t)
 		}
 	}
-	content = new(big.Int)
 	if len(hits) == 0 {
-		return false, content, nil, nil
+		return false, content, gap
 	}
 	slices.SortFunc(hits, func(x, y *tracked) int { return x.iv.Cmp(y.iv) })
 	if front != nil {
-		hits[0].iv.AInto(front)
+		front.Set(hits[0].iv.Lo())
 	}
 	// Walk the fragments by beginning, each clipped to iv: cover is the
 	// end of the ground covered so far, and a fragment starting past it
-	// opens a hole.
-	lo, hi, cover, span, best := new(big.Int), new(big.Int), new(big.Int), new(big.Int), new(big.Int)
+	// opens a hole. lo, hi and cover are read-only views of the bounds.
+	var cover, span, best interval.Num
 	for i, t := range hits {
-		if t.iv.AInto(lo); iv.CmpA(lo) > 0 {
-			iv.AInto(lo)
-		}
-		if t.iv.BInto(hi); iv.CmpB(hi) < 0 {
-			iv.BInto(hi)
-		}
-		content.Add(content, span.Sub(hi, lo))
+		clipped := t.iv.Intersect(iv)
+		lo, hi := clipped.Lo(), clipped.Hi()
+		content.Add(content, *span.Sub(hi, lo))
 		if i > 0 && lo.Cmp(cover) > 0 {
 			if span.Sub(lo, cover); span.Cmp(best) > 0 {
-				gapA, gapB = new(big.Int).Set(cover), new(big.Int).Set(lo)
+				gap = interval.Of(cover, lo)
 				best.Set(span)
 			}
 		}
 		if i == 0 || hi.Cmp(cover) > 0 {
-			cover.Set(hi)
+			cover = hi
 		}
 	}
-	return true, content, gapA, gapB
+	return true, content, gap.Clone()
 }
 
 // stealHintLocked summarizes what the farmer tracks beyond the copy with
@@ -1096,12 +1076,10 @@ func (f *Farmer) stealHintLocked(excludeID int64) *transport.StealHint {
 	rem := f.scrHint.Sub(f.idx.total, f.slack)
 	if t, ok := f.intervals[excludeID]; ok {
 		others--
-		rem.Sub(rem, t.iv.LenInto(f.scrLen))
-		if t.slack != nil {
-			// The aggregate already discounted this entry's slack; restore
-			// it so the exclusion does not subtract it twice.
-			rem.Add(rem, t.slack)
-		}
+		rem.Sub(*rem, *f.scrLen.SetWidth(t.iv))
+		// The aggregate already discounted this entry's slack; restore
+		// it so the exclusion does not subtract it twice.
+		rem.Add(*rem, t.slack)
 	}
 	if others < 0 {
 		others = 0
@@ -1187,8 +1165,8 @@ func (f *Farmer) Redundancy() RedundancyStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return RedundancyStats{
-		ConsumedUnits:  new(big.Int).Set(f.redundancy.ConsumedUnits),
-		RedundantUnits: new(big.Int).Set(f.redundancy.RedundantUnits),
+		ConsumedUnits:  f.redundancy.ConsumedUnits.Clone(),
+		RedundantUnits: f.redundancy.RedundantUnits.Clone(),
 	}
 }
 
@@ -1212,12 +1190,13 @@ func sortRecords(recs []checkpoint.IntervalRecord) {
 // Size returns the cardinality of INTERVALS and the total remaining length
 // (§4.3: cardinality ≈ number of B&B processes; size = not-yet-explored
 // solutions, monotonically decreasing). The total is maintained
-// incrementally by the selection index — no full-table big.Int
-// re-summation however large the grid.
-func (f *Farmer) Size() (cardinality int, totalLen *big.Int) {
+// incrementally by the selection index — no full-table re-summation
+// however large the grid.
+func (f *Farmer) Size() (cardinality int, totalLen interval.Num) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.intervals), new(big.Int).Sub(f.idx.total, f.slack)
+	totalLen.Sub(f.idx.total, f.slack)
+	return len(f.intervals), totalLen
 }
 
 // FleetPower returns the total power of all live owners across INTERVALS
@@ -1252,7 +1231,7 @@ func (f *Farmer) Checkpoint() error {
 		// The incremental total (lingering empty entries contribute
 		// zero, matching the records below which skip them); Load
 		// cross-checks it against the record sum.
-		TotalLen: new(big.Int).Set(f.idx.total),
+		TotalLen: f.idx.total.Big(),
 	}
 	if f.bestPath != nil {
 		snap.BestPath = append([]int(nil), f.bestPath...)
@@ -1373,7 +1352,7 @@ func (f *Farmer) AdoptBest(cost int64) {
 // into dst — the fold frontier a sub-farmer reports upstream: INTERVALS is
 // always a subset of [frontier, assigned end). It reports false when the
 // table is empty or frontier tracking is disabled (WithFrontierTracking).
-func (f *Farmer) FrontierInto(dst *big.Int) bool {
+func (f *Farmer) FrontierInto(dst *interval.Num) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.frontierLocked(dst)

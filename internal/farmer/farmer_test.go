@@ -95,7 +95,7 @@ func TestSelectionPicksLargestDonation(t *testing.T) {
 // TestThresholdDuplication: intervals below the threshold are duplicated,
 // not split, and the coordinator keeps a single copy (§4.2).
 func TestThresholdDuplication(t *testing.T) {
-	f, _ := newTestFarmer(100, WithThreshold(big.NewInt(1000)))
+	f, _ := newTestFarmer(100, WithThreshold(interval.NumInt64(1000)))
 	r1, _ := f.RequestWork(transport.WorkRequest{Worker: "w1", Power: 10})
 	r2, err := f.RequestWork(transport.WorkRequest{Worker: "w2", Power: 10})
 	if err != nil {
@@ -122,7 +122,7 @@ func TestThresholdDuplication(t *testing.T) {
 // the lagging owner's update jumps it forward (eq. 14 with A' > A), and the
 // overlap is accounted as redundant.
 func TestIntersectionAdvancesDuplicates(t *testing.T) {
-	f, _ := newTestFarmer(100, WithThreshold(big.NewInt(1000)))
+	f, _ := newTestFarmer(100, WithThreshold(interval.NumInt64(1000)))
 	r1, _ := f.RequestWork(transport.WorkRequest{Worker: "w1", Power: 10})
 	f.RequestWork(transport.WorkRequest{Worker: "w2", Power: 10})
 	// w1 advances to 60.

@@ -1,6 +1,6 @@
 package farmer
 
-import "math/big"
+import "repro/internal/interval"
 
 // The frontier heap answers "what is the smallest beginning among all
 // tracked intervals?" — the fold a sub-farmer reports upstream — in
@@ -16,7 +16,7 @@ import "math/big"
 // frontierEntry is one scheduled frontier candidate. a is owned by the
 // entry and re-used when the entry is re-filed.
 type frontierEntry struct {
-	a *big.Int
+	a interval.Num
 	t *tracked
 }
 
@@ -36,7 +36,7 @@ func (f *Farmer) pushFrontier(t *tracked) {
 	if !f.trackFront {
 		return
 	}
-	f.front.push(frontierEntry{a: t.iv.A(), t: t})
+	f.front.push(frontierEntry{a: t.iv.Lo().Clone(), t: t})
 	f.front.compactIfFull(f.frontierLive)
 }
 
@@ -44,18 +44,18 @@ func (f *Farmer) pushFrontier(t *tracked) {
 // writes it into dst, discarding or re-filing stale entries on the way. It
 // reports false when the table is empty (or tracking is off). Caller holds
 // f.mu.
-func (f *Farmer) frontierLocked(dst *big.Int) bool {
+func (f *Farmer) frontierLocked(dst *interval.Num) bool {
 	for len(f.front.s) > 0 {
 		e := f.front.s[0]
 		if !f.frontierLive(e) {
 			f.front.pop()
 			continue
 		}
-		if e.t.iv.CmpA(e.a) != 0 {
+		if e.t.iv.Lo().Cmp(e.a) != 0 {
 			// The beginning advanced since filing: re-file at the
-			// current position (reusing the entry's big.Int).
+			// current position (reusing the entry's storage).
 			e = f.front.pop()
-			e.t.iv.AInto(e.a)
+			e.a.Set(e.t.iv.Lo())
 			f.front.push(e)
 			continue
 		}

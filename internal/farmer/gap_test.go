@@ -70,7 +70,7 @@ func TestInteriorGapSplitsAtNextAllocation(t *testing.T) {
 		t.Fatalf("interior gap carved eagerly: %v", up.Interval)
 	}
 	// ...but the vouched hole is already discounted from the size.
-	if _, total := f.Size(); total.Cmp(big.NewInt(700)) != 0 {
+	if _, total := f.Size(); total.Cmp(interval.NumInt64(700)) != 0 {
 		t.Fatalf("Size total = %s, want 700 (1000 hull - 300 gap)", total)
 	}
 
@@ -92,7 +92,7 @@ func TestInteriorGapSplitsAtNextAllocation(t *testing.T) {
 	if !up.Interval.Equal(interval.FromInt64(0, 400)) {
 		t.Fatalf("holder reconciled to %v, want [0,400)", up.Interval)
 	}
-	if _, total := f.Size(); total.Cmp(big.NewInt(700)) != 0 {
+	if _, total := f.Size(); total.Cmp(interval.NumInt64(700)) != 0 {
 		t.Fatalf("Size total after the cut = %s, want 700", total)
 	}
 	if c := f.Counters(); c.GapCarves != 1 {
@@ -114,7 +114,7 @@ func TestContentDiscountsSize(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, total := f.Size(); total.Cmp(big.NewInt(150)) != 0 {
+	if _, total := f.Size(); total.Cmp(interval.NumInt64(150)) != 0 {
 		t.Fatalf("Size total = %s, want the vouched 150", total)
 	}
 	// Content above the hull claims negative slack: clamp to the hull.
@@ -125,7 +125,7 @@ func TestContentDiscountsSize(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, total := f.Size(); total.Cmp(big.NewInt(1000)) != 0 {
+	if _, total := f.Size(); total.Cmp(interval.NumInt64(1000)) != 0 {
 		t.Fatalf("Size total = %s, want clamped to the 1000 hull", total)
 	}
 }
@@ -146,7 +146,7 @@ func TestGapFloorsContentSlack(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, total := f.Size(); total.Cmp(big.NewInt(700)) != 0 {
+	if _, total := f.Size(); total.Cmp(interval.NumInt64(700)) != 0 {
 		t.Fatalf("Size total = %s, want 700 (gap floors the discount)", total)
 	}
 }
@@ -157,7 +157,7 @@ func TestGapFloorsContentSlack(t *testing.T) {
 // gap-carved new id, which would hand it ground its local table already
 // covers and make a sub-farmer's INTERVALS overlap itself.
 func TestCoOwnerRegrantKeepsOneCopy(t *testing.T) {
-	f, _ := newTestFarmer(1000, withEndgameThreshold(big.NewInt(2000)))
+	f, _ := newTestFarmer(1000, withEndgameThreshold(interval.NumInt64(2000)))
 	r1, _ := f.RequestWork(transport.WorkRequest{Worker: "w1", Power: 10})
 
 	// Endgame (total 1000 < 2000): w2's request duplicates w1's copy.

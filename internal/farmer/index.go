@@ -2,8 +2,8 @@ package farmer
 
 import (
 	"math"
-	"math/big"
 
+	"repro/internal/interval"
 	"repro/internal/transport"
 )
 
@@ -56,7 +56,7 @@ func (n *selNode) update() {
 }
 
 // cmpKey orders the search key (length, id) against a node's key.
-func cmpKey(length *big.Int, id int64, n *selNode) int {
+func cmpKey(length interval.Num, id int64, n *selNode) int {
 	if c := length.Cmp(n.t.idxLen); c != 0 {
 		return c
 	}
@@ -117,7 +117,7 @@ func insertNode(root, n *selNode) *selNode {
 // deleteNode removes the node with the given key and returns the new root
 // and the detached node (nil if absent). The detached node is returned so
 // re-keying reuses it — the steady-state checkpoint loop allocates nothing.
-func deleteNode(root *selNode, length *big.Int, id int64) (*selNode, *selNode) {
+func deleteNode(root *selNode, length interval.Num, id int64) (*selNode, *selNode) {
 	if root == nil {
 		return nil, nil
 	}
@@ -165,7 +165,7 @@ func maxNode(root *selNode) *selNode {
 // minLen. In key order those entries form a suffix: a node below the bound
 // sends the walk right; a node at or above it contributes itself and its
 // whole right subtree (one augmented read) and sends the walk left.
-func minIDAtLeast(root *selNode, minLen *big.Int) (int64, bool) {
+func minIDAtLeast(root *selNode, minLen interval.Num) (int64, bool) {
 	var best int64
 	found := false
 	take := func(id int64) {
@@ -192,7 +192,7 @@ func minIDAtLeast(root *selNode, minLen *big.Int) (int64, bool) {
 // checkpoint totals never re-sum the table).
 type selIndex struct {
 	groups map[int64]*selNode // holder power → treap over (len, id)
-	total  *big.Int           // Σ len of all indexed intervals
+	total  interval.Num       // Σ len of all indexed intervals
 	// powerSum is Σ idxHP over all indexed intervals: the fleet power
 	// currently attached to this table, maintained at the same three
 	// mutation points as total. The multi-tenant fair-share rule reads it
@@ -203,23 +203,15 @@ type selIndex struct {
 
 	rng uint64 // deterministic treap priorities (splitmix64)
 
-	// Scratch big.Ints: selection runs entirely on these, allocating
-	// nothing per request. Divisions go through QuoRem into scrRem:
-	// big.Int.Quo allocates a fresh remainder on every call.
-	scrLen, scrBest, scrCand, scrBound, scrW, scrRem *big.Int
+	// Scratch numbers: selection runs entirely on these, allocating
+	// nothing per request, even on the spill path.
+	scrLen, scrBest, scrCand, scrBound interval.Num
 }
 
 func newSelIndex() *selIndex {
 	return &selIndex{
-		groups:   make(map[int64]*selNode),
-		total:    new(big.Int),
-		rng:      0x9e3779b97f4a7c15,
-		scrLen:   new(big.Int),
-		scrBest:  new(big.Int),
-		scrCand:  new(big.Int),
-		scrBound: new(big.Int),
-		scrW:     new(big.Int),
-		scrRem:   new(big.Int),
+		groups: make(map[int64]*selNode),
+		rng:    0x9e3779b97f4a7c15,
 	}
 }
 
@@ -248,7 +240,7 @@ func (x *selIndex) setRoot(hp int64, root *selNode) {
 // holder power) on the tracked entry itself so later removals and re-keys
 // can find it whatever has mutated since.
 func (x *selIndex) insert(t *tracked) {
-	t.idxLen = t.iv.Len()
+	t.idxLen = t.iv.Width()
 	t.idxHP = t.power
 	x.setRoot(t.idxHP, insertNode(x.groups[t.idxHP], &selNode{t: t, pri: x.nextPri()}))
 	x.total.Add(x.total, t.idxLen)
@@ -271,7 +263,7 @@ func (x *selIndex) remove(t *tracked) {
 // steady-state update path at one O(log W) re-key for the length shrink.
 func (x *selIndex) fix(t *tracked) {
 	hp := t.power
-	t.iv.LenInto(x.scrLen)
+	x.scrLen.SetWidth(t.iv)
 	if hp == t.idxHP && x.scrLen.Cmp(t.idxLen) == 0 {
 		return
 	}
@@ -294,36 +286,30 @@ func (x *selIndex) fix(t *tracked) {
 // donatedInto computes the donated part a requester of power rp would
 // receive from a holder class of power hp on a cached length, floor
 // semantics and all — the partitioning operator's len([C,B)).
-func (x *selIndex) donatedInto(dst, length *big.Int, hp, rp int64) *big.Int {
+func donatedInto(dst *interval.Num, length interval.Num, hp, rp int64) *interval.Num {
 	if hp <= 0 {
 		return dst.Set(length)
 	}
 	if rp <= 0 {
-		return dst.SetInt64(0)
+		return dst.Set(interval.Num{})
 	}
-	dst.Mul(length, x.scrW.SetInt64(rp))
-	dst.QuoRem(dst, x.scrW.SetInt64(hp+rp), x.scrRem)
-	return dst
+	return dst.MulQuo(length, rp, hp+rp)
 }
 
 // classWinner returns the smallest id in the class achieving donated d (the
 // class maximum, computed from its longest entry).
-func (x *selIndex) classWinner(root *selNode, hp, rp int64, d *big.Int) (int64, bool) {
-	var minLen *big.Int
+func (x *selIndex) classWinner(root *selNode, hp, rp int64, d interval.Num) (int64, bool) {
+	var minLen interval.Num
 	switch {
 	case hp <= 0:
 		// donated == len exactly: achievers are the maximum-length run.
 		minLen = d
 	case rp <= 0:
 		// Every entry donates 0: the whole class ties.
-		minLen = x.scrBound.SetInt64(0)
 	default:
 		// donated(len) == d ⇔ len·rp ≥ d·(hp+rp) ⇔ len ≥ ⌈d·(hp+rp)/rp⌉
 		// (the upper end is free: d is the class maximum).
-		x.scrBound.Mul(d, x.scrW.SetInt64(hp+rp))
-		x.scrBound.Add(x.scrBound, x.scrW.SetInt64(rp-1))
-		x.scrBound.QuoRem(x.scrBound, x.scrW.SetInt64(rp), x.scrRem)
-		minLen = x.scrBound
+		minLen = *x.scrBound.MulQuoCeil(d, hp+rp, rp)
 	}
 	return minIDAtLeast(root, minLen)
 }
@@ -338,7 +324,7 @@ func (x *selIndex) selectBest(rp int64) (int64, bool) {
 	found := false
 	var bestID int64
 	for hp, root := range x.groups {
-		d := x.donatedInto(x.scrCand, maxNode(root).t.idxLen, hp, rp)
+		d := donatedInto(&x.scrCand, maxNode(root).t.idxLen, hp, rp)
 		c := 1
 		if found {
 			c = d.Cmp(x.scrBest)
@@ -346,12 +332,12 @@ func (x *selIndex) selectBest(rp int64) (int64, bool) {
 		if c < 0 {
 			continue
 		}
-		id, ok := x.classWinner(root, hp, rp, d)
+		id, ok := x.classWinner(root, hp, rp, *d)
 		if !ok {
 			continue
 		}
 		if c > 0 {
-			x.scrBest.Set(d)
+			x.scrBest.Set(*d)
 			bestID = id
 			found = true
 		} else if id < bestID {

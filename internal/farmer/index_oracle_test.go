@@ -36,7 +36,7 @@ func TestSelectionOracleRandomStreams(t *testing.T) {
 			f := New(interval.New(new(big.Int), root),
 				WithClock(func() int64 { return now }),
 				WithLeaseTTL(ttl),
-				WithThreshold(big.NewInt(4)))
+				WithThreshold(interval.NumInt64(4)))
 
 			type assignment struct {
 				w  transport.WorkerID
@@ -188,7 +188,7 @@ func TestSelIndexBruteForce(t *testing.T) {
 				if gotID != wantID {
 					t.Fatalf("trial %d step %d: index chose %d, brute force chose %d (rp=%d)", trial, step, gotID, wantID, rp)
 				}
-				if x.scrBest.Cmp(wantD) != 0 {
+				if x.scrBest.Cmp(interval.NumBig(wantD)) != 0 {
 					t.Fatalf("trial %d step %d: index donated %s, brute force %s", trial, step, x.scrBest, wantD)
 				}
 			}
@@ -198,7 +198,7 @@ func TestSelIndexBruteForce(t *testing.T) {
 		for _, tr := range byID {
 			sum.Add(sum, tr.iv.Len())
 		}
-		if sum.Cmp(x.total) != 0 {
+		if sum.Cmp(x.total.Big()) != 0 {
 			t.Fatalf("trial %d: incremental total %s, actual %s", trial, x.total, sum)
 		}
 	}
@@ -366,9 +366,9 @@ func TestLazyHeapsStayBounded(t *testing.T) {
 	if bound := 2*(holders+1) + lazyHeapSlack + 1; maxFront > bound {
 		t.Fatalf("frontier heap reached %d entries for %d intervals (bound %d)", maxFront, holders, bound)
 	}
-	var front big.Int
+	var front interval.Num
 	if !f.frontierLocked(&front) || front.Sign() != 0 {
-		t.Fatalf("frontier after the churn = %v, want the root's beginning", &front)
+		t.Fatalf("frontier after the churn = %v, want the root's beginning", front)
 	}
 }
 

@@ -186,7 +186,7 @@ func TestHolderPowerKeptThroughEveryOwnerMutation(t *testing.T) {
 	step(f, "stale-copy drop", 20)
 
 	// Below-threshold duplication, then the co-owner re-grant.
-	f, _ = newTestFarmer(1000, WithThreshold(big.NewInt(2000)))
+	f, _ = newTestFarmer(1000, WithThreshold(interval.NumInt64(2000)))
 	r1 = request(f, "w1", 10)
 	step(f, "orphan hand-off", 10)
 	if r := request(f, "w2", 20); !r.Duplicated || r.IntervalID != r1.IntervalID {
@@ -199,7 +199,7 @@ func TestHolderPowerKeptThroughEveryOwnerMutation(t *testing.T) {
 	step(f, "co-owner re-grant", 50)
 
 	// Endgame duplication.
-	f, _ = newTestFarmer(1_000_000, withEndgameThreshold(big.NewInt(2_000_000)))
+	f, _ = newTestFarmer(1_000_000, withEndgameThreshold(interval.NumInt64(2_000_000)))
 	request(f, "w1", 10)
 	request(f, "w2", 25)
 	if c := f.Counters(); c.EndgameDuplications != 1 {

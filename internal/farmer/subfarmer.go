@@ -21,7 +21,6 @@ package farmer
 
 import (
 	"errors"
-	"math/big"
 	"sync"
 	"time"
 
@@ -97,10 +96,10 @@ type SubConfig struct {
 	// and the parent's last StealHint promising tracked work elsewhere —
 	// requests a second sub-range BEFORE the table runs dry, so the
 	// subtree never idles a WAN round-trip waiting for the retire-and-
-	// refill pair. Nil (default) keeps the strict refill-on-dry rule;
+	// refill pair. Zero (default) keeps the strict refill-on-dry rule;
 	// the rule also stays dormant under a parent that never hints (one
 	// built without withStealHints).
-	LowWater *big.Int
+	LowWater interval.Num
 	// Clock injects a nanosecond clock (virtual in the simulator and the
 	// chaos harness). Default wall clock.
 	Clock func() int64
@@ -182,7 +181,7 @@ type SubFarmer struct {
 	// upBusy is the upstream-exchange token: the holder may release mu
 	// around the blocking parent RPC (upCall) while keeping exclusive
 	// ownership of the bindings, bestSentUp, the sent-stats watermarks
-	// and the scratch big.Ints. Fleet messages keep being served during
+	// and the fold scratch. Fleet messages keep being served during
 	// an in-flight exchange — one slow or hung parent round-trip must not
 	// freeze the whole subtree — and any cadence that finds the token
 	// taken simply skips; the next cadence retries, which is the
@@ -210,8 +209,8 @@ type SubFarmer struct {
 
 	counters SubCounters
 
-	// Scratch big.Ints for the fold path (guarded by mu).
-	scrFront, scrB *big.Int
+	// Scratch numbers for the fold path (guarded by mu).
+	scrFront, scrB interval.Num
 }
 
 // newSubFarmer creates a sub-farmer with an empty local table. The first
@@ -223,8 +222,6 @@ func newSubFarmer(cfg SubConfig, up transport.Coordinator) *SubFarmer {
 		up:         up,
 		fleet:      make(map[transport.WorkerID]*fleetEntry),
 		bestSentUp: bb.Infinity,
-		scrFront:   new(big.Int),
-		scrB:       new(big.Int),
 	}
 	s.inner = New(interval.Interval{}, s.innerOptions()...)
 	return s
@@ -244,8 +241,6 @@ func RestoreSubFarmer(cfg SubConfig, up transport.Coordinator) (*SubFarmer, erro
 		up:         up,
 		fleet:      make(map[transport.WorkerID]*fleetEntry),
 		bestSentUp: bb.Infinity,
-		scrFront:   new(big.Int),
-		scrB:       new(big.Int),
 	}
 	inner, err := Restore(interval.Interval{}, cfg.Store, s.innerOptions()...)
 	if err != nil {
@@ -658,35 +653,38 @@ func (s *SubFarmer) exchangeUpLocked(bi int, now int64, wantWork bool) (delivere
 		// ground left (keeping the parent's discount conservative), and no
 		// refill can inject work into the hole while the upBusy token is
 		// held.
-		var content, ga, gb *big.Int
+		var content interval.Num
+		var gap interval.Interval
 		if len(s.bindings) == 1 {
-			rangeLive = s.inner.FrontierInto(s.scrFront)
+			rangeLive = s.inner.FrontierInto(&s.scrFront)
 			if rangeLive && s.lastHint != nil {
-				_, content, ga, gb = s.inner.foldScan(b.iv, nil)
+				_, content, gap = s.inner.foldScan(b.iv, nil)
 			}
 		} else {
-			rangeLive, content, ga, gb = s.inner.foldScan(b.iv, s.scrFront)
+			rangeLive, content, gap = s.inner.foldScan(b.iv, &s.scrFront)
 		}
 		if !rangeLive {
 			// An empty range folds to the empty interval [B, B): the parent
 			// retires the copy, completing this sub-range.
-			b.iv.BInto(s.scrFront)
+			s.scrFront.Set(b.iv.Hi())
 		}
 		ec, pc, lc = s.innerStatsLocked()
 		req.HasFold, req.FoldID = true, b.id
-		req.Remaining = interval.New(s.scrFront, b.iv.BInto(s.scrB))
+		s.scrB.Set(b.iv.Hi())
+		req.Remaining = interval.Of(s.scrFront, s.scrB).Clone()
 		req.ExploredDelta = ec - s.sentExplored
 		req.PrunedDelta = pc - s.sentPruned
 		req.LeavesDelta = lc - s.sentLeaves
 		if s.lastHint != nil && rangeLive {
-			req.FoldContent = content
+			req.FoldContent = content.Big()
 			// The gap is offered when it is worth carving: at least 1/64
 			// of the hull.
-			if ga != nil {
-				gapLen := new(big.Int).Sub(gb, ga)
-				hullLen := new(big.Int).Sub(s.scrB, s.scrFront)
-				if gapLen.Lsh(gapLen, 6).Cmp(hullLen) >= 0 {
-					req.HasFoldGap, req.FoldGap = true, interval.New(ga, gb)
+			if !gap.IsEmpty() {
+				var gapLen, hullLen interval.Num
+				gapLen.Mul64(gap.Width(), 64)
+				hullLen.Sub(s.scrB, s.scrFront)
+				if gapLen.Cmp(hullLen) >= 0 {
+					req.HasFoldGap, req.FoldGap = true, gap
 				}
 			}
 		}
@@ -732,7 +730,7 @@ func (s *SubFarmer) exchangeUpLocked(bi int, now int64, wantWork bool) (delivere
 // binding slot. Dormant without a LowWater mark or under a parent that
 // never hints — then refill stays strictly on-dry.
 func (s *SubFarmer) wantMoreLocked() bool {
-	if s.cfg.LowWater == nil || s.finished || s.lastHint == nil {
+	if s.cfg.LowWater.Sign() == 0 || s.finished || s.lastHint == nil {
 		return false
 	}
 	if len(s.bindings) == 0 || len(s.bindings) >= maxBindings {
@@ -784,7 +782,7 @@ func (s *SubFarmer) applyFoldVerdictLocked(id int64, reply transport.BatchReply,
 	// to another subtree, or — after a restart from checkpoint — ground
 	// below the frontier the previous incarnation had already reported
 	// consumed.
-	cut := reply.Interval.CmpA(s.scrFront) > 0 || reply.Interval.CmpB(s.scrB) < 0
+	cut := reply.Interval.Lo().Cmp(s.scrFront) > 0 || reply.Interval.Hi().Cmp(s.scrB) < 0
 	s.bindings[bi].iv = reply.Interval.Clone()
 	if cut {
 		if len(s.bindings) == 1 {

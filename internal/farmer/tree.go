@@ -12,11 +12,11 @@ package farmer
 
 import (
 	"fmt"
-	"math/big"
 	"slices"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/interval"
 	"repro/internal/transport"
 )
 
@@ -77,7 +77,7 @@ func NewTree(cfg TreeConfig) *Tree {
 	if cfg.Subtrees < 2 {
 		return t
 	}
-	var lowWater *big.Int
+	var lowWater interval.Num
 	inner := slices.Clip(cfg.InnerOptions)
 	if cfg.Endgame {
 		endgame, lw, innerThr := endgameThresholds(optionThreshold(t.RootOptions), cfg.Subtrees)
@@ -106,8 +106,8 @@ func NewTree(cfg TreeConfig) *Tree {
 
 // optionThreshold is the duplication threshold opts set, read off a bare
 // farmer: no option needs the rest of a farmer built.
-func optionThreshold(opts []Option) *big.Int {
-	f := Farmer{threshold: big.NewInt(defaultThreshold)}
+func optionThreshold(opts []Option) interval.Num {
+	f := Farmer{threshold: interval.NumInt64(defaultThreshold)}
 	for _, opt := range opts {
 		opt(&f)
 	}

@@ -1,7 +1,6 @@
 package farmer
 
 import (
-	"math/big"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -17,7 +16,7 @@ func TestTreeFlatHasNoSubs(t *testing.T) {
 		tree := NewTree(TreeConfig{
 			Subtrees:    n,
 			Endgame:     true,
-			RootOptions: []Option{WithThreshold(big.NewInt(100))},
+			RootOptions: []Option{WithThreshold(interval.NumInt64(100))},
 			Upstream:    up,
 		})
 		if len(tree.Subs) != 0 {
@@ -46,12 +45,12 @@ func TestTreeEndgameDerivation(t *testing.T) {
 		thr, subtrees, inner int64
 	}{
 		{thr: 1000, subtrees: 3, inner: 41},
-		{thr: 5, subtrees: 2, inner: 1},
+		{thr: 5, subtrees: 2, inner: 2},
 	} {
 		tree := NewTree(TreeConfig{
 			Subtrees:    int(tc.subtrees),
 			Endgame:     true,
-			RootOptions: []Option{WithThreshold(big.NewInt(tc.thr))},
+			RootOptions: []Option{WithThreshold(interval.NumInt64(tc.thr))},
 		})
 		if int64(len(tree.Subs)) != tc.subtrees {
 			t.Fatalf("thr=%d: %d subs, want %d", tc.thr, len(tree.Subs), tc.subtrees)
@@ -60,14 +59,14 @@ func TestTreeEndgameDerivation(t *testing.T) {
 		if !root.hints {
 			t.Errorf("thr=%d: root steal hints off", tc.thr)
 		}
-		if want := big.NewInt(64 * tc.thr); root.endgame == nil || root.endgame.Cmp(want) != 0 {
+		if want := interval.NumInt64(64 * tc.thr); root.endgame == nil || root.endgame.Cmp(want) != 0 {
 			t.Errorf("thr=%d: root endgame %v, want %s", tc.thr, root.endgame, want)
 		}
 		for i, sub := range tree.Subs {
 			if tree.Endpoint(i) != sub || tree.Endpoint(i+len(tree.Subs)) != sub {
 				t.Errorf("thr=%d: slots %d and %d do not share sub-%d", tc.thr, i, i+len(tree.Subs), i)
 			}
-			if want := big.NewInt(1024 * tc.thr); sub.cfg.LowWater == nil || sub.cfg.LowWater.Cmp(want) != 0 {
+			if want := interval.NumInt64(1024 * tc.thr); sub.cfg.LowWater.Cmp(want) != 0 {
 				t.Errorf("thr=%d: sub-%d low water %v, want %s", tc.thr, i, sub.cfg.LowWater, want)
 			}
 			if got := sub.inner.threshold.Int64(); got != tc.inner {
@@ -96,7 +95,7 @@ func TestTreeRestartKeepsEndgame(t *testing.T) {
 		Subtrees:    2,
 		Endgame:     true,
 		Clock:       clk.fn(),
-		RootOptions: []Option{WithThreshold(big.NewInt(1000)), WithCheckpointStore(rootStore)},
+		RootOptions: []Option{WithThreshold(interval.NumInt64(1000)), WithCheckpointStore(rootStore)},
 		StoreFor: func(i int) *checkpoint.Store {
 			if i == 0 {
 				return subStore
@@ -114,14 +113,14 @@ func TestTreeRestartKeepsEndgame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.hints || f.endgame == nil || f.endgame.Cmp(big.NewInt(64_000)) != 0 {
+	if !f.hints || f.endgame == nil || f.endgame.Cmp(interval.NumInt64(64_000)) != 0 {
 		t.Errorf("restored root: hints=%v endgame=%v, want hints on and endgame 64000", f.hints, f.endgame)
 	}
 	sub, err := RestoreSubFarmer(tree.SubConfig(0), f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.cfg.LowWater == nil || sub.cfg.LowWater.Cmp(big.NewInt(1_024_000)) != 0 {
+	if sub.cfg.LowWater.Cmp(interval.NumInt64(1_024_000)) != 0 {
 		t.Errorf("restored sub low water %v, want 1024000", sub.cfg.LowWater)
 	}
 	if got := sub.inner.threshold.Int64(); got != 1000/16 {

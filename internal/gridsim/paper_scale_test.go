@@ -11,9 +11,9 @@ import (
 
 func TestPaperScaleTrial(t *testing.T) {
 	if os.Getenv("GRIDSIM_PAPER_SCALE") == "" {
-		t.Skip("set GRIDSIM_PAPER_SCALE=1 to run the ~10 minute paper-scale replay (cmd/gridsim runs it on demand)")
+		t.Skip("set GRIDSIM_PAPER_SCALE=1 to run the paper-scale replay, about 6 s on a 2-CPU box (cmd/gridsim runs it on demand)")
 	}
-	ins := flowshop.Taillard(14, 8, 5) // ~430k nodes
+	ins := flowshop.Taillard(14, 8, 5) // the primed run below explores 285,217 nodes
 	factory := func() bb.Problem {
 		return flowshop.NewProblem(ins, flowshop.BoundOneMachine, flowshop.PairsAll)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/farmer"
+	"repro/internal/interval"
 	"repro/internal/jobs"
 	"repro/internal/transport"
 	"repro/internal/worker"
@@ -297,13 +298,13 @@ func (s *Sim) submit(factory func() bb.Problem) error {
 			Clock:           s.fleet.clock,
 			RootOptions: append([]farmer.Option{
 				farmer.WithLeaseTTL(leaseTTL),
-				farmer.WithThreshold(thr),
+				farmer.WithThreshold(interval.NumBig(thr)),
 				farmer.WithInitialBest(cfg.InitialUpper, nil),
 				farmer.WithEqualSplit(cfg.EqualSplit),
 			}, ownStore...),
 			InnerOptions: []farmer.Option{
 				farmer.WithLeaseTTL(leaseTTL),
-				farmer.WithThreshold(thr),
+				farmer.WithThreshold(interval.NumBig(thr)),
 				farmer.WithEqualSplit(cfg.EqualSplit),
 			},
 			Upstream: up,

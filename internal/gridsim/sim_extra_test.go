@@ -1,7 +1,6 @@
 package gridsim
 
 import (
-	"math/big"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/bb"
 	"repro/internal/checkpoint"
 	"repro/internal/flowshop"
+	"repro/internal/interval"
 )
 
 // TestSimulationEqualSplitStillCorrect: the ablation knob changes load
@@ -264,7 +264,7 @@ func TestThresholdFractionComputation(t *testing.T) {
 	sim := New(cfg, factory)
 	// 12! = 479001600; half of it.
 	_, total := sim.Table().Farmer(checkpoint.DefaultNamespace).Size()
-	if total.Cmp(big.NewInt(479001600)) != 0 {
+	if total.Cmp(interval.NumInt64(479001600)) != 0 {
 		t.Fatalf("root size = %s", total)
 	}
 }

@@ -125,7 +125,7 @@ func (t *tracker) RequestWork(req transport.WorkRequest) (transport.WorkReply, e
 		t.violatef("RequestWork(%s) shrank the INTERVALS union by %s, which no fold vouched as an explored gap", req.Worker, stray)
 	}
 	for _, iv := range removed.Intervals() {
-		t.overlap.Add(t.overlap, t.covered.Add(iv))
+		t.overlap.Add(t.overlap, t.covered.Add(iv).Big())
 		t.coveredSinceCkpt.Add(t.coveredSinceCkpt, iv.Len())
 	}
 	return reply, err
@@ -145,7 +145,7 @@ func (t *tracker) UpdateInterval(req transport.UpdateRequest) (transport.UpdateR
 	}
 	removed := interval.SetDiff(before, after)
 	for _, iv := range removed.Intervals() {
-		t.overlap.Add(t.overlap, t.covered.Add(iv))
+		t.overlap.Add(t.overlap, t.covered.Add(iv).Big())
 		t.coveredSinceCkpt.Add(t.coveredSinceCkpt, iv.Len())
 	}
 	return reply, err
@@ -198,7 +198,7 @@ func (t *tracker) noteRestart(fellBack bool) {
 	}
 	reopened := new(big.Int)
 	for _, iv := range restored.Intervals() {
-		reopened.Add(reopened, t.covered.Sub(iv))
+		reopened.Add(reopened, t.covered.Sub(iv).Big())
 	}
 	if reopened.Cmp(allowed) > 0 {
 		t.violatef("restart re-opened %s units, more than the %s covered since the restored checkpoint", reopened, allowed)
@@ -221,7 +221,7 @@ func (t *tracker) noteTermination() {
 	if gaps := t.covered.Gaps(t.root); len(gaps) > 0 {
 		t.violatef("termination with unexplored gaps %v", gaps)
 	}
-	if t.covered.Total().Cmp(t.root.Len()) != 0 {
+	if t.covered.Total().Cmp(t.root.Width()) != 0 {
 		t.violatef("covered measure %s != root measure %s", t.covered.Total(), t.root.Len())
 	}
 	if t.overlap.Cmp(t.reworkBudget) > 0 {

@@ -275,7 +275,7 @@ func (c *lossyCoordinator) RequestWork(req transport.WorkRequest) (transport.Wor
 		iv := c.intervals[0].Interval
 		mid := new(big.Int).Add(iv.A(), iv.B())
 		mid.Rsh(mid, 1)
-		left, _ := iv.SplitAt(mid)
+		left, _ := iv.SplitAt(interval.NumBig(mid))
 		c.intervals[0].Interval = left // the right half silently vanishes
 	}
 	return transport.WorkReply{Status: transport.WorkAssigned, IntervalID: 1}, nil

@@ -144,7 +144,7 @@ func (t *topology) rootOptions(id string) []farmer.Option {
 		if thr.Sign() <= 0 {
 			thr = big.NewInt(2)
 		}
-		opts = append(opts, farmer.WithThreshold(thr))
+		opts = append(opts, farmer.WithThreshold(interval.NumBig(thr)))
 	}
 	return opts
 }

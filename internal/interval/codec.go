@@ -42,11 +42,43 @@ const MaxDeltaBits = 1 << 20
 // pinned at negotiation time; any reference (including the zero interval,
 // which encodes absolute bounds) round-trips every interval exactly.
 func (iv Interval) AppendDelta(dst []byte, ref Interval) []byte {
-	var d big.Int
-	d.Sub(orZero(iv.a), orZero(ref.a))
-	dst = appendSignedBig(dst, &d)
-	d.Sub(orZero(ref.b), orZero(iv.b))
-	return appendSignedBig(dst, &d)
+	var scratch big.Int
+	dst = appendDelta(dst, iv.a, ref.a, &scratch)
+	return appendDelta(dst, ref.b, iv.b, &scratch)
+}
+
+// appendDelta appends the signed number x-y. A word-sized difference is
+// encoded straight from the machine word; otherwise it is formed in d.
+func appendDelta(dst []byte, x, y Num, d *big.Int) []byte {
+	if x.b == nil && y.b == nil {
+		if v := x.w - y.w; !overflowSub(x.w, y.w, v) {
+			return appendSigned(dst, NumInt64(v))
+		}
+	}
+	switch {
+	case x.b != nil && y.b != nil:
+		d.Sub(x.b, y.b)
+	case x.b != nil:
+		d.Sub(x.b, d.SetInt64(y.w))
+	case y.b != nil:
+		d.Sub(d.SetInt64(x.w), y.b)
+	case x.w >= y.w:
+		d.SetUint64(uint64(x.w) - uint64(y.w))
+	default:
+		d.Neg(d.SetUint64(uint64(y.w) - uint64(x.w)))
+	}
+	if d.IsInt64() {
+		return appendSigned(dst, NumInt64(d.Int64()))
+	}
+	h := uint64((d.BitLen()+7)/8) << 1
+	if d.Sign() < 0 {
+		h |= 1
+	}
+	dst = binary.AppendUvarint(dst, h)
+	start := len(dst)
+	dst = append(dst, make([]byte, h>>1)...)
+	d.FillBytes(dst[start:])
+	return dst
 }
 
 // DecodeDelta decodes an interval produced by AppendDelta under the same
@@ -58,59 +90,59 @@ func DecodeDelta(data []byte, ref Interval, maxBits int) (Interval, int, error) 
 	if maxBits <= 0 {
 		maxBits = MaxDeltaBits
 	}
-	da, n, err := decodeSignedBig(data, maxBits)
+	da, n, err := decodeSigned(data, maxBits)
 	if err != nil {
 		return Interval{}, 0, fmt.Errorf("interval: delta beginning: %w", err)
 	}
-	db, m, err := decodeSignedBig(data[n:], maxBits)
+	db, m, err := decodeSigned(data[n:], maxBits)
 	if err != nil {
 		return Interval{}, 0, fmt.Errorf("interval: delta end: %w", err)
 	}
-	a := da.Add(da, orZero(ref.a))
-	b := db.Sub(orZero(ref.b), db)
-	return Interval{a: a, b: b}, n + m, nil
+	// A zero delta shares the reference's bound; the others are fresh.
+	iv := Interval{a: ref.a, b: ref.b}
+	if da.Sign() != 0 {
+		iv.a = *da.Add(da, ref.a)
+	}
+	if db.Sign() != 0 {
+		iv.b = *db.Sub(ref.b, db)
+	}
+	return iv, n + m, nil
 }
 
-// appendSignedBig appends x as uvarint(byteLen<<1 | sign) + magnitude
+// appendSigned appends x as uvarint(byteLen<<1 | sign) + magnitude
 // bytes (big-endian, minimal). Zero is the single byte 0x00.
-func appendSignedBig(dst []byte, x *big.Int) []byte {
-	n := (x.BitLen() + 7) / 8
-	h := uint64(n) << 1
+func appendSigned(dst []byte, x Num) []byte {
+	h := uint64((x.BitLen()+7)/8) << 1
 	if x.Sign() < 0 {
 		h |= 1
 	}
 	dst = binary.AppendUvarint(dst, h)
-	if n == 0 {
-		return dst
-	}
-	start := len(dst)
-	dst = append(dst, make([]byte, n)...)
-	x.FillBytes(dst[start:])
-	return dst
+	return x.appendBytes(dst)
 }
 
-// decodeSignedBig reverses appendSignedBig, rejecting headers whose
-// claimed magnitude exceeds maxBits before touching the magnitude.
-func decodeSignedBig(data []byte, maxBits int) (*big.Int, int, error) {
+// decodeSigned reverses appendSigned, rejecting headers whose claimed
+// magnitude exceeds maxBits before touching the magnitude.
+func decodeSigned(data []byte, maxBits int) (Num, int, error) {
+	var x Num
 	h, hn := binary.Uvarint(data)
 	if hn <= 0 {
-		return nil, 0, fmt.Errorf("truncated or oversized header")
+		return x, 0, fmt.Errorf("truncated or oversized header")
 	}
 	// Vet the claimed byte count in uint64 space: converting first would
 	// let a 2^63-scale claim wrap negative and slip past both checks.
 	if h>>1 > (uint64(maxBits)+7)/8 {
-		return nil, 0, fmt.Errorf("magnitude of %d bytes exceeds %d bits", h>>1, maxBits)
+		return x, 0, fmt.Errorf("magnitude of %d bytes exceeds %d bits", h>>1, maxBits)
 	}
 	n := int(h >> 1)
 	if len(data)-hn < n {
-		return nil, 0, fmt.Errorf("truncated magnitude: want %d bytes, have %d", n, len(data)-hn)
+		return x, 0, fmt.Errorf("truncated magnitude: want %d bytes, have %d", n, len(data)-hn)
 	}
-	x := new(big.Int).SetBytes(data[hn : hn+n])
+	x.setBytes(data[hn : hn+n])
 	if h&1 != 0 {
 		if x.Sign() == 0 {
-			return nil, 0, fmt.Errorf("negative zero")
+			return x, 0, fmt.Errorf("negative zero")
 		}
-		x.Neg(x)
+		x.neg(x)
 	}
 	return x, hn + n, nil
 }

@@ -16,6 +16,15 @@ func FuzzDeltaCodec(f *testing.F) {
 	f.Add([]byte{5}, []byte{9}, []byte{0}, huge, false, false)
 	f.Add(huge, huge, huge, huge, true, false)
 	f.Add([]byte{1, 2, 3}, []byte{4}, []byte{7}, []byte{1, 0, 0}, false, true)
+	// Bounds straddling 2^63, where a node number leaves the machine word:
+	// [2^63-1, 2^63+1) against [0, 2^63), and the mirror image below
+	// -2^63 with deltas that overflow an int64 on their own.
+	below, at, above := new(big.Int).Lsh(big.NewInt(1), 63), new(big.Int).Lsh(big.NewInt(1), 63), new(big.Int).Lsh(big.NewInt(1), 63)
+	below.Sub(below, big.NewInt(1))
+	above.Add(above, big.NewInt(1))
+	f.Add(below.Bytes(), above.Bytes(), []byte{}, at.Bytes(), false, false)
+	f.Add(at.Bytes(), below.Bytes(), below.Bytes(), at.Bytes(), true, false)
+	f.Add(above.Bytes(), at.Bytes(), at.Bytes(), below.Bytes(), true, true)
 	f.Fuzz(func(t *testing.T, aB, bB, raB, rbB []byte, negA, negB bool) {
 		if len(aB) > 64 || len(bB) > 64 || len(raB) > 64 || len(rbB) > 64 {
 			return
@@ -59,6 +68,9 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0x00}, int64(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F}, int64(128))
 	f.Add([]byte{0x04, 0xDE, 0xAD, 0x02, 0xBE}, int64(1<<20))
+	// 8-byte magnitudes at 2^63 ± 1, one positive and one negative.
+	f.Add([]byte{0x10, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x11, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, int64(64))
+	f.Add([]byte{0x11, 0x80, 0, 0, 0, 0, 0, 0, 0x01, 0x10, 0x80, 0, 0, 0, 0, 0, 0, 0}, int64(0))
 	f.Fuzz(func(t *testing.T, data []byte, maxBits int64) {
 		if maxBits < 0 || maxBits > 1<<22 {
 			return

@@ -1,121 +1,73 @@
 // Package interval implements the work-unit algebra of the paper
 // (Mezmaz, Melab, Talbi; INRIA RR-5945, §3–4): half-open intervals of node
-// numbers [A, B) over arbitrary-precision integers, the intersection
-// operator used by the fault-tolerance mechanism (eq. 14), and the
-// partitioning operator used by the load-balancing mechanism (§4.2).
+// numbers [A, B), the intersection operator used by the fault-tolerance
+// mechanism (eq. 14), and the partitioning operator used by the
+// load-balancing mechanism (§4.2).
 //
 // Node numbers grow factorially with problem size (50 jobs means numbers up
-// to 50! ≈ 3·10^64), so all arithmetic uses math/big. Intervals are the only
-// representation that crosses process boundaries; the exponentially larger
-// active-node lists they encode never leave a worker (paper §3).
+// to 50! ≈ 3·10^64), so they are exact integers of any width: a Num holds
+// a machine word and spills to math/big only beyond the int64 range, so
+// trees below 2^63 leaves never pay for arbitrary precision (DESIGN.md
+// §15). Intervals are the only representation that crosses process
+// boundaries; the exponentially larger active-node lists they encode never
+// leave a worker (paper §3).
 package interval
 
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 )
 
 // Interval is a half-open interval [A, B) of node numbers. The zero value is
-// the empty interval [0, 0). Interval values own their big.Int fields:
-// constructors copy their arguments and accessors return copies, so callers
-// can never alias internal state.
+// the empty interval [0, 0). An Interval is a value: copies of a spilled
+// bound share its storage, which only the in-place operators
+// (IntersectInPlace, SplitProportionalInPlace) ever write, and only on a
+// receiver built by Clone — the long-lived copies a farmer or an explorer
+// owns. Every other operator returns fresh or shared bounds and never
+// writes its operands.
 type Interval struct {
-	a, b *big.Int
+	a, b Num
 }
 
-// New returns the interval [a, b). The arguments are copied.
-func New(a, b *big.Int) Interval {
-	return Interval{a: cloneOrZero(a), b: cloneOrZero(b)}
-}
+// New returns the interval [a, b). The arguments are copied; nil reads as
+// zero.
+func New(a, b *big.Int) Interval { return Interval{a: NumBig(a), b: NumBig(b)} }
 
-// FromInt64 returns the interval [a, b) from machine integers, a convenience
-// for tests and small trees.
-func FromInt64(a, b int64) Interval {
-	return Interval{a: big.NewInt(a), b: big.NewInt(b)}
-}
+// FromInt64 returns the interval [a, b) from machine integers.
+func FromInt64(a, b int64) Interval { return Interval{a: NumInt64(a), b: NumInt64(b)} }
 
-func cloneOrZero(x *big.Int) *big.Int {
-	if x == nil {
-		return new(big.Int)
-	}
-	return new(big.Int).Set(x)
-}
+// Of returns the interval [a, b). Spilled bounds are shared with the
+// arguments, so the result is read-only until cloned.
+func Of(a, b Num) Interval { return Interval{a: a, b: b} }
 
-// A returns a copy of the interval's beginning.
-func (iv Interval) A() *big.Int { return cloneOrZero(iv.a) }
+// A returns the interval's beginning as a fresh *big.Int.
+func (iv Interval) A() *big.Int { return iv.a.Big() }
 
-// B returns a copy of the interval's end.
-func (iv Interval) B() *big.Int { return cloneOrZero(iv.b) }
+// B returns the interval's end as a fresh *big.Int.
+func (iv Interval) B() *big.Int { return iv.b.Big() }
 
-// zero is the implicit bound of an Interval with nil fields (the zero value
-// is [0, 0)). It is only ever read.
-var zero = new(big.Int)
+// Lo returns the interval's beginning; a spilled value is shared, so the
+// caller must not write it in place.
+func (iv Interval) Lo() Num { return iv.a }
 
-func orZero(x *big.Int) *big.Int {
-	if x == nil {
-		return zero
-	}
-	return x
-}
-
-// Borrow-style accessors. A() and B() clone so callers can never alias
-// internal state, which is the right default for values that cross
-// goroutines and process boundaries — but it puts two heap allocations on
-// every inspection, and the coordination hot paths (Explorer.Restrict, the
-// farmer's per-checkpoint message handling) inspect intervals thousands of
-// times per second. The methods below compare against or copy into
-// caller-owned big.Ints instead, so steady-state coordination rounds
-// allocate nothing. None of them retain or expose the interval's internals.
-
-// CmpA compares the interval's beginning with x: -1 if A < x, 0 if equal,
-// +1 if A > x.
-func (iv Interval) CmpA(x *big.Int) int { return orZero(iv.a).Cmp(x) }
+// Hi returns the interval's end, shared like Lo.
+func (iv Interval) Hi() Num { return iv.b }
 
 // MaxBitLen returns the larger bit length of the interval's two bounds.
 // It is the cheap size probe a coordinator boundary uses to reject
-// hostile megabyte bignums before any O(n) comparison touches them: gob
-// decoding accepts arbitrary-precision integers, so the shape of an
-// inbound interval is attacker-controlled. Nil bounds (the zero value)
-// report zero.
-func (iv Interval) MaxBitLen() int {
-	a, b := orZero(iv.a).BitLen(), orZero(iv.b).BitLen()
-	if a > b {
-		return a
-	}
-	return b
-}
+// hostile megabyte bignums before any O(n) comparison touches them: the
+// wire decodes arbitrary-precision bounds, so the shape of an inbound
+// interval is attacker-controlled.
+func (iv Interval) MaxBitLen() int { return max(iv.a.BitLen(), iv.b.BitLen()) }
 
-// CmpB compares the interval's end with x.
-func (iv Interval) CmpB(x *big.Int) int { return orZero(iv.b).Cmp(x) }
-
-// AInto copies the interval's beginning into dst and returns dst.
-func (iv Interval) AInto(dst *big.Int) *big.Int { return dst.Set(orZero(iv.a)) }
-
-// BInto copies the interval's end into dst and returns dst.
-func (iv Interval) BInto(dst *big.Int) *big.Int { return dst.Set(orZero(iv.b)) }
-
-// LenInto computes Len (B-A clamped at zero) into dst and returns dst.
-func (iv Interval) LenInto(dst *big.Int) *big.Int {
-	if iv.IsEmpty() {
-		return dst.SetInt64(0)
-	}
-	return dst.Sub(iv.b, iv.a)
-}
-
-// IntersectInPlace narrows iv to iv ∩ other (eq. 14) without allocating
-// fresh bounds in the steady state: the receiver's own big.Ints are
-// overwritten. It is the mutating twin of Intersect for owners of
-// long-lived intervals (the farmer's INTERVALS entries) and agrees with it
-// on every input (up to Equal): intersecting with an empty interval —
+// IntersectInPlace narrows iv to iv ∩ other (eq. 14), writing the
+// receiver's own bounds: it is the mutating twin of Intersect for owners
+// of long-lived intervals (the farmer's INTERVALS entries) and agrees with
+// it on every input (up to Equal): intersecting with an empty interval —
 // including the zero value — empties the receiver.
 func (iv *Interval) IntersectInPlace(other Interval) {
-	if iv.a == nil {
-		iv.a = new(big.Int)
-	}
-	if iv.b == nil {
-		iv.b = new(big.Int)
-	}
 	if other.IsEmpty() {
 		iv.b.Set(iv.a)
 		return
@@ -128,35 +80,34 @@ func (iv *Interval) IntersectInPlace(other Interval) {
 	}
 }
 
-// Clone returns a deep copy of the interval.
-func (iv Interval) Clone() Interval { return Interval{a: iv.A(), b: iv.B()} }
+// Clone returns a deep copy of the interval, owning its bounds.
+func (iv Interval) Clone() Interval { return Interval{a: iv.a.Clone(), b: iv.b.Clone()} }
 
 // IsEmpty reports whether the interval contains no numbers, i.e. A >= B.
 // The paper removes such intervals from INTERVALS automatically (§4.3).
-func (iv Interval) IsEmpty() bool {
-	if iv.a == nil || iv.b == nil {
-		return true
-	}
-	return iv.a.Cmp(iv.b) >= 0
+func (iv Interval) IsEmpty() bool { return iv.a.Cmp(iv.b) >= 0 }
+
+// Width returns B-A if positive and zero otherwise: the number of
+// not-yet-explored leaf numbers the interval represents (the paper's
+// interval "length", §4.2).
+func (iv Interval) Width() Num {
+	var n Num
+	return *n.SetWidth(iv)
 }
 
-// Len returns B-A if positive and zero otherwise: the number of not-yet
-// explored leaf numbers the interval represents (the paper's interval
-// "length", §4.2).
-func (iv Interval) Len() *big.Int {
+// SetWidth sets z to iv.Width(), in z's own storage.
+func (z *Num) SetWidth(iv Interval) *Num {
 	if iv.IsEmpty() {
-		return new(big.Int)
+		return z.Set(Num{})
 	}
-	return new(big.Int).Sub(iv.b, iv.a)
+	return z.Sub(iv.b, iv.a)
 }
+
+// Len returns Width as a fresh *big.Int.
+func (iv Interval) Len() *big.Int { return iv.Width().Big() }
 
 // Contains reports whether the number x lies in [A, B).
-func (iv Interval) Contains(x *big.Int) bool {
-	if iv.IsEmpty() {
-		return false
-	}
-	return iv.a.Cmp(x) <= 0 && x.Cmp(iv.b) < 0
-}
+func (iv Interval) Contains(x Num) bool { return iv.a.Cmp(x) <= 0 && x.Cmp(iv.b) < 0 }
 
 // ContainsInterval reports whether other ⊆ iv. The empty interval is
 // contained in every interval, matching the set-theoretic convention the
@@ -191,33 +142,19 @@ func (iv Interval) Overlaps(other Interval) bool {
 // whole root range to explorers constructed with no work at all.
 func (iv Interval) Intersect(other Interval) Interval {
 	if iv.IsEmpty() || other.IsEmpty() {
-		return Interval{a: new(big.Int), b: new(big.Int)}
+		return Interval{}
 	}
-	a := maxBig(iv.a, other.a)
-	b := minBig(iv.b, other.b)
-	return Interval{a: cloneOrZero(a), b: cloneOrZero(b)}
+	return Interval{a: maxNum(iv.a, other.a), b: minNum(iv.b, other.b)}
 }
 
-func maxBig(x, y *big.Int) *big.Int {
-	if x == nil {
-		return y
-	}
-	if y == nil {
-		return x
-	}
+func maxNum(x, y Num) Num {
 	if x.Cmp(y) >= 0 {
 		return x
 	}
 	return y
 }
 
-func minBig(x, y *big.Int) *big.Int {
-	if x == nil {
-		return y
-	}
-	if y == nil {
-		return x
-	}
+func minNum(x, y Num) Num {
 	if x.Cmp(y) <= 0 {
 		return x
 	}
@@ -227,19 +164,13 @@ func minBig(x, y *big.Int) *big.Int {
 // SplitAt implements the partitioning operator (§4.2): it divides [A, B)
 // into the holder part [A, C) and the donated part [C, B). The point c is
 // clamped into [A, B] so the two parts always tile the original interval.
-func (iv Interval) SplitAt(c *big.Int) (holder, donated Interval) {
-	cc := cloneOrZero(c)
+// An empty interval splits into two copies of [A, A).
+func (iv Interval) SplitAt(c Num) (holder, donated Interval) {
 	if iv.IsEmpty() {
-		return Interval{a: iv.A(), b: iv.A()}, Interval{a: iv.A(), b: iv.A()}
+		return Interval{a: iv.a, b: iv.a}, Interval{a: iv.a, b: iv.a}
 	}
-	if cc.Cmp(iv.a) < 0 {
-		cc.Set(iv.a)
-	}
-	if cc.Cmp(iv.b) > 0 {
-		cc.Set(iv.b)
-	}
-	return Interval{a: iv.A(), b: new(big.Int).Set(cc)},
-		Interval{a: cc, b: iv.B()}
+	c = minNum(maxNum(c, iv.a), iv.b)
+	return Interval{a: iv.a, b: c}, Interval{a: c, b: iv.b}
 }
 
 // SplitProportional splits the interval so that the holder keeps a share of
@@ -252,33 +183,35 @@ func (iv Interval) SplitAt(c *big.Int) (holder, donated Interval) {
 // at A (the whole interval is donated), matching the orphan rule.
 func (iv Interval) SplitProportional(holderPower, requesterPower int64) (holder, donated Interval) {
 	holder = iv.Clone()
-	donated = holder.SplitProportionalInPlace(holderPower, requesterPower, new(big.Int))
+	donated = holder.SplitProportionalInPlace(holderPower, requesterPower)
 	return holder, donated
 }
 
 // SplitProportionalInPlace is SplitProportional for the owner of a
 // long-lived interval (the farmer's INTERVALS entries): the receiver keeps
 // [A, C) and the returned donated part [C, B) takes over the receiver's old
-// end bound, so the split copies C twice and nothing else. The point C is
-// computed in scratch, which is neither retained nor exposed. Both parts
-// agree with SplitAt at the same point on every input, empty ones included.
-func (iv *Interval) SplitProportionalInPlace(holderPower, requesterPower int64, scratch *big.Int) (donated Interval) {
+// end bound, so a spilled split allocates C twice and nothing else. The
+// product length·holderPower goes through a 128-bit intermediate, so a
+// word-sized split allocates nothing. Both parts agree with SplitAt at the
+// same point on every input, empty ones included.
+func (iv *Interval) SplitProportionalInPlace(holderPower, requesterPower int64) (donated Interval) {
 	if iv.IsEmpty() {
-		*iv, donated = iv.SplitAt(iv.a)
-		return donated
+		iv.b.Set(iv.a)
+		return Interval{a: iv.a.Clone(), b: iv.a.Clone()}
 	}
 	holderPower, requesterPower = max(holderPower, 0), max(requesterPower, 0)
 	// C = A + len * holderPower/total, rounded down so ties favour the
 	// requester (the process known to be alive and asking for work).
-	c := scratch.Set(iv.a)
+	var c Num
 	if total := holderPower + requesterPower; total > 0 {
 		c.Sub(iv.b, iv.a)
-		c.Mul(c, big.NewInt(holderPower))
-		c.Quo(c, big.NewInt(total))
+		c.MulQuo(c, holderPower, total)
 		c.Add(c, iv.a)
+	} else {
+		c.Set(iv.a)
 	}
-	donated = Interval{a: new(big.Int).Set(c), b: iv.b}
-	iv.b = new(big.Int).Set(c)
+	donated = Interval{a: c, b: iv.b}
+	iv.b = c.Clone()
 	return donated
 }
 
@@ -297,23 +230,21 @@ func (iv Interval) Equal(other Interval) bool {
 // Cmp orders intervals by beginning, then by end; empty intervals order by
 // their raw bounds. It gives the canonical ascending order of work units.
 func (iv Interval) Cmp(other Interval) int {
-	if c := orZero(iv.a).Cmp(orZero(other.a)); c != 0 {
+	if c := iv.a.Cmp(other.a); c != 0 {
 		return c
 	}
-	return orZero(iv.b).Cmp(orZero(other.b))
+	return iv.b.Cmp(other.b)
 }
 
 // String renders the interval as "[A,B)".
-func (iv Interval) String() string {
-	return fmt.Sprintf("[%s,%s)", cloneOrZero(iv.a), cloneOrZero(iv.b))
-}
+func (iv Interval) String() string { return "[" + iv.a.String() + "," + iv.b.String() + ")" }
 
 // MarshalText encodes the interval as "A B" in base 10; it is the
 // checkpoint representation (the wire uses AppendDelta), deliberately tiny compared to the active-node
 // lists it stands for (paper abstract: "a special coding of the work units
 // ... allows to optimize the involved communications").
 func (iv Interval) MarshalText() ([]byte, error) {
-	return []byte(cloneOrZero(iv.a).Text(10) + " " + cloneOrZero(iv.b).Text(10)), nil
+	return []byte(iv.a.String() + " " + iv.b.String()), nil
 }
 
 // UnmarshalText decodes the "A B" form produced by MarshalText.
@@ -322,14 +253,27 @@ func (iv *Interval) UnmarshalText(text []byte) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("interval: expected \"A B\", got %q", string(text))
 	}
-	a, ok := new(big.Int).SetString(fields[0], 10)
+	a, ok := parseNum(fields[0])
 	if !ok {
 		return fmt.Errorf("interval: bad beginning %q", fields[0])
 	}
-	b, ok := new(big.Int).SetString(fields[1], 10)
+	b, ok := parseNum(fields[1])
 	if !ok {
 		return fmt.Errorf("interval: bad end %q", fields[1])
 	}
 	iv.a, iv.b = a, b
 	return nil
+}
+
+// parseNum parses a base-10 integer exactly as big.Int.SetString(s, 10)
+// does, without math/big for word-sized values.
+func parseNum(s string) (Num, bool) {
+	if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return NumInt64(v), true
+	}
+	x, ok := new(big.Int).SetString(s, 10)
+	if !ok {
+		return Num{}, false
+	}
+	return NumBig(x), true
 }

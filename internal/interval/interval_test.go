@@ -89,7 +89,7 @@ func TestIntersectProperties(t *testing.T) {
 func TestSplitTiles(t *testing.T) {
 	f := func(a, b, c int16) bool {
 		x := iv(int64(a), int64(b))
-		holder, donated := x.SplitAt(big.NewInt(int64(c)))
+		holder, donated := x.SplitAt(NumInt64(int64(c)))
 		// Lengths add up.
 		sum := new(big.Int).Add(holder.Len(), donated.Len())
 		if sum.Cmp(x.Len()) != 0 {
@@ -150,26 +150,27 @@ func TestSplitProportional(t *testing.T) {
 // splitPoint is the §4.2 split point by its definition, independent of the
 // code under test: A + ⌊len·hp/(hp+rp)⌋, negative powers as zero, and A
 // when both powers vanish.
-func splitPoint(x Interval, hp, rp int64) *big.Int {
+func splitPoint(x Interval, hp, rp int64) Num {
 	hp, rp = max(hp, 0), max(rp, 0)
 	c := x.A()
 	if hp+rp > 0 {
 		share := new(big.Int).Mul(x.Len(), big.NewInt(hp))
 		c.Add(c, share.Quo(share, big.NewInt(hp+rp)))
 	}
-	return c
+	return NumBig(c)
 }
 
 // checkSplitInPlace holds SplitProportional and SplitProportionalInPlace to
 // SplitAt at the same point, bound for bound, and checks that the in-place
-// form's donated part shares no *big.Int with the receiver and that the
+// form's donated part shares no spilled bound with the receiver (nor its
+// two bounds with each other) and that the
 // value form leaves its receiver alone.
 func checkSplitInPlace(t *testing.T, x Interval, hp, rp int64) {
 	t.Helper()
 	before := x.String()
 	wantH, wantD := x.SplitAt(splitPoint(x, hp, rp))
 	h := x.Clone()
-	d := h.SplitProportionalInPlace(hp, rp, new(big.Int))
+	d := h.SplitProportionalInPlace(hp, rp)
 	hv, dv := x.SplitProportional(hp, rp)
 	want := wantH.String() + " " + wantD.String()
 	if got := h.String() + " " + d.String(); got != want {
@@ -181,9 +182,12 @@ func checkSplitInPlace(t *testing.T, x Interval, hp, rp int64) {
 	if x.String() != before {
 		t.Fatalf("SplitProportional moved its receiver: %s -> %v", before, x)
 	}
-	for _, p := range []*big.Int{d.a, d.b} {
-		if p == h.a || p == h.b {
-			t.Fatalf("%v in place at %d:%d: the donated part shares a bound with the receiver", x, hp, rp)
+	owned := []*big.Int{h.a.b, h.b.b, d.a.b, d.b.b}
+	for i, p := range owned {
+		for _, q := range owned[i+1:] {
+			if p != nil && p == q {
+				t.Fatalf("%v in place at %d:%d: the two parts share a bound's storage", x, hp, rp)
+			}
 		}
 	}
 }
@@ -207,11 +211,11 @@ func TestSplitProportionalShares(t *testing.T) {
 func TestContains(t *testing.T) {
 	x := iv(3, 7)
 	for n, want := range map[int64]bool{2: false, 3: true, 6: true, 7: false} {
-		if got := x.Contains(big.NewInt(n)); got != want {
+		if got := x.Contains(NumInt64(n)); got != want {
 			t.Errorf("Contains(%d) = %v, want %v", n, got, want)
 		}
 	}
-	if (Interval{}).Contains(big.NewInt(0)) {
+	if (Interval{}).Contains(NumInt64(0)) {
 		t.Error("empty interval contains 0")
 	}
 }
@@ -294,6 +298,15 @@ func TestAccessorsAreCopies(t *testing.T) {
 	if !x.Equal(iv(1, 2)) {
 		t.Fatalf("accessor aliased internal state: %v", x)
 	}
+	// The same for spilled bounds, past 2^63, and for Len.
+	lo, hi := new(big.Int).Lsh(big.NewInt(1), 70), new(big.Int).Lsh(big.NewInt(1), 71)
+	w := New(lo, hi)
+	w.A().SetInt64(999)
+	w.B().SetInt64(999)
+	w.Len().SetInt64(999)
+	if w.A().Cmp(lo) != 0 || w.B().Cmp(hi) != 0 {
+		t.Fatalf("spilled accessor aliased internal state: %v", w)
+	}
 	// Constructor must copy its arguments too.
 	a, b := big.NewInt(1), big.NewInt(2)
 	y := New(a, b)
@@ -327,41 +340,6 @@ func TestString(t *testing.T) {
 }
 
 // TestBorrowAccessors: the allocation-free accessors agree with their
-// cloning counterparts, including on the zero interval.
-func TestBorrowAccessors(t *testing.T) {
-	x := iv(3, 9)
-	scratch := new(big.Int)
-	if x.CmpA(big.NewInt(2)) <= 0 || x.CmpA(big.NewInt(3)) != 0 || x.CmpA(big.NewInt(4)) >= 0 {
-		t.Error("CmpA ordering wrong")
-	}
-	if x.CmpB(big.NewInt(8)) <= 0 || x.CmpB(big.NewInt(9)) != 0 || x.CmpB(big.NewInt(10)) >= 0 {
-		t.Error("CmpB ordering wrong")
-	}
-	if x.AInto(scratch).Cmp(x.A()) != 0 {
-		t.Errorf("AInto = %v, A = %v", scratch, x.A())
-	}
-	if x.BInto(scratch).Cmp(x.B()) != 0 {
-		t.Errorf("BInto = %v, B = %v", scratch, x.B())
-	}
-	if x.LenInto(scratch).Cmp(x.Len()) != 0 {
-		t.Errorf("LenInto = %v, Len = %v", scratch, x.Len())
-	}
-	if got := iv(7, 2).LenInto(scratch); got.Sign() != 0 {
-		t.Errorf("LenInto of empty = %v, want 0", got)
-	}
-	var zero Interval
-	if zero.CmpA(new(big.Int)) != 0 || zero.CmpB(new(big.Int)) != 0 {
-		t.Error("zero interval borrow accessors should compare as 0")
-	}
-	if zero.AInto(scratch).Sign() != 0 || zero.BInto(scratch).Sign() != 0 {
-		t.Error("zero interval AInto/BInto should yield 0")
-	}
-	// Mutating the copied-out value must not touch the interval.
-	x.AInto(scratch).SetInt64(99)
-	if x.CmpA(big.NewInt(3)) != 0 {
-		t.Error("AInto leaked internal state")
-	}
-}
 
 // TestIntersectInPlace: the mutating intersection matches Intersect on
 // overlapping, nested, disjoint and empty operands.

@@ -1,18 +1,15 @@
 // Interval sets: finite unions of disjoint half-open intervals, with exact
-// big.Int measure accounting. The conformance layer of internal/harness uses
+// measure accounting. The conformance layer of internal/harness uses
 // them to state the paper's invariants mechanically — "the completed regions
 // plus the checkpointed remainders partition the root range" is a Set
 // equation — and the farmer-side INTERVALS content is itself such a set.
 package interval
 
-import (
-	"math/big"
-	"strings"
-)
+import "strings"
 
 // Set is a union of disjoint, non-adjacent, ascending half-open intervals.
-// The zero value is the empty set. Sets own their big.Ints: inputs are
-// copied on the way in and outputs on the way out, like Interval itself.
+// The zero value is the empty set. A Set never writes a bound in place,
+// so it shares spilled bounds with its inputs and outputs freely.
 // A Set is not safe for concurrent use.
 type Set struct {
 	ivs []Interval // sorted by A; pairwise disjoint with gaps between
@@ -28,14 +25,8 @@ func NewSet(ivs ...Interval) *Set {
 	return s
 }
 
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{ivs: make([]Interval, len(s.ivs))}
-	for i, iv := range s.ivs {
-		c.ivs[i] = iv.Clone()
-	}
-	return c
-}
+// Clone returns a copy of the set.
+func (s *Set) Clone() *Set { return &Set{ivs: append([]Interval(nil), s.ivs...)} }
 
 // Count returns the number of disjoint runs in the set.
 func (s *Set) Count() int { return len(s.ivs) }
@@ -43,21 +34,14 @@ func (s *Set) Count() int { return len(s.ivs) }
 // IsEmpty reports whether the set has zero measure.
 func (s *Set) IsEmpty() bool { return len(s.ivs) == 0 }
 
-// Intervals returns the runs in ascending order, as copies.
-func (s *Set) Intervals() []Interval {
-	out := make([]Interval, len(s.ivs))
-	for i, iv := range s.ivs {
-		out[i] = iv.Clone()
-	}
-	return out
-}
+// Intervals returns the runs in ascending order.
+func (s *Set) Intervals() []Interval { return append([]Interval(nil), s.ivs...) }
 
 // Total returns the measure of the set: the sum of the run lengths.
-func (s *Set) Total() *big.Int {
-	t := new(big.Int)
-	tmp := new(big.Int)
+func (s *Set) Total() Num {
+	var t Num
 	for _, iv := range s.ivs {
-		t.Add(t, iv.LenInto(tmp))
+		t.Add(t, iv.Width())
 	}
 	return t
 }
@@ -66,12 +50,12 @@ func (s *Set) Total() *big.Int {
 // call — the amount of re-covered ground, which is exactly the redundant
 // work the paper's fault-tolerance mechanism trades for checkpoint sparsity.
 // Adding an empty interval is a no-op returning zero.
-func (s *Set) Add(iv Interval) *big.Int {
-	overlap := new(big.Int)
+func (s *Set) Add(iv Interval) Num {
+	var overlap Num
 	if iv.IsEmpty() {
 		return overlap
 	}
-	a, b := iv.A(), iv.B()
+	a, b := iv.a, iv.b
 	// Find the insertion window: runs strictly before a stay; runs that
 	// overlap or touch [a,b) are merged into it.
 	lo := 0
@@ -79,67 +63,41 @@ func (s *Set) Add(iv Interval) *big.Int {
 		lo++
 	}
 	hi := lo
-	tmp := new(big.Int)
 	for hi < len(s.ivs) && s.ivs[hi].a.Cmp(b) <= 0 {
 		run := s.ivs[hi]
 		// Overlap measure of [a,b) ∩ run.
-		oa := maxBig(a, run.a)
-		ob := minBig(b, run.b)
-		if oa.Cmp(ob) < 0 {
-			overlap.Add(overlap, tmp.Sub(ob, oa))
-		}
-		if run.a.Cmp(a) < 0 {
-			a.Set(run.a)
-		}
-		if run.b.Cmp(b) > 0 {
-			b.Set(run.b)
-		}
+		overlap.Add(overlap, Of(a, b).Intersect(run).Width())
+		a, b = minNum(a, run.a), maxNum(b, run.b)
 		hi++
 	}
-	merged := Interval{a: a, b: b}
-	s.ivs = append(s.ivs[:lo], append([]Interval{merged}, s.ivs[hi:]...)...)
+	s.ivs = append(s.ivs[:lo], append([]Interval{{a: a, b: b}}, s.ivs[hi:]...)...)
 	return overlap
 }
 
 // Sub removes iv from the set and returns the measure actually removed
 // (the measure of iv ∩ s before the call).
-func (s *Set) Sub(iv Interval) *big.Int {
-	removed := new(big.Int)
+func (s *Set) Sub(iv Interval) Num {
+	var removed Num
 	if iv.IsEmpty() || len(s.ivs) == 0 {
 		return removed
 	}
 	out := s.ivs[:0:0]
-	tmp := new(big.Int)
 	for _, run := range s.ivs {
 		if run.b.Cmp(iv.a) <= 0 || run.a.Cmp(iv.b) >= 0 {
 			out = append(out, run)
 			continue
 		}
-		oa := maxBig(iv.a, run.a)
-		ob := minBig(iv.b, run.b)
-		removed.Add(removed, tmp.Sub(ob, oa))
-		if run.a.Cmp(oa) < 0 {
-			out = append(out, Interval{a: run.a, b: new(big.Int).Set(oa)})
+		cut := run.Intersect(iv)
+		removed.Add(removed, cut.Width())
+		if run.a.Cmp(cut.a) < 0 {
+			out = append(out, Interval{a: run.a, b: cut.a})
 		}
-		if ob.Cmp(run.b) < 0 {
-			out = append(out, Interval{a: new(big.Int).Set(ob), b: run.b})
+		if cut.b.Cmp(run.b) < 0 {
+			out = append(out, Interval{a: cut.b, b: run.b})
 		}
 	}
 	s.ivs = out
 	return removed
-}
-
-// Covers reports whether iv ⊆ s. The empty interval is covered by any set.
-func (s *Set) Covers(iv Interval) bool {
-	if iv.IsEmpty() {
-		return true
-	}
-	for _, run := range s.ivs {
-		if run.a.Cmp(iv.a) <= 0 && iv.b.Cmp(run.b) <= 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Gaps returns universe ∖ s: the uncovered runs inside the universe, in
@@ -150,8 +108,7 @@ func (s *Set) Gaps(universe Interval) []Interval {
 	if universe.IsEmpty() {
 		return gaps
 	}
-	cursor := universe.A()
-	end := universe.B()
+	cursor, end := universe.a, universe.b
 	for _, run := range s.ivs {
 		if run.b.Cmp(cursor) <= 0 {
 			continue
@@ -160,11 +117,9 @@ func (s *Set) Gaps(universe Interval) []Interval {
 			break
 		}
 		if run.a.Cmp(cursor) > 0 {
-			gaps = append(gaps, Interval{a: new(big.Int).Set(cursor), b: new(big.Int).Set(minBig(run.a, end))})
+			gaps = append(gaps, Interval{a: cursor, b: minNum(run.a, end)})
 		}
-		if run.b.Cmp(cursor) > 0 {
-			cursor.Set(run.b)
-		}
+		cursor = maxNum(cursor, run.b)
 		if cursor.Cmp(end) >= 0 {
 			return gaps
 		}

@@ -6,8 +6,6 @@
 // never overlap, empties stay absorbing) against the brute-force model.
 package interval
 
-import "math/big"
-
 // Halve is the donation operator: it splits iv at its midpoint into the
 // part the holder keeps ([A, mid), the region its depth-first walk is
 // already inside) and the part it donates ([mid, B)). An interval too short
@@ -15,12 +13,14 @@ import "math/big"
 // kept whole: keep echoes iv and give is empty, so donation chains absorb
 // empties instead of manufacturing work from them.
 func Halve(iv Interval) (keep, give Interval) {
-	two := big.NewInt(2)
-	if iv.IsEmpty() || iv.Len().Cmp(two) < 0 {
-		return iv.Clone(), Interval{a: new(big.Int), b: new(big.Int)}
+	length := iv.Width()
+	if length.Cmp(NumInt64(2)) < 0 {
+		return iv, Interval{}
 	}
-	mid := new(big.Int).Add(iv.a, iv.b)
-	mid.Rsh(mid, 1)
+	// mid = ⌊(A+B)/2⌋ = A + ⌊len/2⌋, without the sum's overflow.
+	var mid Num
+	mid.MulQuo(length, 1, 2)
+	mid.Add(mid, iv.a)
 	return iv.SplitAt(mid)
 }
 
@@ -37,22 +37,22 @@ func SplitEven(iv Interval, n int) []Interval {
 	}
 	out := make([]Interval, n)
 	if iv.IsEmpty() {
-		for i := range out {
-			out[i] = Interval{a: new(big.Int), b: new(big.Int)}
-		}
 		return out
 	}
-	length := iv.Len()
-	quo, rem := new(big.Int).QuoRem(length, big.NewInt(int64(n)), new(big.Int))
-	cut := new(big.Int).Set(iv.a)
-	one := big.NewInt(1)
+	length := iv.Width()
+	var quo, rem Num
+	quo.MulQuo(length, 1, int64(n))
+	rem.Mul64(quo, int64(n))
+	rem.Sub(length, rem)
+	cut := iv.a
 	for i := 0; i < n; i++ {
-		a := new(big.Int).Set(cut)
-		cut.Add(cut, quo)
+		var next Num
+		next.Add(cut, quo)
 		if int64(i) < rem.Int64() {
-			cut.Add(cut, one)
+			next.Add(next, NumInt64(1))
 		}
-		out[i] = Interval{a: a, b: new(big.Int).Set(cut)}
+		out[i] = Interval{a: cut, b: next}
+		cut = next
 	}
 	return out
 }

@@ -644,7 +644,7 @@ func (tb *Table) progressLocked(j *job) Progress {
 		p.FleetPower = j.f.FleetPower()
 		card, total := j.f.Size()
 		p.Intervals = card
-		rem, _ := new(big.Rat).SetFrac(total, j.rootLen).Float64()
+		rem, _ := new(big.Rat).SetFrac(total.Big(), j.rootLen).Float64()
 		p.FrontierPct = (1 - rem) * 100
 	} else {
 		p.BestCost, p.BestPath = j.best.Cost, j.best.Path

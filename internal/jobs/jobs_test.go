@@ -486,7 +486,7 @@ func TestLateFoldCountsTowardFinishedJob(t *testing.T) {
 	// A threshold above any root length: the second requester gets a
 	// duplicate of the first one's interval instead of a split.
 	tb := NewTable(Config{})
-	if err := tb.Submit("k", knapSpec(14, 1), farmer.WithThreshold(new(big.Int).Lsh(big.NewInt(1), 200))); err != nil {
+	if err := tb.Submit("k", knapSpec(14, 1), farmer.WithThreshold(interval.NumBig(new(big.Int).Lsh(big.NewInt(1), 200)))); err != nil {
 		t.Fatal(err)
 	}
 	first, err := tb.RequestWork(transport.WorkRequest{Worker: "w1", Power: 10, Job: "k"})
@@ -659,7 +659,7 @@ func TestSubmitOptionsOnPromotionAndResubmit(t *testing.T) {
 	if err := tb.Submit("plain", knapSpec(14, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Submit("dup", knapSpec(14, 2), farmer.WithThreshold(new(big.Int).Lsh(big.NewInt(1), 200))); err != nil {
+	if err := tb.Submit("dup", knapSpec(14, 2), farmer.WithThreshold(interval.NumBig(new(big.Int).Lsh(big.NewInt(1), 200)))); err != nil {
 		t.Fatal(err)
 	}
 	if p, _ := tb.Progress("dup"); p.State != "queued" {
@@ -686,7 +686,7 @@ func TestSubmitOptionsOnPromotionAndResubmit(t *testing.T) {
 	if err := tb.Cancel("dup"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Submit("dup", knapSpec(14, 2), farmer.WithThreshold(new(big.Int).Lsh(big.NewInt(1), 200))); err != nil {
+	if err := tb.Submit("dup", knapSpec(14, 2), farmer.WithThreshold(interval.NumBig(new(big.Int).Lsh(big.NewInt(1), 200)))); err != nil {
 		t.Fatal(err)
 	}
 	if !duplicates("dup") {

@@ -28,7 +28,7 @@ import (
 func checkShardTiling(t *testing.T, g *shardEngine) *interval.Set {
 	t.Helper()
 	g.stealMu.Lock()
-	registered := interval.New(g.lo, g.hi)
+	registered := interval.Of(g.lo, g.hi)
 	rems := g.remainders()
 	fold := foldCover(rems, g.hi)
 	g.stealMu.Unlock()
@@ -201,7 +201,7 @@ func crossCheck(t *testing.T, tc multicoreCase, concurrent bool) {
 			// registered interval itself may shrink through farmer
 			// restricts; once consumed, always consumed). Only this
 			// goroutine writes lo and hi (Reassign, Restrict).
-			registered := interval.New(g.lo, g.hi)
+			registered := interval.Of(g.lo, g.hi)
 			step := interval.NewSet(registered.Clone())
 			for _, rem := range remainders.Intervals() {
 				step.Sub(rem)

@@ -2,7 +2,6 @@ package worker
 
 import (
 	"math"
-	"math/big"
 	"runtime"
 	"sync"
 	"time"
@@ -63,7 +62,7 @@ type shardEngine struct {
 	// fold there too keeps the farmer from mistaking a finished top shard
 	// for a stale copy. steals counts the donations it fenced.
 	stealMu sync.Mutex
-	lo, hi  *big.Int
+	lo, hi  interval.Num
 	steals  int64
 
 	// mu guards the incumbent, the pending improvement and the node tally.
@@ -98,8 +97,6 @@ func newShardEngine(probs []bb.Problem, stepSize int64, onImprove func(bb.Soluti
 	g := &shardEngine{
 		nb:        core.NewNumbering(probs[0].Shape()),
 		quantum:   max(stepSize/int64(len(probs)), 64),
-		lo:        new(big.Int),
-		hi:        new(big.Int),
 		best:      bb.Solution{Cost: bb.Infinity},
 		onImprove: onImprove,
 	}
@@ -324,14 +321,14 @@ func (g *shardEngine) steal(thief *shard) bool {
 	// a chosen victim may have drained by the time it is asked to donate;
 	// re-scan until a donation lands or no shard has anything to give.
 	for {
-		lens := make([]*big.Int, len(g.shards))
+		lens := make([]interval.Num, len(g.shards))
 		for i, sh := range g.shards {
 			if sh == thief {
 				continue
 			}
 			sh.mu.Lock()
 			if !sh.ex.Done() {
-				lens[i] = sh.ex.Remaining().Len()
+				lens[i] = sh.ex.Remaining().Width()
 			}
 			sh.mu.Unlock()
 		}
@@ -357,13 +354,13 @@ func (g *shardEngine) steal(thief *shard) bool {
 }
 
 // richest picks the steal victim: the index of the largest length that is
-// worth splitting (at least 2 numbers; nil marks a non-candidate), lowest
+// worth splitting (at least 2 numbers; zero marks a non-candidate), lowest
 // index on ties, -1 when nobody qualifies.
-func richest(lens []*big.Int) int {
+func richest(lens []interval.Num) int {
 	idx := -1
-	bestLen := big.NewInt(1)
+	bestLen := interval.NumInt64(1)
 	for i, l := range lens {
-		if l != nil && l.Cmp(bestLen) > 0 {
+		if l.Cmp(bestLen) > 0 {
 			idx, bestLen = i, l
 		}
 	}
@@ -378,17 +375,14 @@ func richest(lens []*big.Int) int {
 // already-explored holes above the minimum frontier stay inside the fold;
 // they are given up only as the frontier passes them, which keeps the fold
 // monotone and the redundancy accounting conservative.
-func foldCover(rems []interval.Interval, hi *big.Int) interval.Interval {
-	var lo *big.Int
-	for _, rem := range rems {
-		if a := rem.A(); lo == nil || a.Cmp(lo) < 0 {
+func foldCover(rems []interval.Interval, hi interval.Num) interval.Interval {
+	lo := hi
+	for i, rem := range rems {
+		if a := rem.Lo(); i == 0 || a.Cmp(lo) < 0 {
 			lo = a
 		}
 	}
-	if lo == nil {
-		return interval.New(hi, hi)
-	}
-	return interval.New(lo, hi)
+	return interval.Of(lo, hi).Clone()
 }
 
 // remainders returns the non-empty shard remainders. Callers hold stealMu,
@@ -427,11 +421,11 @@ func (g *shardEngine) Restrict(iv interval.Interval) {
 	}
 	g.stealMu.Lock()
 	defer g.stealMu.Unlock()
-	if iv.CmpA(g.lo) > 0 {
-		iv.AInto(g.lo)
+	if iv.Lo().Cmp(g.lo) > 0 {
+		g.lo.Set(iv.Lo())
 	}
-	if iv.CmpB(g.hi) < 0 {
-		iv.BInto(g.hi)
+	if iv.Hi().Cmp(g.hi) < 0 {
+		g.hi.Set(iv.Hi())
 	}
 	for _, sh := range g.shards {
 		sh.mu.Lock()
@@ -449,8 +443,8 @@ func (g *shardEngine) Restrict(iv interval.Interval) {
 func (g *shardEngine) Reassign(iv interval.Interval) {
 	g.stealMu.Lock()
 	clamped := iv.Intersect(g.nb.RootRange())
-	clamped.AInto(g.lo)
-	clamped.BInto(g.hi)
+	g.lo.Set(clamped.Lo())
+	g.hi.Set(clamped.Hi())
 	parts := interval.SplitEven(clamped, len(g.shards))
 	for i, sh := range g.shards {
 		sh.mu.Lock()
